@@ -133,28 +133,6 @@ def _check_entry(entry: dict, tolerance: float) -> int:
     return rc
 
 
-def _report_remote() -> None:
-    """Print (never gate) the latest remote loopback round-trip record.
-
-    Loopback latency on a shared runner is weather; the row exists so
-    the remote tier's transport cost stays visible in every CI log
-    without ever failing a build over it.
-    """
-    found = latest_bench("remote", "loopback", "test")
-    if found is None:
-        found = latest_bench("remote", "loopback", "bench")
-    if found is None:
-        return
-    path, record = found
-    print(
-        f"remote/loopback round-trip (ungated): "
-        f"GET p50 {float(record.get('get_rtt_ms_p50', 0.0)):.2f}ms, "
-        f"PUT p50 {float(record.get('put_rtt_ms_p50', 0.0)):.2f}ms, "
-        f"write-back drain {float(record.get('writeback_drain_s', 0.0)):.2f}s "
-        f"over {record.get('objects', '?')} objects, from {path}"
-    )
-
-
 def _update(entries: "list[dict]", baseline_path: str) -> int:
     """Rewrite each entry from its latest matching BENCH record."""
     fresh_entries = []
@@ -230,7 +208,6 @@ def main(argv=None) -> int:
     if args.update:
         return _update(entries, args.baseline)
 
-    _report_remote()
     return max(_check_entry(entry, tolerance) for entry in entries)
 
 

@@ -17,11 +17,6 @@ session cache, cold imports):
   per-cell invocations, each re-deriving everything.  Both legs are
   wall-clock including interpreter startup — the per-cell leg *is* N
   separate process launches; that symmetry is the point.
-* **remote** (``--remote``) — the remote object-store tier against a
-  loopback ``repro store serve`` daemon: per-object ``GET``/``PUT``
-  round-trip latency through the production ``http.client`` transport,
-  plus the wall time for the asynchronous write-back queue to drain.
-  ``check_bench`` prints these rows but never gates them.
 * **fig7-par** (``--fig7-par``) — the two-level scheduler + shared-
   memory trace plane: one workload's whole sampling ladder (a single
   trace group, the worst case for level-1 scheduling) cold through the
@@ -492,100 +487,6 @@ def _run_fig7_par(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_remote_mode(args: argparse.Namespace) -> int:
-    """Loopback remote-tier round-trip: GET/PUT RTT, write-back drain.
-
-    Boots a real ``repro store serve`` daemon on a loopback ephemeral
-    port and measures the remote tier's per-object round-trip through
-    the production transport.  The numbers are *reported* by
-    ``check_bench``, never gated — loopback latency on a shared CI
-    runner is weather — but their trajectory is worth a row.
-    """
-    import statistics
-    import tempfile
-
-    src = os.path.join(ROOT, "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.service import ObjectStoreDaemon, serve_in_thread
-    from repro.sim.remote import RemoteConfig, RemoteStore, payload_digest
-
-    objects = 32
-    payloads = [
-        (f"remote-bench-{index:04d}-".encode() * 512)
-        for index in range(objects)
-    ]
-    # The transport digest doubles as the object key (valid hex, and
-    # self-verifying on the way back).
-    keys = [payload_digest(payload) for payload in payloads]
-
-    with tempfile.TemporaryDirectory(prefix="remote-bench-") as tmp:
-        daemon = ObjectStoreDaemon(os.path.join(tmp, "peer"))
-        with serve_in_thread(daemon):
-            remote = RemoteStore(RemoteConfig(url=daemon.url))
-            put_ms, get_ms = [], []
-            for key, payload in zip(keys, payloads):
-                t0 = time.perf_counter()
-                if not remote.put("result", key, payload):
-                    raise SystemExit("loopback PUT failed")
-                put_ms.append((time.perf_counter() - t0) * 1000.0)
-            for key, payload in zip(keys, payloads):
-                t0 = time.perf_counter()
-                fetched = remote.fetch("result", key)
-                get_ms.append((time.perf_counter() - t0) * 1000.0)
-                if fetched != payload:
-                    raise SystemExit("loopback GET returned wrong bytes")
-            # Asynchronous write-back: queue every object through the
-            # background writer and time the full drain.
-            spool = os.path.join(tmp, "spool")
-            os.makedirs(spool)
-            drain = RemoteStore(RemoteConfig(url=daemon.url))
-            for key, payload in zip(keys, payloads):
-                path = os.path.join(spool, key)
-                with open(path, "wb") as handle:
-                    handle.write(payload)
-                drain.enqueue_writeback("result", key, path)
-            t0 = time.perf_counter()
-            if not drain.flush(timeout_s=120):
-                raise SystemExit("write-back queue failed to drain")
-            drain_s = time.perf_counter() - t0
-            drain.close()
-            remote.close()
-
-    get_p50 = statistics.median(get_ms)
-    put_p50 = statistics.median(put_ms)
-    print(
-        f"remote loopback: GET p50 {get_p50:.2f}ms, PUT p50 "
-        f"{put_p50:.2f}ms over {objects} objects of "
-        f"{len(payloads[0])} bytes"
-    )
-    print(
-        f"  async write-back drain: {drain_s:.2f}s for {objects} "
-        "queued objects"
-    )
-    lines = [
-        f"remote loopback @ {args.scale}: GET p50 {get_p50:.2f}ms, "
-        f"PUT p50 {put_p50:.2f}ms, drain {drain_s:.2f}s "
-        f"({objects} objects)"
-    ]
-    _record(
-        lines,
-        {
-            "mode": "remote",
-            "experiment": "loopback",
-            "scale": args.scale,
-            "objects": objects,
-            "payload_bytes": len(payloads[0]),
-            "get_rtt_ms_p50": get_p50,
-            "get_rtt_ms_max": max(get_ms),
-            "put_rtt_ms_p50": put_p50,
-            "put_rtt_ms_max": max(put_ms),
-            "writeback_drain_s": drain_s,
-        },
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--experiment", default="fig9")
@@ -620,16 +521,7 @@ def main(argv=None) -> int:
         "workload's sampling ladder serial-grouped vs split across two "
         "workers attaching the trace over shared memory",
     )
-    parser.add_argument(
-        "--remote", action="store_true",
-        help="measure the remote object-store tier over a loopback "
-        "`repro store serve` daemon: GET/PUT round-trip and async "
-        "write-back drain (reported by check_bench, never gated)",
-    )
     args = parser.parse_args(argv)
-
-    if args.remote:
-        return _run_remote_mode(args)
 
     if args.fig7_sweep:
         return _run_fig7_sweep(args)

@@ -9,8 +9,6 @@ Examples::
     python -m repro sweep-sampling --workload web-apache --scale demo
     python -m repro cache warm fig4 --scale bench
     python -m repro cache stats
-    python -m repro serve --port 8023
-    python -m repro client submit --workload oltp-db2 --scale test
 
 Every simulation command works through the persistent artifact store
 (``--store-dir``, default ``$REPRO_STORE_DIR`` or ``~/.cache/
@@ -82,16 +80,14 @@ def _session_scope(args: argparse.Namespace):
     """Install the CLI-selected session (store + enabled) globally.
 
     ``--no-cache`` (or ``REPRO_SIM_CACHE=0``) disables both cache tiers;
-    otherwise the artifact store at ``--store-dir`` backs the session,
-    optionally read-through/write-back against a remote peer
-    (``--remote-url`` or ``REPRO_REMOTE_URL``).  The choice is exported
-    through the environment so pool workers of the parallel runner join
-    the same store (and remote), and both the environment and the
-    previous global session are restored on exit.
+    otherwise the artifact store at ``--store-dir`` backs the session.
+    The choice is exported through the environment so pool workers of
+    the parallel runner join the same store, and both the environment
+    and the previous global session are restored on exit.
     """
     saved = {
         key: os.environ.get(key)
-        for key in ("REPRO_SIM_CACHE", "REPRO_STORE_DIR", "REPRO_REMOTE_URL")
+        for key in ("REPRO_SIM_CACHE", "REPRO_STORE_DIR")
     }
     no_cache = (
         getattr(args, "no_cache", False)
@@ -103,22 +99,11 @@ def _session_scope(args: argparse.Namespace):
     else:
         store_dir = getattr(args, "store_dir", None) or default_store_dir()
         os.environ["REPRO_STORE_DIR"] = store_dir
-        remote_url = getattr(args, "remote_url", None)
-        if remote_url:
-            os.environ["REPRO_REMOTE_URL"] = remote_url
         session = SimSession(enabled=True, store=ArtifactStore(store_dir))
     previous = set_session(session)
     try:
         yield session
     finally:
-        store = session.store
-        if store is not None and store.remote is not None:
-            # Drain queued write-backs before the process exits, fold
-            # the tier's counters into this run's stats, and publish
-            # them persistently for ``cache stats``.
-            store.remote.flush()
-            session.fold_remote_stats()
-            store.close_remote()
         set_session(previous)
         for key, value in saved.items():
             if value is None:
@@ -445,46 +430,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
             "refinement reuse",
             f"{reused} cells answered by the store across re-runs",
         ])
-    # Service effectiveness: per-endpoint hit rate and mean latency
-    # derived from the daemon's persisted request counters.
-    submits = counters.get("service_submit_requests", 0)
-    if submits:
-        warm = counters.get("service_warm_hits", 0)
-        rows.append([
-            "service warm hit rate",
-            f"{warm / submits:.0%} ({warm}/{submits} submits)",
-        ])
-    for endpoint in ("submit", "status", "fetch"):
-        requests = counters.get(f"service_{endpoint}_requests", 0)
-        ms_total = counters.get(f"service_{endpoint}_ms_total", 0)
-        if requests:
-            rows.append([
-                f"service {endpoint} mean latency",
-                f"{ms_total / requests:.0f}ms over {requests} requests",
-            ])
-    # Remote-tier effectiveness: read-through hit rate against the
-    # fleet's shared peer, plus outage behaviour (errors are failed
-    # requests, skips are requests the open breaker never sent).
-    remote_reads = counters.get("remote_hits", 0) + counters.get(
-        "remote_misses", 0
-    )
-    if remote_reads:
-        hits = counters.get("remote_hits", 0)
-        rows.append([
-            "remote hit rate",
-            f"{hits / remote_reads:.0%} ({hits}/{remote_reads} probes)",
-        ])
-    if info.get("remote") is not None:
-        remote = info["remote"]
-        breaker = "open" if remote["breaker_open"] else "closed"
-        verified = {
-            True: "verified", False: "MISMATCH", None: "unverified"
-        }[remote["schema_verified"]]
-        rows.append([
-            "remote peer",
-            f"{remote['url']} (schema {verified}, breaker {breaker}, "
-            f"{remote['pending_writebacks']} pending write-backs)",
-        ])
     print(format_table(["field", "value"], rows, title="Artifact store"))
     return 0
 
@@ -493,13 +438,7 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
     store = _open_store(args)
     if args.clear:
         removed = store.clear()
-        skipped = store.stats.pinned_skipped
-        pinned = (
-            f" ({skipped} kept: pinned by pending write-backs)"
-            if skipped
-            else ""
-        )
-        print(f"cleared {removed} entries from {store.root}{pinned}")
+        print(f"cleared {removed} entries from {store.root}")
         return 0
     max_bytes = (
         int(args.max_mb * 1024 * 1024) if args.max_mb is not None else None
@@ -560,212 +499,7 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
             f"store {store.root}: {store.stats.writes} writes, "
             f"{_format_size(store.total_bytes())} total"
         )
-    if (
-        stats.remote_hits or stats.remote_misses or stats.remote_errors
-        or stats.remote_skipped or stats.remote_writebacks
-    ):
-        print(
-            f"remote: {stats.remote_hits} remote hits, "
-            f"{stats.remote_misses} remote misses, "
-            f"{stats.remote_writebacks} write-backs, "
-            f"{stats.remote_errors} remote errors, "
-            f"{stats.remote_skipped} skipped"
-        )
     return 0
-
-
-# ----------------------------------------------------------------------
-# The service: `serve` (daemon) and `client` (submit/status/fetch).
-# ----------------------------------------------------------------------
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation service daemon until interrupted."""
-    import asyncio
-
-    from repro.service import ServiceConfig, ServiceDaemon
-
-    kwargs: dict = {
-        "host": args.host,
-        "store_dir": args.store_dir or default_store_dir(),
-    }
-    if args.port is not None:
-        kwargs["port"] = args.port
-    if args.timeout is not None:
-        kwargs["timeout_s"] = args.timeout
-    if args.retries is not None:
-        kwargs["retries"] = args.retries
-    if args.workers is not None:
-        kwargs["max_concurrent"] = max(1, args.workers)
-    daemon = ServiceDaemon(ServiceConfig(**kwargs))
-
-    async def _serve() -> None:
-        host, port = await daemon.start()
-        print(
-            f"repro service listening on http://{host}:{port} "
-            f"(store {daemon.store.root})",
-            flush=True,
-        )
-        await daemon.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    print("repro service stopped")
-    return 0
-
-
-def cmd_store_serve(args: argparse.Namespace) -> int:
-    """Serve the artifact store to remote peers until interrupted."""
-    import asyncio
-
-    from repro.service import ObjectStoreDaemon
-
-    daemon = ObjectStoreDaemon(
-        args.store_dir or default_store_dir(),
-        host=args.host,
-        port=args.port,
-    )
-
-    async def _serve() -> None:
-        host, port = await daemon.start()
-        print(
-            f"repro object store listening on http://{host}:{port} "
-            f"(store {daemon.store.root})",
-            flush=True,
-        )
-        await daemon.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    print("repro object store stopped")
-    return 0
-
-
-def _client_spec(args: argparse.Namespace) -> dict:
-    from repro.service.client import job_spec
-
-    overrides = None
-    if getattr(args, "sampling", None) is not None:
-        overrides = {"sampling_probability": args.sampling}
-    return job_spec(
-        args.workload,
-        kind=args.prefetcher,
-        scale=args.scale,
-        cores=args.cores,
-        seed=args.seed,
-        records_per_core=args.records_per_core,
-        stms_overrides=overrides,
-    )
-
-
-def _client(args: argparse.Namespace):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.url)
-
-
-def _print_submit_response(tag: str, response: dict) -> None:
-    parts = [
-        f"state={response.get('state', '?')}",
-        f"warm={response.get('warm', False)}",
-    ]
-    if response.get("timed_out"):
-        parts.append("timed_out=True")
-    parts.append(f"key={response.get('key', '?')}")
-    print(f"{tag} " + " ".join(parts))
-
-
-def cmd_client_submit(args: argparse.Namespace) -> int:
-    import concurrent.futures
-    import json
-
-    from repro.service import ServiceError
-
-    client = _client(args)
-    spec = _client_spec(args)
-    fan_out = max(1, args.concurrent)
-
-    def _one(index: int) -> dict:
-        return client.submit(
-            spec, wait=not args.no_wait, timeout_s=args.timeout
-        )
-
-    failed = 0
-    if fan_out == 1:
-        try:
-            responses = [_one(0)]
-        except ServiceError as error:
-            print(f"submit failed: {error}", file=sys.stderr)
-            return 1
-    else:
-        # Concurrent fan-out from one client: N parallel submits of the
-        # SAME spec demonstrate (and let CI assert) the daemon's
-        # single-flight — one simulation feeds every waiter.
-        with concurrent.futures.ThreadPoolExecutor(fan_out) as pool:
-            futures = [pool.submit(_one, i) for i in range(fan_out)]
-            responses = []
-            for future in futures:
-                try:
-                    responses.append(future.result())
-                except ServiceError as error:
-                    failed += 1
-                    print(f"submit failed: {error}", file=sys.stderr)
-    for index, response in enumerate(responses):
-        _print_submit_response(f"[{index}]", response)
-    if args.output and responses and responses[0].get("result"):
-        with open(args.output, "w") as handle:
-            json.dump(responses[0]["result"], handle, sort_keys=True)
-        print(f"wrote {args.output}")
-    done = sum(1 for r in responses if r.get("state") == "done")
-    print(
-        f"{done}/{fan_out} done "
-        f"({sum(1 for r in responses if r.get('warm'))} warm)"
-    )
-    return 1 if failed else 0
-
-
-def cmd_client_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import ServiceError
-
-    try:
-        payload = _client(args).status(_client_spec(args))
-    except ServiceError as error:
-        print(f"status failed: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps(payload, sort_keys=True))
-    return 0
-
-
-def cmd_client_fetch(args: argparse.Namespace) -> int:
-    from repro.service import ServiceError
-
-    try:
-        raw = _client(args).fetch_bytes(_client_spec(args))
-    except ServiceError as error:
-        print(f"fetch failed: {error}", file=sys.stderr)
-        return 1
-    if args.output:
-        with open(args.output, "wb") as handle:
-            handle.write(raw)
-        print(f"wrote {args.output} ({len(raw)} bytes)")
-    else:
-        sys.stdout.write(raw.decode("utf-8"))
-    return 0
-
-
-def cmd_client_ping(args: argparse.Namespace) -> int:
-    client = _client(args)
-    if client.wait_until_ready(args.deadline):
-        print(f"service at {client.url} is up")
-        return 0
-    print(f"service at {client.url} did not answer", file=sys.stderr)
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -791,14 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(forces full recomputation)",
         )
         add_store_dir(sub)
-        add_remote_url(sub)
-
-    def add_remote_url(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--remote-url", default=None, metavar="URL",
-            help="remote object-store peer for read-through/write-back "
-            "(default: $REPRO_REMOTE_URL; REPRO_REMOTE=off disables)",
-        )
 
     def add_store_dir(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -944,134 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for experiment targets",
     )
     add_store_dir(sub)
-    add_remote_url(sub)
     sub.set_defaults(entry=cmd_cache_warm)
-
-    sub = subparsers.add_parser(
-        "serve",
-        help="run the simulation service daemon over the shared store",
-    )
-    sub.add_argument("--host", default="127.0.0.1")
-    sub.add_argument(
-        "--port", type=int, default=None,
-        help="listen port (default: REPRO_SERVE_PORT or 8023; 0 for "
-        "an ephemeral port)",
-    )
-    sub.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-request wait bound in seconds "
-        "(default: REPRO_SERVE_TIMEOUT_S or 300)",
-    )
-    sub.add_argument(
-        "--retries", type=int, default=None,
-        help="re-executions after a worker failure "
-        "(default: REPRO_SERVE_RETRIES or 1)",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=None,
-        help="concurrent simulations "
-        "(default: REPRO_SERVE_WORKERS or 2)",
-    )
-    add_store_dir(sub)
-    sub.set_defaults(entry=cmd_serve)
-
-    store = subparsers.add_parser(
-        "store",
-        help="serve the artifact store to remote peers",
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-
-    sub = store_sub.add_parser(
-        "serve",
-        help="run the object-store daemon (the fleet's remote tier)",
-    )
-    sub.add_argument("--host", default="127.0.0.1")
-    sub.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (default: an ephemeral port, printed on start)",
-    )
-    add_store_dir(sub)
-    sub.set_defaults(entry=cmd_store_serve)
-
-    client = subparsers.add_parser(
-        "client", help="talk to a running simulation service daemon"
-    )
-    client_sub = client.add_subparsers(
-        dest="client_command", required=True
-    )
-
-    def add_client_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--url", default=None,
-            help="service URL (default: REPRO_SERVE_URL or "
-            "http://127.0.0.1:$REPRO_SERVE_PORT)",
-        )
-
-    def add_client_job(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workload", required=True, type=_workload_arg,
-            metavar="WORKLOAD|MIX",
-        )
-        sub.add_argument(
-            "--prefetcher", default="stms",
-            choices=[kind.value for kind in PrefetcherKind],
-        )
-        sub.add_argument(
-            "--scale", default="bench", choices=sorted(SCALES),
-        )
-        sub.add_argument("--cores", type=int, default=4)
-        sub.add_argument("--seed", type=int, default=7)
-        sub.add_argument(
-            "--records-per-core", type=int, default=None,
-        )
-        sub.add_argument(
-            "--sampling", type=float, default=None,
-            help="STMS index-update sampling probability override",
-        )
-        add_client_common(sub)
-
-    sub = client_sub.add_parser(
-        "submit", help="submit a job (warm-served or single-flighted)"
-    )
-    add_client_job(sub)
-    sub.add_argument(
-        "--no-wait", action="store_true",
-        help="return immediately; poll `client status` for completion",
-    )
-    sub.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-request wait bound (overrides the daemon default)",
-    )
-    sub.add_argument(
-        "--concurrent", type=int, default=1, metavar="N",
-        help="fire N parallel submits of the same spec (single-flight "
-        "demo: the daemon runs one simulation for all of them)",
-    )
-    sub.add_argument("--output", help="write the result record here")
-    sub.set_defaults(entry=cmd_client_submit)
-
-    sub = client_sub.add_parser(
-        "status", help="request state for a job spec"
-    )
-    add_client_job(sub)
-    sub.set_defaults(entry=cmd_client_status)
-
-    sub = client_sub.add_parser(
-        "fetch", help="download the persisted result record for a spec"
-    )
-    add_client_job(sub)
-    sub.add_argument("--output", help="write the raw record here")
-    sub.set_defaults(entry=cmd_client_fetch)
-
-    sub = client_sub.add_parser(
-        "ping", help="wait until the daemon answers /healthz"
-    )
-    add_client_common(sub)
-    sub.add_argument(
-        "--deadline", type=float, default=15.0, metavar="S",
-        help="give up after this many seconds (default 15)",
-    )
-    sub.set_defaults(entry=cmd_client_ping)
 
     return parser
 

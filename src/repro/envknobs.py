@@ -1,13 +1,16 @@
 """Warn-once parsing of numeric ``REPRO_*`` environment knobs.
 
-Several tuning knobs used to swallow a malformed value silently and
-fall back to their default (``REPRO_STORE_MAX_MB``,
-``REPRO_STORE_TMP_MAX_AGE_S``, the remote-tier timeout/retry/breaker
-knobs), while the equivalent misparse of ``REPRO_JOBS`` or
-``REPRO_SHARD_MIN_CELLS`` warned.  This module is the shared fix: one
-:class:`RuntimeWarning` per knob per process, then the documented
-default — a typo'd environment can no longer silently un-cap a store
-or reshape the circuit breaker.
+A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_STORE_TMP_MAX_AGE_S``,
+``REPRO_BOOTSTRAP_RESAMPLES``) emits one :class:`RuntimeWarning` per
+knob per process and then falls back to its documented default, the
+same way a misparsed ``REPRO_JOBS`` or ``REPRO_SHARD_MIN_CELLS`` does,
+so a typo'd environment cannot silently un-cap a store.
+
+Float knobs are sizes and durations, so a value that parses but cannot
+be one (``nan``, ``inf``, a negative number, or zero where the knob is
+``positive``) is malformed too: a ``-1`` size cap would otherwise evict
+every artifact right after it is written, and a negative age gate would
+let the stale-temp sweep unlink live writers' in-flight files.
 
 An *empty* value is treated as unset (no warning): ``REPRO_X= cmd`` is
 a common way to explicitly clear a knob in shell scripts.
@@ -15,6 +18,7 @@ a common way to explicitly clear a knob in shell scripts.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
@@ -35,17 +39,26 @@ def _warn_once(name: str, raw: str, expected: str) -> None:
     )
 
 
-def env_float(name: str, default):
+def env_float(name: str, default, *, positive: bool = False):
     """``float(os.environ[name])``, or ``default`` when the knob is
-    unset/empty; a malformed value warns once and falls back."""
+    unset/empty.  A value that is not a finite number ``>= 0`` (``> 0``
+    when ``positive``) warns once and falls back."""
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        _warn_once(name, raw, "a number")
-        return default
+        value = math.nan
+    if math.isfinite(value) and (value > 0 if positive else value >= 0):
+        return value
+    _warn_once(
+        name,
+        raw,
+        "a finite positive number" if positive
+        else "a finite non-negative number",
+    )
+    return default
 
 
 def env_int(name: str, default):

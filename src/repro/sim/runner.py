@@ -479,12 +479,6 @@ def _run_bundle(
             trace_ref,
         )
     results = _run_group(jobs, session, preshared)
-    if session.store is not None and session.store.remote is not None:
-        # Drain the write-back queue at the bundle boundary (the worker
-        # process may be reaped right after returning) and fold remote
-        # counters so they ride the generic stats delta.
-        session.store.remote.flush()
-        session.fold_remote_stats()
     stats_delta = {
         f.name: getattr(session.stats, f.name) - getattr(before, f.name)
         for f in fields(SessionStats)

@@ -92,16 +92,6 @@ class SessionStats:
     #: (TraceRef file sizes) — the plane's savings are the contrast
     #: between this and :attr:`shm_bytes_zero_copy`.
     shm_bytes_pickled: int = 0
-    #: Remote-tier behaviour (the store's HTTP peer, if configured).
-    #: Folded from the store's :class:`~repro.sim.remote.RemoteStore`
-    #: by :meth:`SimSession.fold_remote_stats`; ``remote_hits`` are
-    #: objects read-through from the peer, ``remote_skipped`` are
-    #: requests suppressed by the open circuit breaker.
-    remote_hits: int = 0
-    remote_misses: int = 0
-    remote_errors: int = 0
-    remote_skipped: int = 0
-    remote_writebacks: int = 0
     #: Budgeted-sampling layer (``sim/sampling.py`` via the
     #: ``run_sampled_sweep`` helper): grid cells selected under a
     #: budget, cells run through the same helper at full budget (the
@@ -183,14 +173,11 @@ def trace_recipe_key(
 class SimSession:
     """Two-tier (memory -> disk) memo of traces and simulation results.
 
-    Memo-tier accesses are guarded by a reentrant lock so sessions can
-    be shared across threads — the service daemon offloads simulations
-    from its event loop onto worker threads, all submitting through one
-    session.  The lock scopes to cache bookkeeping only: trace
-    generation and simulation proper run outside it, so two *distinct*
-    keys still compute concurrently (equal keys are the single-flight
-    layer's job — the session may at worst compute one twice, never
-    corrupt state).
+    Memo-tier accesses are guarded by a reentrant lock so one session
+    can be shared across threads.  The lock scopes to cache bookkeeping
+    only: trace generation and simulation proper run outside it, so two
+    *distinct* keys still compute concurrently (two threads asking for
+    the same key may at worst compute it twice, never corrupt state).
     """
 
     def __init__(
@@ -222,9 +209,6 @@ class SimSession:
         #: entry warmed by another process in the same run).
         self._primed: "set[tuple]" = set()
         self._results: "OrderedDict[tuple, SimResult]" = OrderedDict()
-        #: Remote-tier snapshot already folded into ``stats`` (so
-        #: repeated folds add only growth; see :meth:`fold_remote_stats`).
-        self._remote_folded: "dict[str, int]" = {}
 
     def attach_store(self, store: "ArtifactStore | None") -> None:
         """Set the disk tier (used by pool workers joining a run)."""
@@ -480,36 +464,6 @@ class SimSession:
             with self._lock:
                 for key, result in entries.items():
                     self._remember(key, result)
-
-    def fold_remote_stats(self) -> None:
-        """Mirror the store's remote-tier counters into session stats.
-
-        The :class:`~repro.sim.remote.RemoteStore` counts its own
-        behaviour (it lives below the store, which may be shared); this
-        copies the growth since the last fold into :attr:`stats`, so
-        remote activity rides the same ``SessionStats`` delta plumbing
-        the parallel runner already uses to merge worker stats.
-        Idempotent per delta — safe to call at every bundle boundary.
-        """
-        remote = self.store.remote if self.store is not None else None
-        if remote is None:
-            return
-        snapshot = remote.stats_snapshot()
-        with self._lock:
-            for name in (
-                "hits", "misses", "errors", "skipped", "writebacks",
-            ):
-                grown = snapshot.get(name, 0) - self._remote_folded.get(
-                    name, 0
-                )
-                if grown:
-                    field = f"remote_{name}"
-                    setattr(
-                        self.stats,
-                        field,
-                        getattr(self.stats, field) + grown,
-                    )
-            self._remote_folded = snapshot
 
     def clear(self) -> None:
         """Drop all memory-tier entries (the disk store is untouched)."""

@@ -49,7 +49,6 @@ from repro.envknobs import env_float
 from repro.memory.traffic import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
 from repro.sim.metrics import CoverageCounts, SimResult
-from repro.sim.remote import RemoteStore
 from repro.workloads.trace import Trace
 
 #: Bump whenever the on-disk format of entries changes **or** the
@@ -300,9 +299,6 @@ class StoreStats:
     schema_invalidated: int = 0
     evictions: int = 0
     stale_temps_swept: int = 0
-    #: Entries ``gc``/``clear`` left in place because they were queued
-    #: for remote write-back (``RemoteStore.pending_paths`` pinning).
-    pinned_skipped: int = 0
 
     @property
     def hits(self) -> int:
@@ -331,33 +327,14 @@ class ArtifactStore:
     writers of the same key cannot produce a torn entry — the last
     complete write wins.  Reads refresh an entry's mtime, which is the
     recency signal :meth:`gc` evicts by.
-
-    ``remote`` attaches the optional third tier
-    (:class:`~repro.sim.remote.RemoteStore`): local-disk misses
-    read-through from the remote peer (the fetched bytes are installed
-    locally first, so promotion is paid once), and successful local
-    writes write-back to the peer asynchronously.  ``"auto"`` (the
-    default) attaches from ``$REPRO_REMOTE_URL`` unless
-    ``REPRO_REMOTE=off``.
     """
 
-    def __init__(
-        self,
-        root: str,
-        max_bytes: "int | None" = None,
-        remote: "RemoteStore | None | str" = "auto",
-    ) -> None:
+    def __init__(self, root: str, max_bytes: "int | None" = None) -> None:
         self.root = os.path.abspath(root)
         self.stats = StoreStats()
         if max_bytes is None:
             max_bytes = self._max_bytes_from_env()
         self.max_bytes = max_bytes
-        if remote == "auto":
-            remote = RemoteStore.from_env()
-        self.remote: "RemoteStore | None" = remote
-        #: Remote-stat values already folded into the persistent
-        #: counters (see :meth:`publish_remote_stats`).
-        self._remote_published: "dict[str, int]" = {}
         #: Running size estimate so capped stores don't rescan the
         #: whole directory on every write (may over-count overwrites;
         #: drift only triggers GC early, never lets the cap slip).
@@ -383,7 +360,7 @@ class ArtifactStore:
 
     @staticmethod
     def _max_bytes_from_env() -> "int | None":
-        megabytes = env_float("REPRO_STORE_MAX_MB", None)
+        megabytes = env_float("REPRO_STORE_MAX_MB", None, positive=True)
         if megabytes is None:
             return None
         return int(megabytes * 1024 * 1024)
@@ -461,88 +438,24 @@ class ArtifactStore:
             pass
 
     # ------------------------------------------------------------------
-    # The remote tier (read-through / write-back).
-    # ------------------------------------------------------------------
-
-    def _read_through(self, kind: str, digest: str, path: str) -> bool:
-        """Promote one remote object into the local tier; False on miss.
-
-        The fetched bytes are installed at ``path`` via the same atomic
-        rename local writes use, then re-read through the normal
-        (corruption-tolerant) load path — a remote entry that is bad
-        *at rest* on the peer (its transport digest still matches) is
-        dropped locally exactly like a torn local file.
-        """
-        if self.remote is None:
-            return False
-        payload = self.remote.fetch(kind, digest)
-        if payload is None:
-            return False
-        try:
-            self._atomic_write_bytes(path, payload)
-        except OSError:
-            self.stats.write_errors += 1
-            return False
-        self._auto_gc(path)
-        return True
-
-    def _write_back(self, kind: str, digest: str, path: str) -> None:
-        """Queue an asynchronous upload of a just-written artifact."""
-        if self.remote is not None:
-            self.remote.enqueue_writeback(kind, digest, path)
-
-    def publish_remote_stats(self) -> None:
-        """Fold remote-tier stat deltas into the persistent counters.
-
-        Idempotent per delta: only growth since the last publication is
-        written, so CLI runs can publish at exit and ``cache stats``
-        reports fleet behaviour accumulated across processes.
-        """
-        if self.remote is None:
-            return
-        snapshot = self.remote.stats_snapshot()
-        deltas = {
-            f"remote_{name}": value - self._remote_published.get(name, 0)
-            for name, value in snapshot.items()
-        }
-        self._remote_published = snapshot
-        self.bump_counters({k: d for k, d in deltas.items() if d})
-
-    def close_remote(self, flush_timeout_s: float = 60.0) -> None:
-        """Flush queued write-backs, publish counters, detach the tier."""
-        if self.remote is None:
-            return
-        self.remote.close(flush_timeout_s)
-        self.publish_remote_stats()
-
-    # ------------------------------------------------------------------
     # Traces.
     # ------------------------------------------------------------------
 
     def load_trace(self, digest: str) -> "Trace | None":
-        """Read a persisted trace; None on miss or unreadable entry.
-
-        A local miss (or a dropped corrupt entry) read-throughs the
-        remote tier once before giving up.
-        """
+        """Read a persisted trace; None on miss or unreadable entry."""
         path = self.trace_path(digest)
-        for from_remote in (False, True):
-            try:
-                trace = Trace.load(path)
-            except FileNotFoundError:
-                pass
-            except _CORRUPT_ERRORS:
-                self._drop(path)
-            else:
-                self.stats.trace_hits += 1
-                self._touch(path)
-                return trace
-            if from_remote or not self._read_through(
-                "trace", digest, path
-            ):
-                break
-        self.stats.trace_misses += 1
-        return None
+        try:
+            trace = Trace.load(path)
+        except FileNotFoundError:
+            self.stats.trace_misses += 1
+            return None
+        except _CORRUPT_ERRORS:
+            self._drop(path)
+            self.stats.trace_misses += 1
+            return None
+        self.stats.trace_hits += 1
+        self._touch(path)
+        return trace
 
     def save_trace(self, digest: str, trace: Trace) -> bool:
         """Persist a trace atomically; False on I/O failure."""
@@ -562,7 +475,6 @@ class ArtifactStore:
                 pass
             return False
         self.stats.writes += 1
-        self._write_back("trace", digest, path)
         self._auto_gc(path)
         return True
 
@@ -570,15 +482,19 @@ class ArtifactStore:
     # Results.
     # ------------------------------------------------------------------
 
-    def _load_result_file(self, path: str) -> "SimResult | None":
-        """One local read attempt; drops unreadable/stale entries."""
+    def load_result(self, digest: str) -> "SimResult | None":
+        """Read a persisted result; None on miss, corruption, or a
+        schema-version mismatch (stale entries invalidate themselves)."""
+        path = self.result_path(digest)
         try:
             with open(path, "rb") as handle:
                 record = json.load(handle)
         except FileNotFoundError:
+            self.stats.result_misses += 1
             return None
         except _CORRUPT_ERRORS:
             self._drop(path)
+            self.stats.result_misses += 1
             return None
         if (
             not isinstance(record, dict)
@@ -587,30 +503,17 @@ class ArtifactStore:
         ):
             self._drop(path)
             self.stats.schema_invalidated += 1
+            self.stats.result_misses += 1
             return None
         try:
-            return decode_result(record["payload"])
+            result = decode_result(record["payload"])
         except _CORRUPT_ERRORS:
             self._drop(path)
+            self.stats.result_misses += 1
             return None
-
-    def load_result(self, digest: str) -> "SimResult | None":
-        """Read a persisted result; None on miss, corruption, or a
-        schema-version mismatch (stale entries invalidate themselves).
-        A local miss read-throughs the remote tier once."""
-        path = self.result_path(digest)
-        for from_remote in (False, True):
-            result = self._load_result_file(path)
-            if result is not None:
-                self.stats.result_hits += 1
-                self._touch(path)
-                return result
-            if from_remote or not self._read_through(
-                "result", digest, path
-            ):
-                break
-        self.stats.result_misses += 1
-        return None
+        self.stats.result_hits += 1
+        self._touch(path)
+        return result
 
     def save_result(self, digest: str, result: SimResult) -> bool:
         """Persist a result atomically; False on I/O failure."""
@@ -629,7 +532,6 @@ class ArtifactStore:
             self.stats.write_errors += 1
             return False
         self.stats.writes += 1
-        self._write_back("result", digest, path)
         self._auto_gc(path)
         return True
 
@@ -647,10 +549,7 @@ class ArtifactStore:
         ``sampled: true`` marker inside the record) so a statistical
         aggregate can never be mistaken for an exact ``sim-result`` —
         the two kinds live in separate directories *and* separate
-        digest domains (:func:`estimate_digest`).  Estimates are local
-        derived artifacts: they are not written back to the remote tier
-        (the exact sampled cells replicate instead, and any peer can
-        re-derive the aggregate from them).
+        digest domains (:func:`estimate_digest`).
         """
         record = {
             "schema": SCHEMA_VERSION,
@@ -750,20 +649,10 @@ class ArtifactStore:
             return 0
         entries = self.entries()
         total = sum(entry.size_bytes for entry in entries)
-        # Entries queued for remote write-back are pinned: evicting one
-        # mid-queue would make the background upload ship a vanished
-        # file and silently drop the fleet's copy.
-        pinned = (
-            self.remote.pending_paths() if self.remote is not None
-            else frozenset()
-        )
         evicted = 0
         for entry in entries:  # oldest first
             if total <= cap:
                 break
-            if entry.path in pinned:
-                self.stats.pinned_skipped += 1
-                continue
             try:
                 os.unlink(entry.path)
             except OSError:
@@ -858,11 +747,10 @@ class ArtifactStore:
         """Increment several persistent counters in one locked write.
 
         The whole read-modify-write holds the advisory counter lock, so
-        concurrent writers — daemon request handlers, pool workers, and
-        parallel CLI runs sharing one store — serialize and never lose
-        increments.  The runner folds a whole fan-out's shared-memory
-        counters in a single RMW instead of one file rewrite per name;
-        zero deltas are skipped.
+        concurrent writers — pool workers and parallel CLI runs sharing
+        one store — serialize and never lose increments.  The runner
+        folds a whole fan-out's shared-memory counters in a single RMW
+        instead of one file rewrite per name; zero deltas are skipped.
         """
         deltas = {name: d for name, d in deltas.items() if d}
         if not deltas:
@@ -878,10 +766,6 @@ class ArtifactStore:
                 )
             except OSError:
                 self.stats.write_errors += 1
-
-    def buffered_counters(self, flush_every: int = 16) -> "CounterBuffer":
-        """A :class:`CounterBuffer` batching bumps against this store."""
-        return CounterBuffer(self, flush_every=flush_every)
 
     # ------------------------------------------------------------------
     # Stale-temp sweeping and whole-store clearing.
@@ -941,36 +825,19 @@ class ArtifactStore:
     def clear(self) -> int:
         """Remove every entry (the store directory itself survives).
 
-        Entries queued for remote write-back are pinned exactly like in
-        :meth:`gc` — unlinking one mid-queue would make the background
-        writer ship a vanished file and silently drop the fleet's copy.
-        Pinned entries are skipped (tallied in
-        ``stats.pinned_skipped``) and survive until the flush lands.
-
         Stale temp files are swept too (age-gated, so a concurrent
         writer's in-flight temp survives); they do not count toward the
         returned entry total.
         """
-        pinned = (
-            self.remote.pending_paths() if self.remote is not None
-            else frozenset()
-        )
         removed = 0
-        skipped = 0
         for entry in self.entries():
-            if entry.path in pinned:
-                skipped += 1
-                continue
             try:
                 os.unlink(entry.path)
             except OSError:
                 continue
             removed += 1
         self.sweep_stale_temps()
-        self.stats.pinned_skipped += skipped
-        # With pinned survivors the directory is not empty; force a
-        # rescan instead of asserting an exact zero.
-        self._running_total = None if skipped else 0
+        self._running_total = 0
         return removed
 
     def describe(self) -> dict:
@@ -996,58 +863,4 @@ class ArtifactStore:
                 if entries
                 else 0.0
             ),
-            "remote": (
-                self.remote.describe() if self.remote is not None
-                else None
-            ),
         }
-
-
-class CounterBuffer:
-    """In-memory accumulator batching persistent-counter bumps.
-
-    Every :meth:`ArtifactStore.bump_counters` call is a locked
-    read-modify-write of ``counters.json``; a busy writer (the service
-    daemon tallies several counters per request) would serialize on
-    that file.  A buffer folds deltas in memory and flushes them as
-    *one* locked RMW every ``flush_every`` bump calls — conservation
-    still holds because the flush goes through the same interlock.
-    Callers must :meth:`flush` (or use the buffer as a context manager)
-    before exiting, or the tail of the batch is lost.
-    """
-
-    def __init__(
-        self, store: ArtifactStore, flush_every: int = 16
-    ) -> None:
-        self.store = store
-        self.flush_every = max(1, flush_every)
-        self._pending: "dict[str, int]" = {}
-        self._bumps_since_flush = 0
-
-    def bump(self, name: str, delta: int = 1) -> None:
-        self.bump_many({name: delta})
-
-    def pending(self) -> "dict[str, int]":
-        """Deltas accumulated since the last flush (observability)."""
-        return dict(self._pending)
-
-    def bump_many(self, deltas: "dict[str, int]") -> None:
-        for name, delta in deltas.items():
-            if delta:
-                self._pending[name] = self._pending.get(name, 0) + delta
-        self._bumps_since_flush += 1
-        if self._bumps_since_flush >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write all pending deltas in one locked read-modify-write."""
-        pending, self._pending = self._pending, {}
-        self._bumps_since_flush = 0
-        if pending:
-            self.store.bump_counters(pending)
-
-    def __enter__(self) -> "CounterBuffer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.flush()

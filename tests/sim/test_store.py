@@ -17,6 +17,7 @@ from repro.sim.metrics import CoverageCounts, SimResult
 from repro.memory.traffic import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
 from repro.sim.runner import PrefetcherKind, run_trace, run_workload
+from repro.sim import store as store_module
 from repro.sim.session import SimSession
 from repro.sim.store import (
     SCHEMA_VERSION,
@@ -25,6 +26,7 @@ from repro.sim.store import (
     encode_result,
     estimate_digest,
     key_digest,
+    load_trace_ref,
     result_digest,
     trace_digest,
 )
@@ -440,13 +442,96 @@ class TestEstimateRecords:
         assert store.entries() == []
 
 
-class TestClearUnpinned:
-    def test_clear_without_remote_removes_everything(self, tmp_path):
+class TestClear:
+    def test_clear_removes_everything(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         for i in range(3):
             store.save_result(
                 result_digest((f"k{i}",)), make_result()
             )
         assert store.clear() == 3
-        assert store.stats.pinned_skipped == 0
         assert store.entries() == []
+
+
+class TestFromEnv:
+    def test_unset_dir_means_no_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        assert ArtifactStore.from_env() is None
+
+    def test_dir_opens_store_there(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "s"))
+        store = ArtifactStore.from_env()
+        assert store is not None
+        assert store.root == str(tmp_path / "s")
+        assert os.path.isdir(os.path.join(store.root, "results"))
+
+    def test_unusable_dir_degrades_to_no_store(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(blocker))
+        assert ArtifactStore.from_env() is None
+
+
+class TestLoadTraceRef:
+    def test_resolves_and_refreshes_recency(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        digest = trace_digest(("t",))
+        store.save_trace(digest, make_trace([[1, 2, 3]]))
+        ref = store.trace_ref(digest)
+        os.utime(ref.path, (1, 1))
+        loaded = load_trace_ref(ref)
+        assert loaded is not None
+        np.testing.assert_array_equal(loaded.blocks[0], [1, 2, 3])
+        assert os.stat(ref.path).st_mtime > 1
+
+    def test_missing_file_is_none(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        assert load_trace_ref(store.trace_ref("0" * 32)) is None
+
+    def test_corrupt_file_is_none(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        ref = store.trace_ref(trace_digest(("bad",)))
+        with open(ref.path, "wb") as handle:
+            handle.write(b"PK\x03\x04 truncated")
+        assert load_trace_ref(ref) is None
+
+
+class TestPersistentCounters:
+    def test_corrupt_counters_file_reads_empty(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        with open(os.path.join(store.root, "counters.json"), "w") as f:
+            f.write("{not json")
+        assert store.counters() == {}
+        store.bump_counter("after", 2)  # a bump rewrites it cleanly
+        assert store.counters() == {"after": 2}
+
+    def test_non_numeric_values_ignored(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        with open(os.path.join(store.root, "counters.json"), "w") as f:
+            json.dump({"good": 3, "bad": "x", "list": [1]}, f)
+        assert store.counters() == {"good": 3}
+
+
+class TestWriteFailures:
+    def _fail_replace(self, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "replace", refuse)
+
+    def test_result_write_failure_reported(self, tmp_path, monkeypatch):
+        store = ArtifactStore(str(tmp_path))
+        self._fail_replace(monkeypatch)
+        assert not store.save_result(result_digest(("k",)), make_result())
+        assert store.stats.write_errors == 1
+        assert store.stats.writes == 0
+        assert os.listdir(os.path.join(store.root, "results")) == []
+
+    def test_trace_write_failure_reported(self, tmp_path, monkeypatch):
+        store = ArtifactStore(str(tmp_path))
+        self._fail_replace(monkeypatch)
+        assert not store.save_trace(
+            trace_digest(("t",)), make_trace([[1, 2, 3]])
+        )
+        assert store.stats.write_errors == 1
+        assert os.listdir(os.path.join(store.root, "traces")) == []

@@ -1,8 +1,8 @@
 """Concurrency hardening of the artifact store.
 
-The store used to be a single-writer private cache; the service daemon
-makes it a shared tier.  These tests pin the two bugs that graduated
-from "acceptable for telemetry" to real:
+One store directory is shared by the parallel runner's worker
+processes and by concurrent CLI runs.  These tests pin two bugs that
+sharing makes real:
 
 * ``bump_counters`` was an unlocked read-modify-write — concurrent
   writers silently lost increments.  The multi-process stress test
@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.sim.store import ArtifactStore, CounterBuffer
+from repro.sim.store import ArtifactStore
 
 BUMPS_PER_WRITER = 25
 WRITERS = 4
@@ -74,41 +74,6 @@ def test_counter_lock_is_not_a_store_entry(tmp_path):
     assert os.path.exists(os.path.join(store.root, "counters.lock"))
     assert store.entries() == []
     assert store.total_bytes() == 0
-
-
-# ----------------------------------------------------------------------
-# CounterBuffer: batching without losing conservation.
-# ----------------------------------------------------------------------
-
-
-def test_counter_buffer_folds_bumps_into_batched_writes(tmp_path):
-    store = ArtifactStore(str(tmp_path / "store"))
-    buffer = store.buffered_counters(flush_every=4)
-    assert isinstance(buffer, CounterBuffer)
-    for _ in range(3):
-        buffer.bump("hits")
-    # Below the threshold: nothing persisted yet, pending visible.
-    assert store.counters() == {}
-    assert buffer.pending() == {"hits": 3}
-    buffer.bump("hits")  # fourth bump crosses the threshold
-    assert store.counters() == {"hits": 4}
-    assert buffer.pending() == {}
-
-
-def test_counter_buffer_context_manager_flushes_tail(tmp_path):
-    store = ArtifactStore(str(tmp_path / "store"))
-    with store.buffered_counters(flush_every=100) as buffer:
-        buffer.bump_many({"a": 2, "b": 1, "zero": 0})
-    assert store.counters() == {"a": 2, "b": 1}
-
-
-def test_counter_buffer_flush_is_idempotent(tmp_path):
-    store = ArtifactStore(str(tmp_path / "store"))
-    buffer = store.buffered_counters()
-    buffer.bump("a")
-    buffer.flush()
-    buffer.flush()
-    assert store.counters() == {"a": 1}
 
 
 # ----------------------------------------------------------------------
@@ -178,17 +143,3 @@ def test_counters_survive_sweep_and_are_valid_json(tmp_path):
     with open(os.path.join(store.root, "counters.json"), "rb") as handle:
         raw = json.load(handle)
     assert raw == {"existing": 5, "stale_temps_swept": 1}
-
-
-@pytest.mark.parametrize("writers", [2, 6])
-def test_buffered_and_direct_writers_conserve(tmp_path, writers):
-    """Buffered flushes and direct bumps interleave without loss."""
-    store = ArtifactStore(str(tmp_path / "store"))
-    buffers = [store.buffered_counters(flush_every=3) for _ in range(writers)]
-    for round_index in range(9):
-        for buffer in buffers:
-            buffer.bump("mixed")
-        store.bump_counter("mixed")
-    for buffer in buffers:
-        buffer.flush()
-    assert store.counters()["mixed"] == 9 * (writers + 1)

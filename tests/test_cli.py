@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,54 @@ class TestParser:
             build_parser().parse_args(
                 ["run", "--workload", "mix:oltp-db2+no-such-workload"]
             )
+
+
+def _subcommands(
+    parser: argparse.ArgumentParser,
+) -> "dict[str, argparse.ArgumentParser]":
+    [action] = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return dict(action.choices)
+
+
+class TestCommandSurface:
+    """Every command works on local traces and the local artifact
+    store; there is no server, client or remote-store command."""
+
+    def test_top_level_commands(self):
+        assert set(_subcommands(build_parser())) == {
+            "list-workloads", "list-experiments", "list-mixes", "run",
+            "compare", "experiment", "sweep-sampling", "cache",
+        }
+
+    def test_cache_commands(self):
+        cache = _subcommands(build_parser())["cache"]
+        assert set(_subcommands(cache)) == {"ls", "stats", "gc", "warm"}
+
+    @pytest.mark.parametrize("command", ["serve", "store", "client"])
+    def test_retired_command_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_importing_cli_loads_no_http_stack(self):
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('http.client', 'email') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommands:

@@ -1,18 +1,21 @@
 """Warn-once parsing of numeric REPRO_* environment knobs.
 
-Satellite regression: ``REPRO_STORE_MAX_MB``,
-``REPRO_STORE_TMP_MAX_AGE_S``, and the remote-tier numeric knobs used
-to swallow malformed values silently; they now share the warn-once
-RuntimeWarning behaviour of ``REPRO_JOBS`` via ``repro.envknobs``.
+``REPRO_STORE_MAX_MB`` and ``REPRO_STORE_TMP_MAX_AGE_S`` used to
+swallow malformed values silently, and to accept values that parse but
+break the store (``nan``/``inf`` crashed store open, a non-positive cap
+evicted every artifact, a negative age gate swept live temps).  They
+now share the warn-once RuntimeWarning behaviour of ``REPRO_JOBS`` via
+``repro.envknobs``.
 """
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import envknobs
 from repro.envknobs import env_float, env_int
-from repro.sim import remote as remote_module
 from repro.sim import store as store_module
 from repro.sim.store import ArtifactStore
 
@@ -38,7 +41,9 @@ class TestEnvFloat:
             warnings.simplefilter("error")
             assert env_float("REPRO_TEST_KNOB", 1.0) == 2.5
 
-    @pytest.mark.parametrize("value", ["banana", "1.2.3", "0x10"])
+    @pytest.mark.parametrize(
+        "value", ["banana", "1.2.3", "0x10", "nan", "inf", "-inf", "-1"]
+    )
     def test_invalid_value_warns_once(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_TEST_KNOB", value)
         with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
@@ -47,6 +52,14 @@ class TestEnvFloat:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert env_float("REPRO_TEST_KNOB", 1.5) == 1.5
+
+    def test_zero_is_valid_unless_positive(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_KNOB", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env_float("REPRO_TEST_KNOB", 1.5) == 0.0
+        with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
+            assert env_float("REPRO_TEST_KNOB", 1.5, positive=True) == 1.5
 
 
 class TestEnvInt:
@@ -75,11 +88,17 @@ class TestEnvInt:
 
 
 class TestStoreKnobs:
-    @pytest.mark.parametrize("value", ["lots", "10MB"])
-    def test_store_max_mb_misparse_warns(self, monkeypatch, value):
+    @pytest.mark.parametrize(
+        "value", ["lots", "10MB", "nan", "inf", "-1", "0"]
+    )
+    def test_store_max_mb_misparse_warns(self, monkeypatch, tmp_path, value):
+        """Store open survives the value and keeps what it writes."""
         monkeypatch.setenv("REPRO_STORE_MAX_MB", value)
         with pytest.warns(RuntimeWarning, match="REPRO_STORE_MAX_MB"):
-            assert ArtifactStore._max_bytes_from_env() is None
+            store = ArtifactStore(str(tmp_path / "store"))
+        assert store.max_bytes is None
+        assert store.save_estimate("e" * 32, {"total": 1})
+        assert len(store.entries()) == 1
 
     def test_store_max_mb_valid(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_MAX_MB", "2")
@@ -89,7 +108,7 @@ class TestStoreKnobs:
                 ArtifactStore._max_bytes_from_env() == 2 * 1024 * 1024
             )
 
-    @pytest.mark.parametrize("value", ["soon", "1h"])
+    @pytest.mark.parametrize("value", ["soon", "1h", "nan", "inf", "-5"])
     def test_tmp_max_age_misparse_warns(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_STORE_TMP_MAX_AGE_S", value)
         with pytest.warns(
@@ -99,17 +118,27 @@ class TestStoreKnobs:
         assert age == store_module._STALE_TEMP_SECONDS
 
 
-class TestRemoteKnobs:
-    @pytest.mark.parametrize(
-        "name, reader, default",
-        [
-            ("REPRO_REMOTE_TIMEOUT_S", remote_module._env_float, 5.0),
-            ("REPRO_REMOTE_RETRIES", remote_module._env_int, 2),
-        ],
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_knob_table_matches_code():
+    """Every ``REPRO_*`` knob the code reads has exactly one README row.
+
+    A knob added without a row, or a row left behind after its knob is
+    deleted, fails here instead of drifting silently.
+    """
+    in_code = {
+        name
+        for path in (REPO_ROOT / "src").rglob("*.py")
+        for name in re.findall(
+            r"""["'](REPRO_[A-Z0-9_]+)["']""", path.read_text()
+        )
+    }
+    in_readme = set(
+        re.findall(
+            r"^\| `(REPRO_[A-Z0-9_]+)",
+            (REPO_ROOT / "README.md").read_text(),
+            re.MULTILINE,
+        )
     )
-    def test_remote_knob_misparse_warns(
-        self, monkeypatch, name, reader, default
-    ):
-        monkeypatch.setenv(name, "forever")
-        with pytest.warns(RuntimeWarning, match=name):
-            assert reader(name, default) == default
+    assert in_code == in_readme
