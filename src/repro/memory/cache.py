@@ -246,7 +246,7 @@ class Cache:
             return True
         return False
 
-    # -- batched interface (see TagArrayCache for the tag-array twin) --
+    # -- batched interface --
 
     def hit_update(self, block: int, write: bool) -> None:
         """State effects of one known hit (no stats; see ``access``)."""
@@ -308,211 +308,6 @@ class Cache:
     def reset_stats(self) -> None:
         """Zero the counters (e.g. after cache warm-up)."""
         self.stats = CacheStats()
-
-
-class TagArrayCache:
-    """Set-associative cache over NumPy tag/state arrays.
-
-    Semantically identical to :class:`Cache` for the ``lru`` and ``fifo``
-    policies — the equivalence is load-bearing: the batched simulation
-    engine (:mod:`repro.sim.batch`) uses this class for the private L1s
-    and must produce bit-identical results to the scalar reference
-    engine.  Replacement order is tracked with a monotone stamp per way
-    (hit/insert refreshes under LRU, insert-only under FIFO), so the
-    eviction victim — the minimum stamp — matches the dict insertion
-    order of the scalar model.
-
-    On top of the scalar interface it supports *whole-segment
-    classification*: :meth:`resident_prefix` answers, vectorized, how
-    many upcoming accesses are guaranteed hits (residency is unchanged
-    by hits), and :meth:`bulk_hit_update` applies a run of hits in one
-    NumPy pass.  ``slots`` maps resident blocks to their flat way index
-    for O(1) scalar probes without touching the arrays.
-    """
-
-    __slots__ = ('config', 'stats', '_set_mask', '_lru', '_ways', '_tags', '_valid', '_stamp', '_tags_flat', '_valid_flat', '_stamp_flat', '_dirty_flat', '_set_count', '_tick', 'slots')
-
-    def __init__(self, config: CacheConfig) -> None:
-        if config.replacement not in ("lru", "fifo"):
-            raise ValueError(
-                f"{config.name}: TagArrayCache supports lru/fifo only"
-            )
-        self.config = config
-        self.stats = CacheStats()
-        self._set_mask = config.sets - 1
-        self._lru = config.replacement == "lru"
-        self._ways = config.ways
-        sets, ways = config.sets, config.ways
-        self._tags = np.full((sets, ways), -1, dtype=np.int64)
-        self._valid = np.zeros((sets, ways), dtype=bool)
-        self._stamp = np.zeros((sets, ways), dtype=np.int64)
-        # Flat views (shared memory) for O(1) scalar slot updates.
-        self._tags_flat = self._tags.reshape(-1)
-        self._valid_flat = self._valid.reshape(-1)
-        self._stamp_flat = self._stamp.reshape(-1)
-        self._dirty_flat = np.zeros(sets * ways, dtype=bool)
-        #: Python-side per-set occupancy, so the hot fill path does not
-        #: pay a NumPy reduction just to ask "is this set full?".
-        self._set_count = [0] * sets
-        self._tick = 0
-        #: block -> flat way index, for O(1) scalar membership/probing.
-        self.slots: dict[int, int] = {}
-
-    # -- scalar interface (mirrors Cache) ------------------------------
-
-    def lookup(self, block: int) -> bool:
-        """Probe for ``block`` without updating recency or stats."""
-        return block in self.slots
-
-    def access(self, block: int, write: bool = False) -> AccessResult:
-        """Access ``block``; update recency and the dirty bit on a write."""
-        flat = self.slots.get(block)
-        if flat is not None:
-            self.hit_update(block, write)
-            self.stats.hits += 1
-            return AccessResult.HIT
-        self.stats.misses += 1
-        return AccessResult.MISS
-
-    def hit_update(self, block: int, write: bool) -> None:
-        """State effects of one known hit (no stats; see ``access``)."""
-        flat = self.slots[block]
-        if self._lru:
-            self._tick += 1
-            self._stamp_flat[flat] = self._tick
-        if write:
-            self._dirty_flat[flat] = True
-
-    def fill(self, block: int, dirty: bool = False) -> Eviction | None:
-        """Insert ``block``, returning the eviction it forced (if any)."""
-        flat = self.slots.get(block)
-        if flat is not None:
-            # Refill of a resident block merges the dirty bit (and, under
-            # LRU, refreshes recency — the scalar model reinserts).
-            if self._lru:
-                self._tick += 1
-                self._stamp_flat[flat] = self._tick
-            if dirty:
-                self._dirty_flat[flat] = True
-            return None
-        set_idx = block & self._set_mask
-        ways = self._ways
-        base = set_idx * ways
-        stamp_flat = self._stamp_flat
-        evicted: Eviction | None = None
-        if self._set_count[set_idx] == ways:
-            if ways <= 4:
-                # Manual min over a handful of ways beats an argmin call.
-                victim_flat = base
-                best = stamp_flat[base]
-                for w in range(1, ways):
-                    if stamp_flat[base + w] < best:
-                        best = stamp_flat[base + w]
-                        victim_flat = base + w
-            else:
-                victim_flat = base + int(self._stamp[set_idx].argmin())
-            victim_block = int(self._tags_flat[victim_flat])
-            victim_dirty = bool(self._dirty_flat[victim_flat])
-            del self.slots[victim_block]
-            self.stats.evictions += 1
-            if victim_dirty:
-                self.stats.dirty_evictions += 1
-            evicted = Eviction(block=victim_block, dirty=victim_dirty)
-            flat = victim_flat
-        else:
-            flat = base + int(self._valid[set_idx].argmin())
-            self._set_count[set_idx] += 1
-        self._tags_flat[flat] = block
-        self._valid_flat[flat] = True
-        self._dirty_flat[flat] = dirty
-        self._tick += 1
-        stamp_flat[flat] = self._tick
-        self.slots[block] = flat
-        self.stats.fills += 1
-        return evicted
-
-    def fill_pair(
-        self, block: int, dirty: bool = False
-    ) -> "tuple[int, bool] | None":
-        """:meth:`fill`, returning the eviction as a plain tuple."""
-        evicted = self.fill(block, dirty)
-        if evicted is None:
-            return None
-        return (evicted.block, evicted.dirty)
-
-    def invalidate(self, block: int) -> bool:
-        """Drop ``block`` if present; returns True if it was resident."""
-        flat = self.slots.pop(block, None)
-        if flat is None:
-            return False
-        self._valid_flat[flat] = False
-        self._tags_flat[flat] = -1
-        self._dirty_flat[flat] = False
-        self._set_count[flat // self._ways] -= 1
-        self.stats.invalidations += 1
-        return True
-
-    def peek_dirty(self, block: int) -> bool:
-        """True when ``block`` is resident and dirty (no recency update)."""
-        flat = self.slots.get(block)
-        return False if flat is None else bool(self._dirty_flat[flat])
-
-    def resident_blocks(self) -> list[int]:
-        """All resident block numbers (test/debug helper)."""
-        return list(self.slots)
-
-    def occupancy(self) -> int:
-        """Number of valid blocks currently resident."""
-        return len(self.slots)
-
-    def reset_stats(self) -> None:
-        """Zero the counters (e.g. after cache warm-up)."""
-        self.stats = CacheStats()
-
-    # -- batched interface ---------------------------------------------
-
-    def resident_prefix(self, blocks: np.ndarray) -> int:
-        """Length of the leading run of ``blocks`` that are all resident.
-
-        Residency is unchanged by hits, so membership against the current
-        tag array classifies the whole run in one vectorized pass.
-        """
-        if len(blocks) == 0:
-            return 0
-        set_idx = blocks & self._set_mask
-        hit = (
-            (self._tags[set_idx] == blocks[:, None])
-            & self._valid[set_idx]
-        ).any(axis=1)
-        misses = np.flatnonzero(~hit)
-        return int(misses[0]) if misses.size else len(blocks)
-
-    def bulk_hit_update(
-        self, blocks: np.ndarray, writes: np.ndarray
-    ) -> None:
-        """Apply a run of known hits: recency stamps and dirty bits.
-
-        Equivalent to calling :meth:`access` once per record in order
-        (stats are the caller's concern — the hierarchy batches them).
-        Duplicate blocks in the run resolve to the *last* occurrence via
-        a max-reduction, matching sequential recency updates.
-        """
-        n = len(blocks)
-        if n == 0:
-            return
-        set_idx = blocks & self._set_mask
-        eq = (self._tags[set_idx] == blocks[:, None]) & self._valid[set_idx]
-        way = eq.argmax(axis=1)
-        flat = set_idx * self._ways + way
-        if self._lru:
-            stamps = np.arange(
-                self._tick + 1, self._tick + n + 1, dtype=np.int64
-            )
-            np.maximum.at(self._stamp.reshape(-1), flat, stamps)
-            self._tick += n
-        written = flat[writes]
-        if written.size:
-            self._dirty_flat[written] = True
 
 
 @dataclass(slots=True)

@@ -18,7 +18,6 @@ from repro.memory.cache import (
     Cache,
     CacheConfig,
     Eviction,
-    TagArrayCache,
     VictimBuffer,
 )
 from repro.memory.traffic import TrafficCategory, TrafficMeter
@@ -119,16 +118,12 @@ class CmpHierarchy:
         self,
         config: CmpConfig | None = None,
         traffic: TrafficMeter | None = None,
-        l1_kind: str = "dict",
     ) -> None:
-        if l1_kind not in ("dict", "tag"):
-            raise ValueError(f"unknown l1_kind {l1_kind!r} (dict/tag)")
         self.config = config if config is not None else CmpConfig()
         self.traffic = traffic if traffic is not None else TrafficMeter()
         self.traffic.ensure_cores(self.config.cores)
-        l1_class = TagArrayCache if l1_kind == "tag" else Cache
         self.l1s = [
-            l1_class(self.config.l1_config(core))
+            Cache(self.config.l1_config(core))
             for core in range(self.config.cores)
         ]
         self.victims = [

@@ -21,7 +21,7 @@ read (``peek_dirty``) and invalidate *other* cores' L1s.
 So the engine schedules **events**, not records:
 
 1. Per core, classify the upcoming run of guaranteed L1 hits in one
-   NumPy membership pass against the L1's resident-set / tag arrays
+   NumPy membership pass against the L1's resident-set snapshot
    (residency is invariant under hits, so one test classifies the whole
    run).  Pop keys of every record in the run are precomputed with a
    float64 ``cumsum`` that reproduces the scalar engine's addition
@@ -108,9 +108,7 @@ class _Run:
 class BatchRunState(_RunState):
     """Drop-in replacement for the scalar reference run state."""
 
-    L1_KIND = "dict"
-
-    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_blocks_a', '_write_a', '_runs', '_event_keys', '_n_pending', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_l1_sets_list', '_l1_set_mask', '_scratch_writebacks', '_stms_buckets', '_stms_tags')
+    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_blocks_a', '_write_a', '_runs', '_event_keys', '_n_pending', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_l1_sets', '_l1_set_mask', '_scratch_writebacks', '_stms_buckets', '_stms_tags')
 
     def __init__(self, config, trace, temporal_factory, shared=None):
         super().__init__(config, trace, temporal_factory)
@@ -147,12 +145,8 @@ class BatchRunState(_RunState):
         self._mlp_accs = (
             self.mlp._accumulators if self.mlp is not None else None
         )
-        if self.L1_KIND == "dict":
-            self._l1_sets_list = [l1._sets for l1 in self.hierarchy.l1s]
-            self._l1_set_mask = self.hierarchy.l1s[0]._set_mask
-        else:
-            self._l1_sets_list = None
-            self._l1_set_mask = 0
+        self._l1_sets = [l1._sets for l1 in self.hierarchy.l1s]
+        self._l1_set_mask = self.hierarchy.l1s[0]._set_mask
         self._scratch_writebacks: list = []
         # STMS fast path: pre-classify every record's index bucket/tag in
         # one vectorized pass per column.  Other temporal prefetchers
@@ -249,38 +243,24 @@ class BatchRunState(_RunState):
         clock = self.clocks[core]
         blocks_l = self._blocks_l[core]
         l1 = self.hierarchy.l1s[core]
-        l1_sets_list = self._l1_sets_list
-        if l1_sets_list is not None:
-            # Dict-backed L1: probe set membership directly (the method
-            # call per record dominates on miss-heavy traces).
-            sets = l1_sets_list[core]
-            set_mask = self._l1_set_mask
-            block = blocks_l[cursor]
+        # Probe set membership directly (the method call per record
+        # dominates on miss-heavy traces).
+        sets = self._l1_sets[core]
+        set_mask = self._l1_set_mask
+        block = blocks_l[cursor]
+        if block not in sets[block & set_mask]:
+            # Empty run — the next record is immediately an event.
+            run.n = 0
+            self._event_keys[core] = clock
+            return
+        window = limit - cursor
+        n = 1
+        probe = _PROBE if window > _PROBE else window
+        while n < probe:
+            block = blocks_l[cursor + n]
             if block not in sets[block & set_mask]:
-                # Empty run — the next record is immediately an event.
-                run.n = 0
-                self._event_keys[core] = clock
-                return
-            window = limit - cursor
-            n = 1
-            probe = _PROBE if window > _PROBE else window
-            while n < probe:
-                block = blocks_l[cursor + n]
-                if block not in sets[block & set_mask]:
-                    break
-                n += 1
-        else:
-            lookup = l1.lookup
-            if not lookup(blocks_l[cursor]):
-                # Empty run — the next record is immediately an event.
-                run.n = 0
-                self._event_keys[core] = clock
-                return
-            window = limit - cursor
-            n = 1
-            probe = _PROBE if window > _PROBE else window
-            while n < probe and lookup(blocks_l[cursor + n]):
-                n += 1
+                break
+            n += 1
         if n == probe and window > probe:
             arr = self._blocks_a[core]
             base = cursor + n
@@ -614,8 +594,7 @@ class BatchRunState(_RunState):
                     self._traffic_bytes[_WRITEBACK] += BLOCK_BYTES
                     self._core_traffic[core][_WRITEBACK] += BLOCK_BYTES
                     writebacks.append(Eviction(victim_block, True))
-        # Inlined CmpHierarchy._fill_l1_into over the dict-backed L1
-        # (TagBatchRunState overrides _fill with the generic calls).
+        # Inlined CmpHierarchy._fill_l1_into over the dict-backed L1.
         l1 = hier.l1s[core]
         l1_set = l1._sets[block & l1._set_mask]
         copies = hier._l1_copies
@@ -698,34 +677,6 @@ class BatchRunState(_RunState):
             if run.done >= run.n:
                 self._n_pending -= 1
             self._event_keys[core] = run.popkeys[p]
-
-
-class TagBatchRunState(BatchRunState):
-    """Batched engine over the NumPy tag-array L1 model.
-
-    Same scheduling, different L1 representation: recency and dirty
-    state live in flat NumPy arrays so long hit runs commit with
-    ``np.maximum.at`` instead of a Python loop.  Preferable for
-    L1-resident-heavy traces; the dict-backed default wins when events
-    dominate (the suite's L1-filtered traces).
-    """
-
-    __slots__ = ()
-
-    L1_KIND = "tag"
-
-    def _fill(self, core, block, write, now):
-        # The flat dict-L1 fill above does not apply to the tag-array
-        # L1 model: take the generic hierarchy path.
-        writebacks = self._scratch_writebacks
-        writebacks.clear()
-        hier = self.hierarchy
-        hier._l2_fill(block, False, writebacks, core)
-        hier._fill_l1_into(core, block, write, writebacks)
-        if writebacks:
-            dram = self.dram
-            for _ in writebacks:
-                dram.request(now, _HIGH)
 
 
 def _native_columns(trace):

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.memory.dram import DramChannel, DramConfig, Priority
+from repro.memory.dram import DramChannel, DramConfig, DramStats, Priority
 from repro.memory.hierarchy import CmpConfig, CmpHierarchy, ServicePoint
 from repro.memory.mshr import MshrFile
 from repro.memory.traffic import TrafficCategory, TrafficMeter
@@ -61,11 +61,13 @@ class SimConfig:
     #: Collect the per-core off-chip read-miss address sequence during
     #: the measured phase (offline temporal-stream analysis, Fig. 6).
     collect_miss_log: bool = False
-    #: Execution engine: ``"batch"`` (vectorized segment classification,
-    #: the default), ``"scalar"`` (the reference implementation), or
-    #: ``"auto"`` (the ``REPRO_SIM_ENGINE`` environment variable, then
-    #: ``"batch"``).  Both engines produce identical results; the
-    #: equivalence is enforced by ``tests/sim/test_engine_equivalence``.
+    #: Execution engine: ``"batch"`` (the default: baseline cells run in
+    #: the compiled kernel of :mod:`repro.sim.native`, temporal-
+    #: prefetcher cells in the vectorized Python engine), ``"scalar"``
+    #: (the reference implementation), or ``"auto"`` (the
+    #: ``REPRO_SIM_ENGINE`` environment variable, then ``"batch"``).
+    #: Both engines produce identical results; the equivalence is
+    #: enforced by ``tests/sim/test_engine_equivalence``.
     engine: str = "auto"
 
 
@@ -75,10 +77,8 @@ def resolve_engine(engine: str) -> str:
         engine = os.environ.get("REPRO_SIM_ENGINE", "batch")
         if engine == "auto":
             engine = "batch"
-    if engine not in ("batch", "batch-tag", "scalar"):
-        raise ValueError(
-            f"unknown engine {engine!r} (batch/batch-tag/scalar/auto)"
-        )
+    if engine not in ("batch", "scalar"):
+        raise ValueError(f"unknown engine {engine!r} (batch/scalar/auto)")
     return engine
 
 
@@ -103,6 +103,11 @@ class Simulator:
         re-deriving them per cell.  It is a pure compute shortcut —
         results are bit-identical with or without it — and the scalar
         reference engine ignores it.
+
+        The batch engine steps cells without a temporal prefetcher in
+        the compiled kernel (:mod:`repro.sim.native`, built on first
+        use); when the kernel is unavailable they fall back to the
+        Python batched engine like every other cell.
         """
         if trace.cores > self.config.cmp.cores:
             raise ValueError(
@@ -113,14 +118,17 @@ class Simulator:
         if engine == "scalar":
             state = _RunState(self.config, trace, temporal_factory)
         else:
-            from repro.sim.batch import BatchRunState, TagBatchRunState
+            state = None
+            if temporal_factory is None:
+                from repro.sim import native
 
-            state_class = (
-                TagBatchRunState if engine == "batch-tag" else BatchRunState
-            )
-            state = state_class(
-                self.config, trace, temporal_factory, shared=shared
-            )
+                state = native.run_state(self.config, trace)
+            if state is None:
+                from repro.sim.batch import BatchRunState
+
+                state = BatchRunState(
+                    self.config, trace, temporal_factory, shared=shared
+                )
         state.run_warmup()
         state.reset_accounting()
         state.run_measured()
@@ -129,10 +137,6 @@ class Simulator:
 
 class _RunState:
     """All mutable state of one simulation run (the scalar reference)."""
-
-    #: L1 model the hierarchy is built with ("dict" = scalar reference;
-    #: the batched engine overrides this with the NumPy tag arrays).
-    L1_KIND = "dict"
 
     __slots__ = ('config', 'trace', 'traffic', 'hierarchy', 'dram', 'mshrs', 'stride', 'temporal', 'coverage', 'core_coverage', 'mlp', 'miss_log', 'outstanding', 'clocks', 'cursors', 'measure_start', 'measure_cursor', 'measured_records', 'measuring', 'demand_priority')
 
@@ -145,9 +149,7 @@ class _RunState:
         self.config = config
         self.trace = trace
         self.traffic = TrafficMeter(cores=max(1, trace.cores))
-        self.hierarchy = CmpHierarchy(
-            config.cmp, self.traffic, l1_kind=self.L1_KIND
-        )
+        self.hierarchy = CmpHierarchy(config.cmp, self.traffic)
         self.dram = DramChannel(config.dram)
         self.mshrs = MshrFile(config.cmp.l2_mshrs)
         self.stride: Optional[StridePrefetcher] = (
@@ -208,9 +210,7 @@ class _RunState:
         """Statistics reset at the measurement boundary (state kept)."""
         self.traffic.reset()
         self.hierarchy.reset_stats()
-        self.dram.stats.requests = 0
-        self.dram.stats.busy_cycles = 0.0
-        self.dram.stats.queue_cycles = 0.0
+        self.dram.stats = DramStats()
         if self.stride is not None:
             self.stride.stats = StrideStats()
         if self.temporal is not None:

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 
+import numpy as np
+
+from repro.memory.address import BLOCK_BYTES
 from repro.memory.traffic import TrafficBreakdown, TrafficCategory
 from repro.prefetchers.base import PrefetcherStats
 
@@ -139,7 +142,7 @@ def snapshot_run_state(state) -> dict:
     """Deep snapshot of one engine run's observable machine state.
 
     Captures everything the differential-equivalence suite compares
-    between the scalar reference engine and the batched engines: per-core
+    between the scalar reference engine and the other engines: per-core
     clocks and cursors, cache/victim contents and counters, traffic
     bytes per category (which the batched path accumulates from segment
     sums), DRAM and MSHR state, stride-prefetcher tables, and — when the
@@ -148,8 +151,9 @@ def snapshot_run_state(state) -> dict:
     segments), bucket-buffer residency, stream engines, and sampler
     counters.
 
-    L1 contents are compared as sorted ``(block, dirty)`` sets so the
-    dict-backed and tag-array L1 models snapshot identically.
+    Cache sets and stride trackers are captured in their dict order,
+    which is their LRU order: a replacement-order slip shows up here
+    before it changes any counter.
     """
     hierarchy = state.hierarchy
     snap: dict = {
@@ -160,13 +164,7 @@ def snapshot_run_state(state) -> dict:
         "demand_accesses": hierarchy.demand_accesses,
         "off_chip_reads": hierarchy.off_chip_reads,
         "l1": [
-            (
-                astuple(l1.stats),
-                sorted(
-                    (block, bool(l1.peek_dirty(block)))
-                    for block in l1.resident_blocks()
-                ),
-            )
+            (astuple(l1.stats), [list(s.items()) for s in l1._sets])
             for l1 in hierarchy.l1s
         ],
         "victims": [
@@ -175,10 +173,7 @@ def snapshot_run_state(state) -> dict:
         ],
         "l2": (
             astuple(hierarchy.l2.stats),
-            sorted(
-                (block, bool(hierarchy.l2.peek_dirty(block)))
-                for block in hierarchy.l2.resident_blocks()
-            ),
+            [list(s.items()) for s in hierarchy.l2._sets],
         ),
         "l1_copies": dict(hierarchy._l1_copies),
         "traffic": {
@@ -207,8 +202,7 @@ def snapshot_run_state(state) -> dict:
         snap["stride"] = (
             astuple(stride.stats),
             [
-                sorted((region, tuple(entry)) for region, entry
-                       in tracker.items())
+                [(region, tuple(entry)) for region, entry in tracker.items()]
                 for tracker in stride._trackers
             ],
             [
@@ -270,6 +264,132 @@ def snapshot_run_state(state) -> dict:
                 ],
             }
     return snap
+
+
+class InvariantViolation(AssertionError):
+    """A finished run broke a conservation law (:func:`check_invariants`)."""
+
+
+def check_invariants(state, result: "SimResult") -> None:
+    """Check the conservation laws every finished run must satisfy.
+
+    The laws relate counters kept by different structures, so they hold
+    whatever engine produced ``state`` and catch a modelling bug the
+    engines share, which engine-vs-engine comparison cannot:
+
+    * stride + fully + partially covered + uncovered reads equal the
+      measured off-chip reads, globally and summed over cores;
+    * DRAM ``requests`` equal high- plus low-priority requests;
+    * every traffic category moves whole blocks: consumed and dropped
+      temporal prefetches match the prefetcher's ``useful`` and
+      ``erroneous`` counts, and in a cell without a temporal prefetcher
+      demand reads plus write-backs equal the channel's requests less
+      stride prefetches plus stride-buffer hits (each of those moves a
+      demand-read block without a new request);
+    * per-core traffic sums to the global counters;
+    * MSHR peak occupancy stays within capacity;
+    * each core's measured cycles cover at least its measured ``work``.
+
+    Raises :class:`InvariantViolation` listing every broken law.
+    """
+    problems: "list[str]" = []
+
+    def expect(holds: bool, law: str) -> None:
+        if not holds:
+            problems.append(law)
+
+    coverage = state.coverage
+    reads = coverage.stride_covered + coverage.temporal_eligible
+    expect(
+        reads == state.hierarchy.off_chip_reads,
+        f"coverage classes sum to {reads}, measured off-chip reads are "
+        f"{state.hierarchy.off_chip_reads}",
+    )
+    for field_ in fields(CoverageCounts):
+        total = sum(getattr(c, field_.name) for c in state.core_coverage)
+        expect(
+            total == getattr(coverage, field_.name),
+            f"per-core {field_.name} sums to {total}, global is "
+            f"{getattr(coverage, field_.name)}",
+        )
+
+    dram = state.dram.stats
+    expect(
+        dram.requests
+        == dram.high_priority_requests + dram.low_priority_requests,
+        f"DRAM requests {dram.requests} != high "
+        f"{dram.high_priority_requests} + low {dram.low_priority_requests}",
+    )
+
+    counts = state.traffic._bytes
+    for category, count in counts.items():
+        expect(
+            count % BLOCK_BYTES == 0,
+            f"{category.value} bytes {count} are not whole blocks",
+        )
+    temporal = state.temporal
+    for category, events in (
+        (TrafficCategory.USEFUL_PREFETCH,
+         temporal.stats.useful if temporal is not None else 0),
+        (TrafficCategory.ERRONEOUS_PREFETCH,
+         temporal.stats.erroneous if temporal is not None else 0),
+    ):
+        expect(
+            counts[category] == BLOCK_BYTES * events,
+            f"{category.value} bytes {counts[category]} != "
+            f"{BLOCK_BYTES} x {events} prefetches",
+        )
+    if temporal is None:
+        stride_issued = (
+            state.stride.stats.issued if state.stride is not None else 0
+        )
+        blocks = dram.requests - stride_issued + coverage.stride_covered
+        moved = (
+            counts[TrafficCategory.DEMAND_READ]
+            + counts[TrafficCategory.WRITEBACK]
+        )
+        expect(
+            moved == BLOCK_BYTES * blocks,
+            f"demand-read + write-back bytes {moved} != {BLOCK_BYTES} x "
+            f"{blocks} (requests - stride prefetches + stride hits)",
+        )
+    core_bytes = state.traffic._core_bytes
+    for category, count in counts.items():
+        total = sum(per_core[category] for per_core in core_bytes)
+        expect(
+            total == count,
+            f"per-core {category.value} bytes sum to {total}, global is "
+            f"{count}",
+        )
+
+    mshrs = state.mshrs
+    expect(
+        mshrs.stats.peak_occupancy <= mshrs.capacity,
+        f"MSHR peak occupancy {mshrs.stats.peak_occupancy} exceeds "
+        f"capacity {mshrs.capacity}",
+    )
+
+    trace = state.trace
+    for core, elapsed in enumerate(result.core_elapsed_cycles or []):
+        work = float(np.sum(
+            trace.work[core][state.measure_cursor[core]:state.cursors[core]],
+            dtype=np.float64,
+        ))
+        # The clock is a long sequential float sum: allow its rounding.
+        slack = 1e-9 * max(1.0, abs(state.clocks[core]))
+        expect(
+            elapsed + slack >= work,
+            f"core {core} ran {elapsed} measured cycles for {work} cycles "
+            f"of work",
+        )
+    expect(
+        sum(result.core_measured_records or [])
+        == result.measured_records,
+        "per-core measured records do not sum to the total",
+    )
+
+    if problems:
+        raise InvariantViolation("; ".join(problems))
 
 
 @dataclass

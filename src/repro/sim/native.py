@@ -1,0 +1,648 @@
+"""The compiled event kernel (``kernel.c``) behind baseline cells.
+
+Cells without a temporal prefetcher — the stride-only base system of
+every baseline and solo-reference run — step through
+:class:`NativeRunState`: the scalar reference run state with its
+per-record loop replaced by one C call per phase.  The kernel is a
+direct port of ``_RunState._step`` / ``_off_chip`` and walks records
+in the same ``(clock, core)`` order, so results are bit-identical to
+the reference (``tests/sim/test_engine_differential.py`` pins it).
+
+State handoff: before each phase the Python machine objects (caches,
+victim FIFOs, MSHRs, DRAM, stride prefetcher, counters) are packed into
+flat NumPy buffers in their dict order; afterwards the buffers are
+unpacked back into the same objects.  Everything outside
+``_run_until`` — warm-up/measurement phases, the accounting reset,
+result assembly and state snapshots — is the reference code unchanged.
+
+Build: the kernel compiles once per machine with the system ``cc``
+(``-O2 -ffp-contract=off``, no fast-math, so float clock arithmetic
+rounds exactly as Python's) into ``$XDG_CACHE_HOME/repro-kernels``
+(default ``~/.cache/repro-kernels``), keyed by a digest of the source,
+the flags and ``cc --version``.  The cache sits outside the artifact
+store, so cold runs against a fresh store reuse it.  Concurrent builders
+serialize on a lock file and publish with atomic renames; a library
+that no longer matches its recorded digest is rebuilt.  Without a
+compiler, or after a failed build, :func:`load` warns once and the
+caller falls back to the Python batched engine.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import fcntl
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import warnings
+from dataclasses import astuple, fields
+from pathlib import Path
+
+import numpy as np
+
+from repro.memory.dram import Priority
+from repro.memory.mshr import MshrEntry
+from repro.memory.traffic import TrafficCategory
+from repro.prefetchers.base import PrefetchedBlock
+from repro.sim.engine import SimConfig, _RunState
+from repro.workloads.trace import Trace
+
+SOURCE = Path(__file__).with_name("kernel.c")
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_I = ctypes.c_int64
+_F = ctypes.c_double
+_P = ctypes.c_void_p
+
+
+class Machine(ctypes.Structure):
+    """Mirror of the kernel's ``Machine`` struct (same order and types)."""
+
+    _fields_ = [
+        (name, kind)
+        for names, kind in (
+            (
+                "cores l1_cores l1_sets l1_ways victim_capacity l2_sets "
+                "l2_ways mshr_capacity miss_window measuring use_stride "
+                "track_mlp collect_miss_log tracker_entries "
+                "stride_buffer_blocks stride_degree confirm_threshold "
+                "region_shift work_f64",
+                _I,
+            ),
+            (
+                "t_l1_hit t_victim_hit t_l2_dep t_l2_indep t_stride_dep "
+                "t_stride_indep t_miss_overhead dram_transfer dram_latency "
+                "stride_backlog_limit",
+                _F,
+            ),
+            (
+                "blocks work dep write low_priority limits clocks "
+                "cursors l1_tags l1_dirty l1_count l1_stats victim_blocks "
+                "victim_dirty victim_count victim_hits l2_tags l2_dirty "
+                "l2_count l2_stats mshr_blocks mshr_complete mshr_waiters "
+                "mshr_stats",
+                _P,
+            ),
+            ("mshr_count", _I),
+            ("window window_count", _P),
+            (
+                "dram_busy_high dram_busy_all dram_busy_cycles "
+                "dram_queue_cycles",
+                _F,
+            ),
+            ("dram_requests dram_high dram_low", _I),
+            (
+                "tracker tracker_count sbuf_blocks sbuf_times sbuf_count "
+                "stride_stats",
+                _P,
+            ),
+            (
+                "demand_accesses off_chip_reads measured_records "
+                "traffic_demand traffic_writeback",
+                _I,
+            ),
+            ("core_traffic", _P),
+            ("coverage_stride coverage_uncovered", _I),
+            (
+                "core_coverage mlp mlp_count miss_log miss_log_base "
+                "miss_log_count",
+                _P,
+            ),
+        )
+        for name in names.split()
+    ]
+
+
+class KernelUnavailable(RuntimeError):
+    """The kernel could not be built or loaded on this machine."""
+
+
+def cache_dir() -> Path:
+    """Per-user directory the built kernel is cached in."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "repro-kernels"
+
+
+def _library_path(directory: Path) -> "tuple[Path, str]":
+    """Cache path of the kernel built by this machine's ``cc``."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise KernelUnavailable("no C compiler ('cc') on PATH")
+    version = subprocess.run(
+        [cc, "--version"], capture_output=True, text=True, check=True
+    ).stdout
+    digest = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(),
+                 version.encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return directory / f"kernel-{digest.hexdigest()[:16]}.so", cc
+
+
+def _digest_path(path: Path) -> Path:
+    return path.with_suffix(".sha256")
+
+
+def _open(path: Path) -> "ctypes.CDLL | None":
+    """Load a built kernel; None when it is missing or damaged.
+
+    The library must match the digest recorded when it was built:
+    ``dlopen`` of a truncated library can fault (SIGBUS) rather than
+    fail, so a damaged file must never reach it.
+    """
+    try:
+        expected = _digest_path(path).read_text()
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
+    if actual != expected:
+        return None
+    try:
+        lib = ctypes.CDLL(str(path))
+        abi = lib.repro_kernel_abi
+        run = lib.repro_kernel_run
+    except (OSError, AttributeError):
+        return None
+    abi.argtypes = []
+    abi.restype = ctypes.c_int64
+    if abi() != ctypes.sizeof(Machine):
+        return None
+    run.argtypes = [ctypes.POINTER(Machine)]
+    run.restype = None
+    return lib
+
+
+def _compile(cc: str, path: Path) -> None:
+    """Compile the kernel to ``path``; publish it and its digest by
+    atomic renames of private temp files."""
+    digest_path = _digest_path(path)
+    temps = [
+        target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        for target in (path, digest_path)
+    ]
+    try:
+        built = subprocess.run(
+            [cc, *FLAGS, "-o", str(temps[0]), str(SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if built.returncode != 0:
+            raise KernelUnavailable(
+                f"cc failed ({built.returncode}): {built.stderr.strip()}"
+            )
+        temps[1].write_text(
+            hashlib.sha256(temps[0].read_bytes()).hexdigest()
+        )
+        os.replace(temps[0], path)
+        os.replace(temps[1], digest_path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def build(directory: "Path | None" = None) -> ctypes.CDLL:
+    """Load the kernel from ``directory``, building it there if needed.
+
+    A missing or damaged library is rebuilt under an exclusive lock, so
+    concurrent callers compile once and every caller loads the same
+    published file.
+    """
+    directory = cache_dir() if directory is None else directory
+    directory.mkdir(parents=True, exist_ok=True)
+    path, cc = _library_path(directory)
+    lib = _open(path)
+    if lib is None:
+        with open(path.with_suffix(".lock"), "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            # Another process may have published it while we waited.
+            lib = _open(path)
+            if lib is None:
+                _compile(cc, path)
+                lib = _open(path)
+    if lib is None:
+        raise KernelUnavailable(f"built kernel {path} does not load")
+    return lib
+
+
+@functools.cache
+def load() -> "ctypes.CDLL | None":
+    """The process's kernel, or None (warned once) when unavailable."""
+    try:
+        return build()
+    except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
+        warnings.warn(
+            f"compiled event kernel unavailable ({exc}); baseline cells "
+            f"fall back to the Python batched engine",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+
+
+def run_state(config: SimConfig, trace: Trace) -> "NativeRunState | None":
+    """A kernel-stepped baseline run state, or None without the kernel."""
+    return None if load() is None else NativeRunState(config, trace)
+
+
+# ----------------------------------------------------------------------
+# State handoff.
+# ----------------------------------------------------------------------
+
+
+def _pack_ordered(dicts: list, width: int):
+    """Flatten ordered dicts into ``[len(dicts)][width]`` key rows.
+
+    Returns the key rows, the per-row counts and the flat slot of every
+    entry in iteration order (for packing matching value rows).
+    """
+    counts = np.fromiter(map(len, dicts), dtype=np.int64, count=len(dicts))
+    if counts.size and counts.max() > width:
+        raise ValueError(f"ordered structure exceeds its width {width}")
+    starts = np.arange(len(dicts), dtype=np.int64) * width
+    slots = np.arange(int(counts.sum())) + np.repeat(
+        starts - counts.cumsum() + counts, counts
+    )
+    keys = np.zeros(len(dicts) * width, dtype=np.int64)
+    keys[slots] = [key for d in dicts for key in d]
+    return keys, counts, slots
+
+
+def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
+    """Refill ``dicts`` in place from packed key and value rows."""
+    for row, n in enumerate(counts.tolist()):
+        target = dicts[row]
+        target.clear()
+        if n:
+            base = row * width
+            target.update(zip(keys[base:base + n].tolist(),
+                              values[base:base + n].tolist()))
+
+
+class NativeRunState(_RunState):
+    """The scalar reference run state, stepped by the compiled kernel."""
+
+    __slots__ = ("_lib", "_columns", "_work_f64", "_low_priority")
+
+    def __init__(
+        self, config: SimConfig, trace: Trace, temporal_factory=None
+    ) -> None:
+        if temporal_factory is not None:
+            raise ValueError(
+                "the compiled kernel models cells without a temporal "
+                "prefetcher"
+            )
+        lib = load()
+        if lib is None:
+            raise KernelUnavailable("the compiled event kernel is unavailable")
+        super().__init__(config, trace, None)
+        self._lib = lib
+        # float32 work widens exactly in the kernel; anything else is
+        # handed over as float64 (exact for every float32/int value).
+        self._work_f64 = any(
+            np.asarray(w).dtype != np.float32 for w in trace.work
+        )
+        columns = {
+            "blocks": _columns(trace.blocks, np.int64),
+            "work": _columns(
+                trace.work, np.float64 if self._work_f64 else np.float32
+            ),
+            "dep": _columns(trace.dep, np.uint8),
+            "write": _columns(trace.write, np.uint8),
+        }
+        #: Per-core column arrays (kept alive while the kernel reads
+        #: them) and the pointer tables the kernel indexes by core.
+        self._columns = (
+            columns,
+            {
+                name: np.array([a.ctypes.data for a in arrays], np.uintp)
+                for name, arrays in columns.items()
+            },
+        )
+        self._low_priority = np.array(
+            [p is Priority.LOW for p in self.demand_priority], dtype=np.uint8
+        )
+
+    def _run_until(self, limits: "list[int]") -> None:
+        machine, buffers = self._pack(limits)
+        self._lib.repro_kernel_run(ctypes.byref(machine))
+        self._unpack(machine, buffers)
+
+    def _pack(self, limits: "list[int]"):
+        config, trace, hier = self.config, self.trace, self.hierarchy
+        timing, cores = config.timing, trace.cores
+        l1_config = hier.l1s[0].config
+        l1_ways, victim_width = l1_config.ways, max(0, hier.victims[0].capacity)
+        l2_ways = hier.l2.config.ways
+        stride = self.stride
+        window_width = timing.core_miss_window
+        b = dict(self._columns[1], low_priority=self._low_priority)
+
+        l1_sets = [s for l1 in hier.l1s for s in l1._sets]
+        b["l1_tags"], b["l1_count"], slots = _pack_ordered(l1_sets, l1_ways)
+        b["l1_dirty"] = _values(l1_sets, slots, len(b["l1_tags"]), np.uint8)
+        b["l1_stats"] = _stats([l1.stats for l1 in hier.l1s])
+        fifos = [victim._fifo for victim in hier.victims]
+        b["victim_blocks"], b["victim_count"], slots = _pack_ordered(
+            fifos, victim_width
+        )
+        b["victim_dirty"] = _values(
+            fifos, slots, len(b["victim_blocks"]), np.uint8
+        )
+        b["victim_hits"] = np.array(
+            [victim.hits for victim in hier.victims], dtype=np.int64
+        )
+        l2_sets = hier.l2._sets
+        b["l2_tags"], b["l2_count"], slots = _pack_ordered(l2_sets, l2_ways)
+        b["l2_dirty"] = _values(l2_sets, slots, len(b["l2_tags"]), np.uint8)
+        b["l2_stats"] = _stats([hier.l2.stats])
+
+        mshrs = self.mshrs
+        entries = list(mshrs._entries.values())
+        b["mshr_blocks"] = _padded([e.block for e in entries],
+                                   mshrs.capacity, np.int64)
+        b["mshr_complete"] = _padded([e.complete_at for e in entries],
+                                     mshrs.capacity, np.float64)
+        b["mshr_waiters"] = _padded([e.waiters for e in entries],
+                                    mshrs.capacity, np.int64)
+        b["mshr_stats"] = _stats([mshrs.stats])
+
+        windows = self.outstanding
+        if max(map(len, windows), default=0) > window_width:
+            raise ValueError("miss window exceeds core_miss_window")
+        b["window_count"] = np.array([len(w) for w in windows], np.int64)
+        b["window"] = np.zeros(cores * window_width)
+        for core, window in enumerate(windows):
+            start = core * window_width
+            b["window"][start:start + len(window)] = window
+
+        if stride is not None:
+            tracker_width = stride.tracker_entries
+            buffer_width = stride.buffers[0].capacity
+            trackers = stride._trackers
+            regions, b["tracker_count"], slots = _pack_ordered(
+                trackers, tracker_width
+            )
+            tracker = np.zeros((len(regions), 4), dtype=np.int64)
+            tracker[:, 0] = regions
+            tracker[slots, 1:] = np.array(
+                [e for t in trackers for e in t.values()], dtype=np.int64
+            ).reshape(-1, 3)
+            b["tracker"] = tracker.reshape(-1)
+            sbufs = [buffer._entries for buffer in stride.buffers]
+            b["sbuf_blocks"], b["sbuf_count"], slots = _pack_ordered(
+                sbufs, buffer_width
+            )
+            times = np.zeros((len(b["sbuf_blocks"]), 2))
+            times[slots] = np.array(
+                [(e.issued_at, e.arrival) for d in sbufs for e in d.values()],
+                dtype=np.float64,
+            ).reshape(-1, 2)
+            b["sbuf_times"] = times.reshape(-1)
+            b["stride_stats"] = _stats([stride.stats])
+        else:
+            # Disabled structures stay NULL: the kernel never reads them.
+            tracker_width = buffer_width = 0
+
+        core_bytes = self.traffic._core_bytes
+        b["core_traffic"] = np.array(
+            [(core_bytes[c][_DEMAND], core_bytes[c][_WRITEBACK])
+             for c in range(cores)],
+            dtype=np.int64,
+        ).reshape(-1)
+        b["core_coverage"] = np.array(
+            [(c.stride_covered, c.uncovered) for c in self.core_coverage],
+            dtype=np.int64,
+        ).reshape(-1)
+        if self.mlp is not None:
+            accumulators = self.mlp._accumulators
+            b["mlp"] = np.array(
+                [(a.total, a.union, a._current_start, a._current_end)
+                 for a in accumulators],
+                dtype=np.float64,
+            ).reshape(-1)
+            b["mlp_count"] = np.array([a.count for a in accumulators],
+                                      dtype=np.int64)
+        b["limits"] = np.array(limits, dtype=np.int64)
+        b["clocks"] = np.array(self.clocks, dtype=np.float64)
+        b["cursors"] = np.array(self.cursors, dtype=np.int64)
+        if self.miss_log is not None:
+            # Room for every record of the phase to miss, per core.
+            room = np.maximum(b["limits"] - b["cursors"], 0)
+            b["miss_log_base"] = np.cumsum(room) - room
+            b["miss_log"] = np.zeros(int(room.sum()), dtype=np.int64)
+            b["miss_log_count"] = np.zeros(cores, dtype=np.int64)
+
+        dram, stats = self.dram, self.dram.stats
+        machine = Machine(
+            cores=cores,
+            l1_cores=len(hier.l1s),
+            l1_sets=l1_config.sets,
+            l1_ways=l1_ways,
+            victim_capacity=hier.victims[0].capacity,
+            l2_sets=hier.l2.config.sets,
+            l2_ways=l2_ways,
+            mshr_capacity=mshrs.capacity,
+            miss_window=window_width,
+            measuring=self.measuring,
+            use_stride=stride is not None,
+            track_mlp=self.mlp is not None,
+            collect_miss_log=self.miss_log is not None,
+            tracker_entries=tracker_width,
+            stride_buffer_blocks=buffer_width,
+            stride_degree=stride.degree if stride is not None else 0,
+            confirm_threshold=(
+                stride.confirm_threshold if stride is not None else 0
+            ),
+            region_shift=stride._region_shift if stride is not None else 0,
+            work_f64=self._work_f64,
+            t_l1_hit=timing.l1_hit,
+            t_victim_hit=timing.victim_hit,
+            t_l2_dep=timing.l2_hit_dep,
+            t_l2_indep=timing.l2_hit_indep,
+            t_stride_dep=timing.stride_hit_dep,
+            t_stride_indep=timing.stride_hit_indep,
+            t_miss_overhead=timing.miss_issue_overhead,
+            dram_transfer=dram._transfer_cycles,
+            dram_latency=dram._access_latency_cycles,
+            stride_backlog_limit=(
+                stride._backlog_limit if stride is not None else 0.0
+            ),
+            mshr_count=len(entries),
+            dram_busy_high=dram._busy_until_high,
+            dram_busy_all=dram._busy_until_all,
+            dram_busy_cycles=stats.busy_cycles,
+            dram_queue_cycles=stats.queue_cycles,
+            dram_requests=stats.requests,
+            dram_high=stats.high_priority_requests,
+            dram_low=stats.low_priority_requests,
+            demand_accesses=hier.demand_accesses,
+            off_chip_reads=hier.off_chip_reads,
+            measured_records=self.measured_records,
+            traffic_demand=self.traffic._bytes[_DEMAND],
+            traffic_writeback=self.traffic._bytes[_WRITEBACK],
+            coverage_stride=self.coverage.stride_covered,
+            coverage_uncovered=self.coverage.uncovered,
+        )
+        for name, array in b.items():
+            if not array.flags.c_contiguous:
+                raise ValueError(f"kernel buffer {name} is not contiguous")
+            setattr(machine, name, array.ctypes.data)
+        return machine, b
+
+    def _unpack(self, m: Machine, b: dict) -> None:
+        hier, cores = self.hierarchy, self.trace.cores
+        self.clocks[:] = b["clocks"].tolist()[:cores]
+        self.cursors[:] = b["cursors"].tolist()[:cores]
+
+        _unpack_ordered([s for l1 in hier.l1s for s in l1._sets],
+                        b["l1_tags"], b["l1_dirty"].astype(bool),
+                        b["l1_count"], hier.l1s[0].config.ways)
+        copies = hier._l1_copies
+        copies.clear()
+        for core, l1 in enumerate(hier.l1s):
+            _restore(l1.stats, b["l1_stats"], core)
+            l1._version += 1
+            for block in l1.resident_blocks():
+                copies[block] = copies.get(block, 0) | (1 << core)
+        _unpack_ordered([v._fifo for v in hier.victims], b["victim_blocks"],
+                        b["victim_dirty"].astype(bool), b["victim_count"],
+                        max(0, hier.victims[0].capacity))
+        for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
+            victim.hits = hits
+        _unpack_ordered(hier.l2._sets, b["l2_tags"],
+                        b["l2_dirty"].astype(bool), b["l2_count"],
+                        hier.l2.config.ways)
+        _restore(hier.l2.stats, b["l2_stats"], 0)
+        hier.l2._version += 1
+        hier.demand_accesses = m.demand_accesses
+        hier.off_chip_reads = m.off_chip_reads
+
+        mshrs = self.mshrs
+        count = m.mshr_count
+        mshrs._entries.clear()
+        for block, complete, waiters in zip(
+            b["mshr_blocks"][:count].tolist(),
+            b["mshr_complete"][:count].tolist(),
+            b["mshr_waiters"][:count].tolist(),
+        ):
+            mshrs._entries[block] = MshrEntry(block, complete, False, waiters)
+        mshrs._heap = sorted(
+            (entry.complete_at, entry.block)
+            for entry in mshrs._entries.values()
+        )
+        mshrs._min_complete = mshrs._heap[0][0] if mshrs._heap else _INF
+        _restore(mshrs.stats, b["mshr_stats"], 0)
+
+        width = self.config.timing.core_miss_window
+        window = b["window"].tolist()
+        for core, n in enumerate(b["window_count"].tolist()[:cores]):
+            self.outstanding[core][:] = window[core * width:core * width + n]
+
+        dram, stats = self.dram, self.dram.stats
+        dram._busy_until_high = m.dram_busy_high
+        dram._busy_until_all = m.dram_busy_all
+        stats.busy_cycles = m.dram_busy_cycles
+        stats.queue_cycles = m.dram_queue_cycles
+        stats.requests = m.dram_requests
+        stats.high_priority_requests = m.dram_high
+        stats.low_priority_requests = m.dram_low
+
+        stride = self.stride
+        if stride is not None:
+            tracker = b["tracker"].reshape(-1, 4)
+            _unpack_ordered(stride._trackers, tracker[:, 0], tracker[:, 1:],
+                            b["tracker_count"], stride.tracker_entries)
+            width = stride.buffers[0].capacity
+            times = b["sbuf_times"].reshape(-1, 2)
+            for core, buffer in enumerate(stride.buffers):
+                n = int(b["sbuf_count"][core])
+                rows = slice(core * width, core * width + n)
+                buffer._entries.clear()
+                for block, (issued, arrival) in zip(
+                    b["sbuf_blocks"][rows].tolist(), times[rows].tolist()
+                ):
+                    buffer._entries[block] = PrefetchedBlock(
+                        block, issued, arrival
+                    )
+                buffer._stream_counts = {-1: n} if n else {}
+            _restore(stride.stats, b["stride_stats"], 0)
+
+        traffic = self.traffic
+        traffic._bytes[_DEMAND] = m.traffic_demand
+        traffic._bytes[_WRITEBACK] = m.traffic_writeback
+        core_traffic = b["core_traffic"].tolist()
+        core_coverage = b["core_coverage"].tolist()
+        for core in range(cores):
+            traffic._core_bytes[core][_DEMAND] = core_traffic[2 * core]
+            traffic._core_bytes[core][_WRITEBACK] = core_traffic[2 * core + 1]
+            coverage = self.core_coverage[core]
+            coverage.stride_covered = core_coverage[2 * core]
+            coverage.uncovered = core_coverage[2 * core + 1]
+        self.coverage.stride_covered = m.coverage_stride
+        self.coverage.uncovered = m.coverage_uncovered
+        self.measured_records = m.measured_records
+
+        if self.mlp is not None:
+            mlp = b["mlp"].reshape(-1, 4).tolist()
+            counts = b["mlp_count"].tolist()
+            for core, acc in enumerate(self.mlp._accumulators):
+                acc.total, acc.union, acc._current_start, acc._current_end = (
+                    mlp[core]
+                )
+                acc.count = counts[core]
+        if self.miss_log is not None:
+            log = b["miss_log"]
+            bases = b["miss_log_base"].tolist()
+            for core, n in enumerate(b["miss_log_count"].tolist()[:cores]):
+                self.miss_log[core].extend(
+                    log[bases[core]:bases[core] + n].tolist()
+                )
+
+
+_INF = float("inf")
+_DEMAND = TrafficCategory.DEMAND_READ
+_WRITEBACK = TrafficCategory.WRITEBACK
+
+
+def _columns(arrays, dtype) -> "list[np.ndarray]":
+    """Per-core trace arrays in the kernel's dtype: the trace's own
+    arrays (no copy) when they already have it."""
+    columns = []
+    for array in arrays:
+        array = np.asarray(array)
+        if array.dtype == np.bool_ and dtype == np.uint8:
+            array = array.view(np.uint8)
+        columns.append(np.ascontiguousarray(array, dtype=dtype))
+    return columns
+
+
+def _values(dicts, slots, size, dtype):
+    """Value rows matching :func:`_pack_ordered`'s key rows."""
+    values = np.zeros(size, dtype=dtype)
+    values[slots] = [value for d in dicts for value in d.values()]
+    return values
+
+
+def _padded(items, width, dtype):
+    array = np.zeros(width, dtype=dtype)
+    array[:len(items)] = items
+    return array
+
+
+def _stats(objects) -> np.ndarray:
+    """Integer counter dataclasses flattened field by field."""
+    return np.array(
+        [value for o in objects for value in astuple(o)], dtype=np.int64
+    )
+
+
+def _restore(obj, array: np.ndarray, row: int) -> None:
+    """Write row ``row`` of a :func:`_stats` array back into ``obj``."""
+    names = [f.name for f in fields(obj)]
+    values = array[row * len(names):(row + 1) * len(names)].tolist()
+    for name, value in zip(names, values):
+        setattr(obj, name, value)

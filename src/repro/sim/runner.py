@@ -44,7 +44,7 @@ from repro.memory.hierarchy import CmpConfig
 from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
 from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
 from repro.prefetchers.markov import MarkovPrefetcher
-from repro.sim.engine import SimConfig, TemporalFactory
+from repro.sim.engine import SimConfig, TemporalFactory, resolve_engine
 from repro.sim.metrics import SimResult
 from repro.sim.session import (
     SessionStats,
@@ -603,6 +603,24 @@ def _shard_groups(
     return shards
 
 
+def _preload_kernel(jobs: "list[SimJob]") -> None:
+    """Load the compiled kernel before forking workers for ``jobs``.
+
+    Baseline cells run in the compiled kernel (:mod:`repro.sim.native`);
+    loading it here, once, lets every forked worker inherit the mapped
+    library instead of each one building or checking it, hashing it and
+    spawning ``cc --version`` itself.  Fan-outs without baseline cells,
+    or on the scalar engine, never touch it.
+    """
+    if resolve_engine("auto") == "scalar" or not any(
+        job.kind is PrefetcherKind.BASELINE for job in jobs
+    ):
+        return
+    from repro.sim import native
+
+    native.load()
+
+
 class ExperimentRunner:
     """Maps simulation jobs over worker processes, two levels deep.
 
@@ -756,6 +774,9 @@ class ExperimentRunner:
                     if payload is not None:
                         payloads[trace_key] = payload
                         exports += 1
+            _preload_kernel(
+                [jobs[i] for _, indices in shards for i in indices]
+            )
             try:
                 workers = min(self.max_workers, len(shards))
                 with ProcessPoolExecutor(

@@ -1,9 +1,11 @@
-"""Differential fuzzing: batched engines vs. the scalar reference.
+"""Differential fuzzing: the fast engines vs. the scalar reference.
 
 The equivalence suite (`test_engine_equivalence.py`) checks suite
 workloads at fixed configurations; this harness drives *randomized*
 machine configurations x trace recipes through the scalar reference
-engine and the batched engine(s), asserting **bit-identical** end state:
+engine and the batched engine — plus, for cells without a temporal
+prefetcher, the compiled kernel (`repro.sim.native`) — asserting
+**bit-identical** end state:
 per-core clocks and stats, every traffic counter, cache and victim
 contents, DRAM/MSHR state, and the complete STMS metadata state (index
 buckets, history buffers with un-spilled pack segments, bucket-buffer
@@ -22,7 +24,11 @@ tier those mix draws are randomly decorated with asymmetric scheduling
 (time slices, rate weights, low demand-priority cores); three pinned
 fast seeds force asymmetric mixes so tier-1 covers those engine paths
 too.  Snapshots include the per-core per-category traffic counters and
-per-core demand priorities, compared deeply between engines.
+per-core demand priorities, compared deeply between engines.  Every
+engine's finished run must also pass the conservation oracle
+(:func:`repro.sim.metrics.check_invariants`), which catches modelling
+bugs all engines would share.  Pinned native seeds force the machine
+toggles the compiled kernel branches on.
 
 The fast tier runs a small pinned seed set; the nightly-depth sweep
 (``pytest -m slow``) runs a 48-seed window whose base rotates with the
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -42,9 +49,10 @@ import pytest
 from repro.core.config import StmsConfig
 from repro.memory.address import BLOCK_BYTES
 from repro.memory.hierarchy import CmpConfig
-from repro.sim.batch import BatchRunState, TagBatchRunState
+from repro.sim.batch import BatchRunState
 from repro.sim.engine import SimConfig, _RunState
-from repro.sim.metrics import snapshot_run_state
+from repro.sim.metrics import check_invariants, snapshot_run_state
+from repro.sim.native import NativeRunState
 from repro.sim.runner import PrefetcherKind, make_factory
 from repro.sim.timing import TimingModel
 from repro.workloads.trace import Trace
@@ -221,8 +229,17 @@ def _random_prefetcher(rng: np.random.Generator, cores: int):
     return kind, make_factory(kind)
 
 
+#: The compiled kernel needs a C compiler; where one exists it must load
+#: (``tests/sim/test_native.py``), so the native leg is never skipped
+#: silently on a machine that can build it.
+HAVE_CC = shutil.which("cc") is not None
+
+
 def _run_and_snapshot(state_class, config, trace, factory, shared=None):
-    """Drive one engine through both phases; snapshot before result()."""
+    """Drive one engine through both phases; snapshot before result().
+
+    The finished run must also satisfy the conservation oracle.
+    """
     if shared is None:
         state = state_class(config, trace, factory)
     else:
@@ -233,15 +250,26 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
     state.run_measured()
     final = snapshot_run_state(state)
     result = state.result("fuzz")
+    check_invariants(state, result)
     return warm, final, result
 
 
 def _check_seed(
     seed: int,
-    include_tag_engine: bool,
     allow_asymmetric: bool = False,
     force_mix: bool = False,
+    baseline: bool = False,
+    low_priority_core: bool = False,
+    **machine_overrides,
 ) -> None:
+    """Run one seeded case through every applicable engine.
+
+    ``baseline`` forces the stride-only base system (no temporal
+    prefetcher), ``low_priority_core`` demotes core 0's demand fetches
+    to low DRAM priority, and ``machine_overrides`` replace fields of
+    the drawn :class:`SimConfig` (``l1_victim_blocks`` goes to its
+    :class:`CmpConfig`).
+    """
     rng = np.random.default_rng(seed)
     cores = int(rng.integers(1, 5))
     if force_mix or rng.random() < 0.25:
@@ -249,22 +277,34 @@ def _check_seed(
     else:
         trace = _random_trace(rng, cores)
     config = _random_machine(rng, cores)
+    if "l1_victim_blocks" in machine_overrides:
+        config = dataclasses.replace(config, cmp=dataclasses.replace(
+            config.cmp,
+            l1_victim_blocks=machine_overrides.pop("l1_victim_blocks"),
+        ))
+    config = dataclasses.replace(config, **machine_overrides)
+    if low_priority_core:
+        priorities = list(trace.core_priorities or ["high"] * cores)
+        priorities[0] = "low"
+        trace = dataclasses.replace(trace, core_priorities=priorities)
 
+    def draw():
+        # Each engine builds its own prefetcher from an identically
+        # seeded draw (factories capture config; the sampler is
+        # seeded), so the reported ``kind`` is the one simulated.
+        if baseline:
+            return PrefetcherKind.BASELINE, None
+        return _random_prefetcher(np.random.default_rng(seed + 1), cores)
+
+    kind, reference_factory = draw()
     engines = [BatchRunState]
-    if include_tag_engine:
-        engines.append(TagBatchRunState)
-    # Each engine builds its own prefetcher from an identically seeded
-    # draw (factories capture config; the sampler is seeded), so the
-    # reported ``kind`` is the one actually simulated.
-    kind, reference_factory = _random_prefetcher(
-        np.random.default_rng(seed + 1), cores
-    )
+    if kind is PrefetcherKind.BASELINE and HAVE_CC:
+        engines.append(NativeRunState)
     reference = _run_and_snapshot(
         _RunState, config, trace, reference_factory
     )
     for engine in engines:
-        prefetcher_rng = np.random.default_rng(seed + 1)
-        _, factory = _random_prefetcher(prefetcher_rng, cores)
+        _, factory = draw()
         candidate = _run_and_snapshot(engine, config, trace, factory)
         for phase, got, want in (
             ("warmup", candidate[0], reference[0]),
@@ -289,7 +329,7 @@ def _check_seed(
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
 def test_differential(seed):
-    _check_seed(seed, include_tag_engine=(seed % 2 == 0))
+    _check_seed(seed)
 
 
 #: Pinned fast seeds that force asymmetric mix traces, so the rate /
@@ -300,18 +340,34 @@ ASYMMETRIC_SEEDS = (101, 102, 103)
 
 @pytest.mark.parametrize("seed", ASYMMETRIC_SEEDS)
 def test_differential_asymmetric(seed):
-    _check_seed(
-        seed,
-        include_tag_engine=(seed % 2 == 0),
-        allow_asymmetric=True,
-        force_mix=True,
-    )
+    _check_seed(seed, allow_asymmetric=True, force_mix=True)
+
+
+#: Pinned fast baseline seeds, one per machine toggle the compiled
+#: kernel branches on (a random draw may leave any of them unvisited).
+NATIVE_CASES = {
+    "no-stride": (401, {"use_stride": False}),
+    "no-mlp": (402, {"track_mlp": False}),
+    "miss-log": (403, {"collect_miss_log": True}),
+    "no-victim-buffer": (404, {"l1_victim_blocks": 0}),
+    "low-priority-core": (
+        405, {"low_priority_core": True, "allow_asymmetric": True,
+              "force_mix": True},
+    ),
+}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+@pytest.mark.parametrize("case", sorted(NATIVE_CASES))
+def test_differential_native(case):
+    seed, options = NATIVE_CASES[case]
+    _check_seed(seed, baseline=True, **options)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_differential_nightly(seed):
-    _check_seed(seed, include_tag_engine=True, allow_asymmetric=True)
+    _check_seed(seed, allow_asymmetric=True)
 
 
 # ----------------------------------------------------------------------

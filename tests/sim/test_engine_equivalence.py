@@ -1,17 +1,22 @@
-"""Equivalence gate: the batched engines vs. the scalar reference.
+"""Equivalence gate: the production engine vs. the scalar reference.
 
-The batched engine (`repro.sim.batch`) is the production engine; the
-scalar `_RunState` is the executable specification.  These tests prove
-the acceptance property: identical `SimResult` coverage and traffic
-counts (and, stronger, bit-identical clocks and every other counter)
-on suite workloads.
+The ``batch`` engine is the production engine — the compiled kernel
+(`repro.sim.native`) for cells without a temporal prefetcher, the
+batched Python engine (`repro.sim.batch`) for the rest; the scalar
+`_RunState` is the executable specification.  These tests prove the
+acceptance property: identical `SimResult` coverage and traffic counts
+(and, stronger, bit-identical clocks and every other counter) on suite
+workloads.
 """
 
 import dataclasses
+import shutil
 
 import pytest
 
+from repro.sim.batch import BatchRunState
 from repro.sim.engine import Simulator
+from repro.sim.native import NativeRunState
 from repro.sim.runner import PrefetcherKind, make_factory, make_sim_config
 from repro.workloads.suite import generate
 
@@ -20,9 +25,32 @@ from repro.workloads.suite import generate
 WORKLOADS = ("web-apache", "sci-ocean")
 
 
+#: The baseline state classes the ``batch`` engine may pick (the kernel
+#: needs a C compiler; where one exists it must load).
+BASELINE_STATES = [
+    pytest.param(BatchRunState, id="batch"),
+    pytest.param(
+        NativeRunState,
+        id="native",
+        marks=pytest.mark.skipif(
+            shutil.which("cc") is None, reason="no C compiler"
+        ),
+    ),
+]
+
+
 def _run(trace, engine, kind):
     config = dataclasses.replace(make_sim_config("test"), engine=engine)
     return Simulator(config).run(trace, make_factory(kind), kind.value)
+
+
+def _run_state(state_class, config, trace):
+    """One baseline cell through a specific run-state class."""
+    state = state_class(config, trace, None)
+    state.run_warmup()
+    state.reset_accounting()
+    state.run_measured()
+    return state.result("baseline")
 
 
 def _assert_identical(reference, candidate):
@@ -61,12 +89,16 @@ def test_batch_matches_scalar(traces, workload, kind):
     _assert_identical(reference, candidate)
 
 
-def test_tag_array_engine_matches_scalar(traces):
-    reference = _run(traces["web-apache"], "scalar", PrefetcherKind.STMS)
-    candidate = _run(
-        traces["web-apache"], "batch-tag", PrefetcherKind.STMS
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("state_class", BASELINE_STATES)
+def test_baseline_state_matches_scalar(traces, workload, state_class):
+    """Both baseline paths — the kernel and its Python fallback."""
+    reference = _run(traces[workload], "scalar", PrefetcherKind.BASELINE)
+    candidate = _run_state(
+        state_class, make_sim_config("test"), traces[workload]
     )
     _assert_identical(reference, candidate)
+    assert candidate.core_traffic_bytes == reference.core_traffic_bytes
 
 
 @pytest.mark.slow
@@ -79,10 +111,9 @@ def test_tag_array_engine_matches_scalar(traces):
         PrefetcherKind.MARKOV,
     ],
 )
-@pytest.mark.parametrize("engine", ["batch", "batch-tag"])
-def test_full_matrix(traces, workload, kind, engine):
+def test_full_matrix(traces, workload, kind):
     reference = _run(traces[workload], "scalar", kind)
-    candidate = _run(traces[workload], engine, kind)
+    candidate = _run(traces[workload], "batch", kind)
     _assert_identical(reference, candidate)
 
 
@@ -106,14 +137,15 @@ def test_unknown_engine_rejected():
         resolve_engine("warp-drive")
 
 
-@pytest.mark.parametrize("engine", ["batch", "batch-tag"])
-def test_cross_core_invalidation_stress(engine):
+@pytest.mark.parametrize("state_class", BASELINE_STATES)
+def test_cross_core_invalidation_stress(state_class):
     """Force inclusive L2 evictions to cut into classified L1-hit runs.
 
     Four cores loop over per-core hot sets (long classified runs) while
     also thrashing a shared region through a tiny L2, so evictions
     invalidate blocks other cores' runs counted on — exercising the
-    batched engine's truncation protocol.
+    batched engine's truncation protocol and the kernel's inclusive
+    invalidation.
     """
     import numpy as np
 
@@ -150,9 +182,7 @@ def test_cross_core_invalidation_stress(engine):
     reference = Simulator(
         dataclasses.replace(config, engine="scalar")
     ).run(trace, None, "baseline")
-    candidate = Simulator(
-        dataclasses.replace(config, engine=engine)
-    ).run(trace, None, "baseline")
+    candidate = _run_state(state_class, config, trace)
     _assert_identical(reference, candidate)
     # The scenario must actually produce L1 hits and invalidations,
     # otherwise it is not stressing the truncation path.

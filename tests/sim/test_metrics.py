@@ -1,5 +1,7 @@
 """Unit tests for coverage counts, MLP tracking, and results."""
 
+import re
+
 import pytest
 
 from repro.sim.metrics import (
@@ -188,3 +190,89 @@ class TestPerWorkloadBreakdown:
         assert max(result.core_elapsed_cycles) == pytest.approx(
             result.elapsed_cycles
         )
+
+
+class TestConservationInvariants:
+    """``check_invariants``: finished runs pass, corrupted ones fail."""
+
+    @staticmethod
+    def _finished(engine, kind):
+        import dataclasses
+
+        from repro.sim.batch import BatchRunState
+        from repro.sim.engine import _RunState
+        from repro.sim.runner import (
+            make_factory,
+            make_sim_config,
+            make_stms_config,
+        )
+        from repro.workloads.suite import generate
+
+        trace = generate("web-apache", scale="test", cores=2, seed=7)
+        config = dataclasses.replace(
+            make_sim_config("test"), collect_miss_log=True
+        )
+        factory = (
+            make_factory(kind, make_stms_config("test", cores=2))
+            if kind.value != "baseline"
+            else None
+        )
+        state_class = {"scalar": _RunState, "batch": BatchRunState}[engine]
+        state = state_class(config, trace, factory)
+        state.run_warmup()
+        state.reset_accounting()
+        state.run_measured()
+        return state, state.result(kind.value)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("kind", ["baseline", "stms"])
+    def test_finished_runs_conserve(self, engine, kind):
+        from repro.sim.metrics import check_invariants
+        from repro.sim.runner import PrefetcherKind
+
+        state, result = self._finished(engine, PrefetcherKind(kind))
+        check_invariants(state, result)
+
+    @pytest.mark.parametrize(
+        "corrupt, law",
+        [
+            (lambda s, r: setattr(
+                s.coverage, "uncovered", s.coverage.uncovered + 1),
+             "coverage classes sum"),
+            (lambda s, r: setattr(
+                s.core_coverage[1], "stride_covered",
+                s.core_coverage[1].stride_covered + 1),
+             "per-core stride_covered"),
+            (lambda s, r: setattr(
+                s.dram.stats, "requests", s.dram.stats.requests + 1),
+             "DRAM requests"),
+            (lambda s, r: s.traffic.add_bytes(
+                _category("writeback"), 1, core=0),
+             "not whole blocks"),
+            (lambda s, r: s.traffic._core_bytes[1].__setitem__(
+                _category("demand_read"),
+                s.traffic._core_bytes[1][_category("demand_read")] + 64),
+             "per-core demand_read"),
+            (lambda s, r: s.traffic.add_block(_category("demand_read")),
+             "demand-read + write-back bytes"),
+            (lambda s, r: setattr(
+                s.mshrs.stats, "peak_occupancy", s.mshrs.capacity + 1),
+             "MSHR peak occupancy"),
+            (lambda s, r: r.core_elapsed_cycles.__setitem__(0, 1.0),
+             "measured cycles"),
+        ],
+    )
+    def test_corrupted_counter_is_caught(self, corrupt, law):
+        from repro.sim.metrics import InvariantViolation, check_invariants
+        from repro.sim.runner import PrefetcherKind
+
+        state, result = self._finished("scalar", PrefetcherKind.BASELINE)
+        corrupt(state, result)
+        with pytest.raises(InvariantViolation, match=re.escape(law)):
+            check_invariants(state, result)
+
+
+def _category(value):
+    from repro.memory.traffic import TrafficCategory
+
+    return TrafficCategory(value)

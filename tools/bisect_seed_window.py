@@ -8,8 +8,7 @@ needed — stops at the **first bad seed** (for a monotone "prefix
 contains a failure" predicate, the early-stopping scan is the optimal
 bisection: it executes exactly ``first_bad - base + 1`` cases), then
 **minimizes** the repro by re-running the failing seed with reduced
-engine/decoration variants and reporting the smallest one that still
-fails.  The report is written to ``--output`` and uploaded by the
+decoration variants and reporting the smallest one that still fails.  The report is written to ``--output`` and uploaded by the
 workflow as the ``differential-failure-repro`` artifact.
 
 Usage (what the nightly workflow runs on failure)::
@@ -61,14 +60,8 @@ def _load_suite():
 #: variant; earlier entries are strictly smaller repros.  Listed from
 #: smallest to fullest — the first failing entry is the minimal repro.
 _ENGINE_VARIANTS = (
-    ("batched engine only, no asymmetric decorations",
-     {"include_tag_engine": False, "allow_asymmetric": False}),
-    ("batched engine only",
-     {"include_tag_engine": False, "allow_asymmetric": True}),
-    ("both engines, no asymmetric decorations",
-     {"include_tag_engine": True, "allow_asymmetric": False}),
-    ("both engines (full nightly case)",
-     {"include_tag_engine": True, "allow_asymmetric": True}),
+    ("no asymmetric decorations", {"allow_asymmetric": False}),
+    ("full nightly case", {"allow_asymmetric": True}),
 )
 
 
@@ -91,8 +84,7 @@ def _scan(
     """
     for window, start, n, check in (
         ("engine", base, count,
-         lambda s: suite._check_seed(
-             s, include_tag_engine=True, allow_asymmetric=True)),
+         lambda s: suite._check_seed(s, allow_asymmetric=True)),
         ("sweep", base + SWEEP_OFFSET, SWEEP_COUNT,
          lambda s: suite._check_sweep_seed(s, grid_size=4)),
     ):
@@ -129,8 +121,7 @@ def _minimize(suite, window: str, seed: int) -> "tuple[str, str]":
     # The failure needs the full variant (or is flaky); report it as-is.
     return (
         "full nightly case",
-        f"_check_seed({seed}, include_tag_engine=True, "
-        "allow_asymmetric=True)",
+        f"_check_seed({seed}, allow_asymmetric=True)",
     )
 
 
@@ -194,8 +185,7 @@ def main(argv=None) -> int:
         check = (
             (lambda s: suite._check_sweep_seed(s, grid_size=4))
             if seed >= SWEEP_OFFSET
-            else (lambda s: suite._check_seed(
-                s, include_tag_engine=True, allow_asymmetric=True))
+            else (lambda s: suite._check_seed(s, allow_asymmetric=True))
         )
         failure = _failure_of(check, seed)
         if failure is None:
