@@ -310,22 +310,13 @@ def _run_fig7_sweep(args: argparse.Namespace) -> int:
     src = os.path.join(ROOT, "src")
     # Memory session only, cold in every process: the store would let
     # the second leg ride on the first leg's results.  The grouped leg
-    # is this PR's path (sweep grouping + batched emitter); the
-    # per-cell leg pins the pre-sweep path (scalar emitter, grouping
-    # off) so the record captures the whole before/after.
-    grouped_env = {
+    # runs the grid through the runner's sweep grouping; the per-cell
+    # leg runs each cell through ``run_job`` in a fresh process, so
+    # every cell re-pays startup, trace generation and classification.
+    env = {
         "REPRO_SIM_CACHE": "1",
         "REPRO_STORE_DIR": "",
         "REPRO_JOBS": "1",
-        "REPRO_SWEEP": "on",
-        "REPRO_TRACE_EMITTER": "batched",
-    }
-    cell_env = {
-        "REPRO_SIM_CACHE": "1",
-        "REPRO_STORE_DIR": "",
-        "REPRO_JOBS": "1",
-        "REPRO_SWEEP": "off",
-        "REPRO_TRACE_EMITTER": "scalar",
     }
     probe_env = dict(os.environ)
     probe_env["PYTHONPATH"] = src + (
@@ -356,13 +347,13 @@ def _run_fig7_sweep(args: argparse.Namespace) -> int:
                 name=name, scale=args.scale, probability=probability
             ),
             src,
-            cell_env,
+            env,
         )
         per_cell[f"{name}@{probability}"] = wall
         per_cell_total += wall
     print(f"  per-cell (fresh process each): {per_cell_total:.1f}s total")
     grouped, grouped_stats = _measure_wall(
-        _RUN_FIG7_GROUPED.format(scale=args.scale), src, grouped_env
+        _RUN_FIG7_GROUPED.format(scale=args.scale), src, env
     )
     print(
         f"  grouped (one process, sweep engine): {grouped:.1f}s "
@@ -403,14 +394,12 @@ def _run_fig7_sweep(args: argparse.Namespace) -> int:
 def _run_fig7_par(args: argparse.Namespace) -> int:
     """Serial grouped sweep vs two-worker cell-parallel shm plane."""
     src = os.path.join(ROOT, "src")
-    # Memory session only, cold in both processes; the sweep engine and
-    # batched emitter are pinned on for BOTH legs so the only variable
-    # is the scheduler (serial grouped vs cell shards over the plane).
+    # Memory session only, cold in both processes; the shm plane is
+    # pinned on for BOTH legs so the only variable is the scheduler
+    # (serial grouped vs cell shards over the plane).
     serial_env = {
         "REPRO_SIM_CACHE": "1",
         "REPRO_STORE_DIR": "",
-        "REPRO_SWEEP": "on",
-        "REPRO_TRACE_EMITTER": "batched",
         "REPRO_SHM": "on",
     }
     probe_env = dict(os.environ)

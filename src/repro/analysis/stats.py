@@ -6,10 +6,6 @@ an *estimate* of the full-grid mean, and every estimate carries a
 percentile-bootstrap confidence interval so the report can never be
 mistaken for an exact number.  Resampling is vectorized and seeded:
 the same sample and seed always produce the same interval.
-
-``REPRO_BOOTSTRAP_RESAMPLES`` overrides the default resample count
-(1000); the knob shares the warn-once misparse behaviour of the other
-``REPRO_*`` knobs (:mod:`repro.envknobs`).
 """
 
 from __future__ import annotations
@@ -20,14 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.envknobs import env_int
-
-_DEFAULT_RESAMPLES = 1000
-
-
-def bootstrap_resamples() -> int:
-    """Resample count from ``REPRO_BOOTSTRAP_RESAMPLES`` (floor 1)."""
-    return max(1, env_int("REPRO_BOOTSTRAP_RESAMPLES", _DEFAULT_RESAMPLES))
+#: Bootstrap resamples per interval unless a caller passes ``resamples``.
+DEFAULT_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,7 @@ class CIEstimate:
 def bootstrap_ci(
     values: Sequence[float],
     confidence: float = 0.95,
-    resamples: "int | None" = None,
+    resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> CIEstimate:
     """Percentile-bootstrap CI of the mean of ``values`` (seeded).
@@ -84,8 +74,6 @@ def bootstrap_ci(
         return CIEstimate(
             mean=mean, lo=mean, hi=mean, confidence=confidence, n=1
         )
-    if resamples is None:
-        resamples = bootstrap_resamples()
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, data.size, size=(resamples, data.size))
     means = data[picks].mean(axis=1)
@@ -104,7 +92,7 @@ def bootstrap_ci(
 def stratified_estimates(
     values_by_stratum: "dict[object, Sequence[float]]",
     confidence: float = 0.95,
-    resamples: "int | None" = None,
+    resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> "dict[object, CIEstimate]":
     """One :func:`bootstrap_ci` per stratum, deterministically seeded.

@@ -1,10 +1,10 @@
 """Warn-once parsing of numeric ``REPRO_*`` environment knobs.
 
-A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_STORE_TMP_MAX_AGE_S``,
-``REPRO_BOOTSTRAP_RESAMPLES``) emits one :class:`RuntimeWarning` per
+A malformed store knob (``REPRO_STORE_MAX_MB``,
+``REPRO_STORE_TMP_MAX_AGE_S``) emits one :class:`RuntimeWarning` per
 knob per process and then falls back to its documented default, the
-same way a misparsed ``REPRO_JOBS`` or ``REPRO_SHARD_MIN_CELLS`` does,
-so a typo'd environment cannot silently un-cap a store.
+same way a misparsed ``REPRO_JOBS`` does, so a typo'd environment
+cannot silently un-cap a store.
 
 Float knobs are sizes and durations, so a value that parses but cannot
 be one (``nan``, ``inf``, a negative number, or zero where the knob is
@@ -60,15 +60,3 @@ def env_float(name: str, default, *, positive: bool = False):
     )
     return default
 
-
-def env_int(name: str, default):
-    """``int(os.environ[name])``, or ``default`` when the knob is
-    unset/empty; a malformed value warns once and falls back."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        _warn_once(name, raw, "an integer")
-        return default

@@ -56,12 +56,7 @@ from repro.sim.session import (
 from repro.sim.shm import TracePayload, TracePlane, shm_enabled
 from repro.sim.shm import attach as shm_attach
 from repro.sim.store import ArtifactStore, TraceRef, trace_digest
-from repro.sim.sweep import (
-    SweepShared,
-    job_geometries,
-    run_sweep,
-    sweep_enabled,
-)
+from repro.sim.sweep import SweepShared, job_geometries, run_sweep
 from repro.workloads.suite import ScalePreset, get_scale
 from repro.workloads.trace import Trace
 
@@ -169,6 +164,26 @@ def make_factory(
     raise ValueError(f"unhandled prefetcher kind {kind!r}")
 
 
+def temporal_key(
+    kind: PrefetcherKind,
+    stms_config: "StmsConfig | None",
+    factory_options: "dict[str, object] | tuple[tuple[str, object], ...]",
+) -> tuple:
+    """The temporal-prefetcher part of a session/store result key.
+
+    The one place this key is spelled: :func:`run_trace` caches under
+    it, and :func:`job_result_key` (the store-aware probe) and
+    :func:`repro.sim.sweep.run_sweep` must look up the very same key —
+    if the probe's key ever diverged from the run's, every warm hit
+    would silently become a miss.
+    """
+    return (
+        kind.value,
+        _freeze(stms_config),
+        tuple(sorted(dict(factory_options).items())),
+    )
+
+
 def run_trace(
     trace: Trace,
     kind: PrefetcherKind,
@@ -190,13 +205,12 @@ def run_trace(
     factory = make_factory(kind, stms_config, **factory_options)  # type: ignore[arg-type]
     if session is None:
         session = get_session()
-    temporal_key = (
-        kind.value,
-        _freeze(stms_config),
-        tuple(sorted(factory_options.items())),
-    )
     return session.simulate(
-        trace, sim_config, temporal_key, factory, label=kind.value
+        trace,
+        sim_config,
+        temporal_key(kind, stms_config, factory_options),
+        factory,
+        label=kind.value,
     )
 
 
@@ -343,13 +357,11 @@ def _job_configs(
 def job_result_key(job: SimJob, trace: Trace) -> tuple:
     """The session/store content key ``run_job`` would cache under."""
     sim_config, stms_config = _job_configs(job, trace.cores)
-    temporal_key = (
-        job.kind.value,
-        _freeze(stms_config),
-        tuple(sorted(dict(job.factory_options).items())),
-    )
     return SimSession.result_key(
-        trace, sim_config, temporal_key, job.kind.value
+        trace,
+        sim_config,
+        temporal_key(job.kind, stms_config, job.factory_options),
+        job.kind.value,
     )
 
 
@@ -374,29 +386,6 @@ def run_job(job: SimJob, session: "SimSession | None" = None) -> SimResult:
         session=session,
         **dict(job.factory_options),
     )
-
-
-def _run_group(
-    jobs: "list[SimJob]",
-    session: "SimSession | None" = None,
-    preshared: "SweepShared | None" = None,
-) -> "list[SimResult]":
-    """Run jobs sharing one trace: a sweep invocation when it pays.
-
-    Two or more cells over one trace are pushed through the
-    config-parallel sweep engine (:mod:`repro.sim.sweep`) so the
-    config-independent precomputation — trace materialization and the
-    stacked STMS metadata classification — happens once for the whole
-    group.  A single job (or ``REPRO_SWEEP=off``) takes the plain
-    per-cell path; results are bit-identical either way.
-
-    ``preshared`` is a shard's shared-memory-attached precomputation
-    (trace + adopted metadata columns): even a single-cell shard routes
-    through the sweep engine then, so nothing attached is re-derived.
-    """
-    if sweep_enabled() and (len(jobs) >= 2 or preshared is not None):
-        return run_sweep(jobs, session, shared=preshared)
-    return [run_job(job, session) for job in jobs]
 
 
 def _run_bundle(
@@ -478,7 +467,7 @@ def _run_bundle(
             first.records_per_core,
             trace_ref,
         )
-    results = _run_group(jobs, session, preshared)
+    results = run_sweep(jobs, session, shared=preshared)
     stats_delta = {
         f.name: getattr(session.stats, f.name) - getattr(before, f.name)
         for f in fields(SessionStats)
@@ -519,40 +508,6 @@ def _default_workers() -> "tuple[int, bool]":
     return cpus, cpus > 1
 
 
-#: One warning per process for a malformed REPRO_SHARD_MIN_CELLS value.
-_SHARD_MIN_CELLS_WARNING_EMITTED = False
-
-
-def _shard_min_cells() -> int:
-    """Smallest pending-cell count at which a trace group may be split.
-
-    ``REPRO_SHARD_MIN_CELLS`` (default 2, floor 2) raises the level-2
-    threshold for grids whose per-cell cost is too small to amortize a
-    shard's attach overhead.  A malformed value used to fall back to
-    the default silently (while the equivalent ``REPRO_JOBS`` misparse
-    warned); it now warns once per process too.  Numeric values below
-    the floor are clamped without a warning — that floor is documented
-    behaviour, not a typo.
-    """
-    global _SHARD_MIN_CELLS_WARNING_EMITTED
-    env = os.environ.get("REPRO_SHARD_MIN_CELLS")
-    if env is None:
-        return 2
-    try:
-        value = int(env)
-    except ValueError:
-        if not _SHARD_MIN_CELLS_WARNING_EMITTED:
-            _SHARD_MIN_CELLS_WARNING_EMITTED = True
-            warnings.warn(
-                f"invalid REPRO_SHARD_MIN_CELLS={env!r} (expected an "
-                "integer >= 2); using the default of 2",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return 2
-    return max(2, value)
-
-
 def _ref_bytes(ref: "TraceRef | None") -> int:
     """On-disk size of a shipped TraceRef (0 when absent/unreadable).
 
@@ -569,9 +524,7 @@ def _ref_bytes(ref: "TraceRef | None") -> int:
 
 
 def _shard_groups(
-    groups: "dict[tuple, list[int]]",
-    workers: int,
-    min_cells: int,
+    groups: "dict[tuple, list[int]]", workers: int
 ) -> "list[tuple[tuple, list[int]]]":
     """Two-level decomposition of trace groups into worker shards.
 
@@ -582,19 +535,18 @@ def _shard_groups(
     executor steal work when cells cost unevenly, and the strided
     ``[0::2]``/``[1::2]`` halving spreads each shard across the grid's
     cost gradient instead of handing one worker the expensive end.
-    Groups below ``min_cells`` pending cells never split.
+    A shard of one pending cell never splits.
     """
     shards = [(key, list(indices)) for key, indices in groups.items()]
     if workers <= len(shards):
         return shards
     target = workers * 2
-    floor = max(2, min_cells)
     while len(shards) < target:
         largest = max(
             range(len(shards)), key=lambda i: len(shards[i][1])
         )
         key, indices = shards[largest]
-        if len(indices) < floor:
+        if len(indices) < 2:
             break
         shards[largest:largest + 1] = [
             (key, indices[0::2]),
@@ -712,19 +664,14 @@ class ExperimentRunner:
         # *cell* partitions of the larger groups when workers would
         # otherwise idle (a single big grid then uses every core).
         shards = (
-            _shard_groups(groups, self.max_workers, _shard_min_cells())
+            _shard_groups(groups, self.max_workers)
             if self.parallel
             else []
         )
         if len(shards) < 2:
             # Serial path: each trace group becomes one sweep
             # invocation (config-independent work shared across cells).
-            for indices in groups.values():
-                group_results = _run_group(
-                    [jobs[i] for i in indices], session
-                )
-                for i, result in zip(indices, group_results):
-                    results[i] = result
+            self._run_serial(jobs, groups, session, results)
             return results  # type: ignore[return-value]
         store_root = store.root if store is not None else None
         stats_before = replace(session.stats)
@@ -826,12 +773,7 @@ class ExperimentRunner:
                 # segments are unlinked by the enclosing context
                 # manager on this path too.
                 session.stats = stats_before
-                for indices in groups.values():
-                    group_results = _run_group(
-                        [jobs[i] for i in indices], session
-                    )
-                    for i, result in zip(indices, group_results):
-                        results[i] = result
+                self._run_serial(jobs, groups, session, results)
                 return results  # type: ignore[return-value]
         session.stats.shm_exports += exports
         session.stats.shm_bytes_pickled += pickled_bytes
@@ -849,6 +791,19 @@ class ExperimentRunner:
                 "shm_bytes_pickled": pickled_bytes,
             })
         return results  # type: ignore[return-value]
+
+    @staticmethod
+    def _run_serial(
+        jobs: "list[SimJob]",
+        groups: "dict[tuple, list[int]]",
+        session: SimSession,
+        results: "list[SimResult | None]",
+    ) -> None:
+        """Run every trace group in-process as one sweep invocation."""
+        for indices in groups.values():
+            group_results = run_sweep([jobs[i] for i in indices], session)
+            for i, result in zip(indices, group_results):
+                results[i] = result
 
     @staticmethod
     def _probe_bundle(

@@ -39,25 +39,19 @@ counted in ``SessionStats.sweep_fallbacks``, so coverage is never
 silently reduced and de-vectorization is observable (``repro cache
 stats``).  Results land in the session/store under the existing
 per-cell keys: warm hits and single-cell fetches keep working
-unchanged.  ``REPRO_SWEEP=off`` disables grouping entirely.
+unchanged.  The runner sends every trace group through here, a
+one-cell group included (a sweep of one).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.core.index_table import stacked_metadata_columns
 from repro.sim.engine import resolve_engine
 from repro.sim.metrics import SimResult
-from repro.sim.session import SimSession, _freeze, get_session
+from repro.sim.session import SimSession, get_session
 from repro.workloads.trace import Trace
-
-
-def sweep_enabled() -> bool:
-    """Whether the runner groups grid jobs into sweep invocations."""
-    return os.environ.get("REPRO_SWEEP", "on") != "off"
 
 
 class SweepShared:
@@ -128,7 +122,8 @@ class SweepShared:
 def job_geometries(jobs: "list", cores: int) -> "list[tuple]":
     """Index geometries of a job list's vectorizable STMS cells.
 
-    The two-level scheduler classifies these once in the parent
+    :func:`run_sweep` classifies these in one stacked pass; the
+    two-level scheduler classifies them once in the parent
     (:func:`repro.core.index_table.stacked_metadata_arrays`) and exports
     the columns through the shared-memory trace plane, so cell shards
     never re-derive them.
@@ -171,6 +166,7 @@ def run_sweep(
         job_result_key,
         make_factory,
         run_job,
+        temporal_key,
     )
 
     if session is None:
@@ -201,43 +197,28 @@ def run_sweep(
     if not pending:
         return results  # type: ignore[return-value]
 
-    plans = []
-    geometries = []
-    for index in pending:
-        job = jobs[index]
-        sim_config, stms_config = _job_configs(job, trace.cores)
-        vectorizable = resolve_engine(sim_config.engine) != "scalar"
-        if vectorizable and stms_config is not None:
-            geometries.append(
-                (stms_config.index_buckets, stms_config.tag_bits)
-            )
-        plans.append((index, job, sim_config, stms_config, vectorizable))
-
     if shared is None:
         shared = SweepShared(trace)
-    shared.precompute(geometries)
+    shared.precompute(
+        job_geometries([jobs[index] for index in pending], trace.cores)
+    )
 
     cells = 0
     fallbacks = 0
-    for index, job, sim_config, stms_config, vectorizable in plans:
-        if not vectorizable:
+    for index in pending:
+        job = jobs[index]
+        sim_config, stms_config = _job_configs(job, trace.cores)
+        if resolve_engine(sim_config.engine) == "scalar":
             # Scalar engine requested: per-cell reference path, never
             # silently skipped.
             results[index] = run_job(job, session)
             fallbacks += 1
             continue
-        factory_options = dict(job.factory_options)
-        factory = make_factory(job.kind, stms_config, **factory_options)
-        temporal_key = (
-            job.kind.value,
-            _freeze(stms_config),
-            tuple(sorted(factory_options.items())),
-        )
         results[index] = session.simulate(
             trace,
             sim_config,
-            temporal_key,
-            factory,
+            temporal_key(job.kind, stms_config, job.factory_options),
+            make_factory(job.kind, stms_config, **dict(job.factory_options)),
             label=job.kind.value,
             shared=shared,
         )

@@ -17,33 +17,12 @@ the paper's Figure 5 (left).
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.workloads.trace import Trace, TraceBuilder
-
-
-def emitter_mode() -> str:
-    """The active trace-emitter implementation.
-
-    ``REPRO_TRACE_EMITTER=batched`` (the default) pre-draws each motif
-    record's uniforms in one small ``rng.random(k)`` call sized to
-    exactly the draws the scalar loop would make; ``scalar`` keeps the
-    original one-call-per-draw loops.  Both modes consume the identical
-    RNG stream (a contiguous ``random(k)`` uses the same bit budget as
-    ``k`` scalar draws), so traces — and their fingerprints — are
-    bit-identical; ``tests/workloads/test_emitter_roundtrip.py`` holds
-    the guarantee.
-    """
-    mode = os.environ.get("REPRO_TRACE_EMITTER", "batched")
-    if mode not in ("batched", "scalar"):
-        raise ValueError(
-            f"unknown trace emitter {mode!r} (batched/scalar)"
-        )
-    return mode
 
 
 @dataclass(frozen=True)

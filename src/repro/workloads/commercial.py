@@ -25,7 +25,6 @@ from repro.workloads.base import (
     GeneratorContext,
     StreamPool,
     TraceGenerator,
-    emitter_mode,
 )
 from repro.workloads.trace import Trace, TraceBuilder
 
@@ -140,19 +139,18 @@ class CommercialGenerator(TraceGenerator):
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
         builders = [TraceBuilder() for _ in range(cores)]
-        batched = emitter_mode() == "batched"
 
         for builder in builders:
             while len(builder) < records_per_core:
                 activity = bisect_right(activity_cdf, rng_random())
                 if activity == ACTIVITY_STREAM:
-                    self._emit_traversal(builder, pool, context, batched)
+                    self._emit_traversal(builder, pool, context)
                 elif activity == ACTIVITY_SCAN:
                     self._emit_scan(builder, context)
                 elif activity == ACTIVITY_NOISE:
-                    self._emit_noise(builder, context, batched)
+                    self._emit_noise(builder, context)
                 else:
-                    self._emit_hot(builder, context, batched)
+                    self._emit_hot(builder, context)
 
         return self._assemble(
             self.name,
@@ -166,7 +164,6 @@ class CommercialGenerator(TraceGenerator):
         builder: TraceBuilder,
         pool: StreamPool,
         context: GeneratorContext,
-        batched: bool = True,
     ) -> None:
         """Walk one recurring structure, with early exits and noise.
 
@@ -175,13 +172,13 @@ class CommercialGenerator(TraceGenerator):
         order of the record fields kept exactly as the unrolled calls
         made them.
 
-        The batched path pre-draws each record's uniforms in one
-        ``rng.random(k)`` call sized to exactly what the scalar loop
-        consumes: five per plain block (work, dep, write, interleave
-        gate, truncate gate), plus two more (noise dep, truncate gate)
-        when the interleave gate fires and the fifth draw becomes the
-        injected record's work jitter.  Never over-draws, so the RNG
-        stream — and the trace — is bit-identical to the scalar loop.
+        Each record's uniforms are pre-drawn in one ``rng.random(k)``
+        call sized to exactly what the record consumes: five per plain
+        block (work, dep, write, interleave gate, truncate gate), plus
+        two more (noise dep, truncate gate) when the interleave gate
+        fires and the fifth draw becomes the injected record's work
+        jitter.  Never over-draws: the RNG stream, and with it every
+        pinned trace fingerprint, depends on the exact draw count.
         """
         params = self.params
         rng_random = context.rng.random
@@ -195,35 +192,21 @@ class CommercialGenerator(TraceGenerator):
         work = builder._work
         dep = builder._dep
         write = builder._write
-        if batched:
-            for block in pool.pick():
-                w, d, wr, gate, last = rng_random(5).tolist()
-                blocks.append(int(block))
-                work.append(work_mean * (0.5 + w))
-                dep.append(d < stream_dep_p)
-                write.append(wr < write_p)
-                if gate < interleave_noise_p:
-                    blocks.append(context.next_noise())
-                    work.append(work_mean * (0.5 + last))
-                    nd, t = rng_random(2).tolist()
-                    dep.append(nd < noise_dep_p)
-                    write.append(False)
-                    if t < truncate_p:
-                        break
-                elif last < truncate_p:
-                    break
-            return
         for block in pool.pick():
+            w, d, wr, gate, last = rng_random(5).tolist()
             blocks.append(int(block))
-            work.append(work_mean * (0.5 + rng_random()))
-            dep.append(rng_random() < stream_dep_p)
-            write.append(rng_random() < write_p)
-            if rng_random() < interleave_noise_p:
+            work.append(work_mean * (0.5 + w))
+            dep.append(d < stream_dep_p)
+            write.append(wr < write_p)
+            if gate < interleave_noise_p:
                 blocks.append(context.next_noise())
-                work.append(work_mean * (0.5 + rng_random()))
-                dep.append(rng_random() < noise_dep_p)
+                work.append(work_mean * (0.5 + last))
+                nd, t = rng_random(2).tolist()
+                dep.append(nd < noise_dep_p)
                 write.append(False)
-            if rng_random() < truncate_p:
+                if t < truncate_p:
+                    break
+            elif last < truncate_p:
                 break
 
     def _emit_scan(
@@ -240,34 +223,19 @@ class CommercialGenerator(TraceGenerator):
         )
 
     def _emit_noise(
-        self,
-        builder: TraceBuilder,
-        context: GeneratorContext,
-        batched: bool = True,
+        self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
         params = self.params
-        rng = context.rng
-        if batched:
-            w, d, wr = rng.random(3).tolist()
-            builder.add(
-                context.next_noise(),
-                work=params.work_cycles * (0.5 + w),
-                dep=d < params.noise_dep_p,
-                write=wr < params.write_p,
-            )
-            return
+        w, d, wr = context.rng.random(3).tolist()
         builder.add(
             context.next_noise(),
-            work=self._work_cycles(rng, params.work_cycles),
-            dep=rng.random() < params.noise_dep_p,
-            write=rng.random() < params.write_p,
+            work=params.work_cycles * (0.5 + w),
+            dep=d < params.noise_dep_p,
+            write=wr < params.write_p,
         )
 
     def _emit_hot(
-        self,
-        builder: TraceBuilder,
-        context: GeneratorContext,
-        batched: bool = True,
+        self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
         # The hot-block draw (``rng.integers``) interleaves with the
         # uniform draws, so only the per-record uniform pair batches.
@@ -279,16 +247,9 @@ class CommercialGenerator(TraceGenerator):
         work = builder._work
         dep = builder._dep
         write = builder._write
-        if batched:
-            for _ in range(params.hot_run):
-                blocks.append(context.hot_block())
-                w, wr = rng_random(2).tolist()
-                work.append(hot_mean * (0.5 + w))
-                dep.append(False)
-                write.append(wr < write_p)
-            return
         for _ in range(params.hot_run):
             blocks.append(context.hot_block())
-            work.append(hot_mean * (0.5 + rng_random()))
+            w, wr = rng_random(2).tolist()
+            work.append(hot_mean * (0.5 + w))
             dep.append(False)
-            write.append(rng_random() < write_p)
+            write.append(wr < write_p)

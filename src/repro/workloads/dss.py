@@ -23,7 +23,6 @@ from repro.workloads.base import (
     GeneratorContext,
     StreamPool,
     TraceGenerator,
-    emitter_mode,
 )
 from repro.workloads.trace import Trace, TraceBuilder
 
@@ -116,13 +115,12 @@ class DssGenerator(TraceGenerator):
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
         builders = [TraceBuilder() for _ in range(cores)]
-        batched = emitter_mode() == "batched"
 
         for builder in builders:
             while len(builder) < records_per_core:
                 activity = bisect_right(activity_cdf, rng_random())
                 if activity == ACTIVITY_STREAM:
-                    self._emit_traversal(builder, pool, context, batched)
+                    self._emit_traversal(builder, pool, context)
                 elif activity == ACTIVITY_SCAN:
                     run = context.next_scan_run(params.scan_run)
                     builder.extend(
@@ -132,21 +130,13 @@ class DssGenerator(TraceGenerator):
                         write=False,
                     )
                 elif activity == ACTIVITY_NOISE:
-                    if batched:
-                        w, d, wr = rng.random(3).tolist()
-                        builder.add(
-                            context.next_noise(),
-                            work=params.work_cycles * (0.5 + w),
-                            dep=d < params.noise_dep_p,
-                            write=wr < params.write_p,
-                        )
-                    else:
-                        builder.add(
-                            context.next_noise(),
-                            work=self._work_cycles(rng, params.work_cycles),
-                            dep=rng.random() < params.noise_dep_p,
-                            write=rng.random() < params.write_p,
-                        )
+                    w, d, wr = rng.random(3).tolist()
+                    builder.add(
+                        context.next_noise(),
+                        work=params.work_cycles * (0.5 + w),
+                        dep=d < params.noise_dep_p,
+                        write=wr < params.write_p,
+                    )
                 else:
                     for _ in range(params.hot_run):
                         builder.add(
@@ -170,13 +160,12 @@ class DssGenerator(TraceGenerator):
         builder: TraceBuilder,
         pool: StreamPool,
         context: GeneratorContext,
-        batched: bool = True,
     ) -> None:
         # TraceBuilder.add and _work_cycles inlined; the field draw
-        # order matches the unrolled calls exactly.  The batched path
-        # pre-draws each block's four uniforms (work, dep, write,
-        # truncate gate) in one call — the exact per-record budget, so
-        # the RNG stream matches the scalar loop bit-for-bit.
+        # order matches the unrolled calls exactly.  Each block's four
+        # uniforms (work, dep, write, truncate gate) are pre-drawn in
+        # one call — the exact per-record budget, which the pinned trace
+        # fingerprints depend on.
         params = self.params
         rng_random = context.rng.random
         work_mean = params.work_cycles
@@ -187,20 +176,11 @@ class DssGenerator(TraceGenerator):
         work = builder._work
         dep = builder._dep
         write = builder._write
-        if batched:
-            for block in pool.pick():
-                w, d, wr, t = rng_random(4).tolist()
-                blocks.append(int(block))
-                work.append(work_mean * (0.5 + w))
-                dep.append(d < stream_dep_p)
-                write.append(wr < write_p)
-                if t < truncate_p:
-                    break
-            return
         for block in pool.pick():
+            w, d, wr, t = rng_random(4).tolist()
             blocks.append(int(block))
-            work.append(work_mean * (0.5 + rng_random()))
-            dep.append(rng_random() < stream_dep_p)
-            write.append(rng_random() < write_p)
-            if rng_random() < truncate_p:
+            work.append(work_mean * (0.5 + w))
+            dep.append(d < stream_dep_p)
+            write.append(wr < write_p)
+            if t < truncate_p:
                 break

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.base import (
-    GeneratorContext,
-    TraceGenerator,
-    emitter_mode,
-)
+from repro.workloads.base import GeneratorContext, TraceGenerator
 from repro.workloads.trace import Trace, TraceBuilder
 
 
@@ -101,15 +97,12 @@ class ScientificGenerator(TraceGenerator):
         )
         rng = context.rng
         builders = [TraceBuilder() for _ in range(cores)]
-        batched = emitter_mode() == "batched"
 
         for builder in builders:
             iteration = context.alloc_stream(params.iteration_blocks)
             dep_flags = rng.random(params.iteration_blocks) < params.dep_p
             while len(builder) < records_per_core:
-                self._emit_iteration(
-                    builder, context, iteration, dep_flags, batched
-                )
+                self._emit_iteration(builder, context, iteration, dep_flags)
                 iteration = self._perturb(context, iteration)
 
         return self._assemble(
@@ -134,7 +127,6 @@ class ScientificGenerator(TraceGenerator):
         context: GeneratorContext,
         iteration: np.ndarray,
         dep_flags: np.ndarray,
-        batched: bool = True,
     ) -> None:
         params = self.params
         rng = context.rng
@@ -147,33 +139,21 @@ class ScientificGenerator(TraceGenerator):
         dep_column = builder._dep
         write_column = builder._write
         # TraceBuilder.add and _work_cycles inlined; the field draw
-        # order matches the unrolled calls exactly.  The batched path
-        # pre-draws each block's three uniforms (work, write, noise
-        # gate) in one call, plus one more only when the gate fires —
-        # the exact scalar budget, so the RNG stream is unchanged.
-        if batched:
-            for block, dep in zip(iteration.tolist(), dep_flags.tolist()):
-                w, wr, gate = rng_random(3).tolist()
-                blocks_column.append(block)
-                work_column.append(work_mean * (0.5 + w))
-                dep_column.append(dep)
-                write_column.append(wr < write_p)
-                if gate < noise_p:
-                    blocks_column.append(context.next_noise())
-                    work_column.append(work_mean * (0.5 + rng_random()))
-                    dep_column.append(False)
-                    write_column.append(False)
-        else:
-            for block, dep in zip(iteration.tolist(), dep_flags.tolist()):
-                blocks_column.append(block)
+        # order matches the unrolled calls exactly.  Each block's three
+        # uniforms (work, write, noise gate) are pre-drawn in one call,
+        # plus one more only when the gate fires — the exact per-draw
+        # budget, which the pinned trace fingerprints depend on.
+        for block, dep in zip(iteration.tolist(), dep_flags.tolist()):
+            w, wr, gate = rng_random(3).tolist()
+            blocks_column.append(block)
+            work_column.append(work_mean * (0.5 + w))
+            dep_column.append(dep)
+            write_column.append(wr < write_p)
+            if gate < noise_p:
+                blocks_column.append(context.next_noise())
                 work_column.append(work_mean * (0.5 + rng_random()))
-                dep_column.append(dep)
-                write_column.append(rng_random() < write_p)
-                if rng_random() < noise_p:
-                    blocks_column.append(context.next_noise())
-                    work_column.append(work_mean * (0.5 + rng_random()))
-                    dep_column.append(False)
-                    write_column.append(False)
+                dep_column.append(False)
+                write_column.append(False)
         sweep_work = (
             params.sweep_work_cycles
             if params.sweep_work_cycles is not None
@@ -182,21 +162,13 @@ class ScientificGenerator(TraceGenerator):
         remaining = params.sweep_blocks
         while remaining > 0:
             run = context.next_scan_run(min(params.sweep_run, remaining))
-            if batched:
-                w, wr = rng_random(2).tolist()
-                builder.extend(
-                    run,
-                    work=sweep_work * (0.5 + w),
-                    dep=False,
-                    write=wr < params.write_p,
-                )
-            else:
-                builder.extend(
-                    run,
-                    work=self._work_cycles(rng, sweep_work),
-                    dep=False,
-                    write=rng.random() < params.write_p,
-                )
+            w, wr = rng_random(2).tolist()
+            builder.extend(
+                run,
+                work=sweep_work * (0.5 + w),
+                dep=False,
+                write=wr < params.write_p,
+            )
             remaining -= len(run)
 
     def _perturb(

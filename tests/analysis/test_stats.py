@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import (
+    DEFAULT_RESAMPLES,
     CIEstimate,
     bootstrap_ci,
-    bootstrap_resamples,
     stratified_estimates,
 )
 
@@ -92,13 +92,15 @@ class TestBootstrapCI:
             hits += est.brackets(truth)
         assert 0.80 <= hits / trials <= 1.0
 
-    def test_resamples_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BOOTSTRAP_RESAMPLES", raising=False)
-        assert bootstrap_resamples() == 1000
-        monkeypatch.setenv("REPRO_BOOTSTRAP_RESAMPLES", "50")
-        assert bootstrap_resamples() == 50
-        monkeypatch.setenv("REPRO_BOOTSTRAP_RESAMPLES", "-2")
-        assert bootstrap_resamples() == 1  # floored
+    def test_default_resample_count(self):
+        values = list(np.random.default_rng(5).normal(0, 1, size=12))
+        assert DEFAULT_RESAMPLES == 1000
+        assert bootstrap_ci(values, seed=2) == bootstrap_ci(
+            values, resamples=1000, seed=2
+        )
+        assert bootstrap_ci(values, seed=2) != bootstrap_ci(
+            values, resamples=50, seed=2
+        )
 
 
 class TestStratifiedEstimates:

@@ -1,16 +1,25 @@
 """Unit tests for the high-level runners and factories."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import StmsConfig
 from repro.sim.runner import (
     PrefetcherKind,
+    SimJob,
     compare_prefetchers,
+    job_options,
+    job_result_key,
     make_factory,
     make_sim_config,
     make_stms_config,
+    run_job,
     run_workload,
 )
+from repro.sim.session import SimSession
+from repro.sim.store import ArtifactStore
+from repro.sim.sweep import run_sweep
 from repro.workloads.suite import SCALES
 
 
@@ -88,3 +97,67 @@ class TestRunners:
         stms = results[PrefetcherKind.STMS]
         assert baseline.measured_records == stms.measured_records
         assert stms.speedup_over(baseline) > 0
+
+
+def _key_job(kind: PrefetcherKind) -> SimJob:
+    """A small job carrying the option each kind's key must encode."""
+    return SimJob(
+        "oltp-db2",
+        kind,
+        scale="test",
+        cores=2,
+        seed=5,
+        records_per_core=1500,
+        stms_overrides=(
+            job_options(sampling_probability=0.5)
+            if kind is PrefetcherKind.STMS
+            else ()
+        ),
+        factory_options=(
+            job_options(depth=2)
+            if kind is PrefetcherKind.FIXED_DEPTH
+            else ()
+        ),
+    )
+
+
+def _other_options(job: SimJob) -> SimJob:
+    """The same job with its key-bearing option changed."""
+    if job.kind is PrefetcherKind.STMS:
+        return replace(
+            job, stms_overrides=job_options(sampling_probability=0.25)
+        )
+    if job.kind is PrefetcherKind.FIXED_DEPTH:
+        return replace(job, factory_options=job_options(depth=3))
+    return replace(job, use_stride=False)
+
+
+class TestResultKeyConsistency:
+    """The store-aware probe key (``job_result_key``) is the key both
+    execution paths cache under: a divergence would turn every warm hit
+    into a silent miss."""
+
+    @pytest.mark.parametrize("path", ["run_job", "run_sweep"])
+    @pytest.mark.parametrize("kind", list(PrefetcherKind))
+    def test_probe_key_hits_after_run(self, kind, path, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        session = SimSession(enabled=True, store=store)
+        job = _key_job(kind)
+        if path == "run_job":
+            result = run_job(job, session)
+        else:
+            (result,) = run_sweep([job], session)
+        trace = session.trace(
+            job.workload,
+            scale=job.scale,
+            cores=job.cores,
+            seed=job.seed,
+            records_per_core=job.records_per_core,
+        )
+        assert session.lookup_result(job_result_key(job, trace)) is result
+        # The persisted copy answers the same key in a fresh session.
+        fresh = SimSession(enabled=True, store=store)
+        assert fresh.lookup_result(job_result_key(job, trace)) == result
+        # Teeth: the key carries the option, so a changed one misses.
+        other = job_result_key(_other_options(job), trace)
+        assert session.lookup_result(other) is None

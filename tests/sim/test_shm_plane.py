@@ -5,8 +5,7 @@ scheduler that feeds it: export/attach round-trips (columns, metadata
 classification, fingerprints), segment cleanup on *every* exit path —
 normal completion, worker exceptions, the platform-degradation serial
 fallback, and the atexit backstop — plus the cell-shard partitioner
-and the REPRO_SHM / REPRO_SHARD_MIN_CELLS / REPRO_JOBS environment
-knobs.  Deep per-cell bit-identity of the parallel paths is pinned by
+and the REPRO_SHM / REPRO_JOBS environment knobs.  Deep per-cell bit-identity of the parallel paths is pinned by
 the differential harness (`test_engine_differential.py`).
 """
 
@@ -188,13 +187,13 @@ def test_atexit_sweep_releases_owned_segments():
 
 def test_shard_groups_identity_when_groups_cover_workers():
     groups = {("a",): [0, 1, 2], ("b",): [3, 4]}
-    shards = _shard_groups(groups, workers=2, min_cells=2)
+    shards = _shard_groups(groups, workers=2)
     assert shards == [(("a",), [0, 1, 2]), (("b",), [3, 4])]
 
 
 def test_shard_groups_splits_single_group_across_workers():
     groups = {("a",): list(range(8))}
-    shards = _shard_groups(groups, workers=2, min_cells=2)
+    shards = _shard_groups(groups, workers=2)
     # Over-decomposed to 2 shards per worker, strided partitions.
     assert len(shards) == 4
     recombined = sorted(i for _, indices in shards for i in indices)
@@ -204,43 +203,22 @@ def test_shard_groups_splits_single_group_across_workers():
     assert all(len(indices) == 2 for _, indices in shards)
 
 
-def test_shard_groups_respects_min_cells():
-    groups = {("a",): [0, 1, 2]}
-    assert _shard_groups(groups, workers=4, min_cells=4) == [
-        (("a",), [0, 1, 2])
+def test_shard_groups_never_splits_one_cell_groups():
+    """The fixed floor: a one-cell group is never split, however many
+    workers idle."""
+    groups = {("a",): [0], ("b",): [1]}
+    assert _shard_groups(groups, workers=8) == [
+        (("a",), [0]),
+        (("b",), [1]),
     ]
-    shards = _shard_groups(groups, workers=4, min_cells=2)
-    assert len(shards) > 1
 
 
-def test_shard_min_cells_env(monkeypatch):
-    import warnings
-
-    monkeypatch.delenv("REPRO_SHARD_MIN_CELLS", raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # valid values never warn
-        assert runner_module._shard_min_cells() == 2
-        monkeypatch.setenv("REPRO_SHARD_MIN_CELLS", "6")
-        assert runner_module._shard_min_cells() == 6
-        # Below the documented floor: clamped, not a misparse.
-        monkeypatch.setenv("REPRO_SHARD_MIN_CELLS", "0")
-        assert runner_module._shard_min_cells() == 2
-
-
-@pytest.mark.parametrize("value", ["banana", "2.5", ""])
-def test_shard_min_cells_invalid_value_warns_once(monkeypatch, value):
-    import warnings
-
-    monkeypatch.setenv("REPRO_SHARD_MIN_CELLS", value)
-    monkeypatch.setattr(
-        runner_module, "_SHARD_MIN_CELLS_WARNING_EMITTED", False
-    )
-    with pytest.warns(RuntimeWarning, match="REPRO_SHARD_MIN_CELLS"):
-        assert runner_module._shard_min_cells() == 2
-    # Warned once per process, not once per sweep.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert runner_module._shard_min_cells() == 2
+def test_shard_groups_splits_three_cell_group_when_workers_idle():
+    groups = {("a",): [0, 1, 2]}
+    shards = _shard_groups(groups, workers=4)
+    # Halved down to one-cell shards, stopping at the fixed floor.
+    assert sorted(indices for _, indices in shards) == [[0], [1], [2]]
+    assert all(key == ("a",) for key, _ in shards)
 
 
 # ----------------------------------------------------------------------

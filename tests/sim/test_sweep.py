@@ -2,8 +2,8 @@
 
 The deep bit-identity of the config-parallel path is pinned by the
 sweep-shaped differential cases; this module covers the orchestration:
-grouping, cache probing, fallback accounting, the environment switch,
-and the stacked classification matching the per-cell hook.
+grouping, cache probing, fallback accounting, one-cell groups, and the
+stacked classification matching the per-cell hook.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.sim.runner import (
     run_job,
 )
 from repro.sim.session import SimSession
-from repro.sim.sweep import SweepShared, run_sweep, sweep_enabled
+from repro.sim.sweep import SweepShared, run_sweep
 
 
 def _grid_jobs() -> "list[SimJob]":
@@ -117,15 +117,18 @@ def test_runner_groups_grid_jobs_through_sweep():
     ]
 
 
-def test_sweep_env_switch_disables_grouping(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP", "off")
-    assert not sweep_enabled()
+def test_runner_runs_one_cell_group_as_sweep_of_one():
+    """Every trace group, a one-cell group included, takes the sweep
+    path; its result is the per-cell ``run_job`` result."""
+    job = _grid_jobs()[1]
     session = SimSession(enabled=True)
-    runner = ExperimentRunner(max_workers=1, parallel=False)
-    runner.map(_grid_jobs(), session=session)
-    assert session.stats.sweep_invocations == 0
-    monkeypatch.setenv("REPRO_SWEEP", "on")
-    assert sweep_enabled()
+    runner = ExperimentRunner(max_workers=1)
+    (result,) = runner.map([job], session=session)
+    assert session.stats.sweep_invocations == 1
+    assert session.stats.sweep_cells == 1
+    assert session.stats.sweep_fallbacks == 0
+    expected = run_job(job, SimSession(enabled=True))
+    assert _result_fields(result) == _result_fields(expected)
 
 
 def test_stacked_columns_match_per_cell_hook():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import envknobs
-from repro.envknobs import env_float, env_int
+from repro.envknobs import env_float
 from repro.sim import store as store_module
 from repro.sim.store import ArtifactStore
 
@@ -61,30 +61,13 @@ class TestEnvFloat:
         with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
             assert env_float("REPRO_TEST_KNOB", 1.5, positive=True) == 1.5
 
-
-class TestEnvInt:
-    @pytest.mark.parametrize("value", ["two", "2.5", "1e3"])
-    def test_invalid_value_warns_once(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TEST_KNOB", value)
-        with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
-            assert env_int("REPRO_TEST_KNOB", 7) == 7
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert env_int("REPRO_TEST_KNOB", 7) == 7
-
-    def test_valid_value_never_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "42")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert env_int("REPRO_TEST_KNOB", 7) == 42
-
     def test_distinct_knobs_each_warn(self, monkeypatch):
         monkeypatch.setenv("REPRO_KNOB_A", "x")
         monkeypatch.setenv("REPRO_KNOB_B", "y")
         with pytest.warns(RuntimeWarning, match="REPRO_KNOB_A"):
-            env_int("REPRO_KNOB_A", 1)
+            env_float("REPRO_KNOB_A", 1.0)
         with pytest.warns(RuntimeWarning, match="REPRO_KNOB_B"):
-            env_int("REPRO_KNOB_B", 1)
+            env_float("REPRO_KNOB_B", 1.0)
 
 
 class TestStoreKnobs:
