@@ -26,6 +26,7 @@ Refreshing the baseline after an intentional performance change::
     python benchmarks/speedup_harness.py --store --experiment fig4 \
         --scale test
     python benchmarks/speedup_harness.py --fig7-sweep --scale test
+    python benchmarks/speedup_harness.py --fig7-par --scale bench
     python benchmarks/check_bench.py --update
 
 Environment: ``REPRO_BENCH_TOLERANCE`` overrides ``--tolerance``

@@ -24,7 +24,9 @@ session cache, cold imports):
   that splits the group into cell shards attached over ``repro.sim.shm``.
   Records ``cpus`` alongside the ratio: on a single-CPU machine the
   parallel leg cannot win and the ratio gate is informational only
-  (``check_bench`` skips it there).
+  (``check_bench`` skips it there).  CI runs it at ``--scale bench``:
+  with STMS cells in the compiled kernel, test-scale cells are too
+  cheap for splitting them to outweigh the fork.
 
 Every invocation appends a human-readable line to
 ``benchmarks/output/speedup.txt`` **and** writes a machine-readable
@@ -130,7 +132,7 @@ print("ELAPSED", time.perf_counter() - t0)
 # group, so the serial leg is one sweep invocation and the parallel leg
 # exercises level-2 cell sharding + the shm trace plane.  The ladder
 # extends the figure's sampling axis to four points so the group is
-# actually splittable at test scale.
+# actually splittable.
 _FIG7_PAR_LADDER = (1.0, 0.5, 0.25, 0.125)
 
 _LIST_FIG7_WORKLOAD = """

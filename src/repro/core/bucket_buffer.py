@@ -28,6 +28,8 @@ class BucketBufferStats:
     hits: int = 0
     misses: int = 0
     writebacks: int = 0
+    #: Misses charged to index updates (the rest are lookups).
+    update_misses: int = 0
 
 
 class BucketBuffer:
@@ -89,6 +91,8 @@ class BucketBuffer:
                 self._dirty_core[bucket] = core
             return now
         self.stats.misses += 1
+        if charge is TrafficCategory.UPDATE_INDEX:
+            self.stats.update_misses += 1
         self._traffic_bytes[charge] += BLOCK_BYTES
         self._core_traffic_bytes[core][charge] += BLOCK_BYTES
         # Inlined DramChannel.request_low.

@@ -28,7 +28,7 @@ arbitrarily long stream — the paper's central practicality claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.bucket_buffer import BucketBuffer
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
@@ -135,29 +135,22 @@ class StmsPrefetcher(TemporalPrefetcher):
 
     def metadata_columns(
         self, blocks_arrays: "list"
-    ) -> "tuple[list, list]":
+    ) -> "tuple[list, list | None]":
         """Pre-classify whole block columns into index buckets and tags.
 
-        The batched engine hands in one NumPy block column per core and
-        gets back native-typed bucket/tag columns, computed in one
-        vectorized pass each, to feed :meth:`on_demand_miss_hashed` and
-        :meth:`_prefetch_hit_hashed` — the scalar per-record hash
-        disappears from the event path.  With full-address tags (``tag_bits is
-        None``) the tag element is ``None``: the caller reuses its block
-        columns as the tag columns.
+        The compiled kernel hands in one NumPy block column per core and
+        gets back int64 bucket/tag columns, computed in one vectorized
+        pass each, to feed the pre-hashed metadata path — the per-record
+        hash disappears from the event loop.  With full-address tags
+        (``tag_bits is None``) the tag element is ``None``: the caller
+        reuses its block columns as the tag columns.
         """
         index = self.index
-        buckets = [
-            index.bucket_of_array(blocks).tolist()
-            for blocks in blocks_arrays
-        ]
+        buckets = [index.bucket_of_array(blocks) for blocks in blocks_arrays]
         if self.config.tag_bits is None:
             # Full-address tags: the caller can alias its block columns.
             return buckets, None
-        tags = [
-            index.tag_of_array(blocks).tolist() for blocks in blocks_arrays
-        ]
-        return buckets, tags
+        return buckets, [index.tag_of_array(b) for b in blocks_arrays]
 
     def on_demand_miss(self, core: int, block: int, now: float) -> None:
         self.on_demand_miss_hashed(
@@ -474,3 +467,23 @@ class StmsPrefetcher(TemporalPrefetcher):
             history.flush(now)
         self.bucket_buffer.drain(now)
         super().finalize(now)
+
+
+@dataclass(frozen=True)
+class StmsFactory:
+    """The engines' temporal factory for an STMS cell.
+
+    Called as ``factory(cores, dram, traffic, resident)`` like every
+    temporal factory; the batch engine steps the cells it builds in the
+    compiled kernel (``repro.sim.engine.kernel_cell``).
+    """
+
+    config: StmsConfig
+
+    def __call__(self, cores, dram, traffic, resident) -> StmsPrefetcher:
+        config = self.config
+        if config.cores != cores:
+            config = replace(config, cores=cores)
+        return StmsPrefetcher(
+            config, dram, traffic, residency_filter=resident
+        )

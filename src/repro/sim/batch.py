@@ -46,14 +46,11 @@ Trace columns are additionally materialized as Python lists once per
 trace: scalar event records then read native ints/floats/bools instead
 of paying NumPy scalar-extraction costs per record.
 
-The STMS metadata path is vectorized the same way the L1-hit runs are
-(see :mod:`repro.core.stms`): index buckets and tags for *every* record
-are classified in one NumPy pass per column at construction
-(``metadata_columns``), history-buffer appends commit per packed-block
-segment instead of per record, and stream follows move whole history
-segments through ``read_segment`` / ``enqueue_segment``.  Scalar
-processing remains only at the points where stream state genuinely
-serializes — stream launch, pause/resume, and run invalidation.
+Baseline and STMS cells run in the compiled kernel
+(:mod:`repro.sim.native`); this engine serves the other temporal
+prefetchers (ideal TMS, fixed-depth, Markov) and is every cell's
+fallback on a machine without a C compiler.  Temporal prefetchers are
+driven through their generic ``consume`` / ``on_demand_miss`` calls.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ _HIGH = Priority.HIGH
 _HIT = AccessResult.HIT
 _DEMAND_READ = TrafficCategory.DEMAND_READ
 _WRITEBACK = TrafficCategory.WRITEBACK
-_USEFUL_PREFETCH = TrafficCategory.USEFUL_PREFETCH
 _INF = float("inf")
 
 #: Records probed scalar-ly before switching to vectorized
@@ -108,9 +104,9 @@ class _Run:
 class BatchRunState(_RunState):
     """Drop-in replacement for the scalar reference run state."""
 
-    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_blocks_a', '_write_a', '_runs', '_event_keys', '_n_pending', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_l1_sets', '_l1_set_mask', '_scratch_writebacks', '_stms_buckets', '_stms_tags')
+    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_blocks_a', '_write_a', '_runs', '_event_keys', '_n_pending', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_l1_sets', '_l1_set_mask', '_scratch_writebacks')
 
-    def __init__(self, config, trace, temporal_factory, shared=None):
+    def __init__(self, config, trace, temporal_factory):
         super().__init__(config, trace, temporal_factory)
         self.hierarchy.log_l1_invalidations = True
         # Native-type columns: Python list indexing returns ready-made
@@ -148,31 +144,6 @@ class BatchRunState(_RunState):
         self._l1_sets = [l1._sets for l1 in self.hierarchy.l1s]
         self._l1_set_mask = self.hierarchy.l1s[0]._set_mask
         self._scratch_writebacks: list = []
-        # STMS fast path: pre-classify every record's index bucket/tag in
-        # one vectorized pass per column.  Other temporal prefetchers
-        # (or no prefetcher) keep the generic consume/on_demand_miss
-        # calls.
-        columns_hook = getattr(self.temporal, "metadata_columns", None)
-        if columns_hook is not None:
-            # A sweep invocation (sim/sweep.py) hands in columns it
-            # classified once for every cell sharing this prefetcher's
-            # index geometry; the per-cell pass runs only when no shared
-            # precomputation covers it.
-            columns = None
-            if shared is not None:
-                geometry_hook = getattr(
-                    self.temporal, "metadata_geometry", None
-                )
-                if geometry_hook is not None:
-                    columns = shared.metadata_columns(geometry_hook())
-            if columns is None:
-                columns = columns_hook(self._blocks_a)
-            buckets, tags = columns
-            self._stms_buckets = buckets
-            self._stms_tags = self._blocks_l if tags is None else tags
-        else:
-            self._stms_buckets = None
-            self._stms_tags = None
 
     # ------------------------------------------------------------------
     # Event-granular dispatcher.
@@ -394,29 +365,10 @@ class BatchRunState(_RunState):
                 self.clocks[core] = t
                 return
 
-        # 2. Temporal prefetcher buffer.  The STMS path probes with the
-        # record's pre-classified bucket/tag (no per-event hashing) and
-        # the buffer-hit bookkeeping of TemporalPrefetcher.consume
-        # inlined ahead of the pre-hashed prefetch-hit hook.
+        # 2. Temporal prefetcher buffer.
         temporal = self.temporal
-        bucket = tag = 0
-        stms_buckets = self._stms_buckets
         if temporal is not None:
-            if stms_buckets is not None:
-                bucket = stms_buckets[core][i]
-                tag = self._stms_tags[core][i]
-                temporal_buffer = temporal.buffers[core]
-                entry = temporal_buffer._entries.pop(block, None)
-                if entry is not None:
-                    temporal_buffer._forget(entry)
-                    temporal.stats.useful += 1
-                    self._traffic_bytes[_USEFUL_PREFETCH] += BLOCK_BYTES
-                    self._core_traffic[core][
-                        _USEFUL_PREFETCH
-                    ] += BLOCK_BYTES
-                    temporal._prefetch_hit_hashed(core, block, t, bucket, tag)
-            else:
-                entry = temporal.consume(core, block, t)
+            entry = temporal.consume(core, block, t)
             if entry is not None:
                 if entry.arrival <= t:
                     if measuring:
@@ -547,12 +499,7 @@ class BatchRunState(_RunState):
             window.append(completion)
         self._fill(core, block, write, t)
         if temporal is not None:
-            if stms_buckets is not None:
-                temporal.on_demand_miss_hashed(
-                    core, block, issue, bucket, tag
-                )
-            else:
-                temporal.on_demand_miss(core, block, issue)
+            temporal.on_demand_miss(core, block, issue)
         if stride is not None:
             stride.train(core, block, t)
         self.clocks[core] = t

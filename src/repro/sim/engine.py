@@ -29,13 +29,19 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.core.stms import StmsFactory
 from repro.memory.dram import DramChannel, DramConfig, DramStats, Priority
 from repro.memory.hierarchy import CmpConfig, CmpHierarchy, ServicePoint
 from repro.memory.mshr import MshrFile
 from repro.memory.traffic import TrafficCategory, TrafficMeter
 from repro.prefetchers.base import PrefetcherStats, TemporalPrefetcher
 from repro.prefetchers.stride import StridePrefetcher, StrideStats
-from repro.sim.metrics import CoverageCounts, MlpTracker, SimResult
+from repro.sim.metrics import (
+    CoverageCounts,
+    MlpTracker,
+    SimResult,
+    stms_transfer_counts,
+)
 from repro.sim.timing import TimingModel, demand_priority
 from repro.workloads.trace import Trace
 
@@ -61,10 +67,10 @@ class SimConfig:
     #: Collect the per-core off-chip read-miss address sequence during
     #: the measured phase (offline temporal-stream analysis, Fig. 6).
     collect_miss_log: bool = False
-    #: Execution engine: ``"batch"`` (the default: baseline cells run in
-    #: the compiled kernel of :mod:`repro.sim.native`, temporal-
-    #: prefetcher cells in the vectorized Python engine), ``"scalar"``
-    #: (the reference implementation), or ``"auto"`` (the
+    #: Execution engine: ``"batch"`` (the default: baseline and STMS
+    #: cells run in the compiled kernel of :mod:`repro.sim.native`,
+    #: other temporal prefetchers in the vectorized Python engine),
+    #: ``"scalar"`` (the reference implementation), or ``"auto"`` (the
     #: ``REPRO_SIM_ENGINE`` environment variable, then ``"batch"``).
     #: Both engines produce identical results; the equivalence is
     #: enforced by ``tests/sim/test_engine_equivalence``.
@@ -98,16 +104,17 @@ class Simulator:
         """Simulate ``trace``, optionally with a temporal prefetcher.
 
         ``shared`` is a sweep invocation's precomputation handle (see
-        :class:`repro.sim.sweep.SweepShared`): the batched engines pull
+        :class:`repro.sim.sweep.SweepShared`): the compiled kernel pulls
         grid-shared metadata classifications from it instead of
         re-deriving them per cell.  It is a pure compute shortcut —
-        results are bit-identical with or without it — and the scalar
-        reference engine ignores it.
+        results are bit-identical with or without it — and the other
+        engines ignore it.
 
-        The batch engine steps cells without a temporal prefetcher in
-        the compiled kernel (:mod:`repro.sim.native`, built on first
-        use); when the kernel is unavailable they fall back to the
-        Python batched engine like every other cell.
+        The batch engine steps the cells :func:`kernel_cell` admits
+        (baseline and STMS) in the compiled kernel
+        (:mod:`repro.sim.native`, built on first use); when the kernel
+        is unavailable they fall back to the Python batched engine like
+        every other cell.
         """
         if trace.cores > self.config.cmp.cores:
             raise ValueError(
@@ -119,26 +126,35 @@ class Simulator:
             state = _RunState(self.config, trace, temporal_factory)
         else:
             state = None
-            if temporal_factory is None:
+            if kernel_cell(temporal_factory):
                 from repro.sim import native
 
-                state = native.run_state(self.config, trace)
+                state = native.run_state(
+                    self.config, trace, temporal_factory, shared
+                )
             if state is None:
                 from repro.sim.batch import BatchRunState
 
-                state = BatchRunState(
-                    self.config, trace, temporal_factory, shared=shared
-                )
+                state = BatchRunState(self.config, trace, temporal_factory)
         state.run_warmup()
         state.reset_accounting()
         state.run_measured()
         return state.result(label)
 
 
+def kernel_cell(temporal_factory: "TemporalFactory | None") -> bool:
+    """Whether the compiled kernel models this cell: no temporal
+    prefetcher, or STMS built by a :class:`~repro.core.stms.StmsFactory`
+    (what ``make_factory`` returns for ``PrefetcherKind.STMS``)."""
+    return temporal_factory is None or isinstance(
+        temporal_factory, StmsFactory
+    )
+
+
 class _RunState:
     """All mutable state of one simulation run (the scalar reference)."""
 
-    __slots__ = ('config', 'trace', 'traffic', 'hierarchy', 'dram', 'mshrs', 'stride', 'temporal', 'coverage', 'core_coverage', 'mlp', 'miss_log', 'outstanding', 'clocks', 'cursors', 'measure_start', 'measure_cursor', 'measured_records', 'measuring', 'demand_priority')
+    __slots__ = ('config', 'trace', 'traffic', 'hierarchy', 'dram', 'mshrs', 'stride', 'temporal', 'coverage', 'core_coverage', 'mlp', 'miss_log', 'outstanding', 'clocks', 'cursors', 'measure_start', 'measure_cursor', 'measured_records', 'measuring', 'demand_priority', 'measure_counters')
 
     def __init__(
         self,
@@ -194,6 +210,9 @@ class _RunState:
         self.measure_cursor = [0] * trace.cores
         self.measured_records = 0
         self.measuring = False
+        #: STMS metadata transfer counters at the measurement boundary
+        #: (those structures' stats survive the reset).
+        self.measure_counters: "dict[str, int] | None" = None
 
     # ------------------------------------------------------------------
     # Phases.
@@ -221,6 +240,7 @@ class _RunState:
         ]
         self.measure_start = list(self.clocks)
         self.measure_cursor = list(self.cursors)
+        self.measure_counters = stms_transfer_counts(self.temporal)
         self.measuring = True
 
     def run_measured(self) -> None:

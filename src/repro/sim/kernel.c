@@ -1,23 +1,33 @@
 /*
- * Compiled event kernel for cells without a temporal prefetcher.
+ * Compiled event kernel for baseline and STMS cells.
  *
  * A direct port of the scalar reference engine's per-record model
- * (repro.sim.engine._RunState._step / _off_chip) for the base system:
- * LRU L1s with FIFO victim buffers, the inclusive LRU L2, the L2 MSHR
- * file, the per-core miss window, the two-priority DRAM channel and
- * the stride prefetcher, plus every counter the Python objects keep.
- * Records are processed one at a time in the scalar heap's
- * (clock, core) order, so the result is bit-identical to the reference
- * by construction; the differential suite pins it.
+ * (repro.sim.engine._RunState._step / _off_chip): LRU L1s with FIFO
+ * victim buffers, the inclusive LRU L2, the L2 MSHR file, the per-core
+ * miss window, the two-priority DRAM channel and the stride
+ * prefetcher, plus every counter the Python objects keep.  Cells whose
+ * temporal prefetcher is STMS also run its whole metadata path here,
+ * operation for operation as in repro.core.stms: the bucketized index
+ * table, the per-core circular history buffers with their pack
+ * buffers, the on-chip bucket buffer, the stream engines and the
+ * per-core prefetch buffers.  Records are processed one at a time in
+ * the scalar heap's (clock, core) order, so the result is bit-identical
+ * to the reference by construction; the differential suite pins it.
  *
  * Build: cc -O2 -ffp-contract=off -shared -fPIC (no fast-math), so
  * every floating-point operation rounds exactly as Python's does.
  *
  * Ordered structures (cache sets, victim FIFOs, MSHR entries, stride
- * trackers and buffers) are flat arrays kept in the insertion/recency
- * order of the Python dicts they mirror: index 0 is the oldest entry.
- * repro.sim.native packs the Python objects into these buffers before
- * a phase and unpacks them afterwards.
+ * trackers, buffers, bucket-buffer residency, stream-engine maps) are
+ * flat arrays kept in the insertion/recency order of the Python dicts
+ * they mirror: index 0 is the oldest entry.  Index buckets keep the
+ * Python lists' order, most recently used first.  repro.sim.native
+ * packs the Python objects into these buffers before a phase and
+ * unpacks them afterwards.
+ *
+ * The sampler's coin flips arrive pre-drawn, one of the sampler's
+ * batches at a time (a record flips at most one coin); the bucket and
+ * tag of every record arrive pre-classified.
  *
  * L1-copy masks are not stored: a core's bit in the Python map is set
  * exactly when that core's L1 holds the block, so an inclusive L2
@@ -27,6 +37,36 @@
 #include <stdint.h>
 
 #define BLOCK_BYTES 64
+#define HISTORY_PER_BLOCK 12 /* repro.core.codec.HISTORY_ENTRIES_PER_BLOCK */
+
+/* Traffic categories, in repro.memory.traffic.TrafficCategory order. */
+enum { TC_DEMAND, TC_WRITEBACK, TC_STRIDE, TC_USEFUL, TC_ERRONEOUS,
+       TC_RECORD, TC_UPDATE, TC_LOOKUP, TC_COUNT };
+
+/* Coverage classes, in repro.sim.metrics.CoverageCounts field order. */
+enum { CV_FULL, CV_PARTIAL, CV_UNCOVERED, CV_STRIDE, CV_COUNT };
+
+/* repro.core.stream_engine.QueuedAddress. */
+typedef struct {
+    int64_t source_core, sequence, block;
+    uint8_t marked;
+    double ready_at;
+} Queued;
+
+/* repro.prefetchers.base.PrefetchedBlock. */
+typedef struct {
+    int64_t block;
+    double issued_at, arrival;
+    int64_t stream;
+} Prefetched;
+
+/* repro.core.stream_engine.StreamEngine; the FIFO queue is a ring. */
+typedef struct {
+    int64_t serial, active, source_core, next_fetch_sequence;
+    int64_t consumed_count, queue_head, queue_count, issued_count;
+    int64_t has_paused, has_last;
+    Queued paused_at, last_consumed;
+} Engine;
 
 /* Keep in sync with repro.sim.native.Machine (same order, same types). */
 typedef struct {
@@ -101,20 +141,75 @@ typedef struct {
     int64_t *sbuf_count;
     int64_t *stride_stats;
 
-    /* Accounting. */
+    /* Accounting: traffic bytes [TC_COUNT] and [cores][TC_COUNT],
+     * coverage [CV_COUNT] and [cores][CV_COUNT]. */
     int64_t demand_accesses, off_chip_reads, measured_records;
-    int64_t traffic_demand, traffic_writeback;
-    int64_t *core_traffic;  /* [cores][2]: demand read, writeback bytes */
-    int64_t coverage_stride, coverage_uncovered;
-    int64_t *core_coverage; /* [cores][2]: stride covered, uncovered */
+    int64_t *traffic;
+    int64_t *core_traffic;
+    int64_t *coverage;
+    int64_t *core_coverage;
     double *mlp;            /* [cores][4]: total, union, start, end */
     int64_t *mlp_count;
     int64_t *miss_log;      /* core c appends at miss_log_base[c] */
     const int64_t *miss_log_base;
     int64_t *miss_log_count;
+
+    /* STMS (repro.core.stms.StmsPrefetcher); unused unless stms is set.
+     * sample_mode: 0 never update, 1 always, 2 draw from coins. */
+    int64_t stms, history_capacity, bucket_entries, bucket_buffer_capacity;
+    int64_t prefetch_buffer_blocks, lookahead, queue_capacity;
+    int64_t refill_threshold, annotate, sample_mode, issued_capacity;
+    double t_pf_dep, t_pf_indep, pf_backlog_limit;
+    const int64_t *const *buckets; /* per core, per record */
+    const int64_t *const *tags;
+    const uint8_t *coins;
+    int64_t coin_count, coin_cursor;
+    /* PrefetcherStats: issued, useful, erroneous, filtered, dropped,
+     * lookups, lookup_hits; StmsCounters: resumes, annotations,
+     * stale_pointers, candidate_updates, applied_updates; sampler
+     * flips, accepted. */
+    int64_t *pf_stats;
+    int64_t *stms_counters;
+    int64_t *sampler;
+    /* Index table: [buckets][bucket_entries] tags and (core, sequence)
+     * pointers, MRU first; stats as IndexStats. */
+    int64_t *index_tags;
+    int64_t *index_ptrs;
+    int64_t *index_count;
+    int64_t *index_stats;
+    /* History buffers: [cores][history_capacity] committed entries,
+     * [cores][HISTORY_PER_BLOCK] pack buffers; stats as HistoryStats. */
+    int64_t *hist_blocks;
+    uint8_t *hist_marks;
+    int64_t *hist_pend_blocks;
+    uint8_t *hist_pend_marks;
+    int64_t *hist_pend_count;
+    int64_t *hist_head;
+    int64_t *hist_stats;
+    /* Bucket buffer in LRU order: bucket, dirty bit, dirtying core;
+     * stats are hits, misses, writebacks, update_misses. */
+    int64_t *bb_buckets;
+    uint8_t *bb_dirty;
+    int64_t *bb_core;
+    int64_t bb_count;
+    int64_t *bb_stats;
+    /* Stream engines [cores], their queues [cores][queue_capacity] and
+     * issued maps [cores][issued_capacity]; prefetch buffers
+     * [cores][prefetch_buffer_blocks] in FIFO order. */
+    Engine *engines;
+    Queued *queues;
+    Queued *issued;
+    Prefetched *pbuf;
+    int64_t *pbuf_count;
 } Machine;
 
-int64_t repro_kernel_abi(void) { return (int64_t)sizeof(Machine); }
+/* Layout fingerprint repro.sim.native checks before any call. */
+int64_t repro_kernel_abi(void)
+{
+    return (int64_t)sizeof(Machine) | (int64_t)sizeof(Engine) << 16
+           | (int64_t)sizeof(Queued) << 32
+           | (int64_t)sizeof(Prefetched) << 48;
+}
 
 /* ---------------------------------------------------------------------
  * Ordered-array helpers.
@@ -185,6 +280,24 @@ static void drain_writebacks(Machine *m, int64_t count, double now)
 }
 
 /* ---------------------------------------------------------------------
+ * Accounting (TrafficMeter.add_block, CoverageCounts).
+ * ------------------------------------------------------------------- */
+
+static void charge(Machine *m, int64_t core, int category)
+{
+    m->traffic[category] += BLOCK_BYTES;
+    m->core_traffic[core * TC_COUNT + category] += BLOCK_BYTES;
+}
+
+static void cover(Machine *m, int64_t core, int cls)
+{
+    if (!m->measuring)
+        return;
+    m->coverage[cls]++;
+    m->core_coverage[core * CV_COUNT + cls]++;
+}
+
+/* ---------------------------------------------------------------------
  * Hierarchy (CmpHierarchy).
  * ------------------------------------------------------------------- */
 
@@ -211,8 +324,7 @@ static int64_t l2_evicted(Machine *m, int64_t block, int dirty, int64_t core)
     }
     if (!dirty)
         return 0;
-    m->traffic_writeback += BLOCK_BYTES;
-    m->core_traffic[core * 2 + 1] += BLOCK_BYTES;
+    charge(m, core, TC_WRITEBACK);
     return 1;
 }
 
@@ -476,27 +588,558 @@ static void mshr_retire(Machine *m, double now)
 }
 
 /* ---------------------------------------------------------------------
+ * STMS metadata (repro.core.stms and the structures it drives).
+ * ------------------------------------------------------------------- */
+
+enum { PF_ISSUED, PF_USEFUL, PF_ERRONEOUS, PF_FILTERED, PF_DROPPED,
+       PF_LOOKUPS, PF_LOOKUP_HITS };
+enum { SC_RESUMES, SC_ANNOTATIONS, SC_STALE_POINTERS, SC_CANDIDATES,
+       SC_APPLIED };
+enum { IX_LOOKUPS, IX_HITS, IX_TAG_ALIASES, IX_INSERTS, IX_REPLACEMENTS,
+       IX_POINTER_UPDATES, IX_COUNT };
+enum { HS_APPENDS, HS_PACKED_WRITES, HS_BLOCK_READS, HS_ON_CHIP_READS,
+       HS_ANNOTATIONS, HS_STALE_READS, HS_COUNT };
+enum { BB_HITS, BB_MISSES, BB_WRITEBACKS, BB_UPDATE_MISSES };
+
+/* ProbabilisticSampler.should_update over the pre-drawn coins. */
+static int should_update(Machine *m)
+{
+    m->sampler[0]++;
+    if (m->sample_mode == 0)
+        return 0;
+    int outcome = 1;
+    if (m->sample_mode == 2)
+        outcome = m->coins[m->coin_cursor++];
+    if (outcome)
+        m->sampler[1]++;
+    return outcome;
+}
+
+/* Put (tag, core, sequence) at the front (MRU) of a bucket whose
+ * entries 0..pos-1 shift back one slot. */
+static void bucket_to_front(int64_t *tags, int64_t *ptrs, int64_t pos,
+                            int64_t tag, int64_t core, int64_t sequence)
+{
+    for (int64_t i = pos; i > 0; i--) {
+        tags[i] = tags[i - 1];
+        ptrs[2 * i] = ptrs[2 * i - 2];
+        ptrs[2 * i + 1] = ptrs[2 * i - 1];
+    }
+    tags[0] = tag;
+    ptrs[0] = core;
+    ptrs[1] = sequence;
+}
+
+/* IndexTable.probe: MRU-first search, a hit moves to the front. */
+static int index_probe(Machine *m, int64_t bucket, int64_t tag,
+                       int64_t *ptr_core, int64_t *ptr_seq)
+{
+    int64_t e = m->bucket_entries;
+    int64_t *tags = m->index_tags + bucket * e;
+    int64_t *ptrs = m->index_ptrs + bucket * e * 2;
+    m->index_stats[IX_LOOKUPS]++;
+    int64_t pos = find(tags, m->index_count[bucket], tag);
+    if (pos < 0)
+        return 0;
+    *ptr_core = ptrs[2 * pos];
+    *ptr_seq = ptrs[2 * pos + 1];
+    bucket_to_front(tags, ptrs, pos, tag, *ptr_core, *ptr_seq);
+    m->index_stats[IX_HITS]++;
+    return 1;
+}
+
+/* IndexTable.commit: (re)point tag at (core, sequence), MRU first. */
+static void index_commit(Machine *m, int64_t bucket, int64_t tag,
+                         int64_t core, int64_t sequence)
+{
+    int64_t e = m->bucket_entries;
+    int64_t *count = &m->index_count[bucket];
+    int64_t pos = find(m->index_tags + bucket * e, *count, tag);
+    if (pos >= 0) {
+        m->index_stats[IX_POINTER_UPDATES]++;
+    } else {
+        if (*count >= e) {
+            (*count)--; /* the LRU entry ages out */
+            m->index_stats[IX_REPLACEMENTS]++;
+        }
+        pos = (*count)++;
+        m->index_stats[IX_INSERTS]++;
+    }
+    bucket_to_front(m->index_tags + bucket * e,
+                    m->index_ptrs + bucket * e * 2, pos, tag, core,
+                    sequence);
+}
+
+/* BucketBuffer._write_back. */
+static void bb_write_back(Machine *m, double now, int64_t core)
+{
+    m->bb_stats[BB_WRITEBACKS]++;
+    charge(m, core, TC_UPDATE);
+    dram_request(m, now, 0);
+}
+
+/* BucketBuffer.access: returns the bucket's ready time. */
+static double bb_access(Machine *m, int64_t bucket, double now, int dirty,
+                        int category, int64_t core)
+{
+    int64_t *buckets = m->bb_buckets;
+    uint8_t *bits = m->bb_dirty;
+    int64_t *cores = m->bb_core;
+    int64_t n = m->bb_count;
+    int64_t pos = find(buckets, n, bucket);
+    if (pos >= 0) {
+        m->bb_stats[BB_HITS]++;
+        int64_t owner = cores[pos];
+        refresh(buckets, bits, n, pos, (uint8_t)(bits[pos] || dirty));
+        for (int64_t i = pos; i < n - 1; i++)
+            cores[i] = cores[i + 1];
+        cores[n - 1] = dirty ? core : owner;
+        return now;
+    }
+    m->bb_stats[BB_MISSES]++;
+    if (category == TC_UPDATE)
+        m->bb_stats[BB_UPDATE_MISSES]++;
+    charge(m, core, category);
+    double arrival = dram_request(m, now, 0);
+    if (n >= m->bucket_buffer_capacity) {
+        if (bits[0])
+            bb_write_back(m, now, cores[0]);
+        drop(buckets, bits, n, 0);
+        for (int64_t i = 0; i < n - 1; i++)
+            cores[i] = cores[i + 1];
+        n--;
+    }
+    buckets[n] = bucket;
+    bits[n] = (uint8_t)dirty;
+    cores[n] = dirty ? core : 0;
+    m->bb_count = n + 1;
+    return arrival;
+}
+
+/* HistoryBuffer.is_valid. */
+static int history_valid(Machine *m, int64_t hcore, int64_t sequence)
+{
+    int64_t head = m->hist_head[hcore];
+    return head > sequence && sequence >= head - m->history_capacity
+           && sequence >= 0;
+}
+
+/* HistoryBuffer._spill: commit the pack buffer, one packed write. */
+static void history_spill(Machine *m, int64_t hcore, double now)
+{
+    int64_t capacity = m->history_capacity;
+    int64_t *count = &m->hist_pend_count[hcore];
+    int64_t start = m->hist_head[hcore] - *count;
+    for (int64_t i = 0; i < *count; i++) {
+        int64_t slot = hcore * capacity + (start + i) % capacity;
+        m->hist_blocks[slot] = m->hist_pend_blocks[hcore * HISTORY_PER_BLOCK + i];
+        m->hist_marks[slot] = m->hist_pend_marks[hcore * HISTORY_PER_BLOCK + i];
+    }
+    *count = 0;
+    m->hist_stats[hcore * HS_COUNT + HS_PACKED_WRITES]++;
+    charge(m, hcore, TC_RECORD);
+    dram_request(m, now, 0);
+}
+
+/* HistoryBuffer.append; returns the entry's sequence. */
+static int64_t history_append(Machine *m, int64_t hcore, int64_t block,
+                              double now)
+{
+    int64_t sequence = m->hist_head[hcore]++;
+    int64_t *count = &m->hist_pend_count[hcore];
+    m->hist_pend_blocks[hcore * HISTORY_PER_BLOCK + *count] = block;
+    m->hist_pend_marks[hcore * HISTORY_PER_BLOCK + *count] = 0;
+    (*count)++;
+    m->hist_stats[hcore * HS_COUNT + HS_APPENDS]++;
+    if (*count >= HISTORY_PER_BLOCK)
+        history_spill(m, hcore, now);
+    return sequence;
+}
+
+/* HistoryBuffer.annotate on behalf of requester. */
+static int history_annotate(Machine *m, int64_t hcore, int64_t sequence,
+                            double now, int64_t requester)
+{
+    if (!history_valid(m, hcore, sequence))
+        return 0;
+    int64_t first_pending = m->hist_head[hcore] - m->hist_pend_count[hcore];
+    if (sequence >= first_pending)
+        m->hist_pend_marks[hcore * HISTORY_PER_BLOCK + sequence
+                           - first_pending] = 1;
+    else
+        m->hist_marks[hcore * m->history_capacity
+                      + sequence % m->history_capacity] = 1;
+    m->hist_stats[hcore * HS_COUNT + HS_ANNOTATIONS]++;
+    charge(m, requester, TC_RECORD);
+    dram_request(m, now, 0);
+    return 1;
+}
+
+/* Python's list slice src[lo:hi] of a length-n list, appended to out. */
+static int64_t slice_into(int64_t *blocks, uint8_t *marks, int64_t at,
+                          const int64_t *src_blocks,
+                          const uint8_t *src_marks, int64_t n, int64_t lo,
+                          int64_t hi)
+{
+    if (hi > n)
+        hi = n;
+    for (int64_t i = lo; i < hi; i++, at++) {
+        blocks[at] = src_blocks[i];
+        marks[at] = src_marks[i];
+    }
+    return at;
+}
+
+/* HistoryBuffer.read_segment into blocks/marks (at most one packed
+ * block); returns the entry count and sets *first and *arrival. */
+static int64_t read_segment(Machine *m, int64_t hcore, int64_t sequence,
+                            double now, int64_t reader, int64_t *first,
+                            double *arrival, int64_t *blocks,
+                            uint8_t *marks)
+{
+    int64_t capacity = m->history_capacity;
+    int64_t head = m->hist_head[hcore];
+    int64_t *stats = m->hist_stats + hcore * HS_COUNT;
+    const int64_t *committed = m->hist_blocks + hcore * capacity;
+    const uint8_t *committed_marks = m->hist_marks + hcore * capacity;
+    const int64_t *pending = m->hist_pend_blocks + hcore * HISTORY_PER_BLOCK;
+    const uint8_t *pending_marks =
+        m->hist_pend_marks + hcore * HISTORY_PER_BLOCK;
+    int64_t pend_count = m->hist_pend_count[hcore];
+    *first = sequence;
+    *arrival = now;
+    if (!history_valid(m, hcore, sequence)) {
+        stats[HS_STALE_READS]++;
+        return 0;
+    }
+    int64_t block_start = sequence / HISTORY_PER_BLOCK * HISTORY_PER_BLOCK;
+    int64_t block_end = block_start + HISTORY_PER_BLOCK;
+    if (block_end > head)
+        block_end = head;
+    int64_t start = sequence > head - capacity ? sequence : head - capacity;
+    int64_t first_pending = head - pend_count;
+    *first = start;
+    if (block_end > first_pending) {
+        /* Partly or wholly still in the pack buffer: served on chip. */
+        stats[HS_ON_CHIP_READS]++;
+        int64_t pending_end = block_end - first_pending;
+        if (start >= first_pending)
+            return slice_into(blocks, marks, 0, pending, pending_marks,
+                              pend_count, start - first_pending,
+                              pending_end);
+        int64_t slot = start % capacity;
+        int64_t n = slice_into(blocks, marks, 0, committed, committed_marks,
+                               capacity, slot,
+                               slot + first_pending - start);
+        return slice_into(blocks, marks, n, pending, pending_marks,
+                          pend_count, 0, pending_end);
+    }
+    stats[HS_BLOCK_READS]++;
+    charge(m, reader, TC_LOOKUP);
+    *arrival = dram_request(m, now, 0);
+    int64_t slot = start % capacity;
+    return slice_into(blocks, marks, 0, committed, committed_marks, capacity,
+                      slot, slot + block_end - start);
+}
+
+/* PrefetchBuffer: position of block in a core's FIFO, or -1. */
+static int64_t prefetched_find(const Prefetched *buffer, int64_t n,
+                               int64_t block)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (buffer[i].block == block)
+            return i;
+    return -1;
+}
+
+/* Remove entry pos of a core's FIFO, keeping the order of the rest. */
+static void prefetched_drop(Prefetched *buffer, int64_t *count, int64_t pos)
+{
+    for (int64_t i = pos; i < *count - 1; i++)
+        buffer[i] = buffer[i + 1];
+    (*count)--;
+}
+
+/* StreamEngine._issued: an insertion-ordered map keyed by block. */
+static int64_t issued_find(Machine *m, int64_t core, int64_t block)
+{
+    const Queued *map = m->issued + core * m->issued_capacity;
+    int64_t n = m->engines[core].issued_count;
+    for (int64_t i = 0; i < n; i++)
+        if (map[i].block == block)
+            return i;
+    return -1;
+}
+
+/* StreamEngine.begin (after reset). */
+static void engine_begin(Machine *m, int64_t core, int64_t source_core,
+                         int64_t next_fetch_sequence)
+{
+    Engine *e = &m->engines[core];
+    e->queue_head = e->queue_count = e->issued_count = 0;
+    e->has_paused = e->has_last = 0;
+    e->consumed_count = 0;
+    e->serial++;
+    e->active = 1;
+    e->source_core = source_core;
+    e->next_fetch_sequence = next_fetch_sequence;
+}
+
+/* StmsPrefetcher._refill with StreamEngine.enqueue_segment inlined. */
+static void stms_refill(Machine *m, int64_t core, double now)
+{
+    Engine *e = &m->engines[core];
+    Queued *queue = m->queues + core * m->queue_capacity;
+    int64_t blocks[HISTORY_PER_BLOCK];
+    uint8_t marks[HISTORY_PER_BLOCK];
+    while (e->active && !e->has_paused
+           && e->queue_count <= m->refill_threshold
+           && e->queue_count < m->queue_capacity) {
+        int64_t first;
+        double arrival;
+        int64_t n = read_segment(m, e->source_core, e->next_fetch_sequence,
+                                 now, core, &first, &arrival, blocks, marks);
+        if (n == 0) {
+            e->active = 0;
+            break;
+        }
+        for (int64_t k = 0; k < n; k++) {
+            if (e->queue_count >= m->queue_capacity)
+                break;
+            Queued *slot = &queue[(e->queue_head + e->queue_count)
+                                  % m->queue_capacity];
+            slot->source_core = e->source_core;
+            slot->sequence = first + k;
+            slot->block = blocks[k];
+            slot->marked = marks[k];
+            slot->ready_at = arrival;
+            e->queue_count++;
+            e->next_fetch_sequence = first + k + 1;
+            if (marks[k]) {
+                e->paused_at = *slot;
+                e->has_paused = 1;
+                break;
+            }
+        }
+        if (e->has_paused)
+            break;
+    }
+}
+
+/* StmsPrefetcher._issue: keep lookahead prefetches of the current
+ * stream in flight (pop_for_prefetch and _issue_prefetch inlined). */
+static void stms_issue(Machine *m, int64_t core, double now)
+{
+    Engine *e = &m->engines[core];
+    Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
+    int64_t *count = &m->pbuf_count[core];
+    int64_t in_flight = 0;
+    for (int64_t i = 0; i < *count; i++)
+        if (buffer[i].stream == e->serial)
+            in_flight++;
+    int64_t budget = m->lookahead - in_flight;
+    Queued *queue = m->queues + core * m->queue_capacity;
+    Queued *map = m->issued + core * m->issued_capacity;
+    while (budget > 0 && e->queue_count > 0) {
+        Queued head = queue[e->queue_head];
+        if (e->has_paused && head.sequence > e->paused_at.sequence)
+            break;
+        e->queue_head = (e->queue_head + 1) % m->queue_capacity;
+        e->queue_count--;
+        int64_t known = issued_find(m, core, head.block);
+        map[known >= 0 ? known : e->issued_count++] = head;
+
+        int64_t block = head.block;
+        if (prefetched_find(buffer, *count, block) >= 0)
+            continue;
+        int64_t set = block & (m->l2_sets - 1);
+        if (find(m->l2_tags + set * m->l2_ways, m->l2_count[set], block)
+            >= 0) {
+            m->pf_stats[PF_FILTERED]++;
+            continue;
+        }
+        double issue_at = now > head.ready_at ? now : head.ready_at;
+        if (m->dram_busy_all - issue_at > m->pf_backlog_limit) {
+            m->pf_stats[PF_DROPPED]++;
+            continue;
+        }
+        double arrival = dram_request(m, issue_at, 0);
+        if (*count >= m->prefetch_buffer_blocks) {
+            prefetched_drop(buffer, count, 0);
+            m->pf_stats[PF_ERRONEOUS]++;
+            charge(m, core, TC_ERRONEOUS);
+        }
+        Prefetched *entry = &buffer[(*count)++];
+        entry->block = block;
+        entry->issued_at = issue_at;
+        entry->arrival = arrival;
+        entry->stream = e->serial;
+        m->pf_stats[PF_ISSUED]++;
+        budget--;
+    }
+}
+
+/* StmsPrefetcher._annotate_abandoned. */
+static void stms_annotate_abandoned(Machine *m, int64_t core, double now)
+{
+    Engine *e = &m->engines[core];
+    if (!m->annotate || e->consumed_count == 0)
+        return;
+    if (!(e->queue_count > 0 || e->active) || !e->has_last)
+        return;
+    if (history_annotate(m, e->last_consumed.source_core,
+                         e->last_consumed.sequence + 1, now, core))
+        m->stms_counters[SC_ANNOTATIONS]++;
+}
+
+/* StmsPrefetcher._record_hashed. */
+static void stms_record(Machine *m, int64_t core, int64_t block, double now,
+                        int64_t bucket, int64_t tag)
+{
+    int64_t sequence = history_append(m, core, block, now);
+    m->stms_counters[SC_CANDIDATES]++;
+    if (!should_update(m))
+        return;
+    m->stms_counters[SC_APPLIED]++;
+    bb_access(m, bucket, now, 1, TC_UPDATE, core);
+    index_commit(m, bucket, tag, core, sequence);
+}
+
+/* StmsPrefetcher._prefetch_hit_hashed (StreamEngine.on_consumed
+ * inlined). */
+static void stms_prefetch_hit(Machine *m, int64_t core, int64_t block,
+                              double now, int64_t bucket, int64_t tag)
+{
+    Engine *e = &m->engines[core];
+    int64_t pos = issued_find(m, core, block);
+    if (pos >= 0) {
+        Queued *map = m->issued + core * m->issued_capacity;
+        e->last_consumed = map[pos];
+        e->has_last = 1;
+        e->consumed_count++;
+        for (int64_t i = pos; i < e->issued_count - 1; i++)
+            map[i] = map[i + 1];
+        e->issued_count--;
+        if (e->has_paused
+            && e->last_consumed.sequence >= e->paused_at.sequence)
+            e->has_paused = 0;
+    }
+    stms_record(m, core, block, now, bucket, tag);
+    stms_refill(m, core, now);
+    stms_issue(m, core, now);
+}
+
+/* StmsPrefetcher.on_demand_miss_hashed. */
+static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
+                      int64_t bucket, int64_t tag)
+{
+    Engine *e = &m->engines[core];
+    if (e->has_paused && e->paused_at.block == block) {
+        /* The core requested the annotated address: resume. */
+        e->has_paused = 0;
+        e->last_consumed = e->paused_at;
+        e->has_last = 1;
+        e->consumed_count++;
+        m->stms_counters[SC_RESUMES]++;
+        stms_record(m, core, block, now, bucket, tag);
+        stms_refill(m, core, now);
+        stms_issue(m, core, now);
+        return;
+    }
+
+    m->pf_stats[PF_LOOKUPS]++;
+    double bucket_ready = bb_access(m, bucket, now, 0, TC_LOOKUP, core);
+    int64_t source = 0, sequence = 0;
+    int found = index_probe(m, bucket, tag, &source, &sequence);
+    int64_t recorded = history_append(m, core, block, now);
+    m->stms_counters[SC_CANDIDATES]++;
+    if (should_update(m)) {
+        /* The lookup just fetched this bucket: an MRU hit, dirtied in
+         * place. */
+        m->stms_counters[SC_APPLIED]++;
+        m->bb_stats[BB_HITS]++;
+        int64_t pos = find(m->bb_buckets, m->bb_count, bucket);
+        m->bb_dirty[pos] = 1;
+        m->bb_core[pos] = core;
+        index_commit(m, bucket, tag, core, recorded);
+    }
+    if (!found)
+        return;
+    if (!history_valid(m, source, sequence)) {
+        m->stms_counters[SC_STALE_POINTERS]++;
+        return;
+    }
+    m->pf_stats[PF_LOOKUP_HITS]++;
+    stms_annotate_abandoned(m, core, now);
+    engine_begin(m, core, source, sequence + 1);
+    stms_refill(m, core, bucket_ready);
+    stms_issue(m, core, bucket_ready);
+}
+
+/* Step 2 of off_chip: TemporalPrefetcher.consume on the core's
+ * prefetch buffer; returns 1 with *entry filled on a hit. */
+static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
+                        int64_t record, Prefetched *entry)
+{
+    Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
+    int64_t *count = &m->pbuf_count[core];
+    int64_t pos = prefetched_find(buffer, *count, block);
+    if (pos < 0)
+        return 0;
+    *entry = buffer[pos];
+    prefetched_drop(buffer, count, pos);
+    m->pf_stats[PF_USEFUL]++;
+    charge(m, core, TC_USEFUL);
+    stms_prefetch_hit(m, core, block, now, m->buckets[core][record],
+                      m->tags[core][record]);
+    return 1;
+}
+
+/* ---------------------------------------------------------------------
  * One trace record (_RunState._step and _off_chip).
  * ------------------------------------------------------------------- */
 
-static double off_chip(Machine *m, int64_t core, int64_t block, double t,
-                       int dep, int write)
+static double off_chip(Machine *m, int64_t core, int64_t record,
+                       int64_t block, double t, int dep, int write)
 {
     /* 1. Stride prefetcher buffer (part of the base system). */
     if (m->use_stride && stride_probe(m, core, block)) {
-        m->traffic_demand += BLOCK_BYTES;
-        m->core_traffic[core * 2] += BLOCK_BYTES;
-        if (m->measuring) {
-            m->coverage_stride++;
-            m->core_coverage[core * 2]++;
-        }
+        charge(m, core, TC_DEMAND);
+        cover(m, core, CV_STRIDE);
         t += dep ? m->t_stride_dep : m->t_stride_indep;
         drain_writebacks(m, fill_off_chip(m, core, block, write), t);
         stride_train(m, core, block, t);
         return t;
     }
 
-    /* 2. No temporal prefetcher in this kernel.  3. Demand fetch. */
+    /* 2. Temporal (STMS) prefetch buffer. */
+    Prefetched entry;
+    if (m->stms && stms_consume(m, core, block, t, record, &entry)) {
+        if (entry.arrival <= t) {
+            cover(m, core, CV_FULL);
+            t += dep ? m->t_pf_dep : m->t_pf_indep;
+        } else {
+            cover(m, core, CV_PARTIAL);
+            if (dep) {
+                /* A demand hit on an in-flight prefetch upgrades it to
+                 * demand urgency (DramChannel.peek_completion). */
+                double busy = m->low_priority[core] ? m->dram_busy_all
+                                                    : m->dram_busy_high;
+                double start = t > busy ? t : busy;
+                double peek = start + m->dram_latency + m->dram_transfer;
+                t = (peek < entry.arrival ? peek : entry.arrival)
+                    + m->t_pf_dep;
+            } else {
+                t += m->t_pf_indep;
+            }
+        }
+        drain_writebacks(m, fill_off_chip(m, core, block, write), t);
+        if (m->use_stride)
+            stride_train(m, core, block, t);
+        return t;
+    }
+
+    /* 3. Demand fetch. */
     double issue = t;
     double *window = m->window + core * m->miss_window;
     int64_t *outstanding = &m->window_count[core];
@@ -536,8 +1179,7 @@ static double off_chip(Machine *m, int64_t core, int64_t block, double t,
             mshr_retire(m, issue);
         }
         completion = dram_request(m, issue, !m->low_priority[core]);
-        m->traffic_demand += BLOCK_BYTES;
-        m->core_traffic[core * 2] += BLOCK_BYTES;
+        charge(m, core, TC_DEMAND);
         int64_t slot = m->mshr_count++;
         m->mshr_blocks[slot] = block;
         m->mshr_complete[slot] = completion;
@@ -546,9 +1188,8 @@ static double off_chip(Machine *m, int64_t core, int64_t block, double t,
         if (m->mshr_count > m->mshr_stats[MS_PEAK_OCCUPANCY])
             m->mshr_stats[MS_PEAK_OCCUPANCY] = m->mshr_count;
     }
+    cover(m, core, CV_UNCOVERED);
     if (m->measuring) {
-        m->coverage_uncovered++;
-        m->core_coverage[core * 2 + 1]++;
         if (m->track_mlp) {
             /* _IntervalAccumulator.add (completion > issue: entries at
              * or before issue were retired above). */
@@ -579,6 +1220,9 @@ static double off_chip(Machine *m, int64_t core, int64_t block, double t,
         window[(*outstanding)++] = completion;
     }
     drain_writebacks(m, fill_off_chip(m, core, block, write), t);
+    if (m->stms)
+        stms_miss(m, core, block, issue, m->buckets[core][record],
+                  m->tags[core][record]);
     if (m->use_stride)
         stride_train(m, core, block, t);
     return t;
@@ -650,11 +1294,14 @@ static void step(Machine *m, int64_t core)
     }
     m->l2_stats[ST_MISSES]++;
     m->off_chip_reads++;
-    m->clocks[core] = off_chip(m, core, block, t, dep, write);
+    m->clocks[core] = off_chip(m, core, i, block, t, dep, write);
 }
 
-/* Advance every core to its record limit in (clock, core) order. */
-void repro_kernel_run(Machine *m)
+/* Advance every core to its record limit in (clock, core) order.
+ * Returns 0 when done, or 1 before a record that could outgrow the
+ * next core's issued map or find the coins spent; the caller grows the
+ * map or hands in the sampler's next batch and calls again. */
+int64_t repro_kernel_run(Machine *m)
 {
     for (;;) {
         int64_t next = -1;
@@ -668,7 +1315,13 @@ void repro_kernel_run(Machine *m)
             }
         }
         if (next < 0)
-            return;
+            return 0;
+        if (m->stms
+            && (m->engines[next].issued_count + m->queue_capacity
+                    > m->issued_capacity
+                || (m->sample_mode == 2
+                    && m->coin_cursor == m->coin_count)))
+            return 1;
         step(m, next);
     }
 }

@@ -23,6 +23,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from repro.memory.address import BLOCK_BYTES
+from repro.memory.dram import Priority
 from repro.memory.traffic import TrafficBreakdown, TrafficCategory
 from repro.prefetchers.base import PrefetcherStats
 
@@ -148,8 +149,8 @@ def snapshot_run_state(state) -> dict:
     sums), DRAM and MSHR state, stride-prefetcher tables, and — when the
     temporal prefetcher is STMS — the full off-chip metadata state:
     index-table buckets, history buffers (including un-spilled pack
-    segments), bucket-buffer residency, stream engines, and sampler
-    counters.
+    segments), bucket-buffer residency, stream engines, and the sampler
+    (counters, pending coin batch and cursor, and RNG state).
 
     Cache sets and stride trackers are captured in their dict order,
     which is their LRU order: a replacement-order slip shows up here
@@ -224,6 +225,9 @@ def snapshot_run_state(state) -> dict:
                 "sampler": (
                     temporal.sampler.flips,
                     temporal.sampler.accepted,
+                    temporal.sampler._cursor,
+                    list(temporal.sampler._draws),
+                    temporal.sampler._rng.bit_generator.state,
                 ),
                 "index": (
                     astuple(temporal.index.stats),
@@ -266,6 +270,28 @@ def snapshot_run_state(state) -> dict:
     return snap
 
 
+def stms_transfer_counts(temporal) -> "dict[str, int] | None":
+    """Cumulative off-chip transfer counters of an STMS prefetcher's
+    metadata structures (None for any other prefetcher).
+
+    These structures keep their stats across the measurement boundary,
+    so :func:`check_invariants` compares deltas against the copy the
+    run state takes at ``reset_accounting``.
+    """
+    if temporal is None or not hasattr(temporal, "bucket_buffer"):
+        return None
+    buckets = temporal.bucket_buffer.stats
+    histories = [history.stats for history in temporal.histories]
+    return {
+        "bucket_misses": buckets.misses,
+        "bucket_update_misses": buckets.update_misses,
+        "bucket_writebacks": buckets.writebacks,
+        "packed_writes": sum(h.packed_writes for h in histories),
+        "block_reads": sum(h.block_reads for h in histories),
+        "annotations": sum(h.annotations for h in histories),
+    }
+
+
 class InvariantViolation(AssertionError):
     """A finished run broke a conservation law (:func:`check_invariants`)."""
 
@@ -287,6 +313,14 @@ def check_invariants(state, result: "SimResult") -> None:
       stride prefetches plus stride-buffer hits (each of those moves a
       demand-read block without a new request);
     * per-core traffic sums to the global counters;
+    * in an STMS cell, measured from the boundary: low-priority DRAM
+      requests equal stride and temporal prefetches issued, plus
+      bucket-buffer misses and write-backs, history packed writes,
+      block reads and annotations, plus the demand fetches of demoted
+      (LOW-priority) cores; and record, lookup and update traffic
+      equal one block per packed write or annotation, per lookup
+      bucket miss or history block read, and per update bucket miss or
+      write-back respectively;
     * MSHR peak occupancy stays within capacity;
     * each core's measured cycles cover at least its measured ``work``.
 
@@ -354,6 +388,42 @@ def check_invariants(state, result: "SimResult") -> None:
             f"{blocks} (requests - stride prefetches + stride hits)",
         )
     core_bytes = state.traffic._core_bytes
+    start = state.measure_counters
+    end = stms_transfer_counts(temporal)
+    if start is not None and end is not None:
+        delta = {name: end[name] - start[name] for name in end}
+        demoted = sum(
+            core_bytes[core][TrafficCategory.DEMAND_READ] // BLOCK_BYTES
+            - state.core_coverage[core].stride_covered
+            for core, priority in enumerate(state.demand_priority)
+            if priority is Priority.LOW
+        )
+        low = (
+            (state.stride.stats.issued if state.stride is not None else 0)
+            + temporal.stats.issued
+            + delta["bucket_misses"] + delta["bucket_writebacks"]
+            + delta["packed_writes"] + delta["block_reads"]
+            + delta["annotations"] + demoted
+        )
+        expect(
+            dram.low_priority_requests == low,
+            f"DRAM low-priority requests {dram.low_priority_requests} != "
+            f"{low} (prefetches + metadata transfers + demoted demand)",
+        )
+        for category, blocks in (
+            (TrafficCategory.RECORD_STREAMS,
+             delta["packed_writes"] + delta["annotations"]),
+            (TrafficCategory.LOOKUP_STREAMS,
+             delta["bucket_misses"] - delta["bucket_update_misses"]
+             + delta["block_reads"]),
+            (TrafficCategory.UPDATE_INDEX,
+             delta["bucket_update_misses"] + delta["bucket_writebacks"]),
+        ):
+            expect(
+                counts[category] == BLOCK_BYTES * blocks,
+                f"{category.value} bytes {counts[category]} != "
+                f"{BLOCK_BYTES} x {blocks} structure transfers",
+            )
     for category, count in counts.items():
         total = sum(per_core[category] for per_core in core_bytes)
         expect(

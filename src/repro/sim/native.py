@@ -1,19 +1,31 @@
-"""The compiled event kernel (``kernel.c``) behind baseline cells.
+"""The compiled event kernel (``kernel.c``) behind baseline and STMS cells.
 
 Cells without a temporal prefetcher — the stride-only base system of
-every baseline and solo-reference run — step through
+every baseline and solo-reference run — and STMS cells (a
+:class:`~repro.core.stms.StmsFactory`; ``engine.kernel_cell`` decides)
+step through
 :class:`NativeRunState`: the scalar reference run state with its
 per-record loop replaced by one C call per phase.  The kernel is a
-direct port of ``_RunState._step`` / ``_off_chip`` and walks records
-in the same ``(clock, core)`` order, so results are bit-identical to
-the reference (``tests/sim/test_engine_differential.py`` pins it).
+direct port of ``_RunState._step`` / ``_off_chip`` and of STMS's
+metadata path (``repro.core.stms`` and the index table, history
+buffers, bucket buffer, stream engines and prefetch buffers it drives),
+and walks records in the same ``(clock, core)`` order, so results are
+bit-identical to the reference (``tests/sim/test_engine_differential.py``
+pins it).  Other temporal prefetchers stay on the Python batched engine.
 
 State handoff: before each phase the Python machine objects (caches,
-victim FIFOs, MSHRs, DRAM, stride prefetcher, counters) are packed into
-flat NumPy buffers in their dict order; afterwards the buffers are
-unpacked back into the same objects.  Everything outside
-``_run_until`` — warm-up/measurement phases, the accounting reset,
-result assembly and state snapshots — is the reference code unchanged.
+victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS structures,
+counters) are packed into flat NumPy buffers in their dict/list order;
+afterwards the buffers are unpacked back into the same objects.  An
+STMS cell's per-record index buckets and tags arrive as int64 arrays,
+zero-copy, from the sweep's shared classification or the prefetcher's
+``metadata_columns``; its sampler's coin flips are drawn in the
+sampler's own batches, handed in one batch at a time as the kernel
+asks, and the unused ones go back (:class:`_Coins`), so the sampler's
+RNG stream is the Python path's.
+Everything outside ``_run_until`` — warm-up/measurement phases, the
+accounting reset, ``finalize``, result assembly and state snapshots —
+is the reference code unchanged.
 
 Build: the kernel compiles once per machine with the system ``cc``
 (``-O2 -ffp-contract=off``, no fast-math, so float clock arithmetic
@@ -42,11 +54,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
+from repro.core.history_buffer import HistoryPointer
+from repro.core.stream_engine import QueuedAddress
 from repro.memory.dram import Priority
 from repro.memory.mshr import MshrEntry
 from repro.memory.traffic import TrafficCategory
 from repro.prefetchers.base import PrefetchedBlock
-from repro.sim.engine import SimConfig, _RunState
+from repro.sim.engine import SimConfig, _RunState, kernel_cell
 from repro.workloads.trace import Trace
 
 SOURCE = Path(__file__).with_name("kernel.c")
@@ -98,21 +113,63 @@ class Machine(ctypes.Structure):
                 "stride_stats",
                 _P,
             ),
+            ("demand_accesses off_chip_reads measured_records", _I),
             (
-                "demand_accesses off_chip_reads measured_records "
-                "traffic_demand traffic_writeback",
-                _I,
-            ),
-            ("core_traffic", _P),
-            ("coverage_stride coverage_uncovered", _I),
-            (
-                "core_coverage mlp mlp_count miss_log miss_log_base "
-                "miss_log_count",
+                "traffic core_traffic coverage core_coverage mlp mlp_count "
+                "miss_log miss_log_base miss_log_count",
                 _P,
             ),
+            (
+                "stms history_capacity bucket_entries "
+                "bucket_buffer_capacity prefetch_buffer_blocks lookahead "
+                "queue_capacity refill_threshold annotate sample_mode "
+                "issued_capacity",
+                _I,
+            ),
+            ("t_pf_dep t_pf_indep pf_backlog_limit", _F),
+            ("buckets tags coins", _P),
+            ("coin_count coin_cursor", _I),
+            (
+                "pf_stats stms_counters sampler index_tags index_ptrs "
+                "index_count index_stats hist_blocks hist_marks "
+                "hist_pend_blocks hist_pend_marks hist_pend_count hist_head "
+                "hist_stats bb_buckets bb_dirty bb_core",
+                _P,
+            ),
+            ("bb_count", _I),
+            ("bb_stats engines queues issued pbuf pbuf_count", _P),
         )
         for name in names.split()
     ]
+
+
+#: The kernel's ``Queued``, ``Prefetched`` and ``Engine`` structs (C
+#: alignment), field for field as QueuedAddress, PrefetchedBlock and
+#: StreamEngine.
+_QUEUED = np.dtype(
+    [("source_core", "<i8"), ("sequence", "<i8"), ("block", "<i8"),
+     ("marked", "?"), ("ready_at", "<f8")],
+    align=True,
+)
+_PREFETCHED = np.dtype(
+    [("block", "<i8"), ("issued_at", "<f8"), ("arrival", "<f8"),
+     ("stream", "<i8")],
+    align=True,
+)
+_ENGINE = np.dtype(
+    [(name, "<i8") for name in (
+        "serial active source_core next_fetch_sequence consumed_count "
+        "queue_head queue_count issued_count has_paused has_last"
+    ).split()]
+    + [("paused_at", _QUEUED), ("last_consumed", _QUEUED)],
+    align=True,
+)
+_NO_ENTRY = (0, 0, 0, False, 0.0)
+#: What the kernel's ``repro_kernel_abi`` returns for these layouts.
+ABI = (
+    ctypes.sizeof(Machine) | _ENGINE.itemsize << 16
+    | _QUEUED.itemsize << 32 | _PREFETCHED.itemsize << 48
+)
 
 
 class KernelUnavailable(RuntimeError):
@@ -169,10 +226,10 @@ def _open(path: Path) -> "ctypes.CDLL | None":
         return None
     abi.argtypes = []
     abi.restype = ctypes.c_int64
-    if abi() != ctypes.sizeof(Machine):
+    if abi() != ABI:
         return None
     run.argtypes = [ctypes.POINTER(Machine)]
-    run.restype = None
+    run.restype = ctypes.c_int64
     return lib
 
 
@@ -235,17 +292,30 @@ def load() -> "ctypes.CDLL | None":
         return build()
     except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"compiled event kernel unavailable ({exc}); baseline cells "
-            f"fall back to the Python batched engine",
+            f"compiled event kernel unavailable ({exc}); baseline and "
+            f"STMS cells fall back to the Python batched engine",
             RuntimeWarning,
             stacklevel=2,
         )
         return None
 
 
-def run_state(config: SimConfig, trace: Trace) -> "NativeRunState | None":
-    """A kernel-stepped baseline run state, or None without the kernel."""
-    return None if load() is None else NativeRunState(config, trace)
+def run_state(
+    config: SimConfig,
+    trace: Trace,
+    temporal_factory=None,
+    shared=None,
+) -> "NativeRunState | None":
+    """A kernel-stepped run state, or None without the kernel.
+
+    ``temporal_factory`` is None (a baseline cell) or a
+    :class:`~repro.core.stms.StmsFactory`; ``shared`` is a sweep's
+    :class:`~repro.sim.sweep.SweepShared` carrying the cell's bucket
+    and tag columns.
+    """
+    if load() is None:
+        return None
+    return NativeRunState(config, trace, temporal_factory, shared)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +324,8 @@ def run_state(config: SimConfig, trace: Trace) -> "NativeRunState | None":
 
 
 def _pack_ordered(dicts: list, width: int):
-    """Flatten ordered dicts into ``[len(dicts)][width]`` key rows.
+    """Flatten ordered dicts (or lists) into ``[len(dicts)][width]`` key
+    rows.
 
     Returns the key rows, the per-row counts and the flat slot of every
     entry in iteration order (for packing matching value rows).
@@ -288,17 +359,19 @@ class NativeRunState(_RunState):
     __slots__ = ("_lib", "_columns", "_work_f64", "_low_priority")
 
     def __init__(
-        self, config: SimConfig, trace: Trace, temporal_factory=None
+        self, config: SimConfig, trace: Trace, temporal_factory=None,
+        shared=None,
     ) -> None:
-        if temporal_factory is not None:
-            raise ValueError(
-                "the compiled kernel models cells without a temporal "
-                "prefetcher"
-            )
         lib = load()
         if lib is None:
             raise KernelUnavailable("the compiled event kernel is unavailable")
-        super().__init__(config, trace, None)
+        if not kernel_cell(temporal_factory):
+            raise ValueError(
+                "the compiled kernel models cells with no temporal "
+                "prefetcher or an STMS one built by StmsFactory"
+            )
+        super().__init__(config, trace, temporal_factory)
+        temporal = self.temporal
         self._lib = lib
         # float32 work widens exactly in the kernel; anything else is
         # handed over as float64 (exact for every float32/int value).
@@ -313,6 +386,21 @@ class NativeRunState(_RunState):
             "dep": _columns(trace.dep, np.uint8),
             "write": _columns(trace.write, np.uint8),
         }
+        if temporal is not None:
+            # Every record's index bucket and tag, classified once: the
+            # sweep's shared pass when one covers this geometry, else a
+            # per-cell pass.  Full-address tags alias the block column.
+            if shared is not None:
+                buckets, tags = shared.metadata_columns(
+                    temporal.metadata_geometry()
+                )
+            else:
+                buckets, tags = temporal.metadata_columns(columns["blocks"])
+            columns["buckets"] = _columns(buckets, np.int64)
+            columns["tags"] = (
+                columns["blocks"] if tags is None
+                else _columns(tags, np.int64)
+            )
         #: Per-core column arrays (kept alive while the kernel reads
         #: them) and the pointer tables the kernel indexes by core.
         self._columns = (
@@ -328,7 +416,27 @@ class NativeRunState(_RunState):
 
     def _run_until(self, limits: "list[int]") -> None:
         machine, buffers = self._pack(limits)
-        self._lib.repro_kernel_run(ctypes.byref(machine))
+        coins = (
+            _Coins(self.temporal.sampler, machine)
+            if machine.sample_mode == 2
+            else None
+        )
+        while self._lib.repro_kernel_run(ctypes.byref(machine)):
+            if coins is not None and coins.spent():
+                # The next record could flip a coin: hand in the
+                # sampler's next batch.
+                coins.draw()
+                continue
+            # The next record could outgrow a stream engine's issued
+            # map: double its room.
+            width = machine.issued_capacity
+            grown = np.zeros((self.trace.cores, 2 * width), dtype=_QUEUED)
+            grown[:, :width] = buffers["issued"].reshape(-1, width)
+            buffers["issued"] = grown.reshape(-1)
+            machine.issued = buffers["issued"].ctypes.data
+            machine.issued_capacity = 2 * width
+        if coins is not None:
+            coins.settle()
         self._unpack(machine, buffers)
 
     def _pack(self, limits: "list[int]"):
@@ -407,16 +515,17 @@ class NativeRunState(_RunState):
             # Disabled structures stay NULL: the kernel never reads them.
             tracker_width = buffer_width = 0
 
-        core_bytes = self.traffic._core_bytes
+        traffic = self.traffic
+        b["traffic"] = np.array(
+            [traffic._bytes[c] for c in _CATEGORIES], dtype=np.int64
+        )
         b["core_traffic"] = np.array(
-            [(core_bytes[c][_DEMAND], core_bytes[c][_WRITEBACK])
-             for c in range(cores)],
+            [[traffic._core_bytes[core][c] for c in _CATEGORIES]
+             for core in range(cores)],
             dtype=np.int64,
         ).reshape(-1)
-        b["core_coverage"] = np.array(
-            [(c.stride_covered, c.uncovered) for c in self.core_coverage],
-            dtype=np.int64,
-        ).reshape(-1)
+        b["coverage"] = _stats([self.coverage])
+        b["core_coverage"] = _stats(self.core_coverage)
         if self.mlp is not None:
             accumulators = self.mlp._accumulators
             b["mlp"] = np.array(
@@ -435,6 +544,7 @@ class NativeRunState(_RunState):
             b["miss_log_base"] = np.cumsum(room) - room
             b["miss_log"] = np.zeros(int(room.sum()), dtype=np.int64)
             b["miss_log_count"] = np.zeros(cores, dtype=np.int64)
+        stms = {} if self.temporal is None else self._pack_stms(b)
 
         dram, stats = self.dram, self.dram.stats
         machine = Machine(
@@ -482,16 +592,117 @@ class NativeRunState(_RunState):
             demand_accesses=hier.demand_accesses,
             off_chip_reads=hier.off_chip_reads,
             measured_records=self.measured_records,
-            traffic_demand=self.traffic._bytes[_DEMAND],
-            traffic_writeback=self.traffic._bytes[_WRITEBACK],
-            coverage_stride=self.coverage.stride_covered,
-            coverage_uncovered=self.coverage.uncovered,
+            t_pf_dep=timing.prefetch_hit_dep,
+            t_pf_indep=timing.prefetch_hit_indep,
+            **stms,
         )
         for name, array in b.items():
             if not array.flags.c_contiguous:
                 raise ValueError(f"kernel buffer {name} is not contiguous")
             setattr(machine, name, array.ctypes.data)
         return machine, b
+
+    def _pack_stms(self, b: dict) -> dict:
+        """Pack the STMS prefetcher into ``b``; returns its scalar fields."""
+        stms, cores = self.temporal, self.trace.cores
+        config = stms.config
+        b["pf_stats"] = _stats([stms.stats])
+        b["stms_counters"] = _stats([stms.counters])
+        b["sampler"] = np.array(
+            [stms.sampler.flips, stms.sampler.accepted], dtype=np.int64
+        )
+
+        index = stms.index
+        width = index.bucket_entries
+        b["index_tags"], b["index_count"], slots = _pack_ordered(
+            index._bucket_tags, width
+        )
+        pointers = np.zeros((len(b["index_tags"]), 2), dtype=np.int64)
+        pointers[slots] = np.array(
+            [p for row in index._bucket_ptrs for p in row], dtype=np.int64
+        ).reshape(-1, 2)
+        b["index_ptrs"] = pointers.reshape(-1)
+        b["index_stats"] = _stats([index.stats])
+
+        histories = stms.histories
+        b["hist_blocks"] = np.array(
+            [h._blocks for h in histories], dtype=np.int64
+        ).reshape(-1)
+        b["hist_marks"] = np.array(
+            [h._marks for h in histories], dtype=np.uint8
+        ).reshape(-1)
+        b["hist_pend_blocks"], b["hist_pend_count"], slots = _pack_ordered(
+            [h._pend_blocks for h in histories], HISTORY_ENTRIES_PER_BLOCK
+        )
+        b["hist_pend_marks"] = np.zeros(
+            len(b["hist_pend_blocks"]), dtype=np.uint8
+        )
+        b["hist_pend_marks"][slots] = [
+            mark for h in histories for mark in h._pend_marks
+        ]
+        b["hist_head"] = np.array([h.head for h in histories], np.int64)
+        b["hist_stats"] = _stats([h.stats for h in histories])
+
+        bucket_buffer = stms.bucket_buffer
+        resident = bucket_buffer._resident
+        owners = bucket_buffer._dirty_core
+        capacity = bucket_buffer.capacity
+        b["bb_buckets"] = _padded(list(resident), capacity, np.int64)
+        b["bb_dirty"] = _padded(list(resident.values()), capacity, np.uint8)
+        b["bb_core"] = _padded(
+            [owners.get(bucket, 0) for bucket in resident], capacity, np.int64
+        )
+        b["bb_stats"] = _stats([bucket_buffer.stats])
+
+        queue_width = config.address_queue_entries
+        # Issued maps are unbounded: the kernel stops before a record
+        # that could overflow one, and _run_until doubles the room.
+        issued_width = (
+            2 * max(len(e._issued) for e in stms.engines) + queue_width
+        )
+        b["engines"] = np.zeros(cores, dtype=_ENGINE)
+        b["queues"] = np.zeros(cores * queue_width, dtype=_QUEUED)
+        b["issued"] = np.zeros(cores * issued_width, dtype=_QUEUED)
+        for core, engine in enumerate(stms.engines):
+            queue, issued = list(engine._queue), list(engine._issued.values())
+            b["queues"][core * queue_width:][:len(queue)] = queue
+            b["issued"][core * issued_width:][:len(issued)] = issued
+            b["engines"][core] = (
+                engine.serial, engine.active, engine.source_core,
+                engine.next_fetch_sequence, engine.consumed_count,
+                0, len(queue), len(issued),
+                engine.paused_at is not None,
+                engine.last_consumed is not None,
+                engine.paused_at or _NO_ENTRY,
+                engine.last_consumed or _NO_ENTRY,
+            )
+        buffer_width = config.prefetch_buffer_blocks
+        b["pbuf"] = np.zeros(cores * buffer_width, dtype=_PREFETCHED)
+        for core, buffer in enumerate(stms.buffers):
+            prefetched = list(buffer._entries.values())
+            b["pbuf"][core * buffer_width:][:len(prefetched)] = prefetched
+        b["pbuf_count"] = np.array(
+            [len(buffer) for buffer in stms.buffers], dtype=np.int64
+        )
+
+        probability = stms.sampler.probability
+        return dict(
+            stms=1,
+            history_capacity=histories[0].capacity,
+            bucket_entries=width,
+            bucket_buffer_capacity=capacity,
+            prefetch_buffer_blocks=buffer_width,
+            lookahead=config.lookahead,
+            queue_capacity=queue_width,
+            refill_threshold=config.queue_refill_threshold,
+            annotate=config.annotate_stream_ends,
+            sample_mode=(
+                1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
+            ),
+            issued_capacity=issued_width,
+            pf_backlog_limit=stms._backlog_limit,
+            bb_count=len(resident),
+        )
 
     def _unpack(self, m: Machine, b: dict) -> None:
         hier, cores = self.hierarchy, self.trace.cores
@@ -572,18 +783,14 @@ class NativeRunState(_RunState):
             _restore(stride.stats, b["stride_stats"], 0)
 
         traffic = self.traffic
-        traffic._bytes[_DEMAND] = m.traffic_demand
-        traffic._bytes[_WRITEBACK] = m.traffic_writeback
-        core_traffic = b["core_traffic"].tolist()
-        core_coverage = b["core_coverage"].tolist()
+        traffic._bytes.update(zip(_CATEGORIES, b["traffic"].tolist()))
+        core_traffic = b["core_traffic"].reshape(cores, -1).tolist()
         for core in range(cores):
-            traffic._core_bytes[core][_DEMAND] = core_traffic[2 * core]
-            traffic._core_bytes[core][_WRITEBACK] = core_traffic[2 * core + 1]
-            coverage = self.core_coverage[core]
-            coverage.stride_covered = core_coverage[2 * core]
-            coverage.uncovered = core_coverage[2 * core + 1]
-        self.coverage.stride_covered = m.coverage_stride
-        self.coverage.uncovered = m.coverage_uncovered
+            traffic._core_bytes[core].update(
+                zip(_CATEGORIES, core_traffic[core])
+            )
+            _restore(self.core_coverage[core], b["core_coverage"], core)
+        _restore(self.coverage, b["coverage"], 0)
         self.measured_records = m.measured_records
 
         if self.mlp is not None:
@@ -601,11 +808,156 @@ class NativeRunState(_RunState):
                 self.miss_log[core].extend(
                     log[bases[core]:bases[core] + n].tolist()
                 )
+        if self.temporal is not None:
+            self._unpack_stms(m, b)
+
+    def _unpack_stms(self, m: Machine, b: dict) -> None:
+        stms = self.temporal
+        _restore(stms.stats, b["pf_stats"], 0)
+        _restore(stms.counters, b["stms_counters"], 0)
+        stms.sampler.flips, stms.sampler.accepted = b["sampler"].tolist()
+
+        index = stms.index
+        width = index.bucket_entries
+        tags = b["index_tags"].tolist()
+        pointers = b["index_ptrs"].reshape(-1, 2).tolist()
+        for bucket, n in enumerate(b["index_count"].tolist()):
+            base = bucket * width
+            index._bucket_tags[bucket][:] = tags[base:base + n]
+            index._bucket_ptrs[bucket][:] = [
+                tuple.__new__(HistoryPointer, p)
+                for p in pointers[base:base + n]
+            ]
+        _restore(index.stats, b["index_stats"], 0)
+
+        capacity = stms.histories[0].capacity
+        blocks = b["hist_blocks"].reshape(-1, capacity).tolist()
+        marks = b["hist_marks"].astype(bool).reshape(-1, capacity).tolist()
+        pending = b["hist_pend_blocks"].reshape(
+            -1, HISTORY_ENTRIES_PER_BLOCK).tolist()
+        pending_marks = b["hist_pend_marks"].astype(bool).reshape(
+            -1, HISTORY_ENTRIES_PER_BLOCK).tolist()
+        heads = b["hist_head"].tolist()
+        for core, history in enumerate(stms.histories):
+            n = int(b["hist_pend_count"][core])
+            history._blocks = blocks[core]
+            history._marks = marks[core]
+            history._pend_blocks = pending[core][:n]
+            history._pend_marks = pending_marks[core][:n]
+            history.head = heads[core]
+            _restore(history.stats, b["hist_stats"], core)
+
+        bucket_buffer = stms.bucket_buffer
+        n = m.bb_count
+        resident = zip(b["bb_buckets"][:n].tolist(),
+                       b["bb_dirty"][:n].astype(bool).tolist(),
+                       b["bb_core"][:n].tolist())
+        bucket_buffer._resident.clear()
+        bucket_buffer._dirty_core.clear()
+        for bucket, dirty, owner in resident:
+            bucket_buffer._resident[bucket] = dirty
+            if dirty:
+                bucket_buffer._dirty_core[bucket] = owner
+        _restore(bucket_buffer.stats, b["bb_stats"], 0)
+
+        queue_width = stms.config.address_queue_entries
+        issued_width = m.issued_capacity
+        for core, (engine, row) in enumerate(
+            zip(stms.engines, b["engines"].tolist())
+        ):
+            (engine.serial, active, engine.source_core,
+             engine.next_fetch_sequence, engine.consumed_count, head, depth,
+             issued, has_paused, has_last, paused, last) = row
+            engine.active = bool(active)
+            engine.paused_at = (
+                tuple.__new__(QueuedAddress, paused) if has_paused else None
+            )
+            engine.last_consumed = (
+                tuple.__new__(QueuedAddress, last) if has_last else None
+            )
+            ring = b["queues"][core * queue_width:(core + 1) * queue_width]
+            engine._queue.clear()
+            engine._queue.extend(
+                tuple.__new__(QueuedAddress, entry)
+                for entry in np.roll(ring, -head)[:depth].tolist()
+            )
+            start = core * issued_width
+            engine._issued.clear()
+            for entry in b["issued"][start:start + issued].tolist():
+                engine._issued[entry[2]] = tuple.__new__(QueuedAddress, entry)
+
+        buffer_width = stms.config.prefetch_buffer_blocks
+        for core, buffer in enumerate(stms.buffers):
+            n = int(b["pbuf_count"][core])
+            start = core * buffer_width
+            buffer._entries.clear()
+            counts: "dict[int, int]" = {}
+            for entry in b["pbuf"][start:start + n].tolist():
+                buffer._entries[entry[0]] = tuple.__new__(
+                    PrefetchedBlock, entry
+                )
+                counts[entry[3]] = counts.get(entry[3], 0) + 1
+            buffer._stream_counts = counts
+
+
+class _Coins:
+    """A phase's sampler coins, drawn in the sampler's own batches.
+
+    The kernel first flips the sampler's undrawn remainder, then asks
+    (status 1 with the coins spent) for one fresh batch at a time.
+    :meth:`settle` hands the unused coins back: the sampler ends with
+    exactly the RNG stream, batch and cursor the per-flip Python path
+    would leave.
+    """
+
+    def __init__(self, sampler, machine) -> None:
+        self.sampler = sampler
+        self.machine = machine
+        self.remainder = len(sampler._draws) - sampler._cursor
+        self.batches: "list[np.ndarray]" = []
+        #: RNG state before the first fresh batch, then after each one.
+        self.states = [sampler._rng.bit_generator.state]
+        #: Coins flipped from the batches before the current one.
+        self.used = 0
+        self._hand_in(
+            np.asarray(sampler._draws[sampler._cursor:], dtype=np.uint8)
+        )
+
+    def _hand_in(self, coins: np.ndarray) -> None:
+        self.current = coins  # kept alive while the kernel reads it
+        machine = self.machine
+        machine.coins = coins.ctypes.data
+        machine.coin_count = len(coins)
+        machine.coin_cursor = 0
+
+    def spent(self) -> bool:
+        return self.machine.coin_cursor == self.machine.coin_count
+
+    def draw(self) -> None:
+        sampler = self.sampler
+        self.used += self.machine.coin_count
+        batch = sampler._rng.random(sampler._BATCH) < sampler.probability
+        self.batches.append(batch)
+        self.states.append(sampler._rng.bit_generator.state)
+        self._hand_in(batch.view(np.uint8))
+
+    def settle(self) -> None:
+        sampler = self.sampler
+        used = self.used + self.machine.coin_cursor
+        if used <= self.remainder:
+            sampler._cursor += used
+            last = 0
+        else:
+            fresh = used - self.remainder
+            last = (fresh - 1) // sampler._BATCH + 1
+            sampler._draws = self.batches[last - 1].tolist()
+            sampler._cursor = fresh - (last - 1) * sampler._BATCH
+        if self.batches:
+            sampler._rng.bit_generator.state = self.states[last]
 
 
 _INF = float("inf")
-_DEMAND = TrafficCategory.DEMAND_READ
-_WRITEBACK = TrafficCategory.WRITEBACK
+_CATEGORIES = tuple(TrafficCategory)
 
 
 def _columns(arrays, dtype) -> "list[np.ndarray]":

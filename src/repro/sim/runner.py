@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.config import StmsConfig
 from repro.core.index_table import stacked_metadata_arrays
-from repro.core.stms import StmsPrefetcher
+from repro.core.stms import StmsFactory
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import CmpConfig
 from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
@@ -135,19 +135,9 @@ def make_factory(
             max_index_entries=max_index_entries,
         )
     if kind is PrefetcherKind.STMS:
-        config = stms_config if stms_config is not None else StmsConfig()
-
-        def _stms_factory(cores, dram, traffic, resident):
-            cfg = (
-                config
-                if config.cores == cores
-                else replace(config, cores=cores)
-            )
-            return StmsPrefetcher(
-                cfg, dram, traffic, residency_filter=resident
-            )
-
-        return _stms_factory
+        return StmsFactory(
+            stms_config if stms_config is not None else StmsConfig()
+        )
     if kind is PrefetcherKind.FIXED_DEPTH:
         return lambda cores, dram, traffic, resident: FixedDepthPrefetcher(
             cores,
@@ -558,14 +548,16 @@ def _shard_groups(
 def _preload_kernel(jobs: "list[SimJob]") -> None:
     """Load the compiled kernel before forking workers for ``jobs``.
 
-    Baseline cells run in the compiled kernel (:mod:`repro.sim.native`);
-    loading it here, once, lets every forked worker inherit the mapped
-    library instead of each one building or checking it, hashing it and
-    spawning ``cc --version`` itself.  Fan-outs without baseline cells,
-    or on the scalar engine, never touch it.
+    Baseline and STMS cells run in the compiled kernel
+    (:mod:`repro.sim.native`); loading it here, once, lets every forked
+    worker inherit the mapped library instead of each one building or
+    checking it, hashing it and spawning ``cc --version`` itself.
+    Fan-outs with neither kind of cell, or on the scalar engine, never
+    touch it.
     """
     if resolve_engine("auto") == "scalar" or not any(
-        job.kind is PrefetcherKind.BASELINE for job in jobs
+        job.kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+        for job in jobs
     ):
         return
     from repro.sim import native

@@ -7,8 +7,6 @@ not depend on the configuration at all:
 
 * the trace itself (a cold generation costs ~2.5 s per recipe at bench
   scale),
-* the native-typed trace columns the batched engine reads
-  (``_native_columns``),
 * the STMS metadata classification — every record's index bucket and
   tag, a full vectorized pass per cell.
 
@@ -16,12 +14,12 @@ not depend on the configuration at all:
 trace once, then classifies the metadata for *every distinct index
 geometry in the grid* in one stacked pass: the hash product is computed
 once per trace column and masked against a config axis of bucket masks
-(:func:`repro.core.index_table.stacked_metadata_columns`), so adding
+(:func:`repro.core.index_table.stacked_metadata_arrays`), so adding
 cells that share a geometry is free and adding a new geometry costs one
 cheap mask over the precomputed hash, not a new pass.  Each cell then
-runs through the existing batched engine with the shared columns
-injected (``BatchRunState`` pulls them from :class:`SweepShared` keyed
-by the prefetcher's ``metadata_geometry()``).
+runs through the compiled kernel with the shared int64 columns handed
+in zero-copy (``NativeRunState`` pulls them from :class:`SweepShared`
+keyed by the prefetcher's ``metadata_geometry()``).
 
 What is *not* shared is the simulated machine state: the cells of a
 sweep observe genuinely different cache, stream-engine, and DRAM
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.index_table import stacked_metadata_columns
+from repro.core.index_table import stacked_metadata_arrays
 from repro.sim.engine import resolve_engine
 from repro.sim.metrics import SimResult
 from repro.sim.session import SimSession, get_session
@@ -57,8 +55,9 @@ from repro.workloads.trace import Trace
 class SweepShared:
     """Config-independent precomputation shared by one sweep invocation.
 
-    Holds the trace and the per-geometry metadata columns.  The batched
-    engine asks for columns via :meth:`metadata_columns` keyed by the
+    Holds the trace and the per-geometry metadata columns (per-core
+    int64 arrays).  The compiled kernel asks for columns via
+    :meth:`metadata_columns` keyed by the
     prefetcher's ``metadata_geometry()``; geometries registered up
     front via :meth:`precompute` are classified together in one stacked
     pass, and an unregistered geometry is computed (and cached) on
@@ -77,7 +76,7 @@ class SweepShared:
         ]
         if missing:
             self._columns.update(
-                stacked_metadata_columns(self._blocks_arrays, missing)
+                stacked_metadata_arrays(self._blocks_arrays, missing)
             )
 
     def adopt_arrays(
@@ -88,25 +87,12 @@ class SweepShared:
 
         ``arrays_by_geometry`` maps geometries to per-core ndarray
         columns (:func:`repro.sim.shm.attach`'s second return value) —
-        the classification already ran once in the parent, so adopting
-        costs only the native-list conversion the engine consumes.
-        Geometries already present are kept.
+        the classification already ran once in the parent, and the
+        kernel reads the attached arrays in place.  Geometries already
+        present are kept.
         """
-        converted: "dict[int, list]" = {}
-
-        def _tolist(columns: "list") -> list:
-            key = id(columns)
-            if key not in converted:
-                converted[key] = [np.asarray(c).tolist() for c in columns]
-            return converted[key]
-
-        for geometry, (buckets, tags) in arrays_by_geometry.items():
-            if geometry in self._columns:
-                continue
-            self._columns[geometry] = (
-                _tolist(buckets),
-                None if tags is None else _tolist(tags),
-            )
+        for geometry, columns in arrays_by_geometry.items():
+            self._columns.setdefault(geometry, columns)
 
     def metadata_columns(
         self, geometry: "tuple"

@@ -3,13 +3,13 @@
 The equivalence suite (`test_engine_equivalence.py`) checks suite
 workloads at fixed configurations; this harness drives *randomized*
 machine configurations x trace recipes through the scalar reference
-engine and the batched engine — plus, for cells without a temporal
-prefetcher, the compiled kernel (`repro.sim.native`) — asserting
+engine and the batched engine — plus, for baseline and STMS cells, the
+compiled kernel (`repro.sim.native`) — asserting
 **bit-identical** end state:
 per-core clocks and stats, every traffic counter, cache and victim
 contents, DRAM/MSHR state, and the complete STMS metadata state (index
 buckets, history buffers with un-spilled pack segments, bucket-buffer
-residency, stream engines, sampler counters) via
+residency, stream engines, sampler state) via
 :func:`repro.sim.metrics.snapshot_run_state`.
 
 Each seed fully determines the case, so failures replay exactly:
@@ -28,7 +28,7 @@ per-core demand priorities, compared deeply between engines.  Every
 engine's finished run must also pass the conservation oracle
 (:func:`repro.sim.metrics.check_invariants`), which catches modelling
 bugs all engines would share.  Pinned native seeds force the machine
-toggles the compiled kernel branches on.
+and STMS toggles the compiled kernel branches on.
 
 The fast tier runs a small pinned seed set; the nightly-depth sweep
 (``pytest -m slow``) runs a 48-seed window whose base rotates with the
@@ -194,10 +194,15 @@ def _random_machine(rng: np.random.Generator, cores: int) -> SimConfig:
     )
 
 
-def _random_prefetcher(rng: np.random.Generator, cores: int):
-    """Mostly STMS (the metadata path under test), sometimes others."""
+def _random_prefetcher(
+    rng: np.random.Generator, cores: int, stms: "dict | None" = None
+):
+    """Mostly STMS (the metadata path under test), sometimes others.
+
+    ``stms`` forces an STMS draw and overrides fields of its config.
+    """
     roll = rng.random()
-    if roll < 0.70:
+    if stms is not None or roll < 0.70:
         queue = int(rng.choice([4, 8, 24]))
         config = StmsConfig(
             cores=cores,
@@ -216,6 +221,7 @@ def _random_prefetcher(rng: np.random.Generator, cores: int):
             annotate_stream_ends=bool(rng.random() < 0.8),
             seed=int(rng.integers(0, 2**31)),
         )
+        config = dataclasses.replace(config, **(stms or {}))
         return PrefetcherKind.STMS, make_factory(
             PrefetcherKind.STMS, config
         )
@@ -260,18 +266,28 @@ def _check_seed(
     force_mix: bool = False,
     baseline: bool = False,
     low_priority_core: bool = False,
+    stms: "dict | None" = None,
+    cores: "int | None" = None,
+    all_dependent: bool = False,
+    engines: "tuple[str, ...]" = ("batch", "native"),
     **machine_overrides,
-) -> None:
+) -> dict:
     """Run one seeded case through every applicable engine.
 
     ``baseline`` forces the stride-only base system (no temporal
-    prefetcher), ``low_priority_core`` demotes core 0's demand fetches
-    to low DRAM priority, and ``machine_overrides`` replace fields of
-    the drawn :class:`SimConfig` (``l1_victim_blocks`` goes to its
-    :class:`CmpConfig`).
+    prefetcher), ``stms`` forces STMS with these config overrides,
+    ``cores`` overrides the drawn core count, ``all_dependent`` marks
+    every record dependent, ``engines`` names the candidate engines
+    checked against the reference (the bisect tool narrows it),
+    ``low_priority_core``
+    demotes core 0's demand fetches to low DRAM priority, and
+    ``machine_overrides`` replace fields of the drawn
+    :class:`SimConfig` (``l1_victim_blocks`` goes to its
+    :class:`CmpConfig`).  Returns the reference run's final snapshot.
     """
     rng = np.random.default_rng(seed)
-    cores = int(rng.integers(1, 5))
+    drawn_cores = int(rng.integers(1, 5))  # drawn even when overridden
+    cores = cores or drawn_cores
     if force_mix or rng.random() < 0.25:
         trace = _mix_trace(rng, cores, allow_asymmetric=allow_asymmetric)
     else:
@@ -283,6 +299,10 @@ def _check_seed(
             l1_victim_blocks=machine_overrides.pop("l1_victim_blocks"),
         ))
     config = dataclasses.replace(config, **machine_overrides)
+    if all_dependent:
+        trace = dataclasses.replace(
+            trace, dep=[np.ones(len(d), dtype=bool) for d in trace.dep]
+        )
     if low_priority_core:
         priorities = list(trace.core_priorities or ["high"] * cores)
         priorities[0] = "low"
@@ -294,16 +314,22 @@ def _check_seed(
         # seeded), so the reported ``kind`` is the one simulated.
         if baseline:
             return PrefetcherKind.BASELINE, None
-        return _random_prefetcher(np.random.default_rng(seed + 1), cores)
+        return _random_prefetcher(
+            np.random.default_rng(seed + 1), cores, stms
+        )
 
     kind, reference_factory = draw()
-    engines = [BatchRunState]
-    if kind is PrefetcherKind.BASELINE and HAVE_CC:
-        engines.append(NativeRunState)
+    candidates = [BatchRunState] if "batch" in engines else []
+    if (
+        "native" in engines
+        and kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+        and HAVE_CC
+    ):
+        candidates.append(NativeRunState)
     reference = _run_and_snapshot(
         _RunState, config, trace, reference_factory
     )
-    for engine in engines:
+    for engine in candidates:
         _, factory = draw()
         candidate = _run_and_snapshot(engine, config, trace, factory)
         for phase, got, want in (
@@ -325,6 +351,7 @@ def _check_seed(
             candidate[2].core_traffic_bytes
             == reference[2].core_traffic_bytes
         )
+    return reference[1]
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
@@ -364,10 +391,103 @@ def test_differential_native(case):
     _check_seed(seed, baseline=True, **options)
 
 
+def _stms(snapshot: dict, part: str):
+    return snapshot["stms"][part]
+
+
+def _sampler(snapshot: dict) -> "tuple[int, int]":
+    flips, accepted = _stms(snapshot, "sampler")[:2]
+    return flips, accepted
+
+
+def _lookup_hits(snapshot: dict) -> int:
+    return snapshot["temporal_stats"][6]
+
+
+#: Pinned fast STMS seeds, one per metadata path the compiled kernel
+#: branches on.  Each case checks on the reference run's final snapshot
+#: that its path actually fired, so a redrawn seed cannot silently stop
+#: covering it.
+NATIVE_STMS_CASES = {
+    "tag-aliasing": (
+        501, {"stms": {"tag_bits": 3}}, lambda s: _lookup_hits(s) > 0,
+    ),
+    "p0": (
+        502, {"stms": {"sampling_probability": 0.0}},
+        lambda s: _sampler(s)[0] > 0 and _sampler(s)[1] == 0,
+    ),
+    "p0.125": (
+        503, {"stms": {"sampling_probability": 0.125}},
+        lambda s: 0 < _sampler(s)[1] < _sampler(s)[0]
+        and _lookup_hits(s) > 0,
+    ),
+    "p1": (
+        504, {"stms": {"sampling_probability": 1.0}},
+        lambda s: _sampler(s)[1] == _sampler(s)[0] > 0,
+    ),
+    # Wrap-around: stale index pointers and stale segment reads.
+    "tiny-history": (
+        505, {"stms": {"history_entries": 12}},
+        lambda s: _stms(s, "counters")[2] > 0
+        and any(h[1][5] > 0 for h in _stms(s, "histories")),
+    ),
+    # Dirty bucket evictions (lazy write-backs).
+    "small-bucket-buffer": (
+        506, {"stms": {"bucket_buffer_entries": 1}},
+        lambda s: _stms(s, "bucket_buffer")[0][2] > 0,
+    ),
+    "no-annotations": (
+        607, {"stms": {"annotate_stream_ends": False}},
+        lambda s: _lookup_hits(s) > 1 and _stms(s, "counters")[1] == 0,
+    ),
+    # A core follows a stream another core recorded.
+    "cross-core": (
+        608, {"stms": {}, "cores": 4},
+        lambda s: any(
+            engine[7] is not None and engine[7].source_core != core
+            for core, engine in enumerate(_stms(s, "engines"))
+        ),
+    ),
+    "low-priority-core": (
+        609, {"stms": {}, "low_priority_core": True,
+              "allow_asymmetric": True, "force_mix": True},
+        lambda s: s["temporal_stats"][1] > 0,
+    ),
+    # Dependent hits on in-flight prefetches (the peek_completion cap).
+    "dependent-partial": (
+        510, {"stms": {}, "all_dependent": True},
+        lambda s: s["coverage"][1] > 0,
+    ),
+}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+@pytest.mark.parametrize("case", sorted(NATIVE_STMS_CASES))
+def test_differential_native_stms(case):
+    seed, options, fired = NATIVE_STMS_CASES[case]
+    assert fired(_check_seed(seed, **options)), (
+        f"seed {seed} no longer exercises the {case} path"
+    )
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_differential_nightly(seed):
     _check_seed(seed, allow_asymmetric=True)
+
+
+#: Nightly STMS window: every draw is forced to STMS, so the compiled
+#: kernel's metadata path meets fresh configurations every night.  It
+#: rides the rotating base at an offset clear of the other windows.
+STMS_SLOW_SEEDS = tuple(
+    range(_slow_seed_base() + 3_000_000, _slow_seed_base() + 3_000_024)
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", STMS_SLOW_SEEDS)
+def test_differential_stms_nightly(seed):
+    _check_seed(seed, allow_asymmetric=True, stms={})
 
 
 # ----------------------------------------------------------------------
@@ -423,17 +543,21 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
         factory = make_factory(PrefetcherKind.STMS, cell)
         reference = _run_and_snapshot(_RunState, config, trace, factory)
         batched = _run_and_snapshot(BatchRunState, config, trace, factory)
+        for phase, index in (("warmup", 0), ("final", 1)):
+            assert batched[index] == reference[index], (
+                f"seed {seed} cell {position}: batched engine diverged "
+                f"from scalar reference at {phase} snapshot"
+            )
+        if not HAVE_CC:
+            continue
+        # The compiled kernel reads the grid's shared columns.
         swept = _run_and_snapshot(
-            BatchRunState, config, trace, factory, shared=shared
+            NativeRunState, config, trace, factory, shared=shared
         )
         for phase, index in (("warmup", 0), ("final", 1)):
             assert swept[index] == reference[index], (
                 f"seed {seed} cell {position}: config-parallel path "
                 f"diverged from scalar reference at {phase} snapshot"
-            )
-            assert swept[index] == batched[index], (
-                f"seed {seed} cell {position}: config-parallel path "
-                f"diverged from the batched engine at {phase} snapshot"
             )
         assert swept[2].traffic == reference[2].traffic
         assert swept[2].elapsed_cycles == reference[2].elapsed_cycles
@@ -504,7 +628,8 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
 
     # (a) Deep-state bit-identity of the plane itself: the engine driven
     # from a shm-attached trace (with parent-classified metadata
-    # columns adopted) must snapshot identically to the original.
+    # columns adopted, read in place by the compiled kernel) must
+    # snapshot identically to the original.
     reference = _run_and_snapshot(BatchRunState, config, trace, factory)
     geometry = (cell.index_buckets, cell.tag_bits)
     arrays = stacked_metadata_arrays(
@@ -516,9 +641,15 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
         attached_trace, metadata = shm_attach(payload)
         shared = SweepShared(attached_trace)
         shared.adopt_arrays(metadata)
-        attached = _run_and_snapshot(
-            BatchRunState, config, attached_trace, factory, shared=shared
-        )
+        if HAVE_CC:
+            attached = _run_and_snapshot(
+                NativeRunState, config, attached_trace, factory,
+                shared=shared,
+            )
+        else:
+            attached = _run_and_snapshot(
+                BatchRunState, config, attached_trace, factory
+            )
         for phase, index in (("warmup", 0), ("final", 1)):
             assert attached[index] == reference[index], (
                 f"seed {seed}: shm-attached trace diverged from the "

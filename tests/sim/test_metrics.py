@@ -1,6 +1,7 @@
 """Unit tests for coverage counts, MLP tracking, and results."""
 
 import re
+import shutil
 
 import pytest
 
@@ -217,14 +218,24 @@ class TestConservationInvariants:
             if kind.value != "baseline"
             else None
         )
-        state_class = {"scalar": _RunState, "batch": BatchRunState}[engine]
+        from repro.sim.native import NativeRunState
+
+        state_class = {
+            "scalar": _RunState,
+            "batch": BatchRunState,
+            "native": NativeRunState,
+        }[engine]
         state = state_class(config, trace, factory)
         state.run_warmup()
         state.reset_accounting()
         state.run_measured()
         return state, state.result(kind.value)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("engine", [
+        "scalar", "batch",
+        pytest.param("native", marks=pytest.mark.skipif(
+            shutil.which("cc") is None, reason="no C compiler")),
+    ])
     @pytest.mark.parametrize("kind", ["baseline", "stms"])
     def test_finished_runs_conserve(self, engine, kind):
         from repro.sim.metrics import check_invariants
@@ -268,6 +279,37 @@ class TestConservationInvariants:
 
         state, result = self._finished("scalar", PrefetcherKind.BASELINE)
         corrupt(state, result)
+        with pytest.raises(InvariantViolation, match=re.escape(law)):
+            check_invariants(state, result)
+
+    @pytest.mark.parametrize(
+        "corrupt, law",
+        [
+            (lambda t: setattr(
+                t.bucket_buffer.stats, "writebacks",
+                t.bucket_buffer.stats.writebacks + 1),
+             "DRAM low-priority requests"),
+            (lambda t: setattr(
+                t.histories[1].stats, "block_reads",
+                t.histories[1].stats.block_reads + 1),
+             "lookup_streams bytes"),
+            (lambda t: setattr(
+                t.bucket_buffer.stats, "update_misses",
+                t.bucket_buffer.stats.update_misses + 1),
+             "update_index bytes"),
+            (lambda t: t.traffic.add_block(_category("record_streams")),
+             "record_streams bytes"),
+            (lambda t: setattr(t.stats, "issued", t.stats.issued - 1),
+             "DRAM low-priority requests"),
+        ],
+    )
+    def test_corrupted_stms_counter_is_caught(self, corrupt, law):
+        from repro.sim.metrics import InvariantViolation, check_invariants
+        from repro.sim.runner import PrefetcherKind
+
+        state, result = self._finished("scalar", PrefetcherKind.STMS)
+        check_invariants(state, result)
+        corrupt(state.temporal)
         with pytest.raises(InvariantViolation, match=re.escape(law)):
             check_invariants(state, result)
 

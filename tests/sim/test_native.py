@@ -6,7 +6,7 @@ with a C compiler must load it (a silent fallback would hide a
 regression), a machine without one warns once and falls back with
 identical results, a damaged cached library is rebuilt, concurrent
 builders publish exactly one library, and nothing that never simulates
-a baseline cell imports the module at all.
+a baseline or STMS cell imports the module at all.
 """
 
 from __future__ import annotations
@@ -60,28 +60,36 @@ def test_no_compiler_warns_once_and_falls_back(tmp_path):
     code = """
 import dataclasses, json, warnings
 from repro.sim.engine import Simulator
-from repro.sim.runner import make_sim_config
+from repro.sim.runner import (
+    PrefetcherKind, make_factory, make_sim_config, make_stms_config)
 from repro.sim.store import encode_result
 from repro.workloads.suite import generate
 
 trace = generate("web-apache", scale="test", cores=2, seed=7)
 config = make_sim_config("test")
+cells = [
+    (None, "baseline"),
+    (make_factory(PrefetcherKind.STMS, make_stms_config("test", cores=2)),
+     "stms"),
+]
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    runs = [Simulator(config).run(trace, None, "baseline") for _ in range(2)]
-reference = Simulator(dataclasses.replace(config, engine="scalar")).run(
-    trace, None, "baseline")
+    runs = [Simulator(config).run(trace, factory, label)
+            for factory, label in cells * 2]
+scalar = Simulator(dataclasses.replace(config, engine="scalar"))
+reference = [scalar.run(trace, factory, label) for factory, label in cells]
 print(json.dumps({
     "warnings": [str(w.message) for w in caught
                  if issubclass(w.category, RuntimeWarning)],
-    "identical": all(encode_result(r) == encode_result(reference)
-                     for r in runs),
+    "identical": [encode_result(r) for r in runs]
+                 == [encode_result(r) for r in reference * 2],
 }))
 """
     report = _python(code, PATH=str(empty),
                      XDG_CACHE_HOME=str(tmp_path / "cache"))
     assert len(report["warnings"]) == 1
     assert "compiled event kernel unavailable" in report["warnings"][0]
+    assert "baseline and STMS cells" in report["warnings"][0]
     assert report["identical"]
 
 
@@ -95,7 +103,7 @@ def test_truncated_cached_library_is_rebuilt(tmp_path):
     # This process has never loaded ``path``, so the damaged file is
     # what the loader sees.
     lib = native.build(tmp_path)
-    assert lib.repro_kernel_abi() == native.ctypes.sizeof(native.Machine)
+    assert lib.repro_kernel_abi() == native.ABI
     assert path.stat().st_size == size
     assert _published(tmp_path) == ([path.name], [])
 
@@ -119,36 +127,71 @@ def test_concurrent_builders_publish_one_library(tmp_path):
     for builder in builders:
         out, err = builder.communicate(timeout=300)
         assert builder.returncode == 0, err
-        assert json.loads(out) == native.ctypes.sizeof(native.Machine)
+        assert json.loads(out) == native.ABI
     libraries, temps = _published(tmp_path)
     assert len(libraries) == 1
     assert temps == []
 
 
-def test_cli_import_and_temporal_cells_never_load_the_kernel():
-    code = """
+def test_kernel_loads_only_for_baseline_and_stms_cells():
+    """``import repro.cli`` never loads the kernel; IDEAL_TMS and MARKOV
+    cells (run or preloaded) do not either; an STMS cell run loads it,
+    and so does a worker fan-out's preload of STMS jobs."""
+    prelude = """
 import json, sys
 import repro.cli
-after_import = "repro.sim.native" in sys.modules
+loaded = lambda: "repro.sim.native" in sys.modules
+after_import = loaded()
 from repro.sim.engine import Simulator
 from repro.sim.runner import (
     PrefetcherKind, SimJob, _preload_kernel, make_factory, make_sim_config,
     make_stms_config)
 from repro.workloads.suite import generate
 trace = generate("web-apache", scale="test", cores=2, seed=7)
-Simulator(make_sim_config("test")).run(
-    trace,
-    make_factory(PrefetcherKind.STMS, make_stms_config("test", cores=2)),
-    "stms",
-)
-# A worker fan-out preloads the kernel only for baseline cells.
-_preload_kernel([SimJob("web-apache", PrefetcherKind.STMS, scale="test")])
-after_stms = "repro.sim.native" in sys.modules
-_preload_kernel([SimJob("web-apache", PrefetcherKind.BASELINE, scale="test")])
-after_baseline = "repro.sim.native" in sys.modules
-print(json.dumps([after_import, after_stms, after_baseline]))
+def run(kind, **options):
+    Simulator(make_sim_config("test")).run(
+        trace, make_factory(kind, **options), kind.value)
 """
-    assert _python(code) == [False, False, True]
+    run_code = prelude + """
+for kind in (PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV):
+    run(kind)
+    _preload_kernel([SimJob("web-apache", kind, scale="test")])
+after_other = loaded()
+run(PrefetcherKind.STMS, stms_config=make_stms_config("test", cores=2))
+print(json.dumps([after_import, after_other, loaded()]))
+"""
+    assert _python(run_code) == [False, False, True]
+    preload_code = prelude + """
+_preload_kernel([SimJob("web-apache", PrefetcherKind.STMS, scale="test")])
+print(json.dumps([after_import, loaded()]))
+"""
+    assert _python(preload_code) == [False, True]
+
+
+def test_warm_replay_never_loads_the_kernel(tmp_path):
+    """A fig7 replay served wholly from a warm store simulates nothing,
+    so it neither imports ``repro.sim.native`` nor maps the kernel.
+
+    (``ctypes`` itself is no marker: NumPy imports it.)
+    """
+    store = str(tmp_path / "store")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cold = subprocess.run(
+        [sys.executable, "-m", "repro", "experiment", "fig7",
+         "--scale", "test", "--store-dir", store],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert cold.returncode == 0, cold.stderr
+    code = f"""
+import json, sys
+from repro.cli import main
+code = main(["experiment", "fig7", "--scale", "test",
+             "--store-dir", {store!r}])
+with open("/proc/self/maps") as maps:
+    mapped = "repro-kernels" in maps.read()
+print(json.dumps([code, "repro.sim.native" in sys.modules, mapped]))
+"""
+    assert _python(code) == [0, False, False]
 
 
 def test_native_state_rejects_a_temporal_prefetcher():
@@ -192,3 +235,43 @@ def test_non_float32_work_matches_scalar(dtype):
     assert encode_result(candidate.result("baseline")) == encode_result(
         reference
     )
+
+
+@pytest.mark.parametrize("trailing", [False, True])
+@pytest.mark.parametrize("before", [0, 100, 4096])
+@pytest.mark.parametrize("used", [0, 1, 3996, 3997, 9000])
+def test_coins_hand_back_exactly_what_the_python_path_leaves(
+    before, used, trailing
+):
+    """Coins handed to the kernel a batch at a time and the per-flip
+    path leave the sampler in the same state, whichever batch the phase
+    stops in — also when the kernel asked for a batch before a last
+    record that flipped nothing."""
+    from types import SimpleNamespace
+
+    from repro.core.sampling import ProbabilisticSampler
+
+    python, kernel = (ProbabilisticSampler(0.3, seed=11) for _ in range(2))
+    for sampler in (python, kernel):
+        for _ in range(before):
+            sampler.should_update()
+    flips = [python.should_update() for _ in range(used)]
+    machine = SimpleNamespace()
+    coins = native._Coins(kernel, machine)
+    flipped = []
+    for _ in range(used + trailing):
+        # The kernel's resume protocol, before each record.
+        if coins.spent():
+            coins.draw()
+        if len(flipped) < used:
+            flipped.append(bool(coins.current[machine.coin_cursor]))
+            machine.coin_cursor += 1
+    assert flipped == flips
+    coins.settle()
+    assert kernel._cursor == python._cursor
+    assert list(kernel._draws) == list(python._draws)
+    assert (kernel._rng.bit_generator.state
+            == python._rng.bit_generator.state)
+    assert [kernel.should_update() for _ in range(5000)] == [
+        python.should_update() for _ in range(5000)
+    ]

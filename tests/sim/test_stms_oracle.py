@@ -1,0 +1,103 @@
+"""Hand-worked STMS micro-trace oracle.
+
+One core replays a loop of ``N`` distinct blocks ``K`` times, with ``N``
+well above the L2's capacity, so every record misses on chip; the stride
+prefetcher is off and every index update is applied (p = 1).  The
+expected counts follow from the paper's mechanism alone, not from any
+engine:
+
+* pass 1 has nothing to find: ``N`` uncovered misses, ``N`` lookups;
+* the first record of pass 2 finds ``b0``'s pointer (the only lookup
+  hit), and the stream it launches follows the history past the end of
+  pass 1 into pass 2's own entries, so every later record is a
+  prefetch hit — fully covered, since records are independent and
+  spaced far beyond three DRAM round trips;
+* every off-chip read is recorded once: ``K * N`` appends, as many
+  applied index updates, and ``ceil(K * N / 12)`` packed writes
+  (the last one is the end-of-run flush);
+* the stream keeps ``lookahead`` prefetches ahead of the core, so the
+  run ends with that many unconsumed (erroneous) prefetches.
+
+Every engine must reproduce these numbers exactly.
+"""
+
+from __future__ import annotations
+
+import shutil
+
+import pytest
+
+from repro.core.config import StmsConfig
+from repro.memory.address import BLOCK_BYTES
+from repro.memory.hierarchy import CmpConfig
+from repro.sim.batch import BatchRunState
+from repro.sim.engine import SimConfig, _RunState
+from repro.sim.metrics import check_invariants
+from repro.sim.runner import PrefetcherKind, make_factory
+from tests.conftest import make_trace
+
+N = 300
+K = 3
+LOOKAHEAD = 12
+
+ENGINES = [
+    _RunState,
+    BatchRunState,
+    pytest.param("native", marks=pytest.mark.skipif(
+        shutil.which("cc") is None, reason="no C compiler")),
+]
+
+
+def _run(engine):
+    if engine == "native":
+        from repro.sim.native import NativeRunState as engine
+    # L2: 128 blocks (32 sets x 4 ways), well under N.
+    config = SimConfig(
+        cmp=CmpConfig(
+            cores=1,
+            l1_size_bytes=8 * BLOCK_BYTES,
+            l1_ways=2,
+            l1_victim_blocks=2,
+            l2_size_bytes=128 * BLOCK_BYTES,
+            l2_ways=4,
+            l2_banks=4,
+        ),
+        use_stride=False,
+    )
+    stms = StmsConfig(
+        cores=1,
+        history_entries=K * N,
+        index_buckets=4096,
+        sampling_probability=1.0,
+        lookahead=LOOKAHEAD,
+    )
+    trace = make_trace([list(range(N)) * K], work=5000.0, dep=False)
+    state = engine(config, trace, make_factory(PrefetcherKind.STMS, stms))
+    state.run_warmup()
+    state.reset_accounting()
+    state.run_measured()
+    result = state.result("stms")
+    check_invariants(state, result)
+    return state, result
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_looped_stream_matches_hand_worked_counts(engine):
+    state, result = _run(engine)
+    stms = state.temporal
+    assert stms.index.stats.replacements == 0  # b0 survives pass 1
+    coverage = result.coverage
+    assert coverage.stride_covered == 0
+    assert coverage.uncovered == N + 1
+    assert coverage.fully_covered == K * N - N - 1
+    assert coverage.partially_covered == 0
+    history = stms.histories[0].stats
+    assert history.appends == K * N
+    assert history.packed_writes == -(-K * N // 12)
+    assert stms.counters.candidate_updates == K * N
+    assert stms.counters.applied_updates == K * N
+    assert stms.stats.lookups == N + 1
+    assert stms.stats.lookup_hits == 1
+    assert stms.stats.useful == K * N - N - 1
+    assert stms.stats.erroneous == LOOKAHEAD
+    assert stms.stats.issued == K * N - N - 1 + LOOKAHEAD

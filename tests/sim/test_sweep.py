@@ -150,8 +150,13 @@ def test_stacked_columns_match_per_cell_hook():
         prefetcher = StmsPrefetcher(
             config, DramChannel(), TrafficMeter(cores=2)
         )
-        expected = prefetcher.metadata_columns(blocks)
-        assert stacked[(buckets, tag_bits)] == expected
+        expected_buckets, expected_tags = prefetcher.metadata_columns(blocks)
+        got_buckets, got_tags = stacked[(buckets, tag_bits)]
+        assert got_buckets == [b.tolist() for b in expected_buckets]
+        assert got_tags == (
+            None if expected_tags is None
+            else [t.tolist() for t in expected_tags]
+        )
         assert prefetcher.metadata_geometry() == (buckets, tag_bits)
 
 
@@ -171,8 +176,8 @@ def test_shared_lazy_computes_unregistered_geometry():
     shared.precompute([(16, None)])
     buckets, tags = shared.metadata_columns((64, 8))
     table = IndexTable(buckets=64, bucket_entries=4, tag_bits=8)
-    assert buckets[0] == table.bucket_of_array(blocks[0]).tolist()
-    assert tags[0] == table.tag_of_array(blocks[0]).tolist()
+    assert buckets[0].tolist() == table.bucket_of_array(blocks[0]).tolist()
+    assert tags[0].tolist() == table.tag_of_array(blocks[0]).tolist()
 
 
 class _FakeTrace:

@@ -8,8 +8,11 @@ needed — stops at the **first bad seed** (for a monotone "prefix
 contains a failure" predicate, the early-stopping scan is the optimal
 bisection: it executes exactly ``first_bad - base + 1`` cases), then
 **minimizes** the repro by re-running the failing seed with reduced
-decoration variants and reporting the smallest one that still fails.  The report is written to ``--output`` and uploaded by the
-workflow as the ``differential-failure-repro`` artifact.
+engine/decoration variants and reporting the smallest one that still
+fails (the engine subset names the diverging engine: the compiled
+kernel or the batched Python engine).  The report is written to
+``--output`` and uploaded by the workflow as the
+``differential-failure-repro`` artifact.
 
 Usage (what the nightly workflow runs on failure)::
 
@@ -20,8 +23,9 @@ Replaying one seed locally::
 
     PYTHONPATH=src python tools/bisect_seed_window.py --replay 226032
 
-Both the engine window and the sweep-shaped window (offset by 1e6, see
-``SWEEP_SLOW_SEEDS``) are scanned.
+The engine window, the STMS window (every draw forced to STMS, offset
+by 3e6, see ``STMS_SLOW_SEEDS``) and the sweep-shaped window (offset by
+1e6, see ``SWEEP_SLOW_SEEDS``) are scanned.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ TEST_PATH = os.path.join(
 #: match ``SWEEP_SLOW_SEEDS`` in the differential suite).
 SWEEP_OFFSET = 1_000_000
 SWEEP_COUNT = 12
+#: Offset and size of the STMS nightly window (``STMS_SLOW_SEEDS``).
+STMS_OFFSET = 3_000_000
+STMS_COUNT = 24
 
 
 def _load_suite():
@@ -60,9 +67,30 @@ def _load_suite():
 #: variant; earlier entries are strictly smaller repros.  Listed from
 #: smallest to fullest — the first failing entry is the minimal repro.
 _ENGINE_VARIANTS = (
+    ("compiled kernel only, no asymmetric decorations",
+     {"engines": ("native",), "allow_asymmetric": False}),
+    ("batched engine only, no asymmetric decorations",
+     {"engines": ("batch",), "allow_asymmetric": False}),
     ("no asymmetric decorations", {"allow_asymmetric": False}),
+    ("compiled kernel only",
+     {"engines": ("native",), "allow_asymmetric": True}),
+    ("batched engine only",
+     {"engines": ("batch",), "allow_asymmetric": True}),
     ("full nightly case", {"allow_asymmetric": True}),
 )
+
+#: Extra ``_check_seed`` options of each engine-shaped window.
+_WINDOW_OPTIONS = {"engine": {}, "stms": {"stms": {}}}
+
+
+def _checks(suite) -> dict:
+    """Each window's full nightly check of one seed."""
+    return {
+        "engine": lambda s: suite._check_seed(s, allow_asymmetric=True),
+        "stms": lambda s: suite._check_seed(
+            s, allow_asymmetric=True, stms={}),
+        "sweep": lambda s: suite._check_sweep_seed(s, grid_size=4),
+    }
 
 
 def _failure_of(check, *args, **kwargs) -> "str | None":
@@ -76,21 +104,21 @@ def _failure_of(check, *args, **kwargs) -> "str | None":
 def _scan(
     suite, base: int, count: int
 ) -> "tuple[str, int, str] | None":
-    """First bad seed across both nightly windows, or None.
+    """First bad seed across the nightly windows, or None.
 
     Returns ``(window, seed, traceback)``.  The engine window is
     scanned first (it is the one most likely to break); seeds run in
     window order so the reported seed is the first bad one.
     """
-    for window, start, n, check in (
-        ("engine", base, count,
-         lambda s: suite._check_seed(s, allow_asymmetric=True)),
-        ("sweep", base + SWEEP_OFFSET, SWEEP_COUNT,
-         lambda s: suite._check_sweep_seed(s, grid_size=4)),
+    checks = _checks(suite)
+    for window, start, n in (
+        ("engine", base, count),
+        ("stms", base + STMS_OFFSET, STMS_COUNT),
+        ("sweep", base + SWEEP_OFFSET, SWEEP_COUNT),
     ):
         for seed in range(start, start + n):
             print(f"  probing {window} seed {seed} ...", flush=True)
-            failure = _failure_of(check, seed)
+            failure = _failure_of(checks[window], seed)
             if failure is not None:
                 return window, seed, failure
     return None
@@ -112,16 +140,19 @@ def _minimize(suite, window: str, seed: int) -> "tuple[str, str]":
             "sweep-shaped case (full nightly variant)",
             f"_check_sweep_seed({seed}, grid_size=4)",
         )
+    extra = _WINDOW_OPTIONS[window]
     for description, kwargs in _ENGINE_VARIANTS:
+        kwargs = {**kwargs, **extra}
         if _failure_of(suite._check_seed, seed, **kwargs) is not None:
             rendered = ", ".join(
-                f"{key}={value}" for key, value in kwargs.items()
+                f"{key}={value!r}" for key, value in kwargs.items()
             )
             return description, f"_check_seed({seed}, {rendered})"
     # The failure needs the full variant (or is flaky); report it as-is.
+    rendered = "".join(f", {key}={value!r}" for key, value in extra.items())
     return (
         "full nightly case",
-        f"_check_seed({seed}, allow_asymmetric=True)",
+        f"_check_seed({seed}, allow_asymmetric=True{rendered})",
     )
 
 
@@ -129,11 +160,11 @@ def _report(
     base: int, window: str, seed: int, failure: str,
     description: str, snippet: str,
 ) -> str:
-    test = (
-        f"test_differential_nightly[{seed}]"
-        if window == "engine"
-        else f"test_differential_sweep_nightly[{seed}]"
-    )
+    test = {
+        "engine": "test_differential_nightly",
+        "stms": "test_differential_stms_nightly",
+        "sweep": "test_differential_sweep_nightly",
+    }[window] + f"[{seed}]"
     return "\n".join([
         "# Nightly differential fuzz: bisected failure",
         f"# Window base: {base} ({window} window)",
@@ -182,12 +213,12 @@ def main(argv=None) -> int:
 
     if args.replay is not None:
         seed = args.replay
-        check = (
-            (lambda s: suite._check_sweep_seed(s, grid_size=4))
-            if seed >= SWEEP_OFFSET
-            else (lambda s: suite._check_seed(s, allow_asymmetric=True))
+        window = (
+            "stms" if seed >= STMS_OFFSET
+            else "sweep" if seed >= SWEEP_OFFSET
+            else "engine"
         )
-        failure = _failure_of(check, seed)
+        failure = _failure_of(_checks(suite)[window], seed)
         if failure is None:
             print(f"seed {seed}: PASS")
             return 0
@@ -195,7 +226,9 @@ def main(argv=None) -> int:
         return 1
 
     print(
-        f"bisecting windows [{args.base}, {args.base + args.count}) and "
+        f"bisecting windows [{args.base}, {args.base + args.count}), "
+        f"[{args.base + STMS_OFFSET}, "
+        f"{args.base + STMS_OFFSET + STMS_COUNT}) and "
         f"[{args.base + SWEEP_OFFSET}, "
         f"{args.base + SWEEP_OFFSET + SWEEP_COUNT}) ..."
     )
