@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 import time
@@ -43,7 +44,7 @@ from repro.sim.runner import (
     make_stms_config,
     run_workload,
 )
-from repro.sim.session import SimSession, set_session
+from repro.sim.session import SessionStats, SimSession, set_session
 from repro.sim.store import ArtifactStore, default_store_dir
 from repro.workloads.mix import MIX_PRESETS, MixRecipe, is_mix
 from repro.workloads.suite import SCALES, WORKLOADS, workload_names
@@ -75,41 +76,40 @@ def _workload_arg(value: str) -> str:
     )
 
 
+def _store_session(store_dir: str) -> SimSession:
+    """An enabled session on the store at ``store_dir``, counting the
+    store's events from its opening (schema check) on."""
+    session = SimSession(enabled=True, store=None)
+    session.attach_store(ArtifactStore(store_dir, stats=session.stats))
+    return session
+
+
 @contextlib.contextmanager
 def _session_scope(args: argparse.Namespace):
     """Install the CLI-selected session (store + enabled) globally.
 
     ``--no-cache`` (or ``REPRO_SIM_CACHE=0``) disables both cache tiers;
     otherwise the artifact store at ``--store-dir`` backs the session.
-    The choice is exported through the environment so pool workers of
-    the parallel runner join the same store, and both the environment
-    and the previous global session are restored on exit.
+    Pool workers of the parallel runner run on this same session.  On
+    exit the session persists its remaining counts and the previous
+    global session is restored.
     """
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_SIM_CACHE", "REPRO_STORE_DIR")
-    }
     no_cache = (
         getattr(args, "no_cache", False)
         or os.environ.get("REPRO_SIM_CACHE", "1") == "0"
     )
     if no_cache:
-        os.environ["REPRO_SIM_CACHE"] = "0"
         session = SimSession(enabled=False)
     else:
-        store_dir = getattr(args, "store_dir", None) or default_store_dir()
-        os.environ["REPRO_STORE_DIR"] = store_dir
-        session = SimSession(enabled=True, store=ArtifactStore(store_dir))
+        session = _store_session(
+            getattr(args, "store_dir", None) or default_store_dir()
+        )
     previous = set_session(session)
     try:
         yield session
     finally:
         set_session(previous)
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        session.persist_counters()
 
 
 def _result_rows(results: "dict[PrefetcherKind, SimResult]") -> list:
@@ -391,21 +391,26 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
         ["total", _format_size(info["total_bytes"])],
         ["size cap", cap],
     ]
-    counters = info["counters"]
-    for name, value in sorted(counters.items()):
+    # One row per declared counter; the derived rows below index the
+    # same names, so they cannot read a key nothing writes.
+    counters = {
+        field.name: info["counters"].get(field.name, 0)
+        for field in dataclasses.fields(SessionStats)
+    }
+    for name, value in counters.items():
         rows.append([name.replace("_", " "), str(value)])
     # Grid-grouping effectiveness: average cells served per sweep
     # invocation (versus per-cell fallbacks, reported above) makes
     # silent de-vectorization of sweep grids visible.
-    invocations = counters.get("sweep_invocations", 0)
+    invocations = counters["sweep_invocations"]
     if invocations:
-        cells = counters.get("sweep_grouped_cells", 0)
+        cells = counters["sweep_cells"]
         rows.append(["cells per sweep", f"{cells / invocations:.1f}"])
     # Data-plane effectiveness: how much of the bytes shipped to pool
     # workers travelled as zero-copy shared-memory views versus the
     # pickle/npz fallback path.
-    zero_copy = counters.get("shm_bytes_zero_copy", 0)
-    pickled = counters.get("shm_bytes_pickled", 0)
+    zero_copy = counters["shm_bytes_zero_copy"]
+    pickled = counters["shm_bytes_pickled"]
     if zero_copy or pickled:
         rows.append([
             "shm zero-copy share",
@@ -416,15 +421,15 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     # Sampling effectiveness: what share of sweep cells ran under a
     # budget (with bootstrap intervals) versus the exact full grid, and
     # how much refinement re-runs reused instead of re-simulating.
-    sampled = counters.get("sampling_sampled_cells", 0)
-    exact = counters.get("sampling_exact_cells", 0)
+    sampled = counters["sampling_sampled_cells"]
+    exact = counters["sampling_exact_cells"]
     if sampled or exact:
         rows.append([
             "sampled cell share",
             f"{sampled / (sampled + exact):.0%} "
             f"({sampled} sampled vs {exact} exact)",
         ])
-    reused = counters.get("sampling_reused_cells", 0)
+    reused = counters["sampling_reused_cells"]
     if reused:
         rows.append([
             "refinement reuse",
@@ -435,25 +440,27 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_gc(args: argparse.Namespace) -> int:
-    store = _open_store(args)
-    if args.clear:
-        removed = store.clear()
-        print(f"cleared {removed} entries from {store.root}")
-        return 0
+    session = _store_session(args.store_dir or default_store_dir())
+    store = session.store
     max_bytes = (
         int(args.max_mb * 1024 * 1024) if args.max_mb is not None else None
     )
-    if max_bytes is None and store.max_bytes is None:
+    if args.clear:
+        report = f"cleared {store.clear()} entries from {store.root}"
+    elif max_bytes is None and store.max_bytes is None:
         print(
             "no size cap given: pass --max-mb N (or --clear, or set "
             "REPRO_STORE_MAX_MB)"
         )
         return 1
-    evicted = store.gc(max_bytes)
-    print(
-        f"evicted {evicted} entries; {_format_size(store.total_bytes())} "
-        f"remain in {store.root}"
-    )
+    else:
+        evicted = store.gc(max_bytes)
+        report = (
+            f"evicted {evicted} entries; "
+            f"{_format_size(store.total_bytes())} remain in {store.root}"
+        )
+    session.persist_counters()
+    print(report)
     return 0
 
 
@@ -496,7 +503,7 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
     )
     if store is not None:
         print(
-            f"store {store.root}: {store.stats.writes} writes, "
+            f"store {store.root}: {stats.store_writes} writes, "
             f"{_format_size(store.total_bytes())} total"
         )
     return 0

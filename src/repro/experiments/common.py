@@ -304,18 +304,12 @@ def run_sampled_sweep(
         budget = min(total, plan.budget * 2)
 
     stats = session.stats
-    counter_deltas: "dict[str, int]" = {
-        "sampling_reused_cells": reused_cells,
-    }
     if plan.exhaustive:
         stats.sampling_exact_cells += plan.budget
-        counter_deltas["sampling_exact_cells"] = plan.budget
     else:
         stats.sampling_sampled_cells += plan.budget
-        counter_deltas["sampling_sampled_cells"] = plan.budget
     stats.sampling_reused_cells += reused_cells
     if session.store is not None:
-        session.store.bump_counters(counter_deltas)
         digest = estimate_digest(
             (experiment, grid_key, sample_seed, plan.budget,
              spec.confidence)
@@ -339,6 +333,7 @@ def run_sampled_sweep(
             },
         ):
             outcome.estimate_record = digest
+    session.persist_counters()
     return outcome
 
 
@@ -352,8 +347,7 @@ def note_exact_cells(session: "SimSession | None", cells: int) -> None:
         return
     session = session if session is not None else get_session()
     session.stats.sampling_exact_cells += cells
-    if session.store is not None:
-        session.store.bump_counter("sampling_exact_cells", cells)
+    session.persist_counters()
 
 
 def geometric_mean(values: Sequence[float]) -> float:

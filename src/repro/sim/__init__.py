@@ -19,7 +19,7 @@ from repro.sim.runner import (
     run_workload,
 )
 from repro.sim.session import SimSession, get_session, set_session
-from repro.sim.store import ArtifactStore, StoreStats, TraceRef
+from repro.sim.store import ArtifactStore, TraceRef
 from repro.sim.timing import TimingModel
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ExperimentRunner",
     "SimSession",
     "ArtifactStore",
-    "StoreStats",
     "TraceRef",
     "compare_prefetchers",
     "get_session",

@@ -30,7 +30,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -47,15 +47,15 @@ from repro.prefetchers.markov import MarkovPrefetcher
 from repro.sim.engine import SimConfig, TemporalFactory, resolve_engine
 from repro.sim.metrics import SimResult
 from repro.sim.session import (
-    SessionStats,
     SimSession,
     _freeze,
     get_session,
+    set_session,
     trace_recipe_key,
 )
 from repro.sim.shm import TracePayload, TracePlane, shm_enabled
 from repro.sim.shm import attach as shm_attach
-from repro.sim.store import ArtifactStore, TraceRef, trace_digest
+from repro.sim.store import TraceRef, trace_digest
 from repro.sim.sweep import SweepShared, job_geometries, run_sweep
 from repro.workloads.suite import ScalePreset, get_scale
 from repro.workloads.trace import Trace
@@ -380,21 +380,18 @@ def run_job(job: SimJob, session: "SimSession | None" = None) -> SimResult:
 
 def _run_bundle(
     jobs: "list[SimJob]",
-    store_root: "str | None" = None,
     trace_ref: "TraceRef | None" = None,
-    enabled: bool = True,
     plane_payload: "TracePayload | None" = None,
 ) -> "tuple[list[SimResult], dict, dict]":
     """Worker entry point: run a bundle of jobs sharing one trace.
 
-    The parent ships the caller session's ``enabled`` state (a
-    disabled session must force full recomputation in workers too, not
-    fall back to the fork-inherited global memo) and the shared
-    artifact store's root (so this worker reads and writes the same
-    persistent tier instead of regenerating traces and re-simulating
-    shared baselines) plus a :class:`~repro.sim.store.TraceRef` — hash
-    and path of the bundle's trace — which seeds the session directly
-    when the file exists.
+    The worker runs on the caller's session, which the pool's
+    initializer installed as this process's session: a forked worker
+    inherits its memory tier, enabled flag and store (a disabled session
+    recomputes everything here too), and a non-fork worker rebuilds its
+    enabled flag and store (``SimSession.__reduce__``).  ``trace_ref``
+    — hash and path of the bundle's persisted trace — seeds the session
+    directly when the file exists.
 
     ``plane_payload`` (set for the cell shards of a split trace group)
     points at the parent's shared-memory trace plane
@@ -408,29 +405,13 @@ def _run_bundle(
     Besides the ordered results, the worker ships back its session's
     result-cache entries (so the parent can adopt them — without this,
     cross-``map()`` memoization would only exist on the serial path)
-    and its cache-counter deltas, which the parent folds into its own
-    stats so hit/miss observability spans the whole fan-out.
+    and the bundle's counter deltas, which the parent folds into its
+    own stats so they describe the whole fan-out.
     """
-    if not enabled:
-        session = SimSession(enabled=False)
-    else:
-        session = get_session()
-        if not session.enabled:
-            # The caller's session is enabled but this process's global
-            # one is not (e.g. inherited REPRO_SIM_CACHE=0): honor the
-            # caller with a local enabled session.
-            session = SimSession(enabled=True, store=None)
-        if store_root is not None and (
-            session.store is None
-            or session.store.root != os.path.abspath(store_root)
-        ):
-            try:
-                session.attach_store(ArtifactStore(store_root))
-            except OSError:
-                pass
+    session = get_session()
     before = replace(session.stats)
     preshared = None
-    if plane_payload is not None and enabled and jobs:
+    if plane_payload is not None and session.enabled and jobs:
         attached = shm_attach(plane_payload)
         if attached is not None:
             shm_trace, metadata_arrays = attached
@@ -458,11 +439,7 @@ def _run_bundle(
             trace_ref,
         )
     results = run_sweep(jobs, session, shared=preshared)
-    stats_delta = {
-        f.name: getattr(session.stats, f.name) - getattr(before, f.name)
-        for f in fields(SessionStats)
-    }
-    return results, session.export_results(), stats_delta
+    return results, session.export_results(), session.stats.since(before)
 
 
 #: One warning per process for a malformed REPRO_JOBS value.
@@ -568,20 +545,21 @@ def _preload_kernel(jobs: "list[SimJob]") -> None:
 class ExperimentRunner:
     """Maps simulation jobs over worker processes, two levels deep.
 
-    Jobs are grouped by trace recipe so each worker acquires every
-    trace exactly once and shares baselines across its bundle via its
-    process-local session; when the groups are fewer than the workers,
-    the larger groups additionally split into strided *cell* shards
-    (``_shard_groups``) so a single big grid still saturates the pool.
+    Every worker runs on the caller's session.  Jobs are grouped by
+    trace recipe so each worker acquires every trace exactly once and
+    shares baselines across its bundle; when the groups are fewer than
+    the workers, the larger groups additionally split into strided
+    *cell* shards (``_shard_groups``) so a single big grid still
+    saturates the pool.
     Split groups ship over the zero-copy shared-memory trace plane
     (:mod:`repro.sim.shm`, ``REPRO_SHM=off`` to disable): the parent
     exports the trace columns and the grid's stacked metadata
     classification once, and every shard attaches read-only views.  On
     a single-CPU machine (or with ``REPRO_JOBS=1``) everything runs
-    in-process through the *global* session — which is strictly better
-    for cache reuse, just not concurrent.  Subprocess failures of the
-    platform kind (sandboxes without fork, missing semaphores) degrade
-    to the serial path; segment cleanup is guaranteed on that path too.
+    in-process — strictly better for cache reuse, just not concurrent.
+    Subprocess failures of the platform kind (sandboxes without fork,
+    missing semaphores) degrade to the serial path; segment cleanup is
+    guaranteed on that path too.
     """
 
     def __init__(
@@ -606,28 +584,33 @@ class ExperimentRunner:
         """Run all jobs, preserving order; duplicates are free.
 
         ``session`` (default: the process-global one) provides both
-        cache tiers.  When it carries an artifact store, worker
-        processes open the same store and receive trace references
-        instead of regenerating traces, so warm runs are served from
-        disk across process boundaries.
+        cache tiers, and every worker process runs on it.  When it
+        carries an artifact store, workers receive trace references
+        instead of regenerating traces, and the session's new counts
+        are persisted to it as ``map`` returns.
         """
-        jobs = list(jobs)
-        if not jobs:
-            return []
         if session is None:
             session = get_session()
+        results = self._map(list(jobs), session)
+        session.persist_counters()
+        return results
+
+    def _map(
+        self, jobs: "list[SimJob]", session: SimSession
+    ) -> "list[SimResult]":
+        if not jobs:
+            return []
         groups: "dict[tuple, list[int]]" = {}
         for index, job in enumerate(jobs):
             groups.setdefault(job.trace_key(), []).append(index)
         results: "list[SimResult | None]" = [None] * len(jobs)
-        store = session.store if session.enabled else None
+        store = session.store
         # Store-aware scheduling: persisted results are served straight
         # from the store; a bundle that hits entirely is skipped (no
         # worker, no trace regeneration), a partial hit shrinks to its
         # missing jobs so nothing persisted is ever computed — or read
         # from disk — twice.
         if store is not None:
-            skipped = 0
             for trace_key in list(groups):
                 indices = groups[trace_key]
                 probe = self._probe_bundle(
@@ -645,10 +628,7 @@ class ExperimentRunner:
                     groups[trace_key] = missing
                 else:
                     del groups[trace_key]
-                    skipped += 1
-            if skipped:
-                session.stats.bundle_skips += skipped
-                store.bump_counter("bundle_skips", skipped)
+                    session.stats.bundle_skips += 1
         if not groups:
             return results  # type: ignore[return-value]
         # Two-level decomposition: shards are the scheduling unit — one
@@ -665,8 +645,6 @@ class ExperimentRunner:
             # invocation (config-independent work shared across cells).
             self._run_serial(jobs, groups, session, results)
             return results  # type: ignore[return-value]
-        store_root = store.root if store is not None else None
-        stats_before = replace(session.stats)
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
@@ -717,9 +695,14 @@ class ExperimentRunner:
                 [jobs[i] for _, indices in shards for i in indices]
             )
             try:
-                workers = min(self.max_workers, len(shards))
+                # Every worker runs on the caller's session: the
+                # initializer installs it as the worker's process
+                # session (forked workers inherit it whole).
                 with ProcessPoolExecutor(
-                    workers, mp_context=context
+                    min(self.max_workers, len(shards)),
+                    mp_context=context,
+                    initializer=set_session,
+                    initargs=(session,),
                 ) as pool:
                     futures = []
                     for trace_key, indices in shards:
@@ -734,54 +717,32 @@ class ExperimentRunner:
                         futures.append((indices, pool.submit(
                             _run_bundle,
                             [jobs[i] for i in indices],
-                            store_root,
                             ref,
-                            session.enabled,
                             payload,
                         )))
-                    for indices, future in futures:
-                        bundle_results, cache_entries, stats_delta = (
-                            future.result()
-                        )
-                        # Adopt the workers' memo entries so later
-                        # serial runs (and later map() calls) reuse
-                        # this work, and fold their counters in so this
-                        # session's stats describe the whole fan-out.
-                        session.adopt_results(cache_entries)
-                        for name, delta in stats_delta.items():
-                            setattr(
-                                session.stats,
-                                name,
-                                getattr(session.stats, name, 0) + delta,
-                            )
-                        for i, result in zip(indices, bundle_results):
-                            results[i] = result
+                    outcomes = [
+                        (indices, future.result())
+                        for indices, future in futures
+                    ]
             except (OSError, PermissionError, RuntimeError, ImportError):
                 # Platform refused subprocesses; run everything here.
-                # Any worker deltas already folded in would
-                # double-count once the serial pass re-tallies the same
-                # jobs — roll them back (adopted results stay: they are
-                # valid and make the serial pass cheaper).  The plane's
-                # segments are unlinked by the enclosing context
-                # manager on this path too.
-                session.stats = stats_before
+                # Nothing of the fan-out is counted yet, so the serial
+                # pass tallies every job exactly once.  The plane's
+                # segments are unlinked by the enclosing context manager
+                # on this path too.
                 self._run_serial(jobs, groups, session, results)
                 return results  # type: ignore[return-value]
+        for indices, (bundle_results, cache_entries, deltas) in outcomes:
+            # Adopt the workers' memo entries so later serial runs (and
+            # later map() calls) reuse this work, and fold their
+            # counters in so this session's stats describe the whole
+            # fan-out.
+            session.adopt_results(cache_entries)
+            session.stats.add(deltas)
+            for i, result in zip(indices, bundle_results):
+                results[i] = result
         session.stats.shm_exports += exports
         session.stats.shm_bytes_pickled += pickled_bytes
-        if store is not None:
-            store.bump_counters({
-                "shm_segments_created": exports,
-                "shm_segments_attached": (
-                    session.stats.shm_attaches
-                    - stats_before.shm_attaches
-                ),
-                "shm_bytes_zero_copy": (
-                    session.stats.shm_bytes_zero_copy
-                    - stats_before.shm_bytes_zero_copy
-                ),
-                "shm_bytes_pickled": pickled_bytes,
-            })
         return results  # type: ignore[return-value]
 
     @staticmethod

@@ -21,8 +21,10 @@ Two tiers back the session:
 
 The module-level session (:func:`get_session`) is shared by
 :mod:`repro.sim.runner` and therefore by every experiment driver, the
-CLI, and the benchmarks; each worker process of the parallel
-:class:`~repro.sim.runner.ExperimentRunner` gets its own.
+CLI, and the benchmarks.  The worker processes of the parallel
+:class:`~repro.sim.runner.ExperimentRunner` run on the session the
+caller passed to ``map`` — its memory tier, enabled flag and store —
+and their counters fold back into its :attr:`SimSession.stats`.
 
 Set ``REPRO_SIM_CACHE=0`` (or construct ``SimSession(enabled=False)``)
 to force every run to generate and simulate from scratch — both tiers
@@ -35,10 +37,11 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
+from repro.obs import SessionStats
 from repro.sim.engine import SimConfig, Simulator, resolve_engine
 from repro.sim.metrics import SimResult
 from repro.sim.store import (
@@ -50,57 +53,6 @@ from repro.sim.store import (
 )
 from repro.workloads.suite import ScalePreset, generate, get_scale
 from repro.workloads.trace import Trace
-
-
-@dataclass
-class SessionStats:
-    """Cache behaviour counters (observability for tests and tuning).
-
-    ``*_hits`` count memory-tier hits, ``*_store_hits`` disk-tier hits,
-    and ``*_misses`` actual generations/simulations.
-    """
-
-    trace_hits: int = 0
-    trace_store_hits: int = 0
-    trace_misses: int = 0
-    sim_hits: int = 0
-    sim_store_hits: int = 0
-    sim_misses: int = 0
-    memory_evictions: int = 0
-    #: Whole job bundles the runner served from the store without
-    #: spawning a worker (store-aware scheduling).
-    bundle_skips: int = 0
-    #: Sweep invocations: grid-job groups the runner pushed through the
-    #: config-parallel engine (``sim/sweep.py``) as one shared pass.
-    sweep_invocations: int = 0
-    #: Grid cells simulated inside a sweep invocation on the shared
-    #: (config-parallel) path.
-    sweep_cells: int = 0
-    #: Grid cells a sweep invocation had to hand back to the per-cell
-    #: engine (scalar engine requested, or no vectorizable form) —
-    #: nonzero values flag silent de-vectorization.
-    sweep_fallbacks: int = 0
-    #: Shared-memory trace-plane segments this session's runner
-    #: exported for cell shards (parent side of the zero-copy plane).
-    shm_exports: int = 0
-    #: Trace-plane segments attached by workers (folded back into the
-    #: parent's stats after a fan-out).
-    shm_attaches: int = 0
-    #: Bytes served to workers as zero-copy shared-memory views.
-    shm_bytes_zero_copy: int = 0
-    #: Bytes shipped to workers on the pickle/npz fallback path
-    #: (TraceRef file sizes) — the plane's savings are the contrast
-    #: between this and :attr:`shm_bytes_zero_copy`.
-    shm_bytes_pickled: int = 0
-    #: Budgeted-sampling layer (``sim/sampling.py`` via the
-    #: ``run_sampled_sweep`` helper): grid cells selected under a
-    #: budget, cells run through the same helper at full budget (the
-    #: exact contrast for ``cache stats``), and sampled cells served
-    #: warm from the cache tiers instead of simulated — nonzero reuse
-    #: on a re-run is the store-backed refinement property.
-    sampling_sampled_cells: int = 0
-    sampling_exact_cells: int = 0
-    sampling_reused_cells: int = 0
 
 
 def _freeze(value):
@@ -178,6 +130,9 @@ class SimSession:
     only: trace generation and simulation proper run outside it, so two
     *distinct* keys still compute concurrently (two threads asking for
     the same key may at worst compute it twice, never corrupt state).
+
+    :attr:`stats` holds the run's counters: every layer, the attached
+    store's handle and (folded back) pool workers count into it.
     """
 
     def __init__(
@@ -189,13 +144,13 @@ class SimSession:
         if enabled is None:
             enabled = os.environ.get("REPRO_SIM_CACHE", "1") != "0"
         self.enabled = enabled
-        if store == "auto":
-            store = ArtifactStore.from_env() if enabled else None
-        #: The persistent tier; None keeps the session process-local.
-        #: A disabled session never touches a store (full recompute).
-        self.store: "ArtifactStore | None" = store if enabled else None
         self.max_memory_results = max_memory_results
         self.stats = SessionStats()
+        #: The counts :meth:`persist_counters` has already written.
+        self._persisted = SessionStats()
+        if store == "auto":
+            store = ArtifactStore.from_env() if enabled else None
+        self.attach_store(store)
         #: Reentrant: ``simulate`` -> ``lookup_result`` nests, and the
         #: guarded sections are all short (no generation/simulation).
         self._lock = threading.RLock()
@@ -211,8 +166,35 @@ class SimSession:
         self._results: "OrderedDict[tuple, SimResult]" = OrderedDict()
 
     def attach_store(self, store: "ArtifactStore | None") -> None:
-        """Set the disk tier (used by pool workers joining a run)."""
-        self.store = store if self.enabled else None
+        """Set the disk tier, whose handle then counts into
+        :attr:`stats`; None keeps the session process-local, and a
+        disabled session never touches a store (full recompute)."""
+        self.store: "ArtifactStore | None" = (
+            store if self.enabled else None
+        )
+        if self.store is not None:
+            self.store.stats = self.stats
+
+    def __reduce__(self):
+        # What a non-fork pool ships its workers: the configuration,
+        # with an empty memory tier (forked workers inherit it whole).
+        return (
+            SimSession, (self.enabled, self.store, self.max_memory_results)
+        )
+
+    def persist_counters(self) -> None:
+        """Add the counts not yet persisted to ``counters.json`` in one
+        locked ``bump_counters`` keyed by the ``SessionStats`` fields.
+
+        Top-level operations call it as they return (``map``, the
+        sampled-sweep helpers, CLI commands); pool workers never do.
+        """
+        if self.store is None:
+            return
+        with self._lock:
+            deltas = self.stats.since(self._persisted)
+            self._persisted = replace(self.stats)
+        self.store.bump_counters(deltas)
 
     # ------------------------------------------------------------------
     # Trace generation.
@@ -379,24 +361,22 @@ class SimSession:
         compute shortcut only: it never enters the cache key because
         results are bit-identical with or without it.
         """
-        if not self.enabled:
-            with self._lock:
-                self.stats.sim_misses += 1
-            return Simulator(sim_config).run(
-                trace, temporal_factory, label=label, shared=shared
-            )
-        key = self.result_key(trace, sim_config, temporal_key, label)
-        cached = self.lookup_result(key)
-        if cached is not None:
-            return cached
+        key = None
+        if self.enabled:
+            key = self.result_key(trace, sim_config, temporal_key, label)
+            cached = self.lookup_result(key)
+            if cached is not None:
+                return cached
         with self._lock:
             self.stats.sim_misses += 1
+            self.stats.sim_records += trace.records
         result = Simulator(sim_config).run(
             trace, temporal_factory, label=label, shared=shared
         )
-        self._remember(key, result)
-        if self.store is not None:
-            self.store.save_result(result_digest(key), result)
+        if key is not None:
+            self._remember(key, result)
+            if self.store is not None:
+                self.store.save_result(result_digest(key), result)
         return result
 
     @staticmethod

@@ -47,6 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.envknobs import env_float
 from repro.memory.traffic import TrafficBreakdown
+from repro.obs import SessionStats
 from repro.prefetchers.base import PrefetcherStats
 from repro.sim.metrics import CoverageCounts, SimResult
 from repro.workloads.trace import Trace
@@ -285,30 +286,6 @@ def decode_result(payload: dict) -> SimResult:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class StoreStats:
-    """Per-process counters of one store handle's behaviour."""
-
-    trace_hits: int = 0
-    trace_misses: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-    writes: int = 0
-    write_errors: int = 0
-    corrupt_dropped: int = 0
-    schema_invalidated: int = 0
-    evictions: int = 0
-    stale_temps_swept: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.trace_hits + self.result_hits
-
-    @property
-    def misses(self) -> int:
-        return self.trace_misses + self.result_misses
-
-
 @dataclass(frozen=True)
 class StoreEntry:
     """One persisted artifact, as listed by :meth:`ArtifactStore.entries`."""
@@ -327,11 +304,19 @@ class ArtifactStore:
     writers of the same key cannot produce a torn entry — the last
     complete write wins.  Reads refresh an entry's mtime, which is the
     recency signal :meth:`gc` evicts by.
+
+    The handle counts its events into ``stats``, the
+    :class:`~repro.obs.SessionStats` of the session that attached it.
     """
 
-    def __init__(self, root: str, max_bytes: "int | None" = None) -> None:
+    def __init__(
+        self,
+        root: str,
+        max_bytes: "int | None" = None,
+        stats: "SessionStats | None" = None,
+    ) -> None:
         self.root = os.path.abspath(root)
-        self.stats = StoreStats()
+        self.stats = stats if stats is not None else SessionStats()
         if max_bytes is None:
             max_bytes = self._max_bytes_from_env()
         self.max_bytes = max_bytes
@@ -388,7 +373,7 @@ class ArtifactStore:
             # Entries written under another (or unknown) format: drop
             # them all rather than risk misinterpreting old bytes.
             self.clear()
-            self.stats.schema_invalidated += 1
+            self.stats.store_schema_invalidations += 1
         self._atomic_write_bytes(
             self._schema_path(),
             json.dumps({"schema": SCHEMA_VERSION}).encode(),
@@ -431,7 +416,7 @@ class ArtifactStore:
             pass
 
     def _drop(self, path: str) -> None:
-        self.stats.corrupt_dropped += 1
+        self.stats.store_corrupt_drops += 1
         try:
             os.unlink(path)
         except OSError:
@@ -447,13 +432,10 @@ class ArtifactStore:
         try:
             trace = Trace.load(path)
         except FileNotFoundError:
-            self.stats.trace_misses += 1
             return None
         except _CORRUPT_ERRORS:
             self._drop(path)
-            self.stats.trace_misses += 1
             return None
-        self.stats.trace_hits += 1
         self._touch(path)
         return trace
 
@@ -468,13 +450,13 @@ class ArtifactStore:
             trace.save(tmp)
             os.replace(tmp, path)
         except OSError:
-            self.stats.write_errors += 1
+            self.stats.store_write_errors += 1
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             return False
-        self.stats.writes += 1
+        self.stats.store_writes += 1
         self._auto_gc(path)
         return True
 
@@ -490,11 +472,9 @@ class ArtifactStore:
             with open(path, "rb") as handle:
                 record = json.load(handle)
         except FileNotFoundError:
-            self.stats.result_misses += 1
             return None
         except _CORRUPT_ERRORS:
             self._drop(path)
-            self.stats.result_misses += 1
             return None
         if (
             not isinstance(record, dict)
@@ -502,16 +482,13 @@ class ArtifactStore:
             or record.get("kind") != "sim-result"
         ):
             self._drop(path)
-            self.stats.schema_invalidated += 1
-            self.stats.result_misses += 1
+            self.stats.store_schema_invalidations += 1
             return None
         try:
             result = decode_result(record["payload"])
         except _CORRUPT_ERRORS:
             self._drop(path)
-            self.stats.result_misses += 1
             return None
-        self.stats.result_hits += 1
         self._touch(path)
         return result
 
@@ -529,9 +506,9 @@ class ArtifactStore:
             payload = json.dumps(record, default=_json_default).encode()
             self._atomic_write_bytes(path, payload)
         except OSError:
-            self.stats.write_errors += 1
+            self.stats.store_write_errors += 1
             return False
-        self.stats.writes += 1
+        self.stats.store_writes += 1
         self._auto_gc(path)
         return True
 
@@ -563,9 +540,9 @@ class ArtifactStore:
                 path, json.dumps(record, default=_json_default).encode()
             )
         except OSError:
-            self.stats.write_errors += 1
+            self.stats.store_write_errors += 1
             return False
-        self.stats.writes += 1
+        self.stats.store_writes += 1
         self._auto_gc(path)
         return True
 
@@ -588,7 +565,7 @@ class ArtifactStore:
             or not isinstance(record.get("payload"), dict)
         ):
             self._drop(path)
-            self.stats.schema_invalidated += 1
+            self.stats.store_schema_invalidations += 1
             return None
         self._touch(path)
         return record["payload"]
@@ -659,7 +636,7 @@ class ArtifactStore:
                 continue
             total -= entry.size_bytes
             evicted += 1
-        self.stats.evictions += evicted
+        self.stats.store_evictions += evicted
         self._running_total = total  # exact again after a full scan
         return evicted
 
@@ -718,11 +695,13 @@ class ArtifactStore:
             os.close(fd)  # releases the flock
 
     def counters(self) -> "dict[str, int]":
-        """Store-lifetime counters (e.g. runner bundle skips).
+        """Store-lifetime counters, keyed by ``SessionStats`` field.
 
         Unlike :attr:`stats` these survive the process: they live in a
         ``counters.json`` beside the schema stamp, so ``cache stats``
         can report behaviour accumulated across CLI runs and CI jobs.
+        :meth:`~repro.sim.session.SimSession.persist_counters` is what
+        adds a run's counts.
         """
         try:
             with open(self._counters_path(), "rb") as handle:
@@ -747,10 +726,9 @@ class ArtifactStore:
         """Increment several persistent counters in one locked write.
 
         The whole read-modify-write holds the advisory counter lock, so
-        concurrent writers — pool workers and parallel CLI runs sharing
-        one store — serialize and never lose increments.  The runner
-        folds a whole fan-out's shared-memory counters in a single RMW
-        instead of one file rewrite per name; zero deltas are skipped.
+        concurrent writers — parallel CLI runs and sessions sharing one
+        store — serialize and never lose increments.  Zero deltas are
+        skipped.
         """
         deltas = {name: d for name, d in deltas.items() if d}
         if not deltas:
@@ -765,7 +743,7 @@ class ArtifactStore:
                     json.dumps(counters, sort_keys=True).encode(),
                 )
             except OSError:
-                self.stats.write_errors += 1
+                self.stats.store_write_errors += 1
 
     # ------------------------------------------------------------------
     # Stale-temp sweeping and whole-store clearing.
@@ -789,8 +767,9 @@ class ArtifactStore:
         :meth:`clear` — unlinks temps older than the age gate
         (default 1h, ``REPRO_STORE_TMP_MAX_AGE_S``); younger ones are
         presumed to belong to a live in-flight writer and survive.
-        Swept files are tallied in the persistent ``stale_temps_swept``
-        counter so accumulation is observable in ``cache stats``.
+        Swept files are counted in ``stats.stale_temps_swept``, which
+        ``cache gc`` persists so accumulation is observable in
+        ``cache stats``.
         """
         if max_age_seconds is None:
             max_age_seconds = self._stale_temp_age_from_env()
@@ -817,9 +796,7 @@ class ArtifactStore:
                 except OSError:
                     continue
                 swept += 1
-        if swept:
-            self.stats.stale_temps_swept += swept
-            self.bump_counter("stale_temps_swept", swept)
+        self.stats.stale_temps_swept += swept
         return swept
 
     def clear(self) -> int:

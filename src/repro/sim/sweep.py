@@ -213,10 +213,4 @@ def run_sweep(
     session.stats.sweep_invocations += 1
     session.stats.sweep_cells += cells
     session.stats.sweep_fallbacks += fallbacks
-    if session.store is not None:
-        session.store.bump_counter("sweep_invocations", 1)
-        if cells:
-            session.store.bump_counter("sweep_grouped_cells", cells)
-        if fallbacks:
-            session.store.bump_counter("sweep_fallbacks", fallbacks)
     return results  # type: ignore[return-value]

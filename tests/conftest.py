@@ -8,7 +8,8 @@ import pytest
 from repro.memory.dram import DramChannel, DramConfig
 from repro.memory.hierarchy import CmpConfig
 from repro.memory.traffic import TrafficMeter
-from repro.sim.engine import SimConfig
+from repro.sim.engine import SimConfig, _RunState
+from repro.sim.metrics import check_invariants
 from repro.workloads.trace import Trace
 
 
@@ -28,6 +29,26 @@ def _isolated_cache_env(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
     monkeypatch.setattr(
         "repro.cli.default_store_dir", lambda: fallback
     )
+
+
+@pytest.fixture(autouse=True)
+def _invariants_after_every_simulation(monkeypatch: pytest.MonkeyPatch):
+    """Hold every simulation the suite runs to the conservation oracle.
+
+    The scalar, batch and kernel run states all inherit
+    ``_RunState.result``, so wrapping it runs
+    :func:`~repro.sim.metrics.check_invariants` after each finished
+    run, whichever engine, runner path or worker process produced it
+    (forked workers inherit the wrapper).
+    """
+    result = _RunState.result
+
+    def checked(state, label):
+        finished = result(state, label)
+        check_invariants(state, finished)
+        return finished
+
+    monkeypatch.setattr(_RunState, "result", checked)
 
 
 @pytest.fixture

@@ -391,6 +391,49 @@ def test_differential_native(case):
     _check_seed(seed, baseline=True, **options)
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+def test_touching_miss_intervals_merge_bit_for_bit():
+    """Each miss issues exactly when the previous one completes, so the
+    MLP union must merge touching intervals (``issue <= end`` in
+    ``metrics._IntervalAccumulator.add`` and in ``kernel.c``).
+
+    One core, every record a dependent cold miss with zero work: a
+    miss's issue time is the previous completion.  The first record's
+    fractional work and the warm-up miss leave the measured phase
+    starting at a clock with a full 53-bit mantissa (the 64-byte
+    transfer time is no short binary fraction), so one span
+    ``end - start`` and the piecewise sum of the five touching
+    intervals round differently: merged, MLP is total / span, just
+    above 1.0; split (``issue < end``), the union is summed from the
+    same terms as the total and MLP is exactly 1.0.
+    """
+    records = 6
+    blocks = np.arange(1, records + 1, dtype=np.int64) * 64
+    work = np.zeros(records, dtype=np.float32)
+    work[0] = 0.5
+    trace = Trace(
+        name="touching",
+        blocks=[blocks],
+        work=[work],
+        dep=[np.ones(records, dtype=bool)],
+        write=[np.zeros(records, dtype=bool)],
+        working_set_blocks=int(blocks.max()) + 1,
+        warmup_fraction=0.2,  # the first record only
+    )
+    config = SimConfig(cmp=CmpConfig(cores=1), use_stride=False)
+    results = {
+        engine: _run_and_snapshot(engine, config, trace, None)
+        for engine in (_RunState, BatchRunState, NativeRunState)
+    }
+    reference = results[_RunState]
+    assert reference[2].coverage.uncovered == records - 1
+    assert reference[2].mlp == 1.0000000000000002
+    for engine, (_, final, result) in results.items():
+        assert final == reference[1], engine.__name__
+        assert result.mlp == reference[2].mlp, engine.__name__
+        assert result.core_mlp == reference[2].core_mlp, engine.__name__
+
+
 def _stms(snapshot: dict, part: str):
     return snapshot["stms"][part]
 

@@ -333,3 +333,121 @@ class TestParallelCacheAdoption:
             assert session.stats.sim_hits >= 2
         finally:
             set_session(previous)
+
+
+class TestWorkersRunOnCallersSession:
+    """Pool workers run on the session passed to ``map``, never on the
+    global session the process happened to hold when it forked them."""
+
+    MIX = "mix:oltp-db2+dss-db2"
+
+    def _mix_jobs(self):
+        from repro.experiments import mix_contention
+
+        return [
+            SimJob(self.MIX, kind, scale="test", cores=2, seed=7,
+                   cmp_overrides=cmp, dram_overrides=dram)
+            for _, cmp, dram in mix_contention._points("test")
+            for kind in mix_contention._KINDS
+        ]
+
+    def test_fan_out_counters_match_serial_after_global_pollution(self):
+        from repro.experiments import run_experiment
+        from repro.sim.session import SimSession, set_session
+
+        previous = set_session(SimSession(enabled=True, store=None))
+        try:
+            # Warms the global session's memory tier with every cell
+            # below; fresh sessions must not see any of it.
+            run_experiment(
+                "mix-contention", scale="test", cores=2,
+                workloads=(self.MIX,),
+            )
+            jobs = self._mix_jobs()
+            parallel = SimSession(enabled=True, store=None)
+            ExperimentRunner(max_workers=2, parallel=True).map(
+                jobs, session=parallel
+            )
+            serial = SimSession(enabled=True, store=None)
+            ExperimentRunner(parallel=False).map(jobs, session=serial)
+        finally:
+            set_session(previous)
+        p, s = parallel.stats, serial.stats
+        assert p.shm_attaches > 0  # the fan-out really forked workers
+        assert p.sim_misses == s.sim_misses == len(jobs)
+        assert p.sim_hits + p.sim_store_hits == s.sim_hits + s.sim_store_hits
+        assert p.sweep_cells == s.sweep_cells
+        assert p.sim_records == s.sim_records > 0
+
+    def test_store_events_in_workers_fold_into_caller(self, tmp_path):
+        from repro.sim.session import SimSession
+        from repro.sim.store import ArtifactStore
+
+        store = ArtifactStore(str(tmp_path))
+        session = SimSession(enabled=True, store=store)
+        jobs = [
+            SimJob(w, PrefetcherKind.BASELINE, scale="test", cores=2,
+                   seed=15)
+            for w in ("web-apache", "oltp-db2")
+        ]
+        ExperimentRunner(max_workers=2, parallel=True).map(
+            jobs, session=session
+        )
+        assert session.stats.store_writes == len(store.entries()) == 4
+        assert store.counters()["store_writes"] == 4
+
+    def test_session_pickles_as_its_configuration(self, tmp_path):
+        """What a non-fork pool ships to its workers: the enabled flag
+        and the store, with an empty memory tier."""
+        import pickle
+
+        from repro.sim.session import SimSession
+        from repro.sim.store import ArtifactStore
+
+        session = SimSession(
+            enabled=True, store=ArtifactStore(str(tmp_path)),
+            max_memory_results=3,
+        )
+        run_job(_job(), session)
+        clone = pickle.loads(pickle.dumps(session))
+        assert clone.enabled and clone.max_memory_results == 3
+        assert clone.store.root == session.store.root
+        assert clone.store.stats is clone.stats
+        assert clone.export_results() == {}
+        assert clone.stats.sim_misses == 0
+        disabled = pickle.loads(pickle.dumps(SimSession(enabled=False)))
+        assert not disabled.enabled and disabled.store is None
+
+    @pytest.mark.slow
+    def test_spawned_workers_join_the_callers_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Where fork is unavailable the runner falls back to the
+        default start method; spawned workers must still cache and
+        count on the caller's behalf."""
+        import multiprocessing
+
+        from repro.sim import runner as runner_module
+        from repro.sim.session import SimSession
+        from repro.sim.store import ArtifactStore
+
+        class _NoFork:
+            @staticmethod
+            def get_context(method=None):
+                if method == "fork":
+                    raise ValueError("fork unavailable")
+                return multiprocessing.get_context("spawn")
+
+        monkeypatch.setattr(runner_module, "multiprocessing", _NoFork)
+        store = ArtifactStore(str(tmp_path))
+        session = SimSession(enabled=True, store=store)
+        jobs = [
+            SimJob(w, PrefetcherKind.BASELINE, scale="test", cores=2,
+                   seed=16)
+            for w in ("web-apache", "oltp-db2")
+        ]
+        ExperimentRunner(max_workers=2, parallel=True).map(
+            jobs, session=session
+        )
+        assert session.stats.sim_misses == 2
+        assert session.stats.store_writes == len(store.entries()) == 4

@@ -10,6 +10,7 @@ from repro.sim.runner import (
     run_workload,
 )
 from repro.sim.session import SimSession, trace_fingerprint
+from repro.sim.store import ArtifactStore
 
 from tests.conftest import make_trace
 
@@ -175,3 +176,48 @@ class TestSimulationMemo:
             trace, PrefetcherKind.BASELINE, scale="test", session=session
         )
         assert session.stats.sim_misses == 2
+
+
+class TestCounters:
+    def test_sim_records_count_every_simulated_record(self):
+        trace = make_trace([[1, 2, 3] * 50, [4, 5, 6] * 40])
+        for enabled, runs in ((True, 1), (False, 2)):
+            session = SimSession(enabled=enabled, store=None)
+            for _ in range(2):
+                run_trace(
+                    trace, PrefetcherKind.BASELINE, scale="test",
+                    session=session,
+                )
+            assert session.stats.sim_misses == runs
+            assert session.stats.sim_records == runs * trace.records
+
+    def test_persist_counters_writes_each_count_once(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        session = SimSession(enabled=True, store=store)
+        trace = make_trace([[1, 2, 3] * 50])
+        run_trace(
+            trace, PrefetcherKind.BASELINE, scale="test", session=session
+        )
+        assert store.counters() == {}  # nothing persists on its own
+        session.persist_counters()
+        session.persist_counters()  # no new counts: no change
+        assert store.counters() == {
+            "sim_misses": 1,
+            "sim_records": trace.records,
+            "store_writes": 1,
+        }
+        run_trace(
+            trace, PrefetcherKind.MARKOV, scale="test", session=session
+        )
+        session.persist_counters()
+        assert store.counters()["sim_misses"] == 2
+        assert store.counters()["store_writes"] == 2
+
+    def test_attached_store_counts_into_the_session(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        first = SimSession(enabled=True, store=store)
+        assert store.stats is first.stats
+        second = SimSession(enabled=True, store=store)
+        assert store.stats is second.stats
+        assert SimSession(enabled=False, store=store).store is None
+        assert store.stats is second.stats

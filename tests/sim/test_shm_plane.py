@@ -320,8 +320,8 @@ def test_cell_parallel_map_persists_store_counters(tmp_path):
     finally:
         set_session(previous)
     counters = store.counters()
-    assert counters.get("shm_segments_created", 0) >= 1
-    assert counters.get("shm_segments_attached", 0) >= 2
+    assert counters.get("shm_exports", 0) >= 1
+    assert counters.get("shm_attaches", 0) >= 2
     assert counters.get("shm_bytes_zero_copy", 0) > 0
 
 

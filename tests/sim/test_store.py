@@ -92,8 +92,7 @@ class TestStoreRoundTrip:
         digest = result_digest(("k",))
         assert store.save_result(digest, make_result())
         assert store.load_result(digest) == make_result()
-        assert store.stats.writes == 1
-        assert store.stats.result_hits == 1
+        assert store.stats.store_writes == 1
 
     def test_trace_store_and_load(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -108,8 +107,7 @@ class TestStoreRoundTrip:
     def test_missing_entry_is_plain_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         assert store.load_result(result_digest(("nope",))) is None
-        assert store.stats.result_misses == 1
-        assert store.stats.corrupt_dropped == 0
+        assert store.stats.store_corrupt_drops == 0
 
 
 class TestCorruptionTolerance:
@@ -120,7 +118,7 @@ class TestCorruptionTolerance:
         with open(store.result_path(digest), "wb") as handle:
             handle.write(b'{"schema": 1, "kind": "sim-res')  # truncated
         assert store.load_result(digest) is None
-        assert store.stats.corrupt_dropped == 1
+        assert store.stats.store_corrupt_drops == 1
         assert not os.path.exists(store.result_path(digest))
 
     def test_valid_json_with_broken_payload_dropped(self, tmp_path):
@@ -134,7 +132,7 @@ class TestCorruptionTolerance:
         with open(store.result_path(digest), "w") as handle:
             json.dump(record, handle)
         assert store.load_result(digest) is None
-        assert store.stats.corrupt_dropped == 1
+        assert store.stats.store_corrupt_drops == 1
 
     def test_truncated_trace_npz_dropped(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -146,7 +144,7 @@ class TestCorruptionTolerance:
         with open(path, "wb") as handle:
             handle.write(payload[: len(payload) // 2])
         assert store.load_trace(digest) is None
-        assert store.stats.corrupt_dropped == 1
+        assert store.stats.store_corrupt_drops == 1
         assert not os.path.exists(path)
 
     def test_session_falls_back_to_recompute_and_repairs(self, tmp_path):
@@ -185,7 +183,7 @@ class TestSchemaVersioning:
         with open(store.result_path(digest), "w") as handle:
             json.dump(record, handle)
         assert store.load_result(digest) is None
-        assert store.stats.schema_invalidated == 1
+        assert store.stats.store_schema_invalidations == 1
         assert not os.path.exists(store.result_path(digest))
 
     def test_store_with_other_schema_cleared_on_open(self, tmp_path):
@@ -194,7 +192,7 @@ class TestSchemaVersioning:
         with open(os.path.join(str(tmp_path), "schema.json"), "w") as f:
             json.dump({"schema": SCHEMA_VERSION + 1}, f)
         reopened = ArtifactStore(str(tmp_path))
-        assert reopened.stats.schema_invalidated == 1
+        assert reopened.stats.store_schema_invalidations == 1
         assert reopened.entries() == []
         # The stamp was rewritten: a third open keeps (new) entries.
         reopened.save_result(result_digest(("k2",)), make_result())
@@ -249,7 +247,7 @@ class TestGc:
         entry_size = store.entries()[0].size_bytes
         evicted = store.gc(max_bytes=2 * entry_size)
         assert evicted == 2
-        assert store.stats.evictions == 2
+        assert store.stats.store_evictions == 2
         assert store.load_result(digests[0]) is None  # oldest gone
         assert store.load_result(digests[3]) is not None
 
@@ -270,7 +268,7 @@ class TestGc:
         )
         self._fill(store, 5)
         assert len(store.entries()) <= 2
-        assert store.stats.evictions >= 3
+        assert store.stats.store_evictions >= 3
 
     def test_gc_without_cap_is_noop(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -523,8 +521,8 @@ class TestWriteFailures:
         store = ArtifactStore(str(tmp_path))
         self._fail_replace(monkeypatch)
         assert not store.save_result(result_digest(("k",)), make_result())
-        assert store.stats.write_errors == 1
-        assert store.stats.writes == 0
+        assert store.stats.store_write_errors == 1
+        assert store.stats.store_writes == 0
         assert os.listdir(os.path.join(store.root, "results")) == []
 
     def test_trace_write_failure_reported(self, tmp_path, monkeypatch):
@@ -533,5 +531,5 @@ class TestWriteFailures:
         assert not store.save_trace(
             trace_digest(("t",)), make_trace([[1, 2, 3]])
         )
-        assert store.stats.write_errors == 1
+        assert store.stats.store_write_errors == 1
         assert os.listdir(os.path.join(store.root, "traces")) == []

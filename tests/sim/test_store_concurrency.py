@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.sim.session import SimSession
 from repro.sim.store import ArtifactStore
 
 BUMPS_PER_WRITER = 25
@@ -92,6 +93,7 @@ def _plant_temp(directory: str, name: str, age_seconds: float) -> str:
 
 def test_gc_sweeps_stale_temps_but_keeps_live_ones(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
+    session = SimSession(enabled=True, store=store)
     stale_trace = _plant_temp(store.root + "/traces", ".tmp-dead", 7200)
     stale_result = _plant_temp(store.root + "/results", ".tmp-gone", 7200)
     live = _plant_temp(store.root + "/traces", ".tmp-live", 10)
@@ -103,15 +105,18 @@ def test_gc_sweeps_stale_temps_but_keeps_live_ones(tmp_path):
     assert not os.path.exists(stale_trace)
     assert not os.path.exists(stale_result)
     assert os.path.exists(live)
+    assert session.stats.stale_temps_swept == 2
+    session.persist_counters()
     assert store.counters()["stale_temps_swept"] == 2
-    assert store.stats.stale_temps_swept == 2
 
 
 def test_clear_sweeps_stale_temps(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
+    session = SimSession(enabled=True, store=store)
     stale = _plant_temp(store.root + "/results", ".tmp-x", 7200)
     store.clear()
     assert not os.path.exists(stale)
+    session.persist_counters()
     assert store.counters()["stale_temps_swept"] == 1
 
 
@@ -137,9 +142,11 @@ def test_sweep_explicit_age_argument(tmp_path):
 
 def test_counters_survive_sweep_and_are_valid_json(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
+    session = SimSession(enabled=True, store=store)
     store.bump_counters({"existing": 5})
     _plant_temp(store.root + "/traces", ".tmp-a", 7200)
     store.gc(max_bytes=1 << 30)
+    session.persist_counters()
     with open(os.path.join(store.root, "counters.json"), "rb") as handle:
         raw = json.load(handle)
     assert raw == {"existing": 5, "stale_temps_swept": 1}

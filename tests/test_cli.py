@@ -1,13 +1,17 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
+import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.session import SessionStats
 
 
 class TestParser:
@@ -209,6 +213,77 @@ class TestCacheCli:
         assert not os.path.exists(store)
 
 
+class TestCountersCli:
+    """A run's counters reach the console, ``counters.json`` and
+    ``cache stats`` under the declared ``SessionStats`` names."""
+
+    def _warm_fig7(self, store, capsys):
+        assert main(
+            ["cache", "warm", "fig7", "--scale", "test", "--cores", "2",
+             "--jobs", "2", "--store-dir", store]
+        ) == 0
+        return capsys.readouterr().out
+
+    def _persisted(self, store):
+        with open(os.path.join(store, "counters.json")) as handle:
+            return json.load(handle)
+
+    def test_cold_parallel_warm_counts_every_store_write(
+        self, tmp_path, capsys
+    ):
+        store = str(tmp_path / "store")
+        out = self._warm_fig7(store, capsys)
+        written = sum(
+            len(os.listdir(os.path.join(store, kind)))
+            for kind in ("traces", "results")
+        )
+        assert written == 24  # 8 traces, 16 results
+        assert f": {written} writes," in out
+        assert self._persisted(store)["store_writes"] == written
+
+    def test_persisted_counter_keys_are_declared(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        self._warm_fig7(store, capsys)
+        assert main(
+            ["experiment", "mix-contention", "--scale", "test",
+             "--budget", "4", "--jobs", "2", "--store-dir", store]
+        ) == 0
+        orphan = os.path.join(store, "traces", ".tmp-orphan")
+        open(orphan, "wb").close()
+        os.utime(orphan, (0, 0))
+        assert main(
+            ["cache", "gc", "--max-mb", "4096", "--store-dir", store]
+        ) == 0
+        persisted = self._persisted(store)
+        declared = {field.name for field in dataclasses.fields(SessionStats)}
+        assert set(persisted) <= declared
+        for name in ("store_writes", "sim_records", "sweep_cells",
+                     "sampling_sampled_cells", "stale_temps_swept"):
+            assert persisted[name] > 0, name
+        capsys.readouterr()
+        assert main(["cache", "stats", "--store-dir", store]) == 0
+        out = capsys.readouterr().out
+        for name, value in persisted.items():
+            assert re.search(
+                rf"\n{name.replace('_', ' ')} +{value}\s", out
+            ), name
+
+    def test_gc_persists_the_schema_invalidation_of_its_opening(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        (store / "results").mkdir(parents=True)
+        (store / "results" / "stale.json").write_text("{}")
+        (store / "schema.json").write_text('{"schema": -1}')
+        assert main(
+            ["cache", "gc", "--max-mb", "4096", "--store-dir", str(store)]
+        ) == 0
+        assert not (store / "results" / "stale.json").exists()
+        assert self._persisted(str(store)) == {
+            "store_schema_invalidations": 1
+        }
+
+
 class TestSampledExperimentCli:
     def test_budget_rejected_for_exact_only_experiment(self, capsys):
         code = main(
@@ -234,7 +309,7 @@ class TestSampledExperimentCli:
 
         assert main(["cache", "stats", "--store-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "sampling sampled cells  4" in out
+        assert re.search(r"sampling sampled cells +4\s", out)
         assert "sampled cell share" in out
         assert "estimates" in out
 
