@@ -1,6 +1,6 @@
 """ASCII rendering of tables and bar charts for experiment output.
 
-The benchmark harness regenerates the paper's figures as text: grouped
+The experiment drivers regenerate the paper's figures as text: grouped
 bars for the per-workload comparisons (Figs. 4, 7, 9), series tables for
 the sweeps (Figs. 5, 6, 8), and plain tables elsewhere.  Keeping the
 renderer dependency-free makes every experiment runnable on a headless

@@ -50,7 +50,7 @@ class StmsConfig:
     #: (no aliasing).  Realistic hardware truncates (see DESIGN.md).
     tag_bits: "int | None" = None
     #: Write end-of-stream marks into the history buffer (Section 4.5).
-    #: Disable for the ablation benchmark: without marks, streaming runs
+    #: Disable for the ablation test: without marks, streaming runs
     #: past stream boundaries and wastes bandwidth on erroneous blocks.
     annotate_stream_ends: bool = True
     #: Seed for the sampling coin flips.

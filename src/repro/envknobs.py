@@ -1,10 +1,9 @@
 """Warn-once parsing of numeric ``REPRO_*`` environment knobs.
 
-A malformed store knob (``REPRO_STORE_MAX_MB``,
-``REPRO_STORE_TMP_MAX_AGE_S``) emits one :class:`RuntimeWarning` per
-knob per process and then falls back to its documented default, the
-same way a misparsed ``REPRO_JOBS`` does, so a typo'd environment
-cannot silently un-cap a store.
+A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_STORE_TMP_MAX_AGE_S``,
+``REPRO_JOBS``) emits one :class:`RuntimeWarning` per knob per process
+and then falls back to a safe value, so a typo'd environment can
+neither silently un-cap a store nor quietly serialize a run.
 
 Float knobs are sizes and durations, so a value that parses but cannot
 be one (``nan``, ``inf``, a negative number, or zero where the knob is
@@ -27,13 +26,15 @@ import warnings
 _WARNED_ENV_KEYS: "set[str]" = set()
 
 
-def _warn_once(name: str, raw: str, expected: str) -> None:
+def _warn_once(
+    name: str, raw: str, expected: str, fallback: str = "the default"
+) -> None:
     if name in _WARNED_ENV_KEYS:
         return
     _WARNED_ENV_KEYS.add(name)
     warnings.warn(
         f"invalid {name}={raw!r} (expected {expected}); "
-        "using the default",
+        f"using {fallback}",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -60,3 +61,19 @@ def env_float(name: str, default, *, positive: bool = False):
     )
     return default
 
+
+def env_positive_int(name: str, default: int, *, invalid: int) -> int:
+    """``int(os.environ[name])``, or ``default`` when the knob is
+    unset/empty.  A value that is not a positive integer warns once
+    and gives ``invalid``."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value > 0:
+        return value
+    _warn_once(name, raw, "a positive integer", str(invalid))
+    return invalid

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -39,6 +38,7 @@ import numpy as np
 from repro.core.config import StmsConfig
 from repro.core.index_table import stacked_metadata_arrays
 from repro.core.stms import StmsFactory
+from repro.envknobs import env_positive_int
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import CmpConfig
 from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
@@ -442,37 +442,16 @@ def _run_bundle(
     return results, session.export_results(), session.stats.since(before)
 
 
-#: One warning per process for a malformed REPRO_JOBS value.
-_JOBS_WARNING_EMITTED = False
-
-
 def _default_workers() -> "tuple[int, bool]":
     """(max_workers, parallel) from REPRO_JOBS or the CPU count.
 
-    A malformed or non-positive ``REPRO_JOBS`` used to degrade to one
-    worker silently; it now warns once per process so a typo'd
-    environment can't quietly serialize a fleet.
+    An empty ``REPRO_JOBS`` means unset; a malformed or non-positive
+    one warns once per process and runs on 1 worker.
     """
-    global _JOBS_WARNING_EMITTED
-    env = os.environ.get("REPRO_JOBS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            if not _JOBS_WARNING_EMITTED:
-                _JOBS_WARNING_EMITTED = True
-                warnings.warn(
-                    f"invalid REPRO_JOBS={env!r} (expected a positive "
-                    "integer); running with 1 worker",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return 1, False
-        return workers, workers > 1
-    cpus = os.cpu_count() or 1
-    return cpus, cpus > 1
+    workers = env_positive_int(
+        "REPRO_JOBS", os.cpu_count() or 1, invalid=1
+    )
+    return workers, workers > 1
 
 
 def _ref_bytes(ref: "TraceRef | None") -> int:

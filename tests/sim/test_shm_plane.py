@@ -5,8 +5,9 @@ scheduler that feeds it: export/attach round-trips (columns, metadata
 classification, fingerprints), segment cleanup on *every* exit path —
 normal completion, worker exceptions, the platform-degradation serial
 fallback, and the atexit backstop — plus the cell-shard partitioner
-and the REPRO_SHM / REPRO_JOBS environment knobs.  Deep per-cell bit-identity of the parallel paths is pinned by
-the differential harness (`test_engine_differential.py`).
+and the REPRO_SHM environment knob.  Deep per-cell bit-identity of the
+parallel paths is pinned by the differential harness
+(`test_engine_differential.py`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.sim.runner import (
     ExperimentRunner,
     PrefetcherKind,
     SimJob,
-    _default_workers,
     _shard_groups,
     job_options,
     run_job,
@@ -219,32 +219,6 @@ def test_shard_groups_splits_three_cell_group_when_workers_idle():
     # Halved down to one-cell shards, stopping at the fixed floor.
     assert sorted(indices for _, indices in shards) == [[0], [1], [2]]
     assert all(key == ("a",) for key, _ in shards)
-
-
-# ----------------------------------------------------------------------
-# REPRO_JOBS parsing (satellite: no more silent misparse).
-# ----------------------------------------------------------------------
-
-
-def test_repro_jobs_valid_value(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "4")
-    assert _default_workers() == (4, True)
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    assert _default_workers() == (1, False)
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "two", ""])
-def test_repro_jobs_invalid_value_warns_once(monkeypatch, value):
-    import warnings
-
-    monkeypatch.setenv("REPRO_JOBS", value)
-    monkeypatch.setattr(runner_module, "_JOBS_WARNING_EMITTED", False)
-    with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
-        assert _default_workers() == (1, False)
-    # Warned once per process, not once per runner construction.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _default_workers() == (1, False)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Design-space benchmark: index-table organizations (paper §4.3/§5.4).
+"""Index-table organizations at the ``bench`` scale (paper §4.3/§5.4).
 
 Drives the bucketized (STMS), chained, and open-address organizations
 with the index event stream of a real workload — a lookup on every
@@ -8,12 +8,15 @@ pay extra lookup accesses (latency) for their coverage.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.history_buffer import HistoryPointer
 from repro.core.index_variants import compare_organizations
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.runner import make_sim_config
 from repro.workloads.suite import generate
+
+pytestmark = pytest.mark.slow
 
 WORKLOAD = "oltp-db2"
 SCALE = "bench"
@@ -44,12 +47,8 @@ def _index_event_stream():
     return events
 
 
-def test_index_organizations(benchmark, output_dir):
-    def run():
-        events = _index_event_stream()
-        return compare_organizations(events, buckets=2048)
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_index_organizations():
+    results = compare_organizations(_index_event_stream(), buckets=2048)
     by_name = {r.name: r for r in results}
     bucketized = by_name["bucketized (STMS)"]
     chained = by_name["chained buckets"]
@@ -63,16 +62,3 @@ def test_index_organizations(benchmark, output_dir):
     assert chained.storage_bytes >= bucketized.storage_bytes
     # Open addressing walks probe groups on misses.
     assert open_address.accesses_per_lookup >= 1.0
-
-    import os
-
-    lines = ["Index-table organization comparison (oltp-db2 events):"]
-    for result in results:
-        lines.append(
-            f"  {result.name:20s} accesses/lookup="
-            f"{result.accesses_per_lookup:.2f} hit_rate="
-            f"{result.hit_rate:.3f} storage={result.storage_bytes}B "
-            f"dropped={result.dropped_entries}"
-        )
-    with open(os.path.join(output_dir, "index-orgs.txt"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")

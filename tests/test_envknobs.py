@@ -4,10 +4,11 @@
 swallow malformed values silently, and to accept values that parse but
 break the store (``nan``/``inf`` crashed store open, a non-positive cap
 evicted every artifact, a negative age gate swept live temps).  They
-now share the warn-once RuntimeWarning behaviour of ``REPRO_JOBS`` via
-``repro.envknobs``.
+and ``REPRO_JOBS`` now share one warn-once RuntimeWarning behaviour via
+``repro.envknobs``, where an empty value means unset.
 """
 
+import os
 import re
 import warnings
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from repro import envknobs
 from repro.envknobs import env_float
 from repro.sim import store as store_module
+from repro.sim.runner import _default_workers
 from repro.sim.store import ArtifactStore
 
 
@@ -99,6 +101,33 @@ class TestStoreKnobs:
         ):
             age = ArtifactStore._stale_temp_age_from_env()
         assert age == store_module._STALE_TEMP_SECONDS
+
+
+def test_repro_jobs_valid_value(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "4")
+    assert _default_workers() == (4, True)
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    assert _default_workers() == (1, False)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_repro_jobs_invalid_value_warns_once(monkeypatch, value):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
+        assert _default_workers() == (1, False)
+    # Warned once per process, not once per runner construction.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _default_workers() == (1, False)
+
+
+def test_repro_jobs_empty_means_cpu_count(monkeypatch):
+    """``REPRO_JOBS=`` clears the knob: the CPU count, no warning."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("REPRO_JOBS", "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _default_workers() == (3, True)
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -1,8 +1,9 @@
 """Tests of the experiment drivers (fast, reduced-scope runs).
 
-Full-figure regeneration lives in ``benchmarks/``; here each driver runs
-on a reduced workload set at the ``test`` scale to verify structure,
-rendering, and the paper's core shape claims.
+Full-figure regeneration at the ``bench`` scale lives in
+``test_bench_figures.py``; here each driver runs on a reduced workload
+set at the ``test`` scale to verify structure, rendering, and the
+paper's core shape claims.
 """
 
 import pytest
