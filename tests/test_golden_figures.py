@@ -1,6 +1,7 @@
-"""Golden-figure regression gate: pinned fig5/fig7/fig8 outputs.
+"""Golden-figure regression gate: pinned outputs of every figure whose
+cells run in the compiled kernel (baseline and STMS cells).
 
-Tiny test-scale runs of the STMS-dominated sweeps, with their full
+Tiny test-scale runs of those sweeps, with their full
 numeric payloads committed as JSON fixtures.  Any numeric drift — an
 engine change that is no longer bit-identical, a trace-generator change
 that alters RNG consumption, a timing-model tweak — fails here as a
@@ -39,7 +40,8 @@ GOLDEN_MIXES = (
     "mix:oltp-db2*2+sci-ocean@0.5!low",
 )
 GOLDEN_FIGURES = (
-    "fig5-left", "fig5-right", "fig7", "fig8", "mix-contention",
+    "fig1-right", "fig4", "fig5-left", "fig5-right", "fig6-left", "fig7",
+    "fig8", "fig9", "mix-contention", "table2",
 )
 
 
