@@ -249,11 +249,18 @@ class _RunState:
             for core in range(self.trace.cores)
         ]
         self._run_until(limits)
-        end = max(self.clocks) if self.clocks else 0.0
+        self._finalize(max(self.clocks) if self.clocks else 0.0)
+
+    def _finalize(self, end: float) -> None:
+        """End of the measured phase: flush the prefetchers' leftovers."""
         if self.temporal is not None:
             self.temporal.finalize(end)
         if self.stride is not None:
             self.stride.finalize()
+
+    def sync(self) -> None:
+        """Bring every Python machine object up to date (a no-op here:
+        the reference keeps its whole state in them)."""
 
     def _run_until(self, limits: list[int]) -> None:
         """Advance every core to its per-core record limit, time-ordered."""

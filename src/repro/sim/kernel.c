@@ -22,8 +22,11 @@
  * flat arrays kept in the insertion/recency order of the Python dicts
  * they mirror: index 0 is the oldest entry.  Index buckets keep the
  * Python lists' order, most recently used first.  repro.sim.native
- * packs the Python objects into these buffers before a phase and
- * unpacks them afterwards.
+ * packs the Python objects into these buffers once per cell and keeps
+ * them for the cell's lifetime: warm-up, the measurement boundary
+ * (repro_kernel_reset), the measured phase and the end-of-run flush
+ * (repro_kernel_finalize) all run on the same Machine, and only the
+ * counters are copied back.
  *
  * The sampler's coin flips arrive pre-drawn, one of the sampler's
  * batches at a time (a record flips at most one coin); the bucket and
@@ -1324,4 +1327,62 @@ int64_t repro_kernel_run(Machine *m)
             return 1;
         step(m, next);
     }
+}
+
+/* _RunState.reset_accounting: zero the statistics the measurement
+ * boundary resets (cache, victim and prefetcher contents, MSHR stats and
+ * the STMS structures' stats carry over) and start measuring. */
+void repro_kernel_reset(Machine *m)
+{
+    for (int64_t i = 0; i < TC_COUNT; i++)
+        m->traffic[i] = 0;
+    for (int64_t i = 0; i < m->cores * TC_COUNT; i++)
+        m->core_traffic[i] = 0;
+    for (int64_t i = 0; i < CV_COUNT; i++)
+        m->coverage[i] = 0;
+    for (int64_t i = 0; i < m->cores * CV_COUNT; i++)
+        m->core_coverage[i] = 0;
+    for (int64_t i = 0; i < m->l1_cores * ST_COUNT; i++)
+        m->l1_stats[i] = 0;
+    for (int64_t i = 0; i < ST_COUNT; i++)
+        m->l2_stats[i] = 0;
+    m->off_chip_reads = m->demand_accesses = 0;
+    m->dram_requests = m->dram_high = m->dram_low = 0;
+    m->dram_busy_cycles = m->dram_queue_cycles = 0.0;
+    if (m->use_stride)
+        for (int64_t i = 0; i <= SS_DROPPED; i++)
+            m->stride_stats[i] = 0;
+    if (m->stms)
+        for (int64_t i = 0; i <= PF_LOOKUP_HITS; i++)
+            m->pf_stats[i] = 0;
+    m->measuring = 1;
+}
+
+/* StmsPrefetcher.finalize then StridePrefetcher.finalize at the end of
+ * the measured phase: spill every partly filled pack buffer, write back
+ * the dirty resident buckets and empty the bucket buffer, and charge the
+ * prefetches left in the prefetch and stride buffers as erroneous. */
+void repro_kernel_finalize(Machine *m, double now)
+{
+    if (m->stms) {
+        for (int64_t c = 0; c < m->cores; c++)
+            if (m->hist_pend_count[c])
+                history_spill(m, c, now);
+        for (int64_t i = 0; i < m->bb_count; i++)
+            if (m->bb_dirty[i])
+                bb_write_back(m, now, m->bb_core[i]);
+        m->bb_count = 0;
+        for (int64_t c = 0; c < m->cores; c++) {
+            for (int64_t i = 0; i < m->pbuf_count[c]; i++) {
+                m->pf_stats[PF_ERRONEOUS]++;
+                charge(m, c, TC_ERRONEOUS);
+            }
+            m->pbuf_count[c] = 0;
+        }
+    }
+    if (m->use_stride)
+        for (int64_t c = 0; c < m->cores; c++) {
+            m->stride_stats[SS_ERRONEOUS] += m->sbuf_count[c];
+            m->sbuf_count[c] = 0;
+        }
 }

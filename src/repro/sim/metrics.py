@@ -154,8 +154,11 @@ def snapshot_run_state(state) -> dict:
 
     Cache sets and stride trackers are captured in their dict order,
     which is their LRU order: a replacement-order slip shows up here
-    before it changes any counter.
+    before it changes any counter.  ``state.sync()`` runs first, so an
+    engine that keeps its machine outside the Python objects (the
+    compiled kernel) is captured whole.
     """
+    state.sync()
     hierarchy = state.hierarchy
     snap: dict = {
         "clocks": list(state.clocks),

@@ -13,19 +13,26 @@ and walks records in the same ``(clock, core)`` order, so results are
 bit-identical to the reference (``tests/sim/test_engine_differential.py``
 pins it).  Other temporal prefetchers stay on the Python batched engine.
 
-State handoff: before each phase the Python machine objects (caches,
-victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS structures,
-counters) are packed into flat NumPy buffers in their dict/list order;
-afterwards the buffers are unpacked back into the same objects.  An
-STMS cell's per-record index buckets and tags arrive as int64 arrays,
-zero-copy, from the sweep's shared classification or the prefetcher's
-``metadata_columns``; its sampler's coin flips are drawn in the
-sampler's own batches, handed in one batch at a time as the kernel
-asks, and the unused ones go back (:class:`_Coins`), so the sampler's
-RNG stream is the Python path's.
-Everything outside ``_run_until`` — warm-up/measurement phases, the
-accounting reset, ``finalize``, result assembly and state snapshots —
-is the reference code unchanged.
+State handoff: a cell's Python machine objects (caches, victim FIFOs,
+MSHRs, DRAM, stride prefetcher, STMS structures, counters) are packed
+into flat NumPy buffers, in their dict/list order, on the cell's first
+kernel call, and the buffers and the ``Machine`` struct stay with the
+cell to the end: warm-up, the measurement boundary
+(``repro_kernel_reset``), the measured phase and the end-of-run flush
+(``repro_kernel_finalize``) all run on them.  Only what results and the
+conservation oracle read is copied back: clocks and cursors after every
+phase (with the measured phase's miss log), the counters at the
+boundary and after the flush.  Cache sets, MSHR entries, prefetcher
+tables and the STMS structures stay in C; :meth:`NativeRunState.sync`
+unpacks them into the Python objects for state snapshots.
+An STMS cell's per-record index buckets and tags arrive as int64
+arrays, zero-copy, from the sweep's shared classification or the
+prefetcher's ``metadata_columns``; its sampler's coin flips are drawn in
+the sampler's own batches, handed in one batch at a time as the kernel
+asks, and the unused ones go back after each phase (:class:`_Coins`),
+so the sampler's RNG stream is the Python path's.
+The phase entry points (``run_warmup``, ``run_measured``) and result
+assembly are the reference code unchanged.
 
 Build: the kernel compiles once per machine with the system ``cc``
 (``-O2 -ffp-contract=off``, no fast-math, so float clock arithmetic
@@ -49,7 +56,7 @@ import os
 import shutil
 import subprocess
 import warnings
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -221,15 +228,19 @@ def _open(path: Path) -> "ctypes.CDLL | None":
     try:
         lib = ctypes.CDLL(str(path))
         abi = lib.repro_kernel_abi
-        run = lib.repro_kernel_run
+        entries = (lib.repro_kernel_run, lib.repro_kernel_reset,
+                   lib.repro_kernel_finalize)
     except (OSError, AttributeError):
         return None
     abi.argtypes = []
     abi.restype = ctypes.c_int64
     if abi() != ABI:
         return None
-    run.argtypes = [ctypes.POINTER(Machine)]
+    run, reset, finalize = entries
+    run.argtypes = reset.argtypes = [ctypes.POINTER(Machine)]
+    finalize.argtypes = [ctypes.POINTER(Machine), ctypes.c_double]
     run.restype = ctypes.c_int64
+    reset.restype = finalize.restype = None
     return lib
 
 
@@ -356,7 +367,10 @@ def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
 class NativeRunState(_RunState):
     """The scalar reference run state, stepped by the compiled kernel."""
 
-    __slots__ = ("_lib", "_columns", "_work_f64", "_low_priority")
+    __slots__ = (
+        "_lib", "_columns", "_work_f64", "_low_priority", "_machine",
+        "_buffers",
+    )
 
     def __init__(
         self, config: SimConfig, trace: Trace, temporal_factory=None,
@@ -413,9 +427,63 @@ class NativeRunState(_RunState):
         self._low_priority = np.array(
             [p is Priority.LOW for p in self.demand_priority], dtype=np.uint8
         )
+        #: The packed machine and the buffers it points into, from the
+        #: first kernel call on (see :meth:`_packed`).
+        self._machine: "Machine | None" = None
+        self._buffers: "dict[str, np.ndarray]" = {}
+
+    # ------------------------------------------------------------------
+    # Lifecycle: one pack per cell, counters back.
+    # ------------------------------------------------------------------
+
+    def _packed(self) -> "tuple[Machine, dict]":
+        """The cell's kernel machine, packed from the Python objects on
+        first use and kept for the cell's lifetime."""
+        if self._machine is None:
+            self._pack()
+        return self._machine, self._buffers
+
+    def _hand_over(self, **arrays: np.ndarray) -> None:
+        """Point the machine at new buffers (kept alive in ``_buffers``)."""
+        for name, array in arrays.items():
+            if not array.flags.c_contiguous:
+                raise ValueError(f"kernel buffer {name} is not contiguous")
+            self._buffers[name] = array
+            setattr(self._machine, name, array.ctypes.data)
+
+    def reset_accounting(self) -> None:
+        """The measurement boundary: the reference reset on the Python
+        counters (brought up to date first, so the STMS transfer
+        counters it snapshots are current), then the same reset in C."""
+        machine, buffers = self._packed()
+        self._restore_counters(machine, buffers)
+        super().reset_accounting()
+        self._lib.repro_kernel_reset(ctypes.byref(machine))
+
+    def _finalize(self, end: float) -> None:
+        """The reference flush, in C; its counters come back."""
+        machine, buffers = self._packed()
+        self._lib.repro_kernel_finalize(ctypes.byref(machine), end)
+        self._restore_counters(machine, buffers)
+
+    def sync(self) -> None:
+        """Unpack the whole kernel machine into the Python objects."""
+        if self._machine is not None:
+            self._unpack(self._machine, self._buffers)
 
     def _run_until(self, limits: "list[int]") -> None:
-        machine, buffers = self._pack(limits)
+        machine, buffers = self._packed()
+        buffers["limits"][:] = limits
+        log = self.miss_log
+        if log is not None:
+            # Room for every record of the phase to miss, per core.
+            room = np.maximum(buffers["limits"] - buffers["cursors"], 0)
+            room *= machine.measuring
+            buffers["miss_log_count"][:] = 0
+            self._hand_over(
+                miss_log=np.zeros(int(room.sum()), dtype=np.int64),
+                miss_log_base=np.cumsum(room) - room,
+            )
         coins = (
             _Coins(self.temporal.sampler, machine)
             if machine.sample_mode == 2
@@ -432,14 +500,21 @@ class NativeRunState(_RunState):
             width = machine.issued_capacity
             grown = np.zeros((self.trace.cores, 2 * width), dtype=_QUEUED)
             grown[:, :width] = buffers["issued"].reshape(-1, width)
-            buffers["issued"] = grown.reshape(-1)
-            machine.issued = buffers["issued"].ctypes.data
+            self._hand_over(issued=grown.reshape(-1))
             machine.issued_capacity = 2 * width
         if coins is not None:
             coins.settle()
-        self._unpack(machine, buffers)
+        cores = self.trace.cores
+        self.clocks[:] = buffers["clocks"].tolist()[:cores]
+        self.cursors[:] = buffers["cursors"].tolist()[:cores]
+        if log is not None:
+            entries = buffers["miss_log"]
+            bases = buffers["miss_log_base"].tolist()
+            for core, n in enumerate(buffers["miss_log_count"].tolist()):
+                base = bases[core]
+                log[core].extend(entries[base:base + n].tolist())
 
-    def _pack(self, limits: "list[int]"):
+    def _pack(self) -> None:
         config, trace, hier = self.config, self.trace, self.hierarchy
         timing, cores = config.timing, trace.cores
         l1_config = hier.l1s[0].config
@@ -535,14 +610,11 @@ class NativeRunState(_RunState):
             ).reshape(-1)
             b["mlp_count"] = np.array([a.count for a in accumulators],
                                       dtype=np.int64)
-        b["limits"] = np.array(limits, dtype=np.int64)
+        b["limits"] = np.zeros(cores, dtype=np.int64)
         b["clocks"] = np.array(self.clocks, dtype=np.float64)
         b["cursors"] = np.array(self.cursors, dtype=np.int64)
         if self.miss_log is not None:
-            # Room for every record of the phase to miss, per core.
-            room = np.maximum(b["limits"] - b["cursors"], 0)
-            b["miss_log_base"] = np.cumsum(room) - room
-            b["miss_log"] = np.zeros(int(room.sum()), dtype=np.int64)
+            # Each phase hands in its own log (_run_until).
             b["miss_log_count"] = np.zeros(cores, dtype=np.int64)
         stms = {} if self.temporal is None else self._pack_stms(b)
 
@@ -596,11 +668,8 @@ class NativeRunState(_RunState):
             t_pf_indep=timing.prefetch_hit_indep,
             **stms,
         )
-        for name, array in b.items():
-            if not array.flags.c_contiguous:
-                raise ValueError(f"kernel buffer {name} is not contiguous")
-            setattr(machine, name, array.ctypes.data)
-        return machine, b
+        self._machine = machine
+        self._hand_over(**b)
 
     def _pack_stms(self, b: dict) -> dict:
         """Pack the STMS prefetcher into ``b``; returns its scalar fields."""
@@ -704,10 +773,64 @@ class NativeRunState(_RunState):
             bb_count=len(resident),
         )
 
+    def _restore_counters(self, m: Machine, b: dict) -> None:
+        """Copy the kernel's counters back: what results and
+        :func:`~repro.sim.metrics.check_invariants` read."""
+        hier, cores = self.hierarchy, self.trace.cores
+        self.measured_records = m.measured_records
+        hier.demand_accesses = m.demand_accesses
+        hier.off_chip_reads = m.off_chip_reads
+        for core, l1 in enumerate(hier.l1s):
+            _restore(l1.stats, b["l1_stats"], core)
+        for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
+            victim.hits = hits
+        _restore(hier.l2.stats, b["l2_stats"], 0)
+        _restore(self.mshrs.stats, b["mshr_stats"], 0)
+
+        stats = self.dram.stats
+        stats.busy_cycles = m.dram_busy_cycles
+        stats.queue_cycles = m.dram_queue_cycles
+        stats.requests = m.dram_requests
+        stats.high_priority_requests = m.dram_high
+        stats.low_priority_requests = m.dram_low
+        if self.stride is not None:
+            _restore(self.stride.stats, b["stride_stats"], 0)
+
+        traffic = self.traffic
+        traffic._bytes.update(zip(_CATEGORIES, b["traffic"].tolist()))
+        core_traffic = b["core_traffic"].reshape(cores, -1).tolist()
+        for core in range(cores):
+            traffic._core_bytes[core].update(
+                zip(_CATEGORIES, core_traffic[core])
+            )
+            _restore(self.core_coverage[core], b["core_coverage"], core)
+        _restore(self.coverage, b["coverage"], 0)
+
+        if self.mlp is not None:
+            mlp = b["mlp"].reshape(-1, 4).tolist()
+            counts = b["mlp_count"].tolist()
+            for core, acc in enumerate(self.mlp._accumulators):
+                acc.total, acc.union, acc._current_start, acc._current_end = (
+                    mlp[core]
+                )
+                acc.count = counts[core]
+
+        stms = self.temporal
+        if stms is not None:
+            _restore(stms.stats, b["pf_stats"], 0)
+            _restore(stms.counters, b["stms_counters"], 0)
+            stms.sampler.flips, stms.sampler.accepted = b["sampler"].tolist()
+            _restore(stms.index.stats, b["index_stats"], 0)
+            for core, history in enumerate(stms.histories):
+                _restore(history.stats, b["hist_stats"], core)
+            _restore(stms.bucket_buffer.stats, b["bb_stats"], 0)
+
     def _unpack(self, m: Machine, b: dict) -> None:
+        """Rebuild every Python machine object from the kernel's."""
         hier, cores = self.hierarchy, self.trace.cores
         self.clocks[:] = b["clocks"].tolist()[:cores]
         self.cursors[:] = b["cursors"].tolist()[:cores]
+        self._restore_counters(m, b)
 
         _unpack_ordered([s for l1 in hier.l1s for s in l1._sets],
                         b["l1_tags"], b["l1_dirty"].astype(bool),
@@ -715,22 +838,16 @@ class NativeRunState(_RunState):
         copies = hier._l1_copies
         copies.clear()
         for core, l1 in enumerate(hier.l1s):
-            _restore(l1.stats, b["l1_stats"], core)
             l1._version += 1
             for block in l1.resident_blocks():
                 copies[block] = copies.get(block, 0) | (1 << core)
         _unpack_ordered([v._fifo for v in hier.victims], b["victim_blocks"],
                         b["victim_dirty"].astype(bool), b["victim_count"],
                         max(0, hier.victims[0].capacity))
-        for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
-            victim.hits = hits
         _unpack_ordered(hier.l2._sets, b["l2_tags"],
                         b["l2_dirty"].astype(bool), b["l2_count"],
                         hier.l2.config.ways)
-        _restore(hier.l2.stats, b["l2_stats"], 0)
         hier.l2._version += 1
-        hier.demand_accesses = m.demand_accesses
-        hier.off_chip_reads = m.off_chip_reads
 
         mshrs = self.mshrs
         count = m.mshr_count
@@ -746,21 +863,15 @@ class NativeRunState(_RunState):
             for entry in mshrs._entries.values()
         )
         mshrs._min_complete = mshrs._heap[0][0] if mshrs._heap else _INF
-        _restore(mshrs.stats, b["mshr_stats"], 0)
 
         width = self.config.timing.core_miss_window
         window = b["window"].tolist()
         for core, n in enumerate(b["window_count"].tolist()[:cores]):
             self.outstanding[core][:] = window[core * width:core * width + n]
 
-        dram, stats = self.dram, self.dram.stats
+        dram = self.dram
         dram._busy_until_high = m.dram_busy_high
         dram._busy_until_all = m.dram_busy_all
-        stats.busy_cycles = m.dram_busy_cycles
-        stats.queue_cycles = m.dram_queue_cycles
-        stats.requests = m.dram_requests
-        stats.high_priority_requests = m.dram_high
-        stats.low_priority_requests = m.dram_low
 
         stride = self.stride
         if stride is not None:
@@ -780,43 +891,11 @@ class NativeRunState(_RunState):
                         block, issued, arrival
                     )
                 buffer._stream_counts = {-1: n} if n else {}
-            _restore(stride.stats, b["stride_stats"], 0)
-
-        traffic = self.traffic
-        traffic._bytes.update(zip(_CATEGORIES, b["traffic"].tolist()))
-        core_traffic = b["core_traffic"].reshape(cores, -1).tolist()
-        for core in range(cores):
-            traffic._core_bytes[core].update(
-                zip(_CATEGORIES, core_traffic[core])
-            )
-            _restore(self.core_coverage[core], b["core_coverage"], core)
-        _restore(self.coverage, b["coverage"], 0)
-        self.measured_records = m.measured_records
-
-        if self.mlp is not None:
-            mlp = b["mlp"].reshape(-1, 4).tolist()
-            counts = b["mlp_count"].tolist()
-            for core, acc in enumerate(self.mlp._accumulators):
-                acc.total, acc.union, acc._current_start, acc._current_end = (
-                    mlp[core]
-                )
-                acc.count = counts[core]
-        if self.miss_log is not None:
-            log = b["miss_log"]
-            bases = b["miss_log_base"].tolist()
-            for core, n in enumerate(b["miss_log_count"].tolist()[:cores]):
-                self.miss_log[core].extend(
-                    log[bases[core]:bases[core] + n].tolist()
-                )
         if self.temporal is not None:
             self._unpack_stms(m, b)
 
     def _unpack_stms(self, m: Machine, b: dict) -> None:
         stms = self.temporal
-        _restore(stms.stats, b["pf_stats"], 0)
-        _restore(stms.counters, b["stms_counters"], 0)
-        stms.sampler.flips, stms.sampler.accepted = b["sampler"].tolist()
-
         index = stms.index
         width = index.bucket_entries
         tags = b["index_tags"].tolist()
@@ -828,7 +907,6 @@ class NativeRunState(_RunState):
                 tuple.__new__(HistoryPointer, p)
                 for p in pointers[base:base + n]
             ]
-        _restore(index.stats, b["index_stats"], 0)
 
         capacity = stms.histories[0].capacity
         blocks = b["hist_blocks"].reshape(-1, capacity).tolist()
@@ -845,7 +923,6 @@ class NativeRunState(_RunState):
             history._pend_blocks = pending[core][:n]
             history._pend_marks = pending_marks[core][:n]
             history.head = heads[core]
-            _restore(history.stats, b["hist_stats"], core)
 
         bucket_buffer = stms.bucket_buffer
         n = m.bb_count
@@ -858,7 +935,6 @@ class NativeRunState(_RunState):
             bucket_buffer._resident[bucket] = dirty
             if dirty:
                 bucket_buffer._dirty_core[bucket] = owner
-        _restore(bucket_buffer.stats, b["bb_stats"], 0)
 
         queue_width = stms.config.address_queue_entries
         issued_width = m.issued_capacity
@@ -985,16 +1061,23 @@ def _padded(items, width, dtype):
     return array
 
 
+@functools.cache
+def _field_names(cls) -> "tuple[str, ...]":
+    return tuple(f.name for f in fields(cls))
+
+
 def _stats(objects) -> np.ndarray:
     """Integer counter dataclasses flattened field by field."""
     return np.array(
-        [value for o in objects for value in astuple(o)], dtype=np.int64
+        [getattr(o, name) for o in objects
+         for name in _field_names(type(o))],
+        dtype=np.int64,
     )
 
 
 def _restore(obj, array: np.ndarray, row: int) -> None:
     """Write row ``row`` of a :func:`_stats` array back into ``obj``."""
-    names = [f.name for f in fields(obj)]
+    names = _field_names(type(obj))
     values = array[row * len(names):(row + 1) * len(names)].tolist()
     for name, value in zip(names, values):
         setattr(obj, name, value)

@@ -241,8 +241,15 @@ def _random_prefetcher(
 HAVE_CC = shutil.which("cc") is not None
 
 
+#: The points of a run :func:`_run_and_snapshot` captures, in order.
+PHASES = ("warmup", "boundary", "final")
+
+
 def _run_and_snapshot(state_class, config, trace, factory, shared=None):
-    """Drive one engine through both phases; snapshot before result().
+    """Drive one engine through both phases; snapshot after warm-up,
+    right after the measurement-boundary reset (so a counter the reset
+    misses or over-zeroes shows there, not only downstream) and before
+    result().  Returns the snapshots by phase and the result.
 
     The finished run must also satisfy the conservation oracle.
     """
@@ -251,13 +258,21 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
     else:
         state = state_class(config, trace, factory, shared=shared)
     state.run_warmup()
-    warm = snapshot_run_state(state)
+    snapshots = {"warmup": snapshot_run_state(state)}
     state.reset_accounting()
+    snapshots["boundary"] = snapshot_run_state(state)
     state.run_measured()
-    final = snapshot_run_state(state)
+    snapshots["final"] = snapshot_run_state(state)
     result = state.result("fuzz")
     check_invariants(state, result)
-    return warm, final, result
+    return snapshots, result
+
+
+def _assert_same_snapshots(got: dict, want: dict, what: str) -> None:
+    for phase in PHASES:
+        assert got[phase] == want[phase], (
+            f"{what} at {phase} snapshot"
+        )
 
 
 def _check_seed(
@@ -326,32 +341,26 @@ def _check_seed(
         and HAVE_CC
     ):
         candidates.append(NativeRunState)
-    reference = _run_and_snapshot(
+    reference, expected = _run_and_snapshot(
         _RunState, config, trace, reference_factory
     )
     for engine in candidates:
         _, factory = draw()
-        candidate = _run_and_snapshot(engine, config, trace, factory)
-        for phase, got, want in (
-            ("warmup", candidate[0], reference[0]),
-            ("final", candidate[1], reference[1]),
-        ):
-            assert got == want, (
-                f"seed {seed} ({kind.value}): {engine.__name__} "
-                f"diverged from scalar reference at {phase} snapshot"
-            )
-        assert dataclasses.astuple(candidate[2].coverage) == (
-            dataclasses.astuple(reference[2].coverage)
+        snapshots, result = _run_and_snapshot(engine, config, trace, factory)
+        _assert_same_snapshots(
+            snapshots, reference,
+            f"seed {seed} ({kind.value}): {engine.__name__} diverged "
+            f"from scalar reference",
         )
-        assert candidate[2].traffic == reference[2].traffic
-        assert candidate[2].elapsed_cycles == reference[2].elapsed_cycles
-        assert candidate[2].mlp == reference[2].mlp
-        assert candidate[2].miss_log == reference[2].miss_log
-        assert (
-            candidate[2].core_traffic_bytes
-            == reference[2].core_traffic_bytes
+        assert dataclasses.astuple(result.coverage) == (
+            dataclasses.astuple(expected.coverage)
         )
-    return reference[1]
+        assert result.traffic == expected.traffic
+        assert result.elapsed_cycles == expected.elapsed_cycles
+        assert result.mlp == expected.mlp
+        assert result.miss_log == expected.miss_log
+        assert result.core_traffic_bytes == expected.core_traffic_bytes
+    return reference["final"]
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
@@ -425,13 +434,13 @@ def test_touching_miss_intervals_merge_bit_for_bit():
         engine: _run_and_snapshot(engine, config, trace, None)
         for engine in (_RunState, BatchRunState, NativeRunState)
     }
-    reference = results[_RunState]
-    assert reference[2].coverage.uncovered == records - 1
-    assert reference[2].mlp == 1.0000000000000002
-    for engine, (_, final, result) in results.items():
-        assert final == reference[1], engine.__name__
-        assert result.mlp == reference[2].mlp, engine.__name__
-        assert result.core_mlp == reference[2].core_mlp, engine.__name__
+    reference, expected = results[_RunState]
+    assert expected.coverage.uncovered == records - 1
+    assert expected.mlp == 1.0000000000000002
+    for engine, (snapshots, result) in results.items():
+        _assert_same_snapshots(snapshots, reference, engine.__name__)
+        assert result.mlp == expected.mlp, engine.__name__
+        assert result.core_mlp == expected.core_mlp, engine.__name__
 
 
 def _stms(snapshot: dict, part: str):
@@ -584,32 +593,32 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
 
     for position, cell in enumerate(cells):
         factory = make_factory(PrefetcherKind.STMS, cell)
-        reference = _run_and_snapshot(_RunState, config, trace, factory)
-        batched = _run_and_snapshot(BatchRunState, config, trace, factory)
-        for phase, index in (("warmup", 0), ("final", 1)):
-            assert batched[index] == reference[index], (
-                f"seed {seed} cell {position}: batched engine diverged "
-                f"from scalar reference at {phase} snapshot"
-            )
+        reference, expected = _run_and_snapshot(
+            _RunState, config, trace, factory
+        )
+        batched, _ = _run_and_snapshot(BatchRunState, config, trace, factory)
+        _assert_same_snapshots(
+            batched, reference,
+            f"seed {seed} cell {position}: batched engine diverged from "
+            f"scalar reference",
+        )
         if not HAVE_CC:
             continue
         # The compiled kernel reads the grid's shared columns.
-        swept = _run_and_snapshot(
+        swept, result = _run_and_snapshot(
             NativeRunState, config, trace, factory, shared=shared
         )
-        for phase, index in (("warmup", 0), ("final", 1)):
-            assert swept[index] == reference[index], (
-                f"seed {seed} cell {position}: config-parallel path "
-                f"diverged from scalar reference at {phase} snapshot"
-            )
-        assert swept[2].traffic == reference[2].traffic
-        assert swept[2].elapsed_cycles == reference[2].elapsed_cycles
-        assert dataclasses.astuple(swept[2].coverage) == (
-            dataclasses.astuple(reference[2].coverage)
+        _assert_same_snapshots(
+            swept, reference,
+            f"seed {seed} cell {position}: config-parallel path diverged "
+            f"from scalar reference",
         )
-        assert swept[2].core_traffic_bytes == (
-            reference[2].core_traffic_bytes
+        assert result.traffic == expected.traffic
+        assert result.elapsed_cycles == expected.elapsed_cycles
+        assert dataclasses.astuple(result.coverage) == (
+            dataclasses.astuple(expected.coverage)
         )
+        assert result.core_traffic_bytes == expected.core_traffic_bytes
 
 
 #: Pinned fast sweep-shaped seeds (tier-1).
@@ -673,7 +682,9 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
     # from a shm-attached trace (with parent-classified metadata
     # columns adopted, read in place by the compiled kernel) must
     # snapshot identically to the original.
-    reference = _run_and_snapshot(BatchRunState, config, trace, factory)
+    reference, expected = _run_and_snapshot(
+        BatchRunState, config, trace, factory
+    )
     geometry = (cell.index_buckets, cell.tag_bits)
     arrays = stacked_metadata_arrays(
         [np.asarray(b) for b in trace.blocks], [geometry]
@@ -685,22 +696,19 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
         shared = SweepShared(attached_trace)
         shared.adopt_arrays(metadata)
         if HAVE_CC:
-            attached = _run_and_snapshot(
+            attached, result = _run_and_snapshot(
                 NativeRunState, config, attached_trace, factory,
                 shared=shared,
             )
         else:
-            attached = _run_and_snapshot(
+            attached, result = _run_and_snapshot(
                 BatchRunState, config, attached_trace, factory
             )
-        for phase, index in (("warmup", 0), ("final", 1)):
-            assert attached[index] == reference[index], (
-                f"seed {seed}: shm-attached trace diverged from the "
-                f"original at {phase} snapshot"
-            )
-        assert (
-            encode_result(attached[2]) == encode_result(reference[2])
+        _assert_same_snapshots(
+            attached, reference,
+            f"seed {seed}: shm-attached trace diverged from the original",
         )
+        assert encode_result(result) == encode_result(expected)
 
     # (b) Scheduler-level identity: serial vs cell-parallel (shm plane)
     # vs cell-parallel with the plane disabled, over a real suite

@@ -275,3 +275,63 @@ def test_coins_hand_back_exactly_what_the_python_path_leaves(
     assert [kernel.should_update() for _ in range(5000)] == [
         python.should_update() for _ in range(5000)
     ]
+
+
+@needs_cc
+@pytest.mark.parametrize("workload, probability", [
+    ("web-apache", 0.5),   # sampled: the coins cross a batch boundary
+    ("sci-ocean", 1.0),    # every update applied: issued maps grow
+])
+def test_simulator_run_keeps_the_machine_in_the_kernel(
+    monkeypatch, workload, probability
+):
+    """``Simulator.run`` packs an STMS cell once and copies back only
+    counters: the full structural unpack (``sync``) never runs, and the
+    result is the scalar engine's, bit for bit.  Both of the kernel's
+    resume statuses occur, and their state (the sampler's batches, a
+    grown issued map) carries across the measurement boundary."""
+    import dataclasses
+
+    from repro.sim.engine import Simulator
+    from repro.sim.runner import (
+        PrefetcherKind, make_factory, make_sim_config, make_stms_config)
+    from repro.sim.store import encode_result
+    from repro.workloads.suite import generate
+
+    trace = generate(workload, scale="test", cores=2, seed=7)
+    config = make_sim_config("test")
+    factory = make_factory(
+        PrefetcherKind.STMS,
+        make_stms_config(
+            "test", cores=2, sampling_probability=probability
+        ),
+    )
+    reference = Simulator(dataclasses.replace(config, engine="scalar")).run(
+        trace, factory, "stms"
+    )
+
+    def no_unpack(state):
+        raise AssertionError("Simulator.run unpacked the kernel machine")
+
+    resumes = {"draw": 0, "grow": 0}
+    draw, hand_over = native._Coins.draw, native.NativeRunState._hand_over
+
+    def counted_draw(coins):
+        resumes["draw"] += 1
+        draw(coins)
+
+    def counted_hand_over(state, **arrays):
+        if set(arrays) == {"issued"}:
+            resumes["grow"] += 1
+        hand_over(state, **arrays)
+
+    monkeypatch.setattr(native.NativeRunState, "sync", no_unpack)
+    monkeypatch.setattr(native._Coins, "draw", counted_draw)
+    monkeypatch.setattr(
+        native.NativeRunState, "_hand_over", counted_hand_over
+    )
+    result = Simulator(config).run(trace, factory, "stms")
+    assert encode_result(result) == encode_result(reference)
+    if probability < 1.0:
+        assert resumes["draw"] >= 2
+    assert resumes["grow"] > 0

@@ -19,6 +19,17 @@ engine:
   run ends with that many unconsumed (erroneous) prefetches.
 
 Every engine must reproduce these numbers exactly.
+
+A second micro-trace pins the end-of-run flush (``finalize``) on its
+own: one core misses on ``12 * 5 + K_PENDING`` distinct blocks that
+hash to ``D_DIRTY`` index buckets, with every update applied and no
+lookup hit (all tags are new).  Before the flush, five packed writes
+are done, ``K_PENDING`` entries wait in the pack buffer and the
+``D_DIRTY`` buckets sit dirty in the bucket buffer (each was fetched
+once by a lookup, then dirtied in place by its update).  The flush
+adds exactly one packed write and ``D_DIRTY`` write-backs: one RECORD
+block, ``D_DIRTY`` UPDATE blocks and as many low-priority DRAM
+requests.
 """
 
 from __future__ import annotations
@@ -28,8 +39,10 @@ import shutil
 import pytest
 
 from repro.core.config import StmsConfig
+from repro.core.index_table import IndexTable
 from repro.memory.address import BLOCK_BYTES
 from repro.memory.hierarchy import CmpConfig
+from repro.memory.traffic import TrafficCategory
 from repro.sim.batch import BatchRunState
 from repro.sim.engine import SimConfig, _RunState
 from repro.sim.metrics import check_invariants
@@ -48,11 +61,17 @@ ENGINES = [
 ]
 
 
-def _run(engine):
+def _engine(engine):
     if engine == "native":
-        from repro.sim.native import NativeRunState as engine
+        from repro.sim.native import NativeRunState
+
+        return NativeRunState
+    return engine
+
+
+def _machine() -> SimConfig:
     # L2: 128 blocks (32 sets x 4 ways), well under N.
-    config = SimConfig(
+    return SimConfig(
         cmp=CmpConfig(
             cores=1,
             l1_size_bytes=8 * BLOCK_BYTES,
@@ -64,6 +83,11 @@ def _run(engine):
         ),
         use_stride=False,
     )
+
+
+def _run(engine):
+    engine = _engine(engine)
+    config = _machine()
     stms = StmsConfig(
         cores=1,
         history_entries=K * N,
@@ -101,3 +125,66 @@ def test_looped_stream_matches_hand_worked_counts(engine):
     assert stms.stats.useful == K * N - N - 1
     assert stms.stats.erroneous == LOOKAHEAD
     assert stms.stats.issued == K * N - N - 1 + LOOKAHEAD
+
+
+K_PENDING = 7
+D_DIRTY = 3
+INDEX_BUCKETS = 8
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_finalize_flushes_pending_history_and_dirty_buckets(engine):
+    index = IndexTable(INDEX_BUCKETS)
+    blocks = [
+        block for block in range(1, 10_000)
+        if index.bucket_of(block) < D_DIRTY
+    ][:12 * 5 + K_PENDING]
+    assert {index.bucket_of(block) for block in blocks} == set(
+        range(D_DIRTY)
+    )
+    stms_config = StmsConfig(
+        cores=1,
+        history_entries=1024,
+        index_buckets=INDEX_BUCKETS,
+        sampling_probability=1.0,
+    )
+    state = _engine(engine)(
+        _machine(), make_trace([blocks], work=5000.0, dep=False),
+        make_factory(PrefetcherKind.STMS, stms_config),
+    )
+    state.run_warmup()
+    state.reset_accounting()
+    state._run_until([len(blocks)])
+    state.sync()
+
+    stms = state.temporal
+    history, buckets = stms.histories[0], stms.bucket_buffer
+    traffic, dram = state.traffic._bytes, state.dram.stats
+    assert len(history._pend_blocks) == K_PENDING
+    assert dict(buckets._resident) == dict.fromkeys(range(D_DIRTY), True)
+    assert history.stats.packed_writes == 5
+    assert buckets.stats.writebacks == 0
+    assert stms.stats.issued == 0
+    record = traffic[TrafficCategory.RECORD_STREAMS]
+    update = traffic[TrafficCategory.UPDATE_INDEX]
+    assert record == 5 * BLOCK_BYTES
+    assert traffic[TrafficCategory.LOOKUP_STREAMS] == D_DIRTY * BLOCK_BYTES
+    assert update == 0
+    low = dram.low_priority_requests
+    assert low == D_DIRTY + 5
+
+    state._finalize(max(state.clocks))
+    assert history.stats.packed_writes == 5 + 1
+    assert buckets.stats.writebacks == D_DIRTY
+    assert traffic[TrafficCategory.RECORD_STREAMS] == record + BLOCK_BYTES
+    assert traffic[TrafficCategory.UPDATE_INDEX] == (
+        update + D_DIRTY * BLOCK_BYTES
+    )
+    assert dram.low_priority_requests == low + 1 + D_DIRTY
+    assert dram.requests == dram.high_priority_requests + low + 1 + D_DIRTY
+    assert stms.stats.erroneous == 0
+    state.sync()
+    assert not history._pend_blocks
+    assert not buckets._resident
+    check_invariants(state, state.result("stms"))
+
