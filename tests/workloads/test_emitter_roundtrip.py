@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.mix_contention import DEFAULT_MIXES
 from repro.sim.session import trace_fingerprint
 from repro.workloads.suite import FIGURE_ORDER, generate
 
@@ -58,3 +59,57 @@ def test_mix_fingerprint_is_pinned(spec):
     trace = generate(spec, scale="test", cores=4, seed=13)
     assert trace.name == spec
     assert trace_fingerprint(trace) == MIX_PINS[spec]
+
+
+#: ``trace_fingerprint`` of each family at ``scale="test"``, 4 cores,
+#: seed 7: the traces the benchmark's fig7 workloads simulate.
+BENCH_FAMILY_PINS = {
+    "web-apache": "ab24b258bdbdfa5358623d856e1a75cd",
+    "web-zeus": "376db7248608b999760a73c3024781fc",
+    "oltp-db2": "cf14514db6a4be291e65bc569f78680c",
+    "oltp-oracle": "c7baa7397ebadab62eb1e1180c9f93e6",
+    "dss-db2": "5e79c8de5ddb0230d9e5fdfc5f1f0fbb",
+    "sci-em3d": "41a39d3b0f0557032b04d45ed3948152",
+    "sci-moldyn": "bd0cebf47b6e9c4f80cf00468198be28",
+    "sci-ocean": "10cbe009d2749cff8169a23655cab366",
+}
+
+#: ``trace_fingerprint`` of the default contention mixes at
+#: ``scale="test"``, 4 cores, seed 7.
+CONTENTION_PINS = {
+    "mix:oltp-db2+dss-db2": "df93e65d2a528abc504ff9b48c1edc8c",
+    "mix:web-apache+sci-em3d": "c8cff8100aa6506324b0de446059e629",
+    "mix:oltp-db2+web-zeus": "a3b6a4f98beab2a9c148d1c7fd7f3f7f",
+    "mix:oltp-db2*2+dss-db2@0.5!low": "dcc6691bf6ca50db12b421e9e25d6082",
+}
+
+#: ``trace_fingerprint`` of one family per generator kind (commercial,
+#: DSS, scientific) at ``scale="demo"``, 2 cores, seed 7: long traces,
+#: and em3d's per-core iteration structure spans 7,680 blocks.
+DEMO_PINS = {
+    "web-apache": "2ffdfb1c31e4e1957dfd2c7c26fadc50",
+    "dss-db2": "f915b254241fd7901debc4dc03860945",
+    "sci-em3d": "41c9aec65b4bb0a171b34242f17a527f",
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_ORDER)
+def test_bench_family_fingerprint_is_pinned(name):
+    trace = generate(name, scale="test", cores=4, seed=7)
+    assert trace_fingerprint(trace) == BENCH_FAMILY_PINS[name]
+
+
+def test_contention_pins_cover_the_default_mixes():
+    assert tuple(CONTENTION_PINS) == DEFAULT_MIXES
+
+
+@pytest.mark.parametrize("spec", DEFAULT_MIXES)
+def test_contention_mix_fingerprint_is_pinned(spec):
+    trace = generate(spec, scale="test", cores=4, seed=7)
+    assert trace_fingerprint(trace) == CONTENTION_PINS[spec]
+
+
+@pytest.mark.parametrize("name", tuple(DEMO_PINS))
+def test_demo_family_fingerprint_is_pinned(name):
+    trace = generate(name, scale="demo", cores=2, seed=7)
+    assert trace_fingerprint(trace) == DEMO_PINS[name]
