@@ -18,6 +18,7 @@ the paper's Figure 5 (left).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,13 @@ class ActivityMix:
 ACTIVITY_STREAM, ACTIVITY_SCAN, ACTIVITY_NOISE, ACTIVITY_HOT = range(4)
 
 
+#: Raw 64-bit draws per refill of a :class:`GeneratorContext` window.
+_BATCH = 4096
+#: PCG64's ``next_double`` maps the top 53 bits of a raw draw to [0, 1).
+_DOUBLE_SCALE = 1.0 / (1 << 53)
+_UINT32_MASK = 0xFFFFFFFF
+
+
 class GeneratorContext:
     """Seeded randomness plus the block-address layout of one workload.
 
@@ -59,6 +67,14 @@ class GeneratorContext:
     activities never alias each other accidentally:
 
     ``[0, hot) | [hot, hot+structures) | scans | noise``
+
+    Per-record draws come from a window over one pre-drawn stream of raw
+    PCG64 outputs, fetched ``_BATCH`` at a time: :meth:`peek` and
+    :meth:`consume` serve the doubles ``rng.random()`` would return,
+    :meth:`below` the integers ``rng.integers(0, n)`` would.  Bulk draws
+    go through :attr:`rng`, which first settles the generator to exactly
+    the state the consumed draws leave.  Every trace is therefore the
+    one a per-call ``default_rng(seed)`` consumer would emit.
     """
 
     def __init__(
@@ -77,7 +93,26 @@ class GeneratorContext:
         ):
             if count < 0:
                 raise ValueError(f"{label}_blocks must be non-negative")
-        self.rng = np.random.default_rng(seed)
+        self._generator = np.random.default_rng(seed)
+        self._bit_generator = self._generator.bit_generator
+        # The window's double conversion and half-word carry are PCG64's.
+        if type(self._bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                "GeneratorContext needs a PCG64 bit generator, got "
+                f"{type(self._bit_generator).__name__}"
+            )
+        #: Generator state at the window's first raw draw (None: no
+        #: window; the generator itself is exact).
+        self._anchor: "dict | None" = None
+        #: Raw draws between the anchor and index 0 of the window.
+        self._anchor_offset = 0
+        self._raw = np.empty(0, dtype=np.uint64)
+        self._uniforms: list[float] = []
+        self._pos = 0
+        #: PCG64's half-word pair: ``uinteger`` (the last upper half
+        #: drawn) and ``has_uint32`` (whether it is still unread).
+        self._half = 0
+        self._has_half = False
         self.hot_base = 0
         self.hot_blocks = hot_blocks
         self.structure_base = hot_blocks
@@ -99,6 +134,107 @@ class GeneratorContext:
         self._scan_cursor = 0
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The generator, settled to the window's consumed position.
+
+        For bulk draws only: the state goes back to the anchor, advances
+        past the consumed raw draws and gets the carried half-word back,
+        and the unread rest of the window is dropped.  Fetch it anew for
+        each bulk draw; a generator held across window reads is stale.
+        """
+        anchor = self._anchor
+        if anchor is not None:
+            bit_generator = self._bit_generator
+            bit_generator.state = anchor
+            bit_generator.advance(self._anchor_offset + self._pos)
+            state = bit_generator.state
+            state["has_uint32"] = int(self._has_half)
+            state["uinteger"] = self._half
+            bit_generator.state = state
+            self._anchor = None
+            self._raw = self._raw[:0]
+            self._uniforms = []
+            self._pos = 0
+        return self._generator
+
+    def peek(self, n: int) -> "tuple[list[float], int]":
+        """The window of uniform doubles and its next unread index.
+
+        At least ``n`` doubles follow the index; a caller reads what it
+        needs and hands the index past the last one to :meth:`consume`.
+        """
+        if self._pos + n > len(self._uniforms):
+            self._refill(n)
+        return self._uniforms, self._pos
+
+    def consume(self, end: int) -> None:
+        """Mark the window read up to (not including) index ``end``."""
+        self._pos = end
+
+    def uniform(self) -> float:
+        """One double, as ``rng.random()`` returns it."""
+        pos = self._pos
+        if pos >= len(self._uniforms):
+            self._refill(1)
+            pos = 0
+        self._pos = pos + 1
+        return self._uniforms[pos]
+
+    def _refill(self, n: int) -> None:
+        """Append one raw batch to the unread rest of the window."""
+        if n > _BATCH:
+            raise ValueError(f"a window serves at most {_BATCH} draws")
+        bit_generator = self._bit_generator
+        if self._anchor is None:
+            self._anchor = state = bit_generator.state
+            self._anchor_offset = 0
+            self._half = state["uinteger"]
+            self._has_half = bool(state["has_uint32"])
+        pos = self._pos
+        raw = bit_generator.random_raw(_BATCH)
+        self._anchor_offset += pos
+        self._raw = np.concatenate((self._raw[pos:], raw))
+        self._uniforms = (
+            self._uniforms[pos:] + ((raw >> 11) * _DOUBLE_SCALE).tolist()
+        )
+        self._pos = 0
+
+    def _next_uint32(self) -> int:
+        """PCG64's ``next_uint32``: the carried half-word, else the low
+        half of a fresh raw draw (carrying its high half)."""
+        if self._anchor is None:
+            # Opening the window reads the generator's half-word.
+            self._refill(1)
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        if self._pos >= len(self._uniforms):
+            self._refill(1)
+        raw = int(self._raw[self._pos])
+        self._pos += 1
+        self._half = raw >> 32
+        self._has_half = True
+        return raw & _UINT32_MASK
+
+    def below(self, n: int) -> int:
+        """An integer in ``[0, n)``, as ``rng.integers(0, n)`` draws it.
+
+        numpy serves ranges below 2**32 with Lemire's multiply-shift
+        over 32-bit draws, redrawing only the biased low products; a
+        one-value range draws nothing.
+        """
+        if not 1 <= n < 1 << 32:
+            raise ValueError("below() serves ranges of 1 to 2**32 - 1")
+        if n == 1:
+            return 0
+        product = self._next_uint32() * n
+        if product & _UINT32_MASK < n:
+            threshold = ((1 << 32) - n) % n
+            while product & _UINT32_MASK < threshold:
+                product = self._next_uint32() * n
+        return product >> 32
+
+    @property
     def total_blocks(self) -> int:
         return self.noise_base + self.noise_blocks
 
@@ -108,18 +244,43 @@ class GeneratorContext:
         Addresses are scattered (pointer-chasing layout) so the baseline
         stride prefetcher cannot cover them.
         """
-        if length <= 0:
+        return self.alloc_streams([length])[0]
+
+    def alloc_streams(self, lengths) -> "list[np.ndarray]":
+        """:meth:`alloc_stream` for each of ``lengths``, in one draw.
+
+        Each structure over-draws ``2 * length + 8`` blocks and keeps the
+        first ``length`` distinct ones in draw order.  One bulk draw
+        split per structure yields the values (and leaves the state)
+        that one draw per structure would.
+
+        Raises ValueError when a structure's draw holds fewer than
+        ``length`` distinct blocks (a structure region too small).
+        """
+        lengths = [int(n) for n in lengths]
+        if any(n <= 0 for n in lengths):
             raise ValueError("stream length must be positive")
         if self.structure_blocks == 0:
             raise ValueError("no structure region configured")
-        # Over-draw and deduplicate to guarantee distinct addresses while
-        # preserving draw order.
         draw = self.rng.integers(
-            0, self.structure_blocks, size=2 * length + 8
-        )
-        _, first_positions = np.unique(draw, return_index=True)
-        ordered = draw[np.sort(first_positions)][:length]
-        return (ordered + self.structure_base).astype(np.int64)
+            0, self.structure_blocks, size=sum(2 * n + 8 for n in lengths)
+        ).tolist()
+        streams = []
+        start = 0
+        for n in lengths:
+            end = start + 2 * n + 8
+            distinct = list(dict.fromkeys(draw[start:end]))
+            if len(distinct) < n:
+                raise ValueError(
+                    f"structure region of {self.structure_blocks} blocks "
+                    f"gave {len(distinct)} distinct blocks for a "
+                    f"{n}-block stream"
+                )
+            streams.append(
+                np.array(distinct[:n], dtype=np.int64) + self.structure_base
+            )
+            start = end
+        return streams
 
     def next_noise(self) -> int:
         """A scattered visit-once address (wraps after region exhaustion).
@@ -153,7 +314,7 @@ class GeneratorContext:
         """A block from the small cache-resident hot set."""
         if self.hot_blocks == 0:
             raise ValueError("no hot region configured")
-        return int(self.rng.integers(0, self.hot_blocks)) + self.hot_base
+        return self.below(self.hot_blocks) + self.hot_base
 
 
 class StreamPool:
@@ -180,24 +341,23 @@ class StreamPool:
             raise ValueError("median_length must be at least 2")
         if max_length < 2:
             raise ValueError("max_length must be at least 2")
-        rng = context.rng
         lengths = np.exp(
-            rng.normal(np.log(median_length), sigma, size=count)
+            context.rng.normal(np.log(median_length), sigma, size=count)
         )
         lengths = np.clip(np.round(lengths), 2, max_length).astype(int)
-        self.streams = [context.alloc_stream(int(n)) for n in lengths]
+        self.streams = context.alloc_streams(lengths)
         ranks = np.arange(1, count + 1, dtype=float)
         weights = ranks ** (-zipf_alpha)
-        self._cumulative = np.cumsum(weights / weights.sum())
-        self._rng = rng
+        self._cumulative = np.cumsum(weights / weights.sum()).tolist()
+        self._context = context
 
     def __len__(self) -> int:
         return len(self.streams)
 
     def pick(self) -> np.ndarray:
         """Sample one stream according to the popularity distribution."""
-        u = self._rng.random()
-        index = int(np.searchsorted(self._cumulative, u))
+        # bisect_left is ``np.searchsorted``'s default (left) side.
+        index = bisect_left(self._cumulative, self._context.uniform())
         return self.streams[min(index, len(self.streams) - 1)]
 
     def total_blocks(self) -> int:
@@ -218,11 +378,6 @@ class TraceGenerator(ABC):
         self, cores: int, records_per_core: int, seed: int
     ) -> Trace:
         """Produce a trace with ``records_per_core`` accesses per core."""
-
-    @staticmethod
-    def _work_cycles(rng: np.random.Generator, mean: float) -> float:
-        """Jittered compute-cycle cost for one record (+-50 %)."""
-        return mean * (0.5 + rng.random())
 
     @staticmethod
     def _assemble(

@@ -129,8 +129,6 @@ class CommercialGenerator(TraceGenerator):
             sigma=params.stream_sigma,
             zipf_alpha=params.zipf_alpha,
         )
-        rng = context.rng
-        rng_random = rng.random
         activity_p = params.mix.probabilities()
         # bisect over the normalized CDF consumes exactly one uniform
         # draw and picks exactly the index ``rng.choice(4, p=...)``
@@ -138,11 +136,12 @@ class CommercialGenerator(TraceGenerator):
         cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
+        uniform = context.uniform
         builders = [TraceBuilder() for _ in range(cores)]
 
         for builder in builders:
             while len(builder) < records_per_core:
-                activity = bisect_right(activity_cdf, rng_random())
+                activity = bisect_right(activity_cdf, uniform())
                 if activity == ACTIVITY_STREAM:
                     self._emit_traversal(builder, pool, context)
                 elif activity == ACTIVITY_SCAN:
@@ -167,21 +166,16 @@ class CommercialGenerator(TraceGenerator):
     ) -> None:
         """Walk one recurring structure, with early exits and noise.
 
-        ``TraceBuilder.add`` and ``_work_cycles`` are inlined — this
-        loop emits the bulk of every commercial trace — with the draw
-        order of the record fields kept exactly as the unrolled calls
-        made them.
-
-        Each record's uniforms are pre-drawn in one ``rng.random(k)``
-        call sized to exactly what the record consumes: five per plain
-        block (work, dep, write, interleave gate, truncate gate), plus
-        two more (noise dep, truncate gate) when the interleave gate
-        fires and the fifth draw becomes the injected record's work
-        jitter.  Never over-draws: the RNG stream, and with it every
-        pinned trace fingerprint, depends on the exact draw count.
+        ``TraceBuilder.add`` is inlined — this loop emits the bulk of
+        every commercial trace — and reads its uniforms straight from
+        the context's window, in the order the record fields consume
+        them: five per plain block (work, dep, write, interleave gate,
+        truncate gate), plus two more (noise dep, truncate gate) when
+        the interleave gate fires and the fifth draw becomes the
+        injected record's work jitter.  The pinned trace fingerprints
+        depend on this exact draw order and count.
         """
         params = self.params
-        rng_random = context.rng.random
         work_mean = params.work_cycles
         stream_dep_p = params.stream_dep_p
         write_p = params.write_p
@@ -192,32 +186,40 @@ class CommercialGenerator(TraceGenerator):
         work = builder._work
         dep = builder._dep
         write = builder._write
-        for block in pool.pick():
-            w, d, wr, gate, last = rng_random(5).tolist()
-            blocks.append(int(block))
-            work.append(work_mean * (0.5 + w))
-            dep.append(d < stream_dep_p)
-            write.append(wr < write_p)
-            if gate < interleave_noise_p:
+        stream = pool.pick()
+        u, i = context.peek(7)
+        limit = len(u) - 7
+        for block in stream.tolist():
+            if i > limit:
+                context.consume(i)
+                u, i = context.peek(7)
+                limit = len(u) - 7
+            blocks.append(block)
+            work.append(work_mean * (0.5 + u[i]))
+            dep.append(u[i + 1] < stream_dep_p)
+            write.append(u[i + 2] < write_p)
+            if u[i + 3] < interleave_noise_p:
                 blocks.append(context.next_noise())
-                work.append(work_mean * (0.5 + last))
-                nd, t = rng_random(2).tolist()
-                dep.append(nd < noise_dep_p)
+                work.append(work_mean * (0.5 + u[i + 4]))
+                dep.append(u[i + 5] < noise_dep_p)
                 write.append(False)
-                if t < truncate_p:
-                    break
-            elif last < truncate_p:
+                truncate = u[i + 6]
+                i += 7
+            else:
+                truncate = u[i + 4]
+                i += 5
+            if truncate < truncate_p:
                 break
+        context.consume(i)
 
     def _emit_scan(
         self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
         params = self.params
-        rng = context.rng
         run = context.next_scan_run(params.scan_run)
         builder.extend(
             run,
-            work=self._work_cycles(rng, params.work_cycles * 0.5),
+            work=params.work_cycles * 0.5 * (0.5 + context.uniform()),
             dep=False,
             write=False,
         )
@@ -226,21 +228,21 @@ class CommercialGenerator(TraceGenerator):
         self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
         params = self.params
-        w, d, wr = context.rng.random(3).tolist()
+        u, i = context.peek(3)
+        context.consume(i + 3)
         builder.add(
             context.next_noise(),
-            work=params.work_cycles * (0.5 + w),
-            dep=d < params.noise_dep_p,
-            write=wr < params.write_p,
+            work=params.work_cycles * (0.5 + u[i]),
+            dep=u[i + 1] < params.noise_dep_p,
+            write=u[i + 2] < params.write_p,
         )
 
     def _emit_hot(
         self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
-        # The hot-block draw (``rng.integers``) interleaves with the
-        # uniform draws, so only the per-record uniform pair batches.
+        # Each record draws its hot block (``rng.integers``) before its
+        # work and write uniforms.
         params = self.params
-        rng_random = context.rng.random
         hot_mean = params.work_cycles * 0.3
         write_p = params.write_p
         blocks = builder._blocks
@@ -249,7 +251,8 @@ class CommercialGenerator(TraceGenerator):
         write = builder._write
         for _ in range(params.hot_run):
             blocks.append(context.hot_block())
-            w, wr = rng_random(2).tolist()
-            work.append(hot_mean * (0.5 + w))
+            u, i = context.peek(2)
+            context.consume(i + 2)
+            work.append(hot_mean * (0.5 + u[i]))
             dep.append(False)
-            write.append(wr < write_p)
+            write.append(u[i + 1] < write_p)

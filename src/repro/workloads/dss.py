@@ -105,8 +105,6 @@ class DssGenerator(TraceGenerator):
             sigma=params.stream_sigma,
             zipf_alpha=params.zipf_alpha,
         )
-        rng = context.rng
-        rng_random = rng.random
         activity_p = params.mix.probabilities()
         # bisect over the normalized CDF consumes exactly one uniform
         # draw and picks exactly the index ``rng.choice(4, p=...)``
@@ -114,36 +112,36 @@ class DssGenerator(TraceGenerator):
         cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
+        uniform = context.uniform
         builders = [TraceBuilder() for _ in range(cores)]
 
         for builder in builders:
             while len(builder) < records_per_core:
-                activity = bisect_right(activity_cdf, rng_random())
+                activity = bisect_right(activity_cdf, uniform())
                 if activity == ACTIVITY_STREAM:
                     self._emit_traversal(builder, pool, context)
                 elif activity == ACTIVITY_SCAN:
                     run = context.next_scan_run(params.scan_run)
                     builder.extend(
                         run,
-                        work=self._work_cycles(rng, params.work_cycles * 0.4),
+                        work=params.work_cycles * 0.4 * (0.5 + uniform()),
                         dep=False,
                         write=False,
                     )
                 elif activity == ACTIVITY_NOISE:
-                    w, d, wr = rng.random(3).tolist()
+                    u, i = context.peek(3)
+                    context.consume(i + 3)
                     builder.add(
                         context.next_noise(),
-                        work=params.work_cycles * (0.5 + w),
-                        dep=d < params.noise_dep_p,
-                        write=wr < params.write_p,
+                        work=params.work_cycles * (0.5 + u[i]),
+                        dep=u[i + 1] < params.noise_dep_p,
+                        write=u[i + 2] < params.write_p,
                     )
                 else:
                     for _ in range(params.hot_run):
                         builder.add(
                             context.hot_block(),
-                            work=self._work_cycles(
-                                rng, params.work_cycles * 0.3
-                            ),
+                            work=params.work_cycles * 0.3 * (0.5 + uniform()),
                             dep=False,
                             write=False,
                         )
@@ -161,13 +159,11 @@ class DssGenerator(TraceGenerator):
         pool: StreamPool,
         context: GeneratorContext,
     ) -> None:
-        # TraceBuilder.add and _work_cycles inlined; the field draw
-        # order matches the unrolled calls exactly.  Each block's four
-        # uniforms (work, dep, write, truncate gate) are pre-drawn in
-        # one call — the exact per-record budget, which the pinned trace
+        # TraceBuilder.add inlined; each block reads its four uniforms
+        # (work, dep, write, truncate gate) from the context's window in
+        # that order — the exact draw order and count the pinned trace
         # fingerprints depend on.
         params = self.params
-        rng_random = context.rng.random
         work_mean = params.work_cycles
         stream_dep_p = params.stream_dep_p
         write_p = params.write_p
@@ -176,11 +172,20 @@ class DssGenerator(TraceGenerator):
         work = builder._work
         dep = builder._dep
         write = builder._write
-        for block in pool.pick():
-            w, d, wr, t = rng_random(4).tolist()
-            blocks.append(int(block))
-            work.append(work_mean * (0.5 + w))
-            dep.append(d < stream_dep_p)
-            write.append(wr < write_p)
-            if t < truncate_p:
+        stream = pool.pick()
+        u, i = context.peek(4)
+        limit = len(u) - 4
+        for block in stream.tolist():
+            if i > limit:
+                context.consume(i)
+                u, i = context.peek(4)
+                limit = len(u) - 4
+            blocks.append(block)
+            work.append(work_mean * (0.5 + u[i]))
+            dep.append(u[i + 1] < stream_dep_p)
+            write.append(u[i + 2] < write_p)
+            truncate = u[i + 3]
+            i += 4
+            if truncate < truncate_p:
                 break
+        context.consume(i)

@@ -95,12 +95,13 @@ class ScientificGenerator(TraceGenerator):
             scan_blocks=max(params.sweep_blocks * cores, 1) + 1024,
             noise_blocks=params.noise_blocks,
         )
-        rng = context.rng
         builders = [TraceBuilder() for _ in range(cores)]
 
         for builder in builders:
             iteration = context.alloc_stream(params.iteration_blocks)
-            dep_flags = rng.random(params.iteration_blocks) < params.dep_p
+            dep_flags = (
+                context.rng.random(params.iteration_blocks) < params.dep_p
+            )
             while len(builder) < records_per_core:
                 self._emit_iteration(builder, context, iteration, dep_flags)
                 iteration = self._perturb(context, iteration)
@@ -129,8 +130,6 @@ class ScientificGenerator(TraceGenerator):
         dep_flags: np.ndarray,
     ) -> None:
         params = self.params
-        rng = context.rng
-        rng_random = rng.random
         work_mean = params.work_cycles
         write_p = params.write_p
         noise_p = params.noise_p
@@ -138,22 +137,30 @@ class ScientificGenerator(TraceGenerator):
         work_column = builder._work
         dep_column = builder._dep
         write_column = builder._write
-        # TraceBuilder.add and _work_cycles inlined; the field draw
-        # order matches the unrolled calls exactly.  Each block's three
-        # uniforms (work, write, noise gate) are pre-drawn in one call,
-        # plus one more only when the gate fires — the exact per-draw
-        # budget, which the pinned trace fingerprints depend on.
+        # TraceBuilder.add inlined; each block reads its three uniforms
+        # (work, write, noise gate) from the context's window, plus one
+        # more only when the gate fires — the exact draw order and
+        # count the pinned trace fingerprints depend on.
+        u, i = context.peek(4)
+        limit = len(u) - 4
         for block, dep in zip(iteration.tolist(), dep_flags.tolist()):
-            w, wr, gate = rng_random(3).tolist()
+            if i > limit:
+                context.consume(i)
+                u, i = context.peek(4)
+                limit = len(u) - 4
             blocks_column.append(block)
-            work_column.append(work_mean * (0.5 + w))
+            work_column.append(work_mean * (0.5 + u[i]))
             dep_column.append(dep)
-            write_column.append(wr < write_p)
-            if gate < noise_p:
+            write_column.append(u[i + 1] < write_p)
+            if u[i + 2] < noise_p:
                 blocks_column.append(context.next_noise())
-                work_column.append(work_mean * (0.5 + rng_random()))
+                work_column.append(work_mean * (0.5 + u[i + 3]))
                 dep_column.append(False)
                 write_column.append(False)
+                i += 4
+            else:
+                i += 3
+        context.consume(i)
         sweep_work = (
             params.sweep_work_cycles
             if params.sweep_work_cycles is not None
@@ -162,12 +169,13 @@ class ScientificGenerator(TraceGenerator):
         remaining = params.sweep_blocks
         while remaining > 0:
             run = context.next_scan_run(min(params.sweep_run, remaining))
-            w, wr = rng_random(2).tolist()
+            u, i = context.peek(2)
+            context.consume(i + 2)
             builder.extend(
                 run,
-                work=sweep_work * (0.5 + w),
+                work=sweep_work * (0.5 + u[i]),
                 dep=False,
-                write=wr < params.write_p,
+                write=u[i + 1] < params.write_p,
             )
             remaining -= len(run)
 
@@ -176,10 +184,9 @@ class ScientificGenerator(TraceGenerator):
     ) -> np.ndarray:
         """Replace a tiny fraction of blocks between iterations."""
         params = self.params
-        rng = context.rng
         if params.perturb_p <= 0:
             return iteration
-        mask = rng.random(len(iteration)) < params.perturb_p
+        mask = context.rng.random(len(iteration)) < params.perturb_p
         count = int(mask.sum())
         if count == 0:
             return iteration

@@ -348,7 +348,7 @@ class TraceBuilder:
     ) -> None:
         """Append a run of accesses sharing the same attributes."""
         n = len(blocks)
-        self._blocks.extend(int(b) for b in blocks)
+        self._blocks.extend(np.asarray(blocks).tolist())
         self._work.extend([work] * n)
         self._dep.extend([dep] * n)
         self._write.extend([write] * n)

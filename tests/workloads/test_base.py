@@ -55,6 +55,12 @@ class TestGeneratorContext:
         stream = context.alloc_stream(200)
         assert len(np.unique(stream)) == 200
 
+    def test_short_structure_raises(self):
+        # 40 distinct blocks cannot come out of a 16-block region.
+        context = make_context(structure_blocks=16)
+        with pytest.raises(ValueError, match="distinct"):
+            context.alloc_stream(40)
+
     def test_noise_is_visit_once_and_scattered(self):
         context = make_context()
         draws = [context.next_noise() for _ in range(2000)]
@@ -132,6 +138,12 @@ class TestStreamPool:
             zipf_alpha=0.8, max_length=64,
         )
         assert pool.length_distribution().max() <= 64
+
+    def test_pool_rejects_a_structure_region_too_small(self):
+        context = make_context(structure_blocks=8)
+        with pytest.raises(ValueError, match="distinct"):
+            StreamPool(context, count=4, median_length=16, sigma=0.1,
+                       zipf_alpha=1)
 
     def test_validation(self):
         context = make_context()

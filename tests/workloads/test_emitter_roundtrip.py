@@ -1,18 +1,22 @@
 """Pinned trace fingerprints for every workload family and mix recipe.
 
-The generators pre-draw each motif's RNG block as one vectorized
-``rng.random(k)`` call sized to exactly the draws the record consumes.
-NumPy's Generator produces the same stream whether ``k`` values come
-from one ``random(k)`` call or ``k`` scalar calls, so these traces are
-the ones the original one-call-per-draw loops emitted.  The literal pins
-below were captured while both emitters still existed and agreed; any
-change to the RNG draw order (an over-draw, a reordered field, a merged
-block) changes a fingerprint and fails here — and would silently move
-every cached recipe key and golden figure.
+The generators read their per-record draws from a window over one
+pre-drawn raw PCG64 stream (``GeneratorContext.peek``/``consume``/
+``below``) and their bulk draws from the settled generator.  The window
+serves exactly the values per-call ``rng.random()`` and
+``rng.integers(0, n)`` draws would (see ``test_rng_stream.py``), so
+these traces are the ones emitters calling numpy per draw emit; every
+literal pin below was captured from such emitters.  Any change to the
+draw order (an over-draw, a reordered field, a merged block) changes a
+fingerprint and fails here — and would silently move every cached
+recipe key and golden figure.
 
 Covered here: every workload family in the paper's figure order, plus
 mix recipes with each asymmetric decoration (``w*S`` slices, ``w@R``
-rate scaling, ``w!low`` priority) and their combination.
+rate scaling, ``w!low`` priority) and their combination, the traces
+the benchmark simulates (fig7's families and the default contention
+mixes), and demo-scale traces long enough to span many refills of the
+window.
 """
 
 from __future__ import annotations
