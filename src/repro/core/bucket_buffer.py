@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import BLOCK_BYTES
 from repro.memory.dram import DramChannel
 from repro.memory.traffic import TrafficCategory, TrafficMeter
 
@@ -35,7 +34,7 @@ class BucketBufferStats:
 class BucketBuffer:
     """LRU cache of index-table buckets with lazy dirty write-back."""
 
-    __slots__ = ('capacity', 'dram', 'traffic', 'stats', '_resident', '_dirty_core', '_traffic_bytes', '_core_traffic_bytes')
+    __slots__ = ('capacity', 'dram', 'traffic', 'stats', '_resident', '_dirty_core')
 
     def __init__(
         self,
@@ -49,16 +48,12 @@ class BucketBuffer:
         self.dram = dram
         self.traffic = traffic
         self.stats = BucketBufferStats()
-        # bucket id -> dirty flag, LRU order (oldest first).  A plain
-        # dict: insertion order is recency order, refreshed by
-        # pop-and-reinsert — cheaper than an OrderedDict on the per-miss
-        # metadata path.
+        # bucket id -> dirty flag, LRU order (oldest first): insertion
+        # order is recency order, refreshed by pop-and-reinsert.
         self._resident: dict[int, bool] = {}
         #: bucket id -> core that last dirtied it; the eventual lazy
         #: write-back is attributed to that core (it caused the bytes).
         self._dirty_core: dict[int, int] = {}
-        self._traffic_bytes = traffic._bytes
-        self._core_traffic_bytes = traffic._core_bytes
 
     def __contains__(self, bucket: int) -> bool:
         return bucket in self._resident
@@ -93,38 +88,14 @@ class BucketBuffer:
         self.stats.misses += 1
         if charge is TrafficCategory.UPDATE_INDEX:
             self.stats.update_misses += 1
-        self._traffic_bytes[charge] += BLOCK_BYTES
-        self._core_traffic_bytes[core][charge] += BLOCK_BYTES
-        # Inlined DramChannel.request_low.
-        dram = self.dram
-        service = dram._transfer_cycles
-        busy = dram._busy_until_all
-        start = now if now > busy else busy
-        dram._busy_until_all = start + service
-        dram_stats = dram.stats
-        dram_stats.low_priority_requests += 1
-        dram_stats.requests += 1
-        dram_stats.busy_cycles += service
-        dram_stats.queue_cycles += start - now
-        arrival = start + dram._access_latency_cycles + service
+        self.traffic.add_block(charge, core)
+        arrival = self.dram.request_low(now)
         if len(resident) >= self.capacity:
-            victim = next(iter(resident))
-            if resident.pop(victim):
-                self._write_back(now, self._dirty_core.pop(victim, 0))
-            else:
-                self._dirty_core.pop(victim, None)
+            self._evict_one(now)
         resident[bucket] = dirty
         if dirty:
             self._dirty_core[bucket] = core
         return arrival
-
-    def mark_dirty(self, bucket: int, core: int = 0) -> None:
-        """Dirty an already-resident bucket (after an in-place update)."""
-        if bucket not in self._resident:
-            raise KeyError(f"bucket {bucket} is not resident")
-        del self._resident[bucket]
-        self._resident[bucket] = True
-        self._dirty_core[bucket] = core
 
     def _evict_one(self, now: float) -> None:
         victim = next(iter(self._resident))
@@ -138,10 +109,7 @@ class BucketBuffer:
         """One low-priority bucket write (index maintenance traffic),
         attributed to the core that last dirtied the bucket."""
         self.stats.writebacks += 1
-        self._traffic_bytes[TrafficCategory.UPDATE_INDEX] += BLOCK_BYTES
-        self._core_traffic_bytes[core][
-            TrafficCategory.UPDATE_INDEX
-        ] += BLOCK_BYTES
+        self.traffic.add_block(TrafficCategory.UPDATE_INDEX, core)
         self.dram.request_low(now)
 
     def drain(self, now: float) -> int:

@@ -15,20 +15,17 @@ hits) in program order.  Key properties from the paper:
 Pointers are monotonically increasing sequence numbers; sequence ``s``
 lives in packed block ``s // 12`` of the buffer's memory region.
 
-Segment-committed appends
-=========================
+Pack buffer
+===========
 
-The on-chip pack buffer is materialized as plain Python lists
-(``_pend_blocks`` / ``_pend_marks``): an append is a list append, and the
-backing NumPy arrays are only written when the pack buffer spills — one
-sliced (vectorized) commit per twelve entries instead of one NumPy scalar
-store per append.  Because the capacity is a whole number of packed
-blocks and spills happen exactly on packed-block boundaries, the pack
-buffer always covers one *aligned* packed block: any ``read_block`` /
-``read_segment`` request is therefore served either entirely from the
-committed arrays or entirely from the pack buffer, never a mix.  All
-traffic and DRAM charges happen at the same times, with the same
-categories and counts, as the per-record reference behaviour.
+The on-chip pack buffer is a pair of plain lists (``_pend_blocks`` /
+``_pend_marks``) that commit to the circular arrays as one slice when
+they spill.  The capacity is a whole number of packed blocks and spills
+happen on packed-block boundaries, so the pack buffer covers one aligned
+packed block and a :meth:`HistoryBuffer.read_segment` request is served
+either from the committed arrays or from the pack buffer.  Only a
+mid-run partial :meth:`HistoryBuffer.flush` leaves it unaligned; reads
+then splice the two.
 """
 
 from __future__ import annotations
@@ -49,11 +46,7 @@ class _HistoryPointerFields(NamedTuple):
 
 
 class HistoryPointer(_HistoryPointerFields):
-    """A location inside some core's history buffer.
-
-    A validated NamedTuple: one is created per *applied* (sampled) index
-    update, so construction cost sits on the metadata hot path.
-    """
+    """A location inside some core's history buffer (validated)."""
 
     __slots__ = ()
 
@@ -303,23 +296,6 @@ class HistoryBuffer:
             self._marks[slot:slot + count],
             arrival,
         )
-
-    def read_block(
-        self, sequence: int, now: float, reader: "int | None" = None
-    ) -> tuple[list[HistoryEntry], float]:
-        """Fetch the packed block containing ``sequence``.
-
-        :class:`HistoryEntry` view over :meth:`read_segment` — identical
-        stats, traffic, and timing.
-        """
-        first, blocks, marks, arrival = self.read_segment(
-            sequence, now, reader
-        )
-        entries = [
-            HistoryEntry(first + k, block, marked)
-            for k, (block, marked) in enumerate(zip(blocks, marks))
-        ]
-        return entries, arrival
 
     def peek(self, sequence: int) -> HistoryEntry | None:
         """Inspect one entry without timing or traffic (tests/debug)."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.history_buffer import HistoryPointer
-from repro.memory.address import Region
 from repro.memory.address import is_power_of_two
 
 
@@ -133,13 +132,12 @@ class IndexStats:
 class IndexTable:
     """Bucketized hash table: address -> history pointer."""
 
-    __slots__ = ('buckets', 'bucket_entries', 'region', 'tag_bits', 'stats', '_bucket_mask', '_bucket_tags', '_bucket_ptrs')
+    __slots__ = ('buckets', 'bucket_entries', 'tag_bits', 'stats', '_bucket_mask', '_bucket_tags', '_bucket_ptrs')
 
     def __init__(
         self,
         buckets: int,
         bucket_entries: int = 12,
-        region: "Region | None" = None,
         tag_bits: "int | None" = None,
     ) -> None:
         if not is_power_of_two(buckets):
@@ -150,13 +148,11 @@ class IndexTable:
             raise ValueError("tag_bits must be positive when given")
         self.buckets = buckets
         self.bucket_entries = bucket_entries
-        self.region = region
         self.tag_bits = tag_bits
         self.stats = IndexStats()
         self._bucket_mask = buckets - 1
         # Each bucket: parallel tag/pointer lists, most recently used
-        # first.  Parallel lists keep the per-miss probe a single
-        # C-level ``list.index`` scan instead of a Python tuple loop.
+        # first.
         self._bucket_tags: list[list[int]] = [[] for _ in range(buckets)]
         self._bucket_ptrs: list[list[HistoryPointer]] = [
             [] for _ in range(buckets)
@@ -198,38 +194,9 @@ class IndexTable:
             return blocks
         return blocks & np.int64((1 << self.tag_bits) - 1)
 
-    def memory_block(self, bucket: int) -> "int | None":
-        """Physical block number of ``bucket`` in the meta-data region."""
-        if self.region is None:
-            return None
-        return self.region.block_at(bucket % self.region.blocks)
-
     # ------------------------------------------------------------------
     # Bucket operations (state only; caller charges traffic).
     # ------------------------------------------------------------------
-
-    def probe(self, bucket_index: int, tag: int) -> "HistoryPointer | None":
-        """:meth:`lookup` with the hash and tag already computed.
-
-        The batched engine pre-classifies whole trace columns into
-        buckets/tags (see :meth:`bucket_of_array`) and probes with the
-        precomputed values; state effects and stats are identical to
-        :meth:`lookup`.
-        """
-        self.stats.lookups += 1
-        tags = self._bucket_tags[bucket_index]
-        # Membership probe before .index: misses dominate, and the two
-        # C-level scans of a <=12-entry bucket beat raising ValueError.
-        if tag not in tags:
-            return None
-        position = tags.index(tag)
-        ptrs = self._bucket_ptrs[bucket_index]
-        pointer = ptrs[position]
-        if position != 0:
-            tags.insert(0, tags.pop(position))
-            ptrs.insert(0, ptrs.pop(position))
-        self.stats.hits += 1
-        return pointer
 
     def lookup(self, block: int) -> "HistoryPointer | None":
         """Search the bucket for ``block``; LRU-touch on hit.
@@ -238,14 +205,31 @@ class IndexTable:
         address — the pointer returned then leads to an unrelated stream
         whose prefetches will be wasted, exactly as in real hardware.
         """
-        return self.probe(self.bucket_of(block), self.tag_of(block))
+        self.stats.lookups += 1
+        bucket = self.bucket_of(block)
+        tag = self.tag_of(block)
+        tags = self._bucket_tags[bucket]
+        if tag not in tags:
+            return None
+        position = tags.index(tag)
+        ptrs = self._bucket_ptrs[bucket]
+        pointer = ptrs[position]
+        if position != 0:
+            tags.insert(0, tags.pop(position))
+            ptrs.insert(0, ptrs.pop(position))
+        self.stats.hits += 1
+        return pointer
 
-    def commit(
-        self, bucket_index: int, tag: int, pointer: HistoryPointer
-    ) -> bool:
-        """:meth:`update` with the hash and tag already computed."""
-        tags = self._bucket_tags[bucket_index]
-        ptrs = self._bucket_ptrs[bucket_index]
+    def update(self, block: int, pointer: HistoryPointer) -> bool:
+        """Point ``block`` at a new history location.
+
+        Returns True when an existing (LRU) entry had to be replaced —
+        i.e. the bucket was full and an older correlation aged out.
+        """
+        bucket = self.bucket_of(block)
+        tag = self.tag_of(block)
+        tags = self._bucket_tags[bucket]
+        ptrs = self._bucket_ptrs[bucket]
         if tag in tags:
             position = tags.index(tag)
             if position != 0:
@@ -264,14 +248,6 @@ class IndexTable:
         ptrs.insert(0, pointer)
         self.stats.inserts += 1
         return replaced
-
-    def update(self, block: int, pointer: HistoryPointer) -> bool:
-        """Point ``block`` at a new history location.
-
-        Returns True when an existing (LRU) entry had to be replaced —
-        i.e. the bucket was full and an older correlation aged out.
-        """
-        return self.commit(self.bucket_of(block), self.tag_of(block), pointer)
 
     def bucket_contents(
         self, bucket: int

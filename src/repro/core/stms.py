@@ -40,11 +40,7 @@ from repro.core.stream_engine import StreamEngine
 from repro.memory.address import BLOCK_BYTES, AddressSpace
 from repro.memory.dram import DramChannel
 from repro.memory.traffic import TrafficCategory, TrafficMeter
-from repro.prefetchers.base import (
-    PrefetchedBlock,
-    ResidencyFilter,
-    TemporalPrefetcher,
-)
+from repro.prefetchers.base import ResidencyFilter, TemporalPrefetcher
 
 
 @dataclass
@@ -84,11 +80,10 @@ class StmsPrefetcher(TemporalPrefetcher):
             address_space = AddressSpace(3 * 1024 ** 3)
         self.address_space = address_space
 
-        index_region = address_space.reserve(config.index_buckets * BLOCK_BYTES)
+        address_space.reserve(config.index_buckets * BLOCK_BYTES)
         self.index = IndexTable(
             buckets=config.index_buckets,
             bucket_entries=config.bucket_entries,
-            region=index_region,
             tag_bits=config.tag_bits,
         )
         self.histories: list[HistoryBuffer] = []
@@ -140,10 +135,9 @@ class StmsPrefetcher(TemporalPrefetcher):
 
         The compiled kernel hands in one NumPy block column per core and
         gets back int64 bucket/tag columns, computed in one vectorized
-        pass each, to feed the pre-hashed metadata path — the per-record
-        hash disappears from the event loop.  With full-address tags
-        (``tag_bits is None``) the tag element is ``None``: the caller
-        reuses its block columns as the tag columns.
+        pass each, so its event loop never hashes a record.  With
+        full-address tags (``tag_bits is None``) the tag element is
+        ``None``: the caller reuses its block columns as the tag columns.
         """
         index = self.index
         buckets = [index.bucket_of_array(blocks) for blocks in blocks_arrays]
@@ -153,30 +147,13 @@ class StmsPrefetcher(TemporalPrefetcher):
         return buckets, [index.tag_of_array(b) for b in blocks_arrays]
 
     def on_demand_miss(self, core: int, block: int, now: float) -> None:
-        self.on_demand_miss_hashed(
-            core,
-            block,
-            now,
-            self.index.bucket_of(block),
-            self.index.tag_of(block),
-        )
-
-    def on_demand_miss_hashed(
-        self, core: int, block: int, now: float, bucket: int, tag: int
-    ) -> None:
-        """:meth:`on_demand_miss` with the bucket/tag precomputed."""
         engine = self.engines[core]
 
         # An annotated stream end pauses streaming; it resumes only when
-        # the core explicitly requests the annotated address
-        # (Section 4.5; StreamEngine.confirm_resume inlined).
-        paused = engine.paused_at
-        if paused is not None and paused.block == block:
-            engine.paused_at = None
-            engine.last_consumed = paused
-            engine.consumed_count += 1
+        # the core explicitly requests the annotated address (Section 4.5).
+        if engine.confirm_resume(block):
             self.counters.resumes += 1
-            self._record_hashed(core, block, now, bucket, tag)
+            self._record(core, block, now)
             self._refill(core, now)
             self._issue(core, now)
             return
@@ -184,39 +161,17 @@ class StmsPrefetcher(TemporalPrefetcher):
         # Index lookup: one bucket fetch (single memory access when the
         # bucket buffer misses), linear search on chip.
         self.stats.lookups += 1
-        bucket_buffer = self.bucket_buffer
-        bucket_ready = bucket_buffer.access(
-            bucket, now, charge=TrafficCategory.LOOKUP_STREAMS, core=core
+        bucket_ready = self.bucket_buffer.access(
+            self.index.bucket_of(block),
+            now,
+            charge=TrafficCategory.LOOKUP_STREAMS,
+            core=core,
         )
-        pointer = self.index.probe(bucket, tag)
+        pointer = self.index.lookup(block)
 
         # Record the miss after the lookup so the lookup observes the
-        # *previous* occurrence, not the one being recorded
-        # (HistoryBuffer.append inlined; spill at the packed-block
-        # boundary).
-        history = self.histories[core]
-        sequence = history.head
-        pending = history._pend_blocks
-        pending.append(block)
-        history._pend_marks.append(False)
-        history.head = sequence + 1
-        history.stats.appends += 1
-        if len(pending) >= HISTORY_ENTRIES_PER_BLOCK:
-            history._spill(now)
-        counters = self.counters
-        counters.candidate_updates += 1
-        if self.sampler.should_update():
-            counters.applied_updates += 1
-            # The lookup above just fetched this very bucket, so the
-            # update's bucket access is a guaranteed MRU hit: touch it
-            # dirty in place (same stats, order, and timing as
-            # ``bucket_buffer.access(..., dirty=True, core=core)``).
-            bucket_buffer.stats.hits += 1
-            bucket_buffer._resident[bucket] = True
-            bucket_buffer._dirty_core[bucket] = core
-            self.index.commit(
-                bucket, tag, tuple.__new__(HistoryPointer, (core, sequence))
-            )
+        # *previous* occurrence, not the one being recorded.
+        self._record(core, block, now)
 
         if pointer is None:
             # No stream found: any active stream keeps flowing (the miss
@@ -244,28 +199,8 @@ class StmsPrefetcher(TemporalPrefetcher):
     # ------------------------------------------------------------------
 
     def _on_prefetch_hit(self, core: int, block: int, now: float) -> None:
-        self._prefetch_hit_hashed(
-            core,
-            block,
-            now,
-            self.index.bucket_of(block),
-            self.index.tag_of(block),
-        )
-
-    def _prefetch_hit_hashed(
-        self, core: int, block: int, now: float, bucket: int, tag: int
-    ) -> None:
-        # Inlined StreamEngine.on_consumed.
-        engine = self.engines[core]
-        entry = engine._issued.pop(block, None)
-        if entry is not None:
-            engine.last_consumed = entry
-            engine.consumed_count += 1
-            paused = engine.paused_at
-            if paused is not None and entry.sequence >= paused.sequence:
-                # The annotated address was explicitly requested: resume.
-                engine.paused_at = None
-        self._record_hashed(core, block, now, bucket, tag)
+        self.engines[core].on_consumed(block)
+        self._record(core, block, now)
         self._refill(core, now)
         self._issue(core, now)
 
@@ -275,164 +210,60 @@ class StmsPrefetcher(TemporalPrefetcher):
 
     def _record(self, core: int, block: int, now: float) -> None:
         """Append to the history log; maybe apply the index update."""
-        self._record_hashed(
-            core,
-            block,
-            now,
-            self.index.bucket_of(block),
-            self.index.tag_of(block),
-        )
-
-    def _record_hashed(
-        self, core: int, block: int, now: float, bucket: int, tag: int
-    ) -> None:
-        # Inlined HistoryBuffer.append (spill at the packed boundary).
-        history = self.histories[core]
-        sequence = history.head
-        pending = history._pend_blocks
-        pending.append(block)
-        history._pend_marks.append(False)
-        history.head = sequence + 1
-        history.stats.appends += 1
-        if len(pending) >= HISTORY_ENTRIES_PER_BLOCK:
-            history._spill(now)
+        sequence = self.histories[core].append(block, now)
         self.counters.candidate_updates += 1
         if not self.sampler.should_update():
             return
         self.counters.applied_updates += 1
         self.bucket_buffer.access(
-            bucket, now, dirty=True, charge=TrafficCategory.UPDATE_INDEX,
+            self.index.bucket_of(block),
+            now,
+            dirty=True,
+            charge=TrafficCategory.UPDATE_INDEX,
             core=core,
         )
-        self.index.commit(
-            bucket, tag, tuple.__new__(HistoryPointer, (core, sequence))
-        )
+        self.index.update(block, HistoryPointer(core, sequence))
 
     # ------------------------------------------------------------------
     # Streaming mechanics.
     # ------------------------------------------------------------------
 
     def _refill(self, core: int, now: float) -> None:
-        """Keep the address queue fed from the source history buffer.
-
-        History blocks arrive as whole segments
-        (:meth:`~repro.core.history_buffer.HistoryBuffer.read_segment`)
-        and enter the queue through the engine's bulk
-        :meth:`~repro.core.stream_engine.StreamEngine.enqueue_segment` —
-        the stream-follow path never materializes per-entry objects.
-        """
+        """Keep the address queue fed from the source history buffer,
+        one packed-block segment at a time."""
         engine = self.engines[core]
-        queue = engine._queue
-        refill_threshold = engine.refill_threshold
-        capacity = engine.queue_capacity
-        # Inlined engine.needs_refill() and engine.queue_free.
-        while (
-            engine.active
-            and engine.paused_at is None
-            and len(queue) <= refill_threshold
-            and len(queue) < capacity
-        ):
-            source = self.histories[engine.source_core]
-            first, blocks, marks, arrival = source.read_segment(
-                engine.next_fetch_sequence, now, reader=core
-            )
+        while engine.needs_refill() and engine.queue_free > 0:
+            first, blocks, marks, arrival = self.histories[
+                engine.source_core
+            ].read_segment(engine.next_fetch_sequence, now, reader=core)
             if not blocks:
                 # Caught up with the recording head, or the stream was
                 # overwritten: nothing more to follow.
                 engine.active = False
                 break
             engine.enqueue_segment(first, blocks, marks, arrival)
-            if engine.paused_at is not None:
-                break
 
     def _issue(self, core: int, now: float) -> None:
         """Issue prefetches, maintaining ``lookahead`` blocks in flight.
 
         The bound applies to the *current* stream generation: buffered
         leftovers of abandoned streams age out of the FIFO prefetch
-        buffer instead of throttling the live stream.
-
-        The loop hand-inlines
-        :meth:`~repro.core.stream_engine.StreamEngine.pop_for_prefetch`
-        and :meth:`~repro.prefetchers.base.TemporalPrefetcher._issue_prefetch`
-        operation-for-operation — it runs once per streamed address, the
-        hottest metadata loop in an STMS run; any change there must be
-        replicated here (the differential suite catches drift).
+        buffer instead of throttling the live stream.  A prefetch
+        cannot issue before the history block naming it arrives.
         """
         engine = self.engines[core]
-        buffer = self.buffers[core]
         serial = engine.serial
-        counts = buffer._stream_counts
-        budget = self.config.lookahead - counts.get(serial, 0)
-        if budget <= 0:
-            return
-        queue = engine._queue
-        paused = engine.paused_at
-        pause_sequence = -1 if paused is None else paused.sequence
-        issued_map = engine._issued
-        entries = buffer._entries
-        capacity = buffer.capacity
-        stats = self.stats
-        residency = self._filter
-        filter_sets = self._filter_sets
-        filter_mask = self._filter_mask
-        dram = self.dram
-        dram_stats = dram.stats
-        service = dram._transfer_cycles
-        latency = dram._access_latency_cycles
-        backlog_limit = self._backlog_limit
-        traffic = self.traffic
-        core_traffic = traffic._core_bytes[core]
-        tuple_new = tuple.__new__
+        budget = self.config.lookahead - self.buffers[core].outstanding(
+            serial
+        )
         while budget > 0:
-            # Inlined StreamEngine.pop_for_prefetch.
-            if not queue:
+            head = engine.pop_for_prefetch()
+            if head is None:
                 break
-            head = queue[0]
-            if paused is not None and head.sequence > pause_sequence:
-                break
-            queue.popleft()
-            block = head.block
-            issued_map[block] = head
-            # Inlined TemporalPrefetcher._issue_prefetch.
-            if block in entries:
-                continue
-            if filter_sets is not None:
-                if block in filter_sets[block & filter_mask]:
-                    stats.filtered += 1
-                    continue
-            elif residency is not None and residency(block):
-                stats.filtered += 1
-                continue
-            ready = head.ready_at
-            issue_at = now if now > ready else ready
-            busy = dram._busy_until_all
-            if busy - issue_at > backlog_limit:
-                stats.dropped += 1
-                continue
-            start = issue_at if issue_at > busy else busy
-            dram._busy_until_all = start + service
-            dram_stats.low_priority_requests += 1
-            dram_stats.requests += 1
-            dram_stats.busy_cycles += service
-            dram_stats.queue_cycles += start - issue_at
-            arrival = start + latency + service
-            if len(entries) >= capacity:
-                displaced = entries.pop(next(iter(entries)))
-                buffer._forget(displaced)
-                stats.erroneous += 1
-                traffic._bytes[
-                    TrafficCategory.ERRONEOUS_PREFETCH
-                ] += BLOCK_BYTES
-                core_traffic[
-                    TrafficCategory.ERRONEOUS_PREFETCH
-                ] += BLOCK_BYTES
-            entries[block] = tuple_new(
-                PrefetchedBlock, (block, issue_at, arrival, serial)
-            )
-            counts[serial] = counts.get(serial, 0) + 1
-            stats.issued += 1
-            budget -= 1
+            if self._issue_prefetch(
+                core, head.block, max(now, head.ready_at), stream=serial
+            ):
+                budget -= 1
 
     def _annotate_abandoned(self, core: int, now: float) -> None:
         """Mark the end of a stream the core stopped consuming.

@@ -15,16 +15,12 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from repro.core.history_buffer import HistoryEntry
-
 
 class QueuedAddress(NamedTuple):
     """One address waiting in the FIFO queue.
 
     ``ready_at`` is when the history block it came from arrives on chip;
-    a prefetch for it cannot issue earlier.  A NamedTuple: the stream
-    follower creates one per enqueued history entry, so construction cost
-    is on the metadata hot path.
+    a prefetch for it cannot issue earlier.
     """
 
     source_core: int
@@ -105,36 +101,6 @@ class StreamEngine:
     def queue_free(self) -> int:
         return self.queue_capacity - len(self._queue)
 
-    def enqueue_entries(
-        self, entries: list[HistoryEntry], ready_at: float
-    ) -> int:
-        """Feed history entries into the queue; stops at a marked entry.
-
-        A marked entry is queued (the annotated address itself may still
-        be requested) but nothing beyond it, and the engine pauses.
-        Returns the number of entries accepted.
-        """
-        if not self.active:
-            return 0
-        accepted = 0
-        for entry in entries:
-            if len(self._queue) >= self.queue_capacity:
-                break
-            queued = QueuedAddress(
-                source_core=self.source_core,
-                sequence=entry.sequence,
-                block=entry.block,
-                marked=entry.marked,
-                ready_at=ready_at,
-            )
-            self._queue.append(queued)
-            self.next_fetch_sequence = entry.sequence + 1
-            accepted += 1
-            if entry.marked:
-                self.paused_at = queued
-                break
-        return accepted
-
     def enqueue_segment(
         self,
         first_sequence: int,
@@ -142,32 +108,27 @@ class StreamEngine:
         marks: "list[bool]",
         ready_at: float,
     ) -> int:
-        """Bulk :meth:`enqueue_entries` over one history-block segment.
+        """Feed one history-block segment into the queue.
 
         Takes the parallel column lists a
         :meth:`~repro.core.history_buffer.HistoryBuffer.read_segment`
-        returns (consecutive sequences from ``first_sequence``) without
-        materializing per-entry objects.  Accept/pause semantics are
-        identical to :meth:`enqueue_entries`.
+        returns (consecutive sequences from ``first_sequence``).  A
+        marked entry is queued (the annotated address itself may still
+        be requested) but nothing beyond it, and the engine pauses.
+        Returns the number of entries accepted.
         """
         if not self.active:
             return 0
         queue = self._queue
-        capacity = self.queue_capacity
-        depth = len(queue)
-        source_core = self.source_core
         sequence = first_sequence
         accepted = 0
-        tuple_new = tuple.__new__
         for block, marked in zip(blocks, marks):
-            if depth >= capacity:
+            if len(queue) >= self.queue_capacity:
                 break
-            queued = tuple_new(
-                QueuedAddress,
-                (source_core, sequence, block, marked, ready_at),
+            queued = QueuedAddress(
+                self.source_core, sequence, block, marked, ready_at
             )
             queue.append(queued)
-            depth += 1
             self.next_fetch_sequence = sequence + 1
             accepted += 1
             if marked:

@@ -1,10 +1,10 @@
 """Memory-hierarchy substrate: caches, MSHRs, DRAM, traffic, CMP wiring.
 
 This subpackage implements the simulated machine the STMS prefetcher runs
-on: set-associative caches with pluggable replacement, miss-status holding
-registers, a bandwidth-regulated DRAM channel with two priority classes
-(demand traffic beats meta-data traffic), per-category traffic accounting,
-and the four-core CMP hierarchy of the paper's Table 1.
+on: set-associative LRU caches, miss-status holding registers, a
+bandwidth-regulated DRAM channel with two priority classes (demand
+traffic beats meta-data traffic), per-category traffic accounting, and
+the four-core CMP hierarchy of the paper's Table 1.
 """
 
 from repro.memory.address import (
@@ -17,12 +17,6 @@ from repro.memory.cache import Cache, CacheConfig, AccessResult
 from repro.memory.dram import DramChannel, DramConfig, Priority
 from repro.memory.hierarchy import CmpConfig, CmpHierarchy, HierarchyEvent
 from repro.memory.mshr import MshrFile
-from repro.memory.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 from repro.memory.traffic import TrafficCategory, TrafficMeter
 
 __all__ = [
@@ -40,10 +34,6 @@ __all__ = [
     "CmpHierarchy",
     "HierarchyEvent",
     "MshrFile",
-    "LruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
     "TrafficCategory",
     "TrafficMeter",
 ]

@@ -33,23 +33,16 @@ class CacheConfig:
     Parameters mirror the paper's Table 1 (e.g. the shared L2 is 8 MB,
     16-way).  ``size_bytes`` must be a power-of-two multiple of
     ``ways * BLOCK_BYTES`` so the set count is a power of two.
-    ``replacement`` selects the per-set policy (``lru``, ``fifo``, or
-    ``random``); the paper's hierarchy uses LRU throughout.
+    Replacement is LRU, as throughout the paper's hierarchy.
     """
 
     size_bytes: int
     ways: int
     name: str = "cache"
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.ways <= 0:
             raise ValueError(f"{self.name}: ways must be positive")
-        if self.replacement not in ("lru", "fifo", "random"):
-            raise ValueError(
-                f"{self.name}: unknown replacement "
-                f"{self.replacement!r} (lru/fifo/random)"
-            )
         if self.size_bytes < self.ways * BLOCK_BYTES:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} too small for "
@@ -115,24 +108,13 @@ class Cache:
     record through here.
     """
 
-    __slots__ = ('config', 'stats', '_set_mask', '_lru', '_random', '_sets', '_version', '_snapshot', '_snapshot_version', '_rng')
+    __slots__ = ('config', 'stats', '_set_mask', '_sets', '_version', '_snapshot', '_snapshot_version')
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        rng: "object | None" = None,
-    ) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
         self._set_mask = config.sets - 1
-        self._lru = config.replacement == "lru"
-        self._random = config.replacement == "random"
-        if self._random:
-            import numpy as np
-
-            self._rng = rng if rng is not None else np.random.default_rng(0)
-        # sets[i]: dict[tag] = dirty flag.  Iteration order is recency
-        # (LRU) or insertion (FIFO), oldest first.
+        # sets[i]: dict[tag] = dirty flag, in recency order, oldest first.
         self._sets: list[dict[int, bool]] = [
             {} for _ in range(config.sets)
         ]
@@ -157,11 +139,8 @@ class Cache:
         """
         cache_set = self._sets[block & self._set_mask]
         if block in cache_set:
-            if self._lru:
-                dirty = cache_set.pop(block)
-                cache_set[block] = dirty or write
-            elif write:
-                cache_set[block] = True
+            dirty = cache_set.pop(block)
+            cache_set[block] = dirty or write
             self.stats.hits += 1
             return AccessResult.HIT
         self.stats.misses += 1
@@ -172,11 +151,8 @@ class Cache:
         cache_set = self._sets[block & self._set_mask]
         if block in cache_set:
             # Refill of a resident block only merges the dirty bit.
-            if self._lru:
-                was_dirty = cache_set.pop(block)
-                cache_set[block] = was_dirty or dirty
-            elif dirty:
-                cache_set[block] = True
+            was_dirty = cache_set.pop(block)
+            cache_set[block] = was_dirty or dirty
             return None
         evicted: Eviction | None = None
         if len(cache_set) >= self.config.ways:
@@ -191,46 +167,32 @@ class Cache:
     ) -> "tuple[int, bool] | None":
         """:meth:`fill`, returning the eviction as a plain tuple.
 
-        Allocation-light variant for the simulation hot path (LRU/FIFO
-        only): identical state effects and stats, but the victim comes
-        back as ``(block, dirty)`` instead of an :class:`Eviction`.
+        Allocation-light variant for the simulation hot path: identical
+        state effects and stats, but the victim comes back as
+        ``(block, dirty)`` instead of an :class:`Eviction`.
         """
         cache_set = self._sets[block & self._set_mask]
         if block in cache_set:
-            if self._lru:
-                was_dirty = cache_set.pop(block)
-                cache_set[block] = was_dirty or dirty
-            elif dirty:
-                cache_set[block] = True
+            was_dirty = cache_set.pop(block)
+            cache_set[block] = was_dirty or dirty
             return None
         evicted: "tuple[int, bool] | None" = None
         if len(cache_set) >= self.config.ways:
-            if self._random:
-                victim = self._evict(cache_set)
-                evicted = (victim.block, victim.dirty)
-            else:
-                victim_block = next(iter(cache_set))
-                evicted = (victim_block, cache_set.pop(victim_block))
-                stats = self.stats
-                stats.evictions += 1
-                if evicted[1]:
-                    stats.dirty_evictions += 1
+            victim_block = next(iter(cache_set))
+            evicted = (victim_block, cache_set.pop(victim_block))
+            stats = self.stats
+            stats.evictions += 1
+            if evicted[1]:
+                stats.dirty_evictions += 1
         cache_set[block] = dirty
         self.stats.fills += 1
         self._version += 1
         return evicted
 
     def _evict(self, cache_set: "dict[int, bool]") -> Eviction:
-        """Choose and remove a victim per the configured policy."""
-        if self._random:
-            keys = list(cache_set.keys())
-            victim_block = keys[int(self._rng.integers(0, len(keys)))]
-            victim_dirty = cache_set.pop(victim_block)
-        else:
-            # LRU and FIFO both evict the oldest entry; they differ only
-            # in whether hits refresh the order (see :meth:`access`).
-            victim_block = next(iter(cache_set))
-            victim_dirty = cache_set.pop(victim_block)
+        """Remove the least recently used block of ``cache_set``."""
+        victim_block = next(iter(cache_set))
+        victim_dirty = cache_set.pop(victim_block)
         self.stats.evictions += 1
         if victim_dirty:
             self.stats.dirty_evictions += 1
@@ -251,11 +213,8 @@ class Cache:
     def hit_update(self, block: int, write: bool) -> None:
         """State effects of one known hit (no stats; see ``access``)."""
         cache_set = self._sets[block & self._set_mask]
-        if self._lru:
-            dirty = cache_set.pop(block)
-            cache_set[block] = dirty or write
-        elif write:
-            cache_set[block] = True
+        dirty = cache_set.pop(block)
+        cache_set[block] = dirty or write
 
     def resident_prefix(self, blocks: "np.ndarray") -> int:
         """Length of the leading run of ``blocks`` that are all resident.
@@ -279,15 +238,10 @@ class Cache:
         """Apply a run of known hits in order (no stats; see ``access``)."""
         sets = self._sets
         mask = self._set_mask
-        if self._lru:
-            for block, write in zip(blocks.tolist(), writes.tolist()):
-                cache_set = sets[block & mask]
-                dirty = cache_set.pop(block)
-                cache_set[block] = dirty or write
-        else:
-            for block, write in zip(blocks.tolist(), writes.tolist()):
-                if write:
-                    sets[block & mask][block] = True
+        for block, write in zip(blocks.tolist(), writes.tolist()):
+            cache_set = sets[block & mask]
+            dirty = cache_set.pop(block)
+            cache_set[block] = dirty or write
 
     def peek_dirty(self, block: int) -> bool:
         """True when ``block`` is resident and dirty (no recency update)."""

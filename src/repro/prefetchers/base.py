@@ -104,10 +104,6 @@ class PrefetchBuffer:
     def __contains__(self, block: int) -> bool:
         return block in self._entries
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._entries)
-
     def outstanding(self, stream: int) -> int:
         """Resident entries issued by stream generation ``stream``."""
         return self._stream_counts.get(stream, 0)

@@ -633,7 +633,8 @@ static void bucket_to_front(int64_t *tags, int64_t *ptrs, int64_t pos,
     ptrs[1] = sequence;
 }
 
-/* IndexTable.probe: MRU-first search, a hit moves to the front. */
+/* IndexTable.lookup on a precomputed bucket and tag: MRU-first search,
+ * a hit moves to the front. */
 static int index_probe(Machine *m, int64_t bucket, int64_t tag,
                        int64_t *ptr_core, int64_t *ptr_seq)
 {
@@ -651,7 +652,8 @@ static int index_probe(Machine *m, int64_t bucket, int64_t tag,
     return 1;
 }
 
-/* IndexTable.commit: (re)point tag at (core, sequence), MRU first. */
+/* IndexTable.update on a precomputed bucket and tag: (re)point tag at
+ * (core, sequence), MRU first. */
 static void index_commit(Machine *m, int64_t bucket, int64_t tag,
                          int64_t core, int64_t sequence)
 {
@@ -995,7 +997,7 @@ static void stms_annotate_abandoned(Machine *m, int64_t core, double now)
         m->stms_counters[SC_ANNOTATIONS]++;
 }
 
-/* StmsPrefetcher._record_hashed. */
+/* StmsPrefetcher._record. */
 static void stms_record(Machine *m, int64_t core, int64_t block, double now,
                         int64_t bucket, int64_t tag)
 {
@@ -1008,8 +1010,7 @@ static void stms_record(Machine *m, int64_t core, int64_t block, double now,
     index_commit(m, bucket, tag, core, sequence);
 }
 
-/* StmsPrefetcher._prefetch_hit_hashed (StreamEngine.on_consumed
- * inlined). */
+/* StmsPrefetcher._on_prefetch_hit (StreamEngine.on_consumed inlined). */
 static void stms_prefetch_hit(Machine *m, int64_t core, int64_t block,
                               double now, int64_t bucket, int64_t tag)
 {
@@ -1032,7 +1033,7 @@ static void stms_prefetch_hit(Machine *m, int64_t core, int64_t block,
     stms_issue(m, core, now);
 }
 
-/* StmsPrefetcher.on_demand_miss_hashed. */
+/* StmsPrefetcher.on_demand_miss. */
 static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
                       int64_t bucket, int64_t tag)
 {

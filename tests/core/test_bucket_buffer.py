@@ -51,6 +51,24 @@ class TestAccess:
         )
 
 
+    def test_miss_is_one_round_trip_on_an_idle_channel(self):
+        buffer = make_buffer()
+        config = buffer.dram.config
+        arrival = buffer.access(3, now=100.0)
+        assert arrival == (
+            100.0 + config.access_latency_cycles + config.transfer_cycles
+        )
+
+    def test_update_misses_count_update_charges_only(self):
+        buffer = make_buffer()
+        buffer.access(1, now=0.0, charge=TrafficCategory.LOOKUP_STREAMS)
+        buffer.access(2, now=0.0, charge=TrafficCategory.UPDATE_INDEX)
+        buffer.access(2, now=0.0, charge=TrafficCategory.UPDATE_INDEX)
+        assert buffer.stats.misses == 2
+        assert buffer.stats.update_misses == 1
+        assert buffer.stats.hits == 1
+
+
 class TestWriteBack:
     def test_clean_eviction_is_free(self):
         buffer = make_buffer(capacity=2)
@@ -70,10 +88,32 @@ class TestWriteBack:
             >= BLOCK_BYTES
         )
 
-    def test_mark_dirty_requires_residency(self):
-        buffer = make_buffer()
-        with pytest.raises(KeyError):
-            buffer.mark_dirty(9)
+    def test_write_back_billed_to_the_dirtying_core(self):
+        buffer = BucketBuffer(
+            capacity=1, dram=DramChannel(), traffic=TrafficMeter(cores=2)
+        )
+        buffer.access(1, now=0.0, dirty=True, core=1)
+        buffer.access(2, now=0.0, core=0)  # core 0 evicts core 1's bucket
+        traffic = buffer.traffic
+        update = TrafficCategory.UPDATE_INDEX
+        lookup = TrafficCategory.LOOKUP_STREAMS
+        assert traffic.core_bytes_for(1, update) == BLOCK_BYTES
+        assert traffic.core_bytes_for(0, update) == 0
+        assert traffic.core_bytes_for(0, lookup) == BLOCK_BYTES
+
+    def test_write_back_queues_behind_the_fetch(self):
+        buffer = make_buffer(capacity=1)
+        dram = buffer.dram
+        transfer = dram.config.transfer_cycles
+        buffer.access(1, now=0.0, dirty=True)
+        requests = dram.stats.low_priority_requests
+        arrival = buffer.access(2, now=1000.0)
+        # The fetch goes first and is not delayed by the write-back.
+        assert arrival == (
+            1000.0 + dram.config.access_latency_cycles + transfer
+        )
+        assert dram.stats.low_priority_requests == requests + 2
+        assert dram.low_backlog(1000.0) == pytest.approx(2 * transfer)
 
     def test_drain_writes_all_dirty(self):
         buffer = make_buffer()

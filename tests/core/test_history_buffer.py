@@ -85,21 +85,22 @@ class TestValidityWindow:
 
 
 class TestReads:
-    def test_read_block_returns_entries_from_sequence(self):
+    def test_read_segment_returns_entries_from_sequence(self):
         history = make_history()
         for i in range(24):
             history.append(100 + i, now=0.0)
-        entries, _ = history.read_block(3, now=0.0)
-        assert [e.block for e in entries] == [103 + i for i in range(9)]
-        assert entries[0].sequence == 3
+        first, blocks, marks, _ = history.read_segment(3, now=0.0)
+        assert blocks == [103 + i for i in range(9)]
+        assert marks == [False] * 9
+        assert first == 3
 
     def test_read_spilled_block_charges_lookup_traffic(self):
         history = make_history()
         for i in range(12):
             history.append(i, now=0.0)
         before = history.traffic.bytes_for(TrafficCategory.LOOKUP_STREAMS)
-        entries, arrival = history.read_block(0, now=0.0)
-        assert len(entries) == 12
+        _, blocks, _, arrival = history.read_segment(0, now=0.0)
+        assert len(blocks) == 12
         assert arrival > 0.0
         assert (
             history.traffic.bytes_for(TrafficCategory.LOOKUP_STREAMS)
@@ -107,11 +108,26 @@ class TestReads:
         )
         assert history.stats.block_reads == 1
 
+    def test_off_chip_read_billed_to_the_reader(self):
+        history = HistoryBuffer(
+            core=0,
+            capacity_entries=24,
+            region=Region(base=0, size=2 * BLOCK_BYTES),
+            dram=DramChannel(),
+            traffic=TrafficMeter(cores=2),
+        )
+        for i in range(12):
+            history.append(i, now=0.0)
+        history.read_segment(0, now=0.0, reader=1)
+        lookup = TrafficCategory.LOOKUP_STREAMS
+        assert history.traffic.core_bytes_for(1, lookup) == BLOCK_BYTES
+        assert history.traffic.core_bytes_for(0, lookup) == 0
+
     def test_read_unspilled_entries_is_on_chip(self):
         history = make_history()
         history.append(7, now=0.0)
-        entries, arrival = history.read_block(0, now=5.0)
-        assert [e.block for e in entries] == [7]
+        _, blocks, _, arrival = history.read_segment(0, now=5.0)
+        assert blocks == [7]
         assert arrival == 5.0
         assert history.stats.on_chip_reads == 1
 
@@ -119,15 +135,16 @@ class TestReads:
         history = make_history(capacity_entries=24)
         for i in range(30):
             history.append(i, now=0.0)
-        entries, _ = history.read_block(0, now=0.0)
-        assert entries == []
+        _, blocks, marks, arrival = history.read_segment(0, now=3.0)
+        assert blocks == [] and marks == []
+        assert arrival == 3.0
         assert history.stats.stale_reads == 1
 
     def test_read_beyond_head_returns_nothing(self):
         history = make_history()
         history.append(1, now=0.0)
-        entries, _ = history.read_block(5, now=0.0)
-        assert entries == []
+        _, blocks, _, _ = history.read_segment(5, now=0.0)
+        assert blocks == []
 
 
 class TestMidRunFlush:
@@ -141,11 +158,9 @@ class TestMidRunFlush:
         history.flush(now=0.0)  # commits an unaligned partial segment
         for i in range(8):
             history.append(200 + i, now=0.0)
-        entries, _ = history.read_block(3, now=0.0)
-        assert [e.sequence for e in entries] == list(range(3, 12))
-        assert [e.block for e in entries] == [103, 104] + [
-            200 + i for i in range(7)
-        ]
+        first, blocks, _, _ = history.read_segment(3, now=0.0)
+        assert list(range(first, first + len(blocks))) == list(range(3, 12))
+        assert blocks == [103, 104] + [200 + i for i in range(7)]
 
     def test_peek_and_annotate_after_partial_flush(self):
         history = make_history()
@@ -173,8 +188,8 @@ class TestMidRunFlush:
                 sequence if sequence < 17 else 500 + (sequence - 17)
             )
             assert entry is not None and entry.block == expected
-        entries, _ = history.read_block(24, now=0.0)
-        assert [e.block for e in entries] == [507, 508, 509, 510, 511]
+        _, blocks, _, _ = history.read_segment(24, now=0.0)
+        assert blocks == [507, 508, 509, 510, 511]
 
 
 class TestAnnotations:
@@ -183,9 +198,9 @@ class TestAnnotations:
         for i in range(12):
             history.append(i, now=0.0)
         assert history.annotate(4, now=0.0)
-        entries, _ = history.read_block(0, now=0.0)
-        assert entries[4].marked
-        assert not entries[3].marked
+        _, _, marks, _ = history.read_segment(0, now=0.0)
+        assert marks[4]
+        assert not marks[3]
 
     def test_annotate_charges_record_write(self):
         history = make_history()

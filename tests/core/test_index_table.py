@@ -45,6 +45,21 @@ class TestBasics:
         assert len(buckets) > 16
 
 
+class TestStats:
+    def test_counts_lookups_hits_inserts_and_updates(self):
+        table = IndexTable(buckets=1, bucket_entries=2)
+        assert table.lookup(1) is None
+        table.update(1, ptr(0, 0))
+        table.update(2, ptr(0, 1))
+        table.update(1, ptr(0, 2))  # re-point an existing entry
+        table.update(3, ptr(0, 3))  # full bucket: 2 ages out
+        assert table.lookup(1) == ptr(0, 2)
+        stats = table.stats
+        assert (stats.lookups, stats.hits) == (2, 1)
+        assert (stats.inserts, stats.pointer_updates) == (3, 1)
+        assert stats.replacements == 1
+
+
 class TestBucketLru:
     def _conflicting_blocks(self, table: IndexTable, count: int) -> list:
         """Find ``count`` distinct blocks hashing to the same bucket."""

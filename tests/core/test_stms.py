@@ -162,3 +162,144 @@ class TestFinalize:
         regions = stms.address_space.regions
         # One index region + one history region per core.
         assert len(regions) == 1 + stms.config.cores
+
+
+class TestIssueTiming:
+    """Hand-worked issue times on an idle channel (paper §4: a lookup is
+    two dependent round trips, bucket then history block)."""
+
+    # 45 ns at 4 GHz, and one 64-byte transfer at 28.4 GB/s.
+    LATENCY = 180.0
+    TRANSFER = 64 / 28.4 * 4
+
+    def recorded(self, *streams: "list[int]") -> StmsPrefetcher:
+        """Record ``streams`` back to back (one core, every update
+        applied), then push their buckets out of the one-entry bucket
+        buffer."""
+        stms = make_stms(cores=1, bucket_buffer_entries=1)
+        replay(stms, 0, [block for stream in streams for block in stream])
+        stms.on_demand_miss(0, 999_999, now=5e5)
+        return stms
+
+    def round_trip(self, now: float) -> float:
+        """Arrival of one low-priority read issued at ``now`` when the
+        channel is idle (the order ``DramChannel`` adds in)."""
+        return now + self.LATENCY + self.TRANSFER
+
+    def test_channel_constants(self):
+        config = DramChannel().config
+        assert config.access_latency_cycles == self.LATENCY
+        assert config.transfer_cycles == self.TRANSFER
+        assert round(self.round_trip(0.0), 3) == 189.014
+
+    def test_first_prefetches_wait_for_the_history_block(self):
+        stream = list(range(200, 224))  # sequences 0..23
+        stms = self.recorded(stream)
+        index = stms.index
+        assert index.bucket_of(200) != index.bucket_of(999_999)
+        t0 = 1e6
+        assert stms.dram.low_backlog(t0) == 0.0
+
+        stms.on_demand_miss(0, 200, now=t0)
+
+        # The bucket read starts at t0; the dirty bucket it displaces is
+        # written back behind it and has left the channel long before
+        # the bucket arrives.  The history block holding sequences
+        # 1..11 can only be requested then, on an idle channel again.
+        bucket_arrival = self.round_trip(t0)
+        history_arrival = self.round_trip(bucket_arrival)
+        assert history_arrival == pytest.approx(
+            t0 + 2 * (self.LATENCY + self.TRANSFER)
+        )
+        assert stms.histories[0].stats.block_reads == 1
+        issued = stms.buffers[0].drain()
+        assert [entry.block for entry in issued] == stream[1:12]
+        assert all(entry.issued_at == history_arrival for entry in issued)
+        # Fills are serialized on the channel from there on.
+        assert [entry.arrival for entry in issued] == pytest.approx([
+            history_arrival + k * self.TRANSFER
+            + self.LATENCY + self.TRANSFER
+            for k in range(len(issued))
+        ])
+
+    def test_buffered_bucket_leaves_one_round_trip(self):
+        stream = list(range(200, 224))
+        stms = make_stms(cores=1)
+        replay(stms, 0, stream)
+        t0 = 1e6
+        # Recording left the trigger's bucket in the 128-entry buffer.
+        assert stms.index.bucket_of(200) in stms.bucket_buffer
+        stms.on_demand_miss(0, 200, now=t0)
+        issued = stms.buffers[0].drain()
+        assert [entry.block for entry in issued] == stream[1:12]
+        assert all(
+            entry.issued_at == self.round_trip(t0) for entry in issued
+        )
+
+    def test_stream_still_on_chip_issues_at_the_miss(self):
+        stream = list(range(300, 306))  # fewer than one packed block
+        stms = make_stms(cores=1)
+        replay(stms, 0, stream)
+        lookup_bytes = stms.traffic.bytes_for(TrafficCategory.LOOKUP_STREAMS)
+        t0 = 1e6
+        stms.on_demand_miss(0, 300, now=t0)
+        # Bucket buffered and segment in the pack buffer: no round trip.
+        assert (
+            stms.traffic.bytes_for(TrafficCategory.LOOKUP_STREAMS)
+            == lookup_bytes
+        )
+        assert stms.histories[0].stats.on_chip_reads == 1
+        issued = stms.buffers[0].drain()
+        # Sequences 1..6: the rest of the stream, then the trigger
+        # this miss just recorded.
+        assert [entry.block for entry in issued] == stream[1:] + [300]
+        assert all(entry.issued_at == t0 for entry in issued)
+
+    def test_consumption_refills_and_tops_up_to_lookahead(self):
+        stream = list(range(200, 236))  # sequences 0..35
+        stms = make_stms(cores=1)
+        replay(stms, 0, stream)
+        buffer = stms.buffers[0]
+        stms.on_demand_miss(0, 200, now=1e6)
+        assert buffer.outstanding(1) == 11  # the whole first segment
+        t1 = 2e6
+        assert stms.consume(0, 201, now=t1) is not None
+        # The queue ran dry, so the hit fetches sequences 12..23 and
+        # issues just enough of them to be back at lookahead in flight.
+        assert stms.histories[0].stats.block_reads == 2
+        assert buffer.outstanding(1) == stms.config.lookahead
+        newest = buffer.drain()[-2:]
+        assert [entry.block for entry in newest] == stream[12:14]
+        assert all(
+            entry.issued_at == self.round_trip(t1) for entry in newest
+        )
+
+    def test_abandoned_leftovers_do_not_count_against_lookahead(self):
+        stream_a = list(range(200, 224))  # sequences 0..23
+        stream_b = list(range(1200, 1236))  # sequences 24..59
+        stms = self.recorded(stream_a, stream_b)
+        lookahead = stms.config.lookahead
+        buffer = stms.buffers[0]
+
+        stms.on_demand_miss(0, stream_a[0], now=1e6)
+        assert buffer.outstanding(1) == 11
+        # Nothing of stream A is consumed; the core jumps to stream B.
+        t1 = 2e6
+        assert stms.dram.low_backlog(t1) == 0.0
+        stms.on_demand_miss(0, stream_b[0], now=t1)
+
+        # B's first history segment (sequences 25..35) issues whole,
+        # although A's 11 unconsumed prefetches still sit in the buffer:
+        # counting them would leave B a budget of lookahead - 11 = 1.
+        assert stms.engines[0].serial == 2
+        assert buffer.outstanding(1) == 11
+        assert buffer.outstanding(2) == 11
+        assert len(buffer) == 22 > lookahead
+        history_arrival = self.round_trip(self.round_trip(t1))
+        stream_b_entries = [
+            entry for entry in buffer.drain() if entry.stream == 2
+        ]
+        assert [entry.block for entry in stream_b_entries] == stream_b[1:12]
+        assert all(
+            entry.issued_at == history_arrival for entry in stream_b_entries
+        )

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.core.history_buffer import HistoryEntry
 from repro.core.stream_engine import StreamEngine
 
 
-def entries(*blocks: int, start: int = 0, marked: "set[int] | None" = None):
+def enqueue(
+    engine: StreamEngine,
+    *blocks: int,
+    start: int = 0,
+    marked: "set[int] | None" = None,
+    ready_at: float = 0.0,
+) -> int:
+    """Feed ``blocks`` (sequences ``start..``) as one history segment."""
     marked = marked or set()
-    return [
-        HistoryEntry(sequence=start + i, block=block, marked=block in marked)
-        for i, block in enumerate(blocks)
-    ]
+    return engine.enqueue_segment(
+        start, list(blocks), [block in marked for block in blocks], ready_at
+    )
 
 
 def make_engine(capacity: int = 8, threshold: int = 2) -> StreamEngine:
@@ -32,7 +37,7 @@ class TestLifecycle:
     def test_reset_clears_but_keeps_serial(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, 3), ready_at=0.0)
+        enqueue(engine, 1, 2, 3)
         engine.reset()
         assert not engine.active
         assert engine.queue_depth == 0
@@ -49,31 +54,48 @@ class TestQueueing:
     def test_enqueue_respects_capacity(self):
         engine = make_engine(capacity=3)
         engine.begin(0, 0)
-        accepted = engine.enqueue_entries(entries(1, 2, 3, 4, 5), 0.0)
+        accepted = enqueue(engine, 1, 2, 3, 4, 5)
         assert accepted == 3
         assert engine.queue_depth == 3
 
+    def test_enqueue_into_a_partly_full_queue(self):
+        engine = make_engine(capacity=4)
+        engine.begin(0, 0)
+        assert enqueue(engine, 1, 2, 3) == 3
+        assert enqueue(engine, 4, 5, 6, start=3) == 1
+        assert engine.queue_depth == 4
+        assert engine.next_fetch_sequence == 4
+
     def test_enqueue_ignored_when_inactive(self):
         engine = make_engine()
-        assert engine.enqueue_entries(entries(1, 2), 0.0) == 0
+        assert enqueue(engine, 1, 2) == 0
 
     def test_pop_in_fifo_order(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(5, 6, 7), 0.0)
+        enqueue(engine, 5, 6, 7)
         assert [engine.pop_for_prefetch().block for _ in range(3)] == [5, 6, 7]
         assert engine.pop_for_prefetch() is None
+
+    def test_segment_entries_carry_sequence_and_ready_at(self):
+        engine = make_engine()
+        engine.begin(source_core=2, next_fetch_sequence=10)
+        assert enqueue(engine, 5, 6, start=10, ready_at=40.0) == 2
+        head = engine.pop_for_prefetch()
+        assert (head.source_core, head.sequence, head.block) == (2, 10, 5)
+        assert head.ready_at == 40.0
+        assert engine.pop_for_prefetch().sequence == 11
 
     def test_next_fetch_tracks_last_enqueued(self):
         engine = make_engine()
         engine.begin(0, next_fetch_sequence=10)
-        engine.enqueue_entries(entries(1, 2, start=10), 0.0)
+        enqueue(engine, 1, 2, start=10)
         assert engine.next_fetch_sequence == 12
 
     def test_needs_refill_threshold(self):
         engine = make_engine(capacity=8, threshold=2)
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, 3), 0.0)
+        enqueue(engine, 1, 2, 3)
         assert not engine.needs_refill()
         engine.pop_for_prefetch()
         assert engine.needs_refill()
@@ -83,9 +105,7 @@ class TestPauseResume:
     def test_marked_entry_stops_enqueue(self):
         engine = make_engine()
         engine.begin(0, 0)
-        accepted = engine.enqueue_entries(
-            entries(1, 2, 3, 4, marked={3}), 0.0
-        )
+        accepted = enqueue(engine, 1, 2, 3, 4, marked={3})
         assert accepted == 3  # 4 is beyond the mark
         assert engine.paused_at is not None
         assert engine.paused_at.block == 3
@@ -93,18 +113,18 @@ class TestPauseResume:
     def test_pop_stops_after_marked_entry(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, marked={2}), 0.0)
+        enqueue(engine, 1, 2, marked={2})
         assert engine.pop_for_prefetch().block == 1
         assert engine.pop_for_prefetch().block == 2
         # Entries beyond the mark must not issue while paused.
-        engine.enqueue_entries(entries(9, start=5), 0.0)
+        enqueue(engine, 9, start=5)
         assert engine.pop_for_prefetch() is None
         assert engine.needs_refill() is False
 
     def test_confirm_resume_on_paused_block(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, marked={2}), 0.0)
+        enqueue(engine, 1, 2, marked={2})
         engine.pop_for_prefetch()
         engine.pop_for_prefetch()
         assert not engine.confirm_resume(1)
@@ -114,7 +134,7 @@ class TestPauseResume:
     def test_consuming_marked_block_resumes(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, marked={2}), 0.0)
+        enqueue(engine, 1, 2, marked={2})
         engine.pop_for_prefetch()
         engine.pop_for_prefetch()
         engine.on_consumed(2)
@@ -125,7 +145,7 @@ class TestConsumptionTracking:
     def test_on_consumed_tracks_latest(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, 3), 0.0)
+        enqueue(engine, 1, 2, 3)
         for _ in range(3):
             engine.pop_for_prefetch()
         engine.on_consumed(1)
@@ -140,7 +160,7 @@ class TestConsumptionTracking:
     def test_annotation_target_after_consumption(self):
         engine = make_engine()
         engine.begin(source_core=3, next_fetch_sequence=10)
-        engine.enqueue_entries(entries(1, 2, start=10), 0.0)
+        enqueue(engine, 1, 2, start=10)
         engine.pop_for_prefetch()
         engine.on_consumed(1)
         assert engine.annotation_target() == (3, 11)
@@ -157,7 +177,7 @@ class TestPauseResumeEdgeCases:
     def test_confirm_resume_on_non_matching_block_stays_paused(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2, 3, marked={3}), 0.0)
+        enqueue(engine, 1, 2, 3, marked={3})
         paused = engine.paused_at
         assert paused is not None and paused.block == 3
         # A miss on an unrelated block must not clear the pause.
@@ -172,7 +192,7 @@ class TestPauseResumeEdgeCases:
     def test_confirm_resume_without_pause(self):
         engine = make_engine()
         engine.begin(0, 0)
-        engine.enqueue_entries(entries(1, 2), 0.0)
+        enqueue(engine, 1, 2)
         assert not engine.confirm_resume(1)
 
     def test_marked_entry_exactly_at_queue_capacity(self):
@@ -180,7 +200,7 @@ class TestPauseResumeEdgeCases:
         # must be queued AND pause the stream.
         engine = make_engine(capacity=3)
         engine.begin(0, 0)
-        accepted = engine.enqueue_entries(entries(1, 2, 3, marked={3}), 0.0)
+        accepted = enqueue(engine, 1, 2, 3, marked={3})
         assert accepted == 3
         assert engine.queue_depth == 3
         assert engine.paused_at is not None
@@ -191,7 +211,7 @@ class TestPauseResumeEdgeCases:
         # cursor stops right before it so a later refill retries it.
         engine = make_engine(capacity=3)
         engine.begin(0, 0)
-        accepted = engine.enqueue_entries(entries(1, 2, 3, 4, marked={4}), 0.0)
+        accepted = enqueue(engine, 1, 2, 3, 4, marked={4})
         assert accepted == 3
         assert engine.paused_at is None
         assert engine.next_fetch_sequence == 3
@@ -199,7 +219,7 @@ class TestPauseResumeEdgeCases:
     def test_annotation_target_after_reset(self):
         engine = make_engine()
         engine.begin(source_core=2, next_fetch_sequence=5)
-        engine.enqueue_entries(entries(7, 8, start=5), 0.0)
+        enqueue(engine, 7, 8, start=5)
         popped = engine.pop_for_prefetch()
         assert popped is not None
         engine.on_consumed(popped.block)

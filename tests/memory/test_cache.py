@@ -1,5 +1,6 @@
 """Unit and property tests for the set-associative cache model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +81,14 @@ class TestCacheBasics:
         dirty_evictions = [e for e in (evicted, evicted2) if e and e.dirty]
         assert len(dirty_evictions) == 1
 
+    def test_refill_refreshes_recency(self):
+        cache = small_cache(sets=1, ways=2)
+        cache.fill(0)
+        cache.fill(1)
+        cache.fill(0)  # resident: 1 becomes LRU
+        evicted = cache.fill(2)
+        assert evicted is not None and evicted.block == 1
+
     def test_invalidate(self):
         cache = small_cache()
         cache.fill(3)
@@ -152,6 +161,82 @@ class TestCacheProperties:
             assert sorted(cache.resident_blocks()) == sorted(reference)
 
 
+def contents(cache: Cache) -> "list[tuple[int, bool]]":
+    """Resident blocks in set-then-recency order, with dirty bits."""
+    return [(b, cache.peek_dirty(b)) for b in cache.resident_blocks()]
+
+
+class TestBatchedInterface:
+    """The engine's allocation-light calls against access/fill."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=31),
+                st.booleans(),
+            ),
+            max_size=200,
+        )
+    )
+    def test_fill_pair_and_hit_update_match_access_and_fill(
+        self, operations
+    ):
+        reference = small_cache(sets=2, ways=2)
+        batched = small_cache(sets=2, ways=2)
+        for block, write in operations:
+            if reference.access(block, write=write) is AccessResult.HIT:
+                expected = None
+                assert batched.lookup(block)
+                batched.hit_update(block, write)
+            else:
+                evicted = reference.fill(block, dirty=write)
+                expected = (
+                    None if evicted is None
+                    else (evicted.block, evicted.dirty)
+                )
+                assert batched.fill_pair(block, dirty=write) == expected
+            assert contents(batched) == contents(reference)
+        assert batched.stats.evictions == reference.stats.evictions
+        assert (
+            batched.stats.dirty_evictions
+            == reference.stats.dirty_evictions
+        )
+
+    def test_bulk_hit_update_matches_hit_update(self):
+        one_by_one = small_cache(sets=2, ways=4)
+        bulk = small_cache(sets=2, ways=4)
+        for block in range(8):
+            one_by_one.fill(block)
+            bulk.fill(block)
+        blocks = np.array([3, 0, 6, 3, 5, 1], dtype=np.int64)
+        writes = np.array([False, True, False, True, False, False])
+        for block, write in zip(blocks.tolist(), writes.tolist()):
+            one_by_one.hit_update(block, write)
+        bulk.bulk_hit_update(blocks, writes)
+        assert contents(bulk) == contents(one_by_one)
+        assert bulk.peek_dirty(0) and bulk.peek_dirty(3)
+
+    def test_resident_prefix_tracks_fills(self):
+        cache = small_cache(sets=2, ways=2)
+        for block in range(4):
+            cache.fill(block)
+        run = np.array([0, 1, 9, 2], dtype=np.int64)
+        assert cache.resident_prefix(run) == 2
+        cache.fill(9)  # evicts 1 (LRU of its set)
+        assert cache.resident_prefix(run) == 1
+        assert cache.resident_prefix(np.array([], dtype=np.int64)) == 0
+
+    def test_peek_dirty_leaves_recency_alone(self):
+        cache = small_cache(sets=1, ways=2)
+        cache.fill(0, dirty=True)
+        cache.fill(1)
+        assert cache.peek_dirty(0) and not cache.peek_dirty(1)
+        assert not cache.peek_dirty(7)
+        evicted = cache.fill(2)
+        assert evicted is not None and evicted.block == 0
+
+
 class TestVictimBuffer:
     def test_insert_then_extract(self):
         buffer = VictimBuffer(capacity=2)
@@ -183,74 +268,3 @@ class TestVictimBuffer:
         assert displaced is not None and displaced.block == 5
         assert buffer.insert(6, dirty=False) is None
 
-
-class TestReplacementPolicies:
-    """Cross-check Cache's inline policies against the reference models."""
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
-            CacheConfig(size_bytes=8 * BLOCK_BYTES, ways=2,
-                        replacement="plru")
-
-    def test_fifo_matches_reference_model(self):
-        from repro.memory.replacement import FifoPolicy
-
-        cache = Cache(
-            CacheConfig(size_bytes=4 * BLOCK_BYTES, ways=4,
-                        replacement="fifo")
-        )
-        policy = FifoPolicy(4)
-        resident: list[int | None] = [None] * 4
-        pattern = [0, 1, 2, 3, 0, 1, 4, 0, 5, 2, 6, 1, 7]
-        for block in pattern:
-            if cache.access(block) is AccessResult.HIT:
-                way = resident.index(block)
-                policy.touch(way)
-            else:
-                if None in resident:
-                    way = resident.index(None)
-                else:
-                    way = policy.victim()
-                resident[way] = block
-                policy.fill(way)
-                cache.fill(block)
-            assert sorted(cache.resident_blocks()) == sorted(
-                b for b in resident if b is not None
-            )
-
-    def test_fifo_hit_does_not_refresh(self):
-        cache = Cache(
-            CacheConfig(size_bytes=2 * BLOCK_BYTES, ways=2,
-                        replacement="fifo")
-        )
-        cache.fill(1)
-        cache.fill(2)
-        cache.access(1)  # would refresh under LRU
-        evicted = cache.fill(3)
-        assert evicted is not None and evicted.block == 1
-
-    def test_random_policy_bounded_and_seeded(self):
-        import numpy as np
-
-        config = CacheConfig(size_bytes=2 * BLOCK_BYTES, ways=2,
-                             replacement="random")
-        a = Cache(config, rng=np.random.default_rng(5))
-        b = Cache(config, rng=np.random.default_rng(5))
-        evictions_a, evictions_b = [], []
-        for block in range(20):
-            ea = a.fill(block)
-            eb = b.fill(block)
-            evictions_a.append(ea.block if ea else None)
-            evictions_b.append(eb.block if eb else None)
-            assert a.occupancy() <= 2
-        assert evictions_a == evictions_b
-
-    def test_fifo_write_hit_still_dirties(self):
-        cache = Cache(
-            CacheConfig(size_bytes=BLOCK_BYTES, ways=1,
-                        replacement="fifo")
-        )
-        cache.fill(1)
-        cache.access(1, write=True)
-        evicted = cache.fill(2)
-        assert evicted is not None and evicted.dirty
