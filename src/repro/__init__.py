@@ -15,8 +15,8 @@ Quickstart::
     result = run_workload("oltp-db2", PrefetcherKind.STMS, scale="demo")
     print(f"coverage = {result.coverage.coverage:.1%}")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every figure and table.
+See README.md for the architecture map and for how each of the paper's
+figures and tables regenerates, with the shape checks it must pass.
 """
 
 from repro.core import StmsConfig, StmsPrefetcher

@@ -47,7 +47,9 @@ class StmsConfig:
     #: Refill the address queue when it drains below this many entries.
     queue_refill_threshold: int = 6
     #: Index-entry tag width in bits; ``None`` stores full addresses
-    #: (no aliasing).  Realistic hardware truncates (see DESIGN.md).
+    #: (no aliasing).  Realistic hardware truncates; the ablation
+    #: ``test_ablation_tag_truncation`` bounds the coverage 16-bit tags
+    #: lose.
     tag_bits: "int | None" = None
     #: Write end-of-stream marks into the history buffer (Section 4.5).
     #: Disable for the ablation test: without marks, streaming runs
@@ -86,7 +88,7 @@ class StmsConfig:
             raise ValueError("tag_bits must be positive when given")
 
     # ------------------------------------------------------------------
-    # Derived storage figures (used in reports and DESIGN.md checks).
+    # Derived storage figures (checked in tests/core/test_config.py).
     # ------------------------------------------------------------------
 
     @property

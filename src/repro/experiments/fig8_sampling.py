@@ -331,7 +331,7 @@ def _shape_checks(
         if operating is not None and peak > 0:
             # The paper measures <= 6% coverage loss at 12.5% sampling;
             # our scaled traces give streams fewer recurrences to land an
-            # index entry, so the tolerance is looser (see EXPERIMENTS.md).
+            # index entry, so the tolerance is looser.
             checks.append(
                 ShapeCheck(
                     claim=f"{name}: coverage decays slowly — the 12.5% "

@@ -78,13 +78,21 @@ class SimConfig:
 
 
 def resolve_engine(engine: str) -> str:
-    """Map an engine request to a concrete engine name."""
+    """Map an engine request to a concrete engine name.
+
+    ``"auto"`` reads ``REPRO_SIM_ENGINE``, where an empty value means
+    unset (as for every ``REPRO_*`` knob); both give ``"batch"``.
+    """
+    origin = ""
     if engine == "auto":
-        engine = os.environ.get("REPRO_SIM_ENGINE", "batch")
+        engine = os.environ.get("REPRO_SIM_ENGINE") or "batch"
+        origin = " from REPRO_SIM_ENGINE"
         if engine == "auto":
             engine = "batch"
     if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine {engine!r} (batch/scalar/auto)")
+        raise ValueError(
+            f"unknown engine {engine!r}{origin} (batch/scalar/auto)"
+        )
     return engine
 
 
@@ -129,9 +137,10 @@ class Simulator:
             if kernel_cell(temporal_factory):
                 from repro.sim import native
 
-                state = native.run_state(
-                    self.config, trace, temporal_factory, shared
-                )
+                if native.load() is not None:
+                    state = native.NativeRunState(
+                        self.config, trace, temporal_factory, shared
+                    )
             if state is None:
                 from repro.sim.batch import BatchRunState
 

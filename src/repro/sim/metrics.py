@@ -146,11 +146,12 @@ def snapshot_run_state(state) -> dict:
     between the scalar reference engine and the other engines: per-core
     clocks and cursors, cache/victim contents and counters, traffic
     bytes per category (which the batched path accumulates from segment
-    sums), DRAM and MSHR state, stride-prefetcher tables, and — when the
-    temporal prefetcher is STMS — the full off-chip metadata state:
-    index-table buckets, history buffers (including un-spilled pack
-    segments), bucket-buffer residency, stream engines, and the sampler
-    (counters, pending coin batch and cursor, and RNG state).
+    sums), DRAM and MSHR state, the per-core MLP accumulators,
+    stride-prefetcher tables, and — when the temporal prefetcher is
+    STMS — the full off-chip metadata state: index-table buckets,
+    history buffers (including un-spilled pack segments), bucket-buffer
+    residency, stream engines, and the sampler (counters, pending coin
+    batch and cursor, and RNG state).
 
     Cache sets and stride trackers are captured in their dict order,
     which is their LRU order: a replacement-order slip shows up here
@@ -201,6 +202,12 @@ def snapshot_run_state(state) -> dict:
         "outstanding": [sorted(window) for window in state.outstanding],
         "core_coverage": [astuple(c) for c in state.core_coverage],
     }
+    if state.mlp is not None:
+        snap["mlp"] = [
+            (acc.total, acc.union, acc._current_start, acc._current_end,
+             acc.count)
+            for acc in state.mlp._accumulators
+        ]
     stride = state.stride
     if stride is not None:
         snap["stride"] = (

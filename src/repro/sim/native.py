@@ -13,18 +13,19 @@ and walks records in the same ``(clock, core)`` order, so results are
 bit-identical to the reference (``tests/sim/test_engine_differential.py``
 pins it).  Other temporal prefetchers stay on the Python batched engine.
 
-State handoff: a cell's Python machine objects (caches, victim FIFOs,
-MSHRs, DRAM, stride prefetcher, STMS structures, counters) are packed
-into flat NumPy buffers, in their dict/list order, on the cell's first
-kernel call, and the buffers and the ``Machine`` struct stay with the
-cell to the end: warm-up, the measurement boundary
+State handoff: a cell's ``Machine`` struct and its flat NumPy buffers
+(caches, victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS structures,
+counters) are built from the configuration when the cell is
+constructed, in the state a freshly built Python machine starts in, and
+stay with the cell to the end: warm-up, the measurement boundary
 (``repro_kernel_reset``), the measured phase and the end-of-run flush
 (``repro_kernel_finalize``) all run on them.  Only what results and the
 conservation oracle read is copied back: clocks and cursors after every
 phase (with the measured phase's miss log), the counters at the
 boundary and after the flush.  Cache sets, MSHR entries, prefetcher
 tables and the STMS structures stay in C; :meth:`NativeRunState.sync`
-unpacks them into the Python objects for state snapshots.
+unpacks them, in the Python objects' dict/list order, for state
+snapshots.
 An STMS cell's per-record index buckets and tags arrive as int64
 arrays, zero-copy, from the sweep's shared classification or the
 prefetcher's ``metadata_columns``; its sampler's coin flips are drawn in
@@ -171,7 +172,6 @@ _ENGINE = np.dtype(
     + [("paused_at", _QUEUED), ("last_consumed", _QUEUED)],
     align=True,
 )
-_NO_ENTRY = (0, 0, 0, False, 0.0)
 #: What the kernel's ``repro_kernel_abi`` returns for these layouts.
 ABI = (
     ctypes.sizeof(Machine) | _ENGINE.itemsize << 16
@@ -311,59 +311,6 @@ def load() -> "ctypes.CDLL | None":
         return None
 
 
-def run_state(
-    config: SimConfig,
-    trace: Trace,
-    temporal_factory=None,
-    shared=None,
-) -> "NativeRunState | None":
-    """A kernel-stepped run state, or None without the kernel.
-
-    ``temporal_factory`` is None (a baseline cell) or a
-    :class:`~repro.core.stms.StmsFactory`; ``shared`` is a sweep's
-    :class:`~repro.sim.sweep.SweepShared` carrying the cell's bucket
-    and tag columns.
-    """
-    if load() is None:
-        return None
-    return NativeRunState(config, trace, temporal_factory, shared)
-
-
-# ----------------------------------------------------------------------
-# State handoff.
-# ----------------------------------------------------------------------
-
-
-def _pack_ordered(dicts: list, width: int):
-    """Flatten ordered dicts (or lists) into ``[len(dicts)][width]`` key
-    rows.
-
-    Returns the key rows, the per-row counts and the flat slot of every
-    entry in iteration order (for packing matching value rows).
-    """
-    counts = np.fromiter(map(len, dicts), dtype=np.int64, count=len(dicts))
-    if counts.size and counts.max() > width:
-        raise ValueError(f"ordered structure exceeds its width {width}")
-    starts = np.arange(len(dicts), dtype=np.int64) * width
-    slots = np.arange(int(counts.sum())) + np.repeat(
-        starts - counts.cumsum() + counts, counts
-    )
-    keys = np.zeros(len(dicts) * width, dtype=np.int64)
-    keys[slots] = [key for d in dicts for key in d]
-    return keys, counts, slots
-
-
-def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
-    """Refill ``dicts`` in place from packed key and value rows."""
-    for row, n in enumerate(counts.tolist()):
-        target = dicts[row]
-        target.clear()
-        if n:
-            base = row * width
-            target.update(zip(keys[base:base + n].tolist(),
-                              values[base:base + n].tolist()))
-
-
 class NativeRunState(_RunState):
     """The scalar reference run state, stepped by the compiled kernel."""
 
@@ -427,21 +374,178 @@ class NativeRunState(_RunState):
         self._low_priority = np.array(
             [p is Priority.LOW for p in self.demand_priority], dtype=np.uint8
         )
-        #: The packed machine and the buffers it points into, from the
-        #: first kernel call on (see :meth:`_packed`).
-        self._machine: "Machine | None" = None
         self._buffers: "dict[str, np.ndarray]" = {}
+        self._build()
 
     # ------------------------------------------------------------------
-    # Lifecycle: one pack per cell, counters back.
+    # Lifecycle: one machine per cell, counters back.
     # ------------------------------------------------------------------
 
-    def _packed(self) -> "tuple[Machine, dict]":
-        """The cell's kernel machine, packed from the Python objects on
-        first use and kept for the cell's lifetime."""
-        if self._machine is None:
-            self._pack()
-        return self._machine, self._buffers
+    def _build(self) -> None:
+        """Build the cell's kernel machine from the config.
+
+        Its state is a freshly built Python machine's: every structure
+        empty and every counter zero, except that no stream engine has a
+        source core yet and no MLP accumulator a current interval.
+        Counter rows come from the fresh counter objects, in the layout
+        :meth:`_restore_counters` reads back.
+        """
+        config, cores, hier = self.config, self.trace.cores, self.hierarchy
+        timing, dram = config.timing, config.dram
+        l1, l2 = hier.l1s[0].config, hier.l2.config
+        l1_cores, victims = len(hier.l1s), config.cmp.l1_victim_blocks
+        mshrs, window = self.mshrs.capacity, timing.core_miss_window
+        l1_slots, l2_slots = l1_cores * l1.sets * l1.ways, l2.sets * l2.ways
+        victim_slots = l1_cores * max(0, victims)
+        b = dict(
+            self._columns[1],
+            low_priority=self._low_priority,
+            limits=np.zeros(cores, np.int64),
+            clocks=np.zeros(cores),
+            cursors=np.zeros(cores, np.int64),
+            l1_tags=np.zeros(l1_slots, np.int64),
+            l1_dirty=np.zeros(l1_slots, np.uint8),
+            l1_count=np.zeros(l1_cores * l1.sets, np.int64),
+            l1_stats=_stats([l1.stats for l1 in hier.l1s]),
+            victim_blocks=np.zeros(victim_slots, np.int64),
+            victim_dirty=np.zeros(victim_slots, np.uint8),
+            victim_count=np.zeros(l1_cores, np.int64),
+            victim_hits=np.zeros(l1_cores, np.int64),
+            l2_tags=np.zeros(l2_slots, np.int64),
+            l2_dirty=np.zeros(l2_slots, np.uint8),
+            l2_count=np.zeros(l2.sets, np.int64),
+            l2_stats=_stats([hier.l2.stats]),
+            mshr_blocks=np.zeros(mshrs, np.int64),
+            mshr_complete=np.zeros(mshrs),
+            mshr_waiters=np.zeros(mshrs, np.int64),
+            mshr_stats=_stats([self.mshrs.stats]),
+            window=np.zeros(cores * window),
+            window_count=np.zeros(cores, np.int64),
+            traffic=np.zeros(len(_CATEGORIES), np.int64),
+            core_traffic=np.zeros(cores * len(_CATEGORIES), np.int64),
+            coverage=_stats([self.coverage]),
+            core_coverage=_stats(self.core_coverage),
+        )
+        # Disabled structures stay NULL and their fields zero: the kernel
+        # never reads them.
+        stride, scalars = self.stride, {}
+        if stride is not None:
+            tracker_width = stride.tracker_entries
+            buffer_width = stride.buffers[0].capacity
+            b.update(
+                tracker=np.zeros(cores * tracker_width * 4, np.int64),
+                tracker_count=np.zeros(cores, np.int64),
+                sbuf_blocks=np.zeros(cores * buffer_width, np.int64),
+                sbuf_times=np.zeros(cores * buffer_width * 2),
+                sbuf_count=np.zeros(cores, np.int64),
+                stride_stats=_stats([stride.stats]),
+            )
+            scalars.update(
+                use_stride=1,
+                tracker_entries=tracker_width,
+                stride_buffer_blocks=buffer_width,
+                stride_degree=stride.degree,
+                confirm_threshold=stride.confirm_threshold,
+                region_shift=stride._region_shift,
+                stride_backlog_limit=stride._backlog_limit,
+            )
+        if self.mlp is not None:
+            mlp = np.zeros((cores, 4))
+            mlp[:, 2:] = -1.0  # no current interval
+            b["mlp"] = mlp.reshape(-1)
+            b["mlp_count"] = np.zeros(cores, np.int64)
+        if self.miss_log is not None:
+            # Each phase hands in its own log (_run_until).
+            b["miss_log_count"] = np.zeros(cores, np.int64)
+        if self.temporal is not None:
+            scalars.update(self._build_stms(b))
+
+        self._machine = Machine(
+            cores=cores,
+            l1_cores=l1_cores,
+            l1_sets=l1.sets,
+            l1_ways=l1.ways,
+            victim_capacity=victims,
+            l2_sets=l2.sets,
+            l2_ways=l2.ways,
+            mshr_capacity=mshrs,
+            miss_window=window,
+            track_mlp=self.mlp is not None,
+            collect_miss_log=self.miss_log is not None,
+            work_f64=self._work_f64,
+            t_l1_hit=timing.l1_hit,
+            t_victim_hit=timing.victim_hit,
+            t_l2_dep=timing.l2_hit_dep,
+            t_l2_indep=timing.l2_hit_indep,
+            t_stride_dep=timing.stride_hit_dep,
+            t_stride_indep=timing.stride_hit_indep,
+            t_miss_overhead=timing.miss_issue_overhead,
+            dram_transfer=dram.transfer_cycles,
+            dram_latency=dram.access_latency_cycles,
+            t_pf_dep=timing.prefetch_hit_dep,
+            t_pf_indep=timing.prefetch_hit_indep,
+            **scalars,
+        )
+        self._hand_over(**b)
+
+    def _build_stms(self, b: dict) -> dict:
+        """Add the empty STMS structures to ``b``; returns the machine's
+        STMS fields."""
+        stms, cores = self.temporal, self.trace.cores
+        config = stms.config
+        buckets, width = config.index_buckets, config.bucket_entries
+        history = stms.histories[0].capacity
+        pending = cores * HISTORY_ENTRIES_PER_BLOCK
+        residents = config.bucket_buffer_entries
+        queue_width = config.address_queue_entries
+        buffer_width = config.prefetch_buffer_blocks
+        engines = np.zeros(cores, dtype=_ENGINE)
+        engines["source_core"] = -1
+        b.update(
+            pf_stats=_stats([stms.stats]),
+            stms_counters=_stats([stms.counters]),
+            sampler=np.zeros(2, np.int64),
+            index_tags=np.zeros(buckets * width, np.int64),
+            index_ptrs=np.zeros(buckets * width * 2, np.int64),
+            index_count=np.zeros(buckets, np.int64),
+            index_stats=_stats([stms.index.stats]),
+            hist_blocks=np.zeros(cores * history, np.int64),
+            hist_marks=np.zeros(cores * history, np.uint8),
+            hist_pend_blocks=np.zeros(pending, np.int64),
+            hist_pend_marks=np.zeros(pending, np.uint8),
+            hist_pend_count=np.zeros(cores, np.int64),
+            hist_head=np.zeros(cores, np.int64),
+            hist_stats=_stats([h.stats for h in stms.histories]),
+            bb_buckets=np.zeros(residents, np.int64),
+            bb_dirty=np.zeros(residents, np.uint8),
+            bb_core=np.zeros(residents, np.int64),
+            bb_stats=_stats([stms.bucket_buffer.stats]),
+            engines=engines,
+            queues=np.zeros(cores * queue_width, dtype=_QUEUED),
+            # Issued maps are unbounded: the kernel stops before a
+            # record that could overflow one, and _run_until doubles
+            # the room.
+            issued=np.zeros(cores * queue_width, dtype=_QUEUED),
+            pbuf=np.zeros(cores * buffer_width, dtype=_PREFETCHED),
+            pbuf_count=np.zeros(cores, np.int64),
+        )
+        probability = config.sampling_probability
+        return dict(
+            stms=1,
+            history_capacity=history,
+            bucket_entries=width,
+            bucket_buffer_capacity=residents,
+            prefetch_buffer_blocks=buffer_width,
+            lookahead=config.lookahead,
+            queue_capacity=queue_width,
+            refill_threshold=config.queue_refill_threshold,
+            annotate=config.annotate_stream_ends,
+            sample_mode=(
+                1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
+            ),
+            issued_capacity=queue_width,
+            pf_backlog_limit=stms._backlog_limit,
+        )
 
     def _hand_over(self, **arrays: np.ndarray) -> None:
         """Point the machine at new buffers (kept alive in ``_buffers``)."""
@@ -455,24 +559,21 @@ class NativeRunState(_RunState):
         """The measurement boundary: the reference reset on the Python
         counters (brought up to date first, so the STMS transfer
         counters it snapshots are current), then the same reset in C."""
-        machine, buffers = self._packed()
-        self._restore_counters(machine, buffers)
+        self._restore_counters(self._machine, self._buffers)
         super().reset_accounting()
-        self._lib.repro_kernel_reset(ctypes.byref(machine))
+        self._lib.repro_kernel_reset(ctypes.byref(self._machine))
 
     def _finalize(self, end: float) -> None:
         """The reference flush, in C; its counters come back."""
-        machine, buffers = self._packed()
-        self._lib.repro_kernel_finalize(ctypes.byref(machine), end)
-        self._restore_counters(machine, buffers)
+        self._lib.repro_kernel_finalize(ctypes.byref(self._machine), end)
+        self._restore_counters(self._machine, self._buffers)
 
     def sync(self) -> None:
         """Unpack the whole kernel machine into the Python objects."""
-        if self._machine is not None:
-            self._unpack(self._machine, self._buffers)
+        self._unpack(self._machine, self._buffers)
 
     def _run_until(self, limits: "list[int]") -> None:
-        machine, buffers = self._packed()
+        machine, buffers = self._machine, self._buffers
         buffers["limits"][:] = limits
         log = self.miss_log
         if log is not None:
@@ -513,265 +614,6 @@ class NativeRunState(_RunState):
             for core, n in enumerate(buffers["miss_log_count"].tolist()):
                 base = bases[core]
                 log[core].extend(entries[base:base + n].tolist())
-
-    def _pack(self) -> None:
-        config, trace, hier = self.config, self.trace, self.hierarchy
-        timing, cores = config.timing, trace.cores
-        l1_config = hier.l1s[0].config
-        l1_ways, victim_width = l1_config.ways, max(0, hier.victims[0].capacity)
-        l2_ways = hier.l2.config.ways
-        stride = self.stride
-        window_width = timing.core_miss_window
-        b = dict(self._columns[1], low_priority=self._low_priority)
-
-        l1_sets = [s for l1 in hier.l1s for s in l1._sets]
-        b["l1_tags"], b["l1_count"], slots = _pack_ordered(l1_sets, l1_ways)
-        b["l1_dirty"] = _values(l1_sets, slots, len(b["l1_tags"]), np.uint8)
-        b["l1_stats"] = _stats([l1.stats for l1 in hier.l1s])
-        fifos = [victim._fifo for victim in hier.victims]
-        b["victim_blocks"], b["victim_count"], slots = _pack_ordered(
-            fifos, victim_width
-        )
-        b["victim_dirty"] = _values(
-            fifos, slots, len(b["victim_blocks"]), np.uint8
-        )
-        b["victim_hits"] = np.array(
-            [victim.hits for victim in hier.victims], dtype=np.int64
-        )
-        l2_sets = hier.l2._sets
-        b["l2_tags"], b["l2_count"], slots = _pack_ordered(l2_sets, l2_ways)
-        b["l2_dirty"] = _values(l2_sets, slots, len(b["l2_tags"]), np.uint8)
-        b["l2_stats"] = _stats([hier.l2.stats])
-
-        mshrs = self.mshrs
-        entries = list(mshrs._entries.values())
-        b["mshr_blocks"] = _padded([e.block for e in entries],
-                                   mshrs.capacity, np.int64)
-        b["mshr_complete"] = _padded([e.complete_at for e in entries],
-                                     mshrs.capacity, np.float64)
-        b["mshr_waiters"] = _padded([e.waiters for e in entries],
-                                    mshrs.capacity, np.int64)
-        b["mshr_stats"] = _stats([mshrs.stats])
-
-        windows = self.outstanding
-        if max(map(len, windows), default=0) > window_width:
-            raise ValueError("miss window exceeds core_miss_window")
-        b["window_count"] = np.array([len(w) for w in windows], np.int64)
-        b["window"] = np.zeros(cores * window_width)
-        for core, window in enumerate(windows):
-            start = core * window_width
-            b["window"][start:start + len(window)] = window
-
-        if stride is not None:
-            tracker_width = stride.tracker_entries
-            buffer_width = stride.buffers[0].capacity
-            trackers = stride._trackers
-            regions, b["tracker_count"], slots = _pack_ordered(
-                trackers, tracker_width
-            )
-            tracker = np.zeros((len(regions), 4), dtype=np.int64)
-            tracker[:, 0] = regions
-            tracker[slots, 1:] = np.array(
-                [e for t in trackers for e in t.values()], dtype=np.int64
-            ).reshape(-1, 3)
-            b["tracker"] = tracker.reshape(-1)
-            sbufs = [buffer._entries for buffer in stride.buffers]
-            b["sbuf_blocks"], b["sbuf_count"], slots = _pack_ordered(
-                sbufs, buffer_width
-            )
-            times = np.zeros((len(b["sbuf_blocks"]), 2))
-            times[slots] = np.array(
-                [(e.issued_at, e.arrival) for d in sbufs for e in d.values()],
-                dtype=np.float64,
-            ).reshape(-1, 2)
-            b["sbuf_times"] = times.reshape(-1)
-            b["stride_stats"] = _stats([stride.stats])
-        else:
-            # Disabled structures stay NULL: the kernel never reads them.
-            tracker_width = buffer_width = 0
-
-        traffic = self.traffic
-        b["traffic"] = np.array(
-            [traffic._bytes[c] for c in _CATEGORIES], dtype=np.int64
-        )
-        b["core_traffic"] = np.array(
-            [[traffic._core_bytes[core][c] for c in _CATEGORIES]
-             for core in range(cores)],
-            dtype=np.int64,
-        ).reshape(-1)
-        b["coverage"] = _stats([self.coverage])
-        b["core_coverage"] = _stats(self.core_coverage)
-        if self.mlp is not None:
-            accumulators = self.mlp._accumulators
-            b["mlp"] = np.array(
-                [(a.total, a.union, a._current_start, a._current_end)
-                 for a in accumulators],
-                dtype=np.float64,
-            ).reshape(-1)
-            b["mlp_count"] = np.array([a.count for a in accumulators],
-                                      dtype=np.int64)
-        b["limits"] = np.zeros(cores, dtype=np.int64)
-        b["clocks"] = np.array(self.clocks, dtype=np.float64)
-        b["cursors"] = np.array(self.cursors, dtype=np.int64)
-        if self.miss_log is not None:
-            # Each phase hands in its own log (_run_until).
-            b["miss_log_count"] = np.zeros(cores, dtype=np.int64)
-        stms = {} if self.temporal is None else self._pack_stms(b)
-
-        dram, stats = self.dram, self.dram.stats
-        machine = Machine(
-            cores=cores,
-            l1_cores=len(hier.l1s),
-            l1_sets=l1_config.sets,
-            l1_ways=l1_ways,
-            victim_capacity=hier.victims[0].capacity,
-            l2_sets=hier.l2.config.sets,
-            l2_ways=l2_ways,
-            mshr_capacity=mshrs.capacity,
-            miss_window=window_width,
-            measuring=self.measuring,
-            use_stride=stride is not None,
-            track_mlp=self.mlp is not None,
-            collect_miss_log=self.miss_log is not None,
-            tracker_entries=tracker_width,
-            stride_buffer_blocks=buffer_width,
-            stride_degree=stride.degree if stride is not None else 0,
-            confirm_threshold=(
-                stride.confirm_threshold if stride is not None else 0
-            ),
-            region_shift=stride._region_shift if stride is not None else 0,
-            work_f64=self._work_f64,
-            t_l1_hit=timing.l1_hit,
-            t_victim_hit=timing.victim_hit,
-            t_l2_dep=timing.l2_hit_dep,
-            t_l2_indep=timing.l2_hit_indep,
-            t_stride_dep=timing.stride_hit_dep,
-            t_stride_indep=timing.stride_hit_indep,
-            t_miss_overhead=timing.miss_issue_overhead,
-            dram_transfer=dram._transfer_cycles,
-            dram_latency=dram._access_latency_cycles,
-            stride_backlog_limit=(
-                stride._backlog_limit if stride is not None else 0.0
-            ),
-            mshr_count=len(entries),
-            dram_busy_high=dram._busy_until_high,
-            dram_busy_all=dram._busy_until_all,
-            dram_busy_cycles=stats.busy_cycles,
-            dram_queue_cycles=stats.queue_cycles,
-            dram_requests=stats.requests,
-            dram_high=stats.high_priority_requests,
-            dram_low=stats.low_priority_requests,
-            demand_accesses=hier.demand_accesses,
-            off_chip_reads=hier.off_chip_reads,
-            measured_records=self.measured_records,
-            t_pf_dep=timing.prefetch_hit_dep,
-            t_pf_indep=timing.prefetch_hit_indep,
-            **stms,
-        )
-        self._machine = machine
-        self._hand_over(**b)
-
-    def _pack_stms(self, b: dict) -> dict:
-        """Pack the STMS prefetcher into ``b``; returns its scalar fields."""
-        stms, cores = self.temporal, self.trace.cores
-        config = stms.config
-        b["pf_stats"] = _stats([stms.stats])
-        b["stms_counters"] = _stats([stms.counters])
-        b["sampler"] = np.array(
-            [stms.sampler.flips, stms.sampler.accepted], dtype=np.int64
-        )
-
-        index = stms.index
-        width = index.bucket_entries
-        b["index_tags"], b["index_count"], slots = _pack_ordered(
-            index._bucket_tags, width
-        )
-        pointers = np.zeros((len(b["index_tags"]), 2), dtype=np.int64)
-        pointers[slots] = np.array(
-            [p for row in index._bucket_ptrs for p in row], dtype=np.int64
-        ).reshape(-1, 2)
-        b["index_ptrs"] = pointers.reshape(-1)
-        b["index_stats"] = _stats([index.stats])
-
-        histories = stms.histories
-        b["hist_blocks"] = np.array(
-            [h._blocks for h in histories], dtype=np.int64
-        ).reshape(-1)
-        b["hist_marks"] = np.array(
-            [h._marks for h in histories], dtype=np.uint8
-        ).reshape(-1)
-        b["hist_pend_blocks"], b["hist_pend_count"], slots = _pack_ordered(
-            [h._pend_blocks for h in histories], HISTORY_ENTRIES_PER_BLOCK
-        )
-        b["hist_pend_marks"] = np.zeros(
-            len(b["hist_pend_blocks"]), dtype=np.uint8
-        )
-        b["hist_pend_marks"][slots] = [
-            mark for h in histories for mark in h._pend_marks
-        ]
-        b["hist_head"] = np.array([h.head for h in histories], np.int64)
-        b["hist_stats"] = _stats([h.stats for h in histories])
-
-        bucket_buffer = stms.bucket_buffer
-        resident = bucket_buffer._resident
-        owners = bucket_buffer._dirty_core
-        capacity = bucket_buffer.capacity
-        b["bb_buckets"] = _padded(list(resident), capacity, np.int64)
-        b["bb_dirty"] = _padded(list(resident.values()), capacity, np.uint8)
-        b["bb_core"] = _padded(
-            [owners.get(bucket, 0) for bucket in resident], capacity, np.int64
-        )
-        b["bb_stats"] = _stats([bucket_buffer.stats])
-
-        queue_width = config.address_queue_entries
-        # Issued maps are unbounded: the kernel stops before a record
-        # that could overflow one, and _run_until doubles the room.
-        issued_width = (
-            2 * max(len(e._issued) for e in stms.engines) + queue_width
-        )
-        b["engines"] = np.zeros(cores, dtype=_ENGINE)
-        b["queues"] = np.zeros(cores * queue_width, dtype=_QUEUED)
-        b["issued"] = np.zeros(cores * issued_width, dtype=_QUEUED)
-        for core, engine in enumerate(stms.engines):
-            queue, issued = list(engine._queue), list(engine._issued.values())
-            b["queues"][core * queue_width:][:len(queue)] = queue
-            b["issued"][core * issued_width:][:len(issued)] = issued
-            b["engines"][core] = (
-                engine.serial, engine.active, engine.source_core,
-                engine.next_fetch_sequence, engine.consumed_count,
-                0, len(queue), len(issued),
-                engine.paused_at is not None,
-                engine.last_consumed is not None,
-                engine.paused_at or _NO_ENTRY,
-                engine.last_consumed or _NO_ENTRY,
-            )
-        buffer_width = config.prefetch_buffer_blocks
-        b["pbuf"] = np.zeros(cores * buffer_width, dtype=_PREFETCHED)
-        for core, buffer in enumerate(stms.buffers):
-            prefetched = list(buffer._entries.values())
-            b["pbuf"][core * buffer_width:][:len(prefetched)] = prefetched
-        b["pbuf_count"] = np.array(
-            [len(buffer) for buffer in stms.buffers], dtype=np.int64
-        )
-
-        probability = stms.sampler.probability
-        return dict(
-            stms=1,
-            history_capacity=histories[0].capacity,
-            bucket_entries=width,
-            bucket_buffer_capacity=capacity,
-            prefetch_buffer_blocks=buffer_width,
-            lookahead=config.lookahead,
-            queue_capacity=queue_width,
-            refill_threshold=config.queue_refill_threshold,
-            annotate=config.annotate_stream_ends,
-            sample_mode=(
-                1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
-            ),
-            issued_capacity=issued_width,
-            pf_backlog_limit=stms._backlog_limit,
-            bb_count=len(resident),
-        )
 
     def _restore_counters(self, m: Machine, b: dict) -> None:
         """Copy the kernel's counters back: what results and
@@ -1048,17 +890,15 @@ def _columns(arrays, dtype) -> "list[np.ndarray]":
     return columns
 
 
-def _values(dicts, slots, size, dtype):
-    """Value rows matching :func:`_pack_ordered`'s key rows."""
-    values = np.zeros(size, dtype=dtype)
-    values[slots] = [value for d in dicts for value in d.values()]
-    return values
-
-
-def _padded(items, width, dtype):
-    array = np.zeros(width, dtype=dtype)
-    array[:len(items)] = items
-    return array
+def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
+    """Refill ``dicts`` in place from the kernel's key and value rows."""
+    for row, n in enumerate(counts.tolist()):
+        target = dicts[row]
+        target.clear()
+        if n:
+            base = row * width
+            target.update(zip(keys[base:base + n].tolist(),
+                              values[base:base + n].tolist()))
 
 
 @functools.cache

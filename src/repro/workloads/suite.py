@@ -3,8 +3,9 @@
 Table 1 of the paper lists Apache and Zeus (SPECweb99), DB2 and Oracle
 (TPC-C), a TPC-H DSS query on DB2, and em3d / moldyn / ocean.  Each entry
 here pairs a generator with calibration targets taken from the paper
-(Table 2 MLP, Figure 4 coverage/speedup bands) so tests and EXPERIMENTS.md
-can compare measured behaviour against the published shape.
+(Table 2 MLP, Figure 4 coverage/speedup bands) so tests and the
+experiments' shape checks can compare measured behaviour against the
+published shape.
 
 Everything is scaled down from server size by a named *scale preset*;
 presets shrink trace length, footprint, cache size, and meta-data
@@ -53,7 +54,7 @@ SCALES: dict[str, ScalePreset] = {
     "demo": ScalePreset("demo", 20_000, 0.12, 1 / 32, 16_384, 1_024),
     # Benchmarks: the default for figure regeneration (L2 = 256 KB).
     "bench": ScalePreset("bench", 40_000, 0.25, 1 / 32, 32_768, 2_048),
-    # Largest preset; EXPERIMENTS.md numbers use this.
+    # Largest preset: the longest traces and biggest meta-data (L2 = 256 KB).
     "full": ScalePreset("full", 80_000, 0.375, 1 / 32, 65_536, 4_096),
 }
 

@@ -242,14 +242,16 @@ HAVE_CC = shutil.which("cc") is not None
 
 
 #: The points of a run :func:`_run_and_snapshot` captures, in order.
-PHASES = ("warmup", "boundary", "final")
+PHASES = ("initial", "warmup", "boundary", "final")
 
 
 def _run_and_snapshot(state_class, config, trace, factory, shared=None):
-    """Drive one engine through both phases; snapshot after warm-up,
-    right after the measurement-boundary reset (so a counter the reset
-    misses or over-zeroes shows there, not only downstream) and before
-    result().  Returns the snapshots by phase and the result.
+    """Drive one engine through both phases; snapshot right after
+    construction (so an engine that builds its machine on its own, like
+    the compiled kernel, must start from the reference's state), after
+    warm-up, right after the measurement-boundary reset (so a counter
+    the reset misses or over-zeroes shows there, not only downstream)
+    and before result().  Returns the snapshots by phase and the result.
 
     The finished run must also satisfy the conservation oracle.
     """
@@ -257,8 +259,9 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
         state = state_class(config, trace, factory)
     else:
         state = state_class(config, trace, factory, shared=shared)
+    snapshots = {"initial": snapshot_run_state(state)}
     state.run_warmup()
-    snapshots = {"warmup": snapshot_run_state(state)}
+    snapshots["warmup"] = snapshot_run_state(state)
     state.reset_accounting()
     snapshots["boundary"] = snapshot_run_state(state)
     state.run_measured()

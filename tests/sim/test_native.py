@@ -285,11 +285,12 @@ def test_coins_hand_back_exactly_what_the_python_path_leaves(
 def test_simulator_run_keeps_the_machine_in_the_kernel(
     monkeypatch, workload, probability
 ):
-    """``Simulator.run`` packs an STMS cell once and copies back only
-    counters: the full structural unpack (``sync``) never runs, and the
-    result is the scalar engine's, bit for bit.  Both of the kernel's
-    resume statuses occur, and their state (the sampler's batches, a
-    grown issued map) carries across the measurement boundary."""
+    """``Simulator.run`` builds an STMS cell's machine once and copies
+    back only counters: the full structural unpack (``sync``) never
+    runs, and the result is the scalar engine's, bit for bit.  Both of
+    the kernel's resume statuses occur, and their state (the sampler's
+    batches, a grown issued map) carries across the measurement
+    boundary."""
     import dataclasses
 
     from repro.sim.engine import Simulator

@@ -5,7 +5,8 @@ swallow malformed values silently, and to accept values that parse but
 break the store (``nan``/``inf`` crashed store open, a non-positive cap
 evicted every artifact, a negative age gate swept live temps).  They
 and ``REPRO_JOBS`` now share one warn-once RuntimeWarning behaviour via
-``repro.envknobs``, where an empty value means unset.
+``repro.envknobs``, where an empty value means unset — as it does for
+``REPRO_SIM_ENGINE``.
 """
 
 import os
@@ -18,6 +19,7 @@ import pytest
 from repro import envknobs
 from repro.envknobs import env_float
 from repro.sim import store as store_module
+from repro.sim.engine import resolve_engine
 from repro.sim.runner import _default_workers
 from repro.sim.store import ArtifactStore
 
@@ -128,6 +130,22 @@ def test_repro_jobs_empty_means_cpu_count(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _default_workers() == (3, True)
+
+
+def test_sim_engine_empty_means_unset(monkeypatch):
+    """``REPRO_SIM_ENGINE=`` clears the knob: the default engine."""
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "")
+    assert resolve_engine("auto") == "batch"
+
+
+def test_sim_engine_invalid_value_names_the_knob(monkeypatch):
+    """A bad engine from the environment still raises, naming the knob
+    it came from."""
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "warp-drive")
+    with pytest.raises(
+        ValueError, match="'warp-drive' from REPRO_SIM_ENGINE"
+    ):
+        resolve_engine("auto")
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
