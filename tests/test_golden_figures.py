@@ -1,8 +1,10 @@
-"""Golden-figure regression gate: pinned outputs of every figure whose
-cells run in the compiled kernel (baseline and STMS cells).
+"""Golden-figure regression gate: pinned outputs of every figure.
 
-Tiny test-scale runs of those sweeps, with their full
-numeric payloads committed as JSON fixtures.  Any numeric drift — an
+Tiny test-scale runs of each figure's sweep, with their full numeric
+payloads committed as JSON fixtures.  The pinned cells cover both
+engines the default configuration uses: baseline and STMS cells run in
+the compiled kernel, ideal-TMS, fixed-depth and Markov cells (and every
+cell on a machine without a C compiler) in the Python batch engine.  Any numeric drift — an
 engine change that is no longer bit-identical, a trace-generator change
 that alters RNG consumption, a timing-model tweak — fails here as a
 figure diff, not just as a unit-test failure.
@@ -10,7 +12,9 @@ figure diff, not just as a unit-test failure.
 Regenerating (only when a drift is *intended*, e.g. a deliberate model
 change; mention it in the commit message)::
 
-    PYTHONPATH=src python tests/test_golden_figures.py --regenerate
+    PYTHONPATH=src python tests/test_golden_figures.py --regenerate [FIGURE ...]
+
+Naming figures regenerates only their fixtures; with no names, all.
 
 The comparison is exact (``==`` after a JSON round-trip on both sides):
 simulations are deterministic functions of (trace recipe, machine
@@ -40,8 +44,9 @@ GOLDEN_MIXES = (
     "mix:oltp-db2*2+sci-ocean@0.5!low",
 )
 GOLDEN_FIGURES = (
-    "fig1-right", "fig4", "fig5-left", "fig5-right", "fig6-left", "fig7",
-    "fig8", "fig9", "mix-contention", "table2",
+    "fig1-left", "fig1-right", "fig4", "fig5-left", "fig5-right",
+    "fig6-left", "fig6-right", "fig7", "fig8", "fig9", "mix-contention",
+    "table2",
 )
 
 
@@ -79,9 +84,12 @@ def test_figure_matches_golden(name):
     )
 
 
-def _regenerate() -> None:
+def _regenerate(names: "list[str]") -> None:
+    unknown = sorted(set(names) - set(GOLDEN_FIGURES))
+    if unknown:
+        raise SystemExit(f"not golden figures: {', '.join(unknown)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in GOLDEN_FIGURES:
+    for name in names or GOLDEN_FIGURES:
         payload = _compute(name)
         with open(_fixture_path(name), "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -92,7 +100,7 @@ def _regenerate() -> None:
 if __name__ == "__main__":
     import sys
 
-    if "--regenerate" in sys.argv:
-        _regenerate()
+    if sys.argv[1:2] == ["--regenerate"]:
+        _regenerate(sys.argv[2:])
     else:
         print(__doc__)
