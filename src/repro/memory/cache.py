@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from repro.memory.address import BLOCK_BYTES, is_power_of_two
 
 
@@ -108,7 +106,7 @@ class Cache:
     record through here.
     """
 
-    __slots__ = ('config', 'stats', '_set_mask', '_sets', '_version', '_snapshot', '_snapshot_version')
+    __slots__ = ('config', 'stats', '_set_mask', '_sets')
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -118,12 +116,6 @@ class Cache:
         self._sets: list[dict[int, bool]] = [
             {} for _ in range(config.sets)
         ]
-        # Resident-set snapshot for vectorized segment classification.
-        # ``_version`` bumps whenever the resident *set* changes (fills
-        # and invalidations — hits never change membership).
-        self._version = 0
-        self._snapshot: "np.ndarray | None" = None
-        self._snapshot_version = -1
 
     def lookup(self, block: int) -> bool:
         """Probe for ``block`` without updating recency or stats."""
@@ -159,7 +151,6 @@ class Cache:
             evicted = self._evict(cache_set)
         cache_set[block] = dirty
         self.stats.fills += 1
-        self._version += 1
         return evicted
 
     def fill_pair(
@@ -186,7 +177,6 @@ class Cache:
                 stats.dirty_evictions += 1
         cache_set[block] = dirty
         self.stats.fills += 1
-        self._version += 1
         return evicted
 
     def _evict(self, cache_set: "dict[int, bool]") -> Eviction:
@@ -204,44 +194,8 @@ class Cache:
         if block in cache_set:
             del cache_set[block]
             self.stats.invalidations += 1
-            self._version += 1
             return True
         return False
-
-    # -- batched interface --
-
-    def hit_update(self, block: int, write: bool) -> None:
-        """State effects of one known hit (no stats; see ``access``)."""
-        cache_set = self._sets[block & self._set_mask]
-        dirty = cache_set.pop(block)
-        cache_set[block] = dirty or write
-
-    def resident_prefix(self, blocks: "np.ndarray") -> int:
-        """Length of the leading run of ``blocks`` that are all resident.
-
-        Membership is tested vectorized against a NumPy snapshot of the
-        resident set, rebuilt only when the contents last changed; hits
-        never change membership, so one pass classifies the whole run.
-        """
-        if len(blocks) == 0:
-            return 0
-        if self._snapshot_version != self._version:
-            resident = [b for s in self._sets for b in s]
-            self._snapshot = np.array(resident, dtype=np.int64)
-            self._snapshot_version = self._version
-        misses = np.flatnonzero(~np.isin(blocks, self._snapshot))
-        return int(misses[0]) if misses.size else len(blocks)
-
-    def bulk_hit_update(
-        self, blocks: "np.ndarray", writes: "np.ndarray"
-    ) -> None:
-        """Apply a run of known hits in order (no stats; see ``access``)."""
-        sets = self._sets
-        mask = self._set_mask
-        for block, write in zip(blocks.tolist(), writes.tolist()):
-            cache_set = sets[block & mask]
-            dirty = cache_set.pop(block)
-            cache_set[block] = dirty or write
 
     def peek_dirty(self, block: int) -> bool:
         """True when ``block`` is resident and dirty (no recency update)."""

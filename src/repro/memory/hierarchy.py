@@ -112,7 +112,7 @@ class HierarchyEvent:
 class CmpHierarchy:
     """Functional model of the private-L1 / shared-L2 hierarchy."""
 
-    __slots__ = ('config', 'traffic', 'l1s', 'victims', 'l2', '_l2_ways', 'off_chip_reads', 'demand_accesses', '_l1_copies', 'log_l1_invalidations', 'l1_invalidations')
+    __slots__ = ('config', 'traffic', 'l1s', 'victims', 'l2', '_l2_ways', 'off_chip_reads', 'demand_accesses', '_l1_copies')
 
     def __init__(
         self,
@@ -138,11 +138,6 @@ class CmpHierarchy:
         #: tiny next to the L2, so this map lets an inclusive L2 eviction
         #: skip the per-core probe loop in the common (no-copy) case.
         self._l1_copies: dict[int, int] = {}
-        #: When enabled (the batched engine does), every inclusive-
-        #: eviction L1 invalidation is appended as ``(core, block)`` so
-        #: the engine can truncate classified runs it cut short.
-        self.log_l1_invalidations = False
-        self.l1_invalidations: "list[tuple[int, int]]" = []
 
     def _check_core(self, core: int) -> None:
         if not 0 <= core < self.config.cores:
@@ -221,7 +216,6 @@ class CmpHierarchy:
                 stats.dirty_evictions += 1
         cache_set[block] = dirty
         l2.stats.fills += 1
-        l2._version += 1
         if victim_block is not None:
             self._handle_l2_eviction(victim_block, victim_dirty,
                                      writebacks, core)
@@ -298,8 +292,6 @@ class CmpHierarchy:
                 if self.l1s[core].peek_dirty(block):
                     dirty = True
                 self.l1s[core].invalidate(block)
-                if self.log_l1_invalidations:
-                    self.l1_invalidations.append((core, block))
         return dirty
 
     def l2_bank(self, block: int) -> int:

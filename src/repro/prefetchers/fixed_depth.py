@@ -19,7 +19,7 @@ proportional to MLP" the paper describes in Section 5.4.
 from __future__ import annotations
 
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.base import ResidencyFilter
 from repro.prefetchers.ideal_tms import IdealTmsPrefetcher, _StreamCursor
 
@@ -36,7 +36,6 @@ class FixedDepthPrefetcher(IdealTmsPrefetcher):
         residency_filter: ResidencyFilter | None = None,
         buffer_blocks: int = 32,
         lookup_rounds: int = 0,
-        charge_lookup_traffic: bool = False,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -52,7 +51,6 @@ class FixedDepthPrefetcher(IdealTmsPrefetcher):
         )
         self.depth = depth
         self.lookup_rounds = lookup_rounds
-        self.charge_lookup_traffic = charge_lookup_traffic
         #: History positions at which each core's current fragment ends.
         self._fragment_end: list[int | None] = [None] * cores
 
@@ -64,11 +62,6 @@ class FixedDepthPrefetcher(IdealTmsPrefetcher):
             # Unrelated miss: keep draining the current fragment.
             return
         self.stats.lookup_hits += 1
-        if self.charge_lookup_traffic and self.lookup_rounds > 0:
-            self.traffic.add_blocks(
-                TrafficCategory.LOOKUP_STREAMS, self.lookup_rounds,
-                core=core,
-            )
         source_core, position = located
         self._next_serial += 1
         self._streams[core] = _StreamCursor(

@@ -1,56 +1,30 @@
-"""Batched simulation engine: vectorized L1 runs, fast scalar events.
+"""Batched simulation engine: the reference heap loop, one fused step.
 
-This is the production engine behind :class:`repro.sim.engine.Simulator`
-(``engine="batch"``).  It produces **bit-identical** results to the
-scalar reference engine (:class:`repro.sim.engine._RunState`) — the
-equivalence is enforced by ``tests/sim/test_engine_equivalence.py`` —
-while removing the per-record Python interpreter loop from everything
-that does not touch shared machine state.
+This is the Python engine behind :class:`repro.sim.engine.Simulator`
+(``engine="batch"``) for the cells the compiled kernel
+(:mod:`repro.sim.native`) does not model: ideal TMS, fixed-depth and
+Markov temporal prefetchers, and every cell on a machine without a C
+compiler.  It produces **bit-identical** results to the scalar reference
+engine (:class:`repro.sim.engine._RunState`), enforced by
+``tests/sim/test_engine_equivalence.py``.
 
-How it stays exact
-==================
+It inherits the reference's ``(clock, core)`` heap loop unchanged, so it
+walks records in exactly the reference's order, and overrides only the
+per-record step.  That step is the reference's ``_step`` and
+``_off_chip`` fused into one function with every repeated field hoisted
+to a local, the timing constants read once per run, and the hierarchy's
+fill path inlined.  Trace columns are materialized as Python lists once
+per trace, so records read native ints/floats/bools instead of paying
+NumPy scalar-extraction costs.
 
-The scalar engine interleaves cores record-by-record through a heap
-keyed on ``(clock, core)``.  Observe that an L1 hit touches only the
-core's *private* state (its L1 recency/dirty bits and its clock): hits
-commute with every other core's records.  The only cross-core couplings
-are the shared L2 / MSHRs / DRAM / prefetchers — touched exclusively by
-records that miss the L1 ("events") — and inclusive L2 evictions, which
-read (``peek_dirty``) and invalidate *other* cores' L1s.
+There is no batching of L1 hits.  The suite's traces are L1-filtered:
+in an ideal-TMS cell per suite workload (4 cores, seed 7) only 0-0.6%
+of records hit in the L1 at test scale and 0-2.3% at bench scale
+(web-zeus: 3,708 of 160,039), too few for classifying and committing
+hit runs in bulk to pay for itself.
 
-So the engine schedules **events**, not records:
-
-1. Per core, classify the upcoming run of guaranteed L1 hits in one
-   NumPy membership pass against the L1's resident-set snapshot
-   (residency is invariant under hits, so one test classifies the whole
-   run).  Pop keys of every record in the run are precomputed with a
-   float64 ``cumsum`` that reproduces the scalar engine's addition
-   order bit-for-bit.
-2. Each core's *next event* is scheduled at exactly the key the scalar
-   heap would pop it at; the dispatcher picks the minimum ``(key,
-   core)`` just as the scalar heap tuples order.
-3. When an event fires at key ``s`` for core ``a``, every other core's
-   pending hits that the scalar engine would have popped earlier —
-   pop key ``< s``, or ``== s`` for a lower-numbered core — are
-   committed first, so the event observes exactly the L1 dirty bits the
-   scalar interleaving would produce.
-4. The event record itself runs through the same scalar logic as the
-   reference engine (hand-inlined but operation-for-operation
-   identical).
-5. If the event's L2 evictions invalidated blocks out of another
-   core's *classified but uncommitted* run, that run is truncated at
-   the first invalidated block — which is exactly where the scalar
-   engine would have discovered an L1 miss — and rescheduled.
-
-Trace columns are additionally materialized as Python lists once per
-trace: scalar event records then read native ints/floats/bools instead
-of paying NumPy scalar-extraction costs per record.
-
-Baseline and STMS cells run in the compiled kernel
-(:mod:`repro.sim.native`); this engine serves the other temporal
-prefetchers (ideal TMS, fixed-depth, Markov) and is every cell's
-fallback on a machine without a C compiler.  Temporal prefetchers are
-driven through their generic ``consume`` / ``on_demand_miss`` calls.
+Temporal prefetchers are driven through their generic ``consume`` /
+``on_demand_miss`` calls.
 """
 
 from __future__ import annotations
@@ -60,68 +34,30 @@ from heapq import heappush
 import numpy as np
 
 from repro.memory.address import BLOCK_BYTES
-from repro.memory.cache import AccessResult, Eviction
+from repro.memory.cache import Eviction
 from repro.memory.dram import Priority
 from repro.memory.mshr import MshrEntry
 from repro.memory.traffic import TrafficCategory
 from repro.sim.engine import _RunState
 
 _HIGH = Priority.HIGH
-_HIT = AccessResult.HIT
 _DEMAND_READ = TrafficCategory.DEMAND_READ
 _WRITEBACK = TrafficCategory.WRITEBACK
-_INF = float("inf")
-
-#: Records probed scalar-ly before switching to vectorized
-#: classification; suite traces are L1-filtered, so most runs are short.
-_PROBE = 4
-#: First vectorized classification chunk (doubles while it keeps
-#: hitting).
-_CHUNK = 64
-
-
-class _Run:
-    """One core's classified run of L1 hits (mutable, reused per core).
-
-    ``popkeys[k]`` is the scalar heap key (the core clock before the
-    record's ``work``) of the run's ``k``-th record; ``popkeys[n]`` is
-    the key of the event record that ends the run (or, for an event-less
-    tail, the clock after the run drains).  An empty run (``n == 0``)
-    materializes no keys or views at all.
-    """
-
-    __slots__ = ("start", "n", "done", "popkeys", "blocks", "writes")
-
-    def __init__(self):
-        self.start = 0
-        self.n = 0
-        self.done = 0
-        self.popkeys = None
-        self.blocks = None
-        self.writes = None
 
 
 class BatchRunState(_RunState):
     """Drop-in replacement for the scalar reference run state."""
 
-    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_blocks_a', '_write_a', '_runs', '_event_keys', '_n_pending', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_l1_sets', '_l1_set_mask', '_scratch_writebacks')
+    __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_scratch_writebacks')
 
     def __init__(self, config, trace, temporal_factory):
         super().__init__(config, trace, temporal_factory)
-        self.hierarchy.log_l1_invalidations = True
         # Native-type columns: Python list indexing returns ready-made
         # ints/floats/bools, ~10x cheaper than NumPy scalar extraction.
         # float32 -> float64 is exact, so clock math is unchanged.
         columns = _native_columns(trace)
         self._blocks_l, self._work_l, self._dep_l, self._write_l = columns
-        self._blocks_a = [np.asarray(b) for b in trace.blocks]
-        self._write_a = [np.asarray(w) for w in trace.write]
-        self._runs = [_Run() for _ in range(trace.cores)]
-        self._event_keys = [_INF] * trace.cores
-        #: Number of runs holding classified-but-uncommitted hits; lets
-        #: the dispatcher skip the commit sweep entirely when zero.
-        self._n_pending = 0
-        # Hoisted per-event constants (all from frozen configs).
+        # Hoisted per-record constants (all from frozen configs).
         timing = config.timing
         self._t_l1_hit = timing.l1_hit
         self._t_victim = timing.victim_hit
@@ -141,174 +77,19 @@ class BatchRunState(_RunState):
         self._mlp_accs = (
             self.mlp._accumulators if self.mlp is not None else None
         )
-        self._l1_sets = [l1._sets for l1 in self.hierarchy.l1s]
-        self._l1_set_mask = self.hierarchy.l1s[0]._set_mask
         self._scratch_writebacks: list = []
 
-    # ------------------------------------------------------------------
-    # Event-granular dispatcher.
-    # ------------------------------------------------------------------
-
-    def _run_until(self, limits: "list[int]") -> None:
-        cores = self.trace.cores
-        runs = self._runs
-        keys = self._event_keys
-        invalidations = self.hierarchy.l1_invalidations
-        core_range = range(cores)
-        for core in core_range:
-            self._reclassify(core, limits[core])
-        while True:
-            # Minimum (key, core): identical order to the scalar heap's
-            # (clock, core) tuples — strict < keeps the lowest core on
-            # ties.
-            key = _INF
-            core = -1
-            for c in core_range:
-                if keys[c] < key:
-                    key = keys[c]
-                    core = c
-            if core < 0:
-                break
-            if self._n_pending:
-                # Commit hits the scalar heap would pop before this
-                # event: pop key < key, or == key on a lower core.
-                for other in core_range:
-                    orun = runs[other]
-                    done = orun.done
-                    if done >= orun.n:
-                        continue
-                    if other == core:
-                        self._apply_hits(core, orun, orun.n)
-                        continue
-                    popkeys = orun.popkeys
-                    n = orun.n
-                    if other < core:
-                        while done < n and popkeys[done] <= key:
-                            done += 1
-                    else:
-                        while done < n and popkeys[done] < key:
-                            done += 1
-                    if done > orun.done:
-                        self._apply_hits(other, orun, done)
-            self._process_event(core)
-            if invalidations:
-                self._truncate_runs(invalidations)
-                invalidations.clear()
-            self._reclassify(core, limits[core])
-        # Only event-less tails remain: private hits, commute freely.
-        for core in core_range:
-            run = runs[core]
-            if run.done < run.n:
-                self._apply_hits(core, run, run.n)
-
-    def _reclassify(self, core: int, limit: int) -> None:
-        """Classify the core's next L1-hit run and schedule its event."""
-        cursor = self.cursors[core]
-        run = self._runs[core]
-        run.start = cursor
-        run.done = 0
-        if cursor >= limit:
-            run.n = 0
-            self._event_keys[core] = _INF
-            return
-        clock = self.clocks[core]
-        blocks_l = self._blocks_l[core]
-        l1 = self.hierarchy.l1s[core]
-        # Probe set membership directly (the method call per record
-        # dominates on miss-heavy traces).
-        sets = self._l1_sets[core]
-        set_mask = self._l1_set_mask
-        block = blocks_l[cursor]
-        if block not in sets[block & set_mask]:
-            # Empty run — the next record is immediately an event.
-            run.n = 0
-            self._event_keys[core] = clock
-            return
-        window = limit - cursor
-        n = 1
-        probe = _PROBE if window > _PROBE else window
-        while n < probe:
-            block = blocks_l[cursor + n]
-            if block not in sets[block & set_mask]:
-                break
-            n += 1
-        if n == probe and window > probe:
-            arr = self._blocks_a[core]
-            base = cursor + n
-            chunk = _CHUNK
-            while base < limit:
-                size = min(chunk, limit - base)
-                prefix = l1.resident_prefix(arr[base:base + size])
-                base += prefix
-                if prefix < size:
-                    break
-                chunk *= 2
-            n = base - cursor
-        # Pop keys, replicating the scalar engine's addition order
-        # exactly: t = (t + work) then t += l1_hit, one record at a time.
-        l1_hit = self._t_l1_hit
-        if n <= 16:
-            work_l = self._work_l[core]
-            popkeys = [clock]
-            t = clock
-            for k in range(cursor, cursor + n):
-                t = t + work_l[k]
-                t = t + l1_hit
-                popkeys.append(t)
-        else:
-            interleaved = np.empty(2 * n + 1, dtype=np.float64)
-            interleaved[0] = clock
-            interleaved[1::2] = self.trace.work[core][cursor:cursor + n]
-            interleaved[2::2] = l1_hit
-            popkeys = np.cumsum(interleaved)[0::2].tolist()
-        run.n = n
-        run.popkeys = popkeys
-        if n > _PROBE:
-            run.blocks = self._blocks_a[core][cursor:cursor + n]
-            run.writes = self._write_a[core][cursor:cursor + n]
-        else:
-            run.blocks = run.writes = None
-        self._n_pending += 1
-        self._event_keys[core] = popkeys[n] if cursor + n < limit else _INF
-
-    def _apply_hits(self, core: int, run: _Run, upto: int) -> None:
-        """Commit run records [done, upto): recency, dirty, stats, clock."""
-        k = upto - run.done
-        l1 = self.hierarchy.l1s[core]
-        if run.blocks is None or k <= _PROBE:
-            blocks_l = self._blocks_l[core]
-            writes_l = self._write_l[core]
-            hit_update = l1.hit_update
-            for j in range(run.start + run.done, run.start + upto):
-                hit_update(blocks_l[j], writes_l[j])
-        else:
-            l1.bulk_hit_update(
-                run.blocks[run.done:upto], run.writes[run.done:upto]
-            )
-        l1.stats.hits += k
-        self.hierarchy.demand_accesses += k
-        if self.measuring:
-            self.measured_records += k
-        self.cursors[core] += k
-        self.clocks[core] = run.popkeys[upto]
-        run.done = upto
-        if upto == run.n:
-            self._n_pending -= 1
-
-    def _process_event(self, core: int) -> None:
-        """One L1-missing record, identical to the scalar ``_step``.
+    def _step(self, core: int) -> None:
+        """One trace record, identical to the scalar ``_step``.
 
         The scalar reference's ``_step`` + ``_off_chip`` pair merged
         into one function with every repeated ``self`` field hoisted to
-        a local: this runs once per event, and on miss-dominated traces
-        (the STMS sweeps) that is nearly once per record.  Any change to
-        the scalar path must be replicated here (the equivalence and
-        differential suites catch drift).
+        a local.  Any change to the scalar path must be replicated here
+        (the equivalence and differential suites catch drift).
         """
         i = self.cursors[core]
         self.cursors[core] = i + 1
         block = self._blocks_l[core][i]
-        dep = self._dep_l[core][i]
         write = self._write_l[core][i]
         t = self.clocks[core] + self._work_l[core][i]
         measuring = self.measuring
@@ -317,9 +98,16 @@ class BatchRunState(_RunState):
 
         hier = self.hierarchy
         hier.demand_accesses += 1
-        # Classification guarantees an L1 miss (only this core fills its
-        # L1; invalidations truncate runs): count it without re-probing.
-        hier.l1s[core].stats.misses += 1
+        # Inlined Cache.access on the core's L1.
+        l1 = hier.l1s[core]
+        l1_set = l1._sets[block & l1._set_mask]
+        if block in l1_set:
+            l1_set[block] = l1_set.pop(block) or write
+            l1.stats.hits += 1
+            self.clocks[core] = t + self._t_l1_hit
+            return
+        l1.stats.misses += 1
+        dep = self._dep_l[core][i]
         stride = self.stride
 
         if hier.victims[core].extract(block):
@@ -528,7 +316,6 @@ class BatchRunState(_RunState):
                     l2_stats.dirty_evictions += 1
             cache_set[block] = False
             l2.stats.fills += 1
-            l2._version += 1
             if victim_block is not None:
                 # Inlined CmpHierarchy._handle_l2_eviction (the no-L1-copy
                 # case is the overwhelmingly common one).
@@ -560,7 +347,6 @@ class BatchRunState(_RunState):
                 l1_victim = (victim_block, victim_dirty)
             l1_set[block] = write
             l1.stats.fills += 1
-            l1._version += 1
         copies[block] = copies.get(block, 0) | bit
         if l1_victim is not None:
             victim_block, victim_dirty = l1_victim
@@ -591,39 +377,6 @@ class BatchRunState(_RunState):
             dram = self.dram
             for _ in writebacks:
                 dram.request(now, _HIGH)
-
-    def _truncate_runs(
-        self, invalidations: "list[tuple[int, int]]"
-    ) -> None:
-        """Shorten classified runs whose blocks an event invalidated.
-
-        The scalar engine would discover the L1 miss when the core's
-        clock reached the invalidated record; truncating the run there
-        turns that record into the core's next event at exactly the pop
-        key the scalar heap would use.
-        """
-        for core, block in invalidations:
-            run = self._runs[core]
-            if run.done >= run.n:
-                continue
-            if run.blocks is not None:
-                view = run.blocks[run.done:run.n]
-                matches = np.flatnonzero(view == block)
-                if not matches.size:
-                    continue
-                p = run.done + int(matches[0])
-            else:
-                blocks_l = self._blocks_l[core]
-                start = run.start
-                for p in range(run.done, run.n):
-                    if blocks_l[start + p] == block:
-                        break
-                else:
-                    continue
-            run.n = p
-            if run.done >= run.n:
-                self._n_pending -= 1
-            self._event_keys[core] = run.popkeys[p]
 
 
 def _native_columns(trace):

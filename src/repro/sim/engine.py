@@ -69,7 +69,8 @@ class SimConfig:
     collect_miss_log: bool = False
     #: Execution engine: ``"batch"`` (the default: baseline and STMS
     #: cells run in the compiled kernel of :mod:`repro.sim.native`,
-    #: other temporal prefetchers in the vectorized Python engine),
+    #: other temporal prefetchers in :mod:`repro.sim.batch`, the
+    #: reference loop with a fused per-record step),
     #: ``"scalar"`` (the reference implementation), or ``"auto"`` (the
     #: ``REPRO_SIM_ENGINE`` environment variable, then ``"batch"``).
     #: Both engines produce identical results; the equivalence is
@@ -121,7 +122,7 @@ class Simulator:
         The batch engine steps the cells :func:`kernel_cell` admits
         (baseline and STMS) in the compiled kernel
         (:mod:`repro.sim.native`, built on first use); when the kernel
-        is unavailable they fall back to the Python batched engine like
+        is unavailable they fall back to the Python batch engine like
         every other cell.
         """
         if trace.cores > self.config.cmp.cores:

@@ -318,19 +318,21 @@ def check_invariants(state, result: "SimResult") -> None:
     * DRAM ``requests`` equal high- plus low-priority requests;
     * every traffic category moves whole blocks: consumed and dropped
       temporal prefetches match the prefetcher's ``useful`` and
-      ``erroneous`` counts, and in a cell without a temporal prefetcher
-      demand reads plus write-backs equal the channel's requests less
-      stride prefetches plus stride-buffer hits (each of those moves a
-      demand-read block without a new request);
+      ``erroneous`` counts;
     * per-core traffic sums to the global counters;
-    * in an STMS cell, measured from the boundary: low-priority DRAM
-      requests equal stride and temporal prefetches issued, plus
-      bucket-buffer misses and write-backs, history packed writes,
-      block reads and annotations, plus the demand fetches of demoted
-      (LOW-priority) cores; and record, lookup and update traffic
-      equal one block per packed write or annotation, per lookup
-      bucket miss or history block read, and per update bucket miss or
-      write-back respectively;
+    * low-priority DRAM requests equal stride and temporal prefetches
+      issued plus the demand fetches of demoted (LOW-priority) cores,
+      plus, in an STMS cell (measured from the boundary), bucket-buffer
+      misses and write-backs, history packed writes, block reads and
+      annotations;
+    * in every cell but STMS (which has no other metadata traffic),
+      demand reads plus write-backs equal the channel's requests less
+      stride and temporal prefetches issued, plus stride-buffer hits
+      (each of those moves a demand-read block without a new request);
+    * in an STMS cell, record, lookup and update traffic equal one
+      block per packed write or annotation, per lookup bucket miss or
+      history block read, and per update bucket miss or write-back
+      respectively;
     * MSHR peak occupancy stays within capacity;
     * each core's measured cycles cover at least its measured ``work``.
 
@@ -383,11 +385,24 @@ def check_invariants(state, result: "SimResult") -> None:
             f"{category.value} bytes {counts[category]} != "
             f"{BLOCK_BYTES} x {events} prefetches",
         )
-    if temporal is None:
-        stride_issued = (
-            state.stride.stats.issued if state.stride is not None else 0
+    core_bytes = state.traffic._core_bytes
+    stride_issued = (
+        state.stride.stats.issued if state.stride is not None else 0
+    )
+    temporal_issued = temporal.stats.issued if temporal is not None else 0
+    demoted = sum(
+        core_bytes[core][TrafficCategory.DEMAND_READ] // BLOCK_BYTES
+        - state.core_coverage[core].stride_covered
+        for core, priority in enumerate(state.demand_priority)
+        if priority is Priority.LOW
+    )
+    low = stride_issued + temporal_issued + demoted
+    end = stms_transfer_counts(temporal)
+    if end is None:
+        blocks = (
+            dram.requests - stride_issued - temporal_issued
+            + coverage.stride_covered
         )
-        blocks = dram.requests - stride_issued + coverage.stride_covered
         moved = (
             counts[TrafficCategory.DEMAND_READ]
             + counts[TrafficCategory.WRITEBACK]
@@ -395,30 +410,15 @@ def check_invariants(state, result: "SimResult") -> None:
         expect(
             moved == BLOCK_BYTES * blocks,
             f"demand-read + write-back bytes {moved} != {BLOCK_BYTES} x "
-            f"{blocks} (requests - stride prefetches + stride hits)",
+            f"{blocks} (requests - prefetches issued + stride hits)",
         )
-    core_bytes = state.traffic._core_bytes
-    start = state.measure_counters
-    end = stms_transfer_counts(temporal)
-    if start is not None and end is not None:
+    else:
+        start = state.measure_counters
         delta = {name: end[name] - start[name] for name in end}
-        demoted = sum(
-            core_bytes[core][TrafficCategory.DEMAND_READ] // BLOCK_BYTES
-            - state.core_coverage[core].stride_covered
-            for core, priority in enumerate(state.demand_priority)
-            if priority is Priority.LOW
-        )
-        low = (
-            (state.stride.stats.issued if state.stride is not None else 0)
-            + temporal.stats.issued
-            + delta["bucket_misses"] + delta["bucket_writebacks"]
+        low += (
+            delta["bucket_misses"] + delta["bucket_writebacks"]
             + delta["packed_writes"] + delta["block_reads"]
-            + delta["annotations"] + demoted
-        )
-        expect(
-            dram.low_priority_requests == low,
-            f"DRAM low-priority requests {dram.low_priority_requests} != "
-            f"{low} (prefetches + metadata transfers + demoted demand)",
+            + delta["annotations"]
         )
         for category, blocks in (
             (TrafficCategory.RECORD_STREAMS,
@@ -434,6 +434,11 @@ def check_invariants(state, result: "SimResult") -> None:
                 f"{category.value} bytes {counts[category]} != "
                 f"{BLOCK_BYTES} x {blocks} structure transfers",
             )
+    expect(
+        dram.low_priority_requests == low,
+        f"DRAM low-priority requests {dram.low_priority_requests} != "
+        f"{low} (prefetches + metadata transfers + demoted demand)",
+    )
     for category, count in counts.items():
         total = sum(per_core[category] for per_core in core_bytes)
         expect(

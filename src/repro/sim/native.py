@@ -680,7 +680,6 @@ class NativeRunState(_RunState):
         copies = hier._l1_copies
         copies.clear()
         for core, l1 in enumerate(hier.l1s):
-            l1._version += 1
             for block in l1.resident_blocks():
                 copies[block] = copies.get(block, 0) | (1 << core)
         _unpack_ordered([v._fifo for v in hier.victims], b["victim_blocks"],
@@ -689,7 +688,6 @@ class NativeRunState(_RunState):
         _unpack_ordered(hier.l2._sets, b["l2_tags"],
                         b["l2_dirty"].astype(bool), b["l2_count"],
                         hier.l2.config.ways)
-        hier.l2._version += 1
 
         mshrs = self.mshrs
         count = m.mshr_count

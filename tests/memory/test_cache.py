@@ -1,6 +1,5 @@
 """Unit and property tests for the set-associative cache model."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,8 +165,8 @@ def contents(cache: Cache) -> "list[tuple[int, bool]]":
     return [(b, cache.peek_dirty(b)) for b in cache.resident_blocks()]
 
 
-class TestBatchedInterface:
-    """The engine's allocation-light calls against access/fill."""
+class TestFillPair:
+    """The engine's allocation-light fill against access/fill."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -179,16 +178,12 @@ class TestBatchedInterface:
             max_size=200,
         )
     )
-    def test_fill_pair_and_hit_update_match_access_and_fill(
-        self, operations
-    ):
+    def test_fill_pair_matches_fill(self, operations):
         reference = small_cache(sets=2, ways=2)
         batched = small_cache(sets=2, ways=2)
         for block, write in operations:
             if reference.access(block, write=write) is AccessResult.HIT:
-                expected = None
-                assert batched.lookup(block)
-                batched.hit_update(block, write)
+                assert batched.access(block, write=write) is AccessResult.HIT
             else:
                 evicted = reference.fill(block, dirty=write)
                 expected = (
@@ -202,30 +197,6 @@ class TestBatchedInterface:
             batched.stats.dirty_evictions
             == reference.stats.dirty_evictions
         )
-
-    def test_bulk_hit_update_matches_hit_update(self):
-        one_by_one = small_cache(sets=2, ways=4)
-        bulk = small_cache(sets=2, ways=4)
-        for block in range(8):
-            one_by_one.fill(block)
-            bulk.fill(block)
-        blocks = np.array([3, 0, 6, 3, 5, 1], dtype=np.int64)
-        writes = np.array([False, True, False, True, False, False])
-        for block, write in zip(blocks.tolist(), writes.tolist()):
-            one_by_one.hit_update(block, write)
-        bulk.bulk_hit_update(blocks, writes)
-        assert contents(bulk) == contents(one_by_one)
-        assert bulk.peek_dirty(0) and bulk.peek_dirty(3)
-
-    def test_resident_prefix_tracks_fills(self):
-        cache = small_cache(sets=2, ways=2)
-        for block in range(4):
-            cache.fill(block)
-        run = np.array([0, 1, 9, 2], dtype=np.int64)
-        assert cache.resident_prefix(run) == 2
-        cache.fill(9)  # evicts 1 (LRU of its set)
-        assert cache.resident_prefix(run) == 1
-        assert cache.resident_prefix(np.array([], dtype=np.int64)) == 0
 
     def test_peek_dirty_leaves_recency_alone(self):
         cache = small_cache(sets=1, ways=2)

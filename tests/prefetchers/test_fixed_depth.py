@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
 
 
@@ -52,17 +52,6 @@ class TestFragmentation:
         covered_shallow = replay(shallow, sequence, start=1e6)
         covered_deep = replay(deep, sequence, start=1e6)
         assert len(covered_deep) > len(covered_shallow)
-
-    def test_lookup_traffic_charged_when_enabled(self):
-        prefetcher = make_fixed(
-            depth=4, lookup_rounds=1, charge_lookup_traffic=True
-        )
-        sequence = list(range(300, 320))
-        replay(prefetcher, sequence)
-        replay(prefetcher, sequence, start=1e6)
-        assert (
-            prefetcher.traffic.bytes_for(TrafficCategory.LOOKUP_STREAMS) > 0
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

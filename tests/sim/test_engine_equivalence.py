@@ -139,13 +139,12 @@ def test_unknown_engine_rejected():
 
 @pytest.mark.parametrize("state_class", BASELINE_STATES)
 def test_cross_core_invalidation_stress(state_class):
-    """Force inclusive L2 evictions to cut into classified L1-hit runs.
+    """Force inclusive L2 evictions into cores' L1-hit streaks.
 
-    Four cores loop over per-core hot sets (long classified runs) while
+    Four cores loop over per-core hot sets (long runs of L1 hits) while
     also thrashing a shared region through a tiny L2, so evictions
-    invalidate blocks other cores' runs counted on — exercising the
-    batched engine's truncation protocol and the kernel's inclusive
-    invalidation.
+    invalidate blocks other cores were about to hit on — exercising
+    every engine's inclusive invalidation.
     """
     import numpy as np
 
@@ -185,5 +184,65 @@ def test_cross_core_invalidation_stress(state_class):
     candidate = _run_state(state_class, config, trace)
     _assert_identical(reference, candidate)
     # The scenario must actually produce L1 hits and invalidations,
-    # otherwise it is not stressing the truncation path.
+    # otherwise it is not stressing the invalidation path.
     assert reference.l1_hits > 1000
+
+
+@pytest.mark.parametrize("state_class", BASELINE_STATES)
+def test_inclusive_eviction_turns_next_hit_into_miss(state_class):
+    """Another core's fill evicts a block this core holds in its L1.
+
+    One-set L2 with 4 ways, one-set L1s, no victim buffers.  Core 1
+    fetches A, hits it once, then computes for 10,000 cycles.  Meanwhile
+    core 0 fetches B..F: F's L2 fill evicts A (the LRU line) and the
+    inclusive L2 invalidates core 1's copy.  Core 1's next read of A
+    must miss in its L1 and go off chip, exactly as in the reference.
+    """
+    import numpy as np
+
+    from repro.memory.hierarchy import CmpConfig
+    from repro.sim.engine import SimConfig, _RunState
+    from repro.sim.metrics import snapshot_run_state
+    from repro.workloads.trace import Trace
+
+    a = 100
+    per_core = [
+        ([200, 300, 400, 500, 600], [0.0] * 5),
+        ([a, a, a], [0.0, 10_000.0, 0.0]),
+    ]
+    trace = Trace(
+        name="inclusive-eviction",
+        blocks=[np.array(b, dtype=np.int64) for b, _ in per_core],
+        work=[np.array(w, dtype=np.float32) for _, w in per_core],
+        dep=[np.zeros(len(b), dtype=bool) for b, _ in per_core],
+        write=[np.zeros(len(b), dtype=bool) for b, _ in per_core],
+        working_set_blocks=601,
+        warmup_fraction=0.0,
+    )
+    config = SimConfig(
+        cmp=CmpConfig(
+            cores=2,
+            l1_size_bytes=128,
+            l1_ways=2,
+            l1_victim_blocks=0,
+            l2_size_bytes=256,
+            l2_ways=4,
+            l2_banks=1,
+            l2_mshrs=8,
+        ),
+        use_stride=False,
+    )
+
+    def run(cls):
+        state = cls(config, trace, None)
+        state.run_warmup()
+        state.reset_accounting()
+        state.run_measured()
+        return state, snapshot_run_state(state)
+
+    reference, expected = run(_RunState)
+    candidate, snapshot = run(state_class)
+    assert snapshot == expected
+    l1 = candidate.hierarchy.l1s[1].stats
+    assert (l1.hits, l1.misses, l1.invalidations) == (1, 2, 1)
+    assert candidate.coverage.uncovered == 7

@@ -231,12 +231,20 @@ class TestConservationInvariants:
         state.run_measured()
         return state, state.result(kind.value)
 
-    @pytest.mark.parametrize("engine", [
-        "scalar", "batch",
-        pytest.param("native", marks=pytest.mark.skipif(
-            shutil.which("cc") is None, reason="no C compiler")),
+    @pytest.mark.parametrize("engine, kind", [
+        *(
+            (engine, kind)
+            for engine in ("scalar", "batch")
+            for kind in (
+                "baseline", "stms", "ideal-tms", "fixed-depth", "markov"
+            )
+        ),
+        *(
+            pytest.param("native", kind, marks=pytest.mark.skipif(
+                shutil.which("cc") is None, reason="no C compiler"))
+            for kind in ("baseline", "stms")
+        ),
     ])
-    @pytest.mark.parametrize("kind", ["baseline", "stms"])
     def test_finished_runs_conserve(self, engine, kind):
         from repro.sim.metrics import check_invariants
         from repro.sim.runner import PrefetcherKind
@@ -310,6 +318,26 @@ class TestConservationInvariants:
         state, result = self._finished("scalar", PrefetcherKind.STMS)
         check_invariants(state, result)
         corrupt(state.temporal)
+        with pytest.raises(InvariantViolation, match=re.escape(law)):
+            check_invariants(state, result)
+
+    @pytest.mark.parametrize(
+        "corrupt, law",
+        [
+            (lambda s: setattr(
+                s.temporal.stats, "issued", s.temporal.stats.issued - 1),
+             "DRAM low-priority requests"),
+            (lambda s: s.traffic.add_block(_category("demand_read")),
+             "demand-read + write-back bytes"),
+        ],
+    )
+    def test_corrupted_ideal_tms_counter_is_caught(self, corrupt, law):
+        from repro.sim.metrics import InvariantViolation, check_invariants
+        from repro.sim.runner import PrefetcherKind
+
+        state, result = self._finished("scalar", PrefetcherKind.IDEAL_TMS)
+        check_invariants(state, result)
+        corrupt(state)
         with pytest.raises(InvariantViolation, match=re.escape(law)):
             check_invariants(state, result)
 
