@@ -325,7 +325,7 @@ def check_invariants(state, result: "SimResult") -> None:
       plus, in an STMS cell (measured from the boundary), bucket-buffer
       misses and write-backs, history packed writes, block reads and
       annotations;
-    * in every cell but STMS (which has no other metadata traffic),
+    * in every cell but STMS (the others move no meta-data off chip),
       demand reads plus write-backs equal the channel's requests less
       stride and temporal prefetches issued, plus stride-buffer hits
       (each of those moves a demand-read block without a new request);
