@@ -19,46 +19,42 @@ See README.md for the architecture map and for how each of the paper's
 figures and tables regenerates, with the shape checks it must pass.
 """
 
-from repro.core import StmsConfig, StmsPrefetcher
-from repro.memory import CmpConfig, DramConfig
-from repro.prefetchers import (
-    FixedDepthPrefetcher,
-    IdealTmsPrefetcher,
-    MarkovPrefetcher,
-    StridePrefetcher,
-)
-from repro.sim import (
-    PrefetcherKind,
-    SimConfig,
-    SimResult,
-    Simulator,
-    TimingModel,
-    compare_prefetchers,
-    run_workload,
-)
-from repro.workloads import Trace, WORKLOADS, generate, workload_names
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "StmsConfig",
-    "StmsPrefetcher",
-    "CmpConfig",
-    "DramConfig",
-    "FixedDepthPrefetcher",
-    "IdealTmsPrefetcher",
-    "MarkovPrefetcher",
-    "StridePrefetcher",
-    "PrefetcherKind",
-    "SimConfig",
-    "SimResult",
-    "Simulator",
-    "TimingModel",
-    "compare_prefetchers",
-    "run_workload",
-    "Trace",
-    "WORKLOADS",
-    "generate",
-    "workload_names",
-    "__version__",
-]
+#: Public name -> defining module.  Names resolve on first access
+#: (PEP 562), so ``import repro`` loads none of the subpackages.
+_EXPORTS = {
+    "StmsConfig": "repro.core.config",
+    "StmsPrefetcher": "repro.core.stms",
+    "CmpConfig": "repro.memory.hierarchy",
+    "DramConfig": "repro.memory.dram",
+    "FixedDepthPrefetcher": "repro.prefetchers.fixed_depth",
+    "IdealTmsPrefetcher": "repro.prefetchers.ideal_tms",
+    "MarkovPrefetcher": "repro.prefetchers.markov",
+    "StridePrefetcher": "repro.prefetchers.stride",
+    "PrefetcherKind": "repro.sim.runner",
+    "SimConfig": "repro.sim.engine",
+    "SimResult": "repro.sim.metrics",
+    "Simulator": "repro.sim.engine",
+    "TimingModel": "repro.sim.timing",
+    "compare_prefetchers": "repro.sim.runner",
+    "run_workload": "repro.sim.runner",
+    "Trace": "repro.workloads.trace",
+    "WORKLOADS": "repro.workloads.suite",
+    "generate": "repro.workloads.suite",
+    "workload_names": "repro.workloads.scales",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(module), name)

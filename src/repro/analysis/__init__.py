@@ -1,38 +1,6 @@
 """Offline analyses and reporting: temporal-stream statistics, MLP, and
 ASCII rendering of the paper's figures.
+
+Import names from the defining submodules: the package re-exports
+nothing, so importing one submodule does not load its siblings.
 """
-
-from repro.analysis.mlp import measure_mlp, measure_suite_mlp
-from repro.analysis.report import (
-    bar_chart,
-    format_percent,
-    format_table,
-    grouped_bar_chart,
-    series_table,
-)
-from repro.analysis.stats import (
-    CIEstimate,
-    bootstrap_ci,
-    stratified_estimates,
-)
-from repro.analysis.streams import (
-    StreamStatistics,
-    extract_streams,
-    stream_length_cdf,
-)
-
-__all__ = [
-    "CIEstimate",
-    "bootstrap_ci",
-    "stratified_estimates",
-    "measure_mlp",
-    "measure_suite_mlp",
-    "bar_chart",
-    "format_percent",
-    "format_table",
-    "grouped_bar_chart",
-    "series_table",
-    "StreamStatistics",
-    "extract_streams",
-    "stream_length_cdf",
-]

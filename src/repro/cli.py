@@ -47,7 +47,7 @@ from repro.sim.runner import (
 from repro.sim.session import SessionStats, SimSession, set_session
 from repro.sim.store import ArtifactStore, default_store_dir
 from repro.workloads.mix import MIX_PRESETS, MixRecipe, is_mix
-from repro.workloads.suite import SCALES, WORKLOADS, workload_names
+from repro.workloads.scales import FIGURE_ORDER, SCALES
 
 
 def _workload_arg(value: str) -> str:
@@ -60,7 +60,7 @@ def _workload_arg(value: str) -> str:
     weight, ``!low`` demand-priority class — e.g.
     ``mix:oltp-db2*2+web-apache@0.5!low``.
     """
-    if value in WORKLOADS:
+    if value in FIGURE_ORDER:
         return value
     if is_mix(value):
         try:
@@ -70,7 +70,7 @@ def _workload_arg(value: str) -> str:
         return value
     raise argparse.ArgumentTypeError(
         f"unknown workload {value!r}; choose a suite workload "
-        f"({', '.join(sorted(WORKLOADS))}), a mix preset "
+        f"({', '.join(sorted(FIGURE_ORDER))}), a mix preset "
         f"({', '.join(sorted(MIX_PRESETS))}), or a "
         "'mix:<w>[*S][@rate][!prio]+<w>...' spec"
     )
@@ -174,6 +174,8 @@ def _print_results(
 
 
 def cmd_list_workloads(_: argparse.Namespace) -> int:
+    from repro.workloads.suite import WORKLOADS
+
     rows = [
         [
             name,
@@ -182,7 +184,7 @@ def cmd_list_workloads(_: argparse.Namespace) -> int:
             WORKLOADS[name].paper_mlp,
             format_percent(WORKLOADS[name].paper_ideal_coverage),
         ]
-        for name in workload_names()
+        for name in FIGURE_ORDER
     ]
     print(
         format_table(
@@ -606,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-sampling", help="Fig. 8 sweep on one workload"
     )
     sub.add_argument("--workload", required=True,
-                     choices=sorted(WORKLOADS))
+                     choices=sorted(FIGURE_ORDER))
     add_common(sub)
     sub.set_defaults(entry=cmd_sweep_sampling)
 

@@ -16,46 +16,7 @@ prefetcher meta-data practical:
 :class:`repro.core.stms.StmsPrefetcher` wires these together with the
 on-chip bucket buffer (:mod:`repro.core.bucket_buffer`) and per-core
 stream engines (:mod:`repro.core.stream_engine`).
+
+Import names from the defining submodules: the package re-exports
+nothing, so importing one submodule does not load its siblings.
 """
-
-from repro.core.bucket_buffer import BucketBuffer
-from repro.core.codec import (
-    HISTORY_ENTRIES_PER_BLOCK,
-    INDEX_ENTRIES_PER_BUCKET,
-    pack_history_block,
-    pack_index_bucket,
-    unpack_history_block,
-    unpack_index_bucket,
-)
-from repro.core.config import StmsConfig
-from repro.core.history_buffer import HistoryBuffer, HistoryEntry, HistoryPointer
-from repro.core.index_table import IndexTable
-from repro.core.index_variants import (
-    ChainedIndexTable,
-    OpenAddressIndexTable,
-    compare_organizations,
-)
-from repro.core.sampling import ProbabilisticSampler
-from repro.core.stms import StmsPrefetcher
-from repro.core.stream_engine import StreamEngine
-
-__all__ = [
-    "BucketBuffer",
-    "HISTORY_ENTRIES_PER_BLOCK",
-    "INDEX_ENTRIES_PER_BUCKET",
-    "pack_history_block",
-    "pack_index_bucket",
-    "unpack_history_block",
-    "unpack_index_bucket",
-    "StmsConfig",
-    "HistoryBuffer",
-    "HistoryEntry",
-    "HistoryPointer",
-    "IndexTable",
-    "ChainedIndexTable",
-    "OpenAddressIndexTable",
-    "compare_organizations",
-    "ProbabilisticSampler",
-    "StmsPrefetcher",
-    "StreamEngine",
-]

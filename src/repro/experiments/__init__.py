@@ -21,34 +21,48 @@ mix-c..   multiprogrammed shared-L2/DRAM contention       mix_contention.run
 ========  ==============================================  =================
 """
 
-from repro.experiments import (
-    fig1_entries,
-    fig1_prior_traffic,
-    fig4_potential,
-    fig5_storage,
-    fig6_amortize,
-    fig7_traffic,
-    fig8_sampling,
-    fig9_performance,
-    mix_contention,
-    table2_mlp,
-)
-from repro.experiments.common import ExperimentResult, ShapeCheck
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentResult
+
+
+class Driver(NamedTuple):
+    """An experiment's entry point, named by module and function.
+
+    Calling it imports the driver module first, so a process pays only
+    for the drivers it runs.
+    """
+
+    module: str
+    function: str
+
+    def resolve(self):
+        """The entry-point function (imports its module)."""
+        module = importlib.import_module(f"repro.experiments.{self.module}")
+        return getattr(module, self.function)
+
+    def __call__(self, **options: object) -> ExperimentResult:
+        return self.resolve()(**options)
+
 
 #: Registry mapping experiment ids to their entry points.
 EXPERIMENTS = {
-    "fig1-left": fig1_entries.run,
-    "fig1-right": fig1_prior_traffic.run,
-    "fig4": fig4_potential.run,
-    "fig5-left": fig5_storage.run_history,
-    "fig5-right": fig5_storage.run_index,
-    "fig6-left": fig6_amortize.run_cdf,
-    "fig6-right": fig6_amortize.run_depth,
-    "fig7": fig7_traffic.run,
-    "fig8": fig8_sampling.run,
-    "fig9": fig9_performance.run,
-    "table2": table2_mlp.run,
-    "mix-contention": mix_contention.run,
+    "fig1-left": Driver("fig1_entries", "run"),
+    "fig1-right": Driver("fig1_prior_traffic", "run"),
+    "fig4": Driver("fig4_potential", "run"),
+    "fig5-left": Driver("fig5_storage", "run_history"),
+    "fig5-right": Driver("fig5_storage", "run_index"),
+    "fig6-left": Driver("fig6_amortize", "run_cdf"),
+    "fig6-right": Driver("fig6_amortize", "run_depth"),
+    "fig7": Driver("fig7_traffic", "run"),
+    "fig8": Driver("fig8_sampling", "run"),
+    "fig9": Driver("fig9_performance", "run"),
+    "table2": Driver("table2_mlp", "run"),
+    "mix-contention": Driver("mix_contention", "run"),
 }
 
 #: Experiments whose drivers accept the budgeted-sampling options
@@ -64,13 +78,7 @@ def run_experiment(name: str, **options: object) -> ExperimentResult:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
-    return entry(**options)  # type: ignore[arg-type]
+    return entry(**options)
 
 
-__all__ = [
-    "EXPERIMENTS",
-    "SAMPLED_EXPERIMENTS",
-    "ExperimentResult",
-    "ShapeCheck",
-    "run_experiment",
-]
+__all__ = ["EXPERIMENTS", "SAMPLED_EXPERIMENTS", "run_experiment"]

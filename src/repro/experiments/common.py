@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.analysis.stats import CIEstimate, stratified_estimates
 from repro.sim.metrics import SimResult
 from repro.sim.runner import ExperimentRunner, SimJob
-from repro.sim.sampling import SamplingPlan, plan_sample
 from repro.sim.session import SimSession, get_session
 from repro.sim.store import estimate_digest
+
+if TYPE_CHECKING:
+    from repro.analysis.stats import CIEstimate
+    from repro.sim.sampling import SamplingPlan
 
 _DEFAULT_RUNNER: "ExperimentRunner | None" = None
 
@@ -242,6 +244,9 @@ def run_sampled_sweep(
     when any of its jobs actually ran (ceil attribution over the
     session's ``sim_misses`` delta).
     """
+    from repro.analysis.stats import stratified_estimates
+    from repro.sim.sampling import plan_sample
+
     if len(jobs_by_cell) != len(strata):
         raise ValueError("one stratum per grid cell required")
     session = session if session is not None else get_session()

@@ -28,7 +28,8 @@ from repro.sim.runner import (
     job_options,
 )
 from repro.sim.session import SimSession
-from repro.workloads.suite import WORKLOADS, get_scale
+from repro.workloads.scales import get_scale
+from repro.workloads.suite import WORKLOADS
 
 DEFAULT_WORKLOADS = ("web-apache", "oltp-db2", "sci-em3d", "sci-ocean")
 

@@ -31,7 +31,7 @@ from repro.sim.runner import (
     job_options,
 )
 from repro.sim.session import SimSession
-from repro.workloads.suite import FIGURE_ORDER
+from repro.workloads.scales import FIGURE_ORDER
 
 SAMPLING_POINTS = (1.0, 0.125)
 

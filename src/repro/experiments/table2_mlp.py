@@ -17,7 +17,8 @@ from repro.experiments.common import (
 )
 from repro.sim.runner import ExperimentRunner, PrefetcherKind
 from repro.sim.session import SimSession
-from repro.workloads.suite import FIGURE_ORDER, WORKLOADS
+from repro.workloads.scales import FIGURE_ORDER
+from repro.workloads.suite import WORKLOADS
 
 
 def run(

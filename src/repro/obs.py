@@ -20,6 +20,9 @@ class SessionStats:
     """
 
     trace_hits: int = 0
+    #: Traces loaded from the store.  A fully warm bundle loads none:
+    #: its result keys come from the fingerprint stored in the trace
+    #: file, so a run served wholly from the store counts zero here.
     trace_store_hits: int = 0
     trace_misses: int = 0
     sim_hits: int = 0

@@ -12,32 +12,7 @@ address-correlating baselines STMS is compared against.
   prefetch depth (EBCP/ULMT-style), for Figure 6 (right).
 * :mod:`repro.prefetchers.traffic_models` — analytic overhead-traffic
   models of ULMT, EBCP, and TSE for Figure 1 (right).
+
+Import names from the defining submodules: the package re-exports
+nothing, so importing one submodule does not load its siblings.
 """
-
-from repro.prefetchers.base import (
-    PrefetchedBlock,
-    PrefetcherStats,
-    TemporalPrefetcher,
-)
-from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
-from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
-from repro.prefetchers.markov import MarkovPrefetcher
-from repro.prefetchers.stride import StridePrefetcher
-from repro.prefetchers.traffic_models import (
-    PriorDesign,
-    PriorDesignTraffic,
-    prior_design_overheads,
-)
-
-__all__ = [
-    "PrefetchedBlock",
-    "PrefetcherStats",
-    "TemporalPrefetcher",
-    "FixedDepthPrefetcher",
-    "IdealTmsPrefetcher",
-    "MarkovPrefetcher",
-    "StridePrefetcher",
-    "PriorDesign",
-    "PriorDesignTraffic",
-    "prior_design_overheads",
-]

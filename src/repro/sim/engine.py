@@ -27,9 +27,8 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.stms import StmsFactory
 from repro.memory.dram import DramChannel, DramConfig, DramStats, Priority
 from repro.memory.hierarchy import CmpConfig, CmpHierarchy, ServicePoint
 from repro.memory.mshr import MshrFile
@@ -43,7 +42,9 @@ from repro.sim.metrics import (
     stms_transfer_counts,
 )
 from repro.sim.timing import TimingModel, demand_priority
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.workloads.trace import Trace
 
 #: Builds the temporal prefetcher under test.  Receives the core count,
 #: the shared DRAM channel and traffic meter, and the residency filter.
@@ -156,6 +157,8 @@ def kernel_cell(temporal_factory: "TemporalFactory | None") -> bool:
     """Whether the compiled kernel models this cell: no temporal
     prefetcher, or STMS built by a :class:`~repro.core.stms.StmsFactory`
     (what ``make_factory`` returns for ``PrefetcherKind.STMS``)."""
+    from repro.core.stms import StmsFactory
+
     return temporal_factory is None or isinstance(
         temporal_factory, StmsFactory
     )

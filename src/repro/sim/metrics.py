@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 
-import numpy as np
-
 from repro.memory.address import BLOCK_BYTES
 from repro.memory.dram import Priority
 from repro.memory.traffic import TrafficBreakdown, TrafficCategory
@@ -338,6 +336,8 @@ def check_invariants(state, result: "SimResult") -> None:
 
     Raises :class:`InvariantViolation` listing every broken law.
     """
+    import numpy as np
+
     problems: "list[str]" = []
 
     def expect(holds: bool, law: str) -> None:

@@ -18,33 +18,33 @@ Three layers sit above the engine:
   execution on single-CPU machines or when the platform refuses
   subprocesses.
 
->>> from repro.sim import run_workload, PrefetcherKind
+>>> from repro.sim.runner import run_workload, PrefetcherKind
 >>> result = run_workload("web-apache", PrefetcherKind.STMS, scale="test")
 >>> 0.0 <= result.coverage.coverage <= 1.0
 True
+
+The module imports no NumPy and no process machinery: a run served
+from the store needs neither, so they load only on the paths that
+simulate or fan out.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import StmsConfig
-from repro.core.index_table import stacked_metadata_arrays
-from repro.core.stms import StmsFactory
 from repro.envknobs import env_positive_int
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import CmpConfig
-from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
-from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
-from repro.prefetchers.markov import MarkovPrefetcher
-from repro.sim.engine import SimConfig, TemporalFactory, resolve_engine
+from repro.sim.engine import (
+    SimConfig,
+    TemporalFactory,
+    kernel_cell,
+    resolve_engine,
+)
 from repro.sim.metrics import SimResult
 from repro.sim.session import (
     SimSession,
@@ -53,12 +53,12 @@ from repro.sim.session import (
     set_session,
     trace_recipe_key,
 )
-from repro.sim.shm import TracePayload, TracePlane, shm_enabled
-from repro.sim.shm import attach as shm_attach
 from repro.sim.store import TraceRef, trace_digest
-from repro.sim.sweep import SweepShared, job_geometries, run_sweep
-from repro.workloads.suite import ScalePreset, get_scale
-from repro.workloads.trace import Trace
+from repro.workloads.scales import ScalePreset, get_scale
+
+if TYPE_CHECKING:
+    from repro.sim.shm import TracePayload
+    from repro.workloads.trace import Trace
 
 
 class PrefetcherKind(Enum):
@@ -124,6 +124,11 @@ def make_factory(
     max_index_entries: "int | None" = None,
 ) -> "TemporalFactory | None":
     """Build the engine factory for a prefetcher kind."""
+    from repro.core.stms import StmsFactory
+    from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
+    from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
+    from repro.prefetchers.markov import MarkovPrefetcher
+
     if kind is PrefetcherKind.BASELINE:
         return None
     if kind is PrefetcherKind.IDEAL_TMS:
@@ -344,11 +349,12 @@ def _job_configs(
     return sim_config, stms_config
 
 
-def job_result_key(job: SimJob, trace: Trace) -> tuple:
-    """The session/store content key ``run_job`` would cache under."""
-    sim_config, stms_config = _job_configs(job, trace.cores)
+def job_result_key(job: SimJob, fingerprint: str, cores: int) -> tuple:
+    """The session/store content key ``run_job`` would cache under,
+    given the fingerprint and core count of the job's trace."""
+    sim_config, stms_config = _job_configs(job, cores)
     return SimSession.result_key(
-        trace,
+        fingerprint,
         sim_config,
         temporal_key(job.kind, stms_config, job.factory_options),
         job.kind.value,
@@ -408,6 +414,9 @@ def _run_bundle(
     and the bundle's counter deltas, which the parent folds into its
     own stats so they describe the whole fan-out.
     """
+    from repro.sim.shm import attach as shm_attach
+    from repro.sim.sweep import SweepShared, run_sweep
+
     session = get_session()
     before = replace(session.stats)
     preshared = None
@@ -521,6 +530,24 @@ def _preload_kernel(jobs: "list[SimJob]") -> None:
     native.load()
 
 
+def _preload_workers(jobs: "list[SimJob]") -> None:
+    """Import what the workers of ``jobs`` run before the pool forks.
+
+    A forked worker inherits every module the parent has imported; any
+    other module each worker would import, and compile, again.  So the
+    parent imports the sweep, the trace generators, the jobs'
+    prefetchers and the Python engine if a cell needs it, and loads the
+    kernel (:func:`_preload_kernel`).
+    """
+    from repro.sim import sweep  # noqa: F401
+    from repro.workloads import suite  # noqa: F401
+
+    for kind in {job.kind for job in jobs}:
+        if not kernel_cell(make_factory(kind)):
+            from repro.sim import batch  # noqa: F401
+    _preload_kernel(jobs)
+
+
 class ExperimentRunner:
     """Maps simulation jobs over worker processes, two levels deep.
 
@@ -624,6 +651,15 @@ class ExperimentRunner:
             # invocation (config-independent work shared across cells).
             self._run_serial(jobs, groups, session, results)
             return results  # type: ignore[return-value]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy as np
+
+        from repro.core.index_table import stacked_metadata_arrays
+        from repro.sim.shm import TracePlane, shm_enabled
+        from repro.sim.sweep import job_geometries
+
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
@@ -670,7 +706,7 @@ class ExperimentRunner:
                     if payload is not None:
                         payloads[trace_key] = payload
                         exports += 1
-            _preload_kernel(
+            _preload_workers(
                 [jobs[i] for _, indices in shards for i in indices]
             )
             try:
@@ -732,6 +768,8 @@ class ExperimentRunner:
         results: "list[SimResult | None]",
     ) -> None:
         """Run every trace group in-process as one sweep invocation."""
+        from repro.sim.sweep import run_sweep
+
         for indices in groups.values():
             group_results = run_sweep([jobs[i] for i in indices], session)
             for i, result in zip(indices, group_results):
@@ -743,21 +781,28 @@ class ExperimentRunner:
     ) -> "list[SimResult | None] | None":
         """Per-job cache probe of one bundle (None entries = misses).
 
-        Returns None outright when the bundle's trace is in neither
-        tier — without it no result key can be computed, and the bundle
-        runs normally.
+        Result keys need only the trace's fingerprint, which comes from
+        the memory tier or from the fingerprint member of the persisted
+        trace, so the probe never reads trace arrays: a fully warm
+        bundle reads its results and nothing else, and a bundle with a
+        miss loads its trace when it runs.  Returns None outright when
+        the trace is in neither tier, and the bundle runs normally.
         """
         store = session.store
         if store is None:
             return None
         trace = session.cached_trace(trace_key)
-        if trace is None:
-            trace = store.load_trace(trace_digest(trace_key))
-            if trace is None:
-                return None
-            session.adopt_trace(trace_key, trace)
+        fingerprint = (
+            trace.fingerprint()
+            if trace is not None
+            else store.load_trace_fingerprint(trace_digest(trace_key))
+        )
+        if fingerprint is None:
+            return None
         return [
-            session.lookup_result(job_result_key(job, trace))
+            session.lookup_result(
+                job_result_key(job, fingerprint, job.cores)
+            )
             for job in bundle_jobs
         ]
 

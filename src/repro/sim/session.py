@@ -33,16 +33,14 @@ are bypassed, and the results are bit-identical to the cached path.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.obs import SessionStats
-from repro.sim.engine import SimConfig, Simulator, resolve_engine
+from repro.sim.engine import SimConfig, resolve_engine
 from repro.sim.metrics import SimResult
 from repro.sim.store import (
     ArtifactStore,
@@ -51,8 +49,11 @@ from repro.sim.store import (
     result_digest,
     trace_digest,
 )
-from repro.workloads.suite import ScalePreset, generate, get_scale
-from repro.workloads.trace import Trace
+from repro.workloads.mix import MixRecipe, is_mix
+from repro.workloads.scales import ScalePreset, get_scale
+
+if TYPE_CHECKING:
+    from repro.workloads.trace import Trace
 
 
 def _freeze(value):
@@ -72,34 +73,9 @@ def _freeze(value):
 
 
 def trace_fingerprint(trace: Trace) -> str:
-    """Content hash of a trace (arrays + metadata), cached on the trace.
-
-    Traces are treated as immutable once generated; the digest is
-    computed once and stored on the instance.
-    """
-    cached = getattr(trace, "_fingerprint", None)
-    if cached is not None:
-        return cached
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(trace.name.encode())
-    digest.update(str(trace.warmup_fraction).encode())
-    digest.update(str(trace.working_set_blocks).encode())
-    if trace.core_workloads is not None:
-        digest.update(repr(tuple(trace.core_workloads)).encode())
-    if trace.core_warmup is not None:
-        digest.update(repr(tuple(trace.core_warmup)).encode())
-    if trace.core_rates is not None:
-        digest.update(repr(tuple(trace.core_rates)).encode())
-    if trace.core_priorities is not None:
-        digest.update(repr(tuple(trace.core_priorities)).encode())
-    for core in range(trace.cores):
-        for column in (trace.blocks, trace.work, trace.dep, trace.write):
-            array = np.asarray(column[core])
-            digest.update(str(array.dtype).encode())
-            digest.update(array.tobytes())
-    fingerprint = digest.hexdigest()
-    trace._fingerprint = fingerprint
-    return fingerprint
+    """:meth:`Trace.fingerprint`, under the name ``perfbench/tests``
+    imports."""
+    return trace.fingerprint()
 
 
 def trace_recipe_key(
@@ -115,8 +91,6 @@ def trace_recipe_key(
     same recipe (``mix:a+a``, ``mix:2xa``, a preset name) addresses one
     store entry.
     """
-    from repro.workloads.mix import MixRecipe, is_mix
-
     if is_mix(workload):
         workload = MixRecipe.parse(workload).name
     return (workload, _freeze(preset), cores, seed, records_per_core)
@@ -235,6 +209,8 @@ class SimSession:
                         self.stats.trace_store_hits += 1
                         self._traces[key] = loaded
                     return loaded
+        from repro.workloads.suite import generate
+
         with self._lock:
             self.stats.trace_misses += 1
         trace = generate(
@@ -326,17 +302,6 @@ class SimSession:
                 self._traces[key] = trace
             return True
 
-    def adopt_trace(self, key: tuple, trace: Trace) -> None:
-        """Seed the memory tier with a store-read trace the caller is
-        using *right now* (the store-aware scheduler fingerprints it
-        immediately).  Unlike :meth:`prime_trace` the acquisition is
-        attributed here — deferring it would count nothing when the
-        bundle is skipped and no later lookup ever happens."""
-        with self._lock:
-            if self.enabled and key not in self._traces:
-                self._traces[key] = trace
-                self.stats.trace_store_hits += 1
-
     # ------------------------------------------------------------------
     # Simulation.
     # ------------------------------------------------------------------
@@ -361,9 +326,13 @@ class SimSession:
         compute shortcut only: it never enters the cache key because
         results are bit-identical with or without it.
         """
+        from repro.sim.engine import Simulator
+
         key = None
         if self.enabled:
-            key = self.result_key(trace, sim_config, temporal_key, label)
+            key = self.result_key(
+                trace.fingerprint(), sim_config, temporal_key, label
+            )
             cached = self.lookup_result(key)
             if cached is not None:
                 return cached
@@ -381,11 +350,12 @@ class SimSession:
 
     @staticmethod
     def result_key(
-        trace: Trace, sim_config: SimConfig, temporal_key, label: str
+        fingerprint: str, sim_config: SimConfig, temporal_key, label: str
     ) -> tuple:
-        """The content key one simulation is cached under (both tiers)."""
+        """The content key one simulation of the trace with
+        ``fingerprint`` is cached under (both tiers)."""
         return (
-            trace_fingerprint(trace),
+            fingerprint,
             _freeze(sim_config),
             resolve_engine(sim_config.engine),
             _freeze(temporal_key),

@@ -157,8 +157,6 @@ class TracePlane:
         """
         if _shared_memory is None:  # pragma: no cover - platform dependent
             return None
-        from repro.sim.session import trace_fingerprint
-
         staged: "list[tuple[int, np.ndarray]]" = []
         offset = 0
 
@@ -210,7 +208,7 @@ class TracePlane:
         _OWNED[segment.name] = segment
         self._names.append(segment.name)
         meta = trace.export_meta() + (
-            ("fingerprint", trace_fingerprint(trace)),
+            ("fingerprint", trace.fingerprint()),
         )
         return TracePayload(
             segment=segment.name,

@@ -12,7 +12,8 @@ any figure is served from disk instead of re-simulated.
 Layout under the store root::
 
     schema.json              format stamp; a mismatch invalidates the store
-    traces/<digest>.npz      ``Trace.save`` archives, keyed by recipe hash
+    traces/<digest>.npz      ``Trace.save`` archives, keyed by recipe hash;
+                             each carries its fingerprint as a raw member
     results/<digest>.json    versioned ``SimResult`` records
     estimates/<digest>.json  budgeted sampled-sweep aggregates, stamped
                              ``kind: "sampled-estimate"`` so a
@@ -37,8 +38,7 @@ import tempfile
 import time
 import zipfile
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 try:  # POSIX advisory locking for the persistent-counter interlock.
     import fcntl
@@ -50,7 +50,9 @@ from repro.memory.traffic import TrafficBreakdown
 from repro.obs import SessionStats
 from repro.prefetchers.base import PrefetcherStats
 from repro.sim.metrics import CoverageCounts, SimResult
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.workloads.trace import Trace
 
 #: Bump whenever the on-disk format of entries changes **or** the
 #: simulator's behavior changes such that previously persisted results
@@ -63,7 +65,14 @@ from repro.workloads.trace import Trace
 #: v3: traces carry per-core rate/priority metadata (asymmetric mixes)
 #: and results carry the per-core per-category DRAM traffic attribution
 #: (``core_traffic_bytes``).
-SCHEMA_VERSION = 3
+#: v4: traces carry their fingerprint as a raw zip member, which a warm
+#: run reads instead of the arrays (:meth:`ArtifactStore.load_trace_fingerprint`).
+SCHEMA_VERSION = 4
+
+#: The raw member ``Trace.save`` writes the fingerprint to
+#: (``repro.workloads.trace.FINGERPRINT_MEMBER``; spelled out here so
+#: reading it imports neither NumPy nor the trace module).
+_FINGERPRINT_MEMBER = "fingerprint"
 
 _SCHEMA_FILE = "schema.json"
 _COUNTERS_FILE = "counters.json"
@@ -147,6 +156,8 @@ class TraceRef:
 
 def load_trace_ref(ref: TraceRef) -> "Trace | None":
     """Resolve a :class:`TraceRef`, tolerating missing/corrupt files."""
+    from repro.workloads.trace import Trace
+
     try:
         trace = Trace.load(ref.path)
     except FileNotFoundError:
@@ -168,6 +179,8 @@ def load_trace_ref(ref: TraceRef) -> "Trace | None":
 
 
 def _json_default(value: object) -> object:
+    import numpy as np
+
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -428,6 +441,8 @@ class ArtifactStore:
 
     def load_trace(self, digest: str) -> "Trace | None":
         """Read a persisted trace; None on miss or unreadable entry."""
+        from repro.workloads.trace import Trace
+
         path = self.trace_path(digest)
         try:
             trace = Trace.load(path)
@@ -438,6 +453,22 @@ class ArtifactStore:
             return None
         self._touch(path)
         return trace
+
+    def load_trace_fingerprint(self, digest: str) -> "str | None":
+        """The fingerprint stored in a persisted trace, read without its
+        arrays; None on miss, and None for an unreadable entry, which
+        is dropped."""
+        path = self.trace_path(digest)
+        try:
+            with zipfile.ZipFile(path) as archive:
+                fingerprint = archive.read(_FINGERPRINT_MEMBER).decode()
+        except FileNotFoundError:
+            return None
+        except _CORRUPT_ERRORS:
+            self._drop(path)
+            return None
+        self._touch(path)
+        return fingerprint
 
     def save_trace(self, digest: str, trace: Trace) -> bool:
         """Persist a trace atomically; False on I/O failure."""

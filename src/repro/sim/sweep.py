@@ -175,7 +175,9 @@ def run_sweep(
     # it will actually simulate.
     pending: "list[int]" = []
     for index, job in enumerate(jobs):
-        cached = session.lookup_result(job_result_key(job, trace))
+        cached = session.lookup_result(
+            job_result_key(job, trace.fingerprint(), trace.cores)
+        )
         if cached is not None:
             results[index] = cached
         else:

@@ -12,50 +12,7 @@ traces that match the *statistics that drive temporal prefetching*:
   (scientific),
 * visit-once scan behaviour for DSS,
 * dependence structure yielding the paper's Table 2 MLP values.
+
+Import names from the defining submodules: the package re-exports
+nothing, so importing one submodule does not load its siblings.
 """
-
-from repro.workloads.base import (
-    ActivityMix,
-    GeneratorContext,
-    StreamPool,
-    TraceGenerator,
-)
-from repro.workloads.commercial import CommercialGenerator, CommercialParams
-from repro.workloads.dss import DssGenerator, DssParams
-from repro.workloads.mix import (
-    MIX_PRESETS,
-    MixRecipe,
-    generate_mix,
-    is_mix,
-)
-from repro.workloads.scientific import ScientificGenerator, ScientificParams
-from repro.workloads.suite import (
-    WORKLOADS,
-    WorkloadSpec,
-    generate,
-    workload_names,
-)
-from repro.workloads.trace import Trace, TraceStats
-
-__all__ = [
-    "ActivityMix",
-    "GeneratorContext",
-    "StreamPool",
-    "TraceGenerator",
-    "CommercialGenerator",
-    "CommercialParams",
-    "DssGenerator",
-    "DssParams",
-    "MIX_PRESETS",
-    "MixRecipe",
-    "generate_mix",
-    "is_mix",
-    "ScientificGenerator",
-    "ScientificParams",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "generate",
-    "workload_names",
-    "Trace",
-    "TraceStats",
-]

@@ -65,10 +65,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.workloads.scales import check_workload, get_scale
 
-from repro.workloads.trace import Trace
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.workloads.trace import Trace
 
 #: Spec-string prefix marking a multiprogrammed mix.
 MIX_PREFIX = "mix:"
@@ -234,14 +238,12 @@ class MixRecipe:
     components: "tuple[str, ...]"
 
     def __post_init__(self) -> None:
-        from repro.workloads.suite import get_spec
-
         if not self.components:
             raise ValueError("a mix needs at least one component workload")
         canonical = []
         for component in self.components:
             parsed = MixComponent.parse(component)
-            get_spec(parsed.workload)  # raises on unknown names
+            check_workload(parsed.workload)
             canonical.append(parsed.canonical)
         object.__setattr__(self, "components", tuple(canonical))
 
@@ -319,6 +321,8 @@ def core_seed(seed: int, core: int) -> int:
     independent even for adjacent mix seeds, and two cores running the
     same workload get different instances (different seeds).
     """
+    import numpy as np
+
     state = np.random.SeedSequence([seed, core]).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
@@ -332,6 +336,8 @@ def slice_seed(seed: int, core: int, slot: int) -> int:
     """
     if slot == 0:
         return core_seed(seed, core)
+    import numpy as np
+
     state = np.random.SeedSequence([seed, core, slot]).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
@@ -348,6 +354,8 @@ def _interleave_round_robin(
     """
     if len(columns) == 1:
         return columns[0]
+    import numpy as np
+
     # Record k of instance i sorts at key k * n + i; a stable argsort of
     # the concatenated keys is the round-robin permutation.
     n = len(columns)
@@ -381,8 +389,10 @@ def generate_mix(
     recipe's canonical spec.  Symmetric recipes produce bit-identical
     traces to the pre-asymmetric generator (fingerprint-stable).
     """
+    import numpy as np
+
     from repro.workloads.suite import generate as generate_homogeneous
-    from repro.workloads.suite import get_scale
+    from repro.workloads.trace import Trace
 
     if isinstance(recipe, str):
         recipe = MixRecipe.parse(recipe)

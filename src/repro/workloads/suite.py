@@ -7,9 +7,11 @@ here pairs a generator with calibration targets taken from the paper
 experiments' shape checks can compare measured behaviour against the
 published shape.
 
-Everything is scaled down from server size by a named *scale preset*;
-presets shrink trace length, footprint, cache size, and meta-data
-capacity together so the capacity ratios that drive the results survive.
+Everything is scaled down from server size by a named *scale preset*
+(:mod:`repro.workloads.scales`, which also names the workloads without
+importing the generators); presets shrink trace length, footprint,
+cache size, and meta-data capacity together so the capacity ratios
+that drive the results survive.
 The load-bearing ratio is stream-pool footprint to L2 capacity: the
 recurring structures must comfortably exceed the cache (as the paper's
 multi-gigabyte working sets exceed 8 MB), otherwise temporal streams
@@ -24,39 +26,18 @@ from typing import Callable, Union
 from repro.workloads.base import ActivityMix, TraceGenerator
 from repro.workloads.commercial import CommercialGenerator, CommercialParams
 from repro.workloads.dss import DssGenerator, DssParams
+from repro.workloads.scales import (  # noqa: F401  (re-exported)
+    FIGURE_ORDER,
+    SCALES,
+    ScalePreset,
+    check_workload,
+    get_scale,
+    workload_names,
+)
 from repro.workloads.scientific import ScientificGenerator, ScientificParams
 from repro.workloads.trace import Trace
 
 Params = Union[CommercialParams, DssParams, ScientificParams]
-
-
-@dataclass(frozen=True)
-class ScalePreset:
-    """One consistent down-scaling of the paper's configuration."""
-
-    name: str
-    #: Trace records generated per core.
-    records_per_core: int
-    #: Multiplier applied to workload footprint parameters.
-    footprint: float
-    #: Multiplier applied to cache capacities (L1, L2).
-    cache_scale: float
-    #: Default per-core history-buffer capacity, in entries.
-    history_entries: int
-    #: Default shared index-table bucket count.
-    index_buckets: int
-
-
-SCALES: dict[str, ScalePreset] = {
-    # Unit tests: seconds-fast, still exhibits recurrence (L2 = 64 KB).
-    "test": ScalePreset("test", 6_000, 0.06, 1 / 128, 8_192, 1_024),
-    # Examples / demos (L2 = 256 KB).
-    "demo": ScalePreset("demo", 20_000, 0.12, 1 / 32, 16_384, 1_024),
-    # Benchmarks: the default for figure regeneration (L2 = 256 KB).
-    "bench": ScalePreset("bench", 40_000, 0.25, 1 / 32, 32_768, 2_048),
-    # Largest preset: the longest traces and biggest meta-data (L2 = 256 KB).
-    "full": ScalePreset("full", 80_000, 0.375, 1 / 32, 65_536, 4_096),
-}
 
 
 @dataclass(frozen=True)
@@ -246,42 +227,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
     ),
 }
 
-#: Canonical bar order used by the paper's figures.
-FIGURE_ORDER = (
-    "web-apache",
-    "web-zeus",
-    "oltp-db2",
-    "oltp-oracle",
-    "dss-db2",
-    "sci-em3d",
-    "sci-moldyn",
-    "sci-ocean",
-)
-
-
-def workload_names() -> tuple[str, ...]:
-    """All workload names in figure order."""
-    return FIGURE_ORDER
-
 
 def get_spec(name: str) -> WorkloadSpec:
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
-        ) from None
-
-
-def get_scale(scale: "str | ScalePreset") -> ScalePreset:
-    if isinstance(scale, ScalePreset):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ValueError(
-            f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
-        ) from None
+    return WORKLOADS[check_workload(name)]
 
 
 def generate(

@@ -21,10 +21,17 @@ A :class:`Trace` stores, for each core, four parallel numpy arrays:
 
 from __future__ import annotations
 
+import hashlib
 import io
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: The raw (not ``.npy``) member :meth:`Trace.save` appends to its
+#: archive: the trace's fingerprint, so a reader can key results by it
+#: without loading the arrays (``ArtifactStore.load_trace_fingerprint``).
+FINGERPRINT_MEMBER = "fingerprint"
 
 
 @dataclass
@@ -125,6 +132,31 @@ class Trace:
         if self.core_priorities is not None:
             return self.core_priorities[core]
         return None
+
+    def fingerprint(self) -> str:
+        """Content hash of the trace (arrays + metadata), cached.
+
+        Traces are treated as immutable once generated; the digest is
+        computed once and stored on the instance.
+        """
+        cached = getattr(self, "_fingerprint", None)
+        if cached is not None:
+            return cached
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(self.name.encode())
+        digest.update(str(self.warmup_fraction).encode())
+        digest.update(str(self.working_set_blocks).encode())
+        for per_core in (self.core_workloads, self.core_warmup,
+                         self.core_rates, self.core_priorities):
+            if per_core is not None:
+                digest.update(repr(tuple(per_core)).encode())
+        for core in range(self.cores):
+            for column in (self.blocks, self.work, self.dep, self.write):
+                array = np.asarray(column[core])
+                digest.update(str(array.dtype).encode())
+                digest.update(array.tobytes())
+        self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def stats(self) -> TraceStats:
         """Compute summary statistics across all cores."""
@@ -236,9 +268,9 @@ class Trace:
         """Persist the trace as an ``.npz`` archive.
 
         Uncompressed: trace columns deflate poorly (random block
-        numbers), and the compressor dominated cold-store runs.
-        :meth:`load` reads both formats, so stores written before this
-        change stay valid.
+        numbers), and the compressor dominated cold-store runs.  The
+        fingerprint goes last, as the raw :data:`FINGERPRINT_MEMBER`
+        (``np.load`` lists it but never parses it).
         """
         payload: dict[str, np.ndarray] = {
             "meta_name": np.array([self.name]),
@@ -267,10 +299,16 @@ class Trace:
             payload[f"write_{core}"] = self.write[core]
         with open(path, "wb") as handle:
             np.savez(handle, **payload)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr(FINGERPRINT_MEMBER, self.fingerprint())
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save`."""
+        """Load a trace previously written by :meth:`save`.
+
+        Raises ValueError when the stored fingerprint does not match
+        the loaded arrays, and KeyError when it is missing.
+        """
         with open(path, "rb") as handle:
             data = np.load(io.BytesIO(handle.read()), allow_pickle=False)
         cores = int(data["meta_cores"][0])
@@ -295,7 +333,7 @@ class Trace:
             if "meta_core_priorities" in files
             else None
         )
-        return cls(
+        trace = cls(
             name=str(data["meta_name"][0]),
             blocks=[data[f"blocks_{c}"] for c in range(cores)],
             work=[data[f"work_{c}"] for c in range(cores)],
@@ -308,6 +346,9 @@ class Trace:
             core_rates=core_rates,
             core_priorities=core_priorities,
         )
+        if data[FINGERPRINT_MEMBER].decode() != trace.fingerprint():
+            raise ValueError(f"{path}: fingerprint does not match the arrays")
+        return trace
 
 
 class TraceBuilder:

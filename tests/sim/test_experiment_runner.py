@@ -427,18 +427,17 @@ class TestWorkersRunOnCallersSession:
         count on the caller's behalf."""
         import multiprocessing
 
-        from repro.sim import runner as runner_module
         from repro.sim.session import SimSession
         from repro.sim.store import ArtifactStore
 
-        class _NoFork:
-            @staticmethod
-            def get_context(method=None):
-                if method == "fork":
-                    raise ValueError("fork unavailable")
-                return multiprocessing.get_context("spawn")
+        get_context = multiprocessing.get_context
 
-        monkeypatch.setattr(runner_module, "multiprocessing", _NoFork)
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("fork unavailable")
+            return get_context("spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         store = ArtifactStore(str(tmp_path))
         session = SimSession(enabled=True, store=store)
         jobs = [

@@ -18,7 +18,7 @@ from repro.sim.runner import (
     run_workload,
 )
 from repro.sim.session import SimSession
-from repro.sim.store import ArtifactStore
+from repro.sim.store import ArtifactStore, trace_digest
 from repro.sim.sweep import run_sweep
 from repro.workloads.suite import SCALES
 
@@ -154,10 +154,16 @@ class TestResultKeyConsistency:
             seed=job.seed,
             records_per_core=job.records_per_core,
         )
-        assert session.lookup_result(job_result_key(job, trace)) is result
+        # The probe keys by the fingerprint stored in the trace file.
+        fingerprint = store.load_trace_fingerprint(
+            trace_digest(job.trace_key())
+        )
+        assert fingerprint == trace.fingerprint()
+        key = job_result_key(job, fingerprint, job.cores)
+        assert session.lookup_result(key) is result
         # The persisted copy answers the same key in a fresh session.
         fresh = SimSession(enabled=True, store=store)
-        assert fresh.lookup_result(job_result_key(job, trace)) == result
+        assert fresh.lookup_result(key) == result
         # Teeth: the key carries the option, so a changed one misses.
-        other = job_result_key(_other_options(job), trace)
+        other = job_result_key(_other_options(job), fingerprint, job.cores)
         assert session.lookup_result(other) is None

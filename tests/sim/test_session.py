@@ -9,7 +9,7 @@ from repro.sim.runner import (
     run_trace,
     run_workload,
 )
-from repro.sim.session import SimSession, trace_fingerprint
+from repro.sim.session import SimSession
 from repro.sim.store import ArtifactStore
 
 from tests.conftest import make_trace
@@ -42,17 +42,17 @@ class TestFingerprint:
     def test_identical_content_identical_fingerprint(self):
         a = make_trace([[1, 2, 3], [4, 5, 6]])
         b = make_trace([[1, 2, 3], [4, 5, 6]])
-        assert trace_fingerprint(a) == trace_fingerprint(b)
+        assert a.fingerprint() == b.fingerprint()
 
     def test_content_changes_fingerprint(self):
         a = make_trace([[1, 2, 3]])
         b = make_trace([[1, 2, 4]])
-        assert trace_fingerprint(a) != trace_fingerprint(b)
+        assert a.fingerprint() != b.fingerprint()
 
     def test_write_flag_changes_fingerprint(self):
         a = make_trace([[1, 2, 3]], write=False)
         b = make_trace([[1, 2, 3]], write=True)
-        assert trace_fingerprint(a) != trace_fingerprint(b)
+        assert a.fingerprint() != b.fingerprint()
 
 
 class TestSimulationMemo:

@@ -12,6 +12,7 @@ parallel paths is pinned by the differential harness
 
 from __future__ import annotations
 
+import concurrent.futures
 import glob
 
 import numpy as np
@@ -31,11 +32,7 @@ from repro.sim.runner import (
     job_options,
     run_job,
 )
-from repro.sim.session import (
-    SimSession,
-    set_session,
-    trace_fingerprint,
-)
+from repro.sim.session import SimSession, set_session
 from repro.sim.shm import TracePlane, attach, shm_enabled
 from repro.sim.store import ArtifactStore, encode_result
 from repro.workloads.trace import Trace
@@ -108,7 +105,7 @@ def test_export_attach_round_trip():
         attached = attach(payload)
         assert attached is not None
         copy, metadata = attached
-        assert trace_fingerprint(copy) == trace_fingerprint(trace)
+        assert copy.fingerprint() == trace.fingerprint()
         assert copy.name == trace.name
         assert copy.core_workloads == trace.core_workloads
         assert copy.core_warmup == trace.core_warmup
@@ -307,7 +304,7 @@ def test_platform_degradation_fallback_cleans_segments(monkeypatch):
             raise OSError("platform refused subprocesses")
 
     monkeypatch.setattr(
-        runner_module, "ProcessPoolExecutor", _RefusingPool
+        concurrent.futures, "ProcessPoolExecutor", _RefusingPool
     )
     jobs = _grid_jobs()
     before = _segments()

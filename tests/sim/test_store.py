@@ -9,6 +9,7 @@ cannot tear an entry (atomic rename), and eviction is LRU by recency.
 import json
 import os
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ import pytest
 from repro.sim.metrics import CoverageCounts, SimResult
 from repro.memory.traffic import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
-from repro.sim.runner import PrefetcherKind, run_trace, run_workload
+from repro.sim.runner import (
+    ExperimentRunner,
+    PrefetcherKind,
+    SimJob,
+    run_trace,
+    run_workload,
+)
 from repro.sim import store as store_module
-from repro.sim.session import SimSession
+from repro.sim.session import SimSession, trace_recipe_key
 from repro.sim.store import (
     SCHEMA_VERSION,
     ArtifactStore,
@@ -30,6 +37,9 @@ from repro.sim.store import (
     result_digest,
     trace_digest,
 )
+
+from repro.workloads.scales import get_scale
+from repro.workloads.trace import Trace
 
 from tests.conftest import make_trace
 
@@ -198,6 +208,74 @@ class TestSchemaVersioning:
         reopened.save_result(result_digest(("k2",)), make_result())
         third = ArtifactStore(str(tmp_path))
         assert len(third.entries()) == 1
+
+
+class TestTraceFingerprintMember:
+    """Every persisted trace carries its fingerprint as a raw zip
+    member, which a warm run reads instead of the arrays."""
+
+    @pytest.mark.parametrize(
+        "workload", ["web-apache", "mix:oltp-db2*2+dss-db2@0.5!low"]
+    )
+    def test_member_is_the_loaded_traces_fingerprint(
+        self, tmp_path, workload
+    ):
+        store = ArtifactStore(str(tmp_path))
+        session = SimSession(enabled=True, store=store)
+        trace = session.trace(workload, scale="test", cores=2, seed=3)
+        digest = trace_digest(
+            trace_recipe_key(workload, get_scale("test"), 2, 3, None)
+        )
+        fingerprint = store.load_trace_fingerprint(digest)
+        assert fingerprint == trace.fingerprint()
+        assert fingerprint == Trace.load(store.trace_path(digest)).fingerprint()
+
+    def test_schema_3_store_is_cleared_on_open(self, tmp_path):
+        # A schema-3 trace has no fingerprint member; no path reads it.
+        os.makedirs(tmp_path / "traces")
+        arrays = {"meta_name": np.array(["old"]), "blocks_0": np.arange(4)}
+        np.savez(str(tmp_path / "traces" / f"{'0' * 32}.npz"), **arrays)
+        with open(tmp_path / "schema.json", "w") as handle:
+            json.dump({"schema": 3}, handle)
+        store = ArtifactStore(str(tmp_path))
+        assert store.stats.store_schema_invalidations == 1
+        assert store.entries() == []
+
+    @staticmethod
+    def _rewrite_member(path: str, fingerprint: "str | None") -> None:
+        """Rewrite the archive with the member replaced (None: dropped)."""
+        with zipfile.ZipFile(path) as archive:
+            members = {
+                name: archive.read(name)
+                for name in archive.namelist()
+                if name != "fingerprint"
+            }
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, payload in members.items():
+                archive.writestr(name, payload)
+            if fingerprint is not None:
+                archive.writestr("fingerprint", fingerprint)
+
+    @pytest.mark.parametrize("member", ["missing", "mismatched"])
+    def test_bad_member_is_dropped_and_the_bundle_recomputes(
+        self, tmp_path, member
+    ):
+        store = ArtifactStore(str(tmp_path))
+        jobs = [
+            SimJob("web-apache", kind, scale="test", cores=2, seed=3)
+            for kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+        ]
+        runner = ExperimentRunner(parallel=False)
+        cold = runner.map(jobs, SimSession(enabled=True, store=store))
+        path = store.trace_path(trace_digest(jobs[0].trace_key()))
+        self._rewrite_member(path, None if member == "missing" else "0" * 32)
+        session = SimSession(enabled=True, store=ArtifactStore(str(tmp_path)))
+        assert runner.map(jobs, session) == cold
+        assert session.stats.store_corrupt_drops == 1
+        assert session.stats.trace_misses == 1  # regenerated and re-saved
+        assert store.load_trace_fingerprint(
+            trace_digest(jobs[0].trace_key())
+        ) == Trace.load(path).fingerprint()
 
 
 class TestConcurrentWriters:

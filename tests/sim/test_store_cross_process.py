@@ -62,7 +62,9 @@ def test_warm_process_is_served_from_disk_store(tmp_path):
     assert warm["sim_misses"] == 0
     assert warm["trace_misses"] == 0
     assert warm["sim_store_hits"] == 4
-    assert warm["trace_store_hits"] == 2
+    # Result keys come from the fingerprints stored in the trace files:
+    # a fully warm run reads no trace.
+    assert warm["trace_store_hits"] == 0
     assert warm["elapsed"] * 5 <= cold["elapsed"], (
         f"warm run not >=5x faster: cold {cold['elapsed']:.3f}s, "
         f"warm {warm['elapsed']:.3f}s"

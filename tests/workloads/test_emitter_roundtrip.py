@@ -24,10 +24,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.mix_contention import DEFAULT_MIXES
-from repro.sim.session import trace_fingerprint
 from repro.workloads.suite import FIGURE_ORDER, generate
 
-#: ``trace_fingerprint`` of each family at ``scale="test"``, 2 cores,
+#: ``Trace.fingerprint`` of each family at ``scale="test"``, 2 cores,
 #: seed 13.
 FAMILY_PINS = {
     "web-apache": "44c724a1b1c2af5b726b034c66003066",
@@ -40,7 +39,7 @@ FAMILY_PINS = {
     "sci-ocean": "fcad68ae096f02f1a3b1a74411f1a6cd",
 }
 
-#: ``trace_fingerprint`` of mix recipes exercising every asymmetric
+#: ``Trace.fingerprint`` of mix recipes exercising every asymmetric
 #: decoration the grammar offers (slices, rate, priority) and the
 #: fully-decorated combination, at ``scale="test"``, 4 cores, seed 13.
 MIX_PINS = {
@@ -55,17 +54,17 @@ MIX_PINS = {
 @pytest.mark.parametrize("name", FIGURE_ORDER)
 def test_family_fingerprint_is_pinned(name):
     trace = generate(name, scale="test", cores=2, seed=13)
-    assert trace_fingerprint(trace) == FAMILY_PINS[name]
+    assert trace.fingerprint() == FAMILY_PINS[name]
 
 
 @pytest.mark.parametrize("spec", tuple(MIX_PINS))
 def test_mix_fingerprint_is_pinned(spec):
     trace = generate(spec, scale="test", cores=4, seed=13)
     assert trace.name == spec
-    assert trace_fingerprint(trace) == MIX_PINS[spec]
+    assert trace.fingerprint() == MIX_PINS[spec]
 
 
-#: ``trace_fingerprint`` of each family at ``scale="test"``, 4 cores,
+#: ``Trace.fingerprint`` of each family at ``scale="test"``, 4 cores,
 #: seed 7: the traces the benchmark's fig7 workloads simulate.
 BENCH_FAMILY_PINS = {
     "web-apache": "ab24b258bdbdfa5358623d856e1a75cd",
@@ -78,7 +77,7 @@ BENCH_FAMILY_PINS = {
     "sci-ocean": "10cbe009d2749cff8169a23655cab366",
 }
 
-#: ``trace_fingerprint`` of the default contention mixes at
+#: ``Trace.fingerprint`` of the default contention mixes at
 #: ``scale="test"``, 4 cores, seed 7.
 CONTENTION_PINS = {
     "mix:oltp-db2+dss-db2": "df93e65d2a528abc504ff9b48c1edc8c",
@@ -87,7 +86,7 @@ CONTENTION_PINS = {
     "mix:oltp-db2*2+dss-db2@0.5!low": "dcc6691bf6ca50db12b421e9e25d6082",
 }
 
-#: ``trace_fingerprint`` of one family per generator kind (commercial,
+#: ``Trace.fingerprint`` of one family per generator kind (commercial,
 #: DSS, scientific) at ``scale="demo"``, 2 cores, seed 7: long traces,
 #: and em3d's per-core iteration structure spans 7,680 blocks.
 DEMO_PINS = {
@@ -100,7 +99,7 @@ DEMO_PINS = {
 @pytest.mark.parametrize("name", FIGURE_ORDER)
 def test_bench_family_fingerprint_is_pinned(name):
     trace = generate(name, scale="test", cores=4, seed=7)
-    assert trace_fingerprint(trace) == BENCH_FAMILY_PINS[name]
+    assert trace.fingerprint() == BENCH_FAMILY_PINS[name]
 
 
 def test_contention_pins_cover_the_default_mixes():
@@ -110,10 +109,10 @@ def test_contention_pins_cover_the_default_mixes():
 @pytest.mark.parametrize("spec", DEFAULT_MIXES)
 def test_contention_mix_fingerprint_is_pinned(spec):
     trace = generate(spec, scale="test", cores=4, seed=7)
-    assert trace_fingerprint(trace) == CONTENTION_PINS[spec]
+    assert trace.fingerprint() == CONTENTION_PINS[spec]
 
 
 @pytest.mark.parametrize("name", tuple(DEMO_PINS))
 def test_demo_family_fingerprint_is_pinned(name):
     trace = generate(name, scale="demo", cores=2, seed=7)
-    assert trace_fingerprint(trace) == DEMO_PINS[name]
+    assert trace.fingerprint() == DEMO_PINS[name]

@@ -92,11 +92,9 @@ class TestGenerateMix:
         assert max(hi) < trace.working_set_blocks
 
     def test_deterministic(self):
-        from repro.sim.session import trace_fingerprint
-
         a = self._small()
         b = self._small()
-        assert trace_fingerprint(a) == trace_fingerprint(b)
+        assert a.fingerprint() == b.fingerprint()
 
     def test_same_workload_cores_are_independent_instances(self):
         trace = self._small(spec="mix:2xoltp-db2")
@@ -124,15 +122,13 @@ class TestGenerateMix:
         assert trace.core_records(1) > trace.core_records(0)
 
     def test_round_trip_preserves_mix_metadata(self, tmp_path):
-        from repro.sim.session import trace_fingerprint
-
         trace = self._small()
         path = str(tmp_path / "mix.npz")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.core_workloads == trace.core_workloads
         assert loaded.core_warmup == trace.core_warmup
-        assert trace_fingerprint(loaded) == trace_fingerprint(trace)
+        assert loaded.fingerprint() == trace.fingerprint()
         assert [loaded.warmup_records(c) for c in range(2)] == [
             trace.warmup_records(c) for c in range(2)
         ]
@@ -200,15 +196,13 @@ class TestAsymmetricMix:
         assert np.array_equal(slow.work[0], fast.work[0])
 
     def test_round_trip_preserves_asymmetric_metadata(self, tmp_path):
-        from repro.sim.session import trace_fingerprint
-
         trace = self._asym()
         path = str(tmp_path / "asym.npz")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.core_rates == trace.core_rates
         assert loaded.core_priorities == trace.core_priorities
-        assert trace_fingerprint(loaded) == trace_fingerprint(trace)
+        assert loaded.fingerprint() == trace.fingerprint()
 
     def test_sliced_preserves_asymmetric_metadata(self):
         trace = self._asym()
@@ -217,14 +211,12 @@ class TestAsymmetricMix:
         assert cut.core_priorities == trace.core_priorities
 
     def test_fingerprint_distinguishes_priorities(self):
-        from repro.sim.session import trace_fingerprint
-
         low = self._asym(spec="mix:oltp-db2+dss-db2!low")
         high = self._asym(spec="mix:oltp-db2+dss-db2")
         # Identical columns (priority does not touch generation), but
         # the scheduling metadata must separate the cache entries.
         assert np.array_equal(low.blocks[1], high.blocks[1])
-        assert trace_fingerprint(low) != trace_fingerprint(high)
+        assert low.fingerprint() != high.fingerprint()
 
     def test_low_priority_core_demands_queue_behind_others(self):
         from repro.memory.dram import Priority
@@ -250,7 +242,7 @@ class TestMixStoreIntegration:
         ) == trace_recipe_key("mix:oltp-db2+dss-db2", preset, 2, 7, None)
 
     def test_mix_trace_round_trips_through_store(self, tmp_path):
-        from repro.sim.session import SimSession, trace_fingerprint
+        from repro.sim.session import SimSession
         from repro.sim.store import ArtifactStore
 
         store = ArtifactStore(str(tmp_path))
@@ -268,5 +260,5 @@ class TestMixStoreIntegration:
         )
         assert cold.stats.trace_misses == 0
         assert cold.stats.trace_store_hits == 1
-        assert trace_fingerprint(first) == trace_fingerprint(second)
+        assert first.fingerprint() == second.fingerprint()
         assert second.core_workloads == first.core_workloads

@@ -124,14 +124,10 @@ class TestTrace:
     def test_round_trip_preserves_fingerprint(self, tmp_path):
         """Store-loaded traces must produce the same result-cache keys
         as freshly generated ones, i.e. identical content fingerprints."""
-        from repro.sim.session import trace_fingerprint
-
         trace = simple_trace(records=8, cores=2)
         path = str(tmp_path / "trace.npz")
         trace.save(path)
-        assert trace_fingerprint(Trace.load(path)) == trace_fingerprint(
-            trace
-        )
+        assert Trace.load(path).fingerprint() == trace.fingerprint()
 
 
 class TestTraceBuilder:
