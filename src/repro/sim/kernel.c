@@ -22,11 +22,20 @@
  * flat arrays kept in the insertion/recency order of the Python dicts
  * they mirror: index 0 is the oldest entry.  Index buckets keep the
  * Python lists' order, most recently used first.  repro.sim.native
- * packs the Python objects into these buffers once per cell and keeps
- * them for the cell's lifetime: warm-up, the measurement boundary
- * (repro_kernel_reset), the measured phase and the end-of-run flush
- * (repro_kernel_finalize) all run on the same Machine, and only the
- * counters are copied back.
+ * builds these buffers from the cell's configuration, in the state a
+ * fresh Python machine starts in, and keeps them for the cell's
+ * lifetime: warm-up, the measurement boundary (repro_kernel_reset), the
+ * measured phase and the end-of-run flush (repro_kernel_finalize) all
+ * run on the same Machine, and only the counters are copied back.
+ *
+ * Derived lookup state answers in one step what the modelled hardware
+ * looks up associatively (and the Python reference keeps in dicts):
+ * a residency byte per index bucket (bb_member), per core the number of
+ * buffered prefetches of the current stream (pbuf_inflight) and a
+ * count of buffered prefetches per bin of block & 255 (pbuf_filter; a
+ * zero count means absent, a nonzero one falls through to the scan).
+ * The kernel alone keeps it in step with the ordered arrays it
+ * summarizes; repro.sim.native builds it zeroed and never reads it.
  *
  * The sampler's coin flips arrive pre-drawn, one of the sampler's
  * batches at a time (a record flips at most one coin); the bucket and
@@ -38,9 +47,11 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define BLOCK_BYTES 64
 #define HISTORY_PER_BLOCK 12 /* repro.core.codec.HISTORY_ENTRIES_PER_BLOCK */
+#define PBUF_BINS 256        /* pbuf_filter bins: block & (PBUF_BINS - 1) */
 
 /* Traffic categories, in repro.memory.traffic.TrafficCategory order. */
 enum { TC_DEMAND, TC_WRITEBACK, TC_STRIDE, TC_USEFUL, TC_ERRONEOUS,
@@ -204,6 +215,12 @@ typedef struct {
     Queued *issued;
     Prefetched *pbuf;
     int64_t *pbuf_count;
+    /* Derived lookup state (see the header): [index buckets] residency
+     * bytes, [cores] current-stream prefetch counts and
+     * [cores][PBUF_BINS] prefetch-buffer bin counts. */
+    uint8_t *bb_member;
+    int64_t *pbuf_inflight;
+    int32_t *pbuf_filter;
 } Machine;
 
 /* Layout fingerprint repro.sim.native checks before any call. */
@@ -331,19 +348,15 @@ static int64_t l2_evicted(Machine *m, int64_t block, int dirty, int64_t core)
     return 1;
 }
 
-/* CmpHierarchy._l2_fill; returns the write-backs it caused. */
-static int64_t l2_fill(Machine *m, int64_t block, int dirty, int64_t core)
+/* CmpHierarchy._l2_fill of a block known to be absent from the L2;
+ * returns the write-backs it caused. */
+static int64_t l2_insert(Machine *m, int64_t block, int dirty, int64_t core)
 {
     int64_t set = block & (m->l2_sets - 1);
     int64_t base = set * m->l2_ways;
     int64_t *tags = m->l2_tags + base;
     uint8_t *bits = m->l2_dirty + base;
     int64_t n = m->l2_count[set];
-    int64_t pos = find(tags, n, block);
-    if (pos >= 0) {
-        refresh(tags, bits, n, pos, (uint8_t)(bits[pos] || dirty));
-        return 0;
-    }
     int evicted = 0;
     int64_t victim = 0;
     int victim_dirty = 0;
@@ -362,6 +375,20 @@ static int64_t l2_fill(Machine *m, int64_t block, int dirty, int64_t core)
     m->l2_count[set] = n + 1;
     m->l2_stats[ST_FILLS]++;
     return evicted ? l2_evicted(m, victim, victim_dirty, core) : 0;
+}
+
+/* CmpHierarchy._l2_fill; returns the write-backs it caused. */
+static int64_t l2_fill(Machine *m, int64_t block, int dirty, int64_t core)
+{
+    int64_t set = block & (m->l2_sets - 1);
+    int64_t base = set * m->l2_ways;
+    int64_t n = m->l2_count[set];
+    int64_t pos = find(m->l2_tags + base, n, block);
+    if (pos < 0)
+        return l2_insert(m, block, dirty, core);
+    uint8_t *bits = m->l2_dirty + base;
+    refresh(m->l2_tags + base, bits, n, pos, (uint8_t)(bits[pos] || dirty));
+    return 0;
 }
 
 /* CmpHierarchy._fill_l1_into: fill the core's L1 and spill its victim
@@ -427,11 +454,13 @@ static int64_t l1_fill(Machine *m, int64_t core, int64_t block, int dirty)
     return writebacks;
 }
 
-/* CmpHierarchy.fill_off_chip. */
+/* CmpHierarchy.fill_off_chip.  off_chip runs only after an L2 miss,
+ * and nothing on its way here fills the L2 (prefetches wait in their
+ * own buffers), so the block is still absent: no L2 search. */
 static int64_t fill_off_chip(Machine *m, int64_t core, int64_t block,
                              int dirty)
 {
-    int64_t writebacks = l2_fill(m, block, 0, core);
+    int64_t writebacks = l2_insert(m, block, 0, core);
     return writebacks + l1_fill(m, core, block, dirty);
 }
 
@@ -444,9 +473,20 @@ enum { SS_TRAINED, SS_ISSUED, SS_USEFUL, SS_ERRONEOUS, SS_DROPPED };
 /* Tracker entries are 4 int64s: region, last block, stride, confirms. */
 static void tracker_drop_oldest(int64_t *entries, int64_t *count)
 {
-    for (int64_t i = 0; i < (*count - 1) * 4; i++)
-        entries[i] = entries[i + 4];
     (*count)--;
+    memmove(entries, entries + 4, (size_t)*count * 4 * sizeof *entries);
+}
+
+/* Position of region's entry, or -1.  Regions are unique in a tracker,
+ * so searching from the newest entry (where a stream's region usually
+ * is) finds the same entry as the oldest-first dict order. */
+static int64_t tracker_find(const int64_t *entries, int64_t count,
+                            int64_t region)
+{
+    for (int64_t i = count - 1; i >= 0; i--)
+        if (entries[i * 4] == region)
+            return i;
+    return -1;
 }
 
 static void tracker_append(int64_t *entries, int64_t *count, int64_t region,
@@ -519,9 +559,8 @@ static void run_ahead(Machine *m, int64_t core, int64_t block,
         return;
     int64_t *entries = m->tracker + core * m->tracker_entries * 4;
     int64_t *tracked = &m->tracker_count[core];
-    for (int64_t i = 0; i < *tracked; i++)
-        if (entries[i * 4] == region)
-            return;
+    if (tracker_find(entries, *tracked, region) >= 0)
+        return;
     if (*tracked >= m->tracker_entries)
         tracker_drop_oldest(entries, tracked);
     tracker_append(entries, tracked, region, last_target, stride,
@@ -533,12 +572,7 @@ static void stride_train(Machine *m, int64_t core, int64_t block, double now)
     int64_t *entries = m->tracker + core * m->tracker_entries * 4;
     int64_t *count = &m->tracker_count[core];
     int64_t region = block >> m->region_shift;
-    int64_t pos = -1;
-    for (int64_t i = 0; i < *count; i++)
-        if (entries[i * 4] == region) {
-            pos = i;
-            break;
-        }
+    int64_t pos = tracker_find(entries, *count, region);
     if (pos < 0) {
         if (*count >= m->tracker_entries)
             tracker_drop_oldest(entries, count);
@@ -547,14 +581,14 @@ static void stride_train(Machine *m, int64_t core, int64_t block, double now)
         return;
     }
     /* LRU refresh: move the region's entry to the newest slot. */
-    int64_t entry[4];
-    for (int k = 0; k < 4; k++)
-        entry[k] = entries[pos * 4 + k];
-    for (int64_t i = pos * 4; i < (*count - 1) * 4; i++)
-        entries[i] = entries[i + 4];
     int64_t *last = entries + (*count - 1) * 4;
-    for (int k = 0; k < 4; k++)
-        last[k] = entry[k];
+    if (pos < *count - 1) {
+        int64_t entry[4];
+        memcpy(entry, entries + pos * 4, sizeof entry);
+        memmove(entries + pos * 4, entries + pos * 4 + 4,
+                (size_t)(*count - 1 - pos) * 4 * sizeof *entries);
+        memcpy(last, entry, sizeof entry);
+    }
 
     int64_t stride = block - last[1];
     if (stride == 0)
@@ -683,6 +717,18 @@ static void bb_write_back(Machine *m, double now, int64_t core)
     dram_request(m, now, 0);
 }
 
+/* Position of a resident bucket, searched from the MRU end, or -1.  A
+ * clear bb_member byte answers "absent" without a scan. */
+static int64_t bb_find(const Machine *m, int64_t bucket)
+{
+    if (!m->bb_member[bucket])
+        return -1;
+    int64_t pos = m->bb_count - 1;
+    while (pos >= 0 && m->bb_buckets[pos] != bucket)
+        pos--;
+    return pos;
+}
+
 /* BucketBuffer.access: returns the bucket's ready time. */
 static double bb_access(Machine *m, int64_t bucket, double now, int dirty,
                         int category, int64_t core)
@@ -691,7 +737,7 @@ static double bb_access(Machine *m, int64_t bucket, double now, int dirty,
     uint8_t *bits = m->bb_dirty;
     int64_t *cores = m->bb_core;
     int64_t n = m->bb_count;
-    int64_t pos = find(buckets, n, bucket);
+    int64_t pos = bb_find(m, bucket);
     if (pos >= 0) {
         m->bb_stats[BB_HITS]++;
         int64_t owner = cores[pos];
@@ -709,6 +755,7 @@ static double bb_access(Machine *m, int64_t bucket, double now, int dirty,
     if (n >= m->bucket_buffer_capacity) {
         if (bits[0])
             bb_write_back(m, now, cores[0]);
+        m->bb_member[buckets[0]] = 0;
         drop(buckets, bits, n, 0);
         for (int64_t i = 0; i < n - 1; i++)
             cores[i] = cores[i + 1];
@@ -718,6 +765,7 @@ static double bb_access(Machine *m, int64_t bucket, double now, int dirty,
     bits[n] = (uint8_t)dirty;
     cores[n] = dirty ? core : 0;
     m->bb_count = n + 1;
+    m->bb_member[bucket] = 1;
     return arrival;
 }
 
@@ -847,19 +895,29 @@ static int64_t read_segment(Machine *m, int64_t hcore, int64_t sequence,
                       slot, slot + block_end - start);
 }
 
-/* PrefetchBuffer: position of block in a core's FIFO, or -1. */
-static int64_t prefetched_find(const Prefetched *buffer, int64_t n,
-                               int64_t block)
+/* PrefetchBuffer: position of block in a core's FIFO, or -1.  An empty
+ * filter bin answers "absent" without a scan. */
+static int64_t prefetched_find(const Machine *m, int64_t core, int64_t block)
 {
+    if (!m->pbuf_filter[core * PBUF_BINS + (block & (PBUF_BINS - 1))])
+        return -1;
+    const Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
+    int64_t n = m->pbuf_count[core];
     for (int64_t i = 0; i < n; i++)
         if (buffer[i].block == block)
             return i;
     return -1;
 }
 
-/* Remove entry pos of a core's FIFO, keeping the order of the rest. */
-static void prefetched_drop(Prefetched *buffer, int64_t *count, int64_t pos)
+/* Remove entry pos of a core's FIFO, keeping the order of the rest, and
+ * forget it in the core's filter and current-stream count. */
+static void prefetched_drop(Machine *m, int64_t core, int64_t pos)
 {
+    Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
+    int64_t *count = &m->pbuf_count[core];
+    m->pbuf_filter[core * PBUF_BINS + (buffer[pos].block & (PBUF_BINS - 1))]--;
+    if (buffer[pos].stream == m->engines[core].serial)
+        m->pbuf_inflight[core]--;
     for (int64_t i = pos; i < *count - 1; i++)
         buffer[i] = buffer[i + 1];
     (*count)--;
@@ -885,6 +943,7 @@ static void engine_begin(Machine *m, int64_t core, int64_t source_core,
     e->has_paused = e->has_last = 0;
     e->consumed_count = 0;
     e->serial++;
+    m->pbuf_inflight[core] = 0; /* no entry carries the new serial yet */
     e->active = 1;
     e->source_core = source_core;
     e->next_fetch_sequence = next_fetch_sequence;
@@ -938,11 +997,7 @@ static void stms_issue(Machine *m, int64_t core, double now)
     Engine *e = &m->engines[core];
     Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
     int64_t *count = &m->pbuf_count[core];
-    int64_t in_flight = 0;
-    for (int64_t i = 0; i < *count; i++)
-        if (buffer[i].stream == e->serial)
-            in_flight++;
-    int64_t budget = m->lookahead - in_flight;
+    int64_t budget = m->lookahead - m->pbuf_inflight[core];
     Queued *queue = m->queues + core * m->queue_capacity;
     Queued *map = m->issued + core * m->issued_capacity;
     while (budget > 0 && e->queue_count > 0) {
@@ -955,7 +1010,7 @@ static void stms_issue(Machine *m, int64_t core, double now)
         map[known >= 0 ? known : e->issued_count++] = head;
 
         int64_t block = head.block;
-        if (prefetched_find(buffer, *count, block) >= 0)
+        if (prefetched_find(m, core, block) >= 0)
             continue;
         int64_t set = block & (m->l2_sets - 1);
         if (find(m->l2_tags + set * m->l2_ways, m->l2_count[set], block)
@@ -970,7 +1025,7 @@ static void stms_issue(Machine *m, int64_t core, double now)
         }
         double arrival = dram_request(m, issue_at, 0);
         if (*count >= m->prefetch_buffer_blocks) {
-            prefetched_drop(buffer, count, 0);
+            prefetched_drop(m, core, 0);
             m->pf_stats[PF_ERRONEOUS]++;
             charge(m, core, TC_ERRONEOUS);
         }
@@ -979,6 +1034,8 @@ static void stms_issue(Machine *m, int64_t core, double now)
         entry->issued_at = issue_at;
         entry->arrival = arrival;
         entry->stream = e->serial;
+        m->pbuf_filter[core * PBUF_BINS + (block & (PBUF_BINS - 1))]++;
+        m->pbuf_inflight[core]++;
         m->pf_stats[PF_ISSUED]++;
         budget--;
     }
@@ -1062,7 +1119,9 @@ static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
          * place. */
         m->stms_counters[SC_APPLIED]++;
         m->bb_stats[BB_HITS]++;
-        int64_t pos = find(m->bb_buckets, m->bb_count, bucket);
+        /* bb_access above left the bucket in the MRU slot, and nothing
+         * since has touched the bucket buffer. */
+        int64_t pos = m->bb_count - 1;
         m->bb_dirty[pos] = 1;
         m->bb_core[pos] = core;
         index_commit(m, bucket, tag, core, recorded);
@@ -1085,13 +1144,11 @@ static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
 static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
                         int64_t record, Prefetched *entry)
 {
-    Prefetched *buffer = m->pbuf + core * m->prefetch_buffer_blocks;
-    int64_t *count = &m->pbuf_count[core];
-    int64_t pos = prefetched_find(buffer, *count, block);
+    int64_t pos = prefetched_find(m, core, block);
     if (pos < 0)
         return 0;
-    *entry = buffer[pos];
-    prefetched_drop(buffer, count, pos);
+    *entry = m->pbuf[core * m->prefetch_buffer_blocks + pos];
+    prefetched_drop(m, core, pos);
     m->pf_stats[PF_USEFUL]++;
     charge(m, core, TC_USEFUL);
     stms_prefetch_hit(m, core, block, now, m->buckets[core][record],
@@ -1304,29 +1361,44 @@ static void step(Machine *m, int64_t core)
 /* Advance every core to its record limit in (clock, core) order.
  * Returns 0 when done, or 1 before a record that could outgrow the
  * next core's issued map or find the coins spent; the caller grows the
- * map or hands in the sampler's next batch and calls again. */
+ * map or hands in the sampler's next batch and calls again.
+ *
+ * The scan over cores also finds the runner-up.  A step moves only its
+ * own core's clock, so the chosen core stays first in (clock, core)
+ * order, and is stepped again without a rescan, until its clock passes
+ * the runner-up's or it reaches its limit. */
 int64_t repro_kernel_run(Machine *m)
 {
     for (;;) {
-        int64_t next = -1;
-        double clock = 0.0;
+        int64_t next = -1, second = -1;
+        double clock = 0.0, second_clock = 0.0;
         for (int64_t c = 0; c < m->cores; c++) {
             if (m->cursors[c] >= m->limits[c])
                 continue;
             if (next < 0 || m->clocks[c] < clock) {
+                second = next;
+                second_clock = clock;
                 next = c;
                 clock = m->clocks[c];
+            } else if (second < 0 || m->clocks[c] < second_clock) {
+                second = c;
+                second_clock = m->clocks[c];
             }
         }
         if (next < 0)
             return 0;
-        if (m->stms
-            && (m->engines[next].issued_count + m->queue_capacity
-                    > m->issued_capacity
-                || (m->sample_mode == 2
-                    && m->coin_cursor == m->coin_count)))
-            return 1;
-        step(m, next);
+        do {
+            if (m->stms
+                && (m->engines[next].issued_count + m->queue_capacity
+                        > m->issued_capacity
+                    || (m->sample_mode == 2
+                        && m->coin_cursor == m->coin_count)))
+                return 1;
+            step(m, next);
+        } while (m->cursors[next] < m->limits[next]
+                 && (second < 0 || m->clocks[next] < second_clock
+                     || (m->clocks[next] == second_clock
+                         && next < second)));
     }
 }
 
@@ -1369,9 +1441,11 @@ void repro_kernel_finalize(Machine *m, double now)
         for (int64_t c = 0; c < m->cores; c++)
             if (m->hist_pend_count[c])
                 history_spill(m, c, now);
-        for (int64_t i = 0; i < m->bb_count; i++)
+        for (int64_t i = 0; i < m->bb_count; i++) {
             if (m->bb_dirty[i])
                 bb_write_back(m, now, m->bb_core[i]);
+            m->bb_member[m->bb_buckets[i]] = 0;
+        }
         m->bb_count = 0;
         for (int64_t c = 0; c < m->cores; c++) {
             for (int64_t i = 0; i < m->pbuf_count[c]; i++) {
@@ -1379,6 +1453,9 @@ void repro_kernel_finalize(Machine *m, double now)
                 charge(m, c, TC_ERRONEOUS);
             }
             m->pbuf_count[c] = 0;
+            m->pbuf_inflight[c] = 0;
+            memset(m->pbuf_filter + c * PBUF_BINS, 0,
+                   PBUF_BINS * sizeof *m->pbuf_filter);
         }
     }
     if (m->use_stride)

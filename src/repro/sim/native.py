@@ -25,7 +25,12 @@ phase (with the measured phase's miss log), the counters at the
 boundary and after the flush.  Cache sets, MSHR entries, prefetcher
 tables and the STMS structures stay in C; :meth:`NativeRunState.sync`
 unpacks them, in the Python objects' dict/list order, for state
-snapshots.
+snapshots.  Three more buffers are derived lookup state the kernel
+alone keeps, built zeroed: a residency byte per index bucket for the
+bucket buffer, and per core the prefetch buffer's current-stream count
+and a count of its blocks per bin of ``block & 255``.  They answer in
+one step what the hardware (and the reference's dicts) look up
+associatively; ``sync`` never reads them.
 An STMS cell's per-record index buckets and tags arrive as int64
 arrays, zero-copy, from the sweep's shared classification or the
 prefetcher's ``metadata_columns``; its sampler's coin flips are drawn in
@@ -145,7 +150,11 @@ class Machine(ctypes.Structure):
                 _P,
             ),
             ("bb_count", _I),
-            ("bb_stats engines queues issued pbuf pbuf_count", _P),
+            (
+                "bb_stats engines queues issued pbuf pbuf_count bb_member "
+                "pbuf_inflight pbuf_filter",
+                _P,
+            ),
         )
         for name in names.split()
     ]
@@ -528,6 +537,11 @@ class NativeRunState(_RunState):
             issued=np.zeros(cores * queue_width, dtype=_QUEUED),
             pbuf=np.zeros(cores * buffer_width, dtype=_PREFETCHED),
             pbuf_count=np.zeros(cores, np.int64),
+            # Derived lookup state: the kernel keeps it, sync never reads
+            # it.  int32 bin counts hold any prefetch_buffer_blocks.
+            bb_member=np.zeros(buckets, np.uint8),
+            pbuf_inflight=np.zeros(cores, np.int64),
+            pbuf_filter=np.zeros(cores * _PBUF_BINS, np.int32),
         )
         probability = config.sampling_probability
         return dict(
@@ -873,6 +887,8 @@ class _Coins:
 
 
 _INF = float("inf")
+#: The kernel's PBUF_BINS: prefetch-buffer filter bins per core.
+_PBUF_BINS = 256
 _CATEGORIES = tuple(TrafficCategory)
 
 

@@ -123,15 +123,15 @@ def make_factory(
     lookup_rounds: int = 1,
     max_index_entries: "int | None" = None,
 ) -> "TemporalFactory | None":
-    """Build the engine factory for a prefetcher kind."""
-    from repro.core.stms import StmsFactory
-    from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
-    from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
-    from repro.prefetchers.markov import MarkovPrefetcher
+    """Build the engine factory for a prefetcher kind.
 
+    Each branch imports only the prefetcher it builds.
+    """
     if kind is PrefetcherKind.BASELINE:
         return None
     if kind is PrefetcherKind.IDEAL_TMS:
+        from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
+
         return lambda cores, dram, traffic, resident: IdealTmsPrefetcher(
             cores,
             dram,
@@ -140,10 +140,14 @@ def make_factory(
             max_index_entries=max_index_entries,
         )
     if kind is PrefetcherKind.STMS:
+        from repro.core.stms import StmsFactory
+
         return StmsFactory(
             stms_config if stms_config is not None else StmsConfig()
         )
     if kind is PrefetcherKind.FIXED_DEPTH:
+        from repro.prefetchers.fixed_depth import FixedDepthPrefetcher
+
         return lambda cores, dram, traffic, resident: FixedDepthPrefetcher(
             cores,
             dram,
@@ -153,6 +157,8 @@ def make_factory(
             lookup_rounds=lookup_rounds,
         )
     if kind is PrefetcherKind.MARKOV:
+        from repro.prefetchers.markov import MarkovPrefetcher
+
         return lambda cores, dram, traffic, resident: MarkovPrefetcher(
             cores, dram, traffic, residency_filter=resident
         )
@@ -408,17 +414,19 @@ def _run_bundle(
     re-classification per shard.  A failed attach (or a disabled
     session) falls back to the TraceRef path.
 
-    Besides the ordered results, the worker ships back its session's
-    result-cache entries (so the parent can adopt them — without this,
-    cross-``map()`` memoization would only exist on the serial path)
-    and the bundle's counter deltas, which the parent folds into its
-    own stats so they describe the whole fan-out.
+    Besides the ordered results, the worker ships back the result-cache
+    entries this bundle added to its session (so the parent can adopt
+    them — without this, cross-``map()`` memoization would only exist
+    on the serial path; earlier bundles of the same worker shipped
+    theirs already) and the bundle's counter deltas, which the parent
+    folds into its own stats so they describe the whole fan-out.
     """
     from repro.sim.shm import attach as shm_attach
     from repro.sim.sweep import SweepShared, run_sweep
 
     session = get_session()
     before = replace(session.stats)
+    known = set(session.export_results())
     preshared = None
     if plane_payload is not None and session.enabled and jobs:
         attached = shm_attach(plane_payload)
@@ -448,7 +456,11 @@ def _run_bundle(
             trace_ref,
         )
     results = run_sweep(jobs, session, shared=preshared)
-    return results, session.export_results(), session.stats.since(before)
+    added = {
+        key: result for key, result in session.export_results().items()
+        if key not in known
+    }
+    return results, added, session.stats.since(before)
 
 
 def _default_workers() -> "tuple[int, bool]":

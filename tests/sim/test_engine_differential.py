@@ -253,22 +253,59 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
     the reset misses or over-zeroes shows there, not only downstream)
     and before result().  Returns the snapshots by phase and the result.
 
-    The finished run must also satisfy the conservation oracle.
+    The finished run must also satisfy the conservation oracle, and at
+    every phase the compiled kernel's derived lookup state must agree
+    with the arrays it summarizes (:func:`_assert_derived_state`).
     """
     if shared is None:
         state = state_class(config, trace, factory)
     else:
         state = state_class(config, trace, factory, shared=shared)
-    snapshots = {"initial": snapshot_run_state(state)}
+    snapshots = {}
+
+    def capture(phase: str) -> None:
+        snapshots[phase] = snapshot_run_state(state)
+        if isinstance(state, NativeRunState):
+            _assert_derived_state(state, phase)
+
+    capture("initial")
     state.run_warmup()
-    snapshots["warmup"] = snapshot_run_state(state)
+    capture("warmup")
     state.reset_accounting()
-    snapshots["boundary"] = snapshot_run_state(state)
+    capture("boundary")
     state.run_measured()
-    snapshots["final"] = snapshot_run_state(state)
+    capture("final")
     result = state.result("fuzz")
     check_invariants(state, result)
     return snapshots, result
+
+
+def _assert_derived_state(state: NativeRunState, phase: str) -> None:
+    """The kernel's derived lookup state summarizes its canonical arrays:
+    the bucket buffer's residency bytes, and per core the prefetch
+    buffer's ``block & 255`` bin counts and current-stream count."""
+    b = state._buffers
+    if "bb_member" not in b:
+        return  # no STMS structures
+    resident = np.zeros_like(b["bb_member"])
+    resident[b["bb_buckets"][:state._machine.bb_count]] = 1
+    assert b["bb_member"].tolist() == resident.tolist(), (
+        f"bb_member disagrees with the bucket buffer at {phase}"
+    )
+    cores = state.trace.cores
+    pbuf = b["pbuf"].reshape(cores, -1)
+    bins = b["pbuf_filter"].reshape(cores, -1)
+    serials = b["engines"]["serial"]
+    for core, n in enumerate(b["pbuf_count"].tolist()):
+        live = pbuf[core, :n]
+        histogram = np.bincount(live["block"] & 255, minlength=256)
+        assert bins[core].tolist() == histogram.tolist(), (
+            f"core {core} pbuf_filter disagrees with its buffer at {phase}"
+        )
+        in_flight = int(np.count_nonzero(live["stream"] == serials[core]))
+        assert b["pbuf_inflight"][core] == in_flight, (
+            f"core {core} pbuf_inflight disagrees with its buffer at {phase}"
+        )
 
 
 def _assert_same_snapshots(got: dict, want: dict, what: str) -> None:
@@ -807,3 +844,148 @@ def test_snapshot_captures_stms_metadata():
         assert sum(
             per_core[category] for per_core in snap["core_traffic"]
         ) == total
+
+
+# ----------------------------------------------------------------------
+# Hand-built micro-traces, each aimed at one shortcut the kernel takes.
+# ----------------------------------------------------------------------
+
+
+def _micro_trace(blocks_per_core, work=10.0, dep=False, warmup=0.25):
+    """A trace of the given per-core block lists, every record with the
+    same ``work`` and dependence and no writes."""
+    blocks = [np.asarray(b, dtype=np.int64) for b in blocks_per_core]
+    return Trace(
+        name="micro",
+        blocks=blocks,
+        work=[np.full(len(b), work, dtype=np.float32) for b in blocks],
+        dep=[np.full(len(b), dep, dtype=bool) for b in blocks],
+        write=[np.zeros(len(b), dtype=bool) for b in blocks],
+        working_set_blocks=int(max(int(b.max()) for b in blocks)) + 1,
+        warmup_fraction=warmup,
+    )
+
+
+def _micro_config(cores, **cmp):
+    options = dict(
+        cores=cores, l1_size_bytes=2 * 2 * BLOCK_BYTES, l1_ways=2,
+        l1_victim_blocks=2, l2_size_bytes=8 * 4 * BLOCK_BYTES, l2_ways=4,
+        l2_banks=4, l2_mshrs=64,
+    )
+    options.update(cmp)
+    return SimConfig(
+        cmp=CmpConfig(**options),
+        timing=TimingModel(core_miss_window=64),
+        use_stride=False,
+        track_mlp=True,
+    )
+
+
+def _micro_stms(cores, **overrides):
+    config = StmsConfig(
+        cores=cores, history_entries=480, index_buckets=64,
+        bucket_entries=4, sampling_probability=1.0,
+        bucket_buffer_entries=16, prefetch_buffer_blocks=4, lookahead=3,
+        address_queue_entries=8, queue_refill_threshold=2,
+    )
+    return dataclasses.replace(config, **overrides)
+
+
+def _check_micro(config, trace, stms_config) -> dict:
+    """Run a micro-trace through the reference and the kernel (and the
+    batched engine), bit for bit; returns the reference's final
+    snapshot."""
+    def factory():
+        if stms_config is None:
+            return None
+        return make_factory(PrefetcherKind.STMS, stms_config)
+
+    reference, expected = _run_and_snapshot(
+        _RunState, config, trace, factory()
+    )
+    for engine in (BatchRunState, NativeRunState):
+        snapshots, result = _run_and_snapshot(
+            engine, config, trace, factory()
+        )
+        _assert_same_snapshots(snapshots, reference, engine.__name__)
+        assert result == expected, engine.__name__
+    return reference["final"]
+
+
+class _OrderedRunState(_RunState):
+    """The reference run state, logging each step's (clock, core)."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.order: "list[tuple[float, int]]" = []
+
+    def _step(self, core: int) -> None:
+        self.order.append((self.clocks[core], core))
+        super()._step(core)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+@pytest.mark.parametrize("temporal", ["baseline", "stms"])
+def test_micro_tied_clocks_keep_clock_core_order(temporal):
+    """Four cores with equal work on every record and no dependent
+    records: their clocks tie again and again, and only the ``(clock,
+    core)`` order decides which core misses in the shared L2 first and
+    whose fetch queues behind whose.  The kernel keeps stepping one core
+    while it stays first, so a tie broken the wrong way shows here."""
+    cores = 4
+    shared = [k * 8 for k in range(24)]  # one L2 set, shared by all
+    trace = _micro_trace(
+        [shared[core:] + shared[:core] + [1000 + 64 * core + k
+                                          for k in range(16)]
+         for core in range(cores)],
+    )
+    stms = _micro_stms(cores) if temporal == "stms" else None
+    config = _micro_config(cores)
+    _check_micro(config, trace, stms)
+
+    ordered = _OrderedRunState(
+        config, trace,
+        make_factory(PrefetcherKind.STMS, stms) if stms else None,
+    )
+    ordered.run_warmup()
+    ordered.reset_accounting()
+    ordered.run_measured()
+    ties = sum(
+        1 for (clock, core), (after, other) in zip(
+            ordered.order, ordered.order[1:])
+        if clock == after and core != other
+    )
+    # Consecutive steps of two cores at one clock: a tie was broken.
+    assert ties >= 3 * (cores - 1), ties
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+def test_micro_prefetches_sharing_one_filter_bin():
+    """STMS replays a stream whose blocks are all congruent mod 256, so
+    every buffered prefetch lands in one ``pbuf_filter`` bin.  The replay
+    skips every third block: those prefetches are evicted unconsumed
+    while the bin's other entries must stay findable and be consumed."""
+    stream = [5 + 256 * k for k in range(60)]
+    replay = [b for k, b in enumerate(stream) if k % 3 != 2]
+    trace = _micro_trace([stream + replay + stream], warmup=0.0)
+    final = _check_micro(_micro_config(1), trace, _micro_stms(1))
+    issued, useful, erroneous = final["temporal_stats"][:3]
+    assert useful >= 20 and erroneous >= 5, final["temporal_stats"]
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler for the kernel")
+def test_micro_two_entry_bucket_buffer_refetches_a_dirty_bucket():
+    """With ``bucket_buffer_entries=2`` a recorded (dirty) bucket is
+    written back on eviction and fetched again by a later lookup that
+    must still find its entry."""
+    stream = [3 + 7 * k for k in range(40)]
+    trace = _micro_trace([stream + stream + stream], warmup=0.0)
+    final = _check_micro(
+        _micro_config(1, l2_size_bytes=4 * 2 * BLOCK_BYTES, l2_ways=2),
+        trace, _micro_stms(1, bucket_buffer_entries=2),
+    )
+    hits, misses, writebacks, _ = final["stms"]["bucket_buffer"][0]
+    # More bucket fetches than the stream has buckets: evicted buckets
+    # came back.
+    assert writebacks > 0 and misses > len(stream), (misses, writebacks)
+    assert _lookup_hits(final) > 0

@@ -1,7 +1,11 @@
 """Tests for the job grid and the parallel experiment runner."""
 
+import json
+import os
+
 import pytest
 
+from repro.sim import runner as runner_module
 from repro.sim.runner import (
     ExperimentRunner,
     PrefetcherKind,
@@ -9,6 +13,7 @@ from repro.sim.runner import (
     job_options,
     run_job,
 )
+from repro.sim.store import encode_result
 
 
 def _job(kind=PrefetcherKind.BASELINE, **overrides):
@@ -333,6 +338,66 @@ class TestParallelCacheAdoption:
             assert session.stats.sim_hits >= 2
         finally:
             set_session(previous)
+
+
+#: The worker entry point :func:`_logged_bundle` wraps, and the file it
+#: logs each bundle to (set before the pool forks).
+_RUN_BUNDLE = runner_module._run_bundle
+_BUNDLE_LOG = None
+
+
+def _encoded(results):
+    return sorted(json.dumps(encode_result(r), sort_keys=True)
+                  for r in results)
+
+
+def _logged_bundle(jobs, *args):
+    """Module-level (picklable) wrapper of the worker entry point: logs
+    which worker ran the bundle and whether the result-cache entries it
+    ships are exactly its own cells."""
+    results, entries, deltas = _RUN_BUNDLE(jobs, *args)
+    with open(_BUNDLE_LOG, "a") as log:
+        log.write(json.dumps({
+            "pid": os.getpid(),
+            "own": _encoded(entries.values()) == _encoded(results),
+        }) + "\n")
+    return results, entries, deltas
+
+
+class TestBundleExports:
+    def test_each_bundle_ships_only_its_own_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker's later bundles must not re-ship the results its
+        earlier bundles already shipped."""
+        from repro.sim.session import SimSession
+
+        jobs = [
+            SimJob(workload, PrefetcherKind.BASELINE, scale="test",
+                   cores=2, seed=seed, records_per_core=600)
+            for workload in ("web-apache", "oltp-db2")
+            for seed in range(4)
+        ]
+        monkeypatch.setattr(runner_module, "_run_bundle", _logged_bundle)
+        monkeypatch.setattr(
+            f"{__name__}._BUNDLE_LOG", str(tmp_path / "bundles.jsonl")
+        )
+        parallel = ExperimentRunner(max_workers=2, parallel=True).map(
+            jobs, session=SimSession(enabled=True, store=None)
+        )
+        lines = (tmp_path / "bundles.jsonl").read_text().splitlines()
+        bundles = [json.loads(line) for line in lines]
+        assert len(bundles) == len(jobs)
+        assert all(bundle["own"] for bundle in bundles)
+        pids = [bundle["pid"] for bundle in bundles]
+        # Some worker ran several bundles, so a re-shipped cache shows.
+        assert max(pids.count(pid) for pid in pids) >= 3
+        serial = ExperimentRunner(parallel=False).map(
+            jobs, session=SimSession(enabled=True, store=None)
+        )
+        assert [encode_result(r) for r in parallel] == [
+            encode_result(r) for r in serial
+        ]
 
 
 class TestWorkersRunOnCallersSession:

@@ -99,6 +99,28 @@ print(json.dumps({{
     )
 
 
+#: Prefetcher modules a fig7 run (baseline and STMS cells) never runs.
+UNUSED_PREFETCHERS = (
+    "repro.prefetchers.ideal_tms",
+    "repro.prefetchers.markov",
+    "repro.prefetchers.fixed_depth",
+)
+
+
+def test_cold_fig7_imports_only_the_prefetchers_it_runs(tmp_path):
+    store = str(tmp_path / "store")
+    loaded = _python(f"""
+import json, sys
+from repro.cli import _store_session
+from repro.experiments import run_experiment
+session = _store_session({store!r})
+run_experiment("fig7", scale="test", cores=2, session=session)
+assert session.stats.sim_misses == 16, session.stats
+print(json.dumps([m for m in {UNUSED_PREFETCHERS!r} if m in sys.modules]))
+""")
+    assert loaded == []
+
+
 # ----------------------------------------------------------------------
 # Names that resolve on first use.
 # ----------------------------------------------------------------------
