@@ -28,15 +28,15 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "StmsConfig": "repro.core.config",
     "StmsPrefetcher": "repro.core.stms",
-    "CmpConfig": "repro.memory.hierarchy",
+    "CmpConfig": "repro.memory.config",
     "DramConfig": "repro.memory.dram",
     "FixedDepthPrefetcher": "repro.prefetchers.fixed_depth",
     "IdealTmsPrefetcher": "repro.prefetchers.ideal_tms",
     "MarkovPrefetcher": "repro.prefetchers.markov",
     "StridePrefetcher": "repro.prefetchers.stride",
     "PrefetcherKind": "repro.sim.runner",
-    "SimConfig": "repro.sim.engine",
-    "SimResult": "repro.sim.metrics",
+    "SimConfig": "repro.sim.config",
+    "SimResult": "repro.sim.results",
     "Simulator": "repro.sim.engine",
     "TimingModel": "repro.sim.timing",
     "compare_prefetchers": "repro.sim.runner",

@@ -8,7 +8,7 @@ configuration and collect the per-workload values the paper tabulates.
 
 from __future__ import annotations
 
-from repro.sim.metrics import SimResult
+from repro.sim.results import SimResult
 from repro.sim.runner import PrefetcherKind, run_workload
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -37,17 +38,37 @@ from repro.experiments.common import (
     add_sampling_arguments,
     sampling_spec_from_args,
 )
-from repro.sim.metrics import SimResult
+from repro.obs import SessionStats
+from repro.sim.results import SimResult
 from repro.sim.runner import (
     PrefetcherKind,
     compare_prefetchers,
     make_stms_config,
     run_workload,
 )
-from repro.sim.session import SessionStats, SimSession, set_session
+from repro.sim.session import SimSession, set_session
 from repro.sim.store import ArtifactStore, default_store_dir
-from repro.workloads.mix import MIX_PRESETS, MixRecipe, is_mix
-from repro.workloads.scales import FIGURE_ORDER, SCALES
+from repro.workloads.scales import FIGURE_ORDER, MIX_PRESETS, SCALES, is_mix
+
+
+def _bounded(kind: type, holds, expected: str):
+    """An argparse ``type``: ``kind(value)``, if ``holds`` accepts it."""
+
+    def parse(value: str):
+        with contextlib.suppress(ValueError):
+            if holds(number := kind(value)):
+                return number
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda n: n > 0, "a positive integer")
+_seed = _bounded(int, lambda n: n >= 0, "a non-negative integer")
+_probability = _bounded(
+    float, lambda p: 0 <= p <= 1, "a probability in [0, 1]"
+)
+_megabytes = _bounded(float, lambda mb: 0 < mb < math.inf, "a size > 0 MiB")
 
 
 def _workload_arg(value: str) -> str:
@@ -63,6 +84,8 @@ def _workload_arg(value: str) -> str:
     if value in FIGURE_ORDER:
         return value
     if is_mix(value):
+        from repro.workloads.mix import MixRecipe
+
         try:
             MixRecipe.parse(value)
         except ValueError as error:
@@ -149,7 +172,7 @@ def _print_results(
     for kind, result in results.items():
         if result.core_workloads is None:
             continue
-        from repro.sim.metrics import per_workload_breakdown
+        from repro.sim.results import per_workload_breakdown
 
         for name, piece in sorted(per_workload_breakdown(result).items()):
             mix_rows.append(
@@ -204,6 +227,8 @@ def cmd_list_experiments(_: argparse.Namespace) -> int:
 
 
 def cmd_list_mixes(_: argparse.Namespace) -> int:
+    from repro.workloads.mix import MixRecipe
+
     rows = [
         [name, spec, " ".join(MixRecipe.parse(spec).assign(4))]
         for name, spec in sorted(MIX_PRESETS.items())
@@ -523,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale", default="demo", choices=sorted(SCALES),
             help="scale preset (default: demo)",
         )
-        sub.add_argument("--cores", type=int, default=4)
-        sub.add_argument("--seed", type=int, default=7)
+        sub.add_argument("--cores", type=_positive_int, default=4)
+        sub.add_argument("--seed", type=_seed, default=7)
         add_cache_options(sub)
 
     def add_cache_options(sub: argparse.ArgumentParser) -> None:
@@ -569,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[kind.value for kind in PrefetcherKind],
     )
     sub.add_argument(
-        "--sampling", type=float, default=0.125,
+        "--sampling", type=_probability, default=0.125,
         help="STMS index-update sampling probability",
     )
     add_common(sub)
@@ -633,8 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="evict least-recently-used entries past a size cap"
     )
     sub.add_argument(
-        "--max-mb", type=float, default=None,
-        help="target size in MiB (default: REPRO_STORE_MAX_MB)",
+        "--max-mb", type=_megabytes, default=None,
+        help="target size in MiB, above 0 (default: REPRO_STORE_MAX_MB; "
+        "--clear empties the store)",
     )
     sub.add_argument(
         "--clear", action="store_true", help="remove every entry"
@@ -672,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", default="bench", choices=sorted(SCALES),
         help="scale preset (default: bench)",
     )
-    sub.add_argument("--cores", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--cores", type=_positive_int, default=4)
+    sub.add_argument("--seed", type=_seed, default=7)
     sub.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for experiment targets",

@@ -15,7 +15,7 @@ import argparse
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.sim.metrics import SimResult
+from repro.sim.results import SimResult
 from repro.sim.runner import ExperimentRunner, SimJob
 from repro.sim.session import SimSession, get_session
 from repro.sim.store import estimate_digest

@@ -11,7 +11,6 @@ frequent streams get one within a few recurrences.
 from __future__ import annotations
 
 from repro.analysis.report import format_table, series_table
-from repro.analysis.stats import stratified_estimates
 from repro.experiments.common import (
     ExperimentResult,
     SamplingSpec,
@@ -185,6 +184,8 @@ def _run_sampled(
         session=session,
         sample_seed=seed,
     )
+    from repro.analysis.stats import stratified_estimates
+
     estimates = {
         metric: stratified_estimates(
             sweep.stratum_values(

@@ -38,7 +38,6 @@ trace.
 from __future__ import annotations
 
 from repro.analysis.report import format_percent, format_table
-from repro.analysis.stats import stratified_estimates
 from repro.experiments.common import (
     ExperimentResult,
     SamplingSpec,
@@ -48,7 +47,7 @@ from repro.experiments.common import (
     run_sampled_sweep,
     simulate_jobs,
 )
-from repro.sim.metrics import SimResult, per_workload_breakdown
+from repro.sim.results import SimResult, per_workload_breakdown
 from repro.sim.runner import (
     ExperimentRunner,
     PrefetcherKind,
@@ -411,6 +410,8 @@ def _run_sampled(
         session=session,
         sample_seed=seed,
     )
+    from repro.analysis.stats import stratified_estimates
+
     estimates = {
         name: stratified_estimates(
             sweep.stratum_values(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.memory.address import BLOCK_BYTES, is_power_of_two
+from repro.memory.config import CacheConfig
 
 
 class AccessResult(Enum):
@@ -22,48 +22,6 @@ class AccessResult(Enum):
 
     HIT = "hit"
     MISS = "miss"
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry of one cache.
-
-    Parameters mirror the paper's Table 1 (e.g. the shared L2 is 8 MB,
-    16-way).  ``size_bytes`` must be a power-of-two multiple of
-    ``ways * BLOCK_BYTES`` so the set count is a power of two.
-    Replacement is LRU, as throughout the paper's hierarchy.
-    """
-
-    size_bytes: int
-    ways: int
-    name: str = "cache"
-
-    def __post_init__(self) -> None:
-        if self.ways <= 0:
-            raise ValueError(f"{self.name}: ways must be positive")
-        if self.size_bytes < self.ways * BLOCK_BYTES:
-            raise ValueError(
-                f"{self.name}: size {self.size_bytes} too small for "
-                f"{self.ways} ways of {BLOCK_BYTES}-byte blocks"
-            )
-        if self.size_bytes % (self.ways * BLOCK_BYTES) != 0:
-            raise ValueError(
-                f"{self.name}: size must be a multiple of ways * block size"
-            )
-        if not is_power_of_two(self.sets):
-            raise ValueError(
-                f"{self.name}: set count {self.sets} is not a power of two"
-            )
-
-    @property
-    def sets(self) -> int:
-        """Number of sets."""
-        return self.size_bytes // (self.ways * BLOCK_BYTES)
-
-    @property
-    def blocks(self) -> int:
-        """Total block capacity."""
-        return self.size_bytes // BLOCK_BYTES
 
 
 @dataclass(slots=True)

@@ -17,11 +17,11 @@ for every byte in the shared :class:`~repro.memory.traffic.TrafficMeter`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from repro.memory.dram import DramChannel, Priority
 from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.prefetchers.stats import PrefetcherStats
 
 #: Engine-supplied predicate: True when a block is already on chip, in
 #: which case issuing a prefetch for it would be pure waste.  Real designs
@@ -47,34 +47,6 @@ class PrefetchedBlock(NamedTuple):
     def is_arrived(self, now: float) -> bool:
         """True when the data is already in the buffer (fully covered)."""
         return self.arrival <= now
-
-
-@dataclass(slots=True)
-class PrefetcherStats:
-    """Counters every temporal prefetcher maintains."""
-
-    #: Prefetches issued to memory.
-    issued: int = 0
-    #: Prefetched blocks consumed by a demand access.
-    useful: int = 0
-    #: Prefetched blocks dropped without ever being consumed.
-    erroneous: int = 0
-    #: Prefetch candidates suppressed because the block was on chip.
-    filtered: int = 0
-    #: Prefetch candidates dropped because the channel was saturated.
-    dropped: int = 0
-    #: Index/meta-data lookups performed.
-    lookups: int = 0
-    #: Lookups that found a stream to follow.
-    lookup_hits: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of issued prefetches that were consumed."""
-        resolved = self.useful + self.erroneous
-        if resolved == 0:
-            return 0.0
-        return self.useful / resolved
 
 
 class PrefetchBuffer:

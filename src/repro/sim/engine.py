@@ -25,23 +25,19 @@ orderings see the same events.
 from __future__ import annotations
 
 import heapq
-import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.memory.dram import DramChannel, DramConfig, DramStats, Priority
-from repro.memory.hierarchy import CmpConfig, CmpHierarchy, ServicePoint
+from repro.memory.dram import DramChannel, DramStats, Priority
+from repro.memory.hierarchy import CmpHierarchy, ServicePoint
 from repro.memory.mshr import MshrFile
 from repro.memory.traffic import TrafficCategory, TrafficMeter
-from repro.prefetchers.base import PrefetcherStats, TemporalPrefetcher
+from repro.prefetchers.base import TemporalPrefetcher
+from repro.prefetchers.stats import PrefetcherStats
 from repro.prefetchers.stride import StridePrefetcher, StrideStats
-from repro.sim.metrics import (
-    CoverageCounts,
-    MlpTracker,
-    SimResult,
-    stms_transfer_counts,
-)
-from repro.sim.timing import TimingModel, demand_priority
+from repro.sim.config import SimConfig, resolve_engine
+from repro.sim.metrics import MlpTracker, stms_transfer_counts
+from repro.sim.results import CoverageCounts, SimResult
+from repro.sim.timing import demand_priority
 
 if TYPE_CHECKING:
     from repro.workloads.trace import Trace
@@ -52,50 +48,6 @@ TemporalFactory = Callable[
     [int, DramChannel, TrafficMeter, Callable[[int], bool]],
     TemporalPrefetcher,
 ]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Machine configuration for one simulation."""
-
-    cmp: CmpConfig = field(default_factory=CmpConfig)
-    dram: DramConfig = field(default_factory=DramConfig)
-    timing: TimingModel = field(default_factory=TimingModel)
-    #: Include the base system's stride prefetcher (paper baseline does).
-    use_stride: bool = True
-    #: Track per-core MLP of uncovered off-chip reads (Table 2).
-    track_mlp: bool = True
-    #: Collect the per-core off-chip read-miss address sequence during
-    #: the measured phase (offline temporal-stream analysis, Fig. 6).
-    collect_miss_log: bool = False
-    #: Execution engine: ``"batch"`` (the default: baseline and STMS
-    #: cells run in the compiled kernel of :mod:`repro.sim.native`,
-    #: other temporal prefetchers in :mod:`repro.sim.batch`, the
-    #: reference loop with a fused per-record step),
-    #: ``"scalar"`` (the reference implementation), or ``"auto"`` (the
-    #: ``REPRO_SIM_ENGINE`` environment variable, then ``"batch"``).
-    #: Both engines produce identical results; the equivalence is
-    #: enforced by ``tests/sim/test_engine_equivalence``.
-    engine: str = "auto"
-
-
-def resolve_engine(engine: str) -> str:
-    """Map an engine request to a concrete engine name.
-
-    ``"auto"`` reads ``REPRO_SIM_ENGINE``, where an empty value means
-    unset (as for every ``REPRO_*`` knob); both give ``"batch"``.
-    """
-    origin = ""
-    if engine == "auto":
-        engine = os.environ.get("REPRO_SIM_ENGINE") or "batch"
-        origin = " from REPRO_SIM_ENGINE"
-        if engine == "auto":
-            engine = "batch"
-    if engine not in ("batch", "scalar"):
-        raise ValueError(
-            f"unknown engine {engine!r}{origin} (batch/scalar/auto)"
-        )
-    return engine
 
 
 class Simulator:

@@ -74,7 +74,8 @@ from repro.memory.dram import Priority
 from repro.memory.mshr import MshrEntry
 from repro.memory.traffic import TrafficCategory
 from repro.prefetchers.base import PrefetchedBlock
-from repro.sim.engine import SimConfig, _RunState, kernel_cell
+from repro.sim.config import SimConfig
+from repro.sim.engine import _RunState, kernel_cell
 from repro.workloads.trace import Trace
 
 SOURCE = Path(__file__).with_name("kernel.c")

@@ -23,9 +23,9 @@ Three layers sit above the engine:
 >>> 0.0 <= result.coverage.coverage <= 1.0
 True
 
-The module imports no NumPy and no process machinery: a run served
-from the store needs neither, so they load only on the paths that
-simulate or fan out.
+The module imports no NumPy, process machinery or simulator model: a
+run served from the store needs none of them, so they load only on
+the paths that simulate or fan out.
 """
 
 from __future__ import annotations
@@ -38,14 +38,9 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.config import StmsConfig
 from repro.envknobs import env_positive_int
 from repro.memory.dram import DramConfig
-from repro.memory.hierarchy import CmpConfig
-from repro.sim.engine import (
-    SimConfig,
-    TemporalFactory,
-    kernel_cell,
-    resolve_engine,
-)
-from repro.sim.metrics import SimResult
+from repro.memory.config import CmpConfig
+from repro.sim.config import SimConfig, resolve_engine
+from repro.sim.results import SimResult
 from repro.sim.session import (
     SimSession,
     _freeze,
@@ -57,6 +52,7 @@ from repro.sim.store import TraceRef, trace_digest
 from repro.workloads.scales import ScalePreset, get_scale
 
 if TYPE_CHECKING:
+    from repro.sim.engine import TemporalFactory
     from repro.sim.shm import TracePayload
     from repro.workloads.trace import Trace
 
@@ -552,6 +548,7 @@ def _preload_workers(jobs: "list[SimJob]") -> None:
     kernel (:func:`_preload_kernel`).
     """
     from repro.sim import sweep  # noqa: F401
+    from repro.sim.engine import kernel_cell
     from repro.workloads import suite  # noqa: F401
 
     for kind in {job.kind for job in jobs}:

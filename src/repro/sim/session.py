@@ -12,7 +12,7 @@ Two tiers back the session:
 
 * **memory** — the process-local dictionaries (optionally LRU-capped
   via ``max_memory_results``); hits return the *same objects* handed to
-  earlier callers, so treat :class:`~repro.sim.metrics.SimResult` as
+  earlier callers, so treat :class:`~repro.sim.results.SimResult` as
   immutable (every in-repo consumer only reads it).
 * **disk** — an optional :class:`~repro.sim.store.ArtifactStore`
   shared across processes: pool workers, successive CLI runs, and CI
@@ -40,8 +40,8 @@ from dataclasses import fields, is_dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.obs import SessionStats
-from repro.sim.engine import SimConfig, resolve_engine
-from repro.sim.metrics import SimResult
+from repro.sim.config import SimConfig, resolve_engine
+from repro.sim.results import SimResult
 from repro.sim.store import (
     ArtifactStore,
     TraceRef,
@@ -49,8 +49,7 @@ from repro.sim.store import (
     result_digest,
     trace_digest,
 )
-from repro.workloads.mix import MixRecipe, is_mix
-from repro.workloads.scales import ScalePreset, get_scale
+from repro.workloads.scales import ScalePreset, get_scale, is_mix
 
 if TYPE_CHECKING:
     from repro.workloads.trace import Trace
@@ -92,6 +91,8 @@ def trace_recipe_key(
     store entry.
     """
     if is_mix(workload):
+        from repro.workloads.mix import MixRecipe
+
         workload = MixRecipe.parse(workload).name
     return (workload, _freeze(preset), cores, seed, records_per_core)
 

@@ -48,8 +48,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.envknobs import env_float
 from repro.memory.traffic import TrafficBreakdown
 from repro.obs import SessionStats
-from repro.prefetchers.base import PrefetcherStats
-from repro.sim.metrics import CoverageCounts, SimResult
+from repro.prefetchers.stats import PrefetcherStats
+from repro.sim.results import CoverageCounts, SimResult
 
 if TYPE_CHECKING:
     from repro.workloads.trace import Trace

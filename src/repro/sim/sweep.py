@@ -46,8 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.index_table import stacked_metadata_arrays
-from repro.sim.engine import resolve_engine
-from repro.sim.metrics import SimResult
+from repro.sim.config import resolve_engine
+from repro.sim.results import SimResult
 from repro.sim.session import SimSession, get_session
 from repro.workloads.trace import Trace
 

@@ -67,15 +67,17 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.workloads.scales import check_workload, get_scale
+from repro.workloads.scales import (
+    MIX_PREFIX,
+    MIX_PRESETS,
+    check_workload,
+    get_scale,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
     from repro.workloads.trace import Trace
-
-#: Spec-string prefix marking a multiprogrammed mix.
-MIX_PREFIX = "mix:"
 
 #: Decoration markers recognized after a component's workload name.
 _DECORATION = re.compile(r"([*@!])([^*@!]*)")
@@ -87,22 +89,6 @@ _PRIORITY_ALIASES = {
     "low": "low",
     "lo": "low",
 }
-
-#: Named recipes for the paper-motivated contention scenarios.  Each
-#: preset cycles over the available cores, so ``mix-oltp-dss`` means
-#: "alternate OLTP and DSS cores" at any core count.
-MIX_PRESETS: "dict[str, str]" = {
-    "mix-oltp-dss": "mix:oltp-db2+dss-db2",
-    "mix-web-sci": "mix:web-apache+sci-em3d",
-    "mix-commercial": "mix:oltp-db2+web-zeus",
-    "mix-hetero": "mix:oltp-db2+web-apache+dss-db2+sci-ocean",
-}
-
-
-def is_mix(name: str) -> bool:
-    """True when ``name`` addresses a mix (spec string or preset)."""
-    return name.startswith(MIX_PREFIX) or name in MIX_PRESETS
-
 
 #: Sanity bounds on the asymmetric decorations; outside them the spec
 #: is rejected at parse time (a rate of 1e-9 would overflow the float32

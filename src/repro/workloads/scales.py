@@ -1,10 +1,11 @@
-"""Scale presets and the suite's workload names, without the generators.
+"""Scale presets and workload names, without the generators.
 
 The CLI, the runner, the session and the figure drivers need the preset
-table and the names of the eight suite workloads to parse arguments and
-build cache keys.  They live here, apart from
-:mod:`repro.workloads.suite` and its NumPy trace generators, so that
-control-plane code can use them without importing NumPy.
+table, the names of the eight suite workloads and the mix presets to
+parse arguments and build cache keys.  They live here, apart from
+:mod:`repro.workloads.suite` and its NumPy trace generators and from
+the mix grammar in :mod:`repro.workloads.mix`, so that control-plane
+code can use them without importing either.
 """
 
 from __future__ import annotations
@@ -77,3 +78,22 @@ def get_scale(scale: "str | ScalePreset") -> ScalePreset:
         raise ValueError(
             f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
         ) from None
+
+
+#: Spec-string prefix marking a multiprogrammed mix.
+MIX_PREFIX = "mix:"
+
+#: Named recipes for the paper-motivated contention scenarios.  Each
+#: preset cycles over the available cores, so ``mix-oltp-dss`` means
+#: "alternate OLTP and DSS cores" at any core count.
+MIX_PRESETS: "dict[str, str]" = {
+    "mix-oltp-dss": "mix:oltp-db2+dss-db2",
+    "mix-web-sci": "mix:web-apache+sci-em3d",
+    "mix-commercial": "mix:oltp-db2+web-zeus",
+    "mix-hetero": "mix:oltp-db2+web-apache+dss-db2+sci-ocean",
+}
+
+
+def is_mix(name: str) -> bool:
+    """True when ``name`` addresses a mix (spec string or preset)."""
+    return name.startswith(MIX_PREFIX) or name in MIX_PRESETS

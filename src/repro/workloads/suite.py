@@ -32,6 +32,7 @@ from repro.workloads.scales import (  # noqa: F401  (re-exported)
     ScalePreset,
     check_workload,
     get_scale,
+    is_mix,
     workload_names,
 )
 from repro.workloads.scientific import ScientificGenerator, ScientificParams
@@ -241,7 +242,7 @@ def generate(
 ) -> Trace:
     """Generate one suite workload (or ``mix:...`` recipe) at a preset."""
     # Late import: repro.workloads.mix composes this module's specs.
-    from repro.workloads.mix import generate_mix, is_mix
+    from repro.workloads.mix import generate_mix
 
     if is_mix(name):
         return generate_mix(

@@ -5,11 +5,10 @@ import shutil
 
 import pytest
 
-from repro.sim.metrics import (
+from repro.sim.metrics import MlpTracker, _IntervalAccumulator
+from repro.sim.results import (
     CoverageCounts,
-    MlpTracker,
     SimResult,
-    _IntervalAccumulator,
     per_workload_breakdown,
 )
 

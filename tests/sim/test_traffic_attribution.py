@@ -22,7 +22,7 @@ import pytest
 from repro.memory.traffic import TrafficCategory
 from repro.sim.batch import BatchRunState
 from repro.sim.engine import _RunState
-from repro.sim.metrics import SimResult, per_workload_breakdown
+from repro.sim.results import SimResult, per_workload_breakdown
 from repro.sim.runner import (
     PrefetcherKind,
     make_factory,

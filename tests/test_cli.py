@@ -45,6 +45,42 @@ class TestParser:
                 ["run", "--workload", "mix:oltp-db2+no-such-workload"]
             )
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--workload", "web-apache", "--cores", "0"], "--cores"),
+            (["compare", "--workload", "web-apache", "--cores", "-2"],
+             "--cores"),
+            (["cache", "warm", "fig7", "--cores", "0"], "--cores"),
+            (["sweep-sampling", "--workload", "web-apache", "--cores", "x"],
+             "--cores"),
+            (["run", "--workload", "web-apache", "--seed", "-1"], "--seed"),
+            (["run", "--workload", "web-apache", "--sampling", "2.0"],
+             "--sampling"),
+            (["run", "--workload", "web-apache", "--sampling", "nan"],
+             "--sampling"),
+            (["cache", "gc", "--max-mb", "-5"], "--max-mb"),
+            (["cache", "gc", "--max-mb", "0"], "--max-mb"),
+            (["cache", "gc", "--max-mb", "nan"], "--max-mb"),
+            (["cache", "gc", "--max-mb", "inf"], "--max-mb"),
+        ],
+    )
+    def test_rejects_bad_numeric_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"error: argument {flag}: expected " in error
+
+    def test_accepts_numeric_flags_at_their_bounds(self):
+        args = build_parser().parse_args(
+            ["run", "--workload", "web-apache", "--cores", "1",
+             "--seed", "0", "--sampling", "0"]
+        )
+        assert (args.cores, args.seed, args.sampling) == (1, 0, 0.0)
+        args = build_parser().parse_args(["cache", "gc", "--max-mb", "0.5"])
+        assert args.max_mb == 0.5
+
 
 def _subcommands(
     parser: argparse.ArgumentParser,
@@ -185,6 +221,19 @@ class TestCacheCli:
         assert "cleared" in capsys.readouterr().out
         assert main(["cache", "ls", "--store-dir", store]) == 0
         assert "0 entries" in capsys.readouterr().out
+
+    def test_gc_negative_cap_is_rejected_before_touching_the_store(
+        self, tmp_path, capsys
+    ):
+        store = str(tmp_path / "store")
+        assert main(["cache", "warm", "web-apache", "--scale", "test",
+                     "--cores", "2", "--store-dir", store]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "gc", "--max-mb", "-5", "--store-dir", store])
+        assert exit_info.value.code == 2
+        assert main(["cache", "ls", "--store-dir", store]) == 0
+        assert "(4 entries" in capsys.readouterr().out
 
     def test_gc_without_cap_fails(self, tmp_path, capsys):
         code = main(["cache", "gc", "--store-dir", str(tmp_path)])

@@ -2,15 +2,19 @@
 
 ``import repro.cli`` is the control plane (argument parsing, the
 registries, the runner, session and store) and must not load NumPy, the
-process-pool machinery, the simulators or any figure driver.  A figure
-replayed from a warm store keys its results by the fingerprints stored
-inside the trace files, so it imports no NumPy and loads no trace.
+process-pool machinery, the simulator models or any figure driver: it
+builds result keys from the configuration dataclasses and decodes
+results into the result dataclasses, whose modules import no model.  A
+figure replayed from a warm store keys its results by the fingerprints
+stored inside the trace files, so it imports no NumPy, loads no trace
+and loads no model.
 Each check runs in a fresh interpreter: this test process has long
 since imported everything.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -25,6 +29,17 @@ from repro.sim.session import SimSession
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
+#: The simulator model, which only a path that simulates needs.
+MODELS = (
+    "repro.sim.engine",
+    "repro.sim.metrics",
+    "repro.memory.hierarchy",
+    "repro.memory.cache",
+    "repro.memory.mshr",
+    "repro.prefetchers.base",
+    "repro.prefetchers.stride",
+    "repro.workloads.mix",
+)
 #: Modules the control plane must leave unloaded.
 HEAVY = (
     "numpy",
@@ -34,6 +49,14 @@ HEAVY = (
     "repro.sim.batch",
     "repro.sim.shm",
     "repro.core.stms",
+) + MODELS
+#: The configuration and result types, apart from the models.
+MODEL_FREE = (
+    "repro.sim.config",
+    "repro.sim.results",
+    "repro.memory.config",
+    "repro.prefetchers.stats",
+    "repro.workloads.scales",
 )
 DRIVERS = sorted(
     {f"repro.experiments.{driver.module}" for driver in EXPERIMENTS.values()}
@@ -61,15 +84,30 @@ def test_cli_import_loads_no_heavy_module():
     assert loaded == []
 
 
-def test_warm_replay_imports_no_numpy_and_reads_no_trace(tmp_path):
-    store = str(tmp_path / "store")
+@pytest.mark.parametrize("module", MODEL_FREE)
+def test_model_free_module_alone_loads_no_model(module):
+    loaded = _python(
+        "import json, sys\n"
+        f"import {module}\n"
+        f"print(json.dumps([m for m in {list(HEAVY)!r} "
+        "if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def _warm(store: str, target: str) -> None:
     cold = subprocess.run(
-        [sys.executable, "-m", "repro", "cache", "warm", "fig7",
+        [sys.executable, "-m", "repro", "cache", "warm", target,
          "--scale", "test", "--cores", "2", "--store-dir", store],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=300,
     )
     assert cold.returncode == 0, cold.stderr
+
+
+def test_warm_replay_imports_no_numpy_and_reads_no_trace(tmp_path):
+    store = str(tmp_path / "store")
+    _warm(store, "fig7")
     replay = _python(f"""
 import dataclasses, json, sys
 from repro.cli import _store_session
@@ -80,7 +118,7 @@ print(json.dumps({{
     "data": result.data,
     "stats": dataclasses.asdict(session.stats),
     # Trace.load cannot have run if its module was never imported.
-    "loaded": [m for m in ("numpy", "repro.workloads.trace")
+    "loaded": [m for m in {["repro.workloads.trace", *HEAVY]!r}
                if m in sys.modules],
 }}, sort_keys=True))
 """)
@@ -97,6 +135,29 @@ print(json.dumps({{
     assert replay["data"] == json.loads(
         json.dumps(recomputed.data, sort_keys=True)
     )
+
+
+@pytest.mark.parametrize("experiment", ["fig8", "mix-contention"])
+def test_exact_warm_replay_imports_no_numpy(tmp_path, experiment):
+    """The sampled variants' statistics need NumPy; an exact replay
+    does not.  Mix-contention parses its mixes, which loads the mix
+    grammar (itself NumPy-free)."""
+    store = str(tmp_path / "store")
+    _warm(store, experiment)
+    replay = _python(f"""
+import json, sys
+from repro.cli import _store_session
+from repro.experiments import run_experiment
+session = _store_session({store!r})
+run_experiment({experiment!r}, scale="test", cores=2, session=session)
+print(json.dumps({{
+    "simulated": session.stats.sim_misses,
+    "loaded": [m for m in {list(HEAVY)!r} if m in sys.modules],
+}}))
+""")
+    assert replay["simulated"] == 0
+    allowed = ["repro.workloads.mix"] if experiment == "mix-contention" else []
+    assert replay["loaded"] == allowed
 
 
 #: Prefetcher modules a fig7 run (baseline and STMS cells) never runs.
@@ -119,6 +180,84 @@ assert session.stats.sim_misses == 16, session.stats
 print(json.dumps([m for m in {UNUSED_PREFETCHERS!r} if m in sys.modules]))
 """)
     assert loaded == []
+
+
+# ----------------------------------------------------------------------
+# Every name comes from the module that defines it.
+# ----------------------------------------------------------------------
+
+
+def _module_path(module: str) -> str:
+    base = os.path.join(SRC, *module.split("."))
+    if os.path.isdir(base):
+        return os.path.join(base, "__init__.py")
+    return base + ".py"
+
+
+def _defined_names(path: str) -> "set[str]":
+    """Names a module binds at top level by definition or assignment
+    (an ``import`` binds an alias, not a definition)."""
+    names: "set[str]" = set()
+
+    def visit(body: list) -> None:
+        for node in body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    names.update(
+                        leaf.id for leaf in ast.walk(target)
+                        if isinstance(leaf, ast.Name)
+                    )
+            elif isinstance(node, (ast.If, ast.Try)):
+                visit(node.body)
+                visit(node.orelse)
+                for handler in getattr(node, "handlers", ()):
+                    visit(handler.body)
+
+    with open(path) as handle:
+        visit(ast.parse(handle.read()).body)
+    return names
+
+
+def test_src_imports_each_name_from_its_defining_module():
+    defined: "dict[str, set[str]]" = {}
+    misplaced = []
+    for directory, _, files in os.walk(os.path.join(SRC, "repro")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.ImportFrom)
+                    and node.level == 0
+                    and (node.module or "").startswith("repro")
+                ):
+                    continue
+                if node.module not in defined:
+                    defined[node.module] = _defined_names(
+                        _module_path(node.module)
+                    )
+                for alias in node.names:
+                    submodule = _module_path(f"{node.module}.{alias.name}")
+                    if alias.name in defined[node.module] or os.path.exists(
+                        submodule
+                    ):
+                        continue
+                    misplaced.append(
+                        f"{os.path.relpath(path, SRC)}:{node.lineno} "
+                        f"imports {alias.name} from {node.module}"
+                    )
+    assert misplaced == []
 
 
 # ----------------------------------------------------------------------

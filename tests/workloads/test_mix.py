@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.workloads.mix import (
-    MIX_PRESETS,
-    MixRecipe,
-    core_seed,
-    generate_mix,
-    is_mix,
-)
+from repro.workloads.mix import MixRecipe, core_seed, generate_mix
+from repro.workloads.scales import MIX_PRESETS, is_mix
 from repro.workloads.suite import generate
 from repro.workloads.trace import Trace
 
