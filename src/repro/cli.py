@@ -34,10 +34,6 @@ from repro.experiments import (
     SAMPLED_EXPERIMENTS,
     run_experiment,
 )
-from repro.experiments.common import (
-    add_sampling_arguments,
-    sampling_spec_from_args,
-)
 from repro.obs import SessionStats
 from repro.sim.results import SimResult
 from repro.sim.runner import (
@@ -69,6 +65,8 @@ _probability = _bounded(
     float, lambda p: 0 <= p <= 1, "a probability in [0, 1]"
 )
 _megabytes = _bounded(float, lambda mb: 0 < mb < math.inf, "a size > 0 MiB")
+_confidence = _bounded(float, lambda c: 0 < c < 1, "a level in (0, 1)")
+_width = _bounded(float, lambda w: 0 < w < math.inf, "a finite width > 0")
 
 
 def _workload_arg(value: str) -> str:
@@ -281,8 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     options: dict = {"scale": args.scale}
-    spec = sampling_spec_from_args(args)
-    if spec.active:
+    if args.budget is not None or args.ci_width is not None:
         if args.name not in SAMPLED_EXPERIMENTS:
             print(
                 f"error: --budget/--ci-width need a sampled-capable "
@@ -292,9 +289,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             )
             return 2
         options.update(
-            budget=spec.budget,
-            confidence=spec.confidence,
-            ci_width=spec.ci_width,
+            budget=args.budget,
+            confidence=args.confidence,
+            ci_width=args.ci_width,
         )
     if args.jobs is not None:
         from repro.sim.runner import ExperimentRunner
@@ -621,11 +618,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale preset (default: bench)",
     )
     sub.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes for the simulation grid "
         "(default: REPRO_JOBS or the CPU count)",
     )
-    add_sampling_arguments(sub)
+    sub.add_argument(
+        "--budget", type=_positive_int, default=None, metavar="N",
+        help="run a budgeted stratified sample of N grid cells instead "
+        "of the exact full grid (reported with bootstrap confidence "
+        "intervals; supported by mix-contention and fig8)",
+    )
+    sub.add_argument(
+        "--confidence", type=_confidence, default=0.95, metavar="C",
+        help="confidence level for sampled-sweep intervals "
+        "(default: 0.95)",
+    )
+    sub.add_argument(
+        "--ci-width", type=_width, default=None, metavar="W",
+        help="refine the sampled sweep (doubling the budget, reusing "
+        "the store) until every stratum's CI is at most this wide",
+    )
     add_cache_options(sub)
     sub.set_defaults(entry=cmd_experiment)
 
@@ -701,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cores", type=_positive_int, default=4)
     sub.add_argument("--seed", type=_seed, default=7)
     sub.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes for experiment targets",
     )
     add_store_dir(sub)
@@ -713,7 +725,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.entry(args)
+    try:
+        status = args.entry(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head -1``); what is
+        # still buffered goes to the null device at exit, not a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

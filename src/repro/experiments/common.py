@@ -11,10 +11,10 @@ checks encode what must hold for the reproduction to be faithful.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.analysis.report import format_table
 from repro.sim.results import SimResult
 from repro.sim.runner import ExperimentRunner, SimJob
 from repro.sim.session import SimSession, get_session
@@ -145,64 +145,35 @@ class SamplingSpec:
     def active(self) -> bool:
         return self.budget is not None or self.ci_width is not None
 
-
-def add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the budgeted-sampling CLI flags on ``parser``."""
-    parser.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="run a budgeted stratified sample of N grid cells instead "
-        "of the exact full grid (reported with bootstrap confidence "
-        "intervals; supported by mix-contention and fig8)",
-    )
-    parser.add_argument(
-        "--confidence", type=float, default=0.95, metavar="C",
-        help="confidence level for sampled-sweep intervals "
-        "(default: 0.95)",
-    )
-    parser.add_argument(
-        "--ci-width", type=float, default=None, metavar="W",
-        help="refine the sampled sweep (doubling the budget, reusing "
-        "the store) until every stratum's CI is at most this wide",
-    )
-
-
-def sampling_spec_from_args(args: argparse.Namespace) -> SamplingSpec:
-    """The :class:`SamplingSpec` encoded by parsed CLI arguments."""
-    return SamplingSpec(
-        budget=getattr(args, "budget", None),
-        confidence=getattr(args, "confidence", 0.95),
-        ci_width=getattr(args, "ci_width", None),
-    )
+    def seed_replicas(self, seed: int) -> "tuple[int, ...]":
+        """The grid's seed axis: ``seed`` and the next ``seeds - 1``."""
+        return tuple(seed + i for i in range(max(1, self.seeds)))
 
 
 @dataclass
 class SampledSweep:
-    """Everything one budgeted sampled sweep produced."""
+    """Everything one budgeted sampled sweep produced, and its report.
+
+    Strata appear in the report in first-seen grid order (the order of
+    ``plan.by_stratum()``).
+    """
 
     plan: SamplingPlan
-    #: Per selected grid cell: the cell's job results, in job order.
-    cell_results: "dict[int, list[SimResult]]"
-    #: Per-stratum CI of the driver's target metric (the one a
-    #: ``ci_width`` refinement loop tightens).
-    estimates: "dict[object, CIEstimate]"
+    spec: SamplingSpec
+    #: Per metric, per stratum: the bootstrap CI of the stratum mean.
+    #: The first metric is the one a ``ci_width`` refinement tightens.
+    estimates: "dict[str, dict[object, CIEstimate]]"
     simulated_cells: int
     reused_cells: int
     #: Budget trajectory over refinement rounds (one entry per plan).
     rounds: "list[int]"
-    confidence: float
     #: Digest of the persisted sampled-estimate record (None when the
     #: session has no artifact store).
     estimate_record: "str | None" = None
 
-    def stratum_values(
-        self, metric: "Callable[[list[SimResult]], float]"
-    ) -> "dict[object, list[float]]":
-        """``metric`` evaluated per selected cell, grouped by stratum."""
-        return {
-            stratum: [metric(self.cell_results[i]) for i in indices]
-            for stratum, indices in self.plan.by_stratum().items()
-            if indices
-        }
+    @property
+    def confidence(self) -> float:
+        return self.spec.confidence
 
     def summary_line(self) -> str:
         """The one-line footer the CLI/CI greps for."""
@@ -216,12 +187,104 @@ class SampledSweep:
             f"confidence {self.confidence:g}"
         )
 
+    def render(
+        self,
+        axis: str,
+        label: "Callable[[object], str]",
+        columns: "dict[str, str]",
+        title: str,
+    ) -> str:
+        """The per-stratum estimate table and the summary footer.
+
+        One row per stratum: ``label(stratum)`` under the ``axis``
+        header, its selected cell count, then one interval per metric
+        of ``columns`` (metric name -> header, in column order).
+        """
+        ci_label = f"ci{self.confidence * 100:g}"
+        rows = [
+            [label(stratum), str(len(indices))]
+            + [self.estimates[metric][stratum].render() for metric in columns]
+            for stratum, indices in self.plan.by_stratum().items()
+        ]
+        headers = [axis, "n"] + [
+            f"{header} ({ci_label})" for header in columns.values()
+        ]
+        table = format_table(headers, rows, title=title)
+        return "\n\n".join([table, self.summary_line()])
+
+    def _summary(self) -> dict:
+        """The plan and its cell counts, as both payloads carry them."""
+        plan = self.plan
+        return {
+            "budget": plan.budget,
+            "total": plan.total,
+            "fraction": plan.fraction,
+            "confidence": self.confidence,
+            "rounds": self.rounds,
+            "simulated_cells": self.simulated_cells,
+            "reused_cells": self.reused_cells,
+        }
+
+    def data(self, key: "Callable[[object], str]", **grid: object) -> dict:
+        """The report's raw payload; ``key`` names each stratum and
+        ``grid`` (the driver's grid axes) extends the sampling block."""
+        return {
+            "sampled": not self.plan.exhaustive,
+            "sampling": {
+                **self._summary(),
+                "estimate_record": self.estimate_record,
+                **grid,
+            },
+            "strata": {
+                key(stratum): {
+                    metric: per_stratum[stratum].as_dict()
+                    for metric, per_stratum in self.estimates.items()
+                }
+                for stratum in self.plan.by_stratum()
+            },
+        }
+
+    def checks(
+        self, strata_name: str, domain_check: ShapeCheck
+    ) -> "list[ShapeCheck]":
+        """Every stratum represented with well-formed intervals, the
+        driver's ``domain_check``, and the CI-width target met."""
+        plan, ci_width = self.plan, self.spec.ci_width
+        strata = plan.by_stratum()
+        well_formed = all(
+            ci is not None and ci.lo <= ci.mean <= ci.hi and ci.n >= 1
+            for per_stratum in self.estimates.values()
+            for ci in map(per_stratum.get, strata)
+        )
+        target = next(iter(self.estimates.values()))
+        width_ok = (
+            ci_width is None
+            or plan.exhaustive
+            or all(ci.width <= ci_width for ci in target.values())
+        )
+        return [
+            ShapeCheck(
+                claim=f"Every {strata_name} stratum is represented and its "
+                "bootstrap intervals are well-formed",
+                passed=well_formed,
+                detail=f"{len(strata)} strata, "
+                f"budget {plan.budget}/{plan.total}",
+            ),
+            domain_check,
+            ShapeCheck(
+                claim="Refinement met the requested CI width (or exhausted "
+                "the grid)",
+                passed=width_ok,
+                detail=f"rounds {self.rounds}",
+            ),
+        ]
+
 
 def run_sampled_sweep(
     jobs_by_cell: "Sequence[Sequence[SimJob]]",
     strata: "Sequence[object]",
     spec: SamplingSpec,
-    cell_metric: "Callable[[list[SimResult]], float]",
+    metrics: "Callable[[list[SimResult]], dict[str, float]]",
     experiment: str,
     grid_key: object,
     runner: "ExperimentRunner | None" = None,
@@ -229,6 +292,11 @@ def run_sampled_sweep(
     sample_seed: int = 0,
 ) -> SampledSweep:
     """Run a budgeted stratified sample of a sweep grid.
+
+    ``metrics`` maps one cell's job results (in job order) to its named
+    metrics; the first name is the refinement target.  Each round
+    bootstraps only the target; the other metrics are bootstrapped once,
+    on the final plan.
 
     The selected cells go through the unchanged
     ``run_sweep``/``ExperimentRunner.map`` path (via
@@ -247,8 +315,8 @@ def run_sampled_sweep(
     from repro.analysis.stats import stratified_estimates
     from repro.sim.sampling import plan_sample
 
-    if len(jobs_by_cell) != len(strata):
-        raise ValueError("one stratum per grid cell required")
+    if not jobs_by_cell or len(jobs_by_cell) != len(strata):
+        raise ValueError("one stratum per grid cell (and a cell) required")
     session = session if session is not None else get_session()
     total = len(jobs_by_cell)
     stratum_count = len(set(strata))
@@ -256,14 +324,28 @@ def run_sampled_sweep(
         spec.budget if spec.budget is not None
         else min(total, 2 * stratum_count)
     )
-    cell_results: "dict[int, list[SimResult]]" = {}
+    #: Per selected grid cell: its named metrics.
+    cell_metrics: "dict[int, dict[str, float]]" = {}
     simulated_cells = 0
     reused_cells = 0
     rounds: "list[int]" = []
+
+    def bootstrap(metric: str) -> "dict[object, CIEstimate]":
+        """``metric``'s per-stratum CIs over the current ``plan``."""
+        return stratified_estimates(
+            {
+                stratum: [cell_metrics[i][metric] for i in indices]
+                for stratum, indices in plan.by_stratum().items()
+                if indices
+            },
+            confidence=spec.confidence,
+            seed=sample_seed,
+        )
+
     while True:
         plan = plan_sample(strata, budget, seed=sample_seed)
         rounds.append(plan.budget)
-        fresh = [i for i in plan.selected if i not in cell_results]
+        fresh = [i for i in plan.selected if i not in cell_metrics]
         if fresh:
             flat = [job for i in fresh for job in jobs_by_cell[i]]
             before = session.stats.sim_misses
@@ -272,9 +354,7 @@ def run_sampled_sweep(
             cursor = 0
             for i in fresh:
                 count = len(jobs_by_cell[i])
-                cell_results[i] = list(
-                    flat_results[cursor:cursor + count]
-                )
+                cell_metrics[i] = metrics(flat_results[cursor:cursor + count])
                 cursor += count
             jobs_per_cell = max(len(jobs_by_cell[i]) for i in fresh)
             fresh_simulated = min(
@@ -283,30 +363,28 @@ def run_sampled_sweep(
             )
             simulated_cells += fresh_simulated
             reused_cells += len(fresh) - fresh_simulated
-        outcome = SampledSweep(
-            plan=plan,
-            cell_results=cell_results,
-            estimates={},
-            simulated_cells=simulated_cells,
-            reused_cells=reused_cells,
-            rounds=rounds,
-            confidence=spec.confidence,
-        )
-        outcome.estimates = stratified_estimates(
-            outcome.stratum_values(cell_metric),
-            confidence=spec.confidence,
-            seed=sample_seed,
-        )
+        target, *others = cell_metrics[plan.selected[0]]
+        estimates = {target: bootstrap(target)}
         if spec.ci_width is None or plan.exhaustive:
             break
         # A single-cell stratum yields a degenerate zero-width interval
         # that would satisfy any target; it must refine, not stop.
         if all(
-            estimate.n >= 2 and estimate.width <= spec.ci_width
-            for estimate in outcome.estimates.values()
+            ci.n >= 2 and ci.width <= spec.ci_width
+            for ci in estimates[target].values()
         ):
             break
         budget = min(total, plan.budget * 2)
+    for metric in others:
+        estimates[metric] = bootstrap(metric)
+    outcome = SampledSweep(
+        plan=plan,
+        spec=spec,
+        estimates=estimates,
+        simulated_cells=simulated_cells,
+        reused_cells=reused_cells,
+        rounds=rounds,
+    )
 
     stats = session.stats
     if plan.exhaustive:
@@ -324,16 +402,10 @@ def run_sampled_sweep(
             {
                 "experiment": experiment,
                 "sampled": not plan.exhaustive,
-                "budget": plan.budget,
-                "total": plan.total,
-                "fraction": plan.fraction,
-                "confidence": spec.confidence,
-                "rounds": rounds,
-                "simulated_cells": simulated_cells,
-                "reused_cells": reused_cells,
+                **outcome._summary(),
                 "strata": {
                     str(stratum): estimate.as_dict()
-                    for stratum, estimate in outcome.estimates.items()
+                    for stratum, estimate in estimates[target].items()
                 },
             },
         ):

@@ -10,7 +10,7 @@ frequent streams get one within a few recurrences.
 
 from __future__ import annotations
 
-from repro.analysis.report import format_table, series_table
+from repro.analysis.report import series_table
 from repro.experiments.common import (
     ExperimentResult,
     SamplingSpec,
@@ -120,13 +120,9 @@ def run(
     )
 
 
-#: Metrics estimated per probability stratum in sampled mode;
-#: ``coverage`` is the CI-width refinement target.
-_SAMPLED_METRICS = ("coverage", "overhead", "update_traffic")
-
-
 def _cell_metrics(results) -> "dict[str, float]":
-    """Headline metrics of one sampled single-job (STMS) cell."""
+    """Headline metrics of one sampled single-job (STMS) cell;
+    ``coverage`` is the CI-width refinement target."""
     (result,) = results
     assert result.traffic is not None
     return {
@@ -152,14 +148,13 @@ def _run_sampled(
     scaling with p, coverage decaying slowly — stays visible at any
     budget; cells are (workload x seed) replicas within each point.
     """
-    seeds = tuple(seed + i for i in range(max(1, spec.seeds)))
+    seeds = spec.seed_replicas(seed)
     cells = [
         (name, cell_seed, probability)
         for name in names
         for cell_seed in seeds
         for probability in points
     ]
-    strata = [probability for _, _, probability in cells]
     jobs_by_cell = [
         [
             SimJob(
@@ -175,136 +170,46 @@ def _run_sampled(
     ]
     sweep = run_sampled_sweep(
         jobs_by_cell,
-        strata,
+        [probability for _, _, probability in cells],
         spec,
-        cell_metric=lambda results: _cell_metrics(results)["coverage"],
+        _cell_metrics,
         experiment="fig8",
         grid_key=(tuple(names), tuple(points), scale, cores, seeds),
         runner=runner,
         session=session,
         sample_seed=seed,
     )
-    from repro.analysis.stats import stratified_estimates
-
-    estimates = {
-        metric: stratified_estimates(
-            sweep.stratum_values(
-                lambda results, _m=metric: _cell_metrics(results)[_m]
-            ),
-            confidence=spec.confidence,
-            seed=seed,
-        )
-        for metric in _SAMPLED_METRICS
-    }
-
-    ci_label = f"ci{spec.confidence * 100:g}"
-    per_stratum_n = {
-        stratum: len(indices)
-        for stratum, indices in sweep.plan.by_stratum().items()
-    }
-    rows = [
-        [
-            f"{probability:.3f}",
-            str(per_stratum_n[probability]),
-            estimates["coverage"][probability].render(),
-            estimates["overhead"][probability].render(),
-            estimates["update_traffic"][probability].render(),
-        ]
-        for probability in points
+    update_means = [
+        estimate.mean for estimate in sweep.estimates["update_traffic"].values()
     ]
-    rendered = "\n\n".join(
-        [
-            format_table(
-                ["sampling p", "n",
-                 f"coverage ({ci_label})",
-                 f"overhead/byte ({ci_label})",
-                 f"index updates ({ci_label})"],
-                rows,
-                title="Figure 8 (budgeted sample): per-probability "
-                "bootstrap estimates over the workload x seed grid",
-            ),
-            sweep.summary_line(),
-        ]
-    )
-
-    data = {
-        "sampled": not sweep.plan.exhaustive,
-        "sampling": {
-            "budget": sweep.plan.budget,
-            "total": sweep.plan.total,
-            "fraction": sweep.plan.fraction,
-            "confidence": spec.confidence,
-            "rounds": sweep.rounds,
-            "simulated_cells": sweep.simulated_cells,
-            "reused_cells": sweep.reused_cells,
-            "estimate_record": sweep.estimate_record,
-            "workloads": list(names),
-            "seeds": list(seeds),
-        },
-        "strata": {
-            f"{probability:g}": {
-                metric: estimates[metric][probability].as_dict()
-                for metric in _SAMPLED_METRICS
-            }
-            for probability in points
-        },
-    }
-    checks = _sampled_shape_checks(points, estimates, sweep, spec)
     return ExperimentResult(
         experiment="fig8",
         title="Probabilistic update sampling sensitivity "
         "(budgeted sample)",
-        rendered=rendered,
-        data=data,
-        checks=checks,
-    )
-
-
-def _sampled_shape_checks(
-    points: "tuple[float, ...]",
-    estimates: "dict[str, dict]",
-    sweep,
-    spec: SamplingSpec,
-) -> "list[ShapeCheck]":
-    update_means = [
-        estimates["update_traffic"][probability].mean
-        for probability in points
-    ]
-    well_formed = all(
-        est.lo <= est.mean <= est.hi and est.n >= 1
-        for metric in _SAMPLED_METRICS
-        for est in (estimates[metric][p] for p in points)
-    )
-    width_ok = (
-        spec.ci_width is None
-        or sweep.plan.exhaustive
-        or all(
-            estimates["coverage"][p].width <= spec.ci_width for p in points
-        )
-    )
-    return [
-        ShapeCheck(
-            claim="Every probability stratum is represented and its "
-            "bootstrap intervals are well-formed",
-            passed=len(points) == len(sweep.plan.by_stratum())
-            and well_formed,
-            detail=f"{len(points)} strata, "
-            f"budget {sweep.plan.budget}/{sweep.plan.total}",
+        rendered=sweep.render(
+            "sampling p",
+            lambda probability: f"{probability:.3f}",
+            {"coverage": "coverage", "overhead": "overhead/byte",
+             "update_traffic": "index updates"},
+            title="Figure 8 (budgeted sample): per-probability "
+            "bootstrap estimates over the workload x seed grid",
         ),
-        ShapeCheck(
-            claim="Estimated index-update traffic grows with the "
-            "sampling probability",
-            passed=check_monotone(update_means, increasing=True,
-                                  tolerance=0.05),
-            detail=" -> ".join(f"{u:.2f}" for u in update_means),
+        data=sweep.data(
+            lambda probability: f"{probability:g}",
+            workloads=list(names),
+            seeds=list(seeds),
         ),
-        ShapeCheck(
-            claim="Refinement met the requested CI width (or exhausted "
-            "the grid)",
-            passed=width_ok,
-            detail=f"rounds {sweep.rounds}",
+        checks=sweep.checks(
+            "probability",
+            ShapeCheck(
+                claim="Estimated index-update traffic grows with the "
+                "sampling probability",
+                passed=check_monotone(update_means, increasing=True,
+                                      tolerance=0.05),
+                detail=" -> ".join(f"{u:.2f}" for u in update_means),
+            ),
         ),
-    ]
+    )
 
 
 def _shape_checks(

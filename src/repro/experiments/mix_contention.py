@@ -338,13 +338,10 @@ def run(
     )
 
 
-#: Metrics estimated per stratum in sampled mode; ``speedup`` is the
-#: CI-width refinement target (the sweep's headline number).
-_SAMPLED_METRICS = ("speedup", "coverage", "stms_util", "overhead")
-
-
 def _cell_metrics(results: "list[SimResult]") -> "dict[str, float]":
-    """Headline metrics of one sampled (baseline, stms) cell."""
+    """Headline metrics of one sampled (baseline, stms) cell;
+    ``speedup``, the sweep's headline number, is the CI-width
+    refinement target."""
     baseline, stms = results
     return {
         "speedup": stms.speedup_over(baseline),
@@ -372,14 +369,13 @@ def _run_sampled(
     the per-workload solo-reference tables are an exact-mode detail
     and are not part of the sampled estimate.
     """
-    seeds = tuple(seed + i for i in range(max(1, spec.seeds)))
+    seeds = spec.seed_replicas(seed)
     cells = [
         (mix, cell_seed, label, cmp_overrides, dram_overrides)
         for mix in mixes
         for cell_seed in seeds
         for label, cmp_overrides, dram_overrides in points
     ]
-    strata = [label for _, _, label, _, _ in cells]
     jobs_by_cell = [
         [
             SimJob(
@@ -398,9 +394,9 @@ def _run_sampled(
     ]
     sweep = run_sampled_sweep(
         jobs_by_cell,
-        strata,
+        [label for _, _, label, _, _ in cells],
         spec,
-        cell_metric=lambda results: _cell_metrics(results)["speedup"],
+        _cell_metrics,
         experiment="mix-contention",
         grid_key=(
             tuple(mixes), tuple(label for label, _, _ in points),
@@ -410,127 +406,32 @@ def _run_sampled(
         session=session,
         sample_seed=seed,
     )
-    from repro.analysis.stats import stratified_estimates
-
-    estimates = {
-        name: stratified_estimates(
-            sweep.stratum_values(
-                lambda results, _name=name: _cell_metrics(results)[_name]
-            ),
-            confidence=spec.confidence,
-            seed=seed,
-        )
-        for name in _SAMPLED_METRICS
-    }
-
-    ci_label = f"ci{spec.confidence * 100:g}"
-    labels = [label for label, _, _ in points]
-    per_stratum_n = {
-        label: len(indices)
-        for label, indices in sweep.plan.by_stratum().items()
-    }
-    rows = [
-        [
-            label,
-            str(per_stratum_n[label]),
-            estimates["coverage"][label].render(),
-            estimates["speedup"][label].render(),
-            estimates["stms_util"][label].render(),
-            estimates["overhead"][label].render(),
-        ]
-        for label in labels
+    coverage_means = [
+        estimate.mean for estimate in sweep.estimates["coverage"].values()
     ]
-    rendered = "\n\n".join(
-        [
-            format_table(
-                ["point", "n",
-                 f"stms cov ({ci_label})",
-                 f"speedup ({ci_label})",
-                 f"stms util ({ci_label})",
-                 f"overhead/byte ({ci_label})"],
-                rows,
-                title="Mix contention (budgeted sample): per-point "
-                "bootstrap estimates over the mix x seed grid",
-            ),
-            sweep.summary_line(),
-        ]
-    )
-
-    data = {
-        "sampled": not sweep.plan.exhaustive,
-        "sampling": {
-            "budget": sweep.plan.budget,
-            "total": sweep.plan.total,
-            "fraction": sweep.plan.fraction,
-            "confidence": spec.confidence,
-            "rounds": sweep.rounds,
-            "simulated_cells": sweep.simulated_cells,
-            "reused_cells": sweep.reused_cells,
-            "estimate_record": sweep.estimate_record,
-            "mixes": list(mixes),
-            "seeds": list(seeds),
-        },
-        "strata": {
-            label: {
-                name: estimates[name][label].as_dict()
-                for name in _SAMPLED_METRICS
-            }
-            for label in labels
-        },
-    }
-    checks = _sampled_shape_checks(labels, estimates, sweep, spec)
     return ExperimentResult(
         experiment="mix-contention",
         title="Multiprogrammed mixes under shared-memory contention "
         "(budgeted sample)",
-        rendered=rendered,
-        data=data,
-        checks=checks,
-    )
-
-
-def _sampled_shape_checks(
-    labels: "list[str]",
-    estimates: "dict[str, dict]",
-    sweep,
-    spec: SamplingSpec,
-) -> "list[ShapeCheck]":
-    coverage_means = [estimates["coverage"][lb].mean for lb in labels]
-    well_formed = all(
-        est.lo <= est.mean <= est.hi and est.n >= 1
-        for name in _SAMPLED_METRICS
-        for est in (estimates[name][lb] for lb in labels)
-    )
-    width_ok = (
-        spec.ci_width is None
-        or sweep.plan.exhaustive
-        or all(
-            estimates["speedup"][lb].width <= spec.ci_width
-            for lb in labels
-        )
-    )
-    return [
-        ShapeCheck(
-            claim="Every machine-point stratum is represented and its "
-            "bootstrap intervals are well-formed",
-            passed=len(labels) == len(sweep.plan.by_stratum())
-            and well_formed,
-            detail=f"{len(labels)} strata, "
-            f"budget {sweep.plan.budget}/{sweep.plan.total}",
+        rendered=sweep.render(
+            "point",
+            str,
+            {"coverage": "stms cov", "speedup": "speedup",
+             "stms_util": "stms util", "overhead": "overhead/byte"},
+            title="Mix contention (budgeted sample): per-point "
+            "bootstrap estimates over the mix x seed grid",
         ),
-        ShapeCheck(
-            claim="Temporal streams survive co-scheduling in the "
-            "sampled estimate (positive STMS coverage per stratum)",
-            passed=all(value > 0.0 for value in coverage_means),
-            detail=f"min mean coverage = {min(coverage_means):.1%}",
+        data=sweep.data(str, mixes=list(mixes), seeds=list(seeds)),
+        checks=sweep.checks(
+            "machine-point",
+            ShapeCheck(
+                claim="Temporal streams survive co-scheduling in the "
+                "sampled estimate (positive STMS coverage per stratum)",
+                passed=all(value > 0.0 for value in coverage_means),
+                detail=f"min mean coverage = {min(coverage_means):.1%}",
+            ),
         ),
-        ShapeCheck(
-            claim="Refinement met the requested CI width (or exhausted "
-            "the grid)",
-            passed=width_ok,
-            detail=f"rounds {sweep.rounds}",
-        ),
-    ]
+    )
 
 
 def _shape_checks(

@@ -495,10 +495,24 @@ class ArtifactStore:
     # Results.
     # ------------------------------------------------------------------
 
-    def load_result(self, digest: str) -> "SimResult | None":
-        """Read a persisted result; None on miss, corruption, or a
-        schema-version mismatch (stale entries invalidate themselves)."""
-        path = self.result_path(digest)
+    def _write_record(self, path: str, record: dict) -> bool:
+        """Persist a JSON ``record`` atomically; False on I/O failure."""
+        try:
+            payload = json.dumps(record, default=_json_default).encode()
+            self._atomic_write_bytes(path, payload)
+        except OSError:
+            self.stats.store_write_errors += 1
+            return False
+        self.stats.store_writes += 1
+        self._auto_gc(path)
+        return True
+
+    def _read_record(
+        self, path: str, kind: str, valid=lambda record: True
+    ) -> "dict | None":
+        """Read a JSON record of ``kind``; None on miss.  An unreadable
+        entry is dropped; so is one of another schema or kind, or one
+        ``valid`` rejects, which also counts as a schema invalidation."""
         try:
             with open(path, "rb") as handle:
                 record = json.load(handle)
@@ -510,38 +524,40 @@ class ArtifactStore:
         if (
             not isinstance(record, dict)
             or record.get("schema") != SCHEMA_VERSION
-            or record.get("kind") != "sim-result"
+            or record.get("kind") != kind
+            or not valid(record)
         ):
             self._drop(path)
             self.stats.store_schema_invalidations += 1
             return None
+        self._touch(path)
+        return record
+
+    def load_result(self, digest: str) -> "SimResult | None":
+        """Read a persisted result; None on miss, corruption, or a
+        schema-version mismatch (stale entries invalidate themselves)."""
+        path = self.result_path(digest)
+        record = self._read_record(path, "sim-result")
+        if record is None:
+            return None
         try:
-            result = decode_result(record["payload"])
+            return decode_result(record["payload"])
         except _CORRUPT_ERRORS:
             self._drop(path)
             return None
-        self._touch(path)
-        return result
 
     def save_result(self, digest: str, result: SimResult) -> bool:
         """Persist a result atomically; False on I/O failure."""
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "sim-result",
-            "workload": result.workload,
-            "prefetcher": result.prefetcher,
-            "payload": encode_result(result),
-        }
-        path = self.result_path(digest)
-        try:
-            payload = json.dumps(record, default=_json_default).encode()
-            self._atomic_write_bytes(path, payload)
-        except OSError:
-            self.stats.store_write_errors += 1
-            return False
-        self.stats.store_writes += 1
-        self._auto_gc(path)
-        return True
+        return self._write_record(
+            self.result_path(digest),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "sim-result",
+                "workload": result.workload,
+                "prefetcher": result.prefetcher,
+                "payload": encode_result(result),
+            },
+        )
 
     # ------------------------------------------------------------------
     # Sampled-estimate records.
@@ -559,47 +575,25 @@ class ArtifactStore:
         the two kinds live in separate directories *and* separate
         digest domains (:func:`estimate_digest`).
         """
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "sampled-estimate",
-            "sampled": True,
-            "payload": payload,
-        }
-        path = self.estimate_path(digest)
-        try:
-            self._atomic_write_bytes(
-                path, json.dumps(record, default=_json_default).encode()
-            )
-        except OSError:
-            self.stats.store_write_errors += 1
-            return False
-        self.stats.store_writes += 1
-        self._auto_gc(path)
-        return True
+        return self._write_record(
+            self.estimate_path(digest),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "sampled-estimate",
+                "sampled": True,
+                "payload": payload,
+            },
+        )
 
     def load_estimate(self, digest: str) -> "dict | None":
         """Read a sampled-estimate payload; None on miss/corruption."""
-        path = self.estimate_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except _CORRUPT_ERRORS:
-            self._drop(path)
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("schema") != SCHEMA_VERSION
-            or record.get("kind") != "sampled-estimate"
-            or not record.get("sampled")
-            or not isinstance(record.get("payload"), dict)
-        ):
-            self._drop(path)
-            self.stats.store_schema_invalidations += 1
-            return None
-        self._touch(path)
-        return record["payload"]
+        record = self._read_record(
+            self.estimate_path(digest),
+            "sampled-estimate",
+            lambda record: record.get("sampled")
+            and isinstance(record.get("payload"), dict),
+        )
+        return None if record is None else record["payload"]
 
     # ------------------------------------------------------------------
     # Introspection and garbage collection.

@@ -63,6 +63,18 @@ class TestParser:
             (["cache", "gc", "--max-mb", "0"], "--max-mb"),
             (["cache", "gc", "--max-mb", "nan"], "--max-mb"),
             (["cache", "gc", "--max-mb", "inf"], "--max-mb"),
+            (["experiment", "fig8", "--budget", "0"], "--budget"),
+            (["experiment", "fig8", "--budget", "-1"], "--budget"),
+            (["experiment", "fig8", "--confidence", "2"], "--confidence"),
+            (["experiment", "fig8", "--confidence", "0"], "--confidence"),
+            (["experiment", "fig8", "--confidence", "1"], "--confidence"),
+            (["experiment", "fig8", "--confidence", "nan"], "--confidence"),
+            (["experiment", "fig8", "--ci-width", "-1"], "--ci-width"),
+            (["experiment", "fig8", "--ci-width", "0"], "--ci-width"),
+            (["experiment", "fig8", "--ci-width", "inf"], "--ci-width"),
+            (["experiment", "fig8", "--ci-width", "nan"], "--ci-width"),
+            (["experiment", "fig7", "--jobs", "0"], "--jobs"),
+            (["cache", "warm", "fig7", "--jobs", "-5"], "--jobs"),
         ],
     )
     def test_rejects_bad_numeric_flag(self, argv, flag, capsys):
@@ -80,6 +92,15 @@ class TestParser:
         assert (args.cores, args.seed, args.sampling) == (1, 0, 0.0)
         args = build_parser().parse_args(["cache", "gc", "--max-mb", "0.5"])
         assert args.max_mb == 0.5
+        args = build_parser().parse_args(
+            ["experiment", "fig8", "--budget", "1", "--confidence", "0.5",
+             "--ci-width", "1e-9", "--jobs", "1"]
+        )
+        assert (args.budget, args.confidence, args.ci_width, args.jobs) == (
+            1, 0.5, 1e-9, 1
+        )
+        args = build_parser().parse_args(["cache", "warm", "fig7", "--jobs", "1"])
+        assert args.jobs == 1
 
 
 def _subcommands(
@@ -178,6 +199,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mix-oltp-dss" in out
         assert "mix:oltp-db2+dss-db2" in out
+
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that closes the pipe early (``| head -1``) ends the
+        command with status 1 and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
+        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list-experiments"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     def test_run_mix_prints_per_workload_split(self, capsys):
         code = main(
