@@ -44,7 +44,13 @@ from repro.sim.runner import (
 )
 from repro.sim.session import SimSession, set_session
 from repro.sim.store import ArtifactStore, default_store_dir
-from repro.workloads.scales import FIGURE_ORDER, MIX_PRESETS, SCALES, is_mix
+from repro.workloads.scales import (
+    FIGURE_ORDER,
+    MIX_PRESETS,
+    SCALES,
+    WORKLOAD_INFO,
+    is_mix,
+)
 
 
 def _bounded(kind: type, holds, expected: str):
@@ -195,17 +201,15 @@ def _print_results(
 
 
 def cmd_list_workloads(_: argparse.Namespace) -> int:
-    from repro.workloads.suite import WORKLOADS
-
     rows = [
         [
             name,
-            WORKLOADS[name].category,
-            WORKLOADS[name].display,
-            WORKLOADS[name].paper_mlp,
-            format_percent(WORKLOADS[name].paper_ideal_coverage),
+            info.category,
+            info.display,
+            info.paper_mlp,
+            format_percent(info.paper_ideal_coverage),
         ]
-        for name in FIGURE_ORDER
+        for name, info in WORKLOAD_INFO.items()
     ]
     print(
         format_table(
@@ -279,7 +283,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     options: dict = {"scale": args.scale}
-    if args.budget is not None or args.ci_width is not None:
+    sampled = args.budget is not None or args.ci_width is not None
+    if args.confidence is not None and not sampled:
+        print(
+            "error: --confidence sets the sampled sweep's interval level; "
+            "it needs --budget or --ci-width",
+            file=sys.stderr,
+        )
+        return 2
+    if sampled:
         if args.name not in SAMPLED_EXPERIMENTS:
             print(
                 f"error: --budget/--ci-width need a sampled-capable "
@@ -288,11 +300,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        options.update(
-            budget=args.budget,
-            confidence=args.confidence,
-            ci_width=args.ci_width,
-        )
+        options.update(budget=args.budget, ci_width=args.ci_width)
+        if args.confidence is not None:
+            options["confidence"] = args.confidence
     if args.jobs is not None:
         from repro.sim.runner import ExperimentRunner
 
@@ -629,9 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
         "intervals; supported by mix-contention and fig8)",
     )
     sub.add_argument(
-        "--confidence", type=_confidence, default=0.95, metavar="C",
-        help="confidence level for sampled-sweep intervals "
-        "(default: 0.95)",
+        "--confidence", type=_confidence, default=None, metavar="C",
+        help="confidence level for sampled-sweep intervals, with "
+        "--budget or --ci-width (default: 0.95)",
     )
     sub.add_argument(
         "--ci-width", type=_width, default=None, metavar="W",

@@ -18,8 +18,7 @@ from repro.experiments.common import (
 )
 from repro.sim.runner import ExperimentRunner, PrefetcherKind
 from repro.sim.session import SimSession
-from repro.workloads.scales import FIGURE_ORDER
-from repro.workloads.suite import WORKLOADS
+from repro.workloads.scales import FIGURE_ORDER, WORKLOAD_INFO
 
 
 def run(
@@ -47,7 +46,7 @@ def run(
         coverage[name] = ideal.coverage.coverage
         speedup[name] = ideal.speedup_over(baseline)
 
-    labels = [WORKLOADS[name].display for name in names]
+    labels = [WORKLOAD_INFO[name].display for name in names]
     rendered = "\n\n".join(
         [
             grouped_bar_chart(
@@ -80,10 +79,10 @@ def _shape_checks(
 ) -> "list[ShapeCheck]":
     checks: list[ShapeCheck] = []
     commercial = [
-        n for n in names if WORKLOADS[n].category in ("web", "oltp")
+        n for n in names if WORKLOAD_INFO[n].category in ("web", "oltp")
     ]
-    sci = [n for n in names if WORKLOADS[n].category == "sci"]
-    dss = [n for n in names if WORKLOADS[n].category == "dss"]
+    sci = [n for n in names if WORKLOAD_INFO[n].category == "sci"]
+    dss = [n for n in names if WORKLOAD_INFO[n].category == "dss"]
 
     if commercial:
         values = [coverage[n] for n in commercial]

@@ -28,8 +28,7 @@ from repro.sim.runner import (
     job_options,
 )
 from repro.sim.session import SimSession
-from repro.workloads.scales import get_scale
-from repro.workloads.suite import WORKLOADS
+from repro.workloads.scales import WORKLOAD_INFO, get_scale
 
 DEFAULT_WORKLOADS = ("web-apache", "oltp-db2", "sci-em3d", "sci-ocean")
 
@@ -140,7 +139,7 @@ def _history_checks(
     checks: list[ShapeCheck] = []
     for name in names:
         series = coverage[name]
-        category = WORKLOADS[name].category
+        category = WORKLOAD_INFO[name].category
         peak = max(series)
         if peak <= 0:
             checks.append(

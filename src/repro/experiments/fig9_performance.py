@@ -19,8 +19,7 @@ from repro.experiments.common import (
 )
 from repro.sim.runner import ExperimentRunner, PrefetcherKind
 from repro.sim.session import SimSession
-from repro.workloads.scales import FIGURE_ORDER
-from repro.workloads.suite import WORKLOADS
+from repro.workloads.scales import FIGURE_ORDER, WORKLOAD_INFO
 
 
 def run(
@@ -61,7 +60,7 @@ def run(
         }
         rows.append(
             [
-                WORKLOADS[name].display,
+                WORKLOAD_INFO[name].display,
                 ideal.coverage.coverage,
                 stms.coverage.coverage,
                 stms.coverage.full_coverage,
@@ -110,7 +109,7 @@ def _shape_checks(
     coverage_geomean = geometric_mean(coverage_ratios)
     speedup_geomean = geometric_mean(speedup_ratios)
     no_harm = all(data[n]["stms_speedup"] >= 0.97 for n in names)
-    sci = [n for n in names if WORKLOADS[n].category == "sci"]
+    sci = [n for n in names if WORKLOAD_INFO[n].category == "sci"]
 
     checks = [
         ShapeCheck(

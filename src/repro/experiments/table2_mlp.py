@@ -17,8 +17,7 @@ from repro.experiments.common import (
 )
 from repro.sim.runner import ExperimentRunner, PrefetcherKind
 from repro.sim.session import SimSession
-from repro.workloads.scales import FIGURE_ORDER
-from repro.workloads.suite import WORKLOADS
+from repro.workloads.scales import FIGURE_ORDER, WORKLOAD_INFO
 
 
 def run(
@@ -46,9 +45,9 @@ def run(
         measured[name] = result.mlp
         rows.append(
             [
-                WORKLOADS[name].display,
+                WORKLOAD_INFO[name].display,
                 result.mlp,
-                WORKLOADS[name].paper_mlp,
+                WORKLOAD_INFO[name].paper_mlp,
             ]
         )
 

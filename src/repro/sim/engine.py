@@ -74,9 +74,9 @@ class Simulator:
 
         The batch engine steps the cells :func:`kernel_cell` admits
         (baseline and STMS) in the compiled kernel
-        (:mod:`repro.sim.native`, built on first use); when the kernel
-        is unavailable they fall back to the Python batch engine like
-        every other cell.
+        (:mod:`repro.sim.native`; :mod:`repro.sim.library` builds it on
+        first use); when the library is unavailable they fall back to
+        the Python batch engine like every other cell.
         """
         if trace.cores > self.config.cmp.cores:
             raise ValueError(
@@ -89,10 +89,12 @@ class Simulator:
         else:
             state = None
             if kernel_cell(temporal_factory):
-                from repro.sim import native
+                from repro.sim.library import load
 
-                if native.load() is not None:
-                    state = native.NativeRunState(
+                if load() is not None:
+                    from repro.sim.native import NativeRunState
+
+                    state = NativeRunState(
                         self.config, trace, temporal_factory, shared
                     )
             if state is None:

@@ -57,7 +57,7 @@
 enum { TC_DEMAND, TC_WRITEBACK, TC_STRIDE, TC_USEFUL, TC_ERRONEOUS,
        TC_RECORD, TC_UPDATE, TC_LOOKUP, TC_COUNT };
 
-/* Coverage classes, in repro.sim.metrics.CoverageCounts field order. */
+/* Coverage classes, in repro.sim.results.CoverageCounts field order. */
 enum { CV_FULL, CV_PARTIAL, CV_UNCOVERED, CV_STRIDE, CV_COUNT };
 
 /* repro.core.stream_engine.QueuedAddress. */
@@ -1463,4 +1463,279 @@ void repro_kernel_finalize(Machine *m, double now)
             m->stride_stats[SS_ERRONEOUS] += m->sbuf_count[c];
             m->sbuf_count[c] = 0;
         }
+}
+
+/* ---------------------------------------------------------------------
+ * Trace emitters (repro.workloads.commercial, .dss, .scientific).
+ *
+ * The per-record loops of the three generators, draw for draw: each
+ * reads the uniforms and bounded integers the Python emitter reads, in
+ * the same order, from the same PCG64 stream, and writes the same
+ * records straight into the core's column arrays.  The Python emitters
+ * stay the reference (tests/workloads/test_compiled_emitters.py pins
+ * the equality); repro.workloads.compiled hands the generator state
+ * across and back, and keeps every bulk NumPy draw on the Python side.
+ * ------------------------------------------------------------------- */
+
+/* PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128). */
+#define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
+                  | 0x4385DF649FCCF645ULL)
+
+/* Keep in sync with repro.sim.library.GenContext: the generator state
+ * and the address layout of repro.workloads.base.GeneratorContext. */
+typedef struct {
+    uint64_t state_lo, state_hi, inc_lo, inc_hi; /* PCG64 LCG */
+    int64_t has_half; /* next_uint32's carried upper half is unread */
+    uint64_t half;
+    int64_t hot_base, hot_blocks;
+    int64_t scan_base, scan_blocks, scan_cursor;
+    int64_t noise_base, noise_span, noise_cursor;
+} GenContext;
+
+/* Keep in sync with repro.sim.library.Activities: one commercial or
+ * DSS generator's activity loop.  Structures are concatenated in
+ * stream_blocks, structure s spanning [stream_starts[s],
+ * stream_starts[s + 1]); popularity is their cumulative pick CDF. */
+typedef struct {
+    double activity_cdf[4]; /* stream, scan, noise, hot */
+    const int64_t *stream_blocks;
+    const int64_t *stream_starts;
+    const double *popularity;
+    int64_t streams;
+    int64_t interleave; /* traversals inject visit-once records */
+    int64_t hot_writes; /* hot records draw a write flag */
+    int64_t scan_run, hot_run;
+    double work_mean, scan_work, hot_work;
+    double stream_dep_p, noise_dep_p, write_p, interleave_noise_p;
+    double truncate_p;
+} Activities;
+
+/* Keep in sync with repro.sim.library.Iteration: one scientific
+ * iteration (ScientificGenerator._emit_iteration). */
+typedef struct {
+    const int64_t *blocks;
+    const uint8_t *dep;
+    int64_t length;
+    int64_t sweep_blocks, sweep_run;
+    double work_mean, sweep_work, write_p, noise_p;
+} Iteration;
+
+/* One core's output columns, written from index `at` on. */
+typedef struct {
+    int64_t *blocks;
+    float *work;
+    uint8_t *dep;
+    uint8_t *write;
+    int64_t at;
+} Columns;
+
+/* Layout fingerprint repro.sim.library checks before any emitter call. */
+int64_t repro_emit_abi(void)
+{
+    return (int64_t)sizeof(GenContext) | (int64_t)sizeof(Activities) << 16
+           | (int64_t)sizeof(Iteration) << 32
+           | (int64_t)sizeof(Columns) << 48;
+}
+
+/* pcg_setseq_128_xsl_rr_64_random_r: step, then output the new state. */
+static uint64_t next_raw(GenContext *g)
+{
+    unsigned __int128 state =
+        ((unsigned __int128)g->state_hi << 64 | g->state_lo) * PCG_MULT
+        + ((unsigned __int128)g->inc_hi << 64 | g->inc_lo);
+    uint64_t hi = (uint64_t)(state >> 64), lo = (uint64_t)state;
+    unsigned rot = (unsigned)(hi >> 58);
+    uint64_t x = hi ^ lo;
+    g->state_hi = hi;
+    g->state_lo = lo;
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* rng.random(): the top 53 bits of a raw draw. */
+static double next_double(GenContext *g)
+{
+    return (double)(next_raw(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* PCG64's next_uint32 with its carried half-word. */
+static uint32_t next_uint32(GenContext *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return (uint32_t)g->half;
+    }
+    uint64_t raw = next_raw(g);
+    g->half = raw >> 32;
+    g->has_half = 1;
+    return (uint32_t)raw;
+}
+
+/* rng.integers(0, n) for 1 <= n < 2**32 (GeneratorContext.below). */
+static int64_t below(GenContext *g, uint64_t n)
+{
+    if (n == 1)
+        return 0;
+    uint64_t product = (uint64_t)next_uint32(g) * n;
+    if ((product & 0xFFFFFFFFULL) < n) {
+        uint64_t threshold = ((1ULL << 32) - n) % n;
+        while ((product & 0xFFFFFFFFULL) < threshold)
+            product = (uint64_t)next_uint32(g) * n;
+    }
+    return (int64_t)(product >> 32);
+}
+
+/* GeneratorContext.next_noise. */
+static int64_t next_noise(GenContext *g)
+{
+    uint64_t mask = (uint64_t)g->noise_span - 1;
+    uint64_t mixed = ((uint64_t)g->noise_cursor * 0x9E3779B1ULL) & mask;
+    mixed ^= mixed >> 7;
+    mixed = (mixed * 0x85EBCA6BULL) & mask;
+    g->noise_cursor = (g->noise_cursor + 1) % g->noise_span;
+    return g->noise_base + (int64_t)mixed;
+}
+
+static void put(Columns *c, int64_t block, double work, int dep, int write)
+{
+    int64_t at = c->at++;
+    c->blocks[at] = block;
+    c->work[at] = (float)work;
+    c->dep[at] = (uint8_t)dep;
+    c->write[at] = (uint8_t)write;
+}
+
+/* GeneratorContext.next_scan_run, each block a record sharing work,
+ * dep and write. */
+static void put_scan_run(GenContext *g, Columns *c, int64_t length,
+                         double work, int write)
+{
+    for (int64_t i = 0; i < length; i++)
+        put(c, g->scan_base + (g->scan_cursor + i) % g->scan_blocks, work, 0,
+            write);
+    g->scan_cursor = (g->scan_cursor + length) % g->scan_blocks;
+}
+
+/* bisect_left over the pick CDF (StreamPool.pick). */
+static int64_t pick_stream(GenContext *g, const Activities *a)
+{
+    double u = next_double(g);
+    int64_t lo = 0, hi = a->streams;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a->popularity[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < a->streams - 1 ? lo : a->streams - 1;
+}
+
+/* CommercialGenerator._emit_traversal (interleave set) or
+ * DssGenerator._emit_traversal. */
+static void traverse(GenContext *g, const Activities *a, Columns *c)
+{
+    int64_t s = pick_stream(g, a);
+    for (int64_t i = a->stream_starts[s]; i < a->stream_starts[s + 1]; i++) {
+        double work = a->work_mean * (0.5 + next_double(g));
+        int dep = next_double(g) < a->stream_dep_p;
+        int write = next_double(g) < a->write_p;
+        put(c, a->stream_blocks[i], work, dep, write);
+        if (a->interleave && next_double(g) < a->interleave_noise_p) {
+            int64_t noise = next_noise(g);
+            work = a->work_mean * (0.5 + next_double(g));
+            put(c, noise, work, next_double(g) < a->noise_dep_p, 0);
+        }
+        if (next_double(g) < a->truncate_p)
+            break;
+    }
+}
+
+/* One core of CommercialGenerator.generate / DssGenerator.generate:
+ * activities until the core holds at least `records` records.  Returns
+ * the record count. */
+int64_t repro_emit_activities(GenContext *g, const Activities *a,
+                              Columns *c, int64_t records)
+{
+    while (c->at < records) {
+        double u = next_double(g);
+        int activity = 0; /* bisect_right over the activity CDF */
+        while (activity < 4 && a->activity_cdf[activity] <= u)
+            activity++;
+        if (activity == 0) {
+            traverse(g, a, c);
+        } else if (activity == 1) {
+            double work = a->scan_work * (0.5 + next_double(g));
+            put_scan_run(g, c, a->scan_run, work, 0);
+        } else if (activity == 2) {
+            double work = a->work_mean * (0.5 + next_double(g));
+            int dep = next_double(g) < a->noise_dep_p;
+            int write = next_double(g) < a->write_p;
+            put(c, next_noise(g), work, dep, write);
+        } else {
+            for (int64_t i = 0; i < a->hot_run; i++) {
+                int64_t block =
+                    g->hot_base + below(g, (uint64_t)g->hot_blocks);
+                double work = a->hot_work * (0.5 + next_double(g));
+                int write = a->hot_writes && next_double(g) < a->write_p;
+                put(c, block, work, 0, write);
+            }
+        }
+    }
+    return c->at;
+}
+
+/* ScientificGenerator._emit_iteration: the iteration's records, each
+ * maybe followed by a visit-once record, then its strided sweeps.
+ * Returns the core's record count. */
+int64_t repro_emit_iteration(GenContext *g, const Iteration *it,
+                             Columns *c)
+{
+    for (int64_t i = 0; i < it->length; i++) {
+        double work = it->work_mean * (0.5 + next_double(g));
+        int write = next_double(g) < it->write_p;
+        put(c, it->blocks[i], work, it->dep[i], write);
+        if (next_double(g) < it->noise_p) {
+            int64_t noise = next_noise(g);
+            put(c, noise, it->work_mean * (0.5 + next_double(g)), 0, 0);
+        }
+    }
+    for (int64_t remaining = it->sweep_blocks; remaining > 0;) {
+        int64_t run = remaining < it->sweep_run ? remaining : it->sweep_run;
+        double work = it->sweep_work * (0.5 + next_double(g));
+        int write = next_double(g) < it->write_p;
+        put_scan_run(g, c, run, work, write);
+        remaining -= run;
+    }
+    return c->at;
+}
+
+/* GeneratorContext.alloc_streams' first-n-distinct pass.  Structure s
+ * keeps the first lengths[s] distinct values, in draw order, of its
+ * 2 * lengths[s] + 8 consecutive draws, offset by base, written
+ * back to back into out.  seen holds one zero byte per drawable value
+ * and is left zeroed.  Returns the number of structures completed: a
+ * return below count names the structure whose draw held too few
+ * distinct values. */
+int64_t repro_first_distinct(const int64_t *draw, const int64_t *lengths,
+                             int64_t count, uint8_t *seen, int64_t base,
+                             int64_t *out)
+{
+    for (int64_t s = 0; s < count; s++) {
+        int64_t n = lengths[s], kept = 0;
+        const int64_t *end = draw + 2 * n + 8;
+        for (; draw < end && kept < n; draw++)
+            if (!seen[*draw]) {
+                seen[*draw] = 1;
+                out[kept++] = *draw;
+            }
+        for (int64_t i = 0; i < kept; i++) {
+            seen[out[i]] = 0;
+            out[i] += base;
+        }
+        if (kept < n)
+            return s;
+        draw = end;
+        out += n;
+    }
+    return count;
 }

@@ -40,30 +40,18 @@ so the sampler's RNG stream is the Python path's.
 The phase entry points (``run_warmup``, ``run_measured``) and result
 assembly are the reference code unchanged.
 
-Build: the kernel compiles once per machine with the system ``cc``
-(``-O2 -ffp-contract=off``, no fast-math, so float clock arithmetic
-rounds exactly as Python's) into ``$XDG_CACHE_HOME/repro-kernels``
-(default ``~/.cache/repro-kernels``), keyed by a digest of the source,
-the flags and ``cc --version``.  The cache sits outside the artifact
-store, so cold runs against a fresh store reuse it.  Concurrent builders
-serialize on a lock file and publish with atomic renames; a library
-that no longer matches its recorded digest is rebuilt.  Without a
-compiler, or after a failed build, :func:`load` warns once and the
-caller falls back to the Python batched engine.
+Build and load: :mod:`repro.sim.library` compiles ``kernel.c`` once per
+machine, caches it and loads it (:func:`~repro.sim.library.load`); the
+same library holds the trace emitters' loops, so a cold run has
+usually loaded it while generating its traces.  When it is unavailable
+the caller falls back to the Python batched engine.
 """
 
 from __future__ import annotations
 
 import ctypes
-import fcntl
 import functools
-import hashlib
-import os
-import shutil
-import subprocess
-import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -76,250 +64,15 @@ from repro.memory.traffic import TrafficCategory
 from repro.prefetchers.base import PrefetchedBlock
 from repro.sim.config import SimConfig
 from repro.sim.engine import _RunState, kernel_cell
+from repro.sim.library import (
+    ENGINE,
+    PREFETCHED,
+    QUEUED,
+    KernelUnavailable,
+    Machine,
+    load,
+)
 from repro.workloads.trace import Trace
-
-SOURCE = Path(__file__).with_name("kernel.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-_I = ctypes.c_int64
-_F = ctypes.c_double
-_P = ctypes.c_void_p
-
-
-class Machine(ctypes.Structure):
-    """Mirror of the kernel's ``Machine`` struct (same order and types)."""
-
-    _fields_ = [
-        (name, kind)
-        for names, kind in (
-            (
-                "cores l1_cores l1_sets l1_ways victim_capacity l2_sets "
-                "l2_ways mshr_capacity miss_window measuring use_stride "
-                "track_mlp collect_miss_log tracker_entries "
-                "stride_buffer_blocks stride_degree confirm_threshold "
-                "region_shift work_f64",
-                _I,
-            ),
-            (
-                "t_l1_hit t_victim_hit t_l2_dep t_l2_indep t_stride_dep "
-                "t_stride_indep t_miss_overhead dram_transfer dram_latency "
-                "stride_backlog_limit",
-                _F,
-            ),
-            (
-                "blocks work dep write low_priority limits clocks "
-                "cursors l1_tags l1_dirty l1_count l1_stats victim_blocks "
-                "victim_dirty victim_count victim_hits l2_tags l2_dirty "
-                "l2_count l2_stats mshr_blocks mshr_complete mshr_waiters "
-                "mshr_stats",
-                _P,
-            ),
-            ("mshr_count", _I),
-            ("window window_count", _P),
-            (
-                "dram_busy_high dram_busy_all dram_busy_cycles "
-                "dram_queue_cycles",
-                _F,
-            ),
-            ("dram_requests dram_high dram_low", _I),
-            (
-                "tracker tracker_count sbuf_blocks sbuf_times sbuf_count "
-                "stride_stats",
-                _P,
-            ),
-            ("demand_accesses off_chip_reads measured_records", _I),
-            (
-                "traffic core_traffic coverage core_coverage mlp mlp_count "
-                "miss_log miss_log_base miss_log_count",
-                _P,
-            ),
-            (
-                "stms history_capacity bucket_entries "
-                "bucket_buffer_capacity prefetch_buffer_blocks lookahead "
-                "queue_capacity refill_threshold annotate sample_mode "
-                "issued_capacity",
-                _I,
-            ),
-            ("t_pf_dep t_pf_indep pf_backlog_limit", _F),
-            ("buckets tags coins", _P),
-            ("coin_count coin_cursor", _I),
-            (
-                "pf_stats stms_counters sampler index_tags index_ptrs "
-                "index_count index_stats hist_blocks hist_marks "
-                "hist_pend_blocks hist_pend_marks hist_pend_count hist_head "
-                "hist_stats bb_buckets bb_dirty bb_core",
-                _P,
-            ),
-            ("bb_count", _I),
-            (
-                "bb_stats engines queues issued pbuf pbuf_count bb_member "
-                "pbuf_inflight pbuf_filter",
-                _P,
-            ),
-        )
-        for name in names.split()
-    ]
-
-
-#: The kernel's ``Queued``, ``Prefetched`` and ``Engine`` structs (C
-#: alignment), field for field as QueuedAddress, PrefetchedBlock and
-#: StreamEngine.
-_QUEUED = np.dtype(
-    [("source_core", "<i8"), ("sequence", "<i8"), ("block", "<i8"),
-     ("marked", "?"), ("ready_at", "<f8")],
-    align=True,
-)
-_PREFETCHED = np.dtype(
-    [("block", "<i8"), ("issued_at", "<f8"), ("arrival", "<f8"),
-     ("stream", "<i8")],
-    align=True,
-)
-_ENGINE = np.dtype(
-    [(name, "<i8") for name in (
-        "serial active source_core next_fetch_sequence consumed_count "
-        "queue_head queue_count issued_count has_paused has_last"
-    ).split()]
-    + [("paused_at", _QUEUED), ("last_consumed", _QUEUED)],
-    align=True,
-)
-#: What the kernel's ``repro_kernel_abi`` returns for these layouts.
-ABI = (
-    ctypes.sizeof(Machine) | _ENGINE.itemsize << 16
-    | _QUEUED.itemsize << 32 | _PREFETCHED.itemsize << 48
-)
-
-
-class KernelUnavailable(RuntimeError):
-    """The kernel could not be built or loaded on this machine."""
-
-
-def cache_dir() -> Path:
-    """Per-user directory the built kernel is cached in."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(base) / "repro-kernels"
-
-
-def _library_path(directory: Path) -> "tuple[Path, str]":
-    """Cache path of the kernel built by this machine's ``cc``."""
-    cc = shutil.which("cc")
-    if cc is None:
-        raise KernelUnavailable("no C compiler ('cc') on PATH")
-    version = subprocess.run(
-        [cc, "--version"], capture_output=True, text=True, check=True
-    ).stdout
-    digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(),
-                 version.encode()):
-        digest.update(part)
-        digest.update(b"\0")
-    return directory / f"kernel-{digest.hexdigest()[:16]}.so", cc
-
-
-def _digest_path(path: Path) -> Path:
-    return path.with_suffix(".sha256")
-
-
-def _open(path: Path) -> "ctypes.CDLL | None":
-    """Load a built kernel; None when it is missing or damaged.
-
-    The library must match the digest recorded when it was built:
-    ``dlopen`` of a truncated library can fault (SIGBUS) rather than
-    fail, so a damaged file must never reach it.
-    """
-    try:
-        expected = _digest_path(path).read_text()
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
-    if actual != expected:
-        return None
-    try:
-        lib = ctypes.CDLL(str(path))
-        abi = lib.repro_kernel_abi
-        entries = (lib.repro_kernel_run, lib.repro_kernel_reset,
-                   lib.repro_kernel_finalize)
-    except (OSError, AttributeError):
-        return None
-    abi.argtypes = []
-    abi.restype = ctypes.c_int64
-    if abi() != ABI:
-        return None
-    run, reset, finalize = entries
-    run.argtypes = reset.argtypes = [ctypes.POINTER(Machine)]
-    finalize.argtypes = [ctypes.POINTER(Machine), ctypes.c_double]
-    run.restype = ctypes.c_int64
-    reset.restype = finalize.restype = None
-    return lib
-
-
-def _compile(cc: str, path: Path) -> None:
-    """Compile the kernel to ``path``; publish it and its digest by
-    atomic renames of private temp files."""
-    digest_path = _digest_path(path)
-    temps = [
-        target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        for target in (path, digest_path)
-    ]
-    try:
-        built = subprocess.run(
-            [cc, *FLAGS, "-o", str(temps[0]), str(SOURCE)],
-            capture_output=True,
-            text=True,
-        )
-        if built.returncode != 0:
-            raise KernelUnavailable(
-                f"cc failed ({built.returncode}): {built.stderr.strip()}"
-            )
-        temps[1].write_text(
-            hashlib.sha256(temps[0].read_bytes()).hexdigest()
-        )
-        os.replace(temps[0], path)
-        os.replace(temps[1], digest_path)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-
-
-def build(directory: "Path | None" = None) -> ctypes.CDLL:
-    """Load the kernel from ``directory``, building it there if needed.
-
-    A missing or damaged library is rebuilt under an exclusive lock, so
-    concurrent callers compile once and every caller loads the same
-    published file.
-    """
-    directory = cache_dir() if directory is None else directory
-    directory.mkdir(parents=True, exist_ok=True)
-    path, cc = _library_path(directory)
-    lib = _open(path)
-    if lib is None:
-        with open(path.with_suffix(".lock"), "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            # Another process may have published it while we waited.
-            lib = _open(path)
-            if lib is None:
-                _compile(cc, path)
-                lib = _open(path)
-    if lib is None:
-        raise KernelUnavailable(f"built kernel {path} does not load")
-    return lib
-
-
-@functools.cache
-def load() -> "ctypes.CDLL | None":
-    """The process's kernel, or None (warned once) when unavailable."""
-    try:
-        return build()
-    except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
-        warnings.warn(
-            f"compiled event kernel unavailable ({exc}); baseline and "
-            f"STMS cells fall back to the Python batched engine",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
 
 class NativeRunState(_RunState):
     """The scalar reference run state, stepped by the compiled kernel."""
@@ -509,7 +262,7 @@ class NativeRunState(_RunState):
         residents = config.bucket_buffer_entries
         queue_width = config.address_queue_entries
         buffer_width = config.prefetch_buffer_blocks
-        engines = np.zeros(cores, dtype=_ENGINE)
+        engines = np.zeros(cores, dtype=ENGINE)
         engines["source_core"] = -1
         b.update(
             pf_stats=_stats([stms.stats]),
@@ -531,12 +284,12 @@ class NativeRunState(_RunState):
             bb_core=np.zeros(residents, np.int64),
             bb_stats=_stats([stms.bucket_buffer.stats]),
             engines=engines,
-            queues=np.zeros(cores * queue_width, dtype=_QUEUED),
+            queues=np.zeros(cores * queue_width, dtype=QUEUED),
             # Issued maps are unbounded: the kernel stops before a
             # record that could overflow one, and _run_until doubles
             # the room.
-            issued=np.zeros(cores * queue_width, dtype=_QUEUED),
-            pbuf=np.zeros(cores * buffer_width, dtype=_PREFETCHED),
+            issued=np.zeros(cores * queue_width, dtype=QUEUED),
+            pbuf=np.zeros(cores * buffer_width, dtype=PREFETCHED),
             pbuf_count=np.zeros(cores, np.int64),
             # Derived lookup state: the kernel keeps it, sync never reads
             # it.  int32 bin counts hold any prefetch_buffer_blocks.
@@ -614,7 +367,7 @@ class NativeRunState(_RunState):
             # The next record could outgrow a stream engine's issued
             # map: double its room.
             width = machine.issued_capacity
-            grown = np.zeros((self.trace.cores, 2 * width), dtype=_QUEUED)
+            grown = np.zeros((self.trace.cores, 2 * width), dtype=QUEUED)
             grown[:, :width] = buffers["issued"].reshape(-1, width)
             self._hand_over(issued=grown.reshape(-1))
             machine.issued_capacity = 2 * width

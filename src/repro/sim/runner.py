@@ -518,34 +518,47 @@ def _shard_groups(
     return shards
 
 
-def _preload_kernel(jobs: "list[SimJob]") -> None:
-    """Load the compiled kernel before forking workers for ``jobs``.
+def _uses_library(jobs: "list[SimJob]", generates: bool) -> bool:
+    """Whether the workers of ``jobs`` use the compiled library.
 
-    Baseline and STMS cells run in the compiled kernel
-    (:mod:`repro.sim.native`); loading it here, once, lets every forked
-    worker inherit the mapped library instead of each one building or
-    checking it, hashing it and spawning ``cc --version`` itself.
-    Fan-outs with neither kind of cell, or on the scalar engine, never
-    touch it.
+    They do when one may generate a trace (``generates``: the compiled
+    emitters run wherever the library loads, on every engine) or run a
+    baseline or STMS cell, which the compiled kernel steps unless the
+    engine is the scalar reference.
     """
-    if resolve_engine("auto") == "scalar" or not any(
-        job.kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
-        for job in jobs
-    ):
-        return
-    from repro.sim import native
+    return generates or (
+        resolve_engine("auto") != "scalar"
+        and any(
+            job.kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+            for job in jobs
+        )
+    )
 
-    native.load()
+
+def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> None:
+    """Load the compiled library before forking workers for ``jobs``.
+
+    Loading it here, once, lets every forked worker that uses it
+    (:func:`_uses_library`) inherit the mapped library instead of each
+    one building or checking it, hashing it and spawning
+    ``cc --version`` itself.  A fan-out that uses it nowhere never
+    touches it.
+    """
+    if _uses_library(jobs, generates):
+        from repro.sim.library import load
+
+        load()
 
 
-def _preload_workers(jobs: "list[SimJob]") -> None:
+def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
     """Import what the workers of ``jobs`` run before the pool forks.
 
     A forked worker inherits every module the parent has imported; any
     other module each worker would import, and compile, again.  So the
     parent imports the sweep, the trace generators, the jobs'
     prefetchers and the Python engine if a cell needs it, and loads the
-    kernel (:func:`_preload_kernel`).
+    library (:func:`_preload_kernel`; ``generates``: a worker may
+    generate its trace).
     """
     from repro.sim import sweep  # noqa: F401
     from repro.sim.engine import kernel_cell
@@ -554,7 +567,7 @@ def _preload_workers(jobs: "list[SimJob]") -> None:
     for kind in {job.kind for job in jobs}:
         if not kernel_cell(make_factory(kind)):
             from repro.sim import batch  # noqa: F401
-    _preload_kernel(jobs)
+    _preload_kernel(jobs, generates)
 
 
 class ExperimentRunner:
@@ -715,8 +728,21 @@ class ExperimentRunner:
                     if payload is not None:
                         payloads[trace_key] = payload
                         exports += 1
+            # A shard with no exported trace acquires its own: from the
+            # store when it holds the trace, else by generating it.
+            generates = any(
+                trace_key not in payloads
+                and (
+                    store is None
+                    or not os.path.exists(
+                        store.trace_path(trace_digest(trace_key))
+                    )
+                )
+                for trace_key, _ in shards
+            )
             _preload_workers(
-                [jobs[i] for _, indices in shards for i in indices]
+                [jobs[i] for _, indices in shards for i in indices],
+                generates,
             )
             try:
                 # Every worker runs on the caller's session: the

@@ -13,6 +13,12 @@ characterizes its workloads:
 :class:`StreamPool` owns the recurring structures and their Zipf-skewed
 popularity; the skew produces the smooth reuse-distance spectrum behind
 the paper's Figure 5 (left).
+
+Which emitter runs: each generator's per-record loop runs compiled
+(:mod:`repro.workloads.compiled`) whenever the library
+:mod:`repro.sim.library` builds loads, and in Python, the reference,
+when it does not (no C compiler; the loader warns once).  Both read the
+same draws from the :class:`GeneratorContext` and give the same traces.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.trace import Trace, TraceBuilder
+from repro.workloads import compiled
+from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,13 @@ class GeneratorContext:
     go through :attr:`rng`, which first settles the generator to exactly
     the state the consumed draws leave.  Every trace is therefore the
     one a per-call ``default_rng(seed)`` consumer would emit.
+
+    Two sets of emitters read these draws.  Whenever the compiled
+    library loads (:func:`repro.workloads.compiled.library`), the
+    per-record loops run in C: :meth:`hand_over` gives them the settled
+    generator state and the cursors, and :meth:`take_back` continues
+    from where they stop.  Otherwise the Python emitters, the reference
+    the compiled ones are tested against, read the window themselves.
     """
 
     def __init__(
@@ -128,9 +142,9 @@ class GeneratorContext:
         # power of two inside the region gives scattered, non-repeating
         # draws.
         if noise_blocks > 0:
-            self._noise_span = 1 << (noise_blocks.bit_length() - 1)
+            self.noise_span = 1 << (noise_blocks.bit_length() - 1)
         else:
-            self._noise_span = 0
+            self.noise_span = 0
         self._scan_cursor = 0
 
     @property
@@ -156,6 +170,22 @@ class GeneratorContext:
             self._uniforms = []
             self._pos = 0
         return self._generator
+
+    def hand_over(self) -> "tuple[dict, int, int]":
+        """The settled bit-generator state (a fresh dict, half-word
+        carry included) and the scan and noise cursors: everything a
+        compiled emitter continues the trace from."""
+        state = self.rng.bit_generator.state
+        return state, self._scan_cursor, self._noise_cursor
+
+    def take_back(
+        self, state: dict, scan_cursor: int, noise_cursor: int
+    ) -> None:
+        """Continue from where a compiled emitter stopped, given the
+        state and cursors it left (the inverse of :meth:`hand_over`)."""
+        self.rng.bit_generator.state = state
+        self._scan_cursor = scan_cursor
+        self._noise_cursor = noise_cursor
 
     def peek(self, n: int) -> "tuple[list[float], int]":
         """The window of uniform doubles and its next unread index.
@@ -247,7 +277,13 @@ class GeneratorContext:
         return self.alloc_streams([length])[0]
 
     def alloc_streams(self, lengths) -> "list[np.ndarray]":
-        """:meth:`alloc_stream` for each of ``lengths``, in one draw.
+        """:meth:`alloc_stream` for each of ``lengths``, in one draw
+        (views into :meth:`alloc_flat`'s array)."""
+        return _split(*self.alloc_flat(lengths))
+
+    def alloc_flat(self, lengths) -> "tuple[np.ndarray, np.ndarray]":
+        """The structures of :meth:`alloc_streams` back to back, and
+        their ``len(lengths) + 1`` start offsets.
 
         Each structure over-draws ``2 * length + 8`` blocks and keeps the
         first ``length`` distinct ones in draw order.  One bulk draw
@@ -264,23 +300,37 @@ class GeneratorContext:
             raise ValueError("no structure region configured")
         draw = self.rng.integers(
             0, self.structure_blocks, size=sum(2 * n + 8 for n in lengths)
-        ).tolist()
-        streams = []
-        start = 0
-        for n in lengths:
-            end = start + 2 * n + 8
-            distinct = list(dict.fromkeys(draw[start:end]))
-            if len(distinct) < n:
-                raise ValueError(
-                    f"structure region of {self.structure_blocks} blocks "
-                    f"gave {len(distinct)} distinct blocks for a "
-                    f"{n}-block stream"
-                )
-            streams.append(
-                np.array(distinct[:n], dtype=np.int64) + self.structure_base
+        )
+        lib = compiled.library(self)
+        if lib is not None:
+            blocks, done = compiled.first_distinct(
+                lib, draw, lengths, self.structure_blocks,
+                self.structure_base,
             )
-            start = end
-        return streams
+        else:
+            values = draw.tolist()
+            kept: list[int] = []
+            done = start = 0
+            for n in lengths:
+                end = start + 2 * n + 8
+                distinct = list(dict.fromkeys(values[start:end]))
+                if len(distinct) < n:
+                    break
+                kept.extend(distinct[:n])
+                start = end
+                done += 1
+            blocks = np.array(kept, dtype=np.int64) + self.structure_base
+        if done < len(lengths):
+            n = lengths[done]
+            start = sum(2 * m + 8 for m in lengths[:done])
+            found = len(set(draw[start:start + 2 * n + 8].tolist()))
+            raise ValueError(
+                f"structure region of {self.structure_blocks} blocks "
+                f"gave {found} distinct blocks for a {n}-block stream"
+            )
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        return blocks, starts
 
     def next_noise(self) -> int:
         """A scattered visit-once address (wraps after region exhaustion).
@@ -292,11 +342,11 @@ class GeneratorContext:
         """
         if self.noise_blocks == 0:
             raise ValueError("no noise region configured")
-        mask = self._noise_span - 1
+        mask = self.noise_span - 1
         mixed = (self._noise_cursor * 0x9E3779B1) & mask
         mixed ^= mixed >> 7
         mixed = (mixed * 0x85EBCA6B) & mask
-        self._noise_cursor = (self._noise_cursor + 1) % self._noise_span
+        self._noise_cursor = (self._noise_cursor + 1) % self.noise_span
         return self.noise_base + mixed
 
     def next_scan_run(self, length: int) -> np.ndarray:
@@ -315,6 +365,12 @@ class GeneratorContext:
         if self.hot_blocks == 0:
             raise ValueError("no hot region configured")
         return self.below(self.hot_blocks) + self.hot_base
+
+
+def _split(blocks: np.ndarray, starts: np.ndarray) -> "list[np.ndarray]":
+    """Views of ``blocks`` between consecutive ``starts``."""
+    bounds = starts.tolist()
+    return [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class StreamPool:
@@ -345,10 +401,14 @@ class StreamPool:
             context.rng.normal(np.log(median_length), sigma, size=count)
         )
         lengths = np.clip(np.round(lengths), 2, max_length).astype(int)
-        self.streams = context.alloc_streams(lengths)
+        #: Every structure back to back, and their start offsets.
+        self.blocks, self.starts = context.alloc_flat(lengths)
+        self.streams = _split(self.blocks, self.starts)
         ranks = np.arange(1, count + 1, dtype=float)
         weights = ranks ** (-zipf_alpha)
-        self._cumulative = np.cumsum(weights / weights.sum()).tolist()
+        #: Cumulative pick probabilities (what :meth:`pick` bisects).
+        self.popularity = np.cumsum(weights / weights.sum())
+        self._cumulative = self.popularity.tolist()
         self._context = context
 
     def __len__(self) -> int:
@@ -361,10 +421,10 @@ class StreamPool:
         return self.streams[min(index, len(self.streams) - 1)]
 
     def total_blocks(self) -> int:
-        return int(sum(len(s) for s in self.streams))
+        return len(self.blocks)
 
     def length_distribution(self) -> np.ndarray:
-        return np.array([len(s) for s in self.streams])
+        return np.diff(self.starts)
 
 
 class TraceGenerator(ABC):
@@ -382,11 +442,11 @@ class TraceGenerator(ABC):
     @staticmethod
     def _assemble(
         name: str,
-        builders: list[TraceBuilder],
+        columns: "list[tuple[np.ndarray, ...]]",
         working_set_blocks: int,
         warmup_fraction: float,
     ) -> Trace:
-        columns = [b.freeze() for b in builders]
+        """A trace from each core's ``(blocks, work, dep, write)``."""
         return Trace(
             name=name,
             blocks=[c[0] for c in columns],

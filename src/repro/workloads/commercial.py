@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workloads import compiled
 from repro.workloads.base import (
     ACTIVITY_NOISE,
     ACTIVITY_SCAN,
@@ -136,27 +137,58 @@ class CommercialGenerator(TraceGenerator):
         cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
-        uniform = context.uniform
-        builders = [TraceBuilder() for _ in range(cores)]
-
-        for builder in builders:
-            while len(builder) < records_per_core:
-                activity = bisect_right(activity_cdf, uniform())
-                if activity == ACTIVITY_STREAM:
-                    self._emit_traversal(builder, pool, context)
-                elif activity == ACTIVITY_SCAN:
-                    self._emit_scan(builder, context)
-                elif activity == ACTIVITY_NOISE:
-                    self._emit_noise(builder, context)
-                else:
-                    self._emit_hot(builder, context)
-
+        lib = compiled.library(context)
+        if lib is not None:
+            columns = compiled.emit_activities(
+                lib, context, pool, activity_cdf, cores, records_per_core,
+                interleave=1,
+                hot_writes=1,
+                scan_run=params.scan_run,
+                hot_run=params.hot_run,
+                work_mean=params.work_cycles,
+                scan_work=params.work_cycles * 0.5,
+                hot_work=params.work_cycles * 0.3,
+                stream_dep_p=params.stream_dep_p,
+                noise_dep_p=params.noise_dep_p,
+                write_p=params.write_p,
+                interleave_noise_p=params.interleave_noise_p,
+                truncate_p=params.truncate_p,
+            )
+        else:
+            columns = [
+                self._emit_core(pool, context, activity_cdf,
+                                records_per_core).freeze()
+                for _ in range(cores)
+            ]
         return self._assemble(
             self.name,
-            builders,
+            columns,
             working_set_blocks=context.total_blocks,
             warmup_fraction=0.3,
         )
+
+    def _emit_core(
+        self,
+        pool: StreamPool,
+        context: GeneratorContext,
+        activity_cdf: "list[float]",
+        records_per_core: int,
+    ) -> TraceBuilder:
+        """One core's activities, in Python (the compiled loop's
+        reference)."""
+        uniform = context.uniform
+        builder = TraceBuilder()
+        while len(builder) < records_per_core:
+            activity = bisect_right(activity_cdf, uniform())
+            if activity == ACTIVITY_STREAM:
+                self._emit_traversal(builder, pool, context)
+            elif activity == ACTIVITY_SCAN:
+                self._emit_scan(builder, context)
+            elif activity == ACTIVITY_NOISE:
+                self._emit_noise(builder, context)
+            else:
+                self._emit_hot(builder, context)
+        return builder
 
     def _emit_traversal(
         self,

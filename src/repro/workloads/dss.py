@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workloads import compiled
 from repro.workloads.base import (
     ACTIVITY_NOISE,
     ACTIVITY_SCAN,
@@ -112,46 +113,77 @@ class DssGenerator(TraceGenerator):
         cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         activity_cdf = cdf.tolist()
-        uniform = context.uniform
-        builders = [TraceBuilder() for _ in range(cores)]
-
-        for builder in builders:
-            while len(builder) < records_per_core:
-                activity = bisect_right(activity_cdf, uniform())
-                if activity == ACTIVITY_STREAM:
-                    self._emit_traversal(builder, pool, context)
-                elif activity == ACTIVITY_SCAN:
-                    run = context.next_scan_run(params.scan_run)
-                    builder.extend(
-                        run,
-                        work=params.work_cycles * 0.4 * (0.5 + uniform()),
-                        dep=False,
-                        write=False,
-                    )
-                elif activity == ACTIVITY_NOISE:
-                    u, i = context.peek(3)
-                    context.consume(i + 3)
-                    builder.add(
-                        context.next_noise(),
-                        work=params.work_cycles * (0.5 + u[i]),
-                        dep=u[i + 1] < params.noise_dep_p,
-                        write=u[i + 2] < params.write_p,
-                    )
-                else:
-                    for _ in range(params.hot_run):
-                        builder.add(
-                            context.hot_block(),
-                            work=params.work_cycles * 0.3 * (0.5 + uniform()),
-                            dep=False,
-                            write=False,
-                        )
-
+        lib = compiled.library(context)
+        if lib is not None:
+            columns = compiled.emit_activities(
+                lib, context, pool, activity_cdf, cores, records_per_core,
+                interleave=0,
+                hot_writes=0,
+                scan_run=params.scan_run,
+                hot_run=params.hot_run,
+                work_mean=params.work_cycles,
+                scan_work=params.work_cycles * 0.4,
+                hot_work=params.work_cycles * 0.3,
+                stream_dep_p=params.stream_dep_p,
+                noise_dep_p=params.noise_dep_p,
+                write_p=params.write_p,
+                truncate_p=params.truncate_p,
+            )
+        else:
+            columns = [
+                self._emit_core(pool, context, activity_cdf,
+                                records_per_core).freeze()
+                for _ in range(cores)
+            ]
         return self._assemble(
             self.name,
-            builders,
+            columns,
             working_set_blocks=context.total_blocks,
             warmup_fraction=0.25,
         )
+
+    def _emit_core(
+        self,
+        pool: StreamPool,
+        context: GeneratorContext,
+        activity_cdf: "list[float]",
+        records_per_core: int,
+    ) -> TraceBuilder:
+        """One core's activities, in Python (the compiled loop's
+        reference)."""
+        params = self.params
+        uniform = context.uniform
+        builder = TraceBuilder()
+        while len(builder) < records_per_core:
+            activity = bisect_right(activity_cdf, uniform())
+            if activity == ACTIVITY_STREAM:
+                self._emit_traversal(builder, pool, context)
+            elif activity == ACTIVITY_SCAN:
+                run = context.next_scan_run(params.scan_run)
+                builder.extend(
+                    run,
+                    work=params.work_cycles * 0.4 * (0.5 + uniform()),
+                    dep=False,
+                    write=False,
+                )
+            elif activity == ACTIVITY_NOISE:
+                u, i = context.peek(3)
+                context.consume(i + 3)
+                builder.add(
+                    context.next_noise(),
+                    work=params.work_cycles * (0.5 + u[i]),
+                    dep=u[i + 1] < params.noise_dep_p,
+                    write=u[i + 2] < params.write_p,
+                )
+            else:
+                for _ in range(params.hot_run):
+                    builder.add(
+                        context.hot_block(),
+                        work=params.work_cycles * 0.3 * (0.5 + uniform()),
+                        dep=False,
+                        write=False,
+                    )
+        return builder
 
     def _emit_traversal(
         self,

@@ -1,8 +1,9 @@
 """Scale presets and workload names, without the generators.
 
 The CLI, the runner, the session and the figure drivers need the preset
-table, the names of the eight suite workloads and the mix presets to
-parse arguments and build cache keys.  They live here, apart from
+table, the names, labels and paper reference numbers of the eight suite
+workloads and the mix presets to parse arguments, build cache keys and
+label figures.  They live here, apart from
 :mod:`repro.workloads.suite` and its NumPy trace generators and from
 the mix grammar in :mod:`repro.workloads.mix`, so that control-plane
 code can use them without importing either.
@@ -41,18 +42,39 @@ SCALES: dict[str, ScalePreset] = {
     "full": ScalePreset("full", 80_000, 0.375, 1 / 32, 65_536, 4_096),
 }
 
+@dataclass(frozen=True)
+class WorkloadInfo:
+    """A suite workload's labels and the paper's reference numbers."""
+
+    #: ``web``, ``oltp``, ``dss`` or ``sci``.
+    category: str
+    #: Label in figures and tables.
+    display: str
+    #: Published MLP of off-chip reads (paper Table 2).
+    paper_mlp: float
+    #: Approximate ideal-TMS coverage from Figure 4 (left).
+    paper_ideal_coverage: float
+    #: Approximate ideal-TMS speedup from Figure 4 (right).
+    paper_ideal_speedup: float
+
+
+#: Every suite workload, in the canonical bar order of the paper's
+#: figures (the keys of :data:`repro.workloads.suite.WORKLOADS`, which
+#: pairs each with its generator).
+WORKLOAD_INFO: "dict[str, WorkloadInfo]" = {
+    "web-apache": WorkloadInfo("web", "Web Apache", 1.5, 0.55, 1.12),
+    "web-zeus": WorkloadInfo("web", "Web Zeus", 1.5, 0.6, 1.15),
+    "oltp-db2": WorkloadInfo("oltp", "OLTP DB2", 1.3, 0.5, 1.08),
+    "oltp-oracle": WorkloadInfo("oltp", "OLTP Oracle", 1.3, 0.45, 1.05),
+    "dss-db2": WorkloadInfo("dss", "DSS DB2", 1.6, 0.2, 1.01),
+    "sci-em3d": WorkloadInfo("sci", "Sci em3d", 1.7, 0.95, 1.8),
+    "sci-moldyn": WorkloadInfo("sci", "Sci moldyn", 1.0, 0.85, 1.18),
+    "sci-ocean": WorkloadInfo("sci", "Sci ocean", 1.2, 0.75, 1.12),
+}
+
 #: Canonical bar order used by the paper's figures: every suite
-#: workload (the keys of :data:`repro.workloads.suite.WORKLOADS`).
-FIGURE_ORDER = (
-    "web-apache",
-    "web-zeus",
-    "oltp-db2",
-    "oltp-oracle",
-    "dss-db2",
-    "sci-em3d",
-    "sci-moldyn",
-    "sci-ocean",
-)
+#: workload.
+FIGURE_ORDER = tuple(WORKLOAD_INFO)
 
 
 def workload_names() -> tuple[str, ...]:

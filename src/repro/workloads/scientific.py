@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workloads import compiled
 from repro.workloads.base import GeneratorContext, TraceGenerator
 from repro.workloads.trace import Trace, TraceBuilder
 
@@ -95,20 +96,45 @@ class ScientificGenerator(TraceGenerator):
             scan_blocks=max(params.sweep_blocks * cores, 1) + 1024,
             noise_blocks=params.noise_blocks,
         )
-        builders = [TraceBuilder() for _ in range(cores)]
-
-        for builder in builders:
+        lib = compiled.library(context)
+        # A core stops after the iteration that reaches records_per_core.
+        capacity = (
+            records_per_core - 1 + 2 * params.iteration_blocks
+            + params.sweep_blocks
+        )
+        columns = []
+        for _ in range(cores):
             iteration = context.alloc_stream(params.iteration_blocks)
             dep_flags = (
                 context.rng.random(params.iteration_blocks) < params.dep_p
             )
-            while len(builder) < records_per_core:
-                self._emit_iteration(builder, context, iteration, dep_flags)
-                iteration = self._perturb(context, iteration)
+            if lib is not None:
+                arrays = compiled.empty_columns(capacity)
+                count = 0
+                while count < records_per_core:
+                    count = compiled.emit_iteration(
+                        lib, context, iteration, dep_flags, arrays, count,
+                        sweep_blocks=params.sweep_blocks,
+                        sweep_run=params.sweep_run,
+                        work_mean=params.work_cycles,
+                        sweep_work=self._sweep_work(),
+                        write_p=params.write_p,
+                        noise_p=params.noise_p,
+                    )
+                    iteration = self._perturb(context, iteration)
+                columns.append(tuple(array[:count] for array in arrays))
+            else:
+                builder = TraceBuilder()
+                while len(builder) < records_per_core:
+                    self._emit_iteration(
+                        builder, context, iteration, dep_flags
+                    )
+                    iteration = self._perturb(context, iteration)
+                columns.append(builder.freeze())
 
         return self._assemble(
             self.name,
-            builders,
+            columns,
             working_set_blocks=context.total_blocks,
             warmup_fraction=self._warmup_fraction(records_per_core),
         )
@@ -161,11 +187,7 @@ class ScientificGenerator(TraceGenerator):
             else:
                 i += 3
         context.consume(i)
-        sweep_work = (
-            params.sweep_work_cycles
-            if params.sweep_work_cycles is not None
-            else params.work_cycles * 0.5
-        )
+        sweep_work = self._sweep_work()
         remaining = params.sweep_blocks
         while remaining > 0:
             run = context.next_scan_run(min(params.sweep_run, remaining))
@@ -178,6 +200,13 @@ class ScientificGenerator(TraceGenerator):
                 write=u[i + 1] < params.write_p,
             )
             remaining -= len(run)
+
+    def _sweep_work(self) -> float:
+        """Mean compute cycles per strided-sweep record."""
+        params = self.params
+        if params.sweep_work_cycles is not None:
+            return params.sweep_work_cycles
+        return params.work_cycles * 0.5
 
     def _perturb(
         self, context: GeneratorContext, iteration: np.ndarray

@@ -3,7 +3,8 @@
 Table 1 of the paper lists Apache and Zeus (SPECweb99), DB2 and Oracle
 (TPC-C), a TPC-H DSS query on DB2, and em3d / moldyn / ocean.  Each entry
 here pairs a generator with calibration targets taken from the paper
-(Table 2 MLP, Figure 4 coverage/speedup bands) so tests and the
+(Table 2 MLP, Figure 4 coverage/speedup bands, kept with the labels in
+:data:`repro.workloads.scales.WORKLOAD_INFO`) so tests and the
 experiments' shape checks can compare measured behaviour against the
 published shape.
 
@@ -43,11 +44,10 @@ Params = Union[CommercialParams, DssParams, ScientificParams]
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """One paper workload: generator recipe plus published reference bands."""
+    """One paper workload's generator recipe (its labels and published
+    reference bands are :data:`~repro.workloads.scales.WORKLOAD_INFO`)."""
 
     name: str
-    category: str
-    display: str
     base_params: Params
     make: Callable[[str, Params], TraceGenerator]
     #: Extra footprint multiplier relative to the preset (scientific
@@ -56,12 +56,6 @@ class WorkloadSpec:
     #: Extra trace-length multiplier (iterative codes need several full
     #: iterations regardless of preset).
     records_bias: float = 1.0
-    #: Published MLP of off-chip reads (paper Table 2).
-    paper_mlp: float = 1.0
-    #: Approximate ideal-TMS coverage from Figure 4 (left).
-    paper_ideal_coverage: float = 0.5
-    #: Approximate ideal-TMS speedup from Figure 4 (right).
-    paper_ideal_speedup: float = 1.1
 
     def generator(self, scale: ScalePreset) -> TraceGenerator:
         factor = scale.footprint * self.footprint_bias
@@ -89,8 +83,6 @@ def _scientific(name: str, params: Params) -> TraceGenerator:
 WORKLOADS: dict[str, WorkloadSpec] = {
     "web-apache": WorkloadSpec(
         name="web-apache",
-        category="web",
-        display="Web Apache",
         base_params=CommercialParams(
             pool_streams=8_000,
             stream_median=8.0,
@@ -102,14 +94,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             work_cycles=115.0,
         ),
         make=_commercial,
-        paper_mlp=1.5,
-        paper_ideal_coverage=0.55,
-        paper_ideal_speedup=1.12,
     ),
     "web-zeus": WorkloadSpec(
         name="web-zeus",
-        category="web",
-        display="Web Zeus",
         base_params=CommercialParams(
             pool_streams=7_000,
             stream_median=9.0,
@@ -121,14 +108,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             work_cycles=105.0,
         ),
         make=_commercial,
-        paper_mlp=1.5,
-        paper_ideal_coverage=0.6,
-        paper_ideal_speedup=1.15,
     ),
     "oltp-db2": WorkloadSpec(
         name="oltp-db2",
-        category="oltp",
-        display="OLTP DB2",
         base_params=CommercialParams(
             pool_streams=9_000,
             stream_median=7.0,
@@ -140,14 +122,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             work_cycles=140.0,
         ),
         make=_commercial,
-        paper_mlp=1.3,
-        paper_ideal_coverage=0.5,
-        paper_ideal_speedup=1.08,
     ),
     "oltp-oracle": WorkloadSpec(
         name="oltp-oracle",
-        category="oltp",
-        display="OLTP Oracle",
         base_params=CommercialParams(
             pool_streams=10_000,
             stream_median=7.0,
@@ -159,24 +136,14 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             work_cycles=175.0,
         ),
         make=_commercial,
-        paper_mlp=1.3,
-        paper_ideal_coverage=0.45,
-        paper_ideal_speedup=1.05,
     ),
     "dss-db2": WorkloadSpec(
         name="dss-db2",
-        category="dss",
-        display="DSS DB2",
         base_params=DssParams(pool_streams=800),
         make=_dss,
-        paper_mlp=1.6,
-        paper_ideal_coverage=0.2,
-        paper_ideal_speedup=1.01,
     ),
     "sci-em3d": WorkloadSpec(
         name="sci-em3d",
-        category="sci",
-        display="Sci em3d",
         base_params=ScientificParams(
             iteration_blocks=64_000,
             dep_p=0.32,
@@ -187,14 +154,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
         ),
         make=_scientific,
         records_bias=1.5,
-        paper_mlp=1.7,
-        paper_ideal_coverage=0.95,
-        paper_ideal_speedup=1.8,
     ),
     "sci-moldyn": WorkloadSpec(
         name="sci-moldyn",
-        category="sci",
-        display="Sci moldyn",
         base_params=ScientificParams(
             iteration_blocks=28_000,
             dep_p=0.95,
@@ -204,14 +166,9 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             noise_p=0.01,
         ),
         make=_scientific,
-        paper_mlp=1.0,
-        paper_ideal_coverage=0.85,
-        paper_ideal_speedup=1.18,
     ),
     "sci-ocean": WorkloadSpec(
         name="sci-ocean",
-        category="sci",
-        display="Sci ocean",
         base_params=ScientificParams(
             iteration_blocks=26_000,
             dep_p=0.68,
@@ -222,9 +179,6 @@ WORKLOADS: dict[str, WorkloadSpec] = {
             noise_p=0.01,
         ),
         make=_scientific,
-        paper_mlp=1.2,
-        paper_ideal_coverage=0.75,
-        paper_ideal_speedup=1.12,
     ),
 }
 

@@ -354,7 +354,8 @@ class Trace:
 class TraceBuilder:
     """Accumulates one core's records in Python lists, then freezes them.
 
-    Generators append record-by-record; :meth:`freeze` converts to the
+    The Python reference emitters append record-by-record (the compiled
+    ones write NumPy columns directly); :meth:`freeze` converts to the
     compact numpy representation stored inside :class:`Trace`.
     """
 

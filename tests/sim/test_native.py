@@ -1,12 +1,13 @@
 """Loader robustness of the compiled event kernel (``repro.sim.native``).
 
-The kernel is built once per machine into a per-user cache and loaded
-through ``ctypes``; these tests pin the loader's contract: a machine
-with a C compiler must load it (a silent fallback would hide a
-regression), a machine without one warns once and falls back with
-identical results, a damaged cached library is rebuilt, concurrent
-builders publish exactly one library, and nothing that never simulates
-a baseline or STMS cell imports the module at all.
+The library holding the kernel is built once per machine into a
+per-user cache and loaded through ``ctypes`` (``repro.sim.library``);
+these tests pin the loader's contract: a machine with a C compiler must
+load it (a silent fallback would hide a regression), a machine without
+one warns once and falls back with identical results, a damaged cached
+library is rebuilt, concurrent builders publish exactly one library,
+and nothing that never simulates a baseline or STMS cell imports the
+kernel's driver module at all.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import native
+from repro.sim import library, native
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    os.pardir, os.pardir, "src")
@@ -51,7 +52,7 @@ def _published(directory: Path) -> "tuple[list[str], list[str]]":
 
 @needs_cc
 def test_kernel_loads_where_a_compiler_exists():
-    assert native.load() is not None
+    assert library.load() is not None
 
 
 def test_no_compiler_warns_once_and_falls_back(tmp_path):
@@ -65,7 +66,6 @@ from repro.sim.runner import (
 from repro.sim.store import encode_result
 from repro.workloads.suite import generate
 
-trace = generate("web-apache", scale="test", cores=2, seed=7)
 config = make_sim_config("test")
 cells = [
     (None, "baseline"),
@@ -74,6 +74,7 @@ cells = [
 ]
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
+    trace = generate("web-apache", scale="test", cores=2, seed=7)
     runs = [Simulator(config).run(trace, factory, label)
             for factory, label in cells * 2]
 scalar = Simulator(dataclasses.replace(config, engine="scalar"))
@@ -95,15 +96,15 @@ print(json.dumps({
 
 @needs_cc
 def test_truncated_cached_library_is_rebuilt(tmp_path):
-    path, cc = native._library_path(tmp_path)
-    native._compile(cc, path)
+    path, cc = library._library_path(tmp_path)
+    library._compile(cc, path)
     size = path.stat().st_size
     with open(path, "r+b") as handle:
         handle.truncate(size // 3)
     # This process has never loaded ``path``, so the damaged file is
     # what the loader sees.
-    lib = native.build(tmp_path)
-    assert lib.repro_kernel_abi() == native.ABI
+    lib = library.build(tmp_path)
+    assert lib.repro_kernel_abi() == library.ABI
     assert path.stat().st_size == size
     assert _published(tmp_path) == ([path.name], [])
 
@@ -112,8 +113,8 @@ def test_truncated_cached_library_is_rebuilt(tmp_path):
 def test_concurrent_builders_publish_one_library(tmp_path):
     code = (
         "import json, sys; from pathlib import Path; "
-        "from repro.sim import native; "
-        "lib = native.build(Path(sys.argv[1])); "
+        "from repro.sim import library; "
+        "lib = library.build(Path(sys.argv[1])); "
         "print(json.dumps(lib.repro_kernel_abi()))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -127,45 +128,66 @@ def test_concurrent_builders_publish_one_library(tmp_path):
     for builder in builders:
         out, err = builder.communicate(timeout=300)
         assert builder.returncode == 0, err
-        assert json.loads(out) == native.ABI
+        assert json.loads(out) == library.ABI
     libraries, temps = _published(tmp_path)
     assert len(libraries) == 1
     assert temps == []
 
 
 def test_kernel_loads_only_for_baseline_and_stms_cells():
-    """``import repro.cli`` never loads the kernel; IDEAL_TMS and MARKOV
-    cells (run or preloaded) do not either; an STMS cell run loads it,
-    and so does a worker fan-out's preload of STMS jobs."""
+    """``import repro.cli`` neither imports ``repro.sim.native`` nor
+    maps the library; generating a trace maps the library (the compiled
+    emitters) but imports no simulator model; IDEAL_TMS and MARKOV cells
+    (run or preloaded) never import the kernel's driver; an STMS cell
+    run does.  A fan-out's preload maps the library for STMS jobs, or
+    for any jobs when a worker may generate a trace, and not otherwise.
+    """
     prelude = """
 import json, sys
 import repro.cli
 loaded = lambda: "repro.sim.native" in sys.modules
-after_import = loaded()
-from repro.sim.engine import Simulator
-from repro.sim.runner import (
-    PrefetcherKind, SimJob, _preload_kernel, make_factory, make_sim_config,
-    make_stms_config)
+def mapped():
+    with open("/proc/self/maps") as maps:
+        return "repro-kernels" in maps.read()
+after_import = [loaded(), mapped()]
+from repro.sim.runner import PrefetcherKind, SimJob, _preload_kernel
+"""
+    run_code = prelude + """
 from repro.workloads.suite import generate
 trace = generate("web-apache", scale="test", cores=2, seed=7)
+after_generate = [loaded(), mapped(), "repro.sim.engine" in sys.modules]
+from repro.sim.engine import Simulator
+from repro.sim.runner import make_factory, make_sim_config, make_stms_config
 def run(kind, **options):
     Simulator(make_sim_config("test")).run(
         trace, make_factory(kind, **options), kind.value)
-"""
-    run_code = prelude + """
 for kind in (PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV):
     run(kind)
-    _preload_kernel([SimJob("web-apache", kind, scale="test")])
+    _preload_kernel([SimJob("web-apache", kind, scale="test")], True)
 after_other = loaded()
 run(PrefetcherKind.STMS, stms_config=make_stms_config("test", cores=2))
-print(json.dumps([after_import, after_other, loaded()]))
+print(json.dumps([after_import, after_generate, after_other, loaded()]))
 """
-    assert _python(run_code) == [False, False, True]
+    assert _python(run_code) == [
+        [False, False], [False, True, False], False, True
+    ]
     preload_code = prelude + """
-_preload_kernel([SimJob("web-apache", PrefetcherKind.STMS, scale="test")])
-print(json.dumps([after_import, loaded()]))
+steps = []
+for kind, generates in (
+    (PrefetcherKind.IDEAL_TMS, False),
+    (PrefetcherKind.IDEAL_TMS, True),
+):
+    _preload_kernel([SimJob("web-apache", kind, scale="test")], generates)
+    steps.append(mapped())
+print(json.dumps([after_import, steps, loaded()]))
 """
-    assert _python(preload_code) == [False, True]
+    assert _python(preload_code) == [[False, False], [False, True], False]
+    stms_code = prelude + """
+_preload_kernel([SimJob("web-apache", PrefetcherKind.STMS, scale="test")],
+                False)
+print(json.dumps([after_import, mapped(), loaded()]))
+"""
+    assert _python(stms_code) == [[False, False], True, False]
 
 
 def test_warm_replay_never_loads_the_kernel(tmp_path):

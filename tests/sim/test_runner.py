@@ -8,6 +8,7 @@ from repro.core.config import StmsConfig
 from repro.sim.runner import (
     PrefetcherKind,
     SimJob,
+    _uses_library,
     compare_prefetchers,
     job_options,
     job_result_key,
@@ -167,3 +168,32 @@ class TestResultKeyConsistency:
         # Teeth: the key carries the option, so a changed one misses.
         other = job_result_key(_other_options(job), fingerprint, job.cores)
         assert session.lookup_result(other) is None
+
+
+class TestLibraryPreload:
+    """``_uses_library``: the fan-out preloads the compiled library
+    whenever a worker may generate a trace or step a kernel cell."""
+
+    @staticmethod
+    def _jobs(*kinds: PrefetcherKind) -> "list[SimJob]":
+        return [SimJob("web-apache", kind, scale="test") for kind in kinds]
+
+    @pytest.mark.parametrize(
+        "kind", [PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV]
+    )
+    def test_generating_workers_use_it_for_any_cell(self, kind):
+        assert _uses_library(self._jobs(kind), generates=True)
+        assert not _uses_library(self._jobs(kind), generates=False)
+
+    @pytest.mark.parametrize(
+        "kind", [PrefetcherKind.BASELINE, PrefetcherKind.STMS]
+    )
+    def test_kernel_cells_use_it_without_generating(self, kind):
+        jobs = self._jobs(PrefetcherKind.IDEAL_TMS, kind)
+        assert _uses_library(jobs, generates=False)
+
+    def test_scalar_engine_uses_it_only_to_generate(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
+        jobs = self._jobs(PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+        assert not _uses_library(jobs, generates=False)
+        assert _uses_library(jobs, generates=True)

@@ -383,6 +383,23 @@ class TestSampledExperimentCli:
         assert "sampled-capable" in err
         assert "mix-contention" in err
 
+    @pytest.mark.parametrize("name", ["fig8", "fig4"])
+    def test_confidence_without_sampling_is_rejected(
+        self, name, tmp_path, capsys
+    ):
+        """A level with no sampled sweep to apply it to is an error
+        (exit 2) that names the missing flags, before any cell runs."""
+        store = tmp_path / "store"
+        code = main(
+            ["experiment", name, "--scale", "test", "--confidence", "0.5",
+             "--store-dir", str(store)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--confidence" in err
+        assert "--budget or --ci-width" in err
+        assert not store.exists()
+
     def test_budgeted_experiment_reports_cis_and_counters(
         self, tmp_path, capsys
     ):

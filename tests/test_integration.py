@@ -11,7 +11,8 @@ pytestmark = pytest.mark.slow
 
 from repro import PrefetcherKind, compare_prefetchers
 from repro.sim.runner import make_stms_config, run_workload
-from repro.workloads.suite import FIGURE_ORDER, WORKLOADS, generate
+from repro.workloads.scales import WORKLOAD_INFO
+from repro.workloads.suite import FIGURE_ORDER, generate
 
 
 @pytest.fixture(scope="module")
@@ -143,4 +144,4 @@ class TestSuiteSanity:
         assert result.measured_records > 0
         assert result.elapsed_cycles > 0
         assert result.mlp >= 1.0 or result.coverage.uncovered == 0
-        assert WORKLOADS[name].display
+        assert WORKLOAD_INFO[name].display

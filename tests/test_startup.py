@@ -95,6 +95,24 @@ def test_model_free_module_alone_loads_no_model(module):
     assert loaded == []
 
 
+#: Drivers that label their rows from the suite's names and paper
+#: numbers (``workloads.scales.WORKLOAD_INFO``), not its generators.
+LABEL_DRIVERS = ("table2_mlp", "fig4_potential", "fig5_storage",
+                 "fig9_performance")
+
+
+@pytest.mark.parametrize("driver", LABEL_DRIVERS)
+def test_label_driver_import_loads_no_numpy_or_generators(driver):
+    unwanted = ["repro.workloads.suite", "repro.workloads.base", *HEAVY]
+    loaded = _python(
+        "import json, sys\n"
+        f"import repro.experiments.{driver}\n"
+        f"print(json.dumps([m for m in {unwanted!r} "
+        "if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
 def _warm(store: str, target: str) -> None:
     cold = subprocess.run(
         [sys.executable, "-m", "repro", "cache", "warm", target,

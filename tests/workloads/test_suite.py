@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads.scales import WORKLOAD_INFO
 from repro.workloads.suite import (
     FIGURE_ORDER,
     SCALES,
@@ -16,17 +17,18 @@ from repro.workloads.suite import (
 class TestRegistry:
     def test_all_eight_paper_workloads_present(self):
         assert set(FIGURE_ORDER) == set(WORKLOADS.keys())
+        assert tuple(WORKLOAD_INFO) == FIGURE_ORDER
         assert len(FIGURE_ORDER) == 8
 
     def test_categories(self):
-        categories = {spec.category for spec in WORKLOADS.values()}
+        categories = {info.category for info in WORKLOAD_INFO.values()}
         assert categories == {"web", "oltp", "dss", "sci"}
 
     def test_paper_reference_bands_present(self):
-        for spec in WORKLOADS.values():
-            assert 1.0 <= spec.paper_mlp <= 2.0
-            assert 0.0 < spec.paper_ideal_coverage <= 1.0
-            assert spec.paper_ideal_speedup >= 1.0
+        for info in WORKLOAD_INFO.values():
+            assert 1.0 <= info.paper_mlp <= 2.0
+            assert 0.0 < info.paper_ideal_coverage <= 1.0
+            assert info.paper_ideal_speedup >= 1.0
 
     def test_get_spec_unknown(self):
         with pytest.raises(ValueError, match="unknown workload"):
