@@ -12,6 +12,7 @@ code can use them without importing either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,12 @@ SCALES: dict[str, ScalePreset] = {
     "full": ScalePreset("full", 80_000, 0.375, 1 / 32, 65_536, 4_096),
 }
 
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """A suite workload's labels and the paper's reference numbers."""
+class WorkloadInfo(NamedTuple):
+    """A suite workload's labels and the paper's reference numbers.
+
+    (A named tuple: the control plane imports this module, and a frozen
+    dataclass costs about four times as much to define.)
+    """
 
     #: ``web``, ``oltp``, ``dss`` or ``sci``.
     category: str
