@@ -29,7 +29,7 @@ _EXPORTS = {
     "StmsConfig": "repro.core.config",
     "StmsPrefetcher": "repro.core.stms",
     "CmpConfig": "repro.memory.config",
-    "DramConfig": "repro.memory.dram",
+    "DramConfig": "repro.memory.config",
     "FixedDepthPrefetcher": "repro.prefetchers.fixed_depth",
     "IdealTmsPrefetcher": "repro.prefetchers.ideal_tms",
     "MarkovPrefetcher": "repro.prefetchers.markov",

@@ -20,8 +20,11 @@ forces full recomputation.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import dataclasses
+import functools
+import gc
 import math
 import os
 import sys
@@ -34,7 +37,7 @@ from repro.experiments import (
     SAMPLED_EXPERIMENTS,
     run_experiment,
 )
-from repro.obs import SessionStats
+from repro.obs import SessionStats, long_lived
 from repro.sim.results import SimResult
 from repro.sim.runner import (
     PrefetcherKind,
@@ -732,12 +735,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Once per process: freeze the heap as the interpreter exits.
+
+    The final collections of interpreter teardown then skip every
+    object left instead of walking all the imports and the run built.
+    ``atexit`` runs its handlers last in, first out, so handlers the
+    run registers later (the process pool's) still run first.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _freeze_heap_at_exit()
     try:
-        status = args.entry(args)
-        sys.stdout.flush()
+        # The parsed command and the control plane's import graph live
+        # to the end of the run.
+        with long_lived():
+            status = args.entry(args)
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (``| head -1``); what is
         # still buffered goes to the null device at exit, not a traceback.

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.memory.config import TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 
 
 @dataclass

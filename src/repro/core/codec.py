@@ -24,7 +24,7 @@ match this physical layout.
 
 from __future__ import annotations
 
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 
 #: Entries per packed history block / index bucket.
 HISTORY_ENTRIES_PER_BLOCK = 12

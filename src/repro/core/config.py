@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.memory.address import BLOCK_BYTES, is_power_of_two
+from repro.memory.config import BLOCK_BYTES, is_power_of_two
 
 #: Bytes of one packed history entry (42-bit address + mark bit, padded).
 HISTORY_ENTRY_BYTES = 5

@@ -36,8 +36,9 @@ from typing import NamedTuple
 
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
 from repro.memory.address import Region
+from repro.memory.config import TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 
 
 class _HistoryPointerFields(NamedTuple):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.history_buffer import HistoryPointer
-from repro.memory.address import is_power_of_two
+from repro.memory.config import is_power_of_two
 
 
 #: Knuth multiplicative hashing constant (2^32 / golden ratio).

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.codec import INDEX_ENTRIES_PER_BUCKET
 from repro.core.history_buffer import HistoryPointer
 from repro.core.index_table import _HASH_MULTIPLIER
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 
 
 @dataclass

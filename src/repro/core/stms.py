@@ -37,9 +37,10 @@ from repro.core.history_buffer import HistoryBuffer, HistoryPointer
 from repro.core.index_table import IndexTable
 from repro.core.sampling import ProbabilisticSampler
 from repro.core.stream_engine import StreamEngine
-from repro.memory.address import BLOCK_BYTES, AddressSpace
+from repro.memory.address import AddressSpace
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.base import ResidencyFilter, TemporalPrefetcher
 
 

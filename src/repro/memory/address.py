@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Cache block (line) size in bytes.  Fixed at 64 B to match the paper's
-#: memory-interface width; the index-table bucket format depends on it.
-BLOCK_BYTES = 64
+from repro.memory.config import BLOCK_BYTES
 
 #: log2(BLOCK_BYTES), used for shifting addresses to block numbers.
 BLOCK_SHIFT = 6
@@ -49,11 +47,6 @@ def align_down(value: int, alignment: int) -> int:
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return (value // alignment) * alignment
-
-
-def is_power_of_two(value: int) -> bool:
-    """Return True if ``value`` is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0
 
 
 @dataclass(frozen=True)

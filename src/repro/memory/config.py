@@ -1,14 +1,134 @@
-"""Cache and chip geometry (:class:`CacheConfig`, :class:`CmpConfig`).
+"""Memory-system parameters and names, apart from the models.
 
-Result keys hash them, so the control plane imports this module; it
-imports none of the cache, MSHR or hierarchy models.
+Block size, cache and chip geometry (:class:`CacheConfig`,
+:class:`CmpConfig`), the DRAM channel's parameters and priority classes
+(:class:`DramConfig`, :class:`Priority`) and the off-chip traffic
+categories (:class:`TrafficCategory`, :class:`TrafficBreakdown`).
+Result keys hash the configurations and results carry the traffic
+names, so the control plane imports this module; it imports none of
+the address, cache, MSHR, hierarchy, DRAM or traffic models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum, IntEnum
 
-from repro.memory.address import BLOCK_BYTES, is_power_of_two
+#: Cache block (line) size in bytes.  Fixed at 64 B to match the paper's
+#: memory-interface width; the index-table bucket format depends on it.
+BLOCK_BYTES = 64
+
+
+def is_power_of_two(value: int) -> bool:
+    """Return True if ``value`` is a positive power of two."""
+    return value > 0 and (value & (value - 1)) == 0
+
+
+class Priority(IntEnum):
+    """Memory-request priority class (higher value = more urgent)."""
+
+    LOW = 0
+    HIGH = 1
+
+
+@dataclass(frozen=True)
+class DramConfig:
+    """Channel parameters (defaults follow the paper's Table 1 at 4 GHz)."""
+
+    #: Core clock frequency used to convert ns to cycles.
+    clock_ghz: float = 4.0
+    #: Device access latency in nanoseconds.
+    access_latency_ns: float = 45.0
+    #: Peak sustainable bandwidth in GB/s.
+    peak_bandwidth_gbps: float = 28.4
+
+    def __post_init__(self) -> None:
+        if self.clock_ghz <= 0:
+            raise ValueError("clock_ghz must be positive")
+        if self.access_latency_ns < 0:
+            raise ValueError("access_latency_ns must be non-negative")
+        if self.peak_bandwidth_gbps <= 0:
+            raise ValueError("peak_bandwidth_gbps must be positive")
+
+    @property
+    def access_latency_cycles(self) -> float:
+        """Device latency in core cycles (45 ns @ 4 GHz = 180 cycles)."""
+        return self.access_latency_ns * self.clock_ghz
+
+    @property
+    def transfer_cycles(self) -> float:
+        """Channel occupancy of one 64-byte transfer in core cycles."""
+        ns_per_block = BLOCK_BYTES / self.peak_bandwidth_gbps
+        return ns_per_block * self.clock_ghz
+
+
+class TrafficCategory(Enum):
+    """Every kind of byte that crosses the processor pins."""
+
+    # Members are singletons, so identity hashing is equivalent to the
+    # default name hash — but C-level, which matters: every traffic
+    # charge in the simulator is a dict access keyed by a category.
+    __hash__ = object.__hash__
+
+    #: Demand fetches that miss all caches (the baseline's useful reads).
+    DEMAND_READ = "demand_read"
+    #: Dirty-block write-backs to main memory.
+    WRITEBACK = "writeback"
+    #: Unused fills issued by the base system's stride prefetcher.  Present
+    #: in both baseline and STMS configurations, so excluded from the
+    #: temporal prefetcher's overhead accounting.
+    STRIDE_PREFETCH = "stride_prefetch"
+    #: Prefetched blocks that were later used by the core.
+    USEFUL_PREFETCH = "useful_prefetch"
+    #: Prefetched blocks never used before being dropped.
+    ERRONEOUS_PREFETCH = "erroneous_prefetch"
+    #: History-buffer appends (packed, one write per ~12 misses).
+    RECORD_STREAMS = "record_streams"
+    #: Index-table maintenance (bucket read + write per applied update).
+    UPDATE_INDEX = "update_index"
+    #: Index-table bucket reads + history-buffer block reads on lookups.
+    LOOKUP_STREAMS = "lookup_streams"
+
+    @property
+    def is_overhead(self) -> bool:
+        """Overhead = everything beyond demand reads and write-backs."""
+        return self not in (
+            TrafficCategory.DEMAND_READ,
+            TrafficCategory.WRITEBACK,
+            TrafficCategory.STRIDE_PREFETCH,
+        )
+
+    @property
+    def is_metadata(self) -> bool:
+        """Meta-data traffic is eligible for low-priority scheduling."""
+        return self in (
+            TrafficCategory.RECORD_STREAMS,
+            TrafficCategory.UPDATE_INDEX,
+            TrafficCategory.LOOKUP_STREAMS,
+        )
+
+
+@dataclass(frozen=True)
+class TrafficBreakdown:
+    """Immutable snapshot of normalized overhead traffic.
+
+    Values are overhead bytes per useful data byte, the y-axis of the
+    paper's Figure 7.
+    """
+
+    record_streams: float
+    update_index: float
+    lookup_streams: float
+    erroneous_prefetch: float
+
+    @property
+    def total(self) -> float:
+        return (
+            self.record_streams
+            + self.update_index
+            + self.lookup_streams
+            + self.erroneous_prefetch
+        )
 
 
 @dataclass(frozen=True)

@@ -19,47 +19,8 @@ requester sees ``queue delay + access latency + transfer time``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
-from repro.memory.address import BLOCK_BYTES
-
-
-class Priority(IntEnum):
-    """Memory-request priority class (higher value = more urgent)."""
-
-    LOW = 0
-    HIGH = 1
-
-
-@dataclass(frozen=True)
-class DramConfig:
-    """Channel parameters (defaults follow the paper's Table 1 at 4 GHz)."""
-
-    #: Core clock frequency used to convert ns to cycles.
-    clock_ghz: float = 4.0
-    #: Device access latency in nanoseconds.
-    access_latency_ns: float = 45.0
-    #: Peak sustainable bandwidth in GB/s.
-    peak_bandwidth_gbps: float = 28.4
-
-    def __post_init__(self) -> None:
-        if self.clock_ghz <= 0:
-            raise ValueError("clock_ghz must be positive")
-        if self.access_latency_ns < 0:
-            raise ValueError("access_latency_ns must be non-negative")
-        if self.peak_bandwidth_gbps <= 0:
-            raise ValueError("peak_bandwidth_gbps must be positive")
-
-    @property
-    def access_latency_cycles(self) -> float:
-        """Device latency in core cycles (45 ns @ 4 GHz = 180 cycles)."""
-        return self.access_latency_ns * self.clock_ghz
-
-    @property
-    def transfer_cycles(self) -> float:
-        """Channel occupancy of one 64-byte transfer in core cycles."""
-        ns_per_block = BLOCK_BYTES / self.peak_bandwidth_gbps
-        return ns_per_block * self.clock_ghz
+from repro.memory.config import DramConfig, Priority
 
 
 @dataclass(slots=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.memory.cache import AccessResult, Cache, Eviction, VictimBuffer
-from repro.memory.config import CmpConfig
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.config import CmpConfig, TrafficCategory
+from repro.memory.traffic import TrafficMeter
 
 
 class ServicePoint(Enum):

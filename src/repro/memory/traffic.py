@@ -9,88 +9,7 @@ exactly those normalizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
-from repro.memory.address import BLOCK_BYTES
-
-
-class TrafficCategory(Enum):
-    """Every kind of byte that crosses the processor pins."""
-
-    # Members are singletons, so identity hashing is equivalent to the
-    # default name hash — but C-level, which matters: every traffic
-    # charge in the simulator is a dict access keyed by a category.
-    __hash__ = object.__hash__
-
-    #: Demand fetches that miss all caches (the baseline's useful reads).
-    DEMAND_READ = "demand_read"
-    #: Dirty-block write-backs to main memory.
-    WRITEBACK = "writeback"
-    #: Unused fills issued by the base system's stride prefetcher.  Present
-    #: in both baseline and STMS configurations, so excluded from the
-    #: temporal prefetcher's overhead accounting.
-    STRIDE_PREFETCH = "stride_prefetch"
-    #: Prefetched blocks that were later used by the core.
-    USEFUL_PREFETCH = "useful_prefetch"
-    #: Prefetched blocks never used before being dropped.
-    ERRONEOUS_PREFETCH = "erroneous_prefetch"
-    #: History-buffer appends (packed, one write per ~12 misses).
-    RECORD_STREAMS = "record_streams"
-    #: Index-table maintenance (bucket read + write per applied update).
-    UPDATE_INDEX = "update_index"
-    #: Index-table bucket reads + history-buffer block reads on lookups.
-    LOOKUP_STREAMS = "lookup_streams"
-
-    @property
-    def is_overhead(self) -> bool:
-        """Overhead = everything beyond demand reads and write-backs."""
-        return self not in (
-            TrafficCategory.DEMAND_READ,
-            TrafficCategory.WRITEBACK,
-            TrafficCategory.STRIDE_PREFETCH,
-        )
-
-    @property
-    def is_metadata(self) -> bool:
-        """Meta-data traffic is eligible for low-priority scheduling."""
-        return self in (
-            TrafficCategory.RECORD_STREAMS,
-            TrafficCategory.UPDATE_INDEX,
-            TrafficCategory.LOOKUP_STREAMS,
-        )
-
-
-#: Display order used by reports, matching the paper's Figure 7 legend.
-OVERHEAD_ORDER = (
-    TrafficCategory.RECORD_STREAMS,
-    TrafficCategory.UPDATE_INDEX,
-    TrafficCategory.LOOKUP_STREAMS,
-    TrafficCategory.ERRONEOUS_PREFETCH,
-)
-
-
-@dataclass(frozen=True)
-class TrafficBreakdown:
-    """Immutable snapshot of normalized overhead traffic.
-
-    Values are overhead bytes per useful data byte, the y-axis of the
-    paper's Figure 7.
-    """
-
-    record_streams: float
-    update_index: float
-    lookup_streams: float
-    erroneous_prefetch: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.record_streams
-            + self.update_index
-            + self.lookup_streams
-            + self.erroneous_prefetch
-        )
+from repro.memory.config import BLOCK_BYTES, TrafficBreakdown, TrafficCategory
 
 
 class TrafficMeter:

@@ -1,14 +1,38 @@
-"""Run counters, declared once.
+"""Run counters, declared once, and the heap a run keeps.
 
 Every layer counts into one :class:`SessionStats`; worker folding,
 ``counters.json`` persistence (``SimSession.persist_counters``) and the
 ``cache stats`` table are generic over its fields, so adding a counter
-takes one field and one increment.
+takes one field and one increment.  :func:`long_lived` keeps the
+cyclic garbage collector off the objects a run holds to its end.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Iterator
+
+
+@contextmanager
+def long_lived() -> Iterator[None]:
+    """Treat every object that exists on entry as permanent.
+
+    ``gc.freeze()`` moves them (the imported modules, a parsed command,
+    a parent's heap before its pool forks) to the permanent generation:
+    collections inside the block walk only what the block allocates,
+    and forked workers neither walk nor copy-on-write the parent's
+    pages.  Only the outermost block unfreezes on exit, so an
+    in-process caller gets its heap back as it was.
+    """
+    outermost = gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        yield
+    finally:
+        if outermost:
+            gc.unfreeze()
 
 
 @dataclass

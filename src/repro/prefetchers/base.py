@@ -19,8 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, NamedTuple
 
-from repro.memory.dram import DramChannel, Priority
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.config import Priority, TrafficCategory
+from repro.memory.dram import DramChannel
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.stats import PrefetcherStats
 
 #: Engine-supplied predicate: True when a block is already on chip, in

@@ -33,11 +33,9 @@ from heapq import heappush
 
 import numpy as np
 
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES, Priority, TrafficCategory
 from repro.memory.cache import Eviction
-from repro.memory.dram import Priority
 from repro.memory.mshr import MshrEntry
-from repro.memory.traffic import TrafficCategory
 from repro.sim.engine import _RunState
 
 _HIGH = Priority.HIGH

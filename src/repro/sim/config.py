@@ -7,8 +7,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.memory.config import CmpConfig
-from repro.memory.dram import DramConfig
+from repro.memory.config import CmpConfig, DramConfig
 from repro.sim.timing import TimingModel
 
 

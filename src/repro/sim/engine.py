@@ -27,10 +27,11 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.memory.dram import DramChannel, DramStats, Priority
+from repro.memory.config import Priority, TrafficCategory
+from repro.memory.dram import DramChannel, DramStats
 from repro.memory.hierarchy import CmpHierarchy, ServicePoint
 from repro.memory.mshr import MshrFile
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.base import TemporalPrefetcher
 from repro.prefetchers.stats import PrefetcherStats
 from repro.prefetchers.stride import StridePrefetcher, StrideStats

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 
-from repro.memory.address import BLOCK_BYTES
-from repro.memory.dram import Priority
-from repro.memory.traffic import TrafficCategory
+from repro.memory.config import BLOCK_BYTES, Priority, TrafficCategory
 from repro.sim.results import CoverageCounts, SimResult
 
 

@@ -58,9 +58,8 @@ import numpy as np
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
 from repro.core.history_buffer import HistoryPointer
 from repro.core.stream_engine import QueuedAddress
-from repro.memory.dram import Priority
+from repro.memory.config import Priority, TrafficCategory
 from repro.memory.mshr import MshrEntry
-from repro.memory.traffic import TrafficCategory
 from repro.prefetchers.base import PrefetchedBlock
 from repro.sim.config import SimConfig
 from repro.sim.engine import _RunState, kernel_cell

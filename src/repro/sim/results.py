@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.memory.traffic import TrafficBreakdown, TrafficCategory
+from repro.memory.config import TrafficBreakdown, TrafficCategory
 from repro.prefetchers.stats import PrefetcherStats
 
 

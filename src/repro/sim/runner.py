@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import StmsConfig
 from repro.envknobs import env_positive_int
-from repro.memory.dram import DramConfig
-from repro.memory.config import CmpConfig
+from repro.memory.config import CmpConfig, DramConfig
+from repro.obs import long_lived
 from repro.sim.config import SimConfig, resolve_engine
 from repro.sim.results import SimResult
 from repro.sim.session import (
@@ -747,8 +747,11 @@ class ExperimentRunner:
             try:
                 # Every worker runs on the caller's session: the
                 # initializer installs it as the worker's process
-                # session (forked workers inherit it whole).
-                with ProcessPoolExecutor(
+                # session (forked workers inherit it whole).  The heap
+                # is frozen before the pool forks, so workers neither
+                # walk the parent's objects nor copy its pages when
+                # they collect.
+                with long_lived(), ProcessPoolExecutor(
                     min(self.max_workers, len(shards)),
                     mp_context=context,
                     initializer=set_session,

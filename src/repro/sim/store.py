@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.envknobs import env_float
-from repro.memory.traffic import TrafficBreakdown
+from repro.memory.config import TrafficBreakdown
 from repro.obs import SessionStats
 from repro.prefetchers.stats import PrefetcherStats
 from repro.sim.results import CoverageCounts, SimResult

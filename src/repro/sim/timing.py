@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.dram import Priority
+from repro.memory.config import Priority
 
 #: Per-core demand-priority classes an asymmetric mix may assign
 #: (``!high`` / ``!low`` in a mix spec).  ``high`` is the normal demand

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.memory.dram import DramChannel, DramConfig
-from repro.memory.hierarchy import CmpConfig
+from repro.memory.config import DramConfig
+from repro.memory.dram import DramChannel
 from repro.memory.traffic import TrafficMeter
+from repro.memory.hierarchy import CmpConfig
 from repro.sim.engine import SimConfig, _RunState
 from repro.sim.metrics import check_invariants
 from repro.workloads.trace import Trace

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.bucket_buffer import BucketBuffer
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 
 
 def make_buffer(capacity: int = 4) -> BucketBuffer:

@@ -14,7 +14,7 @@ from repro.core.codec import (
     unpack_history_block,
     unpack_index_bucket,
 )
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 
 
 class TestHistoryBlockLayout:

@@ -7,7 +7,7 @@ from repro.core.config import (
     INDEX_ENTRY_BYTES,
     StmsConfig,
 )
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 
 
 class TestValidation:

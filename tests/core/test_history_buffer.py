@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
 from repro.core.history_buffer import HistoryBuffer
-from repro.memory.address import BLOCK_BYTES, Region
+from repro.memory.address import Region
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 
 
 def make_history(capacity_entries: int = 48) -> HistoryBuffer:

@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.config import StmsConfig
 from repro.core.stms import StmsPrefetcher
+from repro.memory.config import TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 
 
 def make_stms(**overrides) -> StmsPrefetcher:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.memory.address import (
-    BLOCK_BYTES,
     AddressSpace,
     Region,
     align_down,
@@ -12,8 +11,8 @@ from repro.memory.address import (
     block_of,
     block_offset,
     block_to_address,
-    is_power_of_two,
 )
+from repro.memory.config import BLOCK_BYTES, is_power_of_two
 
 
 class TestBlockArithmetic:

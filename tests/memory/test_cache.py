@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 from repro.memory.cache import (
     AccessResult,
     Cache,

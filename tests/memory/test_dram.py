@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.memory.address import BLOCK_BYTES
-from repro.memory.dram import DramChannel, DramConfig, Priority
+from repro.memory.config import BLOCK_BYTES, DramConfig, Priority
+from repro.memory.dram import DramChannel
 
 
 class TestDramConfig:

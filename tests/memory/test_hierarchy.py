@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
+from repro.memory.traffic import TrafficMeter
 from repro.memory.hierarchy import CmpConfig, CmpHierarchy, ServicePoint
-from repro.memory.traffic import TrafficCategory, TrafficMeter
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.memory.address import BLOCK_BYTES
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
+from repro.memory.traffic import TrafficMeter
 
 
 class TestCategories:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.memory.config import TrafficCategory
 from repro.memory.dram import DramChannel
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.base import (
     PrefetchBuffer,
     PrefetchedBlock,
@@ -150,7 +151,8 @@ class TestInlinedDramFastPath:
     """
 
     def test_issue_prefetch_matches_channel_request(self):
-        from repro.memory.dram import DramChannel, DramConfig, Priority
+        from repro.memory.config import DramConfig, Priority
+        from repro.memory.dram import DramChannel
         from repro.memory.traffic import TrafficMeter
         from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
 
@@ -169,7 +171,8 @@ class TestInlinedDramFastPath:
         assert inlined._busy_until_high == reference._busy_until_high
 
     def test_issue_prefetch_backlog_drop_matches_low_backlog(self):
-        from repro.memory.dram import DramChannel, DramConfig, Priority
+        from repro.memory.config import DramConfig, Priority
+        from repro.memory.dram import DramChannel
         from repro.memory.traffic import TrafficMeter
         from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
 
@@ -183,7 +186,8 @@ class TestInlinedDramFastPath:
         assert prefetcher.stats.dropped == 1
 
     def test_stride_run_ahead_matches_channel_request(self):
-        from repro.memory.dram import DramChannel, DramConfig, Priority
+        from repro.memory.config import DramConfig, Priority
+        from repro.memory.dram import DramChannel
         from repro.prefetchers.stride import StridePrefetcher
 
         inlined = DramChannel(DramConfig())

@@ -106,7 +106,7 @@ class TestMultiCore:
         result = run(trace, tiny_sim_config)
         # Both cores demand the same blocks nearly simultaneously: the
         # second should merge rather than double demand traffic.
-        from repro.memory.address import BLOCK_BYTES
+        from repro.memory.config import BLOCK_BYTES
 
         demanded = result.useful_bytes / BLOCK_BYTES
         assert demanded < 2 * 200 * 1.05
@@ -134,7 +134,7 @@ class TestMissLog:
 
 class TestWritebackTraffic:
     def test_dirty_working_set_writes_back(self, tiny_cmp_config):
-        from repro.memory.address import BLOCK_BYTES
+        from repro.memory.config import BLOCK_BYTES
 
         config = SimConfig(cmp=tiny_cmp_config)
         blocks = list(np.random.default_rng(6).permutation(9000)[:500])

@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import StmsConfig
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES
 from repro.memory.hierarchy import CmpConfig
 from repro.sim.batch import BatchRunState
 from repro.sim.engine import SimConfig, _RunState

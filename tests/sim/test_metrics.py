@@ -342,6 +342,6 @@ class TestConservationInvariants:
 
 
 def _category(value):
-    from repro.memory.traffic import TrafficCategory
+    from repro.memory.config import TrafficCategory
 
     return TrafficCategory(value)

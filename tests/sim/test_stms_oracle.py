@@ -40,9 +40,8 @@ import pytest
 
 from repro.core.config import StmsConfig
 from repro.core.index_table import IndexTable
-from repro.memory.address import BLOCK_BYTES
+from repro.memory.config import BLOCK_BYTES, TrafficCategory
 from repro.memory.hierarchy import CmpConfig
-from repro.memory.traffic import TrafficCategory
 from repro.sim.batch import BatchRunState
 from repro.sim.engine import SimConfig, _RunState
 from repro.sim.metrics import check_invariants

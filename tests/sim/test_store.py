@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.sim.metrics import CoverageCounts, SimResult
-from repro.memory.traffic import TrafficBreakdown
+from repro.memory.config import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
 from repro.sim.runner import (
     ExperimentRunner,
@@ -76,6 +76,32 @@ class TestDigests:
         key = ("x", 1)
         assert trace_digest(key) != result_digest(key)
         assert key_digest("a", key) != key_digest("b", key)
+
+    def test_fig7_job_keys_are_pinned(self, monkeypatch):
+        """The store addresses of one fig7 cell (web-apache, STMS at
+        12.5% sampling, test scale, 4 cores, seed 7).  A change to
+        ``session._freeze``, to a configuration's fields or to how a
+        key is spelled re-keys every persisted trace and result; this
+        makes such a change deliberate."""
+        from repro.sim.runner import job_options, job_result_key
+        from repro.workloads.suite import generate
+
+        # The engine in effect is part of the result key.
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        job = SimJob(
+            "web-apache", PrefetcherKind.STMS, scale="test", cores=4,
+            seed=7, stms_overrides=job_options(sampling_probability=0.125),
+        )
+        fingerprint = generate(
+            "web-apache", scale="test", cores=4, seed=7
+        ).fingerprint()
+        assert trace_digest(job.trace_key()) == (
+            "085cdf0ccd727f120f4080c8d8d626e3"
+        )
+        assert fingerprint == "ab24b258bdbdfa5358623d856e1a75cd"
+        assert result_digest(job_result_key(job, fingerprint, 4)) == (
+            "365d1eb2ef3be7d15c93e5505d2cd603"
+        )
 
 
 class TestResultCodec:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.memory.traffic import TrafficCategory
+from repro.memory.config import TrafficCategory
 from repro.sim.batch import BatchRunState
 from repro.sim.engine import _RunState
 from repro.sim.results import SimResult, per_workload_breakdown

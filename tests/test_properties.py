@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import StmsConfig
 from repro.core.stms import StmsPrefetcher
-from repro.memory.dram import DramChannel, Priority
-from repro.memory.traffic import TrafficCategory, TrafficMeter
+from repro.memory.config import Priority, TrafficCategory
+from repro.memory.dram import DramChannel
+from repro.memory.traffic import TrafficMeter
 from repro.prefetchers.ideal_tms import IdealTmsPrefetcher
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.runner import PrefetcherKind, make_factory

@@ -36,6 +36,9 @@ MODELS = (
     "repro.memory.hierarchy",
     "repro.memory.cache",
     "repro.memory.mshr",
+    "repro.memory.dram",
+    "repro.memory.traffic",
+    "repro.memory.address",
     "repro.prefetchers.base",
     "repro.prefetchers.stride",
     "repro.workloads.mix",

@@ -214,7 +214,7 @@ class TestAsymmetricMix:
         assert low.fingerprint() != high.fingerprint()
 
     def test_low_priority_core_demands_queue_behind_others(self):
-        from repro.memory.dram import Priority
+        from repro.memory.config import Priority
         from repro.sim.engine import _RunState
         from repro.sim.runner import make_sim_config
 
