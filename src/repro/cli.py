@@ -46,7 +46,11 @@ from repro.sim.runner import (
     run_workload,
 )
 from repro.sim.session import SimSession, set_session
-from repro.sim.store import ArtifactStore, default_store_dir
+from repro.sim.store import (
+    ArtifactStore,
+    default_store_dir,
+    read_trace_header,
+)
 from repro.workloads.scales import (
     FIGURE_ORDER,
     MIX_PRESETS,
@@ -374,9 +378,7 @@ def _entry_label(entry) -> str:
                 f"{payload.get('experiment', '?')} sampled "
                 f"{payload.get('budget', '?')}/{payload.get('total', '?')}"
             )
-        import numpy as np
-
-        return str(np.load(entry.path)["meta_name"][0])
+        return read_trace_header(entry.path)["trace"]["name"]
     except Exception:
         return "(unreadable)"
 
@@ -445,7 +447,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
         rows.append(["cells per sweep", f"{cells / invocations:.1f}"])
     # Data-plane effectiveness: how much of the bytes shipped to pool
     # workers travelled as zero-copy shared-memory views versus the
-    # pickle/npz fallback path.
+    # TraceRef fallback path.
     zero_copy = counters["shm_bytes_zero_copy"]
     pickled = counters["shm_bytes_pickled"]
     if zero_copy or pickled:

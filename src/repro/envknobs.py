@@ -1,15 +1,14 @@
 """Warn-once parsing of numeric ``REPRO_*`` environment knobs.
 
-A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_STORE_TMP_MAX_AGE_S``,
-``REPRO_JOBS``) emits one :class:`RuntimeWarning` per knob per process
-and then falls back to a safe value, so a typo'd environment can
-neither silently un-cap a store nor quietly serialize a run.
+A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_JOBS``) emits one
+:class:`RuntimeWarning` per knob per process and then falls back to a
+safe value, so a typo'd environment can neither silently un-cap a store
+nor quietly serialize a run.
 
-Float knobs are sizes and durations, so a value that parses but cannot
-be one (``nan``, ``inf``, a negative number, or zero where the knob is
+Float knobs are sizes, so a value that parses but cannot be one
+(``nan``, ``inf``, a negative number, or zero where the knob is
 ``positive``) is malformed too: a ``-1`` size cap would otherwise evict
-every artifact right after it is written, and a negative age gate would
-let the stale-temp sweep unlink live writers' in-flight files.
+every artifact right after it is written.
 
 An *empty* value is treated as unset (no warning): ``REPRO_X= cmd`` is
 a common way to explicitly clear a knob in shell scripts.

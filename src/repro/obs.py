@@ -76,8 +76,8 @@ class SessionStats:
     shm_attaches: int = 0
     #: Bytes served to workers as zero-copy shared-memory views.
     shm_bytes_zero_copy: int = 0
-    #: Bytes shipped to workers on the pickle/npz fallback path
-    #: (TraceRef file sizes) — the plane's savings are the contrast
+    #: Bytes workers re-read on the TraceRef fallback path (the
+    #: referenced trace files' sizes) — the plane's savings are the contrast
     #: between this and :attr:`shm_bytes_zero_copy`.
     shm_bytes_pickled: int = 0
     #: Budgeted-sampling layer (``sim/sampling.py`` via the

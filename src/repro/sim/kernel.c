@@ -53,7 +53,7 @@
 #define HISTORY_PER_BLOCK 12 /* repro.core.codec.HISTORY_ENTRIES_PER_BLOCK */
 #define PBUF_BINS 256        /* pbuf_filter bins: block & (PBUF_BINS - 1) */
 
-/* Traffic categories, in repro.memory.traffic.TrafficCategory order. */
+/* Traffic categories, in repro.memory.config.TrafficCategory order. */
 enum { TC_DEMAND, TC_WRITEBACK, TC_STRIDE, TC_USEFUL, TC_ERRONEOUS,
        TC_RECORD, TC_UPDATE, TC_LOOKUP, TC_COUNT };
 
@@ -82,7 +82,7 @@ typedef struct {
     Queued paused_at, last_consumed;
 } Engine;
 
-/* Keep in sync with repro.sim.native.Machine (same order, same types). */
+/* Keep in sync with repro.sim.library.Machine (same order, same types). */
 typedef struct {
     /* Geometry and configuration (read-only). */
     int64_t cores;              /* trace cores (stepped) */
@@ -223,7 +223,7 @@ typedef struct {
     int32_t *pbuf_filter;
 } Machine;
 
-/* Layout fingerprint repro.sim.native checks before any call. */
+/* Layout fingerprint repro.sim.library checks before any call. */
 int64_t repro_kernel_abi(void)
 {
     return (int64_t)sizeof(Machine) | (int64_t)sizeof(Engine) << 16

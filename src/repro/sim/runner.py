@@ -406,7 +406,7 @@ def _run_bundle(
     (:mod:`repro.sim.shm`): this worker attaches the segment read-only,
     adopts the zero-copy trace into its session, and seeds a
     :class:`~repro.sim.sweep.SweepShared` with the parent-classified
-    metadata columns — no npz re-read, no re-generation, no
+    metadata columns — no trace-file re-read, no re-generation, no
     re-classification per shard.  A failed attach (or a disabled
     session) falls back to the TraceRef path.
 
@@ -474,7 +474,7 @@ def _default_workers() -> "tuple[int, bool]":
 def _ref_bytes(ref: "TraceRef | None") -> int:
     """On-disk size of a shipped TraceRef (0 when absent/unreadable).
 
-    This is what a worker re-reads on the pickle/npz fallback path —
+    This is what a worker re-reads on the TraceRef fallback path —
     the denominator of the zero-copy-vs-pickled contrast in
     ``cache stats``.
     """
@@ -820,10 +820,10 @@ class ExperimentRunner:
         """Per-job cache probe of one bundle (None entries = misses).
 
         Result keys need only the trace's fingerprint, which comes from
-        the memory tier or from the fingerprint member of the persisted
-        trace, so the probe never reads trace arrays: a fully warm
-        bundle reads its results and nothing else, and a bundle with a
-        miss loads its trace when it runs.  Returns None outright when
+        the memory tier or from the header of the persisted trace file,
+        so the probe never reads trace columns: a fully warm bundle
+        reads its results and nothing else, and a bundle with a miss
+        loads its trace when it runs.  Returns None outright when
         the trace is in neither tier, and the bundle runs normally.
         """
         store = session.store

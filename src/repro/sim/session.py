@@ -202,7 +202,7 @@ class SimSession:
                         self.stats.trace_hits += 1
                     return cached
             if self.store is not None:
-                # Disk read outside the lock: a slow npz load must not
+                # Disk read outside the lock: a slow trace load must not
                 # stall other threads' memo hits.
                 loaded = self.store.load_trace(trace_digest(key))
                 if loaded is not None:
@@ -283,7 +283,7 @@ class SimSession:
         Pool workers call this after attaching the parent's trace-plane
         segment (:mod:`repro.sim.shm`): the zero-copy trace serves every
         later lookup in this process, so the worker neither re-reads the
-        ``.npz`` nor regenerates.  The attach is counted regardless of
+        trace file nor regenerates.  The attach is counted regardless of
         whether the memory tier already held the trace (the segment was
         mapped either way); a disabled session refuses the seed — it
         must force full recomputation.

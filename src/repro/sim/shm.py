@@ -2,7 +2,7 @@
 
 The process-pool data plane used to be pickle-shaped: the parent
 shipped a :class:`~repro.sim.store.TraceRef` and every worker re-read
-the ``.npz`` from disk (or regenerated the trace outright) and then
+the trace file from disk (or regenerated the trace outright) and then
 re-derived the STMS metadata classification for its cells.  For the
 two-level scheduler — which fans the *cells* of one trace's grid across
 many workers — that re-derivation multiplies with the worker count
@@ -76,17 +76,18 @@ class TracePayload:
 
     Workers rebuild the trace (and the sweep's per-geometry metadata
     columns) from this without touching the segment bytes: ``columns``
-    lists one ``(blocks, work, dep, write)`` spec quadruple per core,
-    ``metadata`` one ``(geometry, bucket_specs, tag_specs | None)``
-    triple per classified index geometry.  ``meta`` carries the trace's
-    scalar fields plus its parent-computed content fingerprint, so the
-    attach side never re-hashes the columns.
+    lists one spec per ``Trace.columns()`` array, ``metadata`` one
+    ``(geometry, bucket_specs, tag_specs | None)`` triple per classified
+    index geometry.  ``meta`` carries the trace's non-column fields
+    (``Trace.metadata()``) and ``fingerprint`` its parent-computed
+    content fingerprint, so the attach side never re-hashes the columns.
     """
 
     segment: str
     total_bytes: int
-    meta: "tuple[tuple[str, object], ...]"
-    columns: "tuple[tuple[ArraySpec, ArraySpec, ArraySpec, ArraySpec], ...]"
+    meta: dict
+    fingerprint: str
+    columns: "tuple[ArraySpec, ...]"
     metadata: "tuple[tuple[tuple, tuple[ArraySpec, ...], tuple[ArraySpec, ...] | None], ...]"
 
 
@@ -168,14 +169,7 @@ class TracePlane:
             offset += -(-array.nbytes // _ALIGN) * _ALIGN
             return spec
 
-        columns = tuple(
-            tuple(
-                stage(np.asarray(column[core]))
-                for column in (trace.blocks, trace.work, trace.dep,
-                               trace.write)
-            )
-            for core in range(trace.cores)
-        )
+        columns = tuple(stage(column) for column in trace.columns())
         metadata: "list[tuple[tuple, tuple, tuple | None]]" = []
         # Geometries sharing tag_bits share tag array objects — stage
         # each distinct list of tag columns once.
@@ -207,13 +201,11 @@ class TracePlane:
             view[...] = array
         _OWNED[segment.name] = segment
         self._names.append(segment.name)
-        meta = trace.export_meta() + (
-            ("fingerprint", trace.fingerprint()),
-        )
         return TracePayload(
             segment=segment.name,
             total_bytes=offset,
-            meta=meta,
+            meta=trace.metadata(),
+            fingerprint=trace.fingerprint(),
             columns=columns,
             metadata=tuple(metadata),
         )
@@ -250,15 +242,10 @@ def attach(payload: TracePayload):
         array.flags.writeable = False
         return array
 
-    meta = dict(payload.meta)
-    trace = Trace.from_buffers(
-        payload.meta,
-        blocks=[view(core[0]) for core in payload.columns],
-        work=[view(core[1]) for core in payload.columns],
-        dep=[view(core[2]) for core in payload.columns],
-        write=[view(core[3]) for core in payload.columns],
+    trace = Trace.from_columns(
+        payload.meta, [view(spec) for spec in payload.columns]
     )
-    trace._fingerprint = meta["fingerprint"]
+    trace._fingerprint = payload.fingerprint
     # The views borrow the segment's buffer: pin the handle on the
     # trace so the mapping survives as long as any consumer does.
     trace._shm = segment

@@ -12,8 +12,9 @@ any figure is served from disk instead of re-simulated.
 Layout under the store root::
 
     schema.json              format stamp; a mismatch invalidates the store
-    traces/<digest>.npz      ``Trace.save`` archives, keyed by recipe hash;
-                             each carries its fingerprint as a raw member
+    traces/<digest>.trace    ``Trace.save`` files, keyed by recipe hash: a
+                             JSON header (metadata, fingerprint, column
+                             dtypes and lengths), then the raw columns
     results/<digest>.json    versioned ``SimResult`` records
     estimates/<digest>.json  budgeted sampled-sweep aggregates, stamped
                              ``kind: "sampled-estimate"`` so a
@@ -36,8 +37,7 @@ import json
 import os
 import tempfile
 import time
-import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 try:  # POSIX advisory locking for the persistent-counter interlock.
@@ -52,6 +52,8 @@ from repro.prefetchers.stats import PrefetcherStats
 from repro.sim.results import CoverageCounts, SimResult
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from repro.workloads.trace import Trace
 
 #: Bump whenever the on-disk format of entries changes **or** the
@@ -65,14 +67,10 @@ if TYPE_CHECKING:
 #: v3: traces carry per-core rate/priority metadata (asymmetric mixes)
 #: and results carry the per-core per-category DRAM traffic attribution
 #: (``core_traffic_bytes``).
-#: v4: traces carry their fingerprint as a raw zip member, which a warm
-#: run reads instead of the arrays (:meth:`ArtifactStore.load_trace_fingerprint`).
-SCHEMA_VERSION = 4
-
-#: The raw member ``Trace.save`` writes the fingerprint to
-#: (``repro.workloads.trace.FINGERPRINT_MEMBER``; spelled out here so
-#: reading it imports neither NumPy nor the trace module).
-_FINGERPRINT_MEMBER = "fingerprint"
+#: v4: traces carry their fingerprint, which a warm run reads instead of
+#: the arrays (:meth:`ArtifactStore.load_trace_fingerprint`).
+#: v5: traces are ``.trace`` files (:func:`write_trace_file`), not npz.
+SCHEMA_VERSION = 5
 
 _SCHEMA_FILE = "schema.json"
 _COUNTERS_FILE = "counters.json"
@@ -82,18 +80,16 @@ _TMP_PREFIX = ".tmp-"
 #: Temp files from crashed writers older than this are swept by
 #: :meth:`ArtifactStore.sweep_stale_temps` (``gc``/``clear`` call it).
 #: The age gate keeps a *live* writer's in-flight temp file safe from a
-#: concurrent sweep; override with ``REPRO_STORE_TMP_MAX_AGE_S``.
+#: concurrent sweep.
 _STALE_TEMP_SECONDS = 3600.0
 
 #: Errors that mean "this entry is unreadable", as opposed to bugs.
 #: ``FileNotFoundError`` is handled separately (a plain miss).
 _CORRUPT_ERRORS = (
     OSError,
-    ValueError,  # includes json.JSONDecodeError and bad npz payloads
+    ValueError,  # includes json.JSONDecodeError and short trace files
     KeyError,
     TypeError,
-    EOFError,
-    zipfile.BadZipFile,
 )
 
 
@@ -156,21 +152,146 @@ class TraceRef:
 
 def load_trace_ref(ref: TraceRef) -> "Trace | None":
     """Resolve a :class:`TraceRef`, tolerating missing/corrupt files."""
+    return _read_entry(ref.path, _load_trace)
+
+
+def _load_trace(path: str) -> "Trace":
     from repro.workloads.trace import Trace
 
+    return Trace.load(path)
+
+
+def _load_json(path: str) -> object:
+    with open(path, "rb") as handle:
+        return json.load(handle)
+
+
+def _read_entry(path: str, read, drop=None):
+    """``read(path)``; None on a miss, and None for an unreadable entry,
+    which is handed to ``drop`` when one is given.  A read refreshes the
+    entry's recency, so LRU GC never evicts what a run is using (the
+    traces the parallel workers are handed references to among them)."""
     try:
-        trace = Trace.load(ref.path)
+        value = read(path)
     except FileNotFoundError:
         return None
     except _CORRUPT_ERRORS:
+        if drop is not None:
+            drop(path)
         return None
     try:
-        # Reads refresh recency so LRU GC never evicts the traces the
-        # parallel workers are actively being handed references to.
-        os.utime(ref.path)
+        os.utime(path)
     except OSError:
         pass
-    return trace
+    return value
+
+
+def atomic_write(path: str, chunks: "Iterable[object]") -> None:
+    """Write ``chunks`` (bytes-like objects) to ``path`` via temp file +
+    rename, so no reader ever sees a partial file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=_TMP_PREFIX
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+# ----------------------------------------------------------------------
+# The trace file.
+# ----------------------------------------------------------------------
+
+#: A trace file pads its header and every column to this many bytes, so
+#: each column is an aligned view into the one buffer a load reads.
+_TRACE_ALIGN = 8
+
+
+def write_trace_file(
+    path: str, metadata: dict, fingerprint: str, columns: list
+) -> None:
+    """Write a trace file atomically.
+
+    The layout: the header's length as 8 little-endian bytes; a JSON
+    header holding ``metadata``, ``fingerprint`` and one ``[dtype,
+    length]`` per column, space-padded to 8 bytes; then each column's
+    raw bytes, zero-padded to 8.  ``columns`` are contiguous 1-D arrays,
+    streamed to the file without being joined first.
+    """
+    header = json.dumps(
+        {
+            "trace": metadata,
+            "fingerprint": fingerprint,
+            "columns": [[column.dtype.str, len(column)] for column in columns],
+        },
+        default=_json_default,
+    ).encode()
+    header += b" " * (-len(header) % _TRACE_ALIGN)
+
+    def chunks():
+        yield len(header).to_bytes(8, "little")
+        yield header
+        for column in columns:
+            yield column
+            yield bytes(-column.nbytes % _TRACE_ALIGN)
+
+    atomic_write(path, chunks())
+
+
+def _read_header(handle) -> dict:
+    """The JSON header of an open trace file; leaves ``handle`` at the
+    first column."""
+    prefix = handle.read(8)
+    size = int.from_bytes(prefix, "little")
+    if len(prefix) != 8 or 8 + size > os.fstat(handle.fileno()).st_size:
+        raise ValueError("truncated trace header")
+    header = json.loads(handle.read(size))
+    if not isinstance(header, dict):
+        raise ValueError("trace header is not a JSON object")
+    return header
+
+
+def read_trace_header(path: str) -> dict:
+    """A trace file's header alone (``"trace"`` metadata, ``"fingerprint"``
+    and ``"columns"``), read without NumPy and without the columns."""
+    with open(path, "rb") as handle:
+        return _read_header(handle)
+
+
+def read_trace_file(path: str) -> "tuple[dict, str, list]":
+    """A trace file's metadata, fingerprint and columns.
+
+    The file is read once, into one buffer; each column is a read-only
+    view into it at an 8-byte-aligned offset.  Raises ValueError when
+    the file's size disagrees with the columns its header lists.
+    """
+    import numpy as np
+
+    with open(path, "rb") as handle:
+        header = _read_header(handle)
+        buffer = np.empty(
+            os.fstat(handle.fileno()).st_size - handle.tell(), dtype=np.uint8
+        )
+        if handle.readinto(buffer) != buffer.size:
+            raise ValueError("trace file shrank while being read")
+    buffer.flags.writeable = False
+    columns = []
+    offset = 0
+    for dtype, length in header["columns"]:
+        column = np.frombuffer(
+            buffer, dtype=np.dtype(dtype), count=length, offset=offset
+        )
+        columns.append(column)
+        offset += column.nbytes + (-column.nbytes % _TRACE_ALIGN)
+    if offset != buffer.size:
+        raise ValueError("trace file size does not match its columns")
+    return header["trace"], header["fingerprint"], columns
 
 
 # ----------------------------------------------------------------------
@@ -191,107 +312,34 @@ def _json_default(value: object) -> object:
 
 
 def encode_result(result: SimResult) -> dict:
-    """Serialize a :class:`SimResult` into plain JSON types.
+    """Serialize a :class:`SimResult` into plain JSON types (its fields,
+    by name; the record's writer converts NumPy scalars).
 
     Floats survive a JSON round trip exactly (shortest-repr encoding),
     so a decoded record compares equal to the freshly computed one —
     the store-vs-recompute equivalence tests rely on this.
     """
-    coverage = result.coverage
-    traffic = result.traffic
-    stats = result.prefetcher_stats
-    return {
-        "workload": result.workload,
-        "prefetcher": result.prefetcher,
-        "measured_records": int(result.measured_records),
-        "elapsed_cycles": float(result.elapsed_cycles),
-        "coverage": {
-            f.name: int(getattr(coverage, f.name))
-            for f in fields(CoverageCounts)
-        },
-        "l1_hits": int(result.l1_hits),
-        "victim_hits": int(result.victim_hits),
-        "l2_hits": int(result.l2_hits),
-        "traffic": None
-        if traffic is None
-        else {
-            f.name: float(getattr(traffic, f.name))
-            for f in fields(TrafficBreakdown)
-        },
-        "overhead_per_useful_byte": float(result.overhead_per_useful_byte),
-        "metadata_bytes": int(result.metadata_bytes),
-        "useful_bytes": int(result.useful_bytes),
-        "mlp": float(result.mlp),
-        "prefetcher_stats": None
-        if stats is None
-        else {
-            f.name: int(getattr(stats, f.name))
-            for f in fields(PrefetcherStats)
-        },
-        "dram_utilization": float(result.dram_utilization),
-        "miss_log": None
-        if result.miss_log is None
-        else [[int(block) for block in core] for core in result.miss_log],
-        "core_workloads": result.core_workloads,
-        "core_coverage": None
-        if result.core_coverage is None
-        else [
-            {
-                f.name: int(getattr(core_coverage, f.name))
-                for f in fields(CoverageCounts)
-            }
-            for core_coverage in result.core_coverage
-        ],
-        "core_measured_records": None
-        if result.core_measured_records is None
-        else [int(n) for n in result.core_measured_records],
-        "core_elapsed_cycles": None
-        if result.core_elapsed_cycles is None
-        else [float(c) for c in result.core_elapsed_cycles],
-        "core_mlp": None
-        if result.core_mlp is None
-        else [float(m) for m in result.core_mlp],
-        "core_traffic_bytes": None
-        if result.core_traffic_bytes is None
-        else [
-            {str(category): int(count) for category, count in per_core.items()}
-            for per_core in result.core_traffic_bytes
-        ],
-    }
+    return asdict(result)
 
 
 def decode_result(payload: dict) -> SimResult:
     """Rebuild a :class:`SimResult` from :func:`encode_result` output."""
-    traffic = payload["traffic"]
-    stats = payload["prefetcher_stats"]
-    return SimResult(
-        workload=payload["workload"],
-        prefetcher=payload["prefetcher"],
-        measured_records=payload["measured_records"],
-        elapsed_cycles=payload["elapsed_cycles"],
+    if set(payload) != {f.name for f in fields(SimResult)}:
+        raise KeyError("the record's fields are not SimResult's")
+
+    def nested(kind, value):
+        return None if value is None else kind(**value)
+
+    core_coverage = payload["core_coverage"]
+    return SimResult(**dict(
+        payload,
         coverage=CoverageCounts(**payload["coverage"]),
-        l1_hits=payload["l1_hits"],
-        victim_hits=payload["victim_hits"],
-        l2_hits=payload["l2_hits"],
-        traffic=None if traffic is None else TrafficBreakdown(**traffic),
-        overhead_per_useful_byte=payload["overhead_per_useful_byte"],
-        metadata_bytes=payload["metadata_bytes"],
-        useful_bytes=payload["useful_bytes"],
-        mlp=payload["mlp"],
-        prefetcher_stats=None
-        if stats is None
-        else PrefetcherStats(**stats),
-        dram_utilization=payload["dram_utilization"],
-        miss_log=payload["miss_log"],
-        core_workloads=payload["core_workloads"],
+        traffic=nested(TrafficBreakdown, payload["traffic"]),
+        prefetcher_stats=nested(PrefetcherStats, payload["prefetcher_stats"]),
         core_coverage=None
-        if payload["core_coverage"] is None
-        else [CoverageCounts(**c) for c in payload["core_coverage"]],
-        core_measured_records=payload["core_measured_records"],
-        core_elapsed_cycles=payload["core_elapsed_cycles"],
-        core_mlp=payload["core_mlp"],
-        core_traffic_bytes=payload["core_traffic_bytes"],
-    )
+        if core_coverage is None
+        else [CoverageCounts(**counts) for counts in core_coverage],
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -372,61 +420,35 @@ class ArtifactStore:
 
     def _check_schema(self) -> None:
         """Validate the store's format stamp; invalidate on mismatch."""
-        stamped: "int | None" = None
         try:
-            with open(self._schema_path(), "rb") as handle:
-                stamped = json.load(handle).get("schema")
-        except FileNotFoundError:
-            pass
-        except _CORRUPT_ERRORS:
-            pass
-        if stamped == SCHEMA_VERSION:
+            stamp = _load_json(self._schema_path())
+        except _CORRUPT_ERRORS:  # a missing stamp included
+            stamp = None
+        if isinstance(stamp, dict) and stamp.get("schema") == SCHEMA_VERSION:
             return
         if self.entries():
-            # Entries written under another (or unknown) format: drop
-            # them all rather than risk misinterpreting old bytes.
+            # Files written under another (or unknown) format, whatever
+            # their names: drop them all rather than risk misinterpreting
+            # old bytes.
             self.clear()
             self.stats.store_schema_invalidations += 1
-        self._atomic_write_bytes(
+        atomic_write(
             self._schema_path(),
-            json.dumps({"schema": SCHEMA_VERSION}).encode(),
+            (json.dumps({"schema": SCHEMA_VERSION}).encode(),),
         )
 
     # ------------------------------------------------------------------
-    # Paths and atomic writes.
+    # Paths.
     # ------------------------------------------------------------------
 
     def trace_path(self, digest: str) -> str:
-        return os.path.join(self._traces_dir, f"{digest}.npz")
+        return os.path.join(self._traces_dir, f"{digest}.trace")
 
     def result_path(self, digest: str) -> str:
         return os.path.join(self._results_dir, f"{digest}.json")
 
     def trace_ref(self, digest: str) -> TraceRef:
         return TraceRef(digest=digest, path=self.trace_path(digest))
-
-    @staticmethod
-    def _atomic_write_bytes(path: str, payload: bytes) -> None:
-        """Write ``payload`` to ``path`` via temp file + rename."""
-        directory = os.path.dirname(path)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=_TMP_PREFIX)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def _touch(path: str) -> None:
-        try:
-            os.utime(path)
-        except OSError:
-            pass
 
     def _drop(self, path: str) -> None:
         self.stats.store_corrupt_drops += 1
@@ -441,51 +463,25 @@ class ArtifactStore:
 
     def load_trace(self, digest: str) -> "Trace | None":
         """Read a persisted trace; None on miss or unreadable entry."""
-        from repro.workloads.trace import Trace
-
-        path = self.trace_path(digest)
-        try:
-            trace = Trace.load(path)
-        except FileNotFoundError:
-            return None
-        except _CORRUPT_ERRORS:
-            self._drop(path)
-            return None
-        self._touch(path)
-        return trace
+        return _read_entry(self.trace_path(digest), _load_trace, self._drop)
 
     def load_trace_fingerprint(self, digest: str) -> "str | None":
-        """The fingerprint stored in a persisted trace, read without its
-        arrays; None on miss, and None for an unreadable entry, which
-        is dropped."""
-        path = self.trace_path(digest)
-        try:
-            with zipfile.ZipFile(path) as archive:
-                fingerprint = archive.read(_FINGERPRINT_MEMBER).decode()
-        except FileNotFoundError:
-            return None
-        except _CORRUPT_ERRORS:
-            self._drop(path)
-            return None
-        self._touch(path)
-        return fingerprint
+        """The fingerprint stored in a persisted trace's header, read
+        without its columns; None on miss, and None for an unreadable
+        entry, which is dropped."""
+        return _read_entry(
+            self.trace_path(digest),
+            lambda path: read_trace_header(path)["fingerprint"],
+            self._drop,
+        )
 
     def save_trace(self, digest: str, trace: Trace) -> bool:
         """Persist a trace atomically; False on I/O failure."""
         path = self.trace_path(digest)
-        fd, tmp = tempfile.mkstemp(
-            dir=self._traces_dir, prefix=_TMP_PREFIX
-        )
-        os.close(fd)
         try:
-            trace.save(tmp)
-            os.replace(tmp, path)
+            trace.save(path)
         except OSError:
             self.stats.store_write_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.stats.store_writes += 1
         self._auto_gc(path)
@@ -499,7 +495,7 @@ class ArtifactStore:
         """Persist a JSON ``record`` atomically; False on I/O failure."""
         try:
             payload = json.dumps(record, default=_json_default).encode()
-            self._atomic_write_bytes(path, payload)
+            atomic_write(path, (payload,))
         except OSError:
             self.stats.store_write_errors += 1
             return False
@@ -513,13 +509,8 @@ class ArtifactStore:
         """Read a JSON record of ``kind``; None on miss.  An unreadable
         entry is dropped; so is one of another schema or kind, or one
         ``valid`` rejects, which also counts as a schema invalidation."""
-        try:
-            with open(path, "rb") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except _CORRUPT_ERRORS:
-            self._drop(path)
+        record = _read_entry(path, _load_json, self._drop)
+        if record is None:
             return None
         if (
             not isinstance(record, dict)
@@ -530,7 +521,6 @@ class ArtifactStore:
             self._drop(path)
             self.stats.store_schema_invalidations += 1
             return None
-        self._touch(path)
         return record
 
     def load_result(self, digest: str) -> "SimResult | None":
@@ -600,21 +590,21 @@ class ArtifactStore:
     # ------------------------------------------------------------------
 
     def entries(self) -> "list[StoreEntry]":
-        """All persisted artifacts, oldest (least recently used) first."""
+        """All persisted artifacts, oldest (least recently used) first:
+        every file in the kind directories but in-flight temps, so a
+        file another format left behind is listed (and cleared) too."""
         found: "list[StoreEntry]" = []
-        for kind, directory, suffix in (
-            ("trace", self._traces_dir, ".npz"),
-            ("result", self._results_dir, ".json"),
-            ("estimate", self._estimates_dir, ".json"),
+        for kind, directory in (
+            ("trace", self._traces_dir),
+            ("result", self._results_dir),
+            ("estimate", self._estimates_dir),
         ):
             try:
                 names = os.listdir(directory)
             except OSError:
                 continue
             for name in names:
-                if name.startswith(_TMP_PREFIX) or not name.endswith(
-                    suffix
-                ):
+                if name.startswith(_TMP_PREFIX):
                     continue
                 path = os.path.join(directory, name)
                 try:
@@ -624,7 +614,7 @@ class ArtifactStore:
                 found.append(
                     StoreEntry(
                         kind=kind,
-                        digest=name[: -len(suffix)],
+                        digest=name.partition(".")[0],
                         path=path,
                         size_bytes=status.st_size,
                         mtime=status.st_mtime,
@@ -763,9 +753,9 @@ class ArtifactStore:
             for name, delta in deltas.items():
                 counters[name] = counters.get(name, 0) + delta
             try:
-                self._atomic_write_bytes(
+                atomic_write(
                     self._counters_path(),
-                    json.dumps(counters, sort_keys=True).encode(),
+                    (json.dumps(counters, sort_keys=True).encode(),),
                 )
             except OSError:
                 self.stats.store_write_errors += 1
@@ -774,14 +764,8 @@ class ArtifactStore:
     # Stale-temp sweeping and whole-store clearing.
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _stale_temp_age_from_env() -> float:
-        return env_float(
-            "REPRO_STORE_TMP_MAX_AGE_S", _STALE_TEMP_SECONDS
-        )
-
     def sweep_stale_temps(
-        self, max_age_seconds: "float | None" = None
+        self, max_age_seconds: float = _STALE_TEMP_SECONDS
     ) -> int:
         """Remove orphaned ``.tmp-*`` files from crashed writers.
 
@@ -790,14 +774,12 @@ class ArtifactStore:
         that died between ``mkstemp`` and ``os.replace`` used to leak
         its temp forever.  This sweep — invoked from :meth:`gc` and
         :meth:`clear` — unlinks temps older than the age gate
-        (default 1h, ``REPRO_STORE_TMP_MAX_AGE_S``); younger ones are
+        (``max_age_seconds``, default 1h); younger ones are
         presumed to belong to a live in-flight writer and survive.
         Swept files are counted in ``stats.stale_temps_swept``, which
         ``cache gc`` persists so accumulation is observable in
         ``cache stats``.
         """
-        if max_age_seconds is None:
-            max_age_seconds = self._stale_temp_age_from_env()
         cutoff = time.time() - max_age_seconds
         swept = 0
         for directory in (

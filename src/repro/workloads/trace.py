@@ -21,17 +21,16 @@ A :class:`Trace` stores, for each core, four parallel numpy arrays:
 
 from __future__ import annotations
 
+import copy
 import hashlib
-import io
-import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-#: The raw (not ``.npy``) member :meth:`Trace.save` appends to its
-#: archive: the trace's fingerprint, so a reader can key results by it
-#: without loading the arrays (``ArtifactStore.load_trace_fingerprint``).
-FINGERPRINT_MEMBER = "fingerprint"
+#: The per-core column lists, in the order each core's arrays are
+#: hashed, stored and shared; every other :class:`Trace` field is
+#: metadata (:data:`METADATA`).
+COLUMNS = ("blocks", "work", "dep", "write")
 
 
 @dataclass
@@ -77,23 +76,17 @@ class Trace:
     core_priorities: "list[str] | None" = None
 
     def __post_init__(self) -> None:
-        lengths = {len(self.blocks), len(self.work), len(self.dep),
-                   len(self.write)}
-        if len(lengths) != 1:
+        if len({len(getattr(self, name)) for name in COLUMNS}) != 1:
             raise ValueError("per-core column lists have mismatched lengths")
         for core in range(len(self.blocks)):
-            n = len(self.blocks[core])
-            if not (len(self.work[core]) == len(self.dep[core])
-                    == len(self.write[core]) == n):
+            if len({len(getattr(self, name)[core]) for name in COLUMNS}) != 1:
                 raise ValueError(f"core {core}: column arrays differ in size")
-        for label, per_core in (
-            ("core_workloads", self.core_workloads),
-            ("core_warmup", self.core_warmup),
-            ("core_rates", self.core_rates),
-            ("core_priorities", self.core_priorities),
-        ):
-            if per_core is not None and len(per_core) != len(self.blocks):
-                raise ValueError(f"{label} must list one entry per core")
+        for name in METADATA:
+            per_core = getattr(self, name)
+            if name.startswith("core_") and per_core is not None and (
+                len(per_core) != len(self.blocks)
+            ):
+                raise ValueError(f"{name} must list one entry per core")
 
     @property
     def cores(self) -> int:
@@ -133,6 +126,33 @@ class Trace:
             return self.core_priorities[core]
         return None
 
+    def metadata(self) -> dict:
+        """The non-column fields by name, per-core lists copied: what a
+        trace file's header and the shared-memory plane carry beside
+        the columns."""
+        return {name: copy.copy(getattr(self, name)) for name in METADATA}
+
+    def columns(self) -> "list[np.ndarray]":
+        """Every column array: core by core, each core's in
+        :data:`COLUMNS` order."""
+        return [
+            getattr(self, name)[core]
+            for core in range(self.cores)
+            for name in COLUMNS
+        ]
+
+    @classmethod
+    def from_columns(
+        cls, metadata: dict, columns: "list[np.ndarray]"
+    ) -> "Trace":
+        """Rebuild a trace from :meth:`metadata` and :meth:`columns`
+        output.  The arrays may be views into a buffer the caller keeps
+        alive (a loaded file's, or a shared-memory segment's)."""
+        return cls(**metadata, **{
+            name: list(columns[i::len(COLUMNS)])
+            for i, name in enumerate(COLUMNS)
+        })
+
     def fingerprint(self) -> str:
         """Content hash of the trace (arrays + metadata), cached.
 
@@ -150,11 +170,10 @@ class Trace:
                          self.core_rates, self.core_priorities):
             if per_core is not None:
                 digest.update(repr(tuple(per_core)).encode())
-        for core in range(self.cores):
-            for column in (self.blocks, self.work, self.dep, self.write):
-                array = np.asarray(column[core])
-                digest.update(str(array.dtype).encode())
-                digest.update(array.tobytes())
+        for array in self.columns():
+            array = np.asarray(array)
+            digest.update(str(array.dtype).encode())
+            digest.update(array.tobytes())
         self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -179,176 +198,43 @@ class Trace:
         """Return a truncated copy (used to shrink traces for tests)."""
         if max_records_per_core <= 0:
             raise ValueError("max_records_per_core must be positive")
-        return Trace(
-            name=self.name,
-            blocks=[b[:max_records_per_core] for b in self.blocks],
-            work=[w[:max_records_per_core] for w in self.work],
-            dep=[d[:max_records_per_core] for d in self.dep],
-            write=[w[:max_records_per_core] for w in self.write],
-            working_set_blocks=self.working_set_blocks,
-            warmup_fraction=self.warmup_fraction,
-            core_workloads=(
-                list(self.core_workloads)
-                if self.core_workloads is not None
-                else None
-            ),
-            core_warmup=(
-                list(self.core_warmup)
-                if self.core_warmup is not None
-                else None
-            ),
-            core_rates=(
-                list(self.core_rates)
-                if self.core_rates is not None
-                else None
-            ),
-            core_priorities=(
-                list(self.core_priorities)
-                if self.core_priorities is not None
-                else None
-            ),
-        )
-
-    def export_meta(self) -> "tuple[tuple[str, object], ...]":
-        """Scalar and per-core metadata as a picklable tuple.
-
-        The shared-memory trace plane ships this beside the raw column
-        buffers; :meth:`from_buffers` is the inverse.  Column arrays are
-        deliberately absent — they travel out-of-band (zero-copy).
-        """
-        def _frozen(values):
-            return None if values is None else tuple(values)
-
-        return (
-            ("name", self.name),
-            ("working_set_blocks", self.working_set_blocks),
-            ("warmup_fraction", self.warmup_fraction),
-            ("core_workloads", _frozen(self.core_workloads)),
-            ("core_warmup", _frozen(self.core_warmup)),
-            ("core_rates", _frozen(self.core_rates)),
-            ("core_priorities", _frozen(self.core_priorities)),
-        )
-
-    @classmethod
-    def from_buffers(
-        cls,
-        meta: "tuple[tuple[str, object], ...]",
-        blocks: "list[np.ndarray]",
-        work: "list[np.ndarray]",
-        dep: "list[np.ndarray]",
-        write: "list[np.ndarray]",
-    ) -> "Trace":
-        """Rebuild a trace around externally-owned column buffers.
-
-        ``meta`` is :meth:`export_meta`'s output; the column arrays may
-        be views into a shared-memory segment (the caller keeps the
-        backing mapping alive — the plane pins the segment handle on
-        the returned instance).
-        """
-        fields_ = dict(meta)
-
-        def _thawed(values):
-            return None if values is None else list(values)
-
-        return cls(
-            name=fields_["name"],
-            blocks=list(blocks),
-            work=list(work),
-            dep=list(dep),
-            write=list(write),
-            working_set_blocks=fields_["working_set_blocks"],
-            warmup_fraction=fields_["warmup_fraction"],
-            core_workloads=_thawed(fields_["core_workloads"]),
-            core_warmup=_thawed(fields_["core_warmup"]),
-            core_rates=_thawed(fields_["core_rates"]),
-            core_priorities=_thawed(fields_["core_priorities"]),
+        return Trace.from_columns(
+            self.metadata(),
+            [column[:max_records_per_core] for column in self.columns()],
         )
 
     def save(self, path: str) -> None:
-        """Persist the trace as an ``.npz`` archive.
+        """Write the trace to ``path`` atomically, as a trace file: a
+        header plus the raw columns
+        (:func:`repro.sim.store.write_trace_file`)."""
+        from repro.sim.store import write_trace_file
 
-        Uncompressed: trace columns deflate poorly (random block
-        numbers), and the compressor dominated cold-store runs.  The
-        fingerprint goes last, as the raw :data:`FINGERPRINT_MEMBER`
-        (``np.load`` lists it but never parses it).
-        """
-        payload: dict[str, np.ndarray] = {
-            "meta_name": np.array([self.name]),
-            "meta_working_set": np.array([self.working_set_blocks]),
-            "meta_warmup": np.array([self.warmup_fraction]),
-            "meta_cores": np.array([self.cores]),
-        }
-        if self.core_workloads is not None:
-            payload["meta_core_workloads"] = np.array(self.core_workloads)
-        if self.core_warmup is not None:
-            payload["meta_core_warmup"] = np.array(
-                self.core_warmup, dtype=np.float64
-            )
-        if self.core_rates is not None:
-            payload["meta_core_rates"] = np.array(
-                self.core_rates, dtype=np.float64
-            )
-        if self.core_priorities is not None:
-            payload["meta_core_priorities"] = np.array(
-                self.core_priorities
-            )
-        for core in range(self.cores):
-            payload[f"blocks_{core}"] = self.blocks[core]
-            payload[f"work_{core}"] = self.work[core]
-            payload[f"dep_{core}"] = self.dep[core]
-            payload[f"write_{core}"] = self.write[core]
-        with open(path, "wb") as handle:
-            np.savez(handle, **payload)
-        with zipfile.ZipFile(path, "a") as archive:
-            archive.writestr(FINGERPRINT_MEMBER, self.fingerprint())
+        write_trace_file(
+            path,
+            self.metadata(),
+            self.fingerprint(),
+            [np.ascontiguousarray(column) for column in self.columns()],
+        )
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save`.
+        """Load a trace written by :meth:`save`; its columns are
+        read-only views into the one buffer the file is read into.
 
         Raises ValueError when the stored fingerprint does not match
-        the loaded arrays, and KeyError when it is missing.
+        the loaded columns, and KeyError when it is missing.
         """
-        with open(path, "rb") as handle:
-            data = np.load(io.BytesIO(handle.read()), allow_pickle=False)
-        cores = int(data["meta_cores"][0])
-        files = set(data.files)
-        core_workloads = (
-            [str(w) for w in data["meta_core_workloads"]]
-            if "meta_core_workloads" in files
-            else None
-        )
-        core_warmup = (
-            [float(f) for f in data["meta_core_warmup"]]
-            if "meta_core_warmup" in files
-            else None
-        )
-        core_rates = (
-            [float(f) for f in data["meta_core_rates"]]
-            if "meta_core_rates" in files
-            else None
-        )
-        core_priorities = (
-            [str(p) for p in data["meta_core_priorities"]]
-            if "meta_core_priorities" in files
-            else None
-        )
-        trace = cls(
-            name=str(data["meta_name"][0]),
-            blocks=[data[f"blocks_{c}"] for c in range(cores)],
-            work=[data[f"work_{c}"] for c in range(cores)],
-            dep=[data[f"dep_{c}"] for c in range(cores)],
-            write=[data[f"write_{c}"] for c in range(cores)],
-            working_set_blocks=int(data["meta_working_set"][0]),
-            warmup_fraction=float(data["meta_warmup"][0]),
-            core_workloads=core_workloads,
-            core_warmup=core_warmup,
-            core_rates=core_rates,
-            core_priorities=core_priorities,
-        )
-        if data[FINGERPRINT_MEMBER].decode() != trace.fingerprint():
-            raise ValueError(f"{path}: fingerprint does not match the arrays")
+        from repro.sim.store import read_trace_file
+
+        metadata, fingerprint, columns = read_trace_file(path)
+        trace = cls.from_columns(metadata, columns)
+        if fingerprint != trace.fingerprint():
+            raise ValueError(f"{path}: fingerprint does not match the columns")
         return trace
+
+
+#: The :class:`Trace` fields that are not columns, in declaration order.
+METADATA = tuple(f.name for f in fields(Trace) if f.name not in COLUMNS)
 
 
 class TraceBuilder:

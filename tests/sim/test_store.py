@@ -9,7 +9,6 @@ cannot tear an entry (atomic rename), and eviction is LRU by recency.
 import json
 import os
 import threading
-import zipfile
 
 import numpy as np
 import pytest
@@ -66,6 +65,45 @@ def make_result(elapsed: float = 1234.5) -> SimResult:
     )
 
 
+def _split_trace_file(path: str) -> "tuple[dict, bytes]":
+    """A trace file's JSON header and the column bytes after it."""
+    with open(path, "rb") as handle:
+        payload = handle.read()
+    size = int.from_bytes(payload[:8], "little")
+    return json.loads(payload[8:8 + size]), payload[8 + size:]
+
+
+def _write_trace_file(path: str, header: "dict | bytes", body: bytes) -> None:
+    """Write a trace file from a header (padded to 8 bytes) and body."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    text += b" " * (-len(text) % 8)
+    with open(path, "wb") as handle:
+        handle.write(len(text).to_bytes(8, "little") + text + body)
+
+
+def _truncate(path: str, size: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+
+
+#: Ways to damage a stored trace file: (path, header, body) -> None.
+TRACE_DAMAGE = {
+    "truncated-header": lambda path, header, body: _truncate(path, 20),
+    "truncated-column": lambda path, header, body: _truncate(
+        path, os.path.getsize(path) - len(body) // 2
+    ),
+    "garbage-header": lambda path, header, body: _write_trace_file(
+        path, b"\xff\xfe not json", body
+    ),
+    "missing-fingerprint": lambda path, header, body: _write_trace_file(
+        path, {k: v for k, v in header.items() if k != "fingerprint"}, body
+    ),
+    "mismatched-fingerprint": lambda path, header, body: _write_trace_file(
+        path, dict(header, fingerprint="0" * 32), body
+    ),
+}
+
+
 class TestDigests:
     def test_digest_is_stable_and_content_keyed(self):
         key = ("web-apache", (("name", "test"),), 4, 7, None)
@@ -96,11 +134,11 @@ class TestDigests:
             "web-apache", scale="test", cores=4, seed=7
         ).fingerprint()
         assert trace_digest(job.trace_key()) == (
-            "085cdf0ccd727f120f4080c8d8d626e3"
+            "1e07437efb6f3d85323a759c2999b811"
         )
         assert fingerprint == "ab24b258bdbdfa5358623d856e1a75cd"
         assert result_digest(job_result_key(job, fingerprint, 4)) == (
-            "365d1eb2ef3be7d15c93e5505d2cd603"
+            "f319cd96c1825129d47f6976081c43ac"
         )
 
 
@@ -120,6 +158,81 @@ class TestResultCodec:
         result.prefetcher_stats = None
         result.miss_log = None
         assert decode_result(encode_result(result)) == result
+
+    def test_record_of_the_hand_written_encoder_round_trips(self, tmp_path):
+        """A payload the field-by-field encoder wrote (before
+        ``encode_result`` became ``dataclasses.asdict``) decodes to an
+        equal result and re-encodes to the same bytes."""
+        expected = SimResult(
+            workload="mix:oltp-db2+dss-db2",
+            prefetcher="stms",
+            measured_records=300,
+            elapsed_cycles=0.1 + 0.2,
+            coverage=CoverageCounts(7, 3, 11, 2),
+            l1_hits=50,
+            victim_hits=4,
+            l2_hits=11,
+            traffic=TrafficBreakdown(0.1, 0.25, 0.125, 1 / 3),
+            overhead_per_useful_byte=0.4375,
+            metadata_bytes=4096,
+            useful_bytes=65536,
+            mlp=1.375,
+            prefetcher_stats=PrefetcherStats(10, 6, 4, 2, 1, 20, 8),
+            dram_utilization=0.75,
+            miss_log=[[1, 2, 3], [4, 5]],
+            core_workloads=["oltp-db2", "dss-db2"],
+            core_coverage=[
+                CoverageCounts(4, 1, 5, 1), CoverageCounts(3, 2, 6, 1)
+            ],
+            core_measured_records=[180, 120],
+            core_elapsed_cycles=[1000.25, 0.30000000000000004],
+            core_mlp=[1.5, 1.25],
+            core_traffic_bytes=[
+                {"demand_read": 640, "writeback": 64},
+                {"demand_read": 128, "lookup_streams": 192},
+            ],
+        )
+        decoded = decode_result(json.loads(HAND_WRITTEN_PAYLOAD))
+        assert decoded == expected
+        assert json.dumps(encode_result(decoded)) == HAND_WRITTEN_PAYLOAD
+        store = ArtifactStore(str(tmp_path))
+        digest = result_digest(("k",))
+        assert store.save_result(digest, decoded)
+        with open(store.result_path(digest)) as handle:
+            written = handle.read()
+        assert written.endswith(f'"payload": {HAND_WRITTEN_PAYLOAD}}}')
+
+    def test_record_with_a_missing_field_is_rejected(self):
+        payload = encode_result(make_result())
+        del payload["core_mlp"]
+        with pytest.raises(KeyError):
+            decode_result(payload)
+
+
+#: One record payload exactly as the hand-written encoder serialized it.
+HAND_WRITTEN_PAYLOAD = (
+    '{"workload": "mix:oltp-db2+dss-db2", "prefetcher": "stms", '
+    '"measured_records": 300, "elapsed_cycles": 0.30000000000000004, '
+    '"coverage": {"fully_covered": 7, "partially_covered": 3, '
+    '"uncovered": 11, "stride_covered": 2}, "l1_hits": 50, '
+    '"victim_hits": 4, "l2_hits": 11, "traffic": {"record_streams": 0.1, '
+    '"update_index": 0.25, "lookup_streams": 0.125, '
+    '"erroneous_prefetch": 0.3333333333333333}, '
+    '"overhead_per_useful_byte": 0.4375, "metadata_bytes": 4096, '
+    '"useful_bytes": 65536, "mlp": 1.375, "prefetcher_stats": '
+    '{"issued": 10, "useful": 6, "erroneous": 4, "filtered": 2, '
+    '"dropped": 1, "lookups": 20, "lookup_hits": 8}, '
+    '"dram_utilization": 0.75, "miss_log": [[1, 2, 3], [4, 5]], '
+    '"core_workloads": ["oltp-db2", "dss-db2"], "core_coverage": '
+    '[{"fully_covered": 4, "partially_covered": 1, "uncovered": 5, '
+    '"stride_covered": 1}, {"fully_covered": 3, "partially_covered": 2, '
+    '"uncovered": 6, "stride_covered": 1}], '
+    '"core_measured_records": [180, 120], '
+    '"core_elapsed_cycles": [1000.25, 0.30000000000000004], '
+    '"core_mlp": [1.5, 1.25], "core_traffic_bytes": '
+    '[{"demand_read": 640, "writeback": 64}, '
+    '{"demand_read": 128, "lookup_streams": 192}]}'
+)
 
 
 class TestStoreRoundTrip:
@@ -170,18 +283,24 @@ class TestCorruptionTolerance:
         assert store.load_result(digest) is None
         assert store.stats.store_corrupt_drops == 1
 
-    def test_truncated_trace_npz_dropped(self, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(TRACE_DAMAGE))
+    def test_damaged_trace_file_dropped_and_recomputed(
+        self, tmp_path, damage
+    ):
         store = ArtifactStore(str(tmp_path))
-        digest = trace_digest(("t",))
-        store.save_trace(digest, make_trace([[1, 2, 3]]))
-        path = store.trace_path(digest)
-        with open(path, "rb") as handle:
-            payload = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(payload[: len(payload) // 2])
-        assert store.load_trace(digest) is None
-        assert store.stats.store_corrupt_drops == 1
-        assert not os.path.exists(path)
+        session = SimSession(enabled=True, store=store)
+        trace = session.trace("web-apache", scale="test", cores=2, seed=3)
+        path = store.trace_path(trace_digest(
+            trace_recipe_key("web-apache", get_scale("test"), 2, 3, None)
+        ))
+        header, body = _split_trace_file(path)
+        TRACE_DAMAGE[damage](path, header, body)
+        fresh = SimSession(enabled=True, store=ArtifactStore(str(tmp_path)))
+        again = fresh.trace("web-apache", scale="test", cores=2, seed=3)
+        assert fresh.stats.store_corrupt_drops == 1
+        assert fresh.stats.trace_misses == 1  # regenerated and re-saved
+        assert again.fingerprint() == trace.fingerprint()
+        assert Trace.load(path).fingerprint() == trace.fingerprint()
 
     def test_session_falls_back_to_recompute_and_repairs(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -225,25 +344,37 @@ class TestSchemaVersioning:
     def test_store_with_other_schema_cleared_on_open(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         store.save_result(result_digest(("k",)), make_result())
+        # A file of another format, which no path of this one reads.
+        stray = os.path.join(store.root, "traces", f"{'0' * 32}.npz")
+        np.savez(stray, blocks_0=np.arange(4))
         with open(os.path.join(str(tmp_path), "schema.json"), "w") as f:
             json.dump({"schema": SCHEMA_VERSION + 1}, f)
         reopened = ArtifactStore(str(tmp_path))
         assert reopened.stats.store_schema_invalidations == 1
         assert reopened.entries() == []
+        assert not os.path.exists(stray)
         # The stamp was rewritten: a third open keeps (new) entries.
         reopened.save_result(result_digest(("k2",)), make_result())
         third = ArtifactStore(str(tmp_path))
         assert len(third.entries()) == 1
 
 
-class TestTraceFingerprintMember:
-    """Every persisted trace carries its fingerprint as a raw zip
-    member, which a warm run reads instead of the arrays."""
+    @pytest.mark.parametrize("stamp", ["[5]", "{not json", '"5"'])
+    def test_unreadable_stamp_restamps_the_store(self, tmp_path, stamp):
+        (tmp_path / "schema.json").write_text(stamp)
+        ArtifactStore(str(tmp_path))
+        with open(tmp_path / "schema.json") as handle:
+            assert json.load(handle) == {"schema": SCHEMA_VERSION}
+
+
+class TestTraceFileHeader:
+    """Every persisted trace carries its fingerprint in its file's
+    header, which a warm run reads instead of the columns."""
 
     @pytest.mark.parametrize(
         "workload", ["web-apache", "mix:oltp-db2*2+dss-db2@0.5!low"]
     )
-    def test_member_is_the_loaded_traces_fingerprint(
+    def test_header_holds_the_loaded_traces_fingerprint(
         self, tmp_path, workload
     ):
         store = ArtifactStore(str(tmp_path))
@@ -256,35 +387,29 @@ class TestTraceFingerprintMember:
         assert fingerprint == trace.fingerprint()
         assert fingerprint == Trace.load(store.trace_path(digest)).fingerprint()
 
-    def test_schema_3_store_is_cleared_on_open(self, tmp_path):
-        # A schema-3 trace has no fingerprint member; no path reads it.
-        os.makedirs(tmp_path / "traces")
-        arrays = {"meta_name": np.array(["old"]), "blocks_0": np.arange(4)}
-        np.savez(str(tmp_path / "traces" / f"{'0' * 32}.npz"), **arrays)
+    def test_schema_4_store_with_npz_traces_is_emptied_on_open(
+        self, tmp_path
+    ):
+        # A schema-4 trace is an npz archive; no path reads it.
+        old_trace = tmp_path / "traces" / f"{'0' * 32}.npz"
+        old_result = tmp_path / "results" / f"{'1' * 32}.json"
+        os.makedirs(old_trace.parent)
+        os.makedirs(old_result.parent)
+        np.savez(str(old_trace), meta_name=np.array(["old"]))
+        old_result.write_text('{"schema": 4, "kind": "sim-result"}')
         with open(tmp_path / "schema.json", "w") as handle:
-            json.dump({"schema": 3}, handle)
+            json.dump({"schema": 4}, handle)
         store = ArtifactStore(str(tmp_path))
         assert store.stats.store_schema_invalidations == 1
         assert store.entries() == []
+        assert os.listdir(old_trace.parent) == []
+        assert os.listdir(old_result.parent) == []
 
-    @staticmethod
-    def _rewrite_member(path: str, fingerprint: "str | None") -> None:
-        """Rewrite the archive with the member replaced (None: dropped)."""
-        with zipfile.ZipFile(path) as archive:
-            members = {
-                name: archive.read(name)
-                for name in archive.namelist()
-                if name != "fingerprint"
-            }
-        with zipfile.ZipFile(path, "w") as archive:
-            for name, payload in members.items():
-                archive.writestr(name, payload)
-            if fingerprint is not None:
-                archive.writestr("fingerprint", fingerprint)
-
-    @pytest.mark.parametrize("member", ["missing", "mismatched"])
-    def test_bad_member_is_dropped_and_the_bundle_recomputes(
-        self, tmp_path, member
+    @pytest.mark.parametrize(
+        "damage", ["missing-fingerprint", "mismatched-fingerprint"]
+    )
+    def test_bad_fingerprint_is_dropped_and_the_bundle_recomputes(
+        self, tmp_path, damage
     ):
         store = ArtifactStore(str(tmp_path))
         jobs = [
@@ -294,7 +419,7 @@ class TestTraceFingerprintMember:
         runner = ExperimentRunner(parallel=False)
         cold = runner.map(jobs, SimSession(enabled=True, store=store))
         path = store.trace_path(trace_digest(jobs[0].trace_key()))
-        self._rewrite_member(path, None if member == "missing" else "0" * 32)
+        TRACE_DAMAGE[damage](path, *_split_trace_file(path))
         session = SimSession(enabled=True, store=ArtifactStore(str(tmp_path)))
         assert runner.map(jobs, session) == cold
         assert session.stats.store_corrupt_drops == 1
@@ -594,7 +719,7 @@ class TestLoadTraceRef:
         store = ArtifactStore(str(tmp_path))
         ref = store.trace_ref(trace_digest(("bad",)))
         with open(ref.path, "wb") as handle:
-            handle.write(b"PK\x03\x04 truncated")
+            handle.write(b"\x40\x00 truncated")
         assert load_trace_ref(ref) is None
 
 

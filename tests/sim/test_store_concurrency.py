@@ -18,8 +18,6 @@ import multiprocessing
 import os
 import time
 
-import pytest
-
 from repro.sim.session import SimSession
 from repro.sim.store import ArtifactStore
 
@@ -120,18 +118,11 @@ def test_clear_sweeps_stale_temps(tmp_path):
     assert store.counters()["stale_temps_swept"] == 1
 
 
-def test_sweep_age_gate_env_override(tmp_path, monkeypatch):
+def test_sweep_default_gate_spares_young_temps(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
     path = _plant_temp(store.root + "/traces", ".tmp-y", 120)
-    store.sweep_stale_temps()  # default 1h gate: too young
+    assert store.sweep_stale_temps() == 0  # default 1h gate: too young
     assert os.path.exists(path)
-    monkeypatch.setenv("REPRO_STORE_TMP_MAX_AGE_S", "60")
-    assert store.sweep_stale_temps() == 1
-    assert not os.path.exists(path)
-    monkeypatch.setenv("REPRO_STORE_TMP_MAX_AGE_S", "banana")
-    # Malformed: warns once (see repro.envknobs), keeps the 1h gate.
-    with pytest.warns(RuntimeWarning, match="REPRO_STORE_TMP_MAX_AGE_S"):
-        assert store.sweep_stale_temps() == 0
 
 
 def test_sweep_explicit_age_argument(tmp_path):

@@ -1,9 +1,8 @@
 """Warn-once parsing of numeric REPRO_* environment knobs.
 
-``REPRO_STORE_MAX_MB`` and ``REPRO_STORE_TMP_MAX_AGE_S`` used to
-swallow malformed values silently, and to accept values that parse but
-break the store (``nan``/``inf`` crashed store open, a non-positive cap
-evicted every artifact, a negative age gate swept live temps).  They
+``REPRO_STORE_MAX_MB`` used to swallow malformed values silently, and
+to accept values that parse but break the store (``nan``/``inf``
+crashed store open, a non-positive cap evicted every artifact).  It
 and ``REPRO_JOBS`` now share one warn-once RuntimeWarning behaviour via
 ``repro.envknobs``, where an empty value means unset — as it does for
 ``REPRO_SIM_ENGINE``.
@@ -18,7 +17,6 @@ import pytest
 
 from repro import envknobs
 from repro.envknobs import env_float
-from repro.sim import store as store_module
 from repro.sim.engine import resolve_engine
 from repro.sim.runner import _default_workers
 from repro.sim.store import ArtifactStore
@@ -94,15 +92,6 @@ class TestStoreKnobs:
             assert (
                 ArtifactStore._max_bytes_from_env() == 2 * 1024 * 1024
             )
-
-    @pytest.mark.parametrize("value", ["soon", "1h", "nan", "inf", "-5"])
-    def test_tmp_max_age_misparse_warns(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STORE_TMP_MAX_AGE_S", value)
-        with pytest.warns(
-            RuntimeWarning, match="REPRO_STORE_TMP_MAX_AGE_S"
-        ):
-            age = ArtifactStore._stale_temp_age_from_env()
-        assert age == store_module._STALE_TEMP_SECONDS
 
 
 def test_repro_jobs_valid_value(monkeypatch):

@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.sim.session import SimSession
+from repro.workloads.scales import FIGURE_ORDER
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -156,6 +157,30 @@ print(json.dumps({{
     assert replay["data"] == json.loads(
         json.dumps(recomputed.data, sort_keys=True)
     )
+
+
+def test_cache_ls_labels_every_trace_from_its_header(tmp_path):
+    """``cache ls`` names each trace's workload from the file header
+    alone: no NumPy, no trace module."""
+    store = str(tmp_path / "store")
+    _warm(store, "fig7")
+    listed = _python(f"""
+import contextlib, io, json, sys
+from repro.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = main(["cache", "ls", "--store-dir", {store!r}])
+print(json.dumps({{
+    "status": status,
+    "rows": [line.split() for line in out.getvalue().splitlines()],
+    "loaded": [m for m in {["repro.workloads.trace", *HEAVY]!r}
+               if m in sys.modules],
+}}))
+""")
+    assert listed["status"] == 0
+    assert listed["loaded"] == []
+    labels = [row[-1] for row in listed["rows"] if row[:1] == ["trace"]]
+    assert sorted(labels) == sorted(FIGURE_ORDER)
 
 
 @pytest.mark.parametrize("experiment", ["fig8", "mix-contention"])

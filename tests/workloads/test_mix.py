@@ -118,7 +118,7 @@ class TestGenerateMix:
 
     def test_round_trip_preserves_mix_metadata(self, tmp_path):
         trace = self._small()
-        path = str(tmp_path / "mix.npz")
+        path = str(tmp_path / "mix.trace")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.core_workloads == trace.core_workloads
@@ -192,7 +192,7 @@ class TestAsymmetricMix:
 
     def test_round_trip_preserves_asymmetric_metadata(self, tmp_path):
         trace = self._asym()
-        path = str(tmp_path / "asym.npz")
+        path = str(tmp_path / "asym.trace")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.core_rates == trace.core_rates

@@ -1,5 +1,8 @@
 """Unit tests for the trace container and builder."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -74,7 +77,7 @@ class TestTrace:
 
     def test_save_load_round_trip(self, tmp_path):
         trace = simple_trace(records=7, cores=2)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.trace")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.name == trace.name
@@ -94,7 +97,7 @@ class TestTrace:
         trace = simple_trace(records=9, cores=2)
         trace.warmup_fraction = 0.37  # not representable in binary
         trace.working_set_blocks = 12345
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.trace")
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.warmup_fraction == trace.warmup_fraction
@@ -106,7 +109,7 @@ class TestTrace:
         """Engine hot paths and trace fingerprints are dtype-sensitive;
         all four columns must come back with their exact dtypes."""
         trace = simple_trace(records=5, cores=3)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.trace")
         trace.save(path)
         loaded = Trace.load(path)
         for core in range(3):
@@ -125,9 +128,53 @@ class TestTrace:
         """Store-loaded traces must produce the same result-cache keys
         as freshly generated ones, i.e. identical content fingerprints."""
         trace = simple_trace(records=8, cores=2)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.trace")
         trace.save(path)
         assert Trace.load(path).fingerprint() == trace.fingerprint()
+
+    def test_loaded_columns_are_read_only_aligned_views(self, tmp_path):
+        """Columns of odd byte lengths (5 bools, 5 float32s) still leave
+        every later column 8-byte aligned, and none can be written."""
+        trace = simple_trace(records=5, cores=2)
+        path = str(tmp_path / "trace.trace")
+        trace.save(path)
+        loaded = Trace.load(path)
+        for column in loaded.columns():
+            assert column.ctypes.data % 8 == 0
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_file_is_a_header_plus_raw_columns(self, tmp_path):
+        """The layout, read back by hand: an 8-byte little-endian header
+        length, a JSON header padded to 8 bytes, then every column's
+        raw bytes, each padded to 8."""
+        trace = simple_trace(records=5, cores=2)
+        trace.core_workloads = ["a", "b"]
+        path = str(tmp_path / "trace.trace")
+        trace.save(path)
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        size = int.from_bytes(payload[:8], "little")
+        assert size % 8 == 0
+        header = json.loads(payload[8:8 + size])
+        assert header["trace"] == trace.metadata()
+        assert header["fingerprint"] == trace.fingerprint()
+        offset = 8 + size
+        for column, (dtype, length) in zip(trace.columns(), header["columns"]):
+            assert (np.dtype(dtype), length) == (column.dtype, len(column))
+            assert payload[offset:offset + column.nbytes] == column.tobytes()
+            offset += -(-column.nbytes // 8) * 8
+        assert offset == len(payload)
+
+    def test_metadata_lists_every_non_column_field(self):
+        trace = simple_trace(records=3, cores=1)
+        assert set(trace.metadata()) == {
+            f.name for f in dataclasses.fields(Trace)
+        } - {"blocks", "work", "dep", "write"}
+        assert Trace.from_columns(
+            trace.metadata(), trace.columns()
+        ).fingerprint() == trace.fingerprint()
 
 
 class TestTraceBuilder:
