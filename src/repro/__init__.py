@@ -20,6 +20,13 @@ figures and tables regenerates, with the shape checks it must pass.
 """
 
 import importlib
+import os
+
+# NumPy's OpenBLAS starts a pool of one thread per extra CPU as NumPy
+# loads, and each of those threads spins for a while before it sleeps.
+# The package calls no BLAS routine, so one thread is all it needs; a
+# value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "1.0.0"
 

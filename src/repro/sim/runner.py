@@ -535,19 +535,20 @@ def _uses_library(jobs: "list[SimJob]", generates: bool) -> bool:
     )
 
 
-def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> None:
+def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
     """Load the compiled library before forking workers for ``jobs``.
 
     Loading it here, once, lets every forked worker that uses it
     (:func:`_uses_library`) inherit the mapped library instead of each
     one building or checking it, hashing it and spawning
     ``cc --version`` itself.  A fan-out that uses it nowhere never
-    touches it.
+    touches it.  Returns whether the library loaded.
     """
     if _uses_library(jobs, generates):
         from repro.sim.library import load
 
-        load()
+        return load() is not None
+    return False
 
 
 def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
@@ -555,19 +556,27 @@ def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
 
     A forked worker inherits every module the parent has imported; any
     other module each worker would import, and compile, again.  So the
-    parent imports the sweep, the trace generators, the jobs'
-    prefetchers and the Python engine if a cell needs it, and loads the
-    library (:func:`_preload_kernel`; ``generates``: a worker may
-    generate its trace).
+    parent imports the sweep, the trace generators and the jobs'
+    prefetchers, loads the library (:func:`_preload_kernel`;
+    ``generates``: a worker may generate its trace), and imports the
+    engine each cell runs in: the kernel's driver for the cells the
+    loaded library steps, the Python batch engine for the rest.
     """
     from repro.sim import sweep  # noqa: F401
     from repro.sim.engine import kernel_cell
     from repro.workloads import suite  # noqa: F401
 
+    loaded = _preload_kernel(jobs, generates)
+    engine = resolve_engine("auto")
     for kind in {job.kind for job in jobs}:
-        if not kernel_cell(make_factory(kind)):
+        # make_factory imports the kind's prefetcher.
+        kernel = kernel_cell(make_factory(kind))
+        if engine == "scalar":
+            continue
+        if kernel and loaded:
+            from repro.sim import native  # noqa: F401
+        else:
             from repro.sim import batch  # noqa: F401
-    _preload_kernel(jobs, generates)
 
 
 class ExperimentRunner:

@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 try:  # POSIX advisory locking for the persistent-counter interlock.
@@ -315,11 +315,27 @@ def encode_result(result: SimResult) -> dict:
     """Serialize a :class:`SimResult` into plain JSON types (its fields,
     by name; the record's writer converts NumPy scalars).
 
-    Floats survive a JSON round trip exactly (shortest-repr encoding),
-    so a decoded record compares equal to the freshly computed one —
-    the store-vs-recompute equivalence tests rely on this.
+    The output equals ``dataclasses.asdict(result)``, built without its
+    deep copy of every leaf value.  Floats survive a JSON round trip
+    exactly (shortest-repr encoding), so a decoded record compares
+    equal to the freshly computed one — the store-vs-recompute
+    equivalence tests rely on this.
     """
-    return asdict(result)
+    return _plain(result)
+
+
+def _plain(value: object) -> object:
+    """``value`` with each dataclass turned into a dict of its fields
+    by name, and each list and dict copied, all the way down."""
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {
+            f.name: _plain(getattr(value, f.name)) for f in fields(value)
+        }
+    return value
 
 
 def decode_result(payload: dict) -> SimResult:

@@ -195,10 +195,10 @@ def generate(
     records_per_core: "int | None" = None,
 ) -> Trace:
     """Generate one suite workload (or ``mix:...`` recipe) at a preset."""
-    # Late import: repro.workloads.mix composes this module's specs.
-    from repro.workloads.mix import generate_mix
-
     if is_mix(name):
+        # Late import: repro.workloads.mix composes this module's specs.
+        from repro.workloads.mix import generate_mix
+
         return generate_mix(
             name,
             scale=scale,

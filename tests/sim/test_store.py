@@ -6,6 +6,7 @@ mismatches invalidate stale entries, concurrent writers of one key
 cannot tear an entry (atomic rename), and eviction is LRU by recency.
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -13,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.experiments import run_experiment
 from repro.sim.metrics import CoverageCounts, SimResult
 from repro.memory.config import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
@@ -201,6 +203,22 @@ class TestResultCodec:
         with open(store.result_path(digest)) as handle:
             written = handle.read()
         assert written.endswith(f'"payload": {HAND_WRITTEN_PAYLOAD}}}')
+
+    @pytest.mark.parametrize(
+        "experiment", ["fig7", "mix-contention", "fig1-right"]
+    )
+    def test_encoder_equals_asdict_on_every_result(self, experiment):
+        """The field walk writes what ``dataclasses.asdict`` wrote, so
+        the stored bytes (and the decoded results) stay the same."""
+        session = SimSession(enabled=True, store=None)
+        run_experiment(
+            experiment, scale="test", session=session,
+            runner=ExperimentRunner(parallel=False),
+        )
+        results = list(session.export_results().values())
+        assert results
+        for result in results:
+            assert encode_result(result) == dataclasses.asdict(result)
 
     def test_record_with_a_missing_field_is_rejected(self):
         payload = encode_result(make_result())

@@ -67,11 +67,12 @@ DRIVERS = sorted(
 )
 
 
-def _python(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _python(code: str, env: "dict | None" = None) -> dict:
+    """Run ``code`` in a fresh interpreter (in ``env``, default this
+    process's environment); its last stdout line is JSON."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env,
+        [sys.executable, "-c", code],
+        env=dict(os.environ if env is None else env, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -226,6 +227,117 @@ assert session.stats.sim_misses == 16, session.stats
 print(json.dumps([m for m in {UNUSED_PREFETCHERS!r} if m in sys.modules]))
 """)
     assert loaded == []
+
+
+def test_suite_trace_loads_no_mix_grammar():
+    """Only a ``mix:`` recipe needs the mix grammar to generate."""
+    loaded = _python(
+        "import json, sys\n"
+        "from repro.workloads.suite import generate\n"
+        "generate('web-apache', scale='test', cores=2)\n"
+        "print(json.dumps('repro.workloads.mix' in sys.modules))\n"
+    )
+    assert loaded is False
+
+
+# ----------------------------------------------------------------------
+# Start-up work is done once: no spinning BLAS threads, no worker imports.
+# ----------------------------------------------------------------------
+
+multi_cpu_linux = pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS starts one thread per CPU beyond the first, so the "
+    "thread count tells the cases apart only on Linux (/proc/self/task) "
+    "with 2 or more CPUs",
+)
+
+#: Threads of a fresh interpreter after ``import repro`` and NumPy.
+THREADS_AFTER_NUMPY = (
+    "import json, os\n"
+    "import repro\n"
+    "import numpy\n"
+    "print(json.dumps(len(os.listdir('/proc/self/task'))))\n"
+)
+
+
+@multi_cpu_linux
+def test_numpy_loaded_after_repro_starts_no_blas_thread():
+    env = {
+        key: value for key, value in os.environ.items()
+        if key != "OPENBLAS_NUM_THREADS"
+    }
+    assert _python(THREADS_AFTER_NUMPY, env) == 1
+
+
+@multi_cpu_linux
+def test_blas_thread_count_the_caller_set_wins():
+    assert _python(
+        THREADS_AFTER_NUMPY, dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    ) == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork"),
+    reason="the fan-out forks its workers only where fork exists",
+)
+@pytest.mark.parametrize("setting", ["default", "scalar", "no-cc"])
+def test_forked_workers_import_no_repro_module(tmp_path, setting):
+    """The parent imports, before the pool forks, every module a worker
+    runs: kernel cells (baseline, STMS) and Python batch cells (ideal
+    TMS, Markov) on traces the workers generate, a mix trace among
+    them, then one trace split into cell shards over the shm plane.
+    So it does on the scalar engine, and without a C compiler (every
+    cell in the batch engine).  Each worker lists the ``repro``
+    modules it imported after the fork, one file per process."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    env = dict(os.environ)
+    if setting == "scalar":
+        env["REPRO_SIM_ENGINE"] = "scalar"
+    elif setting == "no-cc":
+        env["PATH"] = str(tmp_path)
+    workers = _python(f"""
+import functools, json, os, sys
+from repro.sim import runner
+from repro.sim.runner import ExperimentRunner, PrefetcherKind, SimJob
+from repro.sim.session import SimSession
+
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+bundle = runner._run_bundle
+
+
+@functools.wraps(bundle)
+def probed(*args, **kwargs):
+    try:
+        return bundle(*args, **kwargs)
+    finally:
+        path = os.path.join({str(logs)!r}, str(os.getpid()))
+        with open(path, "a") as log:
+            log.writelines(
+                f"{{name}}\\n" for name in sys.modules
+                if name.startswith("repro") and name not in at_fork
+            )
+
+
+runner._run_bundle = probed
+kinds = (PrefetcherKind.BASELINE, PrefetcherKind.STMS,
+         PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV)
+for workloads in (
+    ("web-apache", "oltp-db2", "mix:web-apache+oltp-db2"),
+    ("dss-db2",),
+):
+    ExperimentRunner(max_workers=2, parallel=True).map(
+        [SimJob(workload, kind, scale="test", cores=2)
+         for workload in workloads for kind in kinds],
+        session=SimSession(enabled=True, store=None),
+    )
+print(json.dumps(len(os.listdir({str(logs)!r}))))
+""", env)
+    assert workers >= 2
+    imported = {log.name: log.read_text().split() for log in logs.iterdir()}
+    assert imported == {name: [] for name in imported}
 
 
 # ----------------------------------------------------------------------
