@@ -438,9 +438,8 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     }
     for name, value in counters.items():
         rows.append([name.replace("_", " "), str(value)])
-    # Grid-grouping effectiveness: average cells served per sweep
-    # invocation (versus per-cell fallbacks, reported above) makes
-    # silent de-vectorization of sweep grids visible.
+    # Grid-grouping effectiveness: average fast-engine cells per sweep
+    # invocation (scalar-engine cells are the fallbacks reported above).
     invocations = counters["sweep_invocations"]
     if invocations:
         cells = counters["sweep_cells"]

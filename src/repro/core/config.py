@@ -18,6 +18,19 @@ HISTORY_ENTRY_BYTES = 5
 INDEX_ENTRY_BYTES = 5
 
 
+def check_tag_bits(tag_bits: "int | None") -> None:
+    """Reject an index tag width the int64 block numbers cannot carry."""
+    if tag_bits is None:
+        return
+    if tag_bits <= 0:
+        raise ValueError("tag_bits must be positive when given")
+    if tag_bits > 63:
+        raise ValueError(
+            f"tag_bits must be at most 63, got {tag_bits}: block numbers "
+            f"are int64, and tag_bits=None keeps full-address tags"
+        )
+
+
 @dataclass(frozen=True)
 class StmsConfig:
     """All STMS parameters in one immutable object."""
@@ -84,8 +97,7 @@ class StmsConfig:
             raise ValueError(
                 "queue_refill_threshold must be within the queue capacity"
             )
-        if self.tag_bits is not None and self.tag_bits <= 0:
-            raise ValueError("tag_bits must be positive when given")
+        check_tag_bits(self.tag_bits)
 
     # ------------------------------------------------------------------
     # Derived storage figures (checked in tests/core/test_config.py).

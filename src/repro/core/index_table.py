@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import check_tag_bits
 from repro.core.history_buffer import HistoryPointer
 from repro.memory.config import is_power_of_two
 
@@ -47,8 +48,9 @@ def stacked_metadata_arrays(
     over the trace instead of one per cell.  Values are ``int64``
     per-core NumPy arrays (geometries sharing ``tag_bits`` share the
     *same* tag array objects); :func:`stacked_metadata_columns` wraps
-    this with the native-list conversion the batched engine consumes,
-    and the shared-memory trace plane exports the arrays directly.
+    this with the native-list conversion.  Nothing in the simulator
+    calls it (the compiled kernel hashes each miss itself); it stays
+    because the benchmark's tracing layer wraps it by name.
     """
     unique = [g for g in dict.fromkeys(geometries)]
     out: "dict[tuple[int, int | None], tuple[list, list | None]]" = {}
@@ -94,8 +96,8 @@ def stacked_metadata_columns(
     The native-list form of :func:`stacked_metadata_arrays` — each
     geometry's columns are element-for-element what the per-cell
     :meth:`IndexTable.bucket_of_array` / :meth:`IndexTable.tag_of_array`
-    produce (the sweep differential tests pin this), in the list form
-    the batched engine consumes.
+    produce, in list form.  It stays, with no caller in the
+    simulator, because the benchmark's tracing layer wraps it by name.
     """
     arrays = stacked_metadata_arrays(blocks_arrays, geometries)
     out: "dict[tuple[int, int | None], tuple[list, list | None]]" = {}
@@ -144,8 +146,7 @@ class IndexTable:
             raise ValueError(f"buckets must be a power of two, got {buckets}")
         if bucket_entries <= 0:
             raise ValueError("bucket_entries must be positive")
-        if tag_bits is not None and tag_bits <= 0:
-            raise ValueError("tag_bits must be positive when given")
+        check_tag_bits(tag_bits)
         self.buckets = buckets
         self.bucket_entries = bucket_entries
         self.tag_bits = tag_bits
@@ -178,7 +179,9 @@ class IndexTable:
         Exact for any block number below 2**53: the kept bits (11 ..
         ``11 + log2(buckets)``) of the hash product survive the uint64
         wraparound unchanged, so the NumPy pass classifies every record
-        into the bucket the scalar hash would pick.
+        into the bucket the scalar hash would pick.  It stays for
+        :func:`stacked_metadata_arrays`, which the benchmark's tracing
+        layer wraps.
         """
         products = np.asarray(blocks, dtype=np.uint64) * np.uint64(
             _HASH_MULTIPLIER
@@ -188,7 +191,11 @@ class IndexTable:
         ).astype(np.int64)
 
     def tag_of_array(self, blocks: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`tag_of` over a whole block column."""
+        """Vectorized :meth:`tag_of` over a whole block column.
+
+        It stays for :func:`stacked_metadata_arrays`, which the
+        benchmark's tracing layer wraps.
+        """
         blocks = np.asarray(blocks, dtype=np.int64)
         if self.tag_bits is None:
             return blocks

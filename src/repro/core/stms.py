@@ -119,26 +119,18 @@ class StmsPrefetcher(TemporalPrefetcher):
     # Trigger path.
     # ------------------------------------------------------------------
 
-    def metadata_geometry(self) -> "tuple[int, int | None]":
-        """The index parameters :meth:`metadata_columns` depends on.
-
-        The sweep engine keys its shared, config-axis-stacked
-        bucket/tag columns by this pair: cells whose geometries match
-        reuse one precomputed classification instead of re-deriving it
-        per cell (see :mod:`repro.sim.sweep`).
-        """
-        return (self.config.index_buckets, self.config.tag_bits)
-
     def metadata_columns(
         self, blocks_arrays: "list"
     ) -> "tuple[list, list | None]":
         """Pre-classify whole block columns into index buckets and tags.
 
-        The compiled kernel hands in one NumPy block column per core and
-        gets back int64 bucket/tag columns, computed in one vectorized
-        pass each, so its event loop never hashes a record.  With
-        full-address tags (``tag_bits is None``) the tag element is
-        ``None``: the caller reuses its block columns as the tag columns.
+        One NumPy block column per core in, int64 bucket/tag columns
+        out, computed in one vectorized pass each.  With full-address
+        tags (``tag_bits is None``) the tag element is ``None``: the
+        caller reuses its block columns as the tag columns.  Nothing in
+        the simulator calls it (the compiled kernel hashes each miss
+        itself); it stays because the benchmark's tracing layer wraps it
+        by name.
         """
         index = self.index
         buckets = [index.bucket_of_array(blocks) for blocks in blocks_arrays]

@@ -9,10 +9,9 @@ it roughly in proportion to the sampling probability.
 
 The workload x sampling grid is submitted to the runner as one job
 list per trace, so :class:`~repro.sim.runner.ExperimentRunner` groups
-each workload's sampling points into a single config-parallel sweep
-invocation (see ``repro.sim.sweep``): the trace is generated and its
-STMS metadata classified once, and only the config-dependent
-simulation state is carried per cell.  Results land under the same
+each workload's sampling points into a single sweep invocation (see
+``repro.sim.sweep``): the trace is generated once, and only the
+config-dependent simulation state is carried per cell.  Results land under the same
 per-cell recipe keys as before, so stores warmed pre-sweep stay valid.
 """
 

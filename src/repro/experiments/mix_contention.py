@@ -28,10 +28,9 @@ finite slowdown-vs-alone.
 
 The (L2 capacity x DRAM bandwidth x prefetcher) sweep over each mix
 trace is grouped by :class:`~repro.sim.runner.ExperimentRunner` into
-config-parallel sweep invocations (``repro.sim.sweep``): every machine
-point over the same mix shares one trace generation and one stacked
-metadata-classification pass, with per-cell results cached under the
-unchanged recipe keys.  Solo references group the same way per solo
+sweep invocations (``repro.sim.sweep``): every machine point over the
+same mix shares one trace generation, with per-cell results cached
+under the unchanged recipe keys.  Solo references group the same way per solo
 trace.
 """
 

@@ -59,15 +59,14 @@ class SessionStats:
     #: Whole job bundles the runner served from the store without
     #: spawning a worker (store-aware scheduling).
     bundle_skips: int = 0
-    #: Sweep invocations: grid-job groups the runner pushed through the
-    #: config-parallel engine (``sim/sweep.py``) as one shared pass.
+    #: Sweep invocations: trace groups the runner pushed through
+    #: ``sim/sweep.py``, each on one acquisition of its trace.
     sweep_invocations: int = 0
-    #: Grid cells simulated inside a sweep invocation on the shared
-    #: (config-parallel) path.
+    #: Grid cells a sweep invocation simulated on the fast engines.
     sweep_cells: int = 0
-    #: Grid cells a sweep invocation had to hand back to the per-cell
-    #: engine (scalar engine requested, or no vectorizable form) —
-    #: nonzero values flag silent de-vectorization.
+    #: Grid cells a sweep invocation simulated on the scalar reference
+    #: engine (``REPRO_SIM_ENGINE=scalar``) — nonzero values show a run
+    #: that left the fast engines.
     sweep_fallbacks: int = 0
     #: Shared-memory trace-plane segments the runner exported for cell
     #: shards (parent side of the zero-copy plane).

@@ -62,16 +62,8 @@ class Simulator:
         trace: Trace,
         temporal_factory: "TemporalFactory | None" = None,
         label: str = "baseline",
-        shared: "object | None" = None,
     ) -> SimResult:
         """Simulate ``trace``, optionally with a temporal prefetcher.
-
-        ``shared`` is a sweep invocation's precomputation handle (see
-        :class:`repro.sim.sweep.SweepShared`): the compiled kernel pulls
-        grid-shared metadata classifications from it instead of
-        re-deriving them per cell.  It is a pure compute shortcut —
-        results are bit-identical with or without it — and the other
-        engines ignore it.
 
         The batch engine steps the cells :func:`kernel_cell` admits
         (baseline and STMS) in the compiled kernel
@@ -96,7 +88,7 @@ class Simulator:
                     from repro.sim.native import NativeRunState
 
                     state = NativeRunState(
-                        self.config, trace, temporal_factory, shared
+                        self.config, trace, temporal_factory
                     )
             if state is None:
                 from repro.sim.batch import BatchRunState

@@ -38,8 +38,9 @@
  * summarizes; repro.sim.native builds it zeroed and never reads it.
  *
  * The sampler's coin flips arrive pre-drawn, one of the sampler's
- * batches at a time (a record flips at most one coin); the bucket and
- * tag of every record arrive pre-classified.
+ * batches at a time (a record flips at most one coin).  An STMS miss
+ * hashes its block to an index bucket and tag as it happens, as the
+ * hardware does (index_bucket; repro.core.index_table.IndexTable).
  *
  * L1-copy masks are not stored: a core's bit in the Python map is set
  * exactly when that core's L1 holds the block, so an inclusive L2
@@ -174,8 +175,9 @@ typedef struct {
     int64_t prefetch_buffer_blocks, lookahead, queue_capacity;
     int64_t refill_threshold, annotate, sample_mode, issued_capacity;
     double t_pf_dep, t_pf_indep, pf_backlog_limit;
-    const int64_t *const *buckets; /* per core, per record */
-    const int64_t *const *tags;
+    /* IndexTable.bucket_of / tag_of: buckets - 1, and the tag mask
+     * (-1 for full-address tags). */
+    int64_t index_mask, tag_mask;
     const uint8_t *coins;
     int64_t coin_count, coin_cursor;
     /* PrefetcherStats: issued, useful, erroneous, filtered, dropped,
@@ -667,7 +669,7 @@ static void bucket_to_front(int64_t *tags, int64_t *ptrs, int64_t pos,
     ptrs[1] = sequence;
 }
 
-/* IndexTable.lookup on a precomputed bucket and tag: MRU-first search,
+/* IndexTable.lookup on a hashed bucket and tag: MRU-first search,
  * a hit moves to the front. */
 static int index_probe(Machine *m, int64_t bucket, int64_t tag,
                        int64_t *ptr_core, int64_t *ptr_seq)
@@ -686,7 +688,7 @@ static int index_probe(Machine *m, int64_t bucket, int64_t tag,
     return 1;
 }
 
-/* IndexTable.update on a precomputed bucket and tag: (re)point tag at
+/* IndexTable.update on a hashed bucket and tag: (re)point tag at
  * (core, sequence), MRU first. */
 static void index_commit(Machine *m, int64_t bucket, int64_t tag,
                          int64_t core, int64_t sequence)
@@ -1067,9 +1069,18 @@ static void stms_record(Machine *m, int64_t core, int64_t block, double now,
     index_commit(m, bucket, tag, core, sequence);
 }
 
+/* IndexTable.bucket_of: Knuth's multiplicative hash.  The kept bits (11
+ * up to 11 + log2(buckets)) of the product survive the uint64
+ * wraparound for any non-negative block. */
+static int64_t index_bucket(const Machine *m, int64_t block)
+{
+    return (int64_t)((((uint64_t)block * 2654435761u) >> 11)
+                     & (uint64_t)m->index_mask);
+}
+
 /* StmsPrefetcher._on_prefetch_hit (StreamEngine.on_consumed inlined). */
 static void stms_prefetch_hit(Machine *m, int64_t core, int64_t block,
-                              double now, int64_t bucket, int64_t tag)
+                              double now)
 {
     Engine *e = &m->engines[core];
     int64_t pos = issued_find(m, core, block);
@@ -1085,16 +1096,17 @@ static void stms_prefetch_hit(Machine *m, int64_t core, int64_t block,
             && e->last_consumed.sequence >= e->paused_at.sequence)
             e->has_paused = 0;
     }
-    stms_record(m, core, block, now, bucket, tag);
+    stms_record(m, core, block, now, index_bucket(m, block),
+                block & m->tag_mask);
     stms_refill(m, core, now);
     stms_issue(m, core, now);
 }
 
 /* StmsPrefetcher.on_demand_miss. */
-static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
-                      int64_t bucket, int64_t tag)
+static void stms_miss(Machine *m, int64_t core, int64_t block, double now)
 {
     Engine *e = &m->engines[core];
+    int64_t bucket = index_bucket(m, block), tag = block & m->tag_mask;
     if (e->has_paused && e->paused_at.block == block) {
         /* The core requested the annotated address: resume. */
         e->has_paused = 0;
@@ -1142,7 +1154,7 @@ static void stms_miss(Machine *m, int64_t core, int64_t block, double now,
 /* Step 2 of off_chip: TemporalPrefetcher.consume on the core's
  * prefetch buffer; returns 1 with *entry filled on a hit. */
 static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
-                        int64_t record, Prefetched *entry)
+                        Prefetched *entry)
 {
     int64_t pos = prefetched_find(m, core, block);
     if (pos < 0)
@@ -1151,8 +1163,7 @@ static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
     prefetched_drop(m, core, pos);
     m->pf_stats[PF_USEFUL]++;
     charge(m, core, TC_USEFUL);
-    stms_prefetch_hit(m, core, block, now, m->buckets[core][record],
-                      m->tags[core][record]);
+    stms_prefetch_hit(m, core, block, now);
     return 1;
 }
 
@@ -1160,8 +1171,8 @@ static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
  * One trace record (_RunState._step and _off_chip).
  * ------------------------------------------------------------------- */
 
-static double off_chip(Machine *m, int64_t core, int64_t record,
-                       int64_t block, double t, int dep, int write)
+static double off_chip(Machine *m, int64_t core, int64_t block, double t,
+                       int dep, int write)
 {
     /* 1. Stride prefetcher buffer (part of the base system). */
     if (m->use_stride && stride_probe(m, core, block)) {
@@ -1175,7 +1186,7 @@ static double off_chip(Machine *m, int64_t core, int64_t record,
 
     /* 2. Temporal (STMS) prefetch buffer. */
     Prefetched entry;
-    if (m->stms && stms_consume(m, core, block, t, record, &entry)) {
+    if (m->stms && stms_consume(m, core, block, t, &entry)) {
         if (entry.arrival <= t) {
             cover(m, core, CV_FULL);
             t += dep ? m->t_pf_dep : m->t_pf_indep;
@@ -1282,8 +1293,7 @@ static double off_chip(Machine *m, int64_t core, int64_t record,
     }
     drain_writebacks(m, fill_off_chip(m, core, block, write), t);
     if (m->stms)
-        stms_miss(m, core, block, issue, m->buckets[core][record],
-                  m->tags[core][record]);
+        stms_miss(m, core, block, issue);
     if (m->use_stride)
         stride_train(m, core, block, t);
     return t;
@@ -1355,7 +1365,7 @@ static void step(Machine *m, int64_t core)
     }
     m->l2_stats[ST_MISSES]++;
     m->off_chip_reads++;
-    m->clocks[core] = off_chip(m, core, i, block, t, dep, write);
+    m->clocks[core] = off_chip(m, core, block, t, dep, write);
 }
 
 /* Advance every core to its record limit in (clock, core) order.

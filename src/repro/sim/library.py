@@ -11,8 +11,10 @@ Build: the library compiles once per machine with the system ``cc``
 (``-O2 -ffp-contract=off``, no fast-math, so float arithmetic rounds
 exactly as Python's) into ``$XDG_CACHE_HOME/repro-kernels`` (default
 ``~/.cache/repro-kernels``), keyed by a digest of the source, the flags
-and ``cc --version``.  The cache sits outside the artifact store, so
-cold runs against a fresh store reuse it.  Concurrent builders
+and the compiler file ``cc`` resolves to (its real path, size and
+modification time), so finding a cached library starts no process.
+The cache sits outside the artifact store, so cold runs against a
+fresh store reuse it.  Concurrent builders
 serialize on a lock file and publish with atomic renames; a library
 that no longer matches its recorded digest is rebuilt, and one whose
 struct layouts differ from the mirrors here is not loaded.  Without a
@@ -98,7 +100,8 @@ class Machine(ctypes.Structure):
                 _I,
             ),
             ("t_pf_dep t_pf_indep pf_backlog_limit", _F),
-            ("buckets tags coins", _P),
+            ("index_mask tag_mask", _I),
+            ("coins", _P),
             ("coin_count coin_cursor", _I),
             (
                 "pf_stats stms_counters sampler index_tags index_ptrs "
@@ -230,16 +233,20 @@ def cache_dir() -> Path:
 
 
 def _library_path(directory: Path) -> "tuple[Path, str]":
-    """Cache path of the kernel built by this machine's ``cc``."""
+    """Cache path of the kernel built by this machine's ``cc``.
+
+    The compiler is identified by the file ``cc`` resolves to, with its
+    size and modification time: an upgraded or swapped compiler gets a
+    new key, and no process is started to tell.
+    """
     cc = shutil.which("cc")
     if cc is None:
         raise KernelUnavailable("no C compiler ('cc') on PATH")
-    version = subprocess.run(
-        [cc, "--version"], capture_output=True, text=True, check=True
-    ).stdout
+    compiler = os.path.realpath(cc)
+    info = os.stat(compiler)
     digest = hashlib.sha256()
     for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(),
-                 version.encode()):
+                 f"{compiler} {info.st_size} {info.st_mtime_ns}".encode()):
         digest.update(part)
         digest.update(b"\0")
     return directory / f"kernel-{digest.hexdigest()[:16]}.so", cc

@@ -31,12 +31,12 @@ bucket buffer, and per core the prefetch buffer's current-stream count
 and a count of its blocks per bin of ``block & 255``.  They answer in
 one step what the hardware (and the reference's dicts) look up
 associatively; ``sync`` never reads them.
-An STMS cell's per-record index buckets and tags arrive as int64
-arrays, zero-copy, from the sweep's shared classification or the
-prefetcher's ``metadata_columns``; its sampler's coin flips are drawn in
-the sampler's own batches, handed in one batch at a time as the kernel
-asks, and the unused ones go back after each phase (:class:`_Coins`),
-so the sampler's RNG stream is the Python path's.
+An STMS cell's kernel hashes each miss to its index bucket and tag as
+the miss happens, from the two masks :meth:`NativeRunState._build_stms`
+sets; its sampler's coin flips are drawn in the sampler's own batches,
+handed in one batch at a time as the kernel asks, and the unused ones
+go back after each phase (:class:`_Coins`), so the sampler's RNG
+stream is the Python path's.
 The phase entry points (``run_warmup``, ``run_measured``) and result
 assembly are the reference code unchanged.
 
@@ -82,8 +82,7 @@ class NativeRunState(_RunState):
     )
 
     def __init__(
-        self, config: SimConfig, trace: Trace, temporal_factory=None,
-        shared=None,
+        self, config: SimConfig, trace: Trace, temporal_factory=None
     ) -> None:
         lib = load()
         if lib is None:
@@ -94,7 +93,6 @@ class NativeRunState(_RunState):
                 "prefetcher or an STMS one built by StmsFactory"
             )
         super().__init__(config, trace, temporal_factory)
-        temporal = self.temporal
         self._lib = lib
         # float32 work widens exactly in the kernel; anything else is
         # handed over as float64 (exact for every float32/int value).
@@ -109,21 +107,6 @@ class NativeRunState(_RunState):
             "dep": _columns(trace.dep, np.uint8),
             "write": _columns(trace.write, np.uint8),
         }
-        if temporal is not None:
-            # Every record's index bucket and tag, classified once: the
-            # sweep's shared pass when one covers this geometry, else a
-            # per-cell pass.  Full-address tags alias the block column.
-            if shared is not None:
-                buckets, tags = shared.metadata_columns(
-                    temporal.metadata_geometry()
-                )
-            else:
-                buckets, tags = temporal.metadata_columns(columns["blocks"])
-            columns["buckets"] = _columns(buckets, np.int64)
-            columns["tags"] = (
-                columns["blocks"] if tags is None
-                else _columns(tags, np.int64)
-            )
         #: Per-core column arrays (kept alive while the kernel reads
         #: them) and the pointer tables the kernel indexes by core.
         self._columns = (
@@ -312,6 +295,10 @@ class NativeRunState(_RunState):
             ),
             issued_capacity=queue_width,
             pf_backlog_limit=stms._backlog_limit,
+            index_mask=buckets - 1,
+            tag_mask=(
+                -1 if config.tag_bits is None else (1 << config.tag_bits) - 1
+            ),
         )
 
     def _hand_over(self, **arrays: np.ndarray) -> None:

@@ -14,9 +14,8 @@ Three layers sit above the engine:
   a trace once), then strided *cell* shards of the larger groups when
   workers would otherwise idle — split groups travel over the
   zero-copy shared-memory trace plane (:mod:`repro.sim.shm`) instead
-  of being re-read or re-derived per worker.  Falls back to in-process
-  execution on single-CPU machines or when the platform refuses
-  subprocesses.
+  of being re-read per worker.  Falls back to in-process execution on
+  single-CPU machines or when the platform refuses subprocesses.
 
 >>> from repro.sim.runner import run_workload, PrefetcherKind
 >>> result = run_workload("web-apache", PrefetcherKind.STMS, scale="test")
@@ -403,11 +402,10 @@ def _run_bundle(
 
     ``plane_payload`` (set for the cell shards of a split trace group)
     points at the parent's shared-memory trace plane
-    (:mod:`repro.sim.shm`): this worker attaches the segment read-only,
-    adopts the zero-copy trace into its session, and seeds a
-    :class:`~repro.sim.sweep.SweepShared` with the parent-classified
-    metadata columns — no trace-file re-read, no re-generation, no
-    re-classification per shard.  A failed attach (or a disabled
+    (:mod:`repro.sim.shm`): this worker attaches the segment read-only
+    and seeds its session's memory tier with the zero-copy trace, where
+    :func:`~repro.sim.sweep.run_sweep` finds it — no trace-file re-read
+    and no re-generation per shard.  A failed attach (or a disabled
     session) falls back to the TraceRef path.
 
     Besides the ordered results, the worker ships back the result-cache
@@ -418,18 +416,17 @@ def _run_bundle(
     folds into its own stats so they describe the whole fan-out.
     """
     from repro.sim.shm import attach as shm_attach
-    from repro.sim.sweep import SweepShared, run_sweep
+    from repro.sim.sweep import run_sweep
 
     session = get_session()
     before = replace(session.stats)
     known = set(session.export_results())
-    preshared = None
+    attached = False
     if plane_payload is not None and session.enabled and jobs:
-        attached = shm_attach(plane_payload)
-        if attached is not None:
-            shm_trace, metadata_arrays = attached
+        shm_trace = shm_attach(plane_payload)
+        if shm_trace is not None:
             first = jobs[0]
-            session.adopt_shm_trace(
+            attached = session.adopt_shm_trace(
                 first.workload,
                 first.scale,
                 first.cores,
@@ -438,10 +435,7 @@ def _run_bundle(
                 shm_trace,
                 plane_payload.total_bytes,
             )
-            preshared = SweepShared(shm_trace)
-            if metadata_arrays:
-                preshared.adopt_arrays(metadata_arrays)
-    if preshared is None and trace_ref is not None and jobs:
+    if not attached and trace_ref is not None and jobs:
         first = jobs[0]
         session.prime_trace(
             first.workload,
@@ -451,7 +445,7 @@ def _run_bundle(
             first.records_per_core,
             trace_ref,
         )
-    results = run_sweep(jobs, session, shared=preshared)
+    results = run_sweep(jobs, session)
     added = {
         key: result for key, result in session.export_results().items()
         if key not in known
@@ -540,9 +534,8 @@ def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
 
     Loading it here, once, lets every forked worker that uses it
     (:func:`_uses_library`) inherit the mapped library instead of each
-    one building or checking it, hashing it and spawning
-    ``cc --version`` itself.  A fan-out that uses it nowhere never
-    touches it.  Returns whether the library loaded.
+    one checking and hashing it itself.  A fan-out that uses it nowhere
+    never touches it.  Returns whether the library loaded.
     """
     if _uses_library(jobs, generates):
         from repro.sim.library import load
@@ -590,10 +583,9 @@ class ExperimentRunner:
     saturates the pool.
     Split groups ship over the zero-copy shared-memory trace plane
     (:mod:`repro.sim.shm`, ``REPRO_SHM=off`` to disable): the parent
-    exports the trace columns and the grid's stacked metadata
-    classification once, and every shard attaches read-only views.  On
-    a single-CPU machine (or with ``REPRO_JOBS=1``) everything runs
-    in-process — strictly better for cache reuse, just not concurrent.
+    exports the trace columns once, and every shard attaches read-only
+    views.  On a single-CPU machine (or with ``REPRO_JOBS=1``) everything
+    runs in-process — strictly better for cache reuse, just not concurrent.
     Subprocess failures of the platform kind (sandboxes without fork,
     missing semaphores) degrade to the serial path; segment cleanup is
     guaranteed on that path too.
@@ -685,11 +677,7 @@ class ExperimentRunner:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        import numpy as np
-
-        from repro.core.index_table import stacked_metadata_arrays
         from repro.sim.shm import TracePlane, shm_enabled
-        from repro.sim.sweep import job_geometries
 
         try:
             context = multiprocessing.get_context("fork")
@@ -701,10 +689,10 @@ class ExperimentRunner:
         exports = 0
         pickled_bytes = 0
         with TracePlane() as plane:
-            # Zero-copy data plane: each *split* group's trace (and its
-            # grid's stacked metadata classification) is materialized
-            # once here and exported to shared memory, so its cell
-            # shards attach instead of re-deriving per process.
+            # Zero-copy data plane: each *split* group's trace is
+            # materialized once here and exported to shared memory, so
+            # its cell shards attach instead of re-reading it per
+            # process.
             # Unsplit groups keep the cheap TraceRef path — exporting
             # them would serialize trace generation in the parent that
             # the workers do in parallel today.
@@ -713,8 +701,7 @@ class ExperimentRunner:
                 for trace_key, count in shard_counts.items():
                     if count < 2:
                         continue
-                    indices = groups[trace_key]
-                    first = jobs[indices[0]]
+                    first = jobs[groups[trace_key][0]]
                     trace = session.trace(
                         first.workload,
                         scale=first.scale,
@@ -722,18 +709,7 @@ class ExperimentRunner:
                         seed=first.seed,
                         records_per_core=first.records_per_core,
                     )
-                    geometries = job_geometries(
-                        [jobs[i] for i in indices], trace.cores
-                    )
-                    arrays = (
-                        stacked_metadata_arrays(
-                            [np.asarray(b) for b in trace.blocks],
-                            geometries,
-                        )
-                        if geometries
-                        else None
-                    )
-                    payload = plane.export(trace, arrays)
+                    payload = plane.export(trace)
                     if payload is not None:
                         payloads[trace_key] = payload
                         exports += 1

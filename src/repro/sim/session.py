@@ -314,7 +314,6 @@ class SimSession:
         temporal_key,
         temporal_factory,
         label: str,
-        shared=None,
     ) -> SimResult:
         """Run (or reuse, from either tier) one simulation.
 
@@ -322,10 +321,6 @@ class SimSession:
         configuration that ``temporal_factory`` builds (the runner
         passes the prefetcher kind plus its full parameterization); two
         calls with equal keys must request equivalent simulations.
-
-        ``shared`` (a sweep invocation's precomputation handle) is a
-        compute shortcut only: it never enters the cache key because
-        results are bit-identical with or without it.
         """
         from repro.sim.engine import Simulator
 
@@ -341,7 +336,7 @@ class SimSession:
             self.stats.sim_misses += 1
             self.stats.sim_records += trace.records
         result = Simulator(sim_config).run(
-            trace, temporal_factory, label=label, shared=shared
+            trace, temporal_factory, label=label
         )
         if key is not None:
             self._remember(key, result)

@@ -1,21 +1,17 @@
 """Zero-copy shared-memory trace plane for the parallel runner.
 
-The process-pool data plane used to be pickle-shaped: the parent
-shipped a :class:`~repro.sim.store.TraceRef` and every worker re-read
-the trace file from disk (or regenerated the trace outright) and then
-re-derived the STMS metadata classification for its cells.  For the
-two-level scheduler — which fans the *cells* of one trace's grid across
-many workers — that re-derivation multiplies with the worker count
-while the underlying bytes are identical everywhere.
+Without the plane the parent ships a
+:class:`~repro.sim.store.TraceRef` and every worker re-reads the trace
+file from disk (or regenerates the trace outright).  For the two-level
+scheduler — which fans the *cells* of one trace's grid across many
+workers — that re-read multiplies with the worker count while the
+underlying bytes are identical everywhere.
 
 This module separates the data plane from the compute plane: the parent
-exports a trace's NumPy columns, plus the stacked per-geometry metadata
-columns already classified for the sweep
-(:func:`repro.core.index_table.stacked_metadata_arrays`), into one
+exports a trace's NumPy columns into one
 ``multiprocessing.shared_memory`` segment per sharded trace group.
 Workers attach the segment and build **read-only ndarray views** over
-it — zero bytes copied, one classification pass total, regardless of
-how many shards the grid splits into.
+it — zero bytes copied, however many shards the grid splits into.
 
 Ownership and cleanup are strict, because leaked ``/dev/shm`` segments
 outlive the process:
@@ -74,11 +70,9 @@ class ArraySpec:
 class TracePayload:
     """Picklable description of one exported trace segment.
 
-    Workers rebuild the trace (and the sweep's per-geometry metadata
-    columns) from this without touching the segment bytes: ``columns``
-    lists one spec per ``Trace.columns()`` array, ``metadata`` one
-    ``(geometry, bucket_specs, tag_specs | None)`` triple per classified
-    index geometry.  ``meta`` carries the trace's non-column fields
+    Workers rebuild the trace from this without touching the segment
+    bytes: ``columns`` lists one spec per ``Trace.columns()`` array.
+    ``meta`` carries the trace's non-column fields
     (``Trace.metadata()``) and ``fingerprint`` its parent-computed
     content fingerprint, so the attach side never re-hashes the columns.
     """
@@ -88,7 +82,6 @@ class TracePayload:
     meta: dict
     fingerprint: str
     columns: "tuple[ArraySpec, ...]"
-    metadata: "tuple[tuple[tuple, tuple[ArraySpec, ...], tuple[ArraySpec, ...] | None], ...]"
 
 
 #: Segments created by this process and not yet unlinked, by name.
@@ -145,12 +138,8 @@ class TracePlane:
             _release(name)
         self._names.clear()
 
-    def export(
-        self,
-        trace,
-        metadata_arrays: "dict[tuple, tuple[list, list | None]] | None" = None,
-    ) -> "TracePayload | None":
-        """Export one trace (+ optional metadata columns) to a segment.
+    def export(self, trace) -> "TracePayload | None":
+        """Export one trace's columns to a segment.
 
         Returns the picklable payload workers attach from, or ``None``
         when shared memory is unavailable or the export fails — the
@@ -158,45 +147,26 @@ class TracePlane:
         """
         if _shared_memory is None:  # pragma: no cover - platform dependent
             return None
-        staged: "list[tuple[int, np.ndarray]]" = []
+        arrays = [np.ascontiguousarray(c) for c in trace.columns()]
+        columns: "list[ArraySpec]" = []
         offset = 0
-
-        def stage(array: "np.ndarray") -> ArraySpec:
-            nonlocal offset
-            array = np.ascontiguousarray(array)
-            spec = ArraySpec(str(array.dtype), tuple(array.shape), offset)
-            staged.append((offset, array))
+        for array in arrays:
+            columns.append(
+                ArraySpec(str(array.dtype), tuple(array.shape), offset)
+            )
             offset += -(-array.nbytes // _ALIGN) * _ALIGN
-            return spec
-
-        columns = tuple(stage(column) for column in trace.columns())
-        metadata: "list[tuple[tuple, tuple, tuple | None]]" = []
-        # Geometries sharing tag_bits share tag array objects — stage
-        # each distinct list of tag columns once.
-        staged_tags: "dict[int, tuple]" = {}
-        if metadata_arrays:
-            for geometry, (buckets, tags) in metadata_arrays.items():
-                bucket_specs = tuple(stage(b) for b in buckets)
-                if tags is None:
-                    tag_specs = None
-                else:
-                    tag_specs = staged_tags.get(id(tags))
-                    if tag_specs is None:
-                        tag_specs = tuple(stage(t) for t in tags)
-                        staged_tags[id(tags)] = tag_specs
-                metadata.append((tuple(geometry), bucket_specs, tag_specs))
         try:
             segment = _shared_memory.SharedMemory(
                 create=True, size=max(offset, 1)
             )
         except (OSError, ValueError):
             return None
-        for start, array in staged:
+        for spec, array in zip(columns, arrays):
             view = np.ndarray(
                 array.shape,
                 dtype=array.dtype,
                 buffer=segment.buf,
-                offset=start,
+                offset=spec.offset,
             )
             view[...] = array
         _OWNED[segment.name] = segment
@@ -206,20 +176,16 @@ class TracePlane:
             total_bytes=offset,
             meta=trace.metadata(),
             fingerprint=trace.fingerprint(),
-            columns=columns,
-            metadata=tuple(metadata),
+            columns=tuple(columns),
         )
 
 
 def attach(payload: TracePayload):
-    """Attach a payload read-only: ``(trace, metadata_arrays)`` or None.
+    """Attach a payload read-only: the trace, or None.
 
     The returned trace's columns are zero-copy views into the segment
     (writes are rejected); the trace object keeps the
-    ``SharedMemory`` handle alive for as long as it is referenced.
-    ``metadata_arrays`` maps each exported geometry to its
-    ``(bucket_columns, tag_columns | None)`` array views, in the shape
-    :meth:`repro.sim.sweep.SweepShared.adopt_arrays` consumes.  A
+    ``SharedMemory`` handle alive for as long as it is referenced.  A
     vanished or unreadable segment returns ``None`` and the caller
     falls back to the TraceRef path.
     """
@@ -249,12 +215,4 @@ def attach(payload: TracePayload):
     # The views borrow the segment's buffer: pin the handle on the
     # trace so the mapping survives as long as any consumer does.
     trace._shm = segment
-    metadata_arrays: "dict[tuple, tuple[list, list | None]]" = {}
-    for geometry, bucket_specs, tag_specs in payload.metadata:
-        metadata_arrays[tuple(geometry)] = (
-            [view(spec) for spec in bucket_specs],
-            None
-            if tag_specs is None
-            else [view(spec) for spec in tag_specs],
-        )
-    return trace, metadata_arrays
+    return trace

@@ -31,6 +31,7 @@ class TestValidation:
             ("lookahead", 0),
             ("address_queue_entries", 0),
             ("tag_bits", 0),
+            ("tag_bits", 64),
         ],
     )
     def test_rejects_bad_values(self, field, value):

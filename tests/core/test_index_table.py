@@ -33,6 +33,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             IndexTable(buckets=12)
 
+    def test_rejects_tags_wider_than_an_int64_block(self):
+        with pytest.raises(ValueError, match="None keeps full-address"):
+            IndexTable(buckets=4, tag_bits=64)
+        widest = IndexTable(buckets=4, tag_bits=63)
+        assert widest.tag_of((1 << 62) + 5) == (1 << 62) + 5
+
     def test_bucket_of_within_range(self):
         table = IndexTable(buckets=64)
         for block in range(1000):

@@ -245,7 +245,7 @@ HAVE_CC = shutil.which("cc") is not None
 PHASES = ("initial", "warmup", "boundary", "final")
 
 
-def _run_and_snapshot(state_class, config, trace, factory, shared=None):
+def _run_and_snapshot(state_class, config, trace, factory):
     """Drive one engine through both phases; snapshot right after
     construction (so an engine that builds its machine on its own, like
     the compiled kernel, must start from the reference's state), after
@@ -257,10 +257,7 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
     every phase the compiled kernel's derived lookup state must agree
     with the arrays it summarizes (:func:`_assert_derived_state`).
     """
-    if shared is None:
-        state = state_class(config, trace, factory)
-    else:
-        state = state_class(config, trace, factory, shared=shared)
+    state = state_class(config, trace, factory)
     snapshots = {}
 
     def capture(phase: str) -> None:
@@ -324,6 +321,7 @@ def _check_seed(
     stms: "dict | None" = None,
     cores: "int | None" = None,
     all_dependent: bool = False,
+    block_offset: int = 0,
     engines: "tuple[str, ...]" = ("batch", "native"),
     **machine_overrides,
 ) -> dict:
@@ -332,7 +330,8 @@ def _check_seed(
     ``baseline`` forces the stride-only base system (no temporal
     prefetcher), ``stms`` forces STMS with these config overrides,
     ``cores`` overrides the drawn core count, ``all_dependent`` marks
-    every record dependent, ``engines`` names the candidate engines
+    every record dependent, ``block_offset`` is added to every block
+    number, ``engines`` names the candidate engines
     checked against the reference (the bisect tool narrows it),
     ``low_priority_core``
     demotes core 0's demand fetches to low DRAM priority, and
@@ -357,6 +356,10 @@ def _check_seed(
     if all_dependent:
         trace = dataclasses.replace(
             trace, dep=[np.ones(len(d), dtype=bool) for d in trace.dep]
+        )
+    if block_offset:
+        trace = dataclasses.replace(
+            trace, blocks=[np.asarray(b) + block_offset for b in trace.blocks]
         )
     if low_priority_core:
         priorities = list(trace.core_priorities or ["high"] * cores)
@@ -496,6 +499,16 @@ def _lookup_hits(snapshot: dict) -> int:
     return snapshot["temporal_stats"][6]
 
 
+def _index_tags(snapshot: dict) -> "list[int]":
+    return [tag for bucket in _stms(snapshot, "index")[1] for tag, _ in bucket]
+
+
+#: Block numbers this large make every index hash product wrap uint64 in
+#: the kernel, while the reference hashes with unbounded Python ints, and
+#: make full-address tags (mask -1) wider than 32 bits.
+HASH_WRAP_OFFSET = 1 << 61
+
+
 #: Pinned fast STMS seeds, one per metadata path the compiled kernel
 #: branches on.  Each case checks on the reference run's final snapshot
 #: that its path actually fired, so a redrawn seed cannot silently stop
@@ -550,6 +563,16 @@ NATIVE_STMS_CASES = {
         510, {"stms": {}, "all_dependent": True},
         lambda s: s["coverage"][1] > 0,
     ),
+    # The kernel hashes and tags each miss itself, on wrapping products.
+    "hash-wrap-full-tags": (
+        701, {"stms": {"tag_bits": None}, "block_offset": HASH_WRAP_OFFSET},
+        lambda s: _lookup_hits(s) > 0
+        and min(_index_tags(s)) >= HASH_WRAP_OFFSET,
+    ),
+    "hash-wrap-tag-bits": (
+        702, {"stms": {"tag_bits": 12}, "block_offset": HASH_WRAP_OFFSET},
+        lambda s: _lookup_hits(s) > 0 and max(_index_tags(s)) < 1 << 12,
+    ),
 }
 
 
@@ -583,17 +606,16 @@ def test_differential_stms_nightly(seed):
 
 
 # ----------------------------------------------------------------------
-# Sweep-shaped cases: one trace x a small random config grid through the
-# config-parallel path (sim/sweep.py shares the metadata classification
-# across the grid), asserting every cell stays deep-state-identical to
-# both the scalar reference and the plain batched engine.
+# Sweep-shaped cases: one trace x a small random config grid, every cell
+# on the same trace object as in sim/sweep.py, asserting every cell
+# stays deep-state-identical to both the scalar reference and the plain
+# batched engine.
 # ----------------------------------------------------------------------
 
 
 def _random_grid_stms(rng: np.random.Generator, cores: int) -> StmsConfig:
-    """One grid cell's STMS config (geometries deliberately collide
-    across cells sometimes, so the shared stacked pass serves both the
-    same-geometry and new-geometry lookups)."""
+    """One grid cell's STMS config (index geometries collide across
+    cells sometimes)."""
     queue = int(rng.choice([4, 8, 24]))
     return StmsConfig(
         cores=cores,
@@ -613,8 +635,6 @@ def _random_grid_stms(rng: np.random.Generator, cores: int) -> StmsConfig:
 
 
 def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
-    from repro.sim.sweep import SweepShared
-
     rng = np.random.default_rng(seed)
     cores = int(rng.integers(1, 5))
     if rng.random() < 0.25:
@@ -623,13 +643,6 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
         trace = _random_trace(rng, cores)
     config = _random_machine(rng, cores)
     cells = [_random_grid_stms(rng, cores) for _ in range(grid_size)]
-
-    # One shared precomputation for the whole grid, exactly as
-    # run_sweep builds it.
-    shared = SweepShared(trace)
-    shared.precompute(
-        [(cell.index_buckets, cell.tag_bits) for cell in cells]
-    )
 
     for position, cell in enumerate(cells):
         factory = make_factory(PrefetcherKind.STMS, cell)
@@ -644,13 +657,12 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
         )
         if not HAVE_CC:
             continue
-        # The compiled kernel reads the grid's shared columns.
         swept, result = _run_and_snapshot(
-            NativeRunState, config, trace, factory, shared=shared
+            NativeRunState, config, trace, factory
         )
         _assert_same_snapshots(
             swept, reference,
-            f"seed {seed} cell {position}: config-parallel path diverged "
+            f"seed {seed} cell {position}: compiled kernel diverged "
             f"from scalar reference",
         )
         assert result.traffic == expected.traffic
@@ -695,7 +707,6 @@ def test_differential_sweep_nightly(seed):
 def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
     from unittest import mock
 
-    from repro.core.index_table import stacked_metadata_arrays
     from repro.sim.runner import (
         ExperimentRunner,
         SimJob,
@@ -705,7 +716,6 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
     from repro.sim.shm import TracePlane
     from repro.sim.shm import attach as shm_attach
     from repro.sim.store import encode_result
-    from repro.sim.sweep import SweepShared
     from repro.workloads.suite import FIGURE_ORDER
 
     rng = np.random.default_rng(seed)
@@ -719,26 +729,18 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
     factory = make_factory(PrefetcherKind.STMS, cell)
 
     # (a) Deep-state bit-identity of the plane itself: the engine driven
-    # from a shm-attached trace (with parent-classified metadata
-    # columns adopted, read in place by the compiled kernel) must
-    # snapshot identically to the original.
+    # from a shm-attached trace (its columns read in place by the
+    # compiled kernel) must snapshot identically to the original.
     reference, expected = _run_and_snapshot(
         BatchRunState, config, trace, factory
     )
-    geometry = (cell.index_buckets, cell.tag_bits)
-    arrays = stacked_metadata_arrays(
-        [np.asarray(b) for b in trace.blocks], [geometry]
-    )
     with TracePlane() as plane:
-        payload = plane.export(trace, arrays)
+        payload = plane.export(trace)
         assert payload is not None
-        attached_trace, metadata = shm_attach(payload)
-        shared = SweepShared(attached_trace)
-        shared.adopt_arrays(metadata)
+        attached_trace = shm_attach(payload)
         if HAVE_CC:
             attached, result = _run_and_snapshot(
-                NativeRunState, config, attached_trace, factory,
-                shared=shared,
+                NativeRunState, config, attached_trace, factory
             )
         else:
             attached, result = _run_and_snapshot(

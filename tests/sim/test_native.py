@@ -4,8 +4,9 @@ The library holding the kernel is built once per machine into a
 per-user cache and loaded through ``ctypes`` (``repro.sim.library``);
 these tests pin the loader's contract: a machine with a C compiler must
 load it (a silent fallback would hide a regression), a machine without
-one warns once and falls back with identical results, a damaged cached
-library is rebuilt, concurrent builders publish exactly one library,
+one warns once and falls back with identical results, the cache key
+follows the compiler without running it, a damaged cached library is
+rebuilt, concurrent builders publish exactly one library,
 and nothing that never simulates a baseline or STMS cell imports the
 kernel's driver module at all.
 """
@@ -107,6 +108,47 @@ def test_truncated_cached_library_is_rebuilt(tmp_path):
     assert lib.repro_kernel_abi() == library.ABI
     assert path.stat().st_size == size
     assert _published(tmp_path) == ([path.name], [])
+
+
+def test_library_key_starts_no_process_and_follows_the_compiler(
+    tmp_path, monkeypatch
+):
+    """The cache key names the file ``cc`` resolves to, its size and its
+    modification time, so finding the cached library spawns nothing,
+    and a changed or re-pointed compiler gets a new key."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    compilers = []
+    for name in ("gcc-a", "gcc-b"):
+        compiler = bin_dir / name
+        compiler.write_text("#!/bin/sh\nexit 0\n")
+        compiler.chmod(0o755)
+        os.utime(compiler, ns=(10**18, 10**18))
+        compilers.append(compiler)
+    cc = bin_dir / "cc"
+    cc.symlink_to(compilers[0].name)
+    monkeypatch.setenv("PATH", str(bin_dir))
+
+    def spawned(*args, **kwargs):
+        raise AssertionError(f"_library_path started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "run", spawned)
+    monkeypatch.setattr(subprocess, "Popen", spawned)
+    keys = [library._library_path(tmp_path)]
+    assert keys[0][1] == str(cc)
+    assert library._library_path(tmp_path) == keys[0]
+    # Same size, newer modification time.
+    os.utime(compilers[0], ns=(10**18, 10**18 + 1))
+    keys.append(library._library_path(tmp_path))
+    # Longer file, same modification time.
+    compilers[0].write_text("#!/bin/sh\nexit 00\n")
+    os.utime(compilers[0], ns=(10**18, 10**18 + 1))
+    keys.append(library._library_path(tmp_path))
+    # Same contents and times as the original, another file.
+    cc.unlink()
+    cc.symlink_to(compilers[1].name)
+    keys.append(library._library_path(tmp_path))
+    assert len({path for path, _ in keys}) == len(keys)
 
 
 @needs_cc

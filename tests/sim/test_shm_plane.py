@@ -1,8 +1,8 @@
 """Shared-memory trace plane: round-trip, hygiene, and scheduling.
 
 Covers the zero-copy data plane (`repro.sim.shm`) and the two-level
-scheduler that feeds it: export/attach round-trips (columns, metadata
-classification, fingerprints), segment cleanup on *every* exit path —
+scheduler that feeds it: export/attach round-trips (columns, trace
+fields, fingerprints), segment cleanup on *every* exit path —
 normal completion, worker exceptions, the platform-degradation serial
 fallback, and the atexit backstop — plus the cell-shard partitioner
 and the REPRO_SHM environment knob.  Deep per-cell bit-identity of the
@@ -18,10 +18,6 @@ import glob
 import numpy as np
 import pytest
 
-from repro.core.index_table import (
-    stacked_metadata_arrays,
-    stacked_metadata_columns,
-)
 from repro.sim import runner as runner_module
 from repro.sim import shm
 from repro.sim.runner import (
@@ -93,18 +89,13 @@ def _result_keys(results):
 
 def test_export_attach_round_trip():
     trace = _mix_trace()
-    geometries = [(64, 8), (16, None)]
-    arrays = stacked_metadata_arrays(
-        [np.asarray(b) for b in trace.blocks], geometries
-    )
     before = _segments()
     with TracePlane() as plane:
-        payload = plane.export(trace, arrays)
+        payload = plane.export(trace)
         assert payload is not None
         assert payload.total_bytes > 0
-        attached = attach(payload)
-        assert attached is not None
-        copy, metadata = attached
+        copy = attach(payload)
+        assert copy is not None
         assert copy.fingerprint() == trace.fingerprint()
         assert copy.name == trace.name
         assert copy.core_workloads == trace.core_workloads
@@ -128,18 +119,6 @@ def test_export_attach_round_trip():
             # Zero-copy views are read-only.
             with pytest.raises((ValueError, RuntimeError)):
                 copy.blocks[core][0] = 1
-        # Metadata columns survive byte-for-byte, per geometry.
-        expected = stacked_metadata_columns(
-            [np.asarray(b) for b in trace.blocks], geometries
-        )
-        assert set(metadata) == set(expected)
-        for geometry, (buckets, tags) in expected.items():
-            got_buckets, got_tags = metadata[geometry]
-            assert [b.tolist() for b in got_buckets] == buckets
-            if tags is None:
-                assert got_tags is None
-            else:
-                assert [t.tolist() for t in got_tags] == tags
     # Plane closed: nothing new in /dev/shm, registry empty.
     assert _segments() <= before
     assert shm._OWNED == {}

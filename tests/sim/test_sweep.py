@@ -1,9 +1,11 @@
-"""Unit tests for the config-parallel sweep engine (`repro.sim.sweep`).
+"""Unit tests for the sweep engine (`repro.sim.sweep`).
 
-The deep bit-identity of the config-parallel path is pinned by the
-sweep-shaped differential cases; this module covers the orchestration:
-grouping, cache probing, fallback accounting, one-cell groups, and the
-stacked classification matching the per-cell hook.
+The deep bit-identity of swept cells is pinned by the sweep-shaped
+differential cases; this module covers the orchestration: grouping,
+cache probing, fallback accounting and one-cell groups.  It also keeps
+the unit tests of the stacked metadata classification
+(`repro.core.index_table`), which the benchmark's tracing layer still
+wraps by name.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import StmsConfig
-from repro.core.index_table import IndexTable, stacked_metadata_columns
+from repro.core.index_table import stacked_metadata_columns
 from repro.core.stms import StmsPrefetcher
 from repro.memory.dram import DramChannel
 from repro.memory.traffic import TrafficMeter
@@ -24,7 +26,7 @@ from repro.sim.runner import (
     run_job,
 )
 from repro.sim.session import SimSession
-from repro.sim.sweep import SweepShared, run_sweep
+from repro.sim.sweep import run_sweep
 
 
 def _grid_jobs() -> "list[SimJob]":
@@ -79,13 +81,13 @@ def test_sweep_serves_cached_cells_without_precompute():
         _result_fields(r) for r in first
     ]
     # Fully cached: no new sweep invocation is counted (and nothing is
-    # re-precomputed or re-simulated).
+    # re-simulated).
     assert session.stats.sweep_invocations == invocations
     assert session.stats.sim_misses == len(jobs)
 
 
 def test_sweep_falls_back_per_cell_for_scalar_engine(monkeypatch):
-    """Cells the vectorized path cannot express run via run_job."""
+    """Scalar-engine cells are counted as fallbacks, not sweep cells."""
     monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
     jobs = _grid_jobs()
     session = SimSession(enabled=True)
@@ -96,7 +98,7 @@ def test_sweep_falls_back_per_cell_for_scalar_engine(monkeypatch):
     reference = [
         run_job(job, SimSession(enabled=True)) for job in _grid_jobs()
     ]
-    # Scalar fallback cells still produce the engine-identical results.
+    # Scalar-engine cells still produce the engine-identical results.
     assert [_result_fields(r) for r in results] == [
         _result_fields(r) for r in reference
     ]
@@ -157,7 +159,6 @@ def test_stacked_columns_match_per_cell_hook():
             None if expected_tags is None
             else [t.tolist() for t in expected_tags]
         )
-        assert prefetcher.metadata_geometry() == (buckets, tag_bits)
 
 
 def test_stacked_columns_rejects_bad_bucket_count():
@@ -165,26 +166,6 @@ def test_stacked_columns_rejects_bad_bucket_count():
         stacked_metadata_columns(
             [np.arange(4, dtype=np.int64)], [(12, None)]
         )
-
-
-def test_shared_lazy_computes_unregistered_geometry():
-    """A cell whose geometry was not precomputed is still served."""
-    rng = np.random.default_rng(9)
-    blocks = [rng.integers(0, 512, size=64, dtype=np.int64)]
-    trace = _FakeTrace(blocks)
-    shared = SweepShared(trace)
-    shared.precompute([(16, None)])
-    buckets, tags = shared.metadata_columns((64, 8))
-    table = IndexTable(buckets=64, bucket_entries=4, tag_bits=8)
-    assert buckets[0].tolist() == table.bucket_of_array(blocks[0]).tolist()
-    assert tags[0].tolist() == table.tag_of_array(blocks[0]).tolist()
-
-
-class _FakeTrace:
-    """Just enough of a Trace for SweepShared (blocks only)."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
 
 
 def test_empty_job_list_is_a_noop():
