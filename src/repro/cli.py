@@ -32,11 +32,8 @@ import time
 from typing import Sequence
 
 from repro.analysis.report import format_percent, format_table
-from repro.experiments import (
-    EXPERIMENTS,
-    SAMPLED_EXPERIMENTS,
-    run_experiment,
-)
+from repro.envknobs import sim_cache_enabled
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.obs import SessionStats, long_lived
 from repro.sim.results import SimResult
 from repro.sim.runner import (
@@ -78,8 +75,6 @@ _probability = _bounded(
     float, lambda p: 0 <= p <= 1, "a probability in [0, 1]"
 )
 _megabytes = _bounded(float, lambda mb: 0 < mb < math.inf, "a size > 0 MiB")
-_confidence = _bounded(float, lambda c: 0 < c < 1, "a level in (0, 1)")
-_width = _bounded(float, lambda w: 0 < w < math.inf, "a finite width > 0")
 
 
 def _workload_arg(value: str) -> str:
@@ -128,11 +123,7 @@ def _session_scope(args: argparse.Namespace):
     exit the session persists its remaining counts and the previous
     global session is restored.
     """
-    no_cache = (
-        getattr(args, "no_cache", False)
-        or os.environ.get("REPRO_SIM_CACHE", "1") == "0"
-    )
-    if no_cache:
+    if getattr(args, "no_cache", False) or not sim_cache_enabled():
         session = SimSession(enabled=False)
     else:
         session = _store_session(
@@ -290,26 +281,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     options: dict = {"scale": args.scale}
-    sampled = args.budget is not None or args.ci_width is not None
-    if args.confidence is not None and not sampled:
-        print(
-            "error: --confidence sets the sampled sweep's interval level; "
-            "it needs --budget or --ci-width",
-            file=sys.stderr,
-        )
-        return 2
-    if sampled:
-        if args.name not in SAMPLED_EXPERIMENTS:
-            print(
-                f"error: --budget/--ci-width need a sampled-capable "
-                f"experiment ({', '.join(sorted(SAMPLED_EXPERIMENTS))}), "
-                f"not {args.name}",
-                file=sys.stderr,
-            )
-            return 2
-        options.update(budget=args.budget, ci_width=args.ci_width)
-        if args.confidence is not None:
-            options["confidence"] = args.confidence
     if args.jobs is not None:
         from repro.sim.runner import ExperimentRunner
 
@@ -455,23 +426,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
             f"{zero_copy / (zero_copy + pickled):.0%} "
             f"({_format_size(zero_copy)} shm vs "
             f"{_format_size(pickled)} pickled)",
-        ])
-    # Sampling effectiveness: what share of sweep cells ran under a
-    # budget (with bootstrap intervals) versus the exact full grid, and
-    # how much refinement re-runs reused instead of re-simulating.
-    sampled = counters["sampling_sampled_cells"]
-    exact = counters["sampling_exact_cells"]
-    if sampled or exact:
-        rows.append([
-            "sampled cell share",
-            f"{sampled / (sampled + exact):.0%} "
-            f"({sampled} sampled vs {exact} exact)",
-        ])
-    reused = counters["sampling_reused_cells"]
-    if reused:
-        rows.append([
-            "refinement reuse",
-            f"{reused} cells answered by the store across re-runs",
         ])
     print(format_table(["field", "value"], rows, title="Artifact store"))
     return 0
@@ -635,22 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int, default=None,
         help="worker processes for the simulation grid "
         "(default: REPRO_JOBS or the CPU count)",
-    )
-    sub.add_argument(
-        "--budget", type=_positive_int, default=None, metavar="N",
-        help="run a budgeted stratified sample of N grid cells instead "
-        "of the exact full grid (reported with bootstrap confidence "
-        "intervals; supported by mix-contention and fig8)",
-    )
-    sub.add_argument(
-        "--confidence", type=_confidence, default=None, metavar="C",
-        help="confidence level for sampled-sweep intervals, with "
-        "--budget or --ci-width (default: 0.95)",
-    )
-    sub.add_argument(
-        "--ci-width", type=_width, default=None, metavar="W",
-        help="refine the sampled sweep (doubling the budget, reusing "
-        "the store) until every stratum's CI is at most this wide",
     )
     add_cache_options(sub)
     sub.set_defaults(entry=cmd_experiment)

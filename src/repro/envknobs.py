@@ -1,9 +1,10 @@
-"""Warn-once parsing of numeric ``REPRO_*`` environment knobs.
+"""Warn-once parsing of ``REPRO_*`` environment knobs.
 
-A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_JOBS``) emits one
-:class:`RuntimeWarning` per knob per process and then falls back to a
-safe value, so a typo'd environment can neither silently un-cap a store
-nor quietly serialize a run.
+A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_JOBS``,
+``REPRO_SIM_CACHE``) emits one :class:`RuntimeWarning` per knob per
+process and then falls back to a safe value, so a typo'd environment
+can neither silently un-cap a store, quietly serialize a run, nor
+leave the cache on while its user believes it is off.
 
 Float knobs are sizes, so a value that parses but cannot be one
 (``nan``, ``inf``, a negative number, or zero where the knob is
@@ -76,3 +77,15 @@ def env_positive_int(name: str, default: int, *, invalid: int) -> int:
         return value
     _warn_once(name, raw, "a positive integer", str(invalid))
     return invalid
+
+
+def sim_cache_enabled() -> bool:
+    """The ``REPRO_SIM_CACHE`` switch: ``0`` turns both cache tiers
+    off; ``1``, empty or unset leaves them on.  Any other value warns
+    once and leaves them on."""
+    raw = os.environ.get("REPRO_SIM_CACHE")
+    if raw == "0":
+        return False
+    if raw not in (None, "", "1"):
+        _warn_once("REPRO_SIM_CACHE", raw, "0 or 1", "the cache")
+    return True

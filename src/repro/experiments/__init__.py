@@ -65,10 +65,6 @@ EXPERIMENTS = {
     "mix-contention": Driver("mix_contention", "run"),
 }
 
-#: Experiments whose drivers accept the budgeted-sampling options
-#: (``budget`` / ``confidence`` / ``ci_width`` / ``sample_seeds``).
-SAMPLED_EXPERIMENTS = frozenset({"fig8", "mix-contention"})
-
 
 def run_experiment(name: str, **options: object) -> ExperimentResult:
     """Run one experiment by id (see :data:`EXPERIMENTS`)."""
@@ -81,4 +77,4 @@ def run_experiment(name: str, **options: object) -> ExperimentResult:
     return entry(**options)
 
 
-__all__ = ["EXPERIMENTS", "SAMPLED_EXPERIMENTS", "run_experiment"]
+__all__ = ["EXPERIMENTS", "run_experiment"]

@@ -13,11 +13,8 @@ from __future__ import annotations
 from repro.analysis.report import series_table
 from repro.experiments.common import (
     ExperimentResult,
-    SamplingSpec,
     ShapeCheck,
     check_monotone,
-    note_exact_cells,
-    run_sampled_sweep,
     simulate_jobs,
 )
 from repro.sim.runner import (
@@ -40,29 +37,13 @@ def run(
     probabilities: "tuple[float, ...] | None" = None,
     runner: "ExperimentRunner | None" = None,
     session: "SimSession | None" = None,
-    budget: "int | None" = None,
-    confidence: float = 0.95,
-    ci_width: "float | None" = None,
-    sample_seeds: int = 4,
 ) -> ExperimentResult:
-    """With ``budget`` or ``ci_width`` set, the (workload x seed x
-    probability) grid runs as a budgeted stratified sample — every
-    probability point represented, per-point bootstrap intervals
-    instead of exact per-workload series (see ``repro.sim.sampling``).
-    """
+    """Regenerate the sampling-probability sweep, one STMS cell per
+    (workload, probability)."""
     names = workloads if workloads is not None else DEFAULT_WORKLOADS
     points = (
         probabilities if probabilities is not None else DEFAULT_PROBABILITIES
     )
-    spec = SamplingSpec(
-        budget=budget, confidence=confidence, ci_width=ci_width,
-        seeds=sample_seeds,
-    )
-    if spec.active:
-        return _run_sampled(
-            scale, cores, seed, names, points, spec, runner, session
-        )
-
     jobs = [
         SimJob(
             name,
@@ -76,7 +57,6 @@ def run(
         for probability in points
     ]
     results = simulate_jobs(jobs, runner, session)
-    note_exact_cells(session, len(names) * len(points))
     coverage: dict[str, list[float]] = {name: [] for name in names}
     traffic: dict[str, list[float]] = {name: [] for name in names}
     update_traffic: dict[str, list[float]] = {name: [] for name in names}
@@ -117,98 +97,6 @@ def run(
             "update_traffic": update_traffic,
         },
         checks=checks,
-    )
-
-
-def _cell_metrics(results) -> "dict[str, float]":
-    """Headline metrics of one sampled single-job (STMS) cell;
-    ``coverage`` is the CI-width refinement target."""
-    (result,) = results
-    assert result.traffic is not None
-    return {
-        "coverage": result.coverage.coverage,
-        "overhead": result.overhead_per_useful_byte,
-        "update_traffic": result.traffic.update_index,
-    }
-
-
-def _run_sampled(
-    scale: str,
-    cores: int,
-    seed: int,
-    names: "tuple[str, ...]",
-    points: "tuple[float, ...]",
-    spec: SamplingSpec,
-    runner: "ExperimentRunner | None",
-    session: "SimSession | None",
-) -> ExperimentResult:
-    """Budgeted sampled variant of the sampling-probability sweep.
-
-    Strata are the probability points, so the sweep's shape — overhead
-    scaling with p, coverage decaying slowly — stays visible at any
-    budget; cells are (workload x seed) replicas within each point.
-    """
-    seeds = spec.seed_replicas(seed)
-    cells = [
-        (name, cell_seed, probability)
-        for name in names
-        for cell_seed in seeds
-        for probability in points
-    ]
-    jobs_by_cell = [
-        [
-            SimJob(
-                name,
-                PrefetcherKind.STMS,
-                scale=scale,
-                cores=cores,
-                seed=cell_seed,
-                stms_overrides=job_options(sampling_probability=probability),
-            )
-        ]
-        for name, cell_seed, probability in cells
-    ]
-    sweep = run_sampled_sweep(
-        jobs_by_cell,
-        [probability for _, _, probability in cells],
-        spec,
-        _cell_metrics,
-        experiment="fig8",
-        grid_key=(tuple(names), tuple(points), scale, cores, seeds),
-        runner=runner,
-        session=session,
-        sample_seed=seed,
-    )
-    update_means = [
-        estimate.mean for estimate in sweep.estimates["update_traffic"].values()
-    ]
-    return ExperimentResult(
-        experiment="fig8",
-        title="Probabilistic update sampling sensitivity "
-        "(budgeted sample)",
-        rendered=sweep.render(
-            "sampling p",
-            lambda probability: f"{probability:.3f}",
-            {"coverage": "coverage", "overhead": "overhead/byte",
-             "update_traffic": "index updates"},
-            title="Figure 8 (budgeted sample): per-probability "
-            "bootstrap estimates over the workload x seed grid",
-        ),
-        data=sweep.data(
-            lambda probability: f"{probability:g}",
-            workloads=list(names),
-            seeds=list(seeds),
-        ),
-        checks=sweep.checks(
-            "probability",
-            ShapeCheck(
-                claim="Estimated index-update traffic grows with the "
-                "sampling probability",
-                passed=check_monotone(update_means, increasing=True,
-                                      tolerance=0.05),
-                detail=" -> ".join(f"{u:.2f}" for u in update_means),
-            ),
-        ),
     )
 
 

@@ -39,11 +39,8 @@ from __future__ import annotations
 from repro.analysis.report import format_percent, format_table
 from repro.experiments.common import (
     ExperimentResult,
-    SamplingSpec,
     ShapeCheck,
     check_monotone,
-    note_exact_cells,
-    run_sampled_sweep,
     simulate_jobs,
 )
 from repro.sim.results import SimResult, per_workload_breakdown
@@ -146,30 +143,10 @@ def run(
     workloads: "tuple[str, ...] | None" = None,
     runner: "ExperimentRunner | None" = None,
     session: "SimSession | None" = None,
-    budget: "int | None" = None,
-    confidence: float = 0.95,
-    ci_width: "float | None" = None,
-    sample_seeds: int = 4,
 ) -> ExperimentResult:
-    """Regenerate the mix-contention sweep (``workloads`` = mix specs).
-
-    With ``budget`` (a cell count) or ``ci_width`` set, the sweep runs
-    as a budgeted stratified sample over the (mix x seed x machine
-    point) grid instead of exactly: per-point bootstrap confidence
-    intervals replace exact numbers, and re-running with a larger
-    budget only simulates the incremental cells (the store answers the
-    rest).
-    """
+    """Regenerate the mix-contention sweep (``workloads`` = mix specs)."""
     mixes = workloads if workloads is not None else DEFAULT_MIXES
     points = _points(scale)
-    spec = SamplingSpec(
-        budget=budget, confidence=confidence, ci_width=ci_width,
-        seeds=sample_seeds,
-    )
-    if spec.active:
-        return _run_sampled(
-            scale, cores, seed, mixes, points, spec, runner, session
-        )
     solos = solo_workloads(mixes)
 
     jobs = [
@@ -207,7 +184,6 @@ def run(
         for kind in _KINDS
     )
     results = simulate_jobs(jobs, runner, session)
-    note_exact_cells(session, len(mixes) * len(points))
     by_tag: "dict[tuple, SimResult]" = {
         job.tag: result for job, result in zip(jobs, results)
     }
@@ -334,102 +310,6 @@ def run(
         rendered=rendered,
         data={"mixes": data},
         checks=checks,
-    )
-
-
-def _cell_metrics(results: "list[SimResult]") -> "dict[str, float]":
-    """Headline metrics of one sampled (baseline, stms) cell;
-    ``speedup``, the sweep's headline number, is the CI-width
-    refinement target."""
-    baseline, stms = results
-    return {
-        "speedup": stms.speedup_over(baseline),
-        "coverage": stms.coverage.coverage,
-        "stms_util": stms.dram_utilization,
-        "overhead": stms.overhead_per_useful_byte,
-    }
-
-
-def _run_sampled(
-    scale: str,
-    cores: int,
-    seed: int,
-    mixes: "tuple[str, ...]",
-    points: "list[tuple[str, tuple, tuple]]",
-    spec: SamplingSpec,
-    runner: "ExperimentRunner | None",
-    session: "SimSession | None",
-) -> ExperimentResult:
-    """Budgeted sampled variant of the contention sweep.
-
-    The grid is (mix x seed x machine point); strata are the machine
-    points, so every capacity/bandwidth point is represented at any
-    budget.  Per cell both prefetchers run (speedup needs the pair);
-    the per-workload solo-reference tables are an exact-mode detail
-    and are not part of the sampled estimate.
-    """
-    seeds = spec.seed_replicas(seed)
-    cells = [
-        (mix, cell_seed, label, cmp_overrides, dram_overrides)
-        for mix in mixes
-        for cell_seed in seeds
-        for label, cmp_overrides, dram_overrides in points
-    ]
-    jobs_by_cell = [
-        [
-            SimJob(
-                mix,
-                kind,
-                scale=scale,
-                cores=cores,
-                seed=cell_seed,
-                cmp_overrides=cmp_overrides,
-                dram_overrides=dram_overrides,
-                tag=(mix, cell_seed, label, kind),
-            )
-            for kind in _KINDS
-        ]
-        for mix, cell_seed, label, cmp_overrides, dram_overrides in cells
-    ]
-    sweep = run_sampled_sweep(
-        jobs_by_cell,
-        [label for _, _, label, _, _ in cells],
-        spec,
-        _cell_metrics,
-        experiment="mix-contention",
-        grid_key=(
-            tuple(mixes), tuple(label for label, _, _ in points),
-            scale, cores, seeds,
-        ),
-        runner=runner,
-        session=session,
-        sample_seed=seed,
-    )
-    coverage_means = [
-        estimate.mean for estimate in sweep.estimates["coverage"].values()
-    ]
-    return ExperimentResult(
-        experiment="mix-contention",
-        title="Multiprogrammed mixes under shared-memory contention "
-        "(budgeted sample)",
-        rendered=sweep.render(
-            "point",
-            str,
-            {"coverage": "stms cov", "speedup": "speedup",
-             "stms_util": "stms util", "overhead": "overhead/byte"},
-            title="Mix contention (budgeted sample): per-point "
-            "bootstrap estimates over the mix x seed grid",
-        ),
-        data=sweep.data(str, mixes=list(mixes), seeds=list(seeds)),
-        checks=sweep.checks(
-            "machine-point",
-            ShapeCheck(
-                claim="Temporal streams survive co-scheduling in the "
-                "sampled estimate (positive STMS coverage per stratum)",
-                passed=all(value > 0.0 for value in coverage_means),
-                detail=f"min mean coverage = {min(coverage_means):.1%}",
-            ),
-        ),
     )
 
 

@@ -79,15 +79,6 @@ class SessionStats:
     #: referenced trace files' sizes) — the plane's savings are the contrast
     #: between this and :attr:`shm_bytes_zero_copy`.
     shm_bytes_pickled: int = 0
-    #: Budgeted-sampling layer (``sim/sampling.py`` via the
-    #: ``run_sampled_sweep`` helper): grid cells selected under a
-    #: budget, cells run through the same helper at full budget (the
-    #: exact contrast for ``cache stats``), and sampled cells served
-    #: warm from the cache tiers instead of simulated — nonzero reuse
-    #: on a re-run is the store-backed refinement property.
-    sampling_sampled_cells: int = 0
-    sampling_exact_cells: int = 0
-    sampling_reused_cells: int = 0
     #: Artifact-store handle events: entries written, failed writes
     #: (``counters.json`` rewrites included), unreadable entries
     #: dropped, entries or whole stores invalidated by a schema

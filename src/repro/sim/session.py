@@ -33,12 +33,12 @@ are bypassed, and the results are bit-identical to the cached path.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.envknobs import sim_cache_enabled
 from repro.obs import SessionStats
 from repro.sim.config import SimConfig, resolve_engine
 from repro.sim.results import SimResult
@@ -117,7 +117,7 @@ class SimSession:
         max_memory_results: "int | None" = None,
     ) -> None:
         if enabled is None:
-            enabled = os.environ.get("REPRO_SIM_CACHE", "1") != "0"
+            enabled = sim_cache_enabled()
         self.enabled = enabled
         self.max_memory_results = max_memory_results
         self.stats = SessionStats()
@@ -161,8 +161,8 @@ class SimSession:
         """Add the counts not yet persisted to ``counters.json`` in one
         locked ``bump_counters`` keyed by the ``SessionStats`` fields.
 
-        Top-level operations call it as they return (``map``, the
-        sampled-sweep helpers, CLI commands); pool workers never do.
+        Top-level operations call it as they return (``map``, CLI
+        commands); pool workers never do.
         """
         if self.store is None:
             return

@@ -19,7 +19,9 @@ Layout under the store root::
     estimates/<digest>.json  budgeted sampled-sweep aggregates, stamped
                              ``kind: "sampled-estimate"`` so a
                              statistical estimate can never be mistaken
-                             for an exact result
+                             for an exact result; nothing writes them
+                             since the sampled sweeps were removed, and
+                             listing, counting and GC still cover them
 
 Keys are digests of the session's existing content keys (trace recipes
 and ``trace fingerprint + full machine/prefetcher configuration``), so
@@ -579,7 +581,9 @@ class ArtifactStore:
         ``sampled: true`` marker inside the record) so a statistical
         aggregate can never be mistaken for an exact ``sim-result`` —
         the two kinds live in separate directories *and* separate
-        digest domains (:func:`estimate_digest`).
+        digest domains (:func:`estimate_digest`).  No driver writes
+        estimates any more; this and :meth:`load_estimate` remain
+        because the benchmark's tracing wraps them by name.
         """
         return self._write_record(
             self.estimate_path(digest),

@@ -7,11 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from repro import envknobs
 from repro.cli import build_parser, main
 from repro.sim.session import SessionStats
+from repro.sim.store import ArtifactStore, estimate_digest
 
 
 class TestParser:
@@ -63,18 +66,21 @@ class TestParser:
             (["cache", "gc", "--max-mb", "0"], "--max-mb"),
             (["cache", "gc", "--max-mb", "nan"], "--max-mb"),
             (["cache", "gc", "--max-mb", "inf"], "--max-mb"),
-            (["experiment", "fig8", "--budget", "0"], "--budget"),
-            (["experiment", "fig8", "--budget", "-1"], "--budget"),
-            (["experiment", "fig8", "--confidence", "2"], "--confidence"),
-            (["experiment", "fig8", "--confidence", "0"], "--confidence"),
-            (["experiment", "fig8", "--confidence", "1"], "--confidence"),
-            (["experiment", "fig8", "--confidence", "nan"], "--confidence"),
-            (["experiment", "fig8", "--ci-width", "-1"], "--ci-width"),
-            (["experiment", "fig8", "--ci-width", "0"], "--ci-width"),
-            (["experiment", "fig8", "--ci-width", "inf"], "--ci-width"),
-            (["experiment", "fig8", "--ci-width", "nan"], "--ci-width"),
             (["experiment", "fig7", "--jobs", "0"], "--jobs"),
             (["cache", "warm", "fig7", "--jobs", "-5"], "--jobs"),
+            (["compare", "--workload", "web-apache", "--seed", "x"],
+             "--seed"),
+            (["sweep-sampling", "--workload", "web-apache", "--seed", "-3"],
+             "--seed"),
+            (["cache", "warm", "fig7", "--seed", "-1"], "--seed"),
+            (["run", "--workload", "web-apache", "--sampling", "-0.1"],
+             "--sampling"),
+            (["run", "--workload", "web-apache", "--sampling", "inf"],
+             "--sampling"),
+            (["run", "--workload", "web-apache", "--cores", "1.5"],
+             "--cores"),
+            (["experiment", "fig7", "--jobs", "x"], "--jobs"),
+            (["cache", "gc", "--max-mb", "x"], "--max-mb"),
         ],
     )
     def test_rejects_bad_numeric_flag(self, argv, flag, capsys):
@@ -92,13 +98,8 @@ class TestParser:
         assert (args.cores, args.seed, args.sampling) == (1, 0, 0.0)
         args = build_parser().parse_args(["cache", "gc", "--max-mb", "0.5"])
         assert args.max_mb == 0.5
-        args = build_parser().parse_args(
-            ["experiment", "fig8", "--budget", "1", "--confidence", "0.5",
-             "--ci-width", "1e-9", "--jobs", "1"]
-        )
-        assert (args.budget, args.confidence, args.ci_width, args.jobs) == (
-            1, 0.5, 1e-9, 1
-        )
+        args = build_parser().parse_args(["experiment", "fig8", "--jobs", "1"])
+        assert args.jobs == 1
         args = build_parser().parse_args(["cache", "warm", "fig7", "--jobs", "1"])
         assert args.jobs == 1
 
@@ -133,6 +134,23 @@ class TestCommandSurface:
             build_parser().parse_args([command])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["fig8", "mix-contention"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--budget", "16"), ("--confidence", "0.9")],
+    )
+    def test_retired_sampled_sweep_flag_rejected(
+        self, name, flag, value, capsys
+    ):
+        """Experiments run their exact grids only; a budget or
+        confidence flag is an error, not silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", name, flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in (
+            capsys.readouterr().err
+        )
 
     def test_importing_cli_loads_no_http_stack(self):
         code = (
@@ -275,6 +293,18 @@ class TestCacheCli:
         assert main(["cache", "ls", "--store-dir", store]) == 0
         assert "(4 entries" in capsys.readouterr().out
 
+    def test_ls_labels_an_estimate_record(self, tmp_path, capsys):
+        """Stores written by earlier versions hold sampled-estimate
+        records; ``cache ls`` still lists and labels them."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        assert store.save_estimate(
+            estimate_digest(("mix-contention", 4)),
+            {"experiment": "mix-contention", "budget": 4, "total": 64},
+        )
+        assert main(["cache", "ls", "--store-dir", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\nestimate .* mix-contention sampled 4/64\s", out)
+
     def test_gc_without_cap_fails(self, tmp_path, capsys):
         code = main(["cache", "gc", "--store-dir", str(tmp_path)])
         assert code == 1
@@ -300,6 +330,53 @@ class TestCacheCli:
         assert code == 0
         assert "baseline" in capsys.readouterr().out
         assert not os.path.exists(store)
+
+
+    def test_sim_cache_zero_skips_store(self, tmp_path, monkeypatch, capsys):
+        """``REPRO_SIM_CACHE=0`` acts as ``--no-cache``."""
+        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
+        store = str(tmp_path / "store")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["run", "--workload", "oltp-db2", "--prefetcher",
+                 "baseline", "--scale", "test", "--cores", "2",
+                 "--store-dir", store]
+            ) == 0
+        assert "baseline" in capsys.readouterr().out
+        assert not os.path.exists(store)
+
+    def test_sim_cache_misspelt_off_warns_and_keeps_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``REPRO_SIM_CACHE=off`` is not ``0``: the run warns once and
+        still uses the store."""
+        monkeypatch.setattr(envknobs, "_WARNED_ENV_KEYS", set())
+        monkeypatch.setenv("REPRO_SIM_CACHE", "off")
+        store = str(tmp_path / "store")
+        with pytest.warns(RuntimeWarning, match="REPRO_SIM_CACHE='off'"):
+            assert main(
+                ["run", "--workload", "oltp-db2", "--prefetcher",
+                 "baseline", "--scale", "test", "--cores", "2",
+                 "--store-dir", store]
+            ) == 0
+        assert os.listdir(os.path.join(store, "results"))
+
+    @pytest.mark.parametrize("name", ["fig8", "mix-contention"])
+    def test_exact_experiment_simulates_every_cell_and_writes_no_estimate(
+        self, name, tmp_path, capsys
+    ):
+        store = str(tmp_path / "store")
+        assert main(["experiment", name, "--scale", "test", "--jobs", "1",
+                     "--store-dir", store]) == 0
+        with open(os.path.join(store, "counters.json")) as handle:
+            counters = json.load(handle)
+        assert counters["sim_misses"] > 0
+        assert counters["sweep_cells"] == counters["sim_misses"]
+        assert len(os.listdir(os.path.join(store, "results"))) == (
+            counters["sim_misses"]
+        )
+        assert ArtifactStore(store).describe()["estimates"] == 0
 
 
 class TestCountersCli:
@@ -332,10 +409,9 @@ class TestCountersCli:
 
     def test_persisted_counter_keys_are_declared(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._warm_fig7(store, capsys)
         assert main(
             ["experiment", "mix-contention", "--scale", "test",
-             "--budget", "4", "--jobs", "2", "--store-dir", store]
+             "--jobs", "2", "--store-dir", store]
         ) == 0
         orphan = os.path.join(store, "traces", ".tmp-orphan")
         open(orphan, "wb").close()
@@ -347,7 +423,7 @@ class TestCountersCli:
         declared = {field.name for field in dataclasses.fields(SessionStats)}
         assert set(persisted) <= declared
         for name in ("store_writes", "sim_records", "sweep_cells",
-                     "sampling_sampled_cells", "stale_temps_swept"):
+                     "stale_temps_swept"):
             assert persisted[name] > 0, name
         capsys.readouterr()
         assert main(["cache", "stats", "--store-dir", store]) == 0
@@ -371,58 +447,6 @@ class TestCountersCli:
         assert self._persisted(str(store)) == {
             "store_schema_invalidations": 1
         }
-
-
-class TestSampledExperimentCli:
-    def test_budget_rejected_for_exact_only_experiment(self, capsys):
-        code = main(
-            ["experiment", "fig4", "--scale", "test", "--budget", "4"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "sampled-capable" in err
-        assert "mix-contention" in err
-
-    @pytest.mark.parametrize("name", ["fig8", "fig4"])
-    def test_confidence_without_sampling_is_rejected(
-        self, name, tmp_path, capsys
-    ):
-        """A level with no sampled sweep to apply it to is an error
-        (exit 2) that names the missing flags, before any cell runs."""
-        store = tmp_path / "store"
-        code = main(
-            ["experiment", name, "--scale", "test", "--confidence", "0.5",
-             "--store-dir", str(store)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--confidence" in err
-        assert "--budget or --ci-width" in err
-        assert not store.exists()
-
-    def test_budgeted_experiment_reports_cis_and_counters(
-        self, tmp_path, capsys
-    ):
-        store = str(tmp_path / "store")
-        code = main(
-            ["experiment", "mix-contention", "--scale", "test",
-             "--budget", "4", "--store-dir", store]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ci95" in out
-        assert "sampling: sampled 4/" in out
-
-        assert main(["cache", "stats", "--store-dir", store]) == 0
-        out = capsys.readouterr().out
-        assert re.search(r"sampling sampled cells +4\s", out)
-        assert "sampled cell share" in out
-        assert "estimates" in out
-
-        assert main(["cache", "ls", "--store-dir", store]) == 0
-        out = capsys.readouterr().out
-        assert "estimate" in out
-        assert "mix-contention sampled 4/" in out
 
 
 class TestCommandsSlow:

@@ -2,10 +2,10 @@
 
 ``REPRO_STORE_MAX_MB`` used to swallow malformed values silently, and
 to accept values that parse but break the store (``nan``/``inf``
-crashed store open, a non-positive cap evicted every artifact).  It
-and ``REPRO_JOBS`` now share one warn-once RuntimeWarning behaviour via
-``repro.envknobs``, where an empty value means unset — as it does for
-``REPRO_SIM_ENGINE``.
+crashed store open, a non-positive cap evicted every artifact).  It,
+``REPRO_JOBS`` and ``REPRO_SIM_CACHE`` now share one warn-once
+RuntimeWarning behaviour via ``repro.envknobs``, where an empty value
+means unset — as it does for ``REPRO_SIM_ENGINE``.
 """
 
 import os
@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro import envknobs
-from repro.envknobs import env_float
+from repro.envknobs import env_float, env_positive_int, sim_cache_enabled
 from repro.sim.engine import resolve_engine
 from repro.sim.runner import _default_workers
+from repro.sim.session import SimSession
 from repro.sim.store import ArtifactStore
 
 
@@ -70,6 +71,35 @@ class TestEnvFloat:
             env_float("REPRO_KNOB_A", 1.0)
         with pytest.warns(RuntimeWarning, match="REPRO_KNOB_B"):
             env_float("REPRO_KNOB_B", 1.0)
+
+
+class TestEnvPositiveInt:
+    def test_unset_and_empty_are_silent_defaults(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env_positive_int("REPRO_TEST_KNOB", 6, invalid=1) == 6
+            monkeypatch.setenv("REPRO_TEST_KNOB", "")
+            assert env_positive_int("REPRO_TEST_KNOB", 6, invalid=1) == 6
+
+    def test_valid_value_never_warns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_KNOB", "12")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env_positive_int("REPRO_TEST_KNOB", 6, invalid=1) == 12
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x", "0x4"])
+    def test_invalid_value_warns_once_and_gives_invalid(
+        self, monkeypatch, value
+    ):
+        """A bad value gives ``invalid``, not ``default``, and the
+        warning names the value used instead."""
+        monkeypatch.setenv("REPRO_TEST_KNOB", value)
+        with pytest.warns(RuntimeWarning, match=r"using 1$"):
+            assert env_positive_int("REPRO_TEST_KNOB", 6, invalid=1) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env_positive_int("REPRO_TEST_KNOB", 6, invalid=1) == 1
 
 
 class TestStoreKnobs:
@@ -135,6 +165,41 @@ def test_sim_engine_invalid_value_names_the_knob(monkeypatch):
         ValueError, match="'warp-drive' from REPRO_SIM_ENGINE"
     ):
         resolve_engine("auto")
+
+
+class TestSimCacheKnob:
+    @pytest.mark.parametrize("value", [None, "", "1"])
+    def test_unset_empty_and_one_keep_the_cache(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_CACHE", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sim_cache_enabled()
+            assert SimSession(store=None).enabled
+
+    def test_zero_disables_both_tiers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not sim_cache_enabled()
+            session = SimSession()
+        assert not session.enabled
+        assert session.store is None
+
+    @pytest.mark.parametrize("value", ["off", "false", "no", " 0", "2"])
+    def test_other_values_warn_once_and_keep_the_cache(
+        self, monkeypatch, value
+    ):
+        """A value that reads as "off" to a person is not ``0``: the
+        cache stays on, and the run says so once."""
+        monkeypatch.setenv("REPRO_SIM_CACHE", value)
+        with pytest.warns(RuntimeWarning, match="REPRO_SIM_CACHE"):
+            assert sim_cache_enabled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SimSession(store=None).enabled
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

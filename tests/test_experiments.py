@@ -6,6 +6,8 @@ set at the ``test`` scale to verify structure, rendering, and the
 paper's core shape claims.
 """
 
+import inspect
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -66,6 +68,24 @@ class TestCommonHelpers:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment("fig99")
+
+
+#: What ``repro experiment`` and ``repro cache warm`` pass to any
+#: registered driver.
+CLI_OPTIONS = {"scale", "cores", "seed", "runner", "session"}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_driver_takes_the_cli_options(name):
+    """Every driver accepts the keyword options the CLI passes it,
+    each with a default, and needs no other argument."""
+    parameters = inspect.signature(EXPERIMENTS[name].resolve()).parameters
+    assert CLI_OPTIONS <= set(parameters)
+    assert all(
+        parameter.default is not inspect.Parameter.empty
+        for parameter in parameters.values()
+    )
+    assert parameters["scale"].default == "bench"
 
 
 @pytest.mark.slow

@@ -16,12 +16,6 @@ change; mention it in the commit message)::
 
 Naming figures regenerates only their fixtures; with no names, all.
 
-The ``*-sampled`` fixtures pin the budgeted stratified-sample path of
-the two drivers that have one: a budget below the grid size, with the
-rendered report (tables, summary footer and checks) stored beside the
-data, so the bootstrap estimates and the report built from them are
-both inside the drift gate.
-
 The comparison is exact (``==`` after a JSON round-trip on both sides):
 simulations are deterministic functions of (trace recipe, machine
 config, prefetcher config), so there is nothing to tolerate.
@@ -54,47 +48,29 @@ GOLDEN_FIGURES = (
     "fig6-left", "fig6-right", "fig7", "fig8", "fig9", "mix-contention",
     "table2",
 )
-#: Budgeted sampled runs: fixture name -> (experiment, cell budget).
-#: Both budgets sit below the grid size (fig8: 2 workloads x 4 seeds x
-#: 7 probabilities = 56 cells; mix-contention: 3 mixes x 4 seeds x 4
-#: machine points = 48 cells).
-GOLDEN_SAMPLED = {
-    "fig8-sampled": ("fig8", 14),
-    "mix-contention-sampled": ("mix-contention", 8),
-}
-GOLDEN_NAMES = GOLDEN_FIGURES + tuple(GOLDEN_SAMPLED)
 
 
 def _compute(name: str) -> dict:
-    experiment, budget = GOLDEN_SAMPLED.get(name, (name, None))
-    options = {} if budget is None else {"budget": budget}
     # A private, store-less session: golden runs must actually simulate.
     session = SimSession(enabled=True, store=None)
-    workloads = (
-        GOLDEN_MIXES if experiment == "mix-contention" else GOLDEN_WORKLOADS
-    )
-    result = EXPERIMENTS[experiment](
+    workloads = GOLDEN_MIXES if name == "mix-contention" else GOLDEN_WORKLOADS
+    result = EXPERIMENTS[name](
         scale="test",
         cores=2,
         seed=7,
         workloads=workloads,
         session=session,
-        **options,
-    )
-    payload = (
-        result.data if budget is None
-        else {"data": result.data, "rendered": result.render()}
     )
     # Round-trip through JSON so both sides use identical key/float
     # representations (JSON object keys are strings).
-    return json.loads(json.dumps(payload, sort_keys=True))
+    return json.loads(json.dumps(result.data, sort_keys=True))
 
 
 def _fixture_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}_test_scale.json")
 
 
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
+@pytest.mark.parametrize("name", GOLDEN_FIGURES)
 def test_figure_matches_golden(name):
     with open(_fixture_path(name)) as handle:
         pinned = json.load(handle)
@@ -107,11 +83,11 @@ def test_figure_matches_golden(name):
 
 
 def _regenerate(names: "list[str]") -> None:
-    unknown = sorted(set(names) - set(GOLDEN_NAMES))
+    unknown = sorted(set(names) - set(GOLDEN_FIGURES))
     if unknown:
         raise SystemExit(f"not golden figures: {', '.join(unknown)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in names or GOLDEN_NAMES:
+    for name in names or GOLDEN_FIGURES:
         payload = _compute(name)
         with open(_fixture_path(name), "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -186,9 +186,9 @@ print(json.dumps({{
 
 @pytest.mark.parametrize("experiment", ["fig8", "mix-contention"])
 def test_exact_warm_replay_imports_no_numpy(tmp_path, experiment):
-    """The sampled variants' statistics need NumPy; an exact replay
-    does not.  Mix-contention parses its mixes, which loads the mix
-    grammar (itself NumPy-free)."""
+    """A warm replay of a grid driver reads results only, so it loads
+    no NumPy and no model.  Mix-contention parses its mixes, which
+    loads the mix grammar (itself NumPy-free)."""
     store = str(tmp_path / "store")
     _warm(store, experiment)
     replay = _python(f"""
