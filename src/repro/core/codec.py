@@ -30,6 +30,17 @@ from repro.memory.config import BLOCK_BYTES
 HISTORY_ENTRIES_PER_BLOCK = 12
 INDEX_ENTRIES_PER_BUCKET = 12
 
+
+def history_capacity(entries: int) -> int:
+    """Entries a history buffer sized for ``entries`` holds: whole
+    packed blocks only, at least one."""
+    if entries < HISTORY_ENTRIES_PER_BLOCK:
+        raise ValueError(
+            "capacity must be at least one packed block "
+            f"({HISTORY_ENTRIES_PER_BLOCK} entries)"
+        )
+    return entries // HISTORY_ENTRIES_PER_BLOCK * HISTORY_ENTRIES_PER_BLOCK
+
 #: Bit widths of the packed fields.
 ADDRESS_BITS = 41
 MARK_BITS = 1

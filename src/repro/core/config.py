@@ -141,3 +141,27 @@ class StmsConfig:
     def with_index(self, buckets: int) -> "StmsConfig":
         """Copy with a different index size (Fig. 5 right sweeps)."""
         return replace(self, index_buckets=buckets)
+
+
+@dataclass(frozen=True)
+class StmsFactory:
+    """The engines' temporal factory for an STMS cell.
+
+    Called as ``factory(cores, dram, traffic, resident)`` like every
+    temporal factory, it builds the Python model
+    (:class:`~repro.core.stms.StmsPrefetcher`); the compiled kernel
+    builds its STMS structures from :attr:`config` alone
+    (``repro.sim.config.kernel_cell``).
+    """
+
+    config: StmsConfig
+
+    def __call__(self, cores, dram, traffic, resident):
+        from repro.core.stms import StmsPrefetcher
+
+        config = self.config
+        if config.cores != cores:
+            config = replace(config, cores=cores)
+        return StmsPrefetcher(
+            config, dram, traffic, residency_filter=resident
+        )

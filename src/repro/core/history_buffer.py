@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 
-from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
+from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK, history_capacity
 from repro.memory.address import Region
 from repro.memory.config import TrafficCategory
 from repro.memory.dram import DramChannel
@@ -92,11 +92,7 @@ class HistoryBuffer:
         dram: DramChannel,
         traffic: TrafficMeter,
     ) -> None:
-        if capacity_entries < HISTORY_ENTRIES_PER_BLOCK:
-            raise ValueError(
-                "capacity must be at least one packed block "
-                f"({HISTORY_ENTRIES_PER_BLOCK} entries)"
-            )
+        capacity = history_capacity(capacity_entries)
         needed_blocks = -(-capacity_entries // HISTORY_ENTRIES_PER_BLOCK)
         if region.blocks < needed_blocks:
             raise ValueError(
@@ -104,10 +100,7 @@ class HistoryBuffer:
                 f"{needed_blocks} needed for {capacity_entries} entries"
             )
         self.core = core
-        # Round capacity down to whole packed blocks.
-        self.capacity = (
-            capacity_entries // HISTORY_ENTRIES_PER_BLOCK
-        ) * HISTORY_ENTRIES_PER_BLOCK
+        self.capacity = capacity
         self.region = region
         self.dram = dram
         self.traffic = traffic

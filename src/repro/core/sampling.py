@@ -53,15 +53,21 @@ class ProbabilisticSampler:
         if self._cursor >= len(self._draws):
             # Native bools: indexing a list returns a ready-made bool,
             # unlike NumPy scalar extraction on the hot path.
-            self._draws = (
-                self._rng.random(self._BATCH) < self.probability
-            ).tolist()
+            self._draws = self.draw().tolist()
             self._cursor = 0
         outcome = self._draws[self._cursor]
         self._cursor += 1
         if outcome:
             self.accepted += 1
         return outcome
+
+    def draw(self) -> np.ndarray:
+        """The generator's next batch of ``_BATCH`` coin flips (bools).
+
+        :meth:`should_update` flips them one at a time; the compiled
+        kernel takes them a batch at a time from a sampler of its own.
+        """
+        return self._rng.random(self._BATCH) < self.probability
 
     @property
     def acceptance_rate(self) -> float:

@@ -28,7 +28,7 @@ arbitrarily long stream — the paper's central practicality claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.bucket_buffer import BucketBuffer
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
@@ -291,23 +291,3 @@ class StmsPrefetcher(TemporalPrefetcher):
             history.flush(now)
         self.bucket_buffer.drain(now)
         super().finalize(now)
-
-
-@dataclass(frozen=True)
-class StmsFactory:
-    """The engines' temporal factory for an STMS cell.
-
-    Called as ``factory(cores, dram, traffic, resident)`` like every
-    temporal factory; the batch engine steps the cells it builds in the
-    compiled kernel (``repro.sim.engine.kernel_cell``).
-    """
-
-    config: StmsConfig
-
-    def __call__(self, cores, dram, traffic, resident) -> StmsPrefetcher:
-        config = self.config
-        if config.cores != cores:
-            config = replace(config, cores=cores)
-        return StmsPrefetcher(
-            config, dram, traffic, residency_filter=resident
-        )

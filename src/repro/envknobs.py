@@ -1,7 +1,7 @@
 """Warn-once parsing of ``REPRO_*`` environment knobs.
 
 A malformed knob (``REPRO_STORE_MAX_MB``, ``REPRO_JOBS``,
-``REPRO_SIM_CACHE``) emits one :class:`RuntimeWarning` per knob per
+``REPRO_SIM_CACHE``, ``REPRO_SHM``) emits one :class:`RuntimeWarning` per knob per
 process and then falls back to a safe value, so a typo'd environment
 can neither silently un-cap a store, quietly serialize a run, nor
 leave the cache on while its user believes it is off.
@@ -88,4 +88,16 @@ def sim_cache_enabled() -> bool:
         return False
     if raw not in (None, "", "1"):
         _warn_once("REPRO_SIM_CACHE", raw, "0 or 1", "the cache")
+    return True
+
+
+def shm_plane_enabled() -> bool:
+    """The ``REPRO_SHM`` switch: ``off`` or ``0`` turns the shared-memory
+    trace plane off; ``on``, ``1``, empty or unset leaves it on.  Any
+    other value warns once and leaves it on."""
+    raw = os.environ.get("REPRO_SHM")
+    if raw in ("off", "0"):
+        return False
+    if raw not in (None, "", "on", "1"):
+        _warn_once("REPRO_SHM", raw, "off/0 or on/1", "the plane")
     return True

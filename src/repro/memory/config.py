@@ -193,6 +193,8 @@ class CmpConfig:
             raise ValueError("cores must be positive")
         if self.l2_banks <= 0:
             raise ValueError("l2_banks must be positive")
+        if self.l2_mshrs <= 0:
+            raise ValueError("l2_mshrs must be positive")
 
     def l1_config(self, core: int) -> CacheConfig:
         return CacheConfig(

@@ -23,6 +23,14 @@ from dataclasses import dataclass
 from repro.memory.config import DramConfig, Priority
 
 
+def utilization(busy_cycles: float, elapsed_cycles: float) -> float:
+    """Fraction of ``elapsed_cycles`` a channel busy for ``busy_cycles``
+    spent transferring."""
+    if elapsed_cycles <= 0:
+        return 0.0
+    return min(1.0, busy_cycles / elapsed_cycles)
+
+
 @dataclass(slots=True)
 class DramStats:
     """Aggregate channel behaviour."""
@@ -146,12 +154,6 @@ class DramChannel:
         priority without strangling demand fetches.
         """
         return max(0.0, self._busy_until_all - now)
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Fraction of ``elapsed_cycles`` the channel spent transferring."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_cycles / elapsed_cycles)
 
     def reset(self) -> None:
         """Clear queues and statistics (between measurement phases)."""

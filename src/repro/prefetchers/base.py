@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 from repro.memory.config import Priority, TrafficCategory
 from repro.memory.dram import DramChannel
 from repro.memory.traffic import TrafficMeter
+from repro.prefetchers.params import TEMPORAL_BACKLOG_ACCESSES, backlog_limit
 from repro.prefetchers.stats import PrefetcherStats
 
 #: Engine-supplied predicate: True when a block is already on chip, in
@@ -130,10 +131,6 @@ class TemporalPrefetcher(ABC):
     traffic at resolution time, and manages per-core prefetch buffers.
     """
 
-    #: Prefetches are dropped once the channel's low-priority backlog
-    #: exceeds this many device-access latencies (bounded-queue model).
-    BACKLOG_LIMIT_ACCESSES = 8.0
-
     __slots__ = ('cores', 'dram', 'traffic', 'stats', '_filter', '_filter_sets', '_filter_mask', 'buffers', '_backlog_limit')
 
     def __init__(
@@ -167,9 +164,8 @@ class TemporalPrefetcher(ABC):
             self._filter_sets = bound._sets
             self._filter_mask = bound._set_mask
         self.buffers = [PrefetchBuffer(buffer_blocks) for _ in range(cores)]
-        self._backlog_limit = (
-            self.BACKLOG_LIMIT_ACCESSES
-            * dram.config.access_latency_cycles
+        self._backlog_limit = backlog_limit(
+            TEMPORAL_BACKLOG_ACCESSES, dram.config
         )
 
     # ------------------------------------------------------------------

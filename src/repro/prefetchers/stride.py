@@ -18,6 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.prefetchers.base import PrefetchBuffer, PrefetchedBlock
+from repro.prefetchers.params import (
+    STRIDE_BACKLOG_ACCESSES,
+    STRIDE_BUFFER_BLOCKS,
+    STRIDE_CONFIRM_THRESHOLD,
+    STRIDE_DEGREE,
+    STRIDE_REGION_SHIFT,
+    STRIDE_TRACKER_ENTRIES,
+    backlog_limit,
+)
 from repro.memory.dram import DramChannel
 
 
@@ -35,19 +44,16 @@ class StrideStats:
 class StridePrefetcher:
     """Region-based stride detector with a per-core prefetch buffer."""
 
-    #: Blocks per tracking region (aligned); 64 blocks = 4 KB pages.
-    REGION_BLOCKS = 64
-
-    __slots__ = ('cores', 'dram', 'tracker_entries', 'degree', 'confirm_threshold', 'stats', '_trackers', 'buffers', '_region_blocks', '_region_shift', '_backlog_limit')
+    __slots__ = ('cores', 'dram', 'tracker_entries', 'degree', 'confirm_threshold', 'stats', '_trackers', 'buffers', '_region_shift', '_backlog_limit')
 
     def __init__(
         self,
         cores: int,
         dram: DramChannel,
-        tracker_entries: int = 16,
-        buffer_blocks: int = 32,
-        degree: int = 4,
-        confirm_threshold: int = 2,
+        tracker_entries: int = STRIDE_TRACKER_ENTRIES,
+        buffer_blocks: int = STRIDE_BUFFER_BLOCKS,
+        degree: int = STRIDE_DEGREE,
+        confirm_threshold: int = STRIDE_CONFIRM_THRESHOLD,
     ) -> None:
         if cores <= 0:
             raise ValueError("cores must be positive")
@@ -67,12 +73,9 @@ class StridePrefetcher:
             {} for _ in range(cores)
         ]
         self.buffers = [PrefetchBuffer(buffer_blocks) for _ in range(cores)]
-        self._region_blocks = self.REGION_BLOCKS
-        #: Region extraction as a shift (REGION_BLOCKS is a power of two).
-        self._region_shift = self.REGION_BLOCKS.bit_length() - 1
-        self._backlog_limit = (
-            self.BACKLOG_LIMIT_ACCESSES
-            * dram.config.access_latency_cycles
+        self._region_shift = STRIDE_REGION_SHIFT
+        self._backlog_limit = backlog_limit(
+            STRIDE_BACKLOG_ACCESSES, dram.config
         )
 
     def probe(self, core: int, block: int) -> bool:
@@ -108,10 +111,6 @@ class StridePrefetcher:
         entry[0] = block
         if entry[2] >= self.confirm_threshold:
             self._run_ahead(core, block, stride, now)
-
-    #: Stop running ahead once the channel's low-priority backlog exceeds
-    #: this many device accesses (bounded prefetch queue).
-    BACKLOG_LIMIT_ACCESSES = 4.0
 
     def _run_ahead(
         self, core: int, block: int, stride: int, now: float

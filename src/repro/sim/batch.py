@@ -5,7 +5,7 @@ This is the Python engine behind :class:`repro.sim.engine.Simulator`
 (:mod:`repro.sim.native`) does not model: ideal TMS, fixed-depth and
 Markov temporal prefetchers, and every cell on a machine without a C
 compiler.  It produces **bit-identical** results to the scalar reference
-engine (:class:`repro.sim.engine._RunState`), enforced by
+engine (:class:`repro.sim.scalar.ScalarRunState`), enforced by
 ``tests/sim/test_engine_equivalence.py``.
 
 It inherits the reference's ``(clock, core)`` heap loop unchanged, so it
@@ -36,14 +36,14 @@ import numpy as np
 from repro.memory.config import BLOCK_BYTES, Priority, TrafficCategory
 from repro.memory.cache import Eviction
 from repro.memory.mshr import MshrEntry
-from repro.sim.engine import _RunState
+from repro.sim.scalar import ScalarRunState
 
 _HIGH = Priority.HIGH
 _DEMAND_READ = TrafficCategory.DEMAND_READ
 _WRITEBACK = TrafficCategory.WRITEBACK
 
 
-class BatchRunState(_RunState):
+class BatchRunState(ScalarRunState):
     """Drop-in replacement for the scalar reference run state."""
 
     __slots__ = ('_blocks_l', '_work_l', '_dep_l', '_write_l', '_t_l1_hit', '_t_victim', '_t_l2_dep', '_t_l2_indep', '_t_stride_dep', '_t_stride_indep', '_t_pf_dep', '_t_pf_indep', '_t_miss_overhead', '_miss_window', '_traffic_bytes', '_core_traffic', '_l2_ways', '_l1_ways', '_victim_capacity', '_mlp_accs', '_scratch_writebacks')

@@ -1,5 +1,7 @@
-"""The machine configuration of one simulation, and the engine knob.
-Every result key hashes a :class:`SimConfig`; this module loads no model.
+"""The machine configuration of one simulation, and the engine choice
+(the ``REPRO_SIM_ENGINE`` knob, and which cells the compiled kernel
+models).  Every result key hashes a :class:`SimConfig`; this module
+loads no model.
 """
 
 from __future__ import annotations
@@ -7,6 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.core.config import StmsFactory
 from repro.memory.config import CmpConfig, DramConfig
 from repro.sim.timing import TimingModel
 
@@ -53,3 +56,13 @@ def resolve_engine(engine: str) -> str:
             f"unknown engine {engine!r}{origin} (batch/scalar/auto)"
         )
     return engine
+
+
+def kernel_cell(temporal_factory) -> bool:
+    """Whether the compiled kernel models this cell: no temporal
+    prefetcher, or STMS built by a
+    :class:`~repro.core.config.StmsFactory` (what ``make_factory``
+    returns for ``PrefetcherKind.STMS``)."""
+    return temporal_factory is None or isinstance(
+        temporal_factory, StmsFactory
+    )

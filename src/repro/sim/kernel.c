@@ -2,7 +2,7 @@
  * Compiled event kernel for baseline and STMS cells.
  *
  * A direct port of the scalar reference engine's per-record model
- * (repro.sim.engine._RunState._step / _off_chip): LRU L1s with FIFO
+ * (repro.sim.scalar.ScalarRunState._step / _off_chip): LRU L1s with FIFO
  * victim buffers, the inclusive LRU L2, the L2 MSHR file, the per-core
  * miss window, the two-priority DRAM channel and the stride
  * prefetcher, plus every counter the Python objects keep.  Cells whose
@@ -26,7 +26,7 @@
  * fresh Python machine starts in, and keeps them for the cell's
  * lifetime: warm-up, the measurement boundary (repro_kernel_reset), the
  * measured phase and the end-of-run flush (repro_kernel_finalize) all
- * run on the same Machine, and only the counters are copied back.
+ * run on the same Machine, and only the accounting is copied back.
  *
  * Derived lookup state answers in one step what the modelled hardware
  * looks up associatively (and the Python reference keeps in dicts):
@@ -1168,7 +1168,7 @@ static int stms_consume(Machine *m, int64_t core, int64_t block, double now,
 }
 
 /* ---------------------------------------------------------------------
- * One trace record (_RunState._step and _off_chip).
+ * One trace record (ScalarRunState._step and _off_chip).
  * ------------------------------------------------------------------- */
 
 static double off_chip(Machine *m, int64_t core, int64_t block, double t,
@@ -1412,7 +1412,7 @@ int64_t repro_kernel_run(Machine *m)
     }
 }
 
-/* _RunState.reset_accounting: zero the statistics the measurement
+/* ScalarRunState.reset_accounting: zero the statistics the measurement
  * boundary resets (cache, victim and prefetcher contents, MSHR stats and
  * the STMS structures' stats carry over) and start measuring. */
 void repro_kernel_reset(Machine *m)

@@ -142,6 +142,16 @@ ENGINE = np.dtype(
     + [("paused_at", QUEUED), ("last_consumed", QUEUED)],
     align=True,
 )
+#: Fields per row of the kernel's counter arrays (its ``ST_COUNT``,
+#: ``SS_*``, ``PF_*``... enums), each row in the field order of the
+#: Python counter class it mirrors: CacheStats, MshrStats, StrideStats,
+#: CoverageCounts, PrefetcherStats, StmsCounters, the sampler's flips
+#: and acceptances, IndexStats, HistoryStats and BucketBufferStats.
+COUNTERS = {
+    "l1_stats": 6, "l2_stats": 6, "mshr_stats": 4, "stride_stats": 5,
+    "coverage": 4, "core_coverage": 4, "pf_stats": 7, "stms_counters": 5,
+    "sampler": 2, "index_stats": 6, "hist_stats": 6, "bb_stats": 4,
+}
 #: What the kernel's ``repro_kernel_abi`` returns for these layouts.
 ABI = (
     ctypes.sizeof(Machine) | ENGINE.itemsize << 16

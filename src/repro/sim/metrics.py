@@ -282,10 +282,13 @@ def check_invariants(state, result: "SimResult") -> None:
     * MSHR peak occupancy stays within capacity;
     * each core's measured cycles cover at least its measured ``work``.
 
+    ``state.sync()`` runs first, so an engine that keeps its machine
+    outside the Python objects (the compiled kernel) is checked whole.
     Raises :class:`InvariantViolation` listing every broken law.
     """
     import numpy as np
 
+    state.sync()
     problems: "list[str]" = []
 
     def expect(holds: bool, law: str) -> None:

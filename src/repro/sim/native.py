@@ -2,43 +2,42 @@
 
 Cells without a temporal prefetcher — the stride-only base system of
 every baseline and solo-reference run — and STMS cells (a
-:class:`~repro.core.stms.StmsFactory`; ``engine.kernel_cell`` decides)
-step through
-:class:`NativeRunState`: the scalar reference run state with its
-per-record loop replaced by one C call per phase.  The kernel is a
-direct port of ``_RunState._step`` / ``_off_chip`` and of STMS's
-metadata path (``repro.core.stms`` and the index table, history
+:class:`~repro.core.config.StmsFactory`; ``sim.config.kernel_cell``
+decides) step through :class:`NativeRunState`, whose whole machine
+lives in C: one kernel call per phase.  The kernel is a direct port of
+the scalar reference's per-record step (:mod:`repro.sim.scalar`) and of
+STMS's metadata path (``repro.core.stms`` and the index table, history
 buffers, bucket buffer, stream engines and prefetch buffers it drives),
 and walks records in the same ``(clock, core)`` order, so results are
 bit-identical to the reference (``tests/sim/test_engine_differential.py``
 pins it).  Other temporal prefetchers stay on the Python batched engine.
 
-State handoff: a cell's ``Machine`` struct and its flat NumPy buffers
-(caches, victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS structures,
-counters) are built from the configuration when the cell is
-constructed, in the state a freshly built Python machine starts in, and
-stay with the cell to the end: warm-up, the measurement boundary
-(``repro_kernel_reset``), the measured phase and the end-of-run flush
-(``repro_kernel_finalize``) all run on them.  Only what results and the
-conservation oracle read is copied back: clocks and cursors after every
-phase (with the measured phase's miss log), the counters at the
-boundary and after the flush.  Cache sets, MSHR entries, prefetcher
-tables and the STMS structures stay in C; :meth:`NativeRunState.sync`
-unpacks them, in the Python objects' dict/list order, for state
-snapshots.  Three more buffers are derived lookup state the kernel
-alone keeps, built zeroed: a residency byte per index bucket for the
-bucket buffer, and per core the prefetch buffer's current-stream count
-and a count of its blocks per bin of ``block & 255``.  They answer in
-one step what the hardware (and the reference's dicts) look up
-associatively; ``sync`` never reads them.
-An STMS cell's kernel hashes each miss to its index bucket and tag as
-the miss happens, from the two masks :meth:`NativeRunState._build_stms`
-sets; its sampler's coin flips are drawn in the sampler's own batches,
-handed in one batch at a time as the kernel asks, and the unused ones
-go back after each phase (:class:`_Coins`), so the sampler's RNG
-stream is the Python path's.
-The phase entry points (``run_warmup``, ``run_measured``) and result
-assembly are the reference code unchanged.
+What is built when: the cell's ``Machine`` struct and its flat NumPy
+buffers (caches, victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS
+structures, counters) are built at construction from the configuration
+alone (the :class:`~repro.sim.config.SimConfig`, the factory's
+:class:`~repro.core.config.StmsConfig`, the trace and
+:mod:`repro.prefetchers.params`), in the state a fresh Python machine
+starts in, and serve warm-up, the measurement boundary
+(``repro_kernel_reset``), the measured phase and the flush
+(``repro_kernel_finalize``).  Clocks and cursors come back after each
+phase (with the measured phase's miss log), the accounting after the
+flush, and the result reads the remaining counters from their buffers:
+a kernel cell neither builds nor imports a Python machine model.
+:meth:`NativeRunState.sync` alone builds one
+(:func:`repro.sim.scalar.build_machine`, on its first call) and unpacks
+the whole kernel machine into it, in the Python objects' dict/list
+order, for state snapshots and
+:func:`~repro.sim.metrics.check_invariants`.  It never reads the derived
+lookup state the kernel alone keeps, built zeroed: a residency byte per
+index bucket, and per core the prefetch buffer's current-stream count
+and its block count per bin of ``block & 255``.
+
+An STMS miss hashes to its index bucket and tag as it happens, from the
+masks :meth:`NativeRunState._build_stms` sets.  The sampler's coins come
+from a :class:`~repro.core.sampling.ProbabilisticSampler` seeded as the
+model's own, a batch at a time as the kernel asks; ``sync`` rebuilds the
+model's sampler from the flip count (:func:`_sampler_after`).
 
 Build and load: :mod:`repro.sim.library` compiles ``kernel.c`` once per
 machine, caches it and loads it (:func:`~repro.sim.library.load`); the
@@ -50,20 +49,28 @@ the caller falls back to the Python batched engine.
 from __future__ import annotations
 
 import ctypes
-import functools
 from dataclasses import fields
 
 import numpy as np
 
-from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK
-from repro.core.history_buffer import HistoryPointer
-from repro.core.stream_engine import QueuedAddress
+from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK, history_capacity
+from repro.core.sampling import ProbabilisticSampler
 from repro.memory.config import Priority, TrafficCategory
-from repro.memory.mshr import MshrEntry
-from repro.prefetchers.base import PrefetchedBlock
-from repro.sim.config import SimConfig
-from repro.sim.engine import _RunState, kernel_cell
+from repro.prefetchers.params import (
+    STRIDE_BACKLOG_ACCESSES,
+    STRIDE_BUFFER_BLOCKS,
+    STRIDE_CONFIRM_THRESHOLD,
+    STRIDE_DEGREE,
+    STRIDE_REGION_SHIFT,
+    STRIDE_TRACKER_ENTRIES,
+    TEMPORAL_BACKLOG_ACCESSES,
+    backlog_limit,
+)
+from repro.prefetchers.stats import PrefetcherStats
+from repro.sim.config import SimConfig, kernel_cell
+from repro.sim.engine import _RunState
 from repro.sim.library import (
+    COUNTERS,
     ENGINE,
     PREFETCHED,
     QUEUED,
@@ -71,14 +78,17 @@ from repro.sim.library import (
     Machine,
     load,
 )
+from repro.sim.metrics import stms_transfer_counts
+from repro.sim.results import CoverageCounts
 from repro.workloads.trace import Trace
 
+
 class NativeRunState(_RunState):
-    """The scalar reference run state, stepped by the compiled kernel."""
+    """A run state whose machine is the compiled kernel's."""
 
     __slots__ = (
-        "_lib", "_columns", "_work_f64", "_low_priority", "_machine",
-        "_buffers",
+        "_lib", "_factory", "_columns", "_work_f64", "_machine", "_buffers",
+        "_coins", "_boundary",
     )
 
     def __init__(
@@ -94,6 +104,7 @@ class NativeRunState(_RunState):
             )
         super().__init__(config, trace, temporal_factory)
         self._lib = lib
+        self._factory = temporal_factory
         # float32 work widens exactly in the kernel; anything else is
         # handed over as float64 (exact for every float32/int value).
         self._work_f64 = any(
@@ -116,42 +127,43 @@ class NativeRunState(_RunState):
                 for name, arrays in columns.items()
             },
         )
-        self._low_priority = np.array(
-            [p is Priority.LOW for p in self.demand_priority], dtype=np.uint8
-        )
         self._buffers: "dict[str, np.ndarray]" = {}
+        #: The sampler the coins come from (sampled STMS cells only).
+        self._coins: "ProbabilisticSampler | None" = None
+        #: The STMS structures' stats at the measurement boundary.
+        self._boundary: "tuple[np.ndarray, np.ndarray] | None" = None
         self._build()
 
     # ------------------------------------------------------------------
-    # Lifecycle: one machine per cell, counters back.
+    # Lifecycle: one machine per cell, accounting back.
     # ------------------------------------------------------------------
 
     def _build(self) -> None:
-        """Build the cell's kernel machine from the config.
+        """Build the cell's kernel machine from the configuration.
 
         Its state is a freshly built Python machine's: every structure
         empty and every counter zero, except that no stream engine has a
         source core yet and no MLP accumulator a current interval.
-        Counter rows come from the fresh counter objects, in the layout
-        :meth:`_restore_counters` reads back.
         """
-        config, cores, hier = self.config, self.trace.cores, self.hierarchy
-        timing, dram = config.timing, config.dram
-        l1, l2 = hier.l1s[0].config, hier.l2.config
-        l1_cores, victims = len(hier.l1s), config.cmp.l1_victim_blocks
-        mshrs, window = self.mshrs.capacity, timing.core_miss_window
+        config, cores = self.config, self.trace.cores
+        cmp, timing, dram = config.cmp, config.timing, config.dram
+        l1, l2 = cmp.l1_config(0), cmp.l2_config()
+        l1_cores, victims = cmp.cores, cmp.l1_victim_blocks
+        mshrs, window = cmp.l2_mshrs, timing.core_miss_window
         l1_slots, l2_slots = l1_cores * l1.sets * l1.ways, l2.sets * l2.ways
         victim_slots = l1_cores * max(0, victims)
         b = dict(
             self._columns[1],
-            low_priority=self._low_priority,
+            low_priority=np.array(
+                [p is Priority.LOW for p in self.demand_priority], np.uint8
+            ),
             limits=np.zeros(cores, np.int64),
             clocks=np.zeros(cores),
             cursors=np.zeros(cores, np.int64),
             l1_tags=np.zeros(l1_slots, np.int64),
             l1_dirty=np.zeros(l1_slots, np.uint8),
             l1_count=np.zeros(l1_cores * l1.sets, np.int64),
-            l1_stats=_stats([l1.stats for l1 in hier.l1s]),
+            l1_stats=_counters("l1_stats", l1_cores),
             victim_blocks=np.zeros(victim_slots, np.int64),
             victim_dirty=np.zeros(victim_slots, np.uint8),
             victim_count=np.zeros(l1_cores, np.int64),
@@ -159,40 +171,40 @@ class NativeRunState(_RunState):
             l2_tags=np.zeros(l2_slots, np.int64),
             l2_dirty=np.zeros(l2_slots, np.uint8),
             l2_count=np.zeros(l2.sets, np.int64),
-            l2_stats=_stats([hier.l2.stats]),
+            l2_stats=_counters("l2_stats"),
             mshr_blocks=np.zeros(mshrs, np.int64),
             mshr_complete=np.zeros(mshrs),
             mshr_waiters=np.zeros(mshrs, np.int64),
-            mshr_stats=_stats([self.mshrs.stats]),
+            mshr_stats=_counters("mshr_stats"),
             window=np.zeros(cores * window),
             window_count=np.zeros(cores, np.int64),
             traffic=np.zeros(len(_CATEGORIES), np.int64),
             core_traffic=np.zeros(cores * len(_CATEGORIES), np.int64),
-            coverage=_stats([self.coverage]),
-            core_coverage=_stats(self.core_coverage),
+            coverage=_counters("coverage"),
+            core_coverage=_counters("core_coverage", cores),
         )
         # Disabled structures stay NULL and their fields zero: the kernel
         # never reads them.
-        stride, scalars = self.stride, {}
-        if stride is not None:
-            tracker_width = stride.tracker_entries
-            buffer_width = stride.buffers[0].capacity
+        scalars = {}
+        if config.use_stride:
             b.update(
-                tracker=np.zeros(cores * tracker_width * 4, np.int64),
+                tracker=np.zeros(cores * STRIDE_TRACKER_ENTRIES * 4, np.int64),
                 tracker_count=np.zeros(cores, np.int64),
-                sbuf_blocks=np.zeros(cores * buffer_width, np.int64),
-                sbuf_times=np.zeros(cores * buffer_width * 2),
+                sbuf_blocks=np.zeros(cores * STRIDE_BUFFER_BLOCKS, np.int64),
+                sbuf_times=np.zeros(cores * STRIDE_BUFFER_BLOCKS * 2),
                 sbuf_count=np.zeros(cores, np.int64),
-                stride_stats=_stats([stride.stats]),
+                stride_stats=_counters("stride_stats"),
             )
             scalars.update(
                 use_stride=1,
-                tracker_entries=tracker_width,
-                stride_buffer_blocks=buffer_width,
-                stride_degree=stride.degree,
-                confirm_threshold=stride.confirm_threshold,
-                region_shift=stride._region_shift,
-                stride_backlog_limit=stride._backlog_limit,
+                tracker_entries=STRIDE_TRACKER_ENTRIES,
+                stride_buffer_blocks=STRIDE_BUFFER_BLOCKS,
+                stride_degree=STRIDE_DEGREE,
+                confirm_threshold=STRIDE_CONFIRM_THRESHOLD,
+                region_shift=STRIDE_REGION_SHIFT,
+                stride_backlog_limit=backlog_limit(
+                    STRIDE_BACKLOG_ACCESSES, dram
+                ),
             )
         if self.mlp is not None:
             mlp = np.zeros((cores, 4))
@@ -202,7 +214,7 @@ class NativeRunState(_RunState):
         if self.miss_log is not None:
             # Each phase hands in its own log (_run_until).
             b["miss_log_count"] = np.zeros(cores, np.int64)
-        if self.temporal is not None:
+        if self._factory is not None:
             scalars.update(self._build_stms(b))
 
         self._machine = Machine(
@@ -236,10 +248,9 @@ class NativeRunState(_RunState):
     def _build_stms(self, b: dict) -> dict:
         """Add the empty STMS structures to ``b``; returns the machine's
         STMS fields."""
-        stms, cores = self.temporal, self.trace.cores
-        config = stms.config
+        config, cores = self._factory.config, self.trace.cores
         buckets, width = config.index_buckets, config.bucket_entries
-        history = stms.histories[0].capacity
+        history = history_capacity(config.history_entries)
         pending = cores * HISTORY_ENTRIES_PER_BLOCK
         residents = config.bucket_buffer_entries
         queue_width = config.address_queue_entries
@@ -247,24 +258,24 @@ class NativeRunState(_RunState):
         engines = np.zeros(cores, dtype=ENGINE)
         engines["source_core"] = -1
         b.update(
-            pf_stats=_stats([stms.stats]),
-            stms_counters=_stats([stms.counters]),
-            sampler=np.zeros(2, np.int64),
+            pf_stats=_counters("pf_stats"),
+            stms_counters=_counters("stms_counters"),
+            sampler=_counters("sampler"),
             index_tags=np.zeros(buckets * width, np.int64),
             index_ptrs=np.zeros(buckets * width * 2, np.int64),
             index_count=np.zeros(buckets, np.int64),
-            index_stats=_stats([stms.index.stats]),
+            index_stats=_counters("index_stats"),
             hist_blocks=np.zeros(cores * history, np.int64),
             hist_marks=np.zeros(cores * history, np.uint8),
             hist_pend_blocks=np.zeros(pending, np.int64),
             hist_pend_marks=np.zeros(pending, np.uint8),
             hist_pend_count=np.zeros(cores, np.int64),
             hist_head=np.zeros(cores, np.int64),
-            hist_stats=_stats([h.stats for h in stms.histories]),
+            hist_stats=_counters("hist_stats", cores),
             bb_buckets=np.zeros(residents, np.int64),
             bb_dirty=np.zeros(residents, np.uint8),
             bb_core=np.zeros(residents, np.int64),
-            bb_stats=_stats([stms.bucket_buffer.stats]),
+            bb_stats=_counters("bb_stats"),
             engines=engines,
             queues=np.zeros(cores * queue_width, dtype=QUEUED),
             # Issued maps are unbounded: the kernel stops before a
@@ -280,6 +291,11 @@ class NativeRunState(_RunState):
             pbuf_filter=np.zeros(cores * _PBUF_BINS, np.int32),
         )
         probability = config.sampling_probability
+        sample_mode = (
+            1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
+        )
+        if sample_mode == 2:
+            self._coins = ProbabilisticSampler(probability, seed=config.seed)
         return dict(
             stms=1,
             history_capacity=history,
@@ -290,11 +306,11 @@ class NativeRunState(_RunState):
             queue_capacity=queue_width,
             refill_threshold=config.queue_refill_threshold,
             annotate=config.annotate_stream_ends,
-            sample_mode=(
-                1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
-            ),
+            sample_mode=sample_mode,
             issued_capacity=queue_width,
-            pf_backlog_limit=stms._backlog_limit,
+            pf_backlog_limit=backlog_limit(
+                TEMPORAL_BACKLOG_ACCESSES, self.config.dram
+            ),
             index_mask=buckets - 1,
             tag_mask=(
                 -1 if config.tag_bits is None else (1 << config.tag_bits) - 1
@@ -309,22 +325,32 @@ class NativeRunState(_RunState):
             self._buffers[name] = array
             setattr(self._machine, name, array.ctypes.data)
 
-    def reset_accounting(self) -> None:
-        """The measurement boundary: the reference reset on the Python
-        counters (brought up to date first, so the STMS transfer
-        counters it snapshots are current), then the same reset in C."""
-        self._restore_counters(self._machine, self._buffers)
-        super().reset_accounting()
+    def _reset_machine(self) -> None:
+        """The measurement boundary in C; the STMS structures' stats,
+        which it keeps, are noted for the conservation oracle."""
+        if self._factory is not None:
+            b = self._buffers
+            self._boundary = (b["bb_stats"].copy(), b["hist_stats"].copy())
         self._lib.repro_kernel_reset(ctypes.byref(self._machine))
 
     def _finalize(self, end: float) -> None:
-        """The reference flush, in C; its counters come back."""
+        """The reference flush, in C; the run's accounting comes back."""
         self._lib.repro_kernel_finalize(ctypes.byref(self._machine), end)
-        self._restore_counters(self._machine, self._buffers)
+        self._collect()
 
-    def sync(self) -> None:
-        """Unpack the whole kernel machine into the Python objects."""
-        self._unpack(self._machine, self._buffers)
+    def _machine_counts(self):
+        b, m = self._buffers, self._machine
+        return (
+            sum(b["l1_stats"].tolist()[_HITS::COUNTERS["l1_stats"]]),
+            sum(b["victim_hits"].tolist()),
+            b["l2_stats"].tolist()[_HITS],
+            m.dram_busy_cycles,
+            (
+                PrefetcherStats(*b["pf_stats"].tolist())
+                if self._factory is not None
+                else None
+            ),
+        )
 
     def _run_until(self, limits: "list[int]") -> None:
         machine, buffers = self._machine, self._buffers
@@ -339,16 +365,14 @@ class NativeRunState(_RunState):
                 miss_log=np.zeros(int(room.sum()), dtype=np.int64),
                 miss_log_base=np.cumsum(room) - room,
             )
-        coins = (
-            _Coins(self.temporal.sampler, machine)
-            if machine.sample_mode == 2
-            else None
-        )
         while self._lib.repro_kernel_run(ctypes.byref(machine)):
-            if coins is not None and coins.spent():
+            if (machine.sample_mode == 2
+                    and machine.coin_cursor == machine.coin_count):
                 # The next record could flip a coin: hand in the
                 # sampler's next batch.
-                coins.draw()
+                self._hand_over(coins=self._coins.draw().view(np.uint8))
+                machine.coin_count = len(buffers["coins"])
+                machine.coin_cursor = 0
                 continue
             # The next record could outgrow a stream engine's issued
             # map: double its room.
@@ -357,8 +381,6 @@ class NativeRunState(_RunState):
             grown[:, :width] = buffers["issued"].reshape(-1, width)
             self._hand_over(issued=grown.reshape(-1))
             machine.issued_capacity = 2 * width
-        if coins is not None:
-            coins.settle()
         cores = self.trace.cores
         self.clocks[:] = buffers["clocks"].tolist()[:cores]
         self.cursors[:] = buffers["cursors"].tolist()[:cores]
@@ -369,29 +391,11 @@ class NativeRunState(_RunState):
                 base = bases[core]
                 log[core].extend(entries[base:base + n].tolist())
 
-    def _restore_counters(self, m: Machine, b: dict) -> None:
-        """Copy the kernel's counters back: what results and
-        :func:`~repro.sim.metrics.check_invariants` read."""
-        hier, cores = self.hierarchy, self.trace.cores
-        self.measured_records = m.measured_records
-        hier.demand_accesses = m.demand_accesses
-        hier.off_chip_reads = m.off_chip_reads
-        for core, l1 in enumerate(hier.l1s):
-            _restore(l1.stats, b["l1_stats"], core)
-        for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
-            victim.hits = hits
-        _restore(hier.l2.stats, b["l2_stats"], 0)
-        _restore(self.mshrs.stats, b["mshr_stats"], 0)
-
-        stats = self.dram.stats
-        stats.busy_cycles = m.dram_busy_cycles
-        stats.queue_cycles = m.dram_queue_cycles
-        stats.requests = m.dram_requests
-        stats.high_priority_requests = m.dram_high
-        stats.low_priority_requests = m.dram_low
-        if self.stride is not None:
-            _restore(self.stride.stats, b["stride_stats"], 0)
-
+    def _collect(self) -> None:
+        """Copy the kernel's accounting into the run state's: measured
+        records, traffic, coverage and the MLP accumulators."""
+        b, cores = self._buffers, self.trace.cores
+        self.measured_records = self._machine.measured_records
         traffic = self.traffic
         traffic._bytes.update(zip(_CATEGORIES, b["traffic"].tolist()))
         core_traffic = b["core_traffic"].reshape(cores, -1).tolist()
@@ -399,9 +403,8 @@ class NativeRunState(_RunState):
             traffic._core_bytes[core].update(
                 zip(_CATEGORIES, core_traffic[core])
             )
-            _restore(self.core_coverage[core], b["core_coverage"], core)
-        _restore(self.coverage, b["coverage"], 0)
-
+        self.coverage = CoverageCounts(*b["coverage"].tolist())
+        self.core_coverage = _rows(CoverageCounts, b["core_coverage"])
         if self.mlp is not None:
             mlp = b["mlp"].reshape(-1, 4).tolist()
             counts = b["mlp_count"].tolist()
@@ -411,23 +414,36 @@ class NativeRunState(_RunState):
                 )
                 acc.count = counts[core]
 
-        stms = self.temporal
-        if stms is not None:
-            _restore(stms.stats, b["pf_stats"], 0)
-            _restore(stms.counters, b["stms_counters"], 0)
-            stms.sampler.flips, stms.sampler.accepted = b["sampler"].tolist()
-            _restore(stms.index.stats, b["index_stats"], 0)
-            for core, history in enumerate(stms.histories):
-                _restore(history.stats, b["hist_stats"], core)
-            _restore(stms.bucket_buffer.stats, b["bb_stats"], 0)
+    # ------------------------------------------------------------------
+    # The reference machine, on demand.
+    # ------------------------------------------------------------------
+
+    def sync(self) -> None:
+        """Build the Python machine (first call only) and unpack the
+        whole kernel machine into it."""
+        if self.hierarchy is None:
+            from repro.sim.scalar import build_machine
+
+            build_machine(self, self._factory)
+        self._collect()
+        self._unpack(self._machine, self._buffers)
 
     def _unpack(self, m: Machine, b: dict) -> None:
         """Rebuild every Python machine object from the kernel's."""
-        hier, cores = self.hierarchy, self.trace.cores
-        self.clocks[:] = b["clocks"].tolist()[:cores]
-        self.cursors[:] = b["cursors"].tolist()[:cores]
-        self._restore_counters(m, b)
+        from repro.memory.cache import CacheStats
+        from repro.memory.dram import DramStats
+        from repro.memory.mshr import MshrEntry, MshrStats
+        from repro.prefetchers.base import PrefetchedBlock
+        from repro.prefetchers.stride import StrideStats
 
+        hier, cores = self.hierarchy, self.trace.cores
+        hier.demand_accesses = m.demand_accesses
+        hier.off_chip_reads = m.off_chip_reads
+        for l1, stats in zip(hier.l1s, _rows(CacheStats, b["l1_stats"])):
+            l1.stats = stats
+        for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
+            victim.hits = hits
+        (hier.l2.stats,) = _rows(CacheStats, b["l2_stats"])
         _unpack_ordered([s for l1 in hier.l1s for s in l1._sets],
                         b["l1_tags"], b["l1_dirty"].astype(bool),
                         b["l1_count"], hier.l1s[0].config.ways)
@@ -444,6 +460,7 @@ class NativeRunState(_RunState):
                         hier.l2.config.ways)
 
         mshrs = self.mshrs
+        (mshrs.stats,) = _rows(MshrStats, b["mshr_stats"])
         count = m.mshr_count
         mshrs._entries.clear()
         for block, complete, waiters in zip(
@@ -464,11 +481,19 @@ class NativeRunState(_RunState):
             self.outstanding[core][:] = window[core * width:core * width + n]
 
         dram = self.dram
+        dram.stats = DramStats(
+            requests=m.dram_requests,
+            high_priority_requests=m.dram_high,
+            low_priority_requests=m.dram_low,
+            busy_cycles=m.dram_busy_cycles,
+            queue_cycles=m.dram_queue_cycles,
+        )
         dram._busy_until_high = m.dram_busy_high
         dram._busy_until_all = m.dram_busy_all
 
         stride = self.stride
         if stride is not None:
+            (stride.stats,) = _rows(StrideStats, b["stride_stats"])
             tracker = b["tracker"].reshape(-1, 4)
             _unpack_ordered(stride._trackers, tracker[:, 0], tracker[:, 1:],
                             b["tracker_count"], stride.tracker_entries)
@@ -489,7 +514,37 @@ class NativeRunState(_RunState):
             self._unpack_stms(m, b)
 
     def _unpack_stms(self, m: Machine, b: dict) -> None:
+        from repro.core.bucket_buffer import BucketBufferStats
+        from repro.core.history_buffer import HistoryPointer, HistoryStats
+        from repro.core.index_table import IndexStats
+        from repro.core.stms import StmsCounters
+        from repro.core.stream_engine import QueuedAddress
+        from repro.prefetchers.base import PrefetchedBlock
+
         stms = self.temporal
+        if self._boundary is not None:
+            # The transfer counters the reference notes at the boundary.
+            bucket_stats, history_stats = self._boundary
+            (stms.bucket_buffer.stats,) = _rows(BucketBufferStats, bucket_stats)
+            for history, stats in zip(
+                stms.histories, _rows(HistoryStats, history_stats)
+            ):
+                history.stats = stats
+            self.measure_counters = stms_transfer_counts(stms)
+        (stms.stats,) = _rows(PrefetcherStats, b["pf_stats"])
+        (stms.counters,) = _rows(StmsCounters, b["stms_counters"])
+        (stms.index.stats,) = _rows(IndexStats, b["index_stats"])
+        for history, stats in zip(
+            stms.histories, _rows(HistoryStats, b["hist_stats"])
+        ):
+            history.stats = stats
+        (stms.bucket_buffer.stats,) = _rows(BucketBufferStats, b["bb_stats"])
+
+        stms.sampler = _sampler_after(
+            stms.config.sampling_probability, stms.config.seed,
+            *b["sampler"].tolist(),
+        )
+
         index = stms.index
         width = index.bucket_entries
         tags = b["index_tags"].tolist()
@@ -570,66 +625,12 @@ class NativeRunState(_RunState):
             buffer._stream_counts = counts
 
 
-class _Coins:
-    """A phase's sampler coins, drawn in the sampler's own batches.
-
-    The kernel first flips the sampler's undrawn remainder, then asks
-    (status 1 with the coins spent) for one fresh batch at a time.
-    :meth:`settle` hands the unused coins back: the sampler ends with
-    exactly the RNG stream, batch and cursor the per-flip Python path
-    would leave.
-    """
-
-    def __init__(self, sampler, machine) -> None:
-        self.sampler = sampler
-        self.machine = machine
-        self.remainder = len(sampler._draws) - sampler._cursor
-        self.batches: "list[np.ndarray]" = []
-        #: RNG state before the first fresh batch, then after each one.
-        self.states = [sampler._rng.bit_generator.state]
-        #: Coins flipped from the batches before the current one.
-        self.used = 0
-        self._hand_in(
-            np.asarray(sampler._draws[sampler._cursor:], dtype=np.uint8)
-        )
-
-    def _hand_in(self, coins: np.ndarray) -> None:
-        self.current = coins  # kept alive while the kernel reads it
-        machine = self.machine
-        machine.coins = coins.ctypes.data
-        machine.coin_count = len(coins)
-        machine.coin_cursor = 0
-
-    def spent(self) -> bool:
-        return self.machine.coin_cursor == self.machine.coin_count
-
-    def draw(self) -> None:
-        sampler = self.sampler
-        self.used += self.machine.coin_count
-        batch = sampler._rng.random(sampler._BATCH) < sampler.probability
-        self.batches.append(batch)
-        self.states.append(sampler._rng.bit_generator.state)
-        self._hand_in(batch.view(np.uint8))
-
-    def settle(self) -> None:
-        sampler = self.sampler
-        used = self.used + self.machine.coin_cursor
-        if used <= self.remainder:
-            sampler._cursor += used
-            last = 0
-        else:
-            fresh = used - self.remainder
-            last = (fresh - 1) // sampler._BATCH + 1
-            sampler._draws = self.batches[last - 1].tolist()
-            sampler._cursor = fresh - (last - 1) * sampler._BATCH
-        if self.batches:
-            sampler._rng.bit_generator.state = self.states[last]
-
-
 _INF = float("inf")
 #: The kernel's PBUF_BINS: prefetch-buffer filter bins per core.
 _PBUF_BINS = 256
 _CATEGORIES = tuple(TrafficCategory)
+#: Where hits sit in a cache-stats row (CacheStats' first field).
+_HITS = 0
 
 
 def _columns(arrays, dtype) -> "list[np.ndarray]":
@@ -644,6 +645,34 @@ def _columns(arrays, dtype) -> "list[np.ndarray]":
     return columns
 
 
+def _counters(name: str, rows: int = 1) -> np.ndarray:
+    """Zeroed rows of the kernel counter array ``name``."""
+    return np.zeros(rows * COUNTERS[name], np.int64)
+
+
+def _rows(cls, array: np.ndarray) -> list:
+    """One ``cls`` counter object per row of a kernel counter array."""
+    width, values = len(fields(cls)), array.tolist()
+    return [cls(*values[i:i + width]) for i in range(0, len(values), width)]
+
+
+def _sampler_after(
+    probability: float, seed: int, flips: int, accepted: int
+) -> ProbabilisticSampler:
+    """The sampler the per-flip path leaves after ``flips`` flips,
+    ``accepted`` of them accepted: its generator has drawn a batch at
+    the first flip past each full one, and the cursor sits in the last."""
+    sampler = ProbabilisticSampler(probability, seed=seed)
+    sampler.flips, sampler.accepted = flips, accepted
+    if 0.0 < probability < 1.0 and flips:
+        batches = -(-flips // sampler._BATCH)
+        for _ in range(batches):
+            draws = sampler.draw()
+        sampler._draws = draws.tolist()
+        sampler._cursor = flips - (batches - 1) * sampler._BATCH
+    return sampler
+
+
 def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
     """Refill ``dicts`` in place from the kernel's key and value rows."""
     for row, n in enumerate(counts.tolist()):
@@ -653,25 +682,3 @@ def _unpack_ordered(dicts: list, keys, values, counts, width: int) -> None:
             base = row * width
             target.update(zip(keys[base:base + n].tolist(),
                               values[base:base + n].tolist()))
-
-
-@functools.cache
-def _field_names(cls) -> "tuple[str, ...]":
-    return tuple(f.name for f in fields(cls))
-
-
-def _stats(objects) -> np.ndarray:
-    """Integer counter dataclasses flattened field by field."""
-    return np.array(
-        [getattr(o, name) for o in objects
-         for name in _field_names(type(o))],
-        dtype=np.int64,
-    )
-
-
-def _restore(obj, array: np.ndarray, row: int) -> None:
-    """Write row ``row`` of a :func:`_stats` array back into ``obj``."""
-    names = _field_names(type(obj))
-    values = array[row * len(names):(row + 1) * len(names)].tolist()
-    for name, value in zip(names, values):
-        setattr(obj, name, value)

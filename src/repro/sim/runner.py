@@ -34,11 +34,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.config import StmsConfig
+from repro.core.config import StmsConfig, StmsFactory
 from repro.envknobs import env_positive_int
 from repro.memory.config import CmpConfig, DramConfig
 from repro.obs import long_lived
-from repro.sim.config import SimConfig, resolve_engine
+from repro.sim.config import SimConfig, kernel_cell, resolve_engine
 from repro.sim.results import SimResult
 from repro.sim.session import (
     SimSession,
@@ -135,8 +135,6 @@ def make_factory(
             max_index_entries=max_index_entries,
         )
     if kind is PrefetcherKind.STMS:
-        from repro.core.stms import StmsFactory
-
         return StmsFactory(
             stms_config if stms_config is not None else StmsConfig()
         )
@@ -350,10 +348,16 @@ def _job_configs(
     return sim_config, stms_config
 
 
-def job_result_key(job: SimJob, fingerprint: str, cores: int) -> tuple:
+def job_result_key(
+    job: SimJob,
+    fingerprint: str,
+    cores: int,
+    configs: "tuple[SimConfig, StmsConfig | None] | None" = None,
+) -> tuple:
     """The session/store content key ``run_job`` would cache under,
-    given the fingerprint and core count of the job's trace."""
-    sim_config, stms_config = _job_configs(job, cores)
+    given the fingerprint and core count of the job's trace (and its
+    :func:`_job_configs`, when the caller has built them)."""
+    sim_config, stms_config = configs or _job_configs(job, cores)
     return SimSession.result_key(
         fingerprint,
         sim_config,
@@ -553,23 +557,28 @@ def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
     prefetchers, loads the library (:func:`_preload_kernel`;
     ``generates``: a worker may generate its trace), and imports the
     engine each cell runs in: the kernel's driver for the cells the
-    loaded library steps, the Python batch engine for the rest.
+    loaded library steps, the Python batch engine for the rest, and
+    the scalar reference for every cell when it is selected.
     """
     from repro.sim import sweep  # noqa: F401
-    from repro.sim.engine import kernel_cell
     from repro.workloads import suite  # noqa: F401
 
     loaded = _preload_kernel(jobs, generates)
     engine = resolve_engine("auto")
     for kind in {job.kind for job in jobs}:
-        # make_factory imports the kind's prefetcher.
-        kernel = kernel_cell(make_factory(kind))
-        if engine == "scalar":
-            continue
-        if kernel and loaded:
+        # make_factory imports the kind's prefetcher model; an STMS
+        # factory imports its model only when a Python engine builds it.
+        factory = make_factory(kind)
+        if engine == "batch" and loaded and kernel_cell(factory):
             from repro.sim import native  # noqa: F401
+
+            continue
+        if engine == "scalar":
+            from repro.sim import scalar  # noqa: F401
         else:
             from repro.sim import batch  # noqa: F401
+        if kind is PrefetcherKind.STMS:
+            from repro.core import stms  # noqa: F401
 
 
 class ExperimentRunner:

@@ -314,21 +314,26 @@ class SimSession:
         temporal_key,
         temporal_factory,
         label: str,
+        key: "tuple | None" = None,
     ) -> SimResult:
         """Run (or reuse, from either tier) one simulation.
 
         ``temporal_key`` must uniquely describe the temporal-prefetcher
         configuration that ``temporal_factory`` builds (the runner
         passes the prefetcher kind plus its full parameterization); two
-        calls with equal keys must request equivalent simulations.
+        calls with equal keys must request equivalent simulations.  A
+        caller that has built the :meth:`result_key` already passes it
+        as ``key`` instead.
         """
         from repro.sim.engine import Simulator
 
-        key = None
-        if self.enabled:
+        if not self.enabled:
+            key = None
+        elif key is None:
             key = self.result_key(
                 trace.fingerprint(), sim_config, temporal_key, label
             )
+        if key is not None:
             cached = self.lookup_result(key)
             if cached is not None:
                 return cached

@@ -24,7 +24,7 @@ outlive the process:
   the process dies inside the block.
 * Workers only ever *attach*; they never create or unlink.
 
-``REPRO_SHM=off`` disables the plane entirely (workers fall back to
+``REPRO_SHM=off`` (or ``0``) disables the plane entirely (workers fall back to
 the TraceRef pickle path); export failures (an exhausted or missing
 ``/dev/shm``) degrade to the same fallback silently.  The plane is a
 pure transport: attached traces carry the parent-computed fingerprint,
@@ -35,10 +35,11 @@ with or without it.
 from __future__ import annotations
 
 import atexit
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.envknobs import shm_plane_enabled
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -47,10 +48,11 @@ except ImportError:  # pragma: no cover - platform without shm support
 
 
 def shm_enabled() -> bool:
-    """Whether the runner exports the trace plane into shared memory."""
+    """Whether the runner exports the trace plane into shared memory
+    (``REPRO_SHM``, parsed by :func:`repro.envknobs.shm_plane_enabled`)."""
     if _shared_memory is None:  # pragma: no cover - platform dependent
         return False
-    return os.environ.get("REPRO_SHM", "on") != "off"
+    return shm_plane_enabled()
 
 
 #: Segment offsets are aligned for safe typed views.

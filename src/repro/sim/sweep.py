@@ -45,12 +45,7 @@ def run_sweep(
     the cells that actually need simulating are counted as a sweep
     invocation, so a warm grid costs no simulation at all.
     """
-    from repro.sim.runner import (
-        _job_configs,
-        job_result_key,
-        make_factory,
-        temporal_key,
-    )
+    from repro.sim.runner import _job_configs, job_result_key, make_factory
 
     if session is None:
         session = get_session()
@@ -64,24 +59,26 @@ def run_sweep(
         seed=first.seed,
         records_per_core=first.records_per_core,
     )
+    fingerprint = trace.fingerprint()
     results: "list[SimResult | None]" = [None] * len(jobs)
-    pending: "list[int]" = []
+    # Each cell's configs and result key are built once: the probe
+    # looks the key up, and a miss simulates under the same key.
+    pending: "list[tuple]" = []
     for index, job in enumerate(jobs):
-        cached = session.lookup_result(
-            job_result_key(job, trace.fingerprint(), trace.cores)
-        )
+        configs = _job_configs(job, trace.cores)
+        key = job_result_key(job, fingerprint, trace.cores, configs)
+        cached = session.lookup_result(key)
         if cached is not None:
             results[index] = cached
         else:
-            pending.append(index)
+            pending.append((index, configs, key))
     if not pending:
         return results  # type: ignore[return-value]
 
     cells = 0
     fallbacks = 0
-    for index in pending:
+    for index, (sim_config, stms_config), key in pending:
         job = jobs[index]
-        sim_config, stms_config = _job_configs(job, trace.cores)
         if resolve_engine(sim_config.engine) == "scalar":
             fallbacks += 1
         else:
@@ -89,9 +86,12 @@ def run_sweep(
         results[index] = session.simulate(
             trace,
             sim_config,
-            temporal_key(job.kind, stms_config, job.factory_options),
-            make_factory(job.kind, stms_config, **dict(job.factory_options)),
+            temporal_key=None,  # the key stands for it
+            temporal_factory=make_factory(
+                job.kind, stms_config, **dict(job.factory_options)
+            ),
             label=job.kind.value,
+            key=key,
         )
 
     session.stats.sweep_invocations += 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.config import BLOCK_BYTES, DramConfig, Priority
-from repro.memory.dram import DramChannel
+from repro.memory.dram import DramChannel, utilization
 
 
 class TestDramConfig:
@@ -105,13 +105,16 @@ class TestDramChannel:
         assert channel.stats.high_priority_requests == 1
         assert channel.stats.low_priority_requests == 1
         busy = 2 * channel.config.transfer_cycles
-        assert channel.utilization(busy * 2) == pytest.approx(0.5)
+        assert utilization(channel.stats.busy_cycles, busy * 2) == (
+            pytest.approx(0.5)
+        )
 
     def test_utilization_caps_at_one(self):
         channel = DramChannel()
         for _ in range(100):
             channel.request(0.0)
-        assert channel.utilization(1.0) == 1.0
+        assert utilization(channel.stats.busy_cycles, 1.0) == 1.0
+        assert utilization(channel.stats.busy_cycles, 0.0) == 0.0
 
     def test_reset(self):
         channel = DramChannel()

@@ -96,6 +96,13 @@ class TestConfigScaling:
         with pytest.raises(ValueError):
             CmpConfig().scaled(0)
 
+    @pytest.mark.parametrize("mshrs", [0, -1])
+    def test_rejects_no_mshrs(self, mshrs):
+        """The compiled kernel builds its MSHR file from this count
+        without the Python model's own check, so the config rejects it."""
+        with pytest.raises(ValueError, match="l2_mshrs"):
+            CmpConfig(l2_mshrs=mshrs)
+
     def test_bank_mapping(self, hierarchy):
         banks = {hierarchy.l2_bank(b) for b in range(64)}
         assert banks == set(range(hierarchy.config.l2_banks))

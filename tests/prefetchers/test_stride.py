@@ -1,6 +1,7 @@
 """Unit tests for the base system's stride prefetcher."""
 
 from repro.memory.dram import DramChannel
+from repro.prefetchers.params import STRIDE_REGION_BLOCKS
 from repro.prefetchers.stride import StridePrefetcher
 
 
@@ -45,7 +46,7 @@ class TestStrideDetection:
 
     def test_stride_continues_across_regions(self):
         prefetcher = make_stride()
-        run = list(range(0, StridePrefetcher.REGION_BLOCKS * 3))
+        run = list(range(0, STRIDE_REGION_BLOCKS * 3))
         covered = scan(prefetcher, run)
         # Without continuation seeding, every 64-block region would pay
         # the 2-miss training cost again (~6 uncovered); with it, only

@@ -50,7 +50,8 @@ from repro.core.config import StmsConfig
 from repro.memory.config import BLOCK_BYTES
 from repro.memory.hierarchy import CmpConfig
 from repro.sim.batch import BatchRunState
-from repro.sim.engine import SimConfig, _RunState
+from repro.sim.engine import SimConfig
+from repro.sim.scalar import ScalarRunState
 from repro.sim.metrics import check_invariants, snapshot_run_state
 from repro.sim.native import NativeRunState
 from repro.sim.runner import PrefetcherKind, make_factory
@@ -385,7 +386,7 @@ def _check_seed(
     ):
         candidates.append(NativeRunState)
     reference, expected = _run_and_snapshot(
-        _RunState, config, trace, reference_factory
+        ScalarRunState, config, trace, reference_factory
     )
     for engine in candidates:
         _, factory = draw()
@@ -475,9 +476,9 @@ def test_touching_miss_intervals_merge_bit_for_bit():
     config = SimConfig(cmp=CmpConfig(cores=1), use_stride=False)
     results = {
         engine: _run_and_snapshot(engine, config, trace, None)
-        for engine in (_RunState, BatchRunState, NativeRunState)
+        for engine in (ScalarRunState, BatchRunState, NativeRunState)
     }
-    reference, expected = results[_RunState]
+    reference, expected = results[ScalarRunState]
     assert expected.coverage.uncovered == records - 1
     assert expected.mlp == 1.0000000000000002
     for engine, (snapshots, result) in results.items():
@@ -647,7 +648,7 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
     for position, cell in enumerate(cells):
         factory = make_factory(PrefetcherKind.STMS, cell)
         reference, expected = _run_and_snapshot(
-            _RunState, config, trace, factory
+            ScalarRunState, config, trace, factory
         )
         batched, _ = _run_and_snapshot(BatchRunState, config, trace, factory)
         _assert_same_snapshots(
@@ -903,7 +904,7 @@ def _check_micro(config, trace, stms_config) -> dict:
         return make_factory(PrefetcherKind.STMS, stms_config)
 
     reference, expected = _run_and_snapshot(
-        _RunState, config, trace, factory()
+        ScalarRunState, config, trace, factory()
     )
     for engine in (BatchRunState, NativeRunState):
         snapshots, result = _run_and_snapshot(
@@ -914,7 +915,7 @@ def _check_micro(config, trace, stms_config) -> dict:
     return reference["final"]
 
 
-class _OrderedRunState(_RunState):
+class _OrderedRunState(ScalarRunState):
     """The reference run state, logging each step's (clock, core)."""
 
     def __init__(self, *args) -> None:

@@ -3,7 +3,7 @@
 The ``batch`` engine is the production engine — the compiled kernel
 (`repro.sim.native`) for cells without a temporal prefetcher, the
 batched Python engine (`repro.sim.batch`) for the rest; the scalar
-`_RunState` is the executable specification.  These tests prove the
+`ScalarRunState` is the executable specification.  These tests prove the
 acceptance property: identical `SimResult` coverage and traffic counts
 (and, stronger, bit-identical clocks and every other counter) on suite
 workloads.
@@ -201,7 +201,8 @@ def test_inclusive_eviction_turns_next_hit_into_miss(state_class):
     import numpy as np
 
     from repro.memory.hierarchy import CmpConfig
-    from repro.sim.engine import SimConfig, _RunState
+    from repro.sim.engine import SimConfig
+    from repro.sim.scalar import ScalarRunState
     from repro.sim.metrics import snapshot_run_state
     from repro.workloads.trace import Trace
 
@@ -240,7 +241,7 @@ def test_inclusive_eviction_turns_next_hit_into_miss(state_class):
         state.run_measured()
         return state, snapshot_run_state(state)
 
-    reference, expected = run(_RunState)
+    reference, expected = run(ScalarRunState)
     candidate, snapshot = run(state_class)
     assert snapshot == expected
     l1 = candidate.hierarchy.l1s[1].stats

@@ -200,7 +200,7 @@ class TestConservationInvariants:
         import dataclasses
 
         from repro.sim.batch import BatchRunState
-        from repro.sim.engine import _RunState
+        from repro.sim.scalar import ScalarRunState
         from repro.sim.runner import (
             make_factory,
             make_sim_config,
@@ -220,7 +220,7 @@ class TestConservationInvariants:
         from repro.sim.native import NativeRunState
 
         state_class = {
-            "scalar": _RunState,
+            "scalar": ScalarRunState,
             "batch": BatchRunState,
             "native": NativeRunState,
         }[engine]

@@ -304,39 +304,41 @@ def test_non_float32_work_matches_scalar(dtype):
 @pytest.mark.parametrize("trailing", [False, True])
 @pytest.mark.parametrize("before", [0, 100, 4096])
 @pytest.mark.parametrize("used", [0, 1, 3996, 3997, 9000])
-def test_coins_hand_back_exactly_what_the_python_path_leaves(
+def test_coin_batches_leave_what_the_python_path_leaves(
     before, used, trailing
 ):
-    """Coins handed to the kernel a batch at a time and the per-flip
-    path leave the sampler in the same state, whichever batch the phase
-    stops in — also when the kernel asked for a batch before a last
-    record that flipped nothing."""
+    """Coins handed to the kernel a batch at a time, over two phases,
+    are the per-flip path's flips, and the sampler ``sync`` rebuilds
+    from the flip count (:func:`native._sampler_after`) is the one the
+    per-flip path leaves — also when the kernel asked for a batch
+    before a last record that flipped nothing."""
     from types import SimpleNamespace
+
+    import numpy as np
 
     from repro.core.sampling import ProbabilisticSampler
 
-    python, kernel = (ProbabilisticSampler(0.3, seed=11) for _ in range(2))
-    for sampler in (python, kernel):
-        for _ in range(before):
-            sampler.should_update()
-    flips = [python.should_update() for _ in range(used)]
-    machine = SimpleNamespace()
-    coins = native._Coins(kernel, machine)
+    python, coins = (ProbabilisticSampler(0.3, seed=11) for _ in range(2))
+    flips = [python.should_update() for _ in range(before + used)]
+    machine = SimpleNamespace(coin_count=0, coin_cursor=0, batch=None)
     flipped = []
-    for _ in range(used + trailing):
-        # The kernel's resume protocol, before each record.
-        if coins.spent():
-            coins.draw()
-        if len(flipped) < used:
-            flipped.append(bool(coins.current[machine.coin_cursor]))
-            machine.coin_cursor += 1
+    for phase in (before, used + trailing):
+        for _ in range(phase):
+            # The kernel's resume protocol, before each record.
+            if machine.coin_cursor == machine.coin_count:
+                machine.batch = coins.draw().view(np.uint8)
+                machine.coin_count, machine.coin_cursor = len(machine.batch), 0
+            if len(flipped) < before + used:
+                flipped.append(bool(machine.batch[machine.coin_cursor]))
+                machine.coin_cursor += 1
     assert flipped == flips
-    coins.settle()
-    assert kernel._cursor == python._cursor
-    assert list(kernel._draws) == list(python._draws)
-    assert (kernel._rng.bit_generator.state
+    rebuilt = native._sampler_after(0.3, 11, python.flips, python.accepted)
+    assert (rebuilt.flips, rebuilt.accepted) == (python.flips, python.accepted)
+    assert rebuilt._cursor == python._cursor
+    assert list(rebuilt._draws) == list(python._draws)
+    assert (rebuilt._rng.bit_generator.state
             == python._rng.bit_generator.state)
-    assert [kernel.should_update() for _ in range(5000)] == [
+    assert [rebuilt.should_update() for _ in range(5000)] == [
         python.should_update() for _ in range(5000)
     ]
 
@@ -349,14 +351,17 @@ def test_coins_hand_back_exactly_what_the_python_path_leaves(
 def test_simulator_run_keeps_the_machine_in_the_kernel(
     monkeypatch, workload, probability
 ):
-    """``Simulator.run`` builds an STMS cell's machine once and copies
-    back only counters: the full structural unpack (``sync``) never
-    runs, and the result is the scalar engine's, bit for bit.  Both of
-    the kernel's resume statuses occur, and their state (the sampler's
-    batches, a grown issued map) carries across the measurement
+    """``Simulator.run`` builds an STMS cell's machine once and
+    assembles its result from the kernel's counters: no Python machine
+    is built and nothing is unpacked (``sync``) before the result is
+    out, and the result is the scalar engine's, bit for bit.  (The one
+    ``sync`` after it is the suite's conservation oracle.)  Both of the
+    kernel's resume statuses occur, and their state (the sampler's
+    batch, a grown issued map) carries across the measurement
     boundary."""
     import dataclasses
 
+    from repro.sim import scalar
     from repro.sim.engine import Simulator
     from repro.sim.runner import (
         PrefetcherKind, make_factory, make_sim_config, make_stms_config)
@@ -375,28 +380,136 @@ def test_simulator_run_keeps_the_machine_in_the_kernel(
         trace, factory, "stms"
     )
 
-    def no_unpack(state):
-        raise AssertionError("Simulator.run unpacked the kernel machine")
-
+    events = []
     resumes = {"draw": 0, "grow": 0}
-    draw, hand_over = native._Coins.draw, native.NativeRunState._hand_over
-
-    def counted_draw(coins):
-        resumes["draw"] += 1
-        draw(coins)
+    hand_over = native.NativeRunState._hand_over
+    sync, machine_counts = (
+        native.NativeRunState.sync, native.NativeRunState._machine_counts)
+    build_machine = scalar.build_machine
 
     def counted_hand_over(state, **arrays):
+        if set(arrays) == {"coins"}:
+            resumes["draw"] += 1
         if set(arrays) == {"issued"}:
             resumes["grow"] += 1
         hand_over(state, **arrays)
 
-    monkeypatch.setattr(native.NativeRunState, "sync", no_unpack)
-    monkeypatch.setattr(native._Coins, "draw", counted_draw)
+    def logged(name, function):
+        def call(*args):
+            events.append(name)
+            return function(*args)
+        return call
+
     monkeypatch.setattr(
         native.NativeRunState, "_hand_over", counted_hand_over
     )
+    monkeypatch.setattr(native.NativeRunState, "sync", logged("sync", sync))
+    monkeypatch.setattr(native.NativeRunState, "_machine_counts",
+                        logged("result", machine_counts))
+    monkeypatch.setattr(scalar, "build_machine",
+                        logged("build", build_machine))
     result = Simulator(config).run(trace, factory, "stms")
     assert encode_result(result) == encode_result(reference)
+    assert events[0] == "result", events
     if probability < 1.0:
         assert resumes["draw"] >= 2
     assert resumes["grow"] > 0
+
+
+@needs_cc
+class TestWithoutTheReferenceMachine:
+    """A kernel cell's result comes from the kernel's counters alone."""
+
+    @pytest.fixture(autouse=True)
+    def _invariants_after_every_simulation(self):
+        """Stands in for the suite's oracle wrapper, which syncs (and
+        so builds the Python machine) right after every result: these
+        cases first check that nothing built it, then run the oracle
+        themselves."""
+
+    @pytest.mark.parametrize("kind, probability, miss_log", [
+        ("baseline", None, True),
+        ("stms", 0.5, False),
+        ("stms", 1.0, True),
+    ])
+    def test_result_equals_the_scalar_engines_field_for_field(
+        self, monkeypatch, kind, probability, miss_log
+    ):
+        import dataclasses
+
+        from repro.sim.metrics import check_invariants
+        from repro.sim.results import SimResult
+        from repro.sim.runner import (
+            PrefetcherKind, make_factory, make_sim_config, make_stms_config)
+        from repro.sim.scalar import ScalarRunState
+        from repro.sim.store import encode_result
+        from repro.workloads.suite import generate
+
+        trace = generate("web-apache", scale="test", cores=2, seed=7)
+        config = dataclasses.replace(
+            make_sim_config("test"), collect_miss_log=miss_log
+        )
+        stms = (
+            make_stms_config("test", cores=2,
+                             sampling_probability=probability)
+            if probability is not None else None
+        )
+
+        def run(state_class):
+            state = state_class(
+                config, trace, make_factory(PrefetcherKind(kind), stms)
+            )
+            state.run_warmup()
+            state.reset_accounting()
+            state.run_measured()
+            return state, state.result(kind)
+
+        reference, expected = run(ScalarRunState)
+        check_invariants(reference, expected)
+        syncs = []
+        sync = native.NativeRunState.sync
+
+        def counted_sync(state):
+            syncs.append(state)
+            sync(state)
+
+        monkeypatch.setattr(native.NativeRunState, "sync", counted_sync)
+        state, result = run(native.NativeRunState)
+        assert syncs == []
+        machine = (state.hierarchy, state.dram, state.mshrs, state.stride,
+                   state.temporal, state.outstanding)
+        assert machine == (None,) * len(machine)
+        for field in dataclasses.fields(SimResult):
+            assert getattr(result, field.name) == getattr(
+                expected, field.name
+            ), field.name
+        assert encode_result(result) == encode_result(expected)
+        check_invariants(state, result)
+        assert syncs == [state] and state.hierarchy is not None
+
+
+def test_counter_rows_match_the_python_counters():
+    """Each kernel counter row is as wide as the Python counter class
+    ``sync`` fills from it (the sampler's row: flips and acceptances)."""
+    from dataclasses import fields
+
+    from repro.core.bucket_buffer import BucketBufferStats
+    from repro.core.history_buffer import HistoryStats
+    from repro.core.index_table import IndexStats
+    from repro.core.stms import StmsCounters
+    from repro.memory.cache import CacheStats
+    from repro.memory.mshr import MshrStats
+    from repro.prefetchers.stats import PrefetcherStats
+    from repro.prefetchers.stride import StrideStats
+    from repro.sim.results import CoverageCounts
+
+    classes = {
+        "l1_stats": CacheStats, "l2_stats": CacheStats,
+        "mshr_stats": MshrStats, "stride_stats": StrideStats,
+        "coverage": CoverageCounts, "core_coverage": CoverageCounts,
+        "pf_stats": PrefetcherStats, "stms_counters": StmsCounters,
+        "index_stats": IndexStats, "hist_stats": HistoryStats,
+        "bb_stats": BucketBufferStats,
+    }
+    widths = {name: len(fields(cls)) for name, cls in classes.items()}
+    assert dict(library.COUNTERS) == dict(widths, sampler=2)

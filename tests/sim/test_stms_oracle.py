@@ -43,7 +43,8 @@ from repro.core.index_table import IndexTable
 from repro.memory.config import BLOCK_BYTES, TrafficCategory
 from repro.memory.hierarchy import CmpConfig
 from repro.sim.batch import BatchRunState
-from repro.sim.engine import SimConfig, _RunState
+from repro.sim.engine import SimConfig
+from repro.sim.scalar import ScalarRunState
 from repro.sim.metrics import check_invariants
 from repro.sim.runner import PrefetcherKind, make_factory
 from tests.conftest import make_trace
@@ -53,7 +54,7 @@ K = 3
 LOOKAHEAD = 12
 
 ENGINES = [
-    _RunState,
+    ScalarRunState,
     BatchRunState,
     pytest.param("native", marks=pytest.mark.skipif(
         shutil.which("cc") is None, reason="no C compiler")),
@@ -173,6 +174,8 @@ def test_finalize_flushes_pending_history_and_dirty_buckets(engine):
     assert low == D_DIRTY + 5
 
     state._finalize(max(state.clocks))
+    state.sync()
+    dram = state.dram.stats
     assert history.stats.packed_writes == 5 + 1
     assert buckets.stats.writebacks == D_DIRTY
     assert traffic[TrafficCategory.RECORD_STREAMS] == record + BLOCK_BYTES
@@ -182,7 +185,6 @@ def test_finalize_flushes_pending_history_and_dirty_buckets(engine):
     assert dram.low_priority_requests == low + 1 + D_DIRTY
     assert dram.requests == dram.high_priority_requests + low + 1 + D_DIRTY
     assert stms.stats.erroneous == 0
-    state.sync()
     assert not history._pend_blocks
     assert not buckets._resident
     check_invariants(state, state.result("stms"))

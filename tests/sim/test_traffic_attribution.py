@@ -21,7 +21,7 @@ import pytest
 
 from repro.memory.config import TrafficCategory
 from repro.sim.batch import BatchRunState
-from repro.sim.engine import _RunState
+from repro.sim.scalar import ScalarRunState
 from repro.sim.results import SimResult, per_workload_breakdown
 from repro.sim.runner import (
     PrefetcherKind,
@@ -90,7 +90,7 @@ def _run_state(state_class, config, trace, factory):
     return state.result("attribution")
 
 
-@pytest.mark.parametrize("engine", [_RunState, BatchRunState])
+@pytest.mark.parametrize("engine", [ScalarRunState, BatchRunState])
 @pytest.mark.parametrize(
     "workload", GOLDEN_WORKLOADS + GOLDEN_MIXES
 )
@@ -129,7 +129,7 @@ def test_random_sweep_conserves_attribution(seed):
     else:
         trace = _random_trace(rng, cores)
     config = _random_machine(rng, cores)
-    for engine in (_RunState, BatchRunState):
+    for engine in (ScalarRunState, BatchRunState):
         _, factory = _random_prefetcher(
             np.random.default_rng(seed + 1), cores
         )

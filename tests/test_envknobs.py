@@ -3,7 +3,7 @@
 ``REPRO_STORE_MAX_MB`` used to swallow malformed values silently, and
 to accept values that parse but break the store (``nan``/``inf``
 crashed store open, a non-positive cap evicted every artifact).  It,
-``REPRO_JOBS`` and ``REPRO_SIM_CACHE`` now share one warn-once
+``REPRO_JOBS``, ``REPRO_SIM_CACHE`` and ``REPRO_SHM`` now share one warn-once
 RuntimeWarning behaviour via ``repro.envknobs``, where an empty value
 means unset — as it does for ``REPRO_SIM_ENGINE``.
 """
@@ -16,7 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro import envknobs
-from repro.envknobs import env_float, env_positive_int, sim_cache_enabled
+from repro.envknobs import (
+    env_float,
+    env_positive_int,
+    shm_plane_enabled,
+    sim_cache_enabled,
+)
 from repro.sim.engine import resolve_engine
 from repro.sim.runner import _default_workers
 from repro.sim.session import SimSession
@@ -200,6 +205,41 @@ class TestSimCacheKnob:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert SimSession(store=None).enabled
+
+
+class TestShmKnob:
+    @pytest.mark.parametrize("value", [None, "", "on", "1"])
+    def test_unset_empty_on_and_one_keep_the_plane(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_SHM", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SHM", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shm_plane_enabled()
+
+    @pytest.mark.parametrize("value", ["off", "0"])
+    def test_off_and_zero_disable_the_plane(self, monkeypatch, value):
+        from repro.sim.shm import shm_enabled
+
+        monkeypatch.setenv("REPRO_SHM", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not shm_plane_enabled()
+            assert not shm_enabled()
+
+    @pytest.mark.parametrize("value", ["false", "no", "OFF", " 0", "2"])
+    def test_other_values_warn_once_and_keep_the_plane(
+        self, monkeypatch, value
+    ):
+        """``false`` and ``no`` used to leave the plane on without a
+        word; now the run says so, once."""
+        monkeypatch.setenv("REPRO_SHM", value)
+        with pytest.warns(RuntimeWarning, match="REPRO_SHM"):
+            assert shm_plane_enabled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shm_plane_enabled()
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -18,6 +18,7 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -60,6 +61,8 @@ MODEL_FREE = (
     "repro.sim.results",
     "repro.memory.config",
     "repro.prefetchers.stats",
+    "repro.prefetchers.params",
+    "repro.core.config",
     "repro.workloads.scales",
 )
 DRIVERS = sorted(
@@ -215,8 +218,37 @@ UNUSED_PREFETCHERS = (
 )
 
 
+#: The Python machine model: the compiled kernel builds baseline and
+#: STMS cells from their configurations, so a run whose cells all run
+#: in it imports none of these (CI's "A cold kernel run imports no
+#: simulator model" step greps for the same list).
+KERNEL_PATH_FORBIDDEN = (
+    "repro.core.stms",
+    "repro.core.history_buffer",
+    "repro.core.index_table",
+    "repro.core.bucket_buffer",
+    "repro.core.stream_engine",
+    "repro.memory.hierarchy",
+    "repro.memory.cache",
+    "repro.memory.mshr",
+    "repro.memory.address",
+    "repro.prefetchers.base",
+    "repro.prefetchers.stride",
+)
+
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None,
+    reason="only the compiled kernel runs cells without the Python model",
+)
+
+
 def test_cold_fig7_imports_only_the_prefetchers_it_runs(tmp_path):
+    """A cold fig7 imports no prefetcher it does not run and, on the
+    compiled kernel, no Python machine model at all."""
     store = str(tmp_path / "store")
+    unwanted = UNUSED_PREFETCHERS
+    if shutil.which("cc") is not None:
+        unwanted += KERNEL_PATH_FORBIDDEN
     loaded = _python(f"""
 import json, sys
 from repro.cli import _store_session
@@ -224,7 +256,23 @@ from repro.experiments import run_experiment
 session = _store_session({store!r})
 run_experiment("fig7", scale="test", cores=2, session=session)
 assert session.stats.sim_misses == 16, session.stats
-print(json.dumps([m for m in {UNUSED_PREFETCHERS!r} if m in sys.modules]))
+print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))
+""")
+    assert loaded == []
+
+
+@needs_cc
+def test_cold_contention_parent_imports_no_machine_model(tmp_path):
+    """The parent of a cold two-worker ``mix-contention`` generates
+    traces, preloads what its workers run (the kernel's driver) and
+    forks: it imports no Python machine model either."""
+    store = str(tmp_path / "store")
+    loaded = _python(f"""
+import json, sys
+from repro.cli import main
+assert main(["experiment", "mix-contention", "--scale", "test",
+             "--jobs", "2", "--store-dir", {store!r}]) == 0
+print(json.dumps([m for m in {KERNEL_PATH_FORBIDDEN!r} if m in sys.modules]))
 """)
     assert loaded == []
 
