@@ -65,7 +65,8 @@ class ProbabilisticSampler:
         """The generator's next batch of ``_BATCH`` coin flips (bools).
 
         :meth:`should_update` flips them one at a time; the compiled
-        kernel takes them a batch at a time from a sampler of its own.
+        kernel flips the same stream, one double per flip, from a PCG64
+        of its own seeded as this generator.
         """
         return self._rng.random(self._BATCH) < self.probability
 

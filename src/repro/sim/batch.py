@@ -37,6 +37,7 @@ from repro.memory.config import BLOCK_BYTES, Priority, TrafficCategory
 from repro.memory.cache import Eviction
 from repro.memory.mshr import MshrEntry
 from repro.sim.scalar import ScalarRunState
+from repro.workloads.trace import as_numpy
 
 _HIGH = Priority.HIGH
 _DEMAND_READ = TrafficCategory.DEMAND_READ
@@ -383,10 +384,10 @@ def _native_columns(trace):
     if cached is not None:
         return cached
     columns = (
-        [np.asarray(b).tolist() for b in trace.blocks],
-        [np.asarray(w, dtype=np.float64).tolist() for w in trace.work],
-        [np.asarray(d).tolist() for d in trace.dep],
-        [np.asarray(w).tolist() for w in trace.write],
+        [as_numpy(b).tolist() for b in trace.blocks],
+        [as_numpy(w).astype(np.float64).tolist() for w in trace.work],
+        [as_numpy(d).tolist() for d in trace.dep],
+        [as_numpy(w).tolist() for w in trace.write],
     )
     trace._native_columns = columns
     return columns

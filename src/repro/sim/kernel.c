@@ -15,7 +15,9 @@
  * to the reference by construction; the differential suite pins it.
  *
  * Build: cc -O2 -ffp-contract=off -shared -fPIC (no fast-math), so
- * every floating-point operation rounds exactly as Python's does.
+ * every floating-point operation rounds exactly as Python's does, with
+ * NumPy's include directory and Python's (numpy/random/distributions.h
+ * includes Python.h) and NumPy's libnpyrandom.a.
  *
  * Ordered structures (cache sets, victim FIFOs, MSHR entries, stride
  * trackers, buffers, bucket-buffer residency, stream-engine maps) are
@@ -37,16 +39,24 @@
  * The kernel alone keeps it in step with the ordered arrays it
  * summarizes; repro.sim.native builds it zeroed and never reads it.
  *
- * The sampler's coin flips arrive pre-drawn, one of the sampler's
- * batches at a time (a record flips at most one coin).  An STMS miss
- * hashes its block to an index bucket and tag as it happens, as the
- * hardware does (index_bucket; repro.core.index_table.IndexTable).
+ * The sampler flips its coins from a PCG64 of its own, seeded as
+ * repro.core.sampling.ProbabilisticSampler seeds its generator, one
+ * double per flip (the sampler's batches of rng.random() < p, drawn
+ * one at a time).  An STMS miss hashes its block to an index bucket
+ * and tag as it happens, as the hardware does (index_bucket;
+ * repro.core.index_table.IndexTable).
  *
  * L1-copy masks are not stored: a core's bit in the Python map is set
  * exactly when that core's L1 holds the block, so an inclusive L2
  * eviction probes every L1 instead.
  */
 
+/* numpy's random C API (bitgen_t and the distributions), from the
+ * NumPy whose libnpyrandom.a repro.sim.library links in: a layout or
+ * prototype that differs from the archive's fails the build. */
+#include "numpy/random/distributions.h"
+
+#include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -82,6 +92,56 @@ typedef struct {
     int64_t has_paused, has_last;
     Queued paused_at, last_consumed;
 } Engine;
+
+/* ---------------------------------------------------------------------
+ * PCG64 (numpy.random.PCG64), the generator of the sampler's coins and
+ * of the trace emitters.
+ * ------------------------------------------------------------------- */
+
+/* PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128). */
+#define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
+                  | 0x4385DF649FCCF645ULL)
+
+/* Keep in sync with repro.sim.library.Pcg64: the LCG, and whether
+ * next_uint32's carried upper half-word is unread. */
+typedef struct {
+    uint64_t state_lo, state_hi, inc_lo, inc_hi;
+    int64_t has_half;
+    uint64_t half;
+} Pcg64;
+
+/* pcg_setseq_128_xsl_rr_64_random_r: step, then output the new state. */
+static uint64_t pcg64_raw(Pcg64 *g)
+{
+    unsigned __int128 state =
+        ((unsigned __int128)g->state_hi << 64 | g->state_lo) * PCG_MULT
+        + ((unsigned __int128)g->inc_hi << 64 | g->inc_lo);
+    uint64_t hi = (uint64_t)(state >> 64), lo = (uint64_t)state;
+    unsigned rot = (unsigned)(hi >> 58);
+    uint64_t x = hi ^ lo;
+    g->state_hi = hi;
+    g->state_lo = lo;
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* rng.random(): the top 53 bits of a raw draw. */
+static double pcg64_double(Pcg64 *g)
+{
+    return (double)(pcg64_raw(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* PCG64's next_uint32 with its carried half-word. */
+static uint32_t pcg64_uint32(Pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return (uint32_t)g->half;
+    }
+    uint64_t raw = pcg64_raw(g);
+    g->half = raw >> 32;
+    g->has_half = 1;
+    return (uint32_t)raw;
+}
 
 /* Keep in sync with repro.sim.library.Machine (same order, same types). */
 typedef struct {
@@ -170,7 +230,8 @@ typedef struct {
     int64_t *miss_log_count;
 
     /* STMS (repro.core.stms.StmsPrefetcher); unused unless stms is set.
-     * sample_mode: 0 never update, 1 always, 2 draw from coins. */
+     * sample_mode: 0 never update, 1 always, 2 flip a coin from
+     * coin_rng that comes up with sample_probability. */
     int64_t stms, history_capacity, bucket_entries, bucket_buffer_capacity;
     int64_t prefetch_buffer_blocks, lookahead, queue_capacity;
     int64_t refill_threshold, annotate, sample_mode, issued_capacity;
@@ -178,8 +239,8 @@ typedef struct {
     /* IndexTable.bucket_of / tag_of: buckets - 1, and the tag mask
      * (-1 for full-address tags). */
     int64_t index_mask, tag_mask;
-    const uint8_t *coins;
-    int64_t coin_count, coin_cursor;
+    Pcg64 coin_rng;
+    double sample_probability;
     /* PrefetcherStats: issued, useful, erroneous, filtered, dropped,
      * lookups, lookup_hits; StmsCounters: resumes, annotations,
      * stale_pointers, candidate_updates, applied_updates; sampler
@@ -640,7 +701,7 @@ enum { HS_APPENDS, HS_PACKED_WRITES, HS_BLOCK_READS, HS_ON_CHIP_READS,
        HS_ANNOTATIONS, HS_STALE_READS, HS_COUNT };
 enum { BB_HITS, BB_MISSES, BB_WRITEBACKS, BB_UPDATE_MISSES };
 
-/* ProbabilisticSampler.should_update over the pre-drawn coins. */
+/* ProbabilisticSampler.should_update, one coin from coin_rng. */
 static int should_update(Machine *m)
 {
     m->sampler[0]++;
@@ -648,7 +709,7 @@ static int should_update(Machine *m)
         return 0;
     int outcome = 1;
     if (m->sample_mode == 2)
-        outcome = m->coins[m->coin_cursor++];
+        outcome = pcg64_double(&m->coin_rng) < m->sample_probability;
     if (outcome)
         m->sampler[1]++;
     return outcome;
@@ -1370,8 +1431,7 @@ static void step(Machine *m, int64_t core)
 
 /* Advance every core to its record limit in (clock, core) order.
  * Returns 0 when done, or 1 before a record that could outgrow the
- * next core's issued map or find the coins spent; the caller grows the
- * map or hands in the sampler's next batch and calls again.
+ * next core's issued map; the caller grows the map and calls again.
  *
  * The scan over cores also finds the runner-up.  A step moves only its
  * own core's clock, so the chosen core stays first in (clock, core)
@@ -1399,10 +1459,8 @@ int64_t repro_kernel_run(Machine *m)
             return 0;
         do {
             if (m->stms
-                && (m->engines[next].issued_count + m->queue_capacity
-                        > m->issued_capacity
-                    || (m->sample_mode == 2
-                        && m->coin_cursor == m->coin_count)))
+                && m->engines[next].issued_count + m->queue_capacity
+                       > m->issued_capacity)
                 return 1;
             step(m, next);
         } while (m->cursors[next] < m->limits[next]
@@ -1483,20 +1541,14 @@ void repro_kernel_finalize(Machine *m, double now)
  * the same order, from the same PCG64 stream, and writes the same
  * records straight into the core's column arrays.  The Python emitters
  * stay the reference (tests/workloads/test_compiled_emitters.py pins
- * the equality); repro.workloads.compiled hands the generator state
- * across and back, and keeps every bulk NumPy draw on the Python side.
+ * the equality).  The generator lives in the context's GenContext for
+ * the whole trace: the set-up's bulk draws (repro_gen_*) step it too.
  * ------------------------------------------------------------------- */
 
-/* PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128). */
-#define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
-                  | 0x4385DF649FCCF645ULL)
-
-/* Keep in sync with repro.sim.library.GenContext: the generator state
- * and the address layout of repro.workloads.base.GeneratorContext. */
+/* Keep in sync with repro.sim.library.GenContext: the generator and
+ * the address layout of repro.workloads.base.GeneratorContext. */
 typedef struct {
-    uint64_t state_lo, state_hi, inc_lo, inc_hi; /* PCG64 LCG */
-    int64_t has_half; /* next_uint32's carried upper half is unread */
-    uint64_t half;
+    Pcg64 rng;
     int64_t hot_base, hot_blocks;
     int64_t scan_base, scan_blocks, scan_cursor;
     int64_t noise_base, noise_span, noise_cursor;
@@ -1547,49 +1599,16 @@ int64_t repro_emit_abi(void)
            | (int64_t)sizeof(Columns) << 48;
 }
 
-/* pcg_setseq_128_xsl_rr_64_random_r: step, then output the new state. */
-static uint64_t next_raw(GenContext *g)
-{
-    unsigned __int128 state =
-        ((unsigned __int128)g->state_hi << 64 | g->state_lo) * PCG_MULT
-        + ((unsigned __int128)g->inc_hi << 64 | g->inc_lo);
-    uint64_t hi = (uint64_t)(state >> 64), lo = (uint64_t)state;
-    unsigned rot = (unsigned)(hi >> 58);
-    uint64_t x = hi ^ lo;
-    g->state_hi = hi;
-    g->state_lo = lo;
-    return (x >> rot) | (x << ((-rot) & 63));
-}
-
-/* rng.random(): the top 53 bits of a raw draw. */
-static double next_double(GenContext *g)
-{
-    return (double)(next_raw(g) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* PCG64's next_uint32 with its carried half-word. */
-static uint32_t next_uint32(GenContext *g)
-{
-    if (g->has_half) {
-        g->has_half = 0;
-        return (uint32_t)g->half;
-    }
-    uint64_t raw = next_raw(g);
-    g->half = raw >> 32;
-    g->has_half = 1;
-    return (uint32_t)raw;
-}
-
 /* rng.integers(0, n) for 1 <= n < 2**32 (GeneratorContext.below). */
-static int64_t below(GenContext *g, uint64_t n)
+static int64_t below(Pcg64 *g, uint64_t n)
 {
     if (n == 1)
         return 0;
-    uint64_t product = (uint64_t)next_uint32(g) * n;
+    uint64_t product = (uint64_t)pcg64_uint32(g) * n;
     if ((product & 0xFFFFFFFFULL) < n) {
         uint64_t threshold = ((1ULL << 32) - n) % n;
         while ((product & 0xFFFFFFFFULL) < threshold)
-            product = (uint64_t)next_uint32(g) * n;
+            product = (uint64_t)pcg64_uint32(g) * n;
     }
     return (int64_t)(product >> 32);
 }
@@ -1628,7 +1647,8 @@ static void put_scan_run(GenContext *g, Columns *c, int64_t length,
 /* bisect_left over the pick CDF (StreamPool.pick). */
 static int64_t pick_stream(GenContext *g, const Activities *a)
 {
-    double u = next_double(g);
+    Pcg64 *r = &g->rng;
+    double u = pcg64_double(r);
     int64_t lo = 0, hi = a->streams;
     while (lo < hi) {
         int64_t mid = lo + (hi - lo) / 2;
@@ -1644,18 +1664,19 @@ static int64_t pick_stream(GenContext *g, const Activities *a)
  * DssGenerator._emit_traversal. */
 static void traverse(GenContext *g, const Activities *a, Columns *c)
 {
+    Pcg64 *r = &g->rng;
     int64_t s = pick_stream(g, a);
     for (int64_t i = a->stream_starts[s]; i < a->stream_starts[s + 1]; i++) {
-        double work = a->work_mean * (0.5 + next_double(g));
-        int dep = next_double(g) < a->stream_dep_p;
-        int write = next_double(g) < a->write_p;
+        double work = a->work_mean * (0.5 + pcg64_double(r));
+        int dep = pcg64_double(r) < a->stream_dep_p;
+        int write = pcg64_double(r) < a->write_p;
         put(c, a->stream_blocks[i], work, dep, write);
-        if (a->interleave && next_double(g) < a->interleave_noise_p) {
+        if (a->interleave && pcg64_double(r) < a->interleave_noise_p) {
             int64_t noise = next_noise(g);
-            work = a->work_mean * (0.5 + next_double(g));
-            put(c, noise, work, next_double(g) < a->noise_dep_p, 0);
+            work = a->work_mean * (0.5 + pcg64_double(r));
+            put(c, noise, work, pcg64_double(r) < a->noise_dep_p, 0);
         }
-        if (next_double(g) < a->truncate_p)
+        if (pcg64_double(r) < a->truncate_p)
             break;
     }
 }
@@ -1666,27 +1687,28 @@ static void traverse(GenContext *g, const Activities *a, Columns *c)
 int64_t repro_emit_activities(GenContext *g, const Activities *a,
                               Columns *c, int64_t records)
 {
+    Pcg64 *r = &g->rng;
     while (c->at < records) {
-        double u = next_double(g);
+        double u = pcg64_double(r);
         int activity = 0; /* bisect_right over the activity CDF */
         while (activity < 4 && a->activity_cdf[activity] <= u)
             activity++;
         if (activity == 0) {
             traverse(g, a, c);
         } else if (activity == 1) {
-            double work = a->scan_work * (0.5 + next_double(g));
+            double work = a->scan_work * (0.5 + pcg64_double(r));
             put_scan_run(g, c, a->scan_run, work, 0);
         } else if (activity == 2) {
-            double work = a->work_mean * (0.5 + next_double(g));
-            int dep = next_double(g) < a->noise_dep_p;
-            int write = next_double(g) < a->write_p;
+            double work = a->work_mean * (0.5 + pcg64_double(r));
+            int dep = pcg64_double(r) < a->noise_dep_p;
+            int write = pcg64_double(r) < a->write_p;
             put(c, next_noise(g), work, dep, write);
         } else {
             for (int64_t i = 0; i < a->hot_run; i++) {
                 int64_t block =
-                    g->hot_base + below(g, (uint64_t)g->hot_blocks);
-                double work = a->hot_work * (0.5 + next_double(g));
-                int write = a->hot_writes && next_double(g) < a->write_p;
+                    g->hot_base + below(r, (uint64_t)g->hot_blocks);
+                double work = a->hot_work * (0.5 + pcg64_double(r));
+                int write = a->hot_writes && pcg64_double(r) < a->write_p;
                 put(c, block, work, 0, write);
             }
         }
@@ -1700,19 +1722,20 @@ int64_t repro_emit_activities(GenContext *g, const Activities *a,
 int64_t repro_emit_iteration(GenContext *g, const Iteration *it,
                              Columns *c)
 {
+    Pcg64 *r = &g->rng;
     for (int64_t i = 0; i < it->length; i++) {
-        double work = it->work_mean * (0.5 + next_double(g));
-        int write = next_double(g) < it->write_p;
+        double work = it->work_mean * (0.5 + pcg64_double(r));
+        int write = pcg64_double(r) < it->write_p;
         put(c, it->blocks[i], work, it->dep[i], write);
-        if (next_double(g) < it->noise_p) {
+        if (pcg64_double(r) < it->noise_p) {
             int64_t noise = next_noise(g);
-            put(c, noise, it->work_mean * (0.5 + next_double(g)), 0, 0);
+            put(c, noise, it->work_mean * (0.5 + pcg64_double(r)), 0, 0);
         }
     }
     for (int64_t remaining = it->sweep_blocks; remaining > 0;) {
         int64_t run = remaining < it->sweep_run ? remaining : it->sweep_run;
-        double work = it->sweep_work * (0.5 + next_double(g));
-        int write = next_double(g) < it->write_p;
+        double work = it->sweep_work * (0.5 + pcg64_double(r));
+        int write = pcg64_double(r) < it->write_p;
         put_scan_run(g, c, run, work, write);
         remaining -= run;
     }
@@ -1748,4 +1771,59 @@ int64_t repro_first_distinct(const int64_t *draw, const int64_t *lengths,
         out += n;
     }
     return count;
+}
+
+/* ---------------------------------------------------------------------
+ * Bulk draws (repro.workloads.compiled.NativeDraws): numpy.random's own
+ * distributions (libnpyrandom, linked in by repro.sim.library) over a
+ * bitgen_t that steps a Pcg64, so each fill returns what the same call
+ * on numpy.random.Generator(PCG64) returns and leaves the same state.
+ * ------------------------------------------------------------------- */
+
+static uint64_t bitgen_uint64(void *st)
+{
+    return pcg64_raw(st);
+}
+
+static uint32_t bitgen_uint32(void *st)
+{
+    return pcg64_uint32(st);
+}
+
+static double bitgen_double(void *st)
+{
+    return pcg64_double(st);
+}
+
+/* numpy's PCG64 bitgen_t: next_uint64 and next_raw are the raw draw. */
+static bitgen_t bitgen(Pcg64 *g)
+{
+    bitgen_t b = {.state = g, .next_uint64 = bitgen_uint64,
+                  .next_uint32 = bitgen_uint32, .next_double = bitgen_double,
+                  .next_raw = bitgen_uint64};
+    return b;
+}
+
+/* Generator.integers(0, n, size) for n >= 1 (int64, Lemire's method). */
+void repro_gen_integers(Pcg64 *g, int64_t n, int64_t size, int64_t *out)
+{
+    bitgen_t b = bitgen(g);
+    random_bounded_uint64_fill(&b, 0, (uint64_t)(n - 1), (intptr_t)size,
+                               false, (uint64_t *)out);
+}
+
+/* Generator.normal(loc, scale, size). */
+void repro_gen_normal(Pcg64 *g, double loc, double scale, int64_t size,
+                      double *out)
+{
+    bitgen_t b = bitgen(g);
+    for (int64_t i = 0; i < size; i++)
+        out[i] = random_normal(&b, loc, scale);
+}
+
+/* Generator.random(size). */
+void repro_gen_random(Pcg64 *g, int64_t size, double *out)
+{
+    bitgen_t b = bitgen(g);
+    random_standard_uniform_fill(&b, (intptr_t)size, out);
 }

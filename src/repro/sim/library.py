@@ -1,25 +1,42 @@
 """The compiled library (``kernel.c``): its C layouts, build and loader.
 
-One C source holds two things: the event kernel behind baseline and
-STMS cells (:mod:`repro.sim.native` drives it) and the trace emitters'
-per-record loops (:mod:`repro.workloads.compiled` drives them).  This
-module builds, caches and loads that library and mirrors its structs,
-and imports no simulator model, so trace generation can load the
-library without loading the machine it will later run on.
+One C source holds three things: the event kernel behind baseline and
+STMS cells (:mod:`repro.sim.native` drives it), the trace emitters'
+per-record loops and the generators' bulk draws
+(:mod:`repro.workloads.compiled` drives them).  This module builds,
+caches and loads that library and mirrors its structs with ctypes, and
+imports neither NumPy nor a simulator model, so a run that generates
+its traces and simulates in the library loads neither.
+
+Randomness: the library steps its own PCG64s (:class:`Pcg64`, seeded
+from :mod:`repro.seeding`): the generators' and the STMS sampler's.
+The bulk draws (``integers``, ``normal``, ``random``) call numpy's own
+distributions from its C API, the static archive
+``numpy/random/lib/libnpyrandom.a`` that NumPy ships, over a
+``bitgen_t`` on that PCG64, so every draw is the one
+``numpy.random.default_rng`` makes.  :func:`npyrandom` finds the
+archive from NumPy's import spec without importing NumPy.  The kernel
+includes the ``bitgen_t`` and the prototypes from the headers that
+ship beside that archive (``numpy/random/distributions.h``, which
+includes ``Python.h``; :func:`_includes`), so a NumPy whose layout or
+signatures differ fails the build instead of drawing wrong values.
 
 Build: the library compiles once per machine with the system ``cc``
 (``-O2 -ffp-contract=off``, no fast-math, so float arithmetic rounds
-exactly as Python's) into ``$XDG_CACHE_HOME/repro-kernels`` (default
-``~/.cache/repro-kernels``), keyed by a digest of the source, the flags
-and the compiler file ``cc`` resolves to (its real path, size and
-modification time), so finding a cached library starts no process.
-The cache sits outside the artifact store, so cold runs against a
-fresh store reuse it.  Concurrent builders
-serialize on a lock file and publish with atomic renames; a library
-that no longer matches its recorded digest is rebuilt, and one whose
-struct layouts differ from the mirrors here is not loaded.  Without a
-compiler, or after a failed build, :func:`load` warns once and returns
-None: baseline and STMS cells then run in the Python batched engine and
+exactly as Python's), against NumPy's and Python's include
+directories, linked with the archive and ``-lm``, into
+``$XDG_CACHE_HOME/repro-kernels`` (default
+``~/.cache/repro-kernels``), keyed by a digest of the source, the
+flags, the compiler file ``cc`` resolves to and the archive (each by
+its real path, size and modification time), so finding a cached
+library starts no process and a NumPy upgrade rebuilds it.  The cache
+sits outside the artifact store, so cold runs against a fresh store
+reuse it.  Concurrent builders serialize on a lock file and publish
+with atomic renames; a library that no longer matches its recorded
+digest is rebuilt, and one whose struct layouts differ from the
+mirrors here is not loaded.  Without a compiler or the archive, or
+after a failed build, :func:`load` warns once and returns None:
+baseline and STMS cells then run in the Python batched engine and
 traces come from the Python emitters, with identical results.
 """
 
@@ -29,20 +46,44 @@ import ctypes
 import fcntl
 import functools
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
 import warnings
 from pathlib import Path
 
-import numpy as np
+from repro.seeding import pcg64_state
 
 SOURCE = Path(__file__).with_name("kernel.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: ``-Werror=incompatible-pointer-types``: a ``bitgen_t`` callback whose
+#: type differs from the linked NumPy's header fails the build.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC",
+         "-Werror=incompatible-pointer-types")
 
 _I = ctypes.c_int64
 _F = ctypes.c_double
 _P = ctypes.c_void_p
+_U64 = (1 << 64) - 1
+
+
+class Pcg64(ctypes.Structure):
+    """Mirror of the kernel's ``Pcg64``: ``numpy.random.PCG64``'s LCG and
+    its ``next_uint32`` carried half-word."""
+
+    _fields_ = [
+        (name, ctypes.c_uint64)
+        for name in ("state_lo", "state_hi", "inc_lo", "inc_hi")
+    ] + [("has_half", _I), ("half", ctypes.c_uint64)]
+
+    @classmethod
+    def seeded(cls, seed: int) -> "Pcg64":
+        """The generator ``numpy.random.PCG64(seed)`` starts as."""
+        state, inc = pcg64_state(seed)
+        return cls(
+            state_lo=state & _U64, state_hi=state >> 64,
+            inc_lo=inc & _U64, inc_hi=inc >> 64,
+        )
 
 
 class Machine(ctypes.Structure):
@@ -101,8 +142,8 @@ class Machine(ctypes.Structure):
             ),
             ("t_pf_dep t_pf_indep pf_backlog_limit", _F),
             ("index_mask tag_mask", _I),
-            ("coins", _P),
-            ("coin_count coin_cursor", _I),
+            ("coin_rng", Pcg64),
+            ("sample_probability", _F),
             (
                 "pf_stats stms_counters sampler index_tags index_ptrs "
                 "index_count index_stats hist_blocks hist_marks "
@@ -121,27 +162,35 @@ class Machine(ctypes.Structure):
     ]
 
 
-#: The kernel's ``Queued``, ``Prefetched`` and ``Engine`` structs (C
-#: alignment), field for field as QueuedAddress, PrefetchedBlock and
-#: StreamEngine.
-QUEUED = np.dtype(
-    [("source_core", "<i8"), ("sequence", "<i8"), ("block", "<i8"),
-     ("marked", "?"), ("ready_at", "<f8")],
-    align=True,
-)
-PREFETCHED = np.dtype(
-    [("block", "<i8"), ("issued_at", "<f8"), ("arrival", "<f8"),
-     ("stream", "<i8")],
-    align=True,
-)
-ENGINE = np.dtype(
-    [(name, "<i8") for name in (
+class Queued(ctypes.Structure):
+    """Mirror of the kernel's ``Queued``, field for field as
+    QueuedAddress."""
+
+    _fields_ = [
+        ("source_core", _I), ("sequence", _I), ("block", _I),
+        ("marked", ctypes.c_bool), ("ready_at", _F),
+    ]
+
+
+class Prefetched(ctypes.Structure):
+    """Mirror of the kernel's ``Prefetched``, field for field as
+    PrefetchedBlock."""
+
+    _fields_ = [
+        ("block", _I), ("issued_at", _F), ("arrival", _F), ("stream", _I),
+    ]
+
+
+class Engine(ctypes.Structure):
+    """Mirror of the kernel's ``Engine``, field for field as
+    StreamEngine."""
+
+    _fields_ = [(name, _I) for name in (
         "serial active source_core next_fetch_sequence consumed_count "
         "queue_head queue_count issued_count has_paused has_last"
-    ).split()]
-    + [("paused_at", QUEUED), ("last_consumed", QUEUED)],
-    align=True,
-)
+    ).split()] + [("paused_at", Queued), ("last_consumed", Queued)]
+
+
 #: Fields per row of the kernel's counter arrays (its ``ST_COUNT``,
 #: ``SS_*``, ``PF_*``... enums), each row in the field order of the
 #: Python counter class it mirrors: CacheStats, MshrStats, StrideStats,
@@ -154,29 +203,22 @@ COUNTERS = {
 }
 #: What the kernel's ``repro_kernel_abi`` returns for these layouts.
 ABI = (
-    ctypes.sizeof(Machine) | ENGINE.itemsize << 16
-    | QUEUED.itemsize << 32 | PREFETCHED.itemsize << 48
+    ctypes.sizeof(Machine) | ctypes.sizeof(Engine) << 16
+    | ctypes.sizeof(Queued) << 32 | ctypes.sizeof(Prefetched) << 48
 )
 
 
 class GenContext(ctypes.Structure):
     """Mirror of the emitters' ``GenContext`` struct: a
-    :class:`~repro.workloads.base.GeneratorContext`'s PCG64 state, with
-    its carried half-word, and its address layout and cursors."""
+    :class:`~repro.workloads.base.GeneratorContext`'s generator, and its
+    address layout and cursors."""
 
-    _fields_ = [
-        (name, kind)
-        for names, kind in (
-            ("state_lo state_hi inc_lo inc_hi", ctypes.c_uint64),
-            ("has_half", _I),
-            ("half", ctypes.c_uint64),
-            (
-                "hot_base hot_blocks scan_base scan_blocks scan_cursor "
-                "noise_base noise_span noise_cursor",
-                _I,
-            ),
-        )
-        for name in names.split()
+    _fields_ = [("rng", Pcg64)] + [
+        (name, _I)
+        for name in (
+            "hot_base hot_blocks scan_base scan_blocks scan_cursor "
+            "noise_base noise_span noise_cursor"
+        ).split()
     ]
 
 
@@ -230,6 +272,18 @@ EMIT_ABI = (
 )
 
 
+def address(buffer) -> int:
+    """The address of a contiguous buffer's first byte (0 when empty):
+    a NumPy array's (read-only ones too), else a writable buffer's
+    (``array.array``, ``bytearray``)."""
+    interface = getattr(buffer, "__array_interface__", None)
+    if interface is not None:
+        return interface["data"][0]
+    if not len(buffer):
+        return 0
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+
+
 class KernelUnavailable(RuntimeError):
     """The kernel could not be built or loaded on this machine."""
 
@@ -242,24 +296,59 @@ def cache_dir() -> Path:
     return Path(base) / "repro-kernels"
 
 
-def _library_path(directory: Path) -> "tuple[Path, str]":
-    """Cache path of the kernel built by this machine's ``cc``.
+def npyrandom() -> "Path | None":
+    """NumPy's static ``libnpyrandom.a`` (its random C API), found from
+    NumPy's import spec without importing it; None when absent."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for location in spec.submodule_search_locations:
+        archive = Path(location, "random", "lib", "libnpyrandom.a")
+        if archive.is_file():
+            return archive
+    return None
 
-    The compiler is identified by the file ``cc`` resolves to, with its
-    size and modification time: an upgraded or swapped compiler gets a
-    new key, and no process is started to tell.
+
+def _includes(archive: Path) -> "list[str]":
+    """``-I`` options for the random C headers that ship with
+    ``archive``'s NumPy (``numpy/random/distributions.h`` includes
+    ``Python.h``), so the kernel compiles against that NumPy's own
+    ``bitgen_t`` and prototypes."""
+    import sysconfig
+
+    root = archive.parents[2]
+    for core in ("_core", "core"):
+        include = root / core / "include"
+        if (include / "numpy" / "random" / "distributions.h").is_file():
+            return ["-I", str(include), "-I", sysconfig.get_paths()["include"]]
+    raise KernelUnavailable(f"no numpy/random headers beside {archive}")
+
+
+def _library_path(directory: Path) -> "tuple[Path, str, Path]":
+    """Cache path of the kernel built by this machine's ``cc`` against
+    NumPy's ``libnpyrandom.a``; the compiler and the archive.
+
+    The compiler and the archive are identified by the files they
+    resolve to, with their sizes and modification times: an upgraded or
+    swapped compiler or NumPy gets a new key, and no process is started
+    to tell.
     """
     cc = shutil.which("cc")
     if cc is None:
         raise KernelUnavailable("no C compiler ('cc') on PATH")
-    compiler = os.path.realpath(cc)
-    info = os.stat(compiler)
+    archive = npyrandom()
+    if archive is None:
+        raise KernelUnavailable("NumPy's libnpyrandom.a not found")
     digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(),
-                 f"{compiler} {info.st_size} {info.st_mtime_ns}".encode()):
-        digest.update(part)
+    digest.update(SOURCE.read_bytes())
+    digest.update(b"\0")
+    digest.update(" ".join(FLAGS).encode())
+    for path in (cc, archive):
+        real = os.path.realpath(path)
+        info = os.stat(real)
         digest.update(b"\0")
-    return directory / f"kernel-{digest.hexdigest()[:16]}.so", cc
+        digest.update(f"{real} {info.st_size} {info.st_mtime_ns}".encode())
+    return directory / f"kernel-{digest.hexdigest()[:16]}.so", cc, archive
 
 
 def _digest_path(path: Path) -> Path:
@@ -287,6 +376,8 @@ def _open(path: Path) -> "ctypes.CDLL | None":
                    lib.repro_kernel_finalize)
         emitters = (lib.repro_emit_activities, lib.repro_emit_iteration)
         distinct = lib.repro_first_distinct
+        draws = (lib.repro_gen_integers, lib.repro_gen_normal,
+                 lib.repro_gen_random)
     except (OSError, AttributeError):
         return None
     for abi, expected in zip(abis, (ABI, EMIT_ABI)):
@@ -310,12 +401,19 @@ def _open(path: Path) -> "ctypes.CDLL | None":
     ]
     distinct.argtypes = [_P, _P, _I, _P, _I, _P]
     activities.restype = iteration.restype = distinct.restype = _I
+    integers, normal, uniform = draws
+    rng = ctypes.POINTER(Pcg64)
+    integers.argtypes = [rng, _I, _I, _P]
+    normal.argtypes = [rng, _F, _F, _I, _P]
+    uniform.argtypes = [rng, _I, _P]
+    integers.restype = normal.restype = uniform.restype = None
     return lib
 
 
-def _compile(cc: str, path: Path) -> None:
-    """Compile the kernel to ``path``; publish it and its digest by
-    atomic renames of private temp files."""
+def _compile(cc: str, archive: Path, path: Path) -> None:
+    """Compile the kernel, linked against ``archive``, to ``path``;
+    publish it and its digest by atomic renames of private temp
+    files."""
     digest_path = _digest_path(path)
     temps = [
         target.with_name(f".{target.name}.{os.getpid()}.tmp")
@@ -323,7 +421,8 @@ def _compile(cc: str, path: Path) -> None:
     ]
     try:
         built = subprocess.run(
-            [cc, *FLAGS, "-o", str(temps[0]), str(SOURCE)],
+            [cc, *FLAGS, *_includes(archive), "-o", str(temps[0]),
+             str(SOURCE), str(archive), "-lm"],
             capture_output=True,
             text=True,
         )
@@ -350,7 +449,7 @@ def build(directory: "Path | None" = None) -> ctypes.CDLL:
     """
     directory = cache_dir() if directory is None else directory
     directory.mkdir(parents=True, exist_ok=True)
-    path, cc = _library_path(directory)
+    path, cc, archive = _library_path(directory)
     lib = _open(path)
     if lib is None:
         with open(path.with_suffix(".lock"), "w") as lock:
@@ -358,7 +457,7 @@ def build(directory: "Path | None" = None) -> ctypes.CDLL:
             # Another process may have published it while we waited.
             lib = _open(path)
             if lib is None:
-                _compile(cc, path)
+                _compile(cc, archive, path)
                 lib = _open(path)
     if lib is None:
         raise KernelUnavailable(f"built kernel {path} does not load")

@@ -12,7 +12,7 @@ and walks records in the same ``(clock, core)`` order, so results are
 bit-identical to the reference (``tests/sim/test_engine_differential.py``
 pins it).  Other temporal prefetchers stay on the Python batched engine.
 
-What is built when: the cell's ``Machine`` struct and its flat NumPy
+What is built when: the cell's ``Machine`` struct and its flat ctypes
 buffers (caches, victim FIFOs, MSHRs, DRAM, stride prefetcher, STMS
 structures, counters) are built at construction from the configuration
 alone (the :class:`~repro.sim.config.SimConfig`, the factory's
@@ -23,21 +23,24 @@ starts in, and serve warm-up, the measurement boundary
 (``repro_kernel_finalize``).  Clocks and cursors come back after each
 phase (with the measured phase's miss log), the accounting after the
 flush, and the result reads the remaining counters from their buffers:
-a kernel cell neither builds nor imports a Python machine model.
-:meth:`NativeRunState.sync` alone builds one
+a kernel cell neither builds nor imports a Python machine model, nor
+NumPy.  The trace's columns are read in place (a generated trace's
+``array.array``/``bytearray`` buffers or NumPy arrays alike).
+:meth:`NativeRunState.sync` alone builds a machine
 (:func:`repro.sim.scalar.build_machine`, on its first call) and unpacks
-the whole kernel machine into it, in the Python objects' dict/list
-order, for state snapshots and
+the whole kernel machine into it through NumPy views of the buffers, in
+the Python objects' dict/list order, for state snapshots and
 :func:`~repro.sim.metrics.check_invariants`.  It never reads the derived
 lookup state the kernel alone keeps, built zeroed: a residency byte per
 index bucket, and per core the prefetch buffer's current-stream count
 and its block count per bin of ``block & 255``.
 
 An STMS miss hashes to its index bucket and tag as it happens, from the
-masks :meth:`NativeRunState._build_stms` sets.  The sampler's coins come
-from a :class:`~repro.core.sampling.ProbabilisticSampler` seeded as the
-model's own, a batch at a time as the kernel asks; ``sync`` rebuilds the
-model's sampler from the flip count (:func:`_sampler_after`).
+masks :meth:`NativeRunState._build_stms` sets.  The kernel flips the
+sampler's coins from a PCG64 of its own (``Machine.coin_rng``), seeded
+as :class:`~repro.core.sampling.ProbabilisticSampler` seeds the model's
+generator; ``sync`` rebuilds the model's sampler from the flip count
+(:func:`_sampler_after`).
 
 Build and load: :mod:`repro.sim.library` compiles ``kernel.c`` once per
 machine, caches it and loads it (:func:`~repro.sim.library.load`); the
@@ -49,12 +52,11 @@ the caller falls back to the Python batched engine.
 from __future__ import annotations
 
 import ctypes
+from array import array
 from dataclasses import fields
-
-import numpy as np
+from itertools import accumulate
 
 from repro.core.codec import HISTORY_ENTRIES_PER_BLOCK, history_capacity
-from repro.core.sampling import ProbabilisticSampler
 from repro.memory.config import Priority, TrafficCategory
 from repro.prefetchers.params import (
     STRIDE_BACKLOG_ACCESSES,
@@ -71,16 +73,18 @@ from repro.sim.config import SimConfig, kernel_cell
 from repro.sim.engine import _RunState
 from repro.sim.library import (
     COUNTERS,
-    ENGINE,
-    PREFETCHED,
-    QUEUED,
+    Engine,
     KernelUnavailable,
     Machine,
+    Pcg64,
+    Prefetched,
+    Queued,
+    address,
     load,
 )
 from repro.sim.metrics import stms_transfer_counts
 from repro.sim.results import CoverageCounts
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, as_numpy
 
 
 class NativeRunState(_RunState):
@@ -88,7 +92,7 @@ class NativeRunState(_RunState):
 
     __slots__ = (
         "_lib", "_factory", "_columns", "_work_f64", "_machine", "_buffers",
-        "_coins", "_boundary",
+        "_boundary",
     )
 
     def __init__(
@@ -106,32 +110,27 @@ class NativeRunState(_RunState):
         self._lib = lib
         self._factory = temporal_factory
         # float32 work widens exactly in the kernel; anything else is
-        # handed over as float64 (exact for every float32/int value).
-        self._work_f64 = any(
-            np.asarray(w).dtype != np.float32 for w in trace.work
+        # copied to float64 (exact for every float32/int value).
+        self._work_f64 = not all(
+            _in_place(w, _KINDS["work"]) for w in trace.work
         )
+        kinds = dict(_KINDS, work=_WORK_F64) if self._work_f64 else _KINDS
         columns = {
-            "blocks": _columns(trace.blocks, np.int64),
-            "work": _columns(
-                trace.work, np.float64 if self._work_f64 else np.float32
-            ),
-            "dep": _columns(trace.dep, np.uint8),
-            "write": _columns(trace.write, np.uint8),
+            name: [_column(c, kind) for c in getattr(trace, name)]
+            for name, kind in kinds.items()
         }
-        #: Per-core column arrays (kept alive while the kernel reads
+        #: Per-core column buffers (kept alive while the kernel reads
         #: them) and the pointer tables the kernel indexes by core.
         self._columns = (
             columns,
             {
-                name: np.array([a.ctypes.data for a in arrays], np.uintp)
+                name: (_P * len(arrays))(*map(address, arrays))
                 for name, arrays in columns.items()
             },
         )
-        self._buffers: "dict[str, np.ndarray]" = {}
-        #: The sampler the coins come from (sampled STMS cells only).
-        self._coins: "ProbabilisticSampler | None" = None
+        self._buffers: "dict[str, ctypes.Array]" = {}
         #: The STMS structures' stats at the measurement boundary.
-        self._boundary: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._boundary: "tuple[list, list] | None" = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -154,32 +153,32 @@ class NativeRunState(_RunState):
         victim_slots = l1_cores * max(0, victims)
         b = dict(
             self._columns[1],
-            low_priority=np.array(
-                [p is Priority.LOW for p in self.demand_priority], np.uint8
+            low_priority=(_U8 * cores)(
+                *[p is Priority.LOW for p in self.demand_priority]
             ),
-            limits=np.zeros(cores, np.int64),
-            clocks=np.zeros(cores),
-            cursors=np.zeros(cores, np.int64),
-            l1_tags=np.zeros(l1_slots, np.int64),
-            l1_dirty=np.zeros(l1_slots, np.uint8),
-            l1_count=np.zeros(l1_cores * l1.sets, np.int64),
+            limits=_zeros(_I, cores),
+            clocks=_zeros(_F, cores),
+            cursors=_zeros(_I, cores),
+            l1_tags=_zeros(_I, l1_slots),
+            l1_dirty=_zeros(_U8, l1_slots),
+            l1_count=_zeros(_I, l1_cores * l1.sets),
             l1_stats=_counters("l1_stats", l1_cores),
-            victim_blocks=np.zeros(victim_slots, np.int64),
-            victim_dirty=np.zeros(victim_slots, np.uint8),
-            victim_count=np.zeros(l1_cores, np.int64),
-            victim_hits=np.zeros(l1_cores, np.int64),
-            l2_tags=np.zeros(l2_slots, np.int64),
-            l2_dirty=np.zeros(l2_slots, np.uint8),
-            l2_count=np.zeros(l2.sets, np.int64),
+            victim_blocks=_zeros(_I, victim_slots),
+            victim_dirty=_zeros(_U8, victim_slots),
+            victim_count=_zeros(_I, l1_cores),
+            victim_hits=_zeros(_I, l1_cores),
+            l2_tags=_zeros(_I, l2_slots),
+            l2_dirty=_zeros(_U8, l2_slots),
+            l2_count=_zeros(_I, l2.sets),
             l2_stats=_counters("l2_stats"),
-            mshr_blocks=np.zeros(mshrs, np.int64),
-            mshr_complete=np.zeros(mshrs),
-            mshr_waiters=np.zeros(mshrs, np.int64),
+            mshr_blocks=_zeros(_I, mshrs),
+            mshr_complete=_zeros(_F, mshrs),
+            mshr_waiters=_zeros(_I, mshrs),
             mshr_stats=_counters("mshr_stats"),
-            window=np.zeros(cores * window),
-            window_count=np.zeros(cores, np.int64),
-            traffic=np.zeros(len(_CATEGORIES), np.int64),
-            core_traffic=np.zeros(cores * len(_CATEGORIES), np.int64),
+            window=_zeros(_F, cores * window),
+            window_count=_zeros(_I, cores),
+            traffic=_zeros(_I, len(_CATEGORIES)),
+            core_traffic=_zeros(_I, cores * len(_CATEGORIES)),
             coverage=_counters("coverage"),
             core_coverage=_counters("core_coverage", cores),
         )
@@ -188,11 +187,11 @@ class NativeRunState(_RunState):
         scalars = {}
         if config.use_stride:
             b.update(
-                tracker=np.zeros(cores * STRIDE_TRACKER_ENTRIES * 4, np.int64),
-                tracker_count=np.zeros(cores, np.int64),
-                sbuf_blocks=np.zeros(cores * STRIDE_BUFFER_BLOCKS, np.int64),
-                sbuf_times=np.zeros(cores * STRIDE_BUFFER_BLOCKS * 2),
-                sbuf_count=np.zeros(cores, np.int64),
+                tracker=_zeros(_I, cores * STRIDE_TRACKER_ENTRIES * 4),
+                tracker_count=_zeros(_I, cores),
+                sbuf_blocks=_zeros(_I, cores * STRIDE_BUFFER_BLOCKS),
+                sbuf_times=_zeros(_F, cores * STRIDE_BUFFER_BLOCKS * 2),
+                sbuf_count=_zeros(_I, cores),
                 stride_stats=_counters("stride_stats"),
             )
             scalars.update(
@@ -207,13 +206,14 @@ class NativeRunState(_RunState):
                 ),
             )
         if self.mlp is not None:
-            mlp = np.zeros((cores, 4))
-            mlp[:, 2:] = -1.0  # no current interval
-            b["mlp"] = mlp.reshape(-1)
-            b["mlp_count"] = np.zeros(cores, np.int64)
+            mlp = _zeros(_F, cores * 4)
+            # No current interval: start and end at -1.
+            mlp[2::4] = mlp[3::4] = [-1.0] * cores
+            b["mlp"] = mlp
+            b["mlp_count"] = _zeros(_I, cores)
         if self.miss_log is not None:
             # Each phase hands in its own log (_run_until).
-            b["miss_log_count"] = np.zeros(cores, np.int64)
+            b["miss_log_count"] = _zeros(_I, cores)
         if self._factory is not None:
             scalars.update(self._build_stms(b))
 
@@ -255,47 +255,46 @@ class NativeRunState(_RunState):
         residents = config.bucket_buffer_entries
         queue_width = config.address_queue_entries
         buffer_width = config.prefetch_buffer_blocks
-        engines = np.zeros(cores, dtype=ENGINE)
-        engines["source_core"] = -1
+        engines = _zeros(Engine, cores)
+        for engine in engines:
+            engine.source_core = -1
         b.update(
             pf_stats=_counters("pf_stats"),
             stms_counters=_counters("stms_counters"),
             sampler=_counters("sampler"),
-            index_tags=np.zeros(buckets * width, np.int64),
-            index_ptrs=np.zeros(buckets * width * 2, np.int64),
-            index_count=np.zeros(buckets, np.int64),
+            index_tags=_zeros(_I, buckets * width),
+            index_ptrs=_zeros(_I, buckets * width * 2),
+            index_count=_zeros(_I, buckets),
             index_stats=_counters("index_stats"),
-            hist_blocks=np.zeros(cores * history, np.int64),
-            hist_marks=np.zeros(cores * history, np.uint8),
-            hist_pend_blocks=np.zeros(pending, np.int64),
-            hist_pend_marks=np.zeros(pending, np.uint8),
-            hist_pend_count=np.zeros(cores, np.int64),
-            hist_head=np.zeros(cores, np.int64),
+            hist_blocks=_zeros(_I, cores * history),
+            hist_marks=_zeros(_U8, cores * history),
+            hist_pend_blocks=_zeros(_I, pending),
+            hist_pend_marks=_zeros(_U8, pending),
+            hist_pend_count=_zeros(_I, cores),
+            hist_head=_zeros(_I, cores),
             hist_stats=_counters("hist_stats", cores),
-            bb_buckets=np.zeros(residents, np.int64),
-            bb_dirty=np.zeros(residents, np.uint8),
-            bb_core=np.zeros(residents, np.int64),
+            bb_buckets=_zeros(_I, residents),
+            bb_dirty=_zeros(_U8, residents),
+            bb_core=_zeros(_I, residents),
             bb_stats=_counters("bb_stats"),
             engines=engines,
-            queues=np.zeros(cores * queue_width, dtype=QUEUED),
+            queues=_zeros(Queued, cores * queue_width),
             # Issued maps are unbounded: the kernel stops before a
             # record that could overflow one, and _run_until doubles
             # the room.
-            issued=np.zeros(cores * queue_width, dtype=QUEUED),
-            pbuf=np.zeros(cores * buffer_width, dtype=PREFETCHED),
-            pbuf_count=np.zeros(cores, np.int64),
+            issued=_zeros(Queued, cores * queue_width),
+            pbuf=_zeros(Prefetched, cores * buffer_width),
+            pbuf_count=_zeros(_I, cores),
             # Derived lookup state: the kernel keeps it, sync never reads
             # it.  int32 bin counts hold any prefetch_buffer_blocks.
-            bb_member=np.zeros(buckets, np.uint8),
-            pbuf_inflight=np.zeros(cores, np.int64),
-            pbuf_filter=np.zeros(cores * _PBUF_BINS, np.int32),
+            bb_member=_zeros(_U8, buckets),
+            pbuf_inflight=_zeros(_I, cores),
+            pbuf_filter=_zeros(ctypes.c_int32, cores * _PBUF_BINS),
         )
         probability = config.sampling_probability
         sample_mode = (
             1 if probability >= 1.0 else 0 if probability <= 0.0 else 2
         )
-        if sample_mode == 2:
-            self._coins = ProbabilisticSampler(probability, seed=config.seed)
         return dict(
             stms=1,
             history_capacity=history,
@@ -307,6 +306,9 @@ class NativeRunState(_RunState):
             refill_threshold=config.queue_refill_threshold,
             annotate=config.annotate_stream_ends,
             sample_mode=sample_mode,
+            # The coins ProbabilisticSampler(seed=config.seed) flips.
+            coin_rng=Pcg64.seeded(config.seed),
+            sample_probability=probability,
             issued_capacity=queue_width,
             pf_backlog_limit=backlog_limit(
                 TEMPORAL_BACKLOG_ACCESSES, self.config.dram
@@ -317,20 +319,18 @@ class NativeRunState(_RunState):
             ),
         )
 
-    def _hand_over(self, **arrays: np.ndarray) -> None:
+    def _hand_over(self, **buffers: ctypes.Array) -> None:
         """Point the machine at new buffers (kept alive in ``_buffers``)."""
-        for name, array in arrays.items():
-            if not array.flags.c_contiguous:
-                raise ValueError(f"kernel buffer {name} is not contiguous")
-            self._buffers[name] = array
-            setattr(self._machine, name, array.ctypes.data)
+        for name, buffer in buffers.items():
+            self._buffers[name] = buffer
+            setattr(self._machine, name, ctypes.addressof(buffer))
 
     def _reset_machine(self) -> None:
         """The measurement boundary in C; the STMS structures' stats,
         which it keeps, are noted for the conservation oracle."""
         if self._factory is not None:
             b = self._buffers
-            self._boundary = (b["bb_stats"].copy(), b["hist_stats"].copy())
+            self._boundary = (b["bb_stats"][:], b["hist_stats"][:])
         self._lib.repro_kernel_reset(ctypes.byref(self._machine))
 
     def _finalize(self, end: float) -> None:
@@ -341,12 +341,12 @@ class NativeRunState(_RunState):
     def _machine_counts(self):
         b, m = self._buffers, self._machine
         return (
-            sum(b["l1_stats"].tolist()[_HITS::COUNTERS["l1_stats"]]),
-            sum(b["victim_hits"].tolist()),
-            b["l2_stats"].tolist()[_HITS],
+            sum(b["l1_stats"][_HITS::COUNTERS["l1_stats"]]),
+            sum(b["victim_hits"]),
+            b["l2_stats"][_HITS],
             m.dram_busy_cycles,
             (
-                PrefetcherStats(*b["pf_stats"].tolist())
+                PrefetcherStats(*b["pf_stats"])
                 if self._factory is not None
                 else None
             ),
@@ -354,42 +354,42 @@ class NativeRunState(_RunState):
 
     def _run_until(self, limits: "list[int]") -> None:
         machine, buffers = self._machine, self._buffers
+        cores = self.trace.cores
         buffers["limits"][:] = limits
         log = self.miss_log
         if log is not None:
             # Room for every record of the phase to miss, per core.
-            room = np.maximum(buffers["limits"] - buffers["cursors"], 0)
-            room *= machine.measuring
-            buffers["miss_log_count"][:] = 0
+            room = [
+                max(limit - cursor, 0) * machine.measuring
+                for limit, cursor in zip(limits, buffers["cursors"])
+            ]
+            buffers["miss_log_count"][:] = [0] * cores
             self._hand_over(
-                miss_log=np.zeros(int(room.sum()), dtype=np.int64),
-                miss_log_base=np.cumsum(room) - room,
+                miss_log=_zeros(_I, sum(room)),
+                miss_log_base=(_I * cores)(*accumulate(room[:-1], initial=0)),
             )
         while self._lib.repro_kernel_run(ctypes.byref(machine)):
-            if (machine.sample_mode == 2
-                    and machine.coin_cursor == machine.coin_count):
-                # The next record could flip a coin: hand in the
-                # sampler's next batch.
-                self._hand_over(coins=self._coins.draw().view(np.uint8))
-                machine.coin_count = len(buffers["coins"])
-                machine.coin_cursor = 0
-                continue
             # The next record could outgrow a stream engine's issued
             # map: double its room.
             width = machine.issued_capacity
-            grown = np.zeros((self.trace.cores, 2 * width), dtype=QUEUED)
-            grown[:, :width] = buffers["issued"].reshape(-1, width)
-            self._hand_over(issued=grown.reshape(-1))
+            row = width * ctypes.sizeof(Queued)
+            issued = buffers["issued"]
+            grown = _zeros(Queued, cores * 2 * width)
+            for core in range(cores):
+                ctypes.memmove(
+                    ctypes.addressof(grown) + 2 * row * core,
+                    ctypes.addressof(issued) + row * core, row,
+                )
+            self._hand_over(issued=grown)
             machine.issued_capacity = 2 * width
-        cores = self.trace.cores
-        self.clocks[:] = buffers["clocks"].tolist()[:cores]
-        self.cursors[:] = buffers["cursors"].tolist()[:cores]
+        self.clocks[:] = buffers["clocks"][:cores]
+        self.cursors[:] = buffers["cursors"][:cores]
         if log is not None:
             entries = buffers["miss_log"]
-            bases = buffers["miss_log_base"].tolist()
-            for core, n in enumerate(buffers["miss_log_count"].tolist()):
+            bases = buffers["miss_log_base"]
+            for core, n in enumerate(buffers["miss_log_count"]):
                 base = bases[core]
-                log[core].extend(entries[base:base + n].tolist())
+                log[core].extend(entries[base:base + n])
 
     def _collect(self) -> None:
         """Copy the kernel's accounting into the run state's: measured
@@ -397,20 +397,20 @@ class NativeRunState(_RunState):
         b, cores = self._buffers, self.trace.cores
         self.measured_records = self._machine.measured_records
         traffic = self.traffic
-        traffic._bytes.update(zip(_CATEGORIES, b["traffic"].tolist()))
-        core_traffic = b["core_traffic"].reshape(cores, -1).tolist()
+        traffic._bytes.update(zip(_CATEGORIES, b["traffic"]))
+        width = len(_CATEGORIES)
+        core_traffic = b["core_traffic"]
         for core in range(cores):
-            traffic._core_bytes[core].update(
-                zip(_CATEGORIES, core_traffic[core])
-            )
-        self.coverage = CoverageCounts(*b["coverage"].tolist())
-        self.core_coverage = _rows(CoverageCounts, b["core_coverage"])
+            traffic._core_bytes[core].update(zip(
+                _CATEGORIES, core_traffic[core * width:(core + 1) * width]
+            ))
+        self.coverage = CoverageCounts(*b["coverage"])
+        self.core_coverage = _rows(CoverageCounts, b["core_coverage"][:])
         if self.mlp is not None:
-            mlp = b["mlp"].reshape(-1, 4).tolist()
-            counts = b["mlp_count"].tolist()
+            mlp, counts = b["mlp"], b["mlp_count"]
             for core, acc in enumerate(self.mlp._accumulators):
                 acc.total, acc.union, acc._current_start, acc._current_end = (
-                    mlp[core]
+                    mlp[4 * core:4 * core + 4]
                 )
                 acc.count = counts[core]
 
@@ -426,10 +426,22 @@ class NativeRunState(_RunState):
 
             build_machine(self, self._factory)
         self._collect()
-        self._unpack(self._machine, self._buffers)
+        self._unpack(self._machine, self._arrays())
+
+    def _arrays(self) -> dict:
+        """NumPy views of the machine's buffers, by name."""
+        import numpy as np
+
+        return {
+            name: np.frombuffer(buffer, np.dtype(buffer._type_))
+            for name, buffer in self._buffers.items()
+        }
 
     def _unpack(self, m: Machine, b: dict) -> None:
-        """Rebuild every Python machine object from the kernel's."""
+        """Rebuild every Python machine object from the kernel's, whose
+        buffers ``b`` views as NumPy arrays."""
+        import numpy as np
+
         from repro.memory.cache import CacheStats
         from repro.memory.dram import DramStats
         from repro.memory.mshr import MshrEntry, MshrStats
@@ -439,11 +451,12 @@ class NativeRunState(_RunState):
         hier, cores = self.hierarchy, self.trace.cores
         hier.demand_accesses = m.demand_accesses
         hier.off_chip_reads = m.off_chip_reads
-        for l1, stats in zip(hier.l1s, _rows(CacheStats, b["l1_stats"])):
+        l1_stats = _rows(CacheStats, b["l1_stats"].tolist())
+        for l1, stats in zip(hier.l1s, l1_stats):
             l1.stats = stats
         for victim, hits in zip(hier.victims, b["victim_hits"].tolist()):
             victim.hits = hits
-        (hier.l2.stats,) = _rows(CacheStats, b["l2_stats"])
+        (hier.l2.stats,) = _rows(CacheStats, b["l2_stats"].tolist())
         _unpack_ordered([s for l1 in hier.l1s for s in l1._sets],
                         b["l1_tags"], b["l1_dirty"].astype(bool),
                         b["l1_count"], hier.l1s[0].config.ways)
@@ -460,7 +473,7 @@ class NativeRunState(_RunState):
                         hier.l2.config.ways)
 
         mshrs = self.mshrs
-        (mshrs.stats,) = _rows(MshrStats, b["mshr_stats"])
+        (mshrs.stats,) = _rows(MshrStats, b["mshr_stats"].tolist())
         count = m.mshr_count
         mshrs._entries.clear()
         for block, complete, waiters in zip(
@@ -493,7 +506,7 @@ class NativeRunState(_RunState):
 
         stride = self.stride
         if stride is not None:
-            (stride.stats,) = _rows(StrideStats, b["stride_stats"])
+            (stride.stats,) = _rows(StrideStats, b["stride_stats"].tolist())
             tracker = b["tracker"].reshape(-1, 4)
             _unpack_ordered(stride._trackers, tracker[:, 0], tracker[:, 1:],
                             b["tracker_count"], stride.tracker_entries)
@@ -531,14 +544,16 @@ class NativeRunState(_RunState):
             ):
                 history.stats = stats
             self.measure_counters = stms_transfer_counts(stms)
-        (stms.stats,) = _rows(PrefetcherStats, b["pf_stats"])
-        (stms.counters,) = _rows(StmsCounters, b["stms_counters"])
-        (stms.index.stats,) = _rows(IndexStats, b["index_stats"])
+        (stms.stats,) = _rows(PrefetcherStats, b["pf_stats"].tolist())
+        (stms.counters,) = _rows(StmsCounters, b["stms_counters"].tolist())
+        (stms.index.stats,) = _rows(IndexStats, b["index_stats"].tolist())
         for history, stats in zip(
-            stms.histories, _rows(HistoryStats, b["hist_stats"])
+            stms.histories, _rows(HistoryStats, b["hist_stats"].tolist())
         ):
             history.stats = stats
-        (stms.bucket_buffer.stats,) = _rows(BucketBufferStats, b["bb_stats"])
+        (stms.bucket_buffer.stats,) = _rows(
+            BucketBufferStats, b["bb_stats"].tolist()
+        )
 
         stms.sampler = _sampler_after(
             stms.config.sampling_probability, stms.config.seed,
@@ -584,6 +599,8 @@ class NativeRunState(_RunState):
             bucket_buffer._resident[bucket] = dirty
             if dirty:
                 bucket_buffer._dirty_core[bucket] = owner
+
+        import numpy as np
 
         queue_width = stms.config.address_queue_entries
         issued_width = m.issued_capacity
@@ -633,35 +650,71 @@ _CATEGORIES = tuple(TrafficCategory)
 _HITS = 0
 
 
-def _columns(arrays, dtype) -> "list[np.ndarray]":
-    """Per-core trace arrays in the kernel's dtype: the trace's own
-    arrays (no copy) when they already have it."""
-    columns = []
-    for array in arrays:
-        array = np.asarray(array)
-        if array.dtype == np.bool_ and dtype == np.uint8:
-            array = array.view(np.uint8)
-        columns.append(np.ascontiguousarray(array, dtype=dtype))
-    return columns
+_I = ctypes.c_int64
+_F = ctypes.c_double
+_U8 = ctypes.c_uint8
+_P = ctypes.c_void_p
+#: Per column, the buffer formats (``memoryview.format``) the kernel
+#: reads in place, their width in bytes, and the ``array`` typecode it
+#: copies any other column to: int64 blocks (NumPy's int64 is ``l``),
+#: float32 work, and bool or byte flags.
+_KINDS = {
+    "blocks": (("q", "l"), 8, "q"),
+    "work": (("f",), 4, "f"),
+    "dep": (("?", "B"), 1, "B"),
+    "write": (("?", "B"), 1, "B"),
+}
+#: Work of a trace whose work is not all float32.
+_WORK_F64 = (("d",), 8, "d")
 
 
-def _counters(name: str, rows: int = 1) -> np.ndarray:
+def _in_place(column, kind: tuple) -> bool:
+    """Whether the kernel can read ``column`` where it is: a contiguous
+    buffer of ``kind``'s element type."""
+    formats, width, _ = kind
+    try:
+        view = memoryview(column)
+    except TypeError:
+        return False
+    return (
+        view.c_contiguous and view.format in formats
+        and view.itemsize == width
+    )
+
+
+def _column(column, kind: tuple):
+    """One core's column as the kernel reads it: the trace's own buffer
+    (no copy) when it already has ``kind``'s type, else a copy."""
+    if _in_place(column, kind):
+        return column
+    return array(kind[2], as_numpy(column).tolist())
+
+
+def _zeros(kind, count: int) -> ctypes.Array:
+    """A zeroed C array of ``count`` ``kind`` elements."""
+    return (kind * count)()
+
+
+def _counters(name: str, rows: int = 1) -> ctypes.Array:
     """Zeroed rows of the kernel counter array ``name``."""
-    return np.zeros(rows * COUNTERS[name], np.int64)
+    return _zeros(_I, rows * COUNTERS[name])
 
 
-def _rows(cls, array: np.ndarray) -> list:
-    """One ``cls`` counter object per row of a kernel counter array."""
-    width, values = len(fields(cls)), array.tolist()
+def _rows(cls, values: list) -> list:
+    """One ``cls`` counter object per row of a kernel counter array's
+    values."""
+    width = len(fields(cls))
     return [cls(*values[i:i + width]) for i in range(0, len(values), width)]
 
 
 def _sampler_after(
     probability: float, seed: int, flips: int, accepted: int
-) -> ProbabilisticSampler:
+) -> "ProbabilisticSampler":
     """The sampler the per-flip path leaves after ``flips`` flips,
     ``accepted`` of them accepted: its generator has drawn a batch at
     the first flip past each full one, and the cursor sits in the last."""
+    from repro.core.sampling import ProbabilisticSampler
+
     sampler = ProbabilisticSampler(probability, seed=seed)
     sampler.flips, sampler.accepted = flips, accepted
     if 0.0 < probability < 1.0 and flips:

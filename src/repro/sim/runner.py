@@ -48,7 +48,7 @@ from repro.sim.session import (
     trace_recipe_key,
 )
 from repro.sim.store import TraceRef, trace_digest
-from repro.workloads.scales import ScalePreset, get_scale
+from repro.workloads.scales import ScalePreset, get_scale, is_mix
 
 if TYPE_CHECKING:
     from repro.sim.engine import TemporalFactory
@@ -548,7 +548,9 @@ def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
     return False
 
 
-def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
+def _preload_workers(
+    jobs: "list[SimJob]", generates: bool, loads: bool
+) -> None:
     """Import what the workers of ``jobs`` run before the pool forks.
 
     A forked worker inherits every module the parent has imported; any
@@ -558,12 +560,20 @@ def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
     ``generates``: a worker may generate its trace), and imports the
     engine each cell runs in: the kernel's driver for the cells the
     loaded library steps, the Python batch engine for the rest, and
-    the scalar reference for every cell when it is selected.
+    the scalar reference for every cell when it is selected.  NumPy is
+    left out only when every worker generates its trace in the library
+    and none assembles a mix; a worker that reads a stored trace or
+    attaches a shared one (``loads``), assembles a mix, or draws without
+    the library (the Python emitters) uses it.
     """
     from repro.sim import sweep  # noqa: F401
     from repro.workloads import suite  # noqa: F401
 
     loaded = _preload_kernel(jobs, generates)
+    if generates and not loaded:
+        from repro.workloads import reference  # noqa: F401
+    elif loads or (generates and any(is_mix(job.workload) for job in jobs)):
+        import numpy  # noqa: F401
     engine = resolve_engine("auto")
     for kind in {job.kind for job in jobs}:
         # make_factory imports the kind's prefetcher model; an STMS
@@ -724,7 +734,7 @@ class ExperimentRunner:
                         exports += 1
             # A shard with no exported trace acquires its own: from the
             # store when it holds the trace, else by generating it.
-            generates = any(
+            generating = [
                 trace_key not in payloads
                 and (
                     store is None
@@ -733,10 +743,11 @@ class ExperimentRunner:
                     )
                 )
                 for trace_key, _ in shards
-            )
+            ]
             _preload_workers(
                 [jobs[i] for _, indices in shards for i in indices],
-                generates,
+                generates=any(generating),
+                loads=not all(generating),
             )
             try:
                 # Every worker runs on the caller's session: the

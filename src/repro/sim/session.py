@@ -322,8 +322,10 @@ class SimSession:
         configuration that ``temporal_factory`` builds (the runner
         passes the prefetcher kind plus its full parameterization); two
         calls with equal keys must request equivalent simulations.  A
-        caller that has built the :meth:`result_key` already passes it
-        as ``key`` instead.
+        caller that has built the :meth:`result_key` and probed both
+        tiers with it (:func:`~repro.sim.sweep.run_sweep`) passes it as
+        ``key`` instead: only the memory tier is probed again, where an
+        equal cell simulated since then left its result.
         """
         from repro.sim.engine import Simulator
 
@@ -333,8 +335,11 @@ class SimSession:
             key = self.result_key(
                 trace.fingerprint(), sim_config, temporal_key, label
             )
-        if key is not None:
             cached = self.lookup_result(key)
+            if cached is not None:
+                return cached
+        else:
+            cached = self._recall(key)
             if cached is not None:
                 return cached
         with self._lock:
@@ -373,12 +378,9 @@ class SimSession:
         """
         if not self.enabled:
             return None
-        with self._lock:
-            cached = self._results.get(key)
-            if cached is not None:
-                self.stats.sim_hits += 1
-                self._results.move_to_end(key)
-                return cached
+        cached = self._recall(key)
+        if cached is not None:
+            return cached
         if self.store is not None:
             loaded = self.store.load_result(result_digest(key))
             if loaded is not None:
@@ -387,6 +389,15 @@ class SimSession:
                     self._remember(key, loaded)
                 return loaded
         return None
+
+    def _recall(self, key: tuple) -> "SimResult | None":
+        """The memory tier's result for ``key`` (a hit counts)."""
+        with self._lock:
+            cached = self._results.get(key)
+            if cached is not None:
+                self.stats.sim_hits += 1
+                self._results.move_to_end(key)
+            return cached
 
     def _remember(self, key: tuple, result: SimResult) -> None:
         """Admit a result to the memory tier, evicting LRU past the cap."""

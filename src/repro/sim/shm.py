@@ -8,7 +8,7 @@ workers — that re-read multiplies with the worker count while the
 underlying bytes are identical everywhere.
 
 This module separates the data plane from the compute plane: the parent
-exports a trace's NumPy columns into one
+exports a trace's columns into one
 ``multiprocessing.shared_memory`` segment per sharded trace group.
 Workers attach the segment and build **read-only ndarray views** over
 it — zero bytes copied, however many shards the grid splits into.
@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.envknobs import shm_plane_enabled
 
@@ -149,14 +147,16 @@ class TracePlane:
         """
         if _shared_memory is None:  # pragma: no cover - platform dependent
             return None
-        arrays = [np.ascontiguousarray(c) for c in trace.columns()]
+        from repro.workloads.trace import column_dtype, contiguous
+
+        arrays = [contiguous(c) for c in trace.columns()]
         columns: "list[ArraySpec]" = []
         offset = 0
         for array in arrays:
             columns.append(
-                ArraySpec(str(array.dtype), tuple(array.shape), offset)
+                ArraySpec(column_dtype(array)[0], (len(array),), offset)
             )
-            offset += -(-array.nbytes // _ALIGN) * _ALIGN
+            offset += -(-memoryview(array).nbytes // _ALIGN) * _ALIGN
         try:
             segment = _shared_memory.SharedMemory(
                 create=True, size=max(offset, 1)
@@ -164,13 +164,8 @@ class TracePlane:
         except (OSError, ValueError):
             return None
         for spec, array in zip(columns, arrays):
-            view = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=segment.buf,
-                offset=spec.offset,
-            )
-            view[...] = array
+            data = memoryview(array).cast("B")
+            segment.buf[spec.offset:spec.offset + len(data)] = data
         _OWNED[segment.name] = segment
         self._names.append(segment.name)
         return TracePayload(
@@ -193,6 +188,8 @@ def attach(payload: TracePayload):
     """
     if _shared_memory is None:  # pragma: no cover - platform dependent
         return None
+    import numpy as np
+
     from repro.workloads.trace import Trace
 
     try:

@@ -223,14 +223,20 @@ def write_trace_file(
     The layout: the header's length as 8 little-endian bytes; a JSON
     header holding ``metadata``, ``fingerprint`` and one ``[dtype,
     length]`` per column, space-padded to 8 bytes; then each column's
-    raw bytes, zero-padded to 8.  ``columns`` are contiguous 1-D arrays,
-    streamed to the file without being joined first.
+    raw bytes, zero-padded to 8.  ``columns`` are contiguous 1-D
+    buffers (NumPy arrays, or a generated trace's ``array.array`` and
+    ``bytearray`` columns; ``column_dtype`` names their type), streamed
+    to the file without being joined first.
     """
+    from repro.workloads.trace import column_dtype
+
     header = json.dumps(
         {
             "trace": metadata,
             "fingerprint": fingerprint,
-            "columns": [[column.dtype.str, len(column)] for column in columns],
+            "columns": [
+                [column_dtype(column)[1], len(column)] for column in columns
+            ],
         },
         default=_json_default,
     ).encode()
@@ -241,7 +247,7 @@ def write_trace_file(
         yield header
         for column in columns:
             yield column
-            yield bytes(-column.nbytes % _TRACE_ALIGN)
+            yield bytes(-memoryview(column).nbytes % _TRACE_ALIGN)
 
     atomic_write(path, chunks())
 
@@ -273,10 +279,12 @@ def read_trace_file(path: str) -> "tuple[dict, str, list]":
     view into it at an 8-byte-aligned offset.  Raises ValueError when
     the file's size disagrees with the columns its header lists.
     """
-    import numpy as np
-
     with open(path, "rb") as handle:
         header = _read_header(handle)
+        # Only a file that exists needs NumPy: a cold run's probe of a
+        # trace it has not written yet imports none.
+        import numpy as np
+
         buffer = np.empty(
             os.fstat(handle.fileno()).st_size - handle.tell(), dtype=np.uint8
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
 
 from repro.workloads import compiled
 from repro.workloads.base import (
@@ -130,17 +129,13 @@ class CommercialGenerator(TraceGenerator):
             sigma=params.stream_sigma,
             zipf_alpha=params.zipf_alpha,
         )
-        activity_p = params.mix.probabilities()
         # bisect over the normalized CDF consumes exactly one uniform
         # draw and picks exactly the index ``rng.choice(4, p=...)``
         # would — same trace, ~15x cheaper per activity draw.
-        cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
-        cdf /= cdf[-1]
-        activity_cdf = cdf.tolist()
-        lib = compiled.library(context)
-        if lib is not None:
+        activity_cdf = params.mix.cdf()
+        if context.native:
             columns = compiled.emit_activities(
-                lib, context, pool, activity_cdf, cores, records_per_core,
+                context, pool, activity_cdf, cores, records_per_core,
                 interleave=1,
                 hot_writes=1,
                 scan_run=params.scan_run,
@@ -176,7 +171,7 @@ class CommercialGenerator(TraceGenerator):
     ) -> TraceBuilder:
         """One core's activities, in Python (the compiled loop's
         reference)."""
-        uniform = context.uniform
+        uniform = context.draws.uniform
         builder = TraceBuilder()
         while len(builder) < records_per_core:
             activity = bisect_right(activity_cdf, uniform())
@@ -219,12 +214,12 @@ class CommercialGenerator(TraceGenerator):
         dep = builder._dep
         write = builder._write
         stream = pool.pick()
-        u, i = context.peek(7)
+        u, i = context.draws.peek(7)
         limit = len(u) - 7
         for block in stream.tolist():
             if i > limit:
-                context.consume(i)
-                u, i = context.peek(7)
+                context.draws.consume(i)
+                u, i = context.draws.peek(7)
                 limit = len(u) - 7
             blocks.append(block)
             work.append(work_mean * (0.5 + u[i]))
@@ -242,7 +237,7 @@ class CommercialGenerator(TraceGenerator):
                 i += 5
             if truncate < truncate_p:
                 break
-        context.consume(i)
+        context.draws.consume(i)
 
     def _emit_scan(
         self, builder: TraceBuilder, context: GeneratorContext
@@ -251,7 +246,7 @@ class CommercialGenerator(TraceGenerator):
         run = context.next_scan_run(params.scan_run)
         builder.extend(
             run,
-            work=params.work_cycles * 0.5 * (0.5 + context.uniform()),
+            work=params.work_cycles * 0.5 * (0.5 + context.draws.uniform()),
             dep=False,
             write=False,
         )
@@ -260,8 +255,8 @@ class CommercialGenerator(TraceGenerator):
         self, builder: TraceBuilder, context: GeneratorContext
     ) -> None:
         params = self.params
-        u, i = context.peek(3)
-        context.consume(i + 3)
+        u, i = context.draws.peek(3)
+        context.draws.consume(i + 3)
         builder.add(
             context.next_noise(),
             work=params.work_cycles * (0.5 + u[i]),
@@ -283,8 +278,8 @@ class CommercialGenerator(TraceGenerator):
         write = builder._write
         for _ in range(params.hot_run):
             blocks.append(context.hot_block())
-            u, i = context.peek(2)
-            context.consume(i + 2)
+            u, i = context.draws.peek(2)
+            context.draws.consume(i + 2)
             work.append(hot_mean * (0.5 + u[i]))
             dep.append(False)
             write.append(u[i + 1] < write_p)

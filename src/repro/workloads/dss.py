@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
 
 from repro.workloads import compiled
 from repro.workloads.base import (
@@ -106,17 +105,13 @@ class DssGenerator(TraceGenerator):
             sigma=params.stream_sigma,
             zipf_alpha=params.zipf_alpha,
         )
-        activity_p = params.mix.probabilities()
         # bisect over the normalized CDF consumes exactly one uniform
         # draw and picks exactly the index ``rng.choice(4, p=...)``
         # would — same trace, ~15x cheaper per activity draw.
-        cdf = np.asarray(activity_p, dtype=np.float64).cumsum()
-        cdf /= cdf[-1]
-        activity_cdf = cdf.tolist()
-        lib = compiled.library(context)
-        if lib is not None:
+        activity_cdf = params.mix.cdf()
+        if context.native:
             columns = compiled.emit_activities(
-                lib, context, pool, activity_cdf, cores, records_per_core,
+                context, pool, activity_cdf, cores, records_per_core,
                 interleave=0,
                 hot_writes=0,
                 scan_run=params.scan_run,
@@ -152,7 +147,7 @@ class DssGenerator(TraceGenerator):
         """One core's activities, in Python (the compiled loop's
         reference)."""
         params = self.params
-        uniform = context.uniform
+        uniform = context.draws.uniform
         builder = TraceBuilder()
         while len(builder) < records_per_core:
             activity = bisect_right(activity_cdf, uniform())
@@ -167,8 +162,8 @@ class DssGenerator(TraceGenerator):
                     write=False,
                 )
             elif activity == ACTIVITY_NOISE:
-                u, i = context.peek(3)
-                context.consume(i + 3)
+                u, i = context.draws.peek(3)
+                context.draws.consume(i + 3)
                 builder.add(
                     context.next_noise(),
                     work=params.work_cycles * (0.5 + u[i]),
@@ -205,12 +200,12 @@ class DssGenerator(TraceGenerator):
         dep = builder._dep
         write = builder._write
         stream = pool.pick()
-        u, i = context.peek(4)
+        u, i = context.draws.peek(4)
         limit = len(u) - 4
         for block in stream.tolist():
             if i > limit:
-                context.consume(i)
-                u, i = context.peek(4)
+                context.draws.consume(i)
+                u, i = context.draws.peek(4)
                 limit = len(u) - 4
             blocks.append(block)
             work.append(work_mean * (0.5 + u[i]))
@@ -220,4 +215,4 @@ class DssGenerator(TraceGenerator):
             i += 4
             if truncate < truncate_p:
                 break
-        context.consume(i)
+        context.draws.consume(i)

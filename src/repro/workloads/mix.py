@@ -11,8 +11,9 @@ Semantics follow multiprogramming, not parallel execution:
 
 * every core runs an **independent program instance** with its own
   deterministic RNG stream (derived from the mix seed and the core
-  index via ``numpy.random.SeedSequence``), so two cores running the
-  same workload share no structures and no addresses;
+  index as ``numpy.random.SeedSequence`` derives it,
+  :func:`core_seed`), so two cores running the same workload share no
+  structures and no addresses;
 * per-core address spaces are **disjoint** — each core's blocks are
   offset past every previous core's footprint — so co-runners contend
   for cache capacity and bandwidth without ever aliasing data;
@@ -67,6 +68,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.seeding import generate_state
 from repro.workloads.scales import (
     MIX_PREFIX,
     MIX_PRESETS,
@@ -307,10 +309,8 @@ def core_seed(seed: int, core: int) -> int:
     independent even for adjacent mix seeds, and two cores running the
     same workload get different instances (different seeds).
     """
-    import numpy as np
-
-    state = np.random.SeedSequence([seed, core]).generate_state(2)
-    return int(state[0]) << 32 | int(state[1])
+    high, low = generate_state([seed, core], 2)
+    return high << 32 | low
 
 
 def slice_seed(seed: int, core: int, slot: int) -> int:
@@ -322,10 +322,8 @@ def slice_seed(seed: int, core: int, slot: int) -> int:
     """
     if slot == 0:
         return core_seed(seed, core)
-    import numpy as np
-
-    state = np.random.SeedSequence([seed, core, slot]).generate_state(2)
-    return int(state[0]) << 32 | int(state[1])
+    high, low = generate_state([seed, core, slot], 2)
+    return high << 32 | low
 
 
 def _interleave_round_robin(
@@ -378,7 +376,7 @@ def generate_mix(
     import numpy as np
 
     from repro.workloads.suite import generate as generate_homogeneous
-    from repro.workloads.trace import Trace
+    from repro.workloads.trace import Trace, as_numpy
 
     if isinstance(recipe, str):
         recipe = MixRecipe.parse(recipe)
@@ -407,12 +405,8 @@ def generate_mix(
                 seed=slice_seed(seed, core, slot),
                 records_per_core=records_per_core,
             )
-            instances.append((
-                instance.blocks[0] + np.int64(base),
-                instance.work[0],
-                instance.dep[0],
-                instance.write[0],
-            ))
+            instance_blocks, *rest = map(as_numpy, instance.columns())
+            instances.append((instance_blocks + np.int64(base), *rest))
             warmups.append(instance.warmup_fraction)
             # Generators emit blocks in [0, working_set_blocks);
             # advancing the base by that span keeps every instance's

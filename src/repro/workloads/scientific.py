@@ -15,9 +15,8 @@ relaxation) that the baseline stride prefetcher absorbs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.workloads import compiled
 from repro.workloads.base import GeneratorContext, TraceGenerator
@@ -96,7 +95,6 @@ class ScientificGenerator(TraceGenerator):
             scan_blocks=max(params.sweep_blocks * cores, 1) + 1024,
             noise_blocks=params.noise_blocks,
         )
-        lib = compiled.library(context)
         # A core stops after the iteration that reaches records_per_core.
         capacity = (
             records_per_core - 1 + 2 * params.iteration_blocks
@@ -105,15 +103,15 @@ class ScientificGenerator(TraceGenerator):
         columns = []
         for _ in range(cores):
             iteration = context.alloc_stream(params.iteration_blocks)
-            dep_flags = (
-                context.rng.random(params.iteration_blocks) < params.dep_p
-            )
-            if lib is not None:
+            dep_p = params.dep_p
+            draws = context.draws.random(params.iteration_blocks)
+            dep_flags = bytearray(u < dep_p for u in draws)
+            if context.native:
                 arrays = compiled.empty_columns(capacity)
                 count = 0
                 while count < records_per_core:
                     count = compiled.emit_iteration(
-                        lib, context, iteration, dep_flags, arrays, count,
+                        context, iteration, dep_flags, arrays, count,
                         sweep_blocks=params.sweep_blocks,
                         sweep_run=params.sweep_run,
                         work_mean=params.work_cycles,
@@ -122,7 +120,7 @@ class ScientificGenerator(TraceGenerator):
                         noise_p=params.noise_p,
                     )
                     iteration = self._perturb(context, iteration)
-                columns.append(tuple(array[:count] for array in arrays))
+                columns.append(compiled.truncate(arrays, count))
             else:
                 builder = TraceBuilder()
                 while len(builder) < records_per_core:
@@ -152,8 +150,8 @@ class ScientificGenerator(TraceGenerator):
         self,
         builder: TraceBuilder,
         context: GeneratorContext,
-        iteration: np.ndarray,
-        dep_flags: np.ndarray,
+        iteration: array,
+        dep_flags: bytearray,
     ) -> None:
         params = self.params
         work_mean = params.work_cycles
@@ -167,12 +165,12 @@ class ScientificGenerator(TraceGenerator):
         # (work, write, noise gate) from the context's window, plus one
         # more only when the gate fires — the exact draw order and
         # count the pinned trace fingerprints depend on.
-        u, i = context.peek(4)
+        u, i = context.draws.peek(4)
         limit = len(u) - 4
-        for block, dep in zip(iteration.tolist(), dep_flags.tolist()):
+        for block, dep in zip(iteration.tolist(), map(bool, dep_flags)):
             if i > limit:
-                context.consume(i)
-                u, i = context.peek(4)
+                context.draws.consume(i)
+                u, i = context.draws.peek(4)
                 limit = len(u) - 4
             blocks_column.append(block)
             work_column.append(work_mean * (0.5 + u[i]))
@@ -186,13 +184,13 @@ class ScientificGenerator(TraceGenerator):
                 i += 4
             else:
                 i += 3
-        context.consume(i)
+        context.draws.consume(i)
         sweep_work = self._sweep_work()
         remaining = params.sweep_blocks
         while remaining > 0:
             run = context.next_scan_run(min(params.sweep_run, remaining))
-            u, i = context.peek(2)
-            context.consume(i + 2)
+            u, i = context.draws.peek(2)
+            context.draws.consume(i + 2)
             builder.extend(
                 run,
                 work=sweep_work * (0.5 + u[i]),
@@ -208,18 +206,18 @@ class ScientificGenerator(TraceGenerator):
             return params.sweep_work_cycles
         return params.work_cycles * 0.5
 
-    def _perturb(
-        self, context: GeneratorContext, iteration: np.ndarray
-    ) -> np.ndarray:
+    def _perturb(self, context: GeneratorContext, iteration: array) -> array:
         """Replace a tiny fraction of blocks between iterations."""
-        params = self.params
-        if params.perturb_p <= 0:
+        perturb_p = self.params.perturb_p
+        if perturb_p <= 0:
             return iteration
-        mask = context.rng.random(len(iteration)) < params.perturb_p
-        count = int(mask.sum())
-        if count == 0:
+        positions = [
+            i for i, u in enumerate(context.draws.random(len(iteration)))
+            if u < perturb_p
+        ]
+        if not positions:
             return iteration
-        replacement = context.alloc_stream(count)
-        updated = iteration.copy()
-        updated[mask] = replacement
+        updated = array("q", iteration)
+        for i, block in zip(positions, context.alloc_stream(len(positions))):
+            updated[i] = block
         return updated

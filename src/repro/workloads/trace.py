@@ -1,6 +1,6 @@
 """Trace container: per-core memory-access streams.
 
-A :class:`Trace` stores, for each core, four parallel numpy arrays:
+A :class:`Trace` stores, for each core, four parallel columns:
 
 ``blocks``
     Physical block numbers accessed (L1-level demand references; the
@@ -17,20 +17,70 @@ A :class:`Trace` stores, for each core, four parallel numpy arrays:
     one overlaps.  Memory-level parallelism emerges from this structure.
 ``write``
     True for stores (dirty fills, write-back traffic).
+
+A column is any contiguous buffer of its element type.  Generated
+traces hold ``array.array`` columns (``q`` int64 blocks, ``f`` float32
+work) and ``bytearray`` bool columns, so generation needs no NumPy;
+loaded, shared and mix traces hold NumPy arrays.  Either way a column's
+NumPy dtype (:func:`column_dtype`) and bytes are what its trace's
+fingerprint hashes and its trace file stores.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 #: The per-core column lists, in the order each core's arrays are
 #: hashed, stored and shared; every other :class:`Trace` field is
 #: metadata (:data:`METADATA`).
 COLUMNS = ("blocks", "work", "dep", "write")
+
+_ORDER = "<" if sys.byteorder == "little" else ">"
+#: NumPy's dtype name and type string of each ``array.array`` typecode
+#: a generated column uses.
+_TYPECODES = {
+    "q": ("int64", _ORDER + "i8"),
+    "f": ("float32", _ORDER + "f4"),
+}
+#: A ``bytearray`` column holds bools, one byte each.
+_BOOL = ("bool", "|b1")
+
+
+def column_dtype(column) -> "tuple[str, str]":
+    """NumPy's dtype name and type string (``str(dtype)``,
+    ``dtype.str``) of ``column``'s elements."""
+    dtype = getattr(column, "dtype", None)
+    if dtype is not None:
+        return str(dtype), dtype.str
+    if isinstance(column, (bytes, bytearray)):
+        return _BOOL
+    return _TYPECODES[column.typecode]
+
+
+def as_numpy(column):
+    """``column`` as a NumPy array of its dtype: itself, or a view of a
+    generated column's buffer."""
+    import numpy as np
+
+    if isinstance(column, np.ndarray):
+        return column
+    if isinstance(column, (array, bytes, bytearray)):
+        return np.frombuffer(column, dtype=column_dtype(column)[0])
+    return np.asarray(column)
+
+
+def contiguous(column):
+    """``column`` as one contiguous buffer of its dtype (a generated
+    column already is one)."""
+    if isinstance(column, (array, bytes, bytearray)):
+        return column
+    import numpy as np
+
+    return np.ascontiguousarray(as_numpy(column))
 
 
 @dataclass
@@ -50,10 +100,10 @@ class Trace:
     """Per-core access streams plus generator metadata."""
 
     name: str
-    blocks: list[np.ndarray] = field(default_factory=list)
-    work: list[np.ndarray] = field(default_factory=list)
-    dep: list[np.ndarray] = field(default_factory=list)
-    write: list[np.ndarray] = field(default_factory=list)
+    blocks: list = field(default_factory=list)
+    work: list = field(default_factory=list)
+    dep: list = field(default_factory=list)
+    write: list = field(default_factory=list)
     #: Number of distinct application blocks the generator drew from.
     working_set_blocks: int = 0
     #: Fraction of records the engine should treat as warm-up (not
@@ -132,7 +182,7 @@ class Trace:
         the columns."""
         return {name: copy.copy(getattr(self, name)) for name in METADATA}
 
-    def columns(self) -> "list[np.ndarray]":
+    def columns(self) -> list:
         """Every column array: core by core, each core's in
         :data:`COLUMNS` order."""
         return [
@@ -142,9 +192,7 @@ class Trace:
         ]
 
     @classmethod
-    def from_columns(
-        cls, metadata: dict, columns: "list[np.ndarray]"
-    ) -> "Trace":
+    def from_columns(cls, metadata: dict, columns: list) -> "Trace":
         """Rebuild a trace from :meth:`metadata` and :meth:`columns`
         output.  The arrays may be views into a buffer the caller keeps
         alive (a loaded file's, or a shared-memory segment's)."""
@@ -170,21 +218,22 @@ class Trace:
                          self.core_rates, self.core_priorities):
             if per_core is not None:
                 digest.update(repr(tuple(per_core)).encode())
-        for array in self.columns():
-            array = np.asarray(array)
-            digest.update(str(array.dtype).encode())
-            digest.update(array.tobytes())
+        for column in map(contiguous, self.columns()):
+            digest.update(column_dtype(column)[0].encode())
+            digest.update(column)
         self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
     def stats(self) -> TraceStats:
         """Compute summary statistics across all cores."""
+        import numpy as np
+
         if self.records == 0:
             return TraceStats(0, self.cores, 0, 0.0, 0.0, 0.0)
-        all_blocks = np.concatenate(self.blocks)
-        all_dep = np.concatenate(self.dep)
-        all_write = np.concatenate(self.write)
-        all_work = np.concatenate(self.work)
+        all_blocks, all_work, all_dep, all_write = (
+            np.concatenate([as_numpy(c) for c in getattr(self, name)])
+            for name in COLUMNS
+        )
         return TraceStats(
             records=self.records,
             cores=self.cores,
@@ -213,7 +262,7 @@ class Trace:
             path,
             self.metadata(),
             self.fingerprint(),
-            [np.ascontiguousarray(column) for column in self.columns()],
+            [contiguous(column) for column in self.columns()],
         )
 
     @classmethod
@@ -241,8 +290,9 @@ class TraceBuilder:
     """Accumulates one core's records in Python lists, then freezes them.
 
     The Python reference emitters append record-by-record (the compiled
-    ones write NumPy columns directly); :meth:`freeze` converts to the
-    compact numpy representation stored inside :class:`Trace`.
+    ones write their column buffers directly); :meth:`freeze` converts
+    to the compact columns stored inside :class:`Trace`, the types the
+    compiled emitters write.
     """
 
     def __init__(self) -> None:
@@ -269,23 +319,24 @@ class TraceBuilder:
 
     def extend(
         self,
-        blocks: "np.ndarray | list[int]",
+        blocks: "list[int]",
         work: float,
         dep: bool = True,
         write: bool = False,
     ) -> None:
         """Append a run of accesses sharing the same attributes."""
         n = len(blocks)
-        self._blocks.extend(np.asarray(blocks).tolist())
+        self._blocks.extend(blocks)
         self._work.extend([work] * n)
         self._dep.extend([dep] * n)
         self._write.extend([write] * n)
 
-    def freeze(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return the four column arrays."""
+    def freeze(self) -> "tuple[array, array, bytearray, bytearray]":
+        """Return the four columns: int64 blocks, float32 work, bool
+        dep and write."""
         return (
-            np.asarray(self._blocks, dtype=np.int64),
-            np.asarray(self._work, dtype=np.float32),
-            np.asarray(self._dep, dtype=bool),
-            np.asarray(self._write, dtype=bool),
+            array("q", self._blocks),
+            array("f", self._work),
+            bytearray(self._dep),
+            bytearray(self._write),
         )

@@ -282,7 +282,7 @@ def _assert_derived_state(state: NativeRunState, phase: str) -> None:
     """The kernel's derived lookup state summarizes its canonical arrays:
     the bucket buffer's residency bytes, and per core the prefetch
     buffer's ``block & 255`` bin counts and current-stream count."""
-    b = state._buffers
+    b = state._arrays()
     if "bb_member" not in b:
         return  # no STMS structures
     resident = np.zeros_like(b["bb_member"])

@@ -97,8 +97,8 @@ print(json.dumps({
 
 @needs_cc
 def test_truncated_cached_library_is_rebuilt(tmp_path):
-    path, cc = library._library_path(tmp_path)
-    library._compile(cc, path)
+    path, cc, archive = library._library_path(tmp_path)
+    library._compile(cc, archive, path)
     size = path.stat().st_size
     with open(path, "r+b") as handle:
         handle.truncate(size // 3)
@@ -148,7 +148,74 @@ def test_library_key_starts_no_process_and_follows_the_compiler(
     cc.unlink()
     cc.symlink_to(compilers[1].name)
     keys.append(library._library_path(tmp_path))
-    assert len({path for path, _ in keys}) == len(keys)
+    assert len({key[0] for key in keys}) == len(keys)
+
+
+def test_library_key_follows_the_npyrandom_archive(tmp_path, monkeypatch):
+    """The cache key names NumPy's ``libnpyrandom.a`` the library links,
+    with its size and modification time: another NumPy rebuilds."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 0\n")
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    archives = []
+    for name in ("a", "b"):
+        archive = tmp_path / name / "libnpyrandom.a"
+        archive.parent.mkdir()
+        archive.write_bytes(b"!<arch>\n")
+        os.utime(archive, ns=(10**18, 10**18))
+        archives.append(archive)
+    current = [archives[0]]
+    monkeypatch.setattr(library, "npyrandom", lambda: current[0])
+    keys = [library._library_path(tmp_path)]
+    assert keys[0][2] == archives[0]
+    assert library._library_path(tmp_path) == keys[0]
+    os.utime(archives[0], ns=(10**18, 10**18 + 1))
+    keys.append(library._library_path(tmp_path))
+    archives[0].write_bytes(b"!<arch>\n\n")
+    os.utime(archives[0], ns=(10**18, 10**18 + 1))
+    keys.append(library._library_path(tmp_path))
+    current[0] = archives[1]
+    keys.append(library._library_path(tmp_path))
+    assert len({key[0] for key in keys}) == len(keys)
+    current[0] = None
+    with pytest.raises(library.KernelUnavailable, match="libnpyrandom"):
+        library._library_path(tmp_path)
+
+
+def test_kernel_compiles_against_the_archives_own_headers(tmp_path):
+    """The kernel includes the random C headers of the NumPy whose
+    archive it links (and ``Python.h``, which they include); an archive
+    with no headers beside it does not build."""
+    archive = library.npyrandom()
+    if archive is None:
+        pytest.skip("NumPy ships no libnpyrandom.a here")
+    includes = library._includes(archive)[1::2]
+    assert os.path.isfile(
+        os.path.join(includes[0], "numpy", "random", "distributions.h")
+    )
+    assert os.path.isfile(os.path.join(includes[1], "Python.h"))
+    stray = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    stray.parent.mkdir(parents=True)
+    stray.write_bytes(b"!<arch>\n")
+    with pytest.raises(library.KernelUnavailable, match="headers"):
+        library._includes(stray)
+
+
+def test_npyrandom_is_found_without_importing_numpy():
+    code = (
+        "import json, sys; from repro.sim import library; "
+        "archive = library.npyrandom(); "
+        "print(json.dumps([archive is not None and archive.is_file(), "
+        "'numpy' in sys.modules]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [True, False]
 
 
 @needs_cc
@@ -301,38 +368,71 @@ def test_non_float32_work_matches_scalar(dtype):
     )
 
 
-@pytest.mark.parametrize("trailing", [False, True])
-@pytest.mark.parametrize("before", [0, 100, 4096])
-@pytest.mark.parametrize("used", [0, 1, 3996, 3997, 9000])
-def test_coin_batches_leave_what_the_python_path_leaves(
-    before, used, trailing
-):
-    """Coins handed to the kernel a batch at a time, over two phases,
-    are the per-flip path's flips, and the sampler ``sync`` rebuilds
-    from the flip count (:func:`native._sampler_after`) is the one the
-    per-flip path leaves — also when the kernel asked for a batch
-    before a last record that flipped nothing."""
-    from types import SimpleNamespace
+@needs_cc
+@pytest.mark.parametrize("seed", [7, 11, 42])
+@pytest.mark.parametrize("probability", [0.125, 0.5])
+def test_kernel_coins_are_the_samplers_flips(probability, seed):
+    """The kernel flips the STMS sampler's coins from a PCG64 of its
+    own: one double per flip from ``ProbabilisticSampler(seed=...)``'s
+    stream, so its flip and acceptance counts are the scalar model's,
+    its generator ends where NumPy's ends after as many doubles, and the
+    sampler ``sync`` rebuilds (:func:`native._sampler_after`) is the
+    model's own."""
+    import dataclasses
 
     import numpy as np
 
+    from repro.sim.runner import (
+        PrefetcherKind, make_factory, make_sim_config, make_stms_config)
+    from repro.sim.scalar import ScalarRunState
+    from repro.workloads.suite import generate
+
+    trace = generate("oltp-db2", scale="test", cores=2, seed=7)
+    config = make_sim_config("test")
+    stms = dataclasses.replace(
+        make_stms_config("test", cores=2, sampling_probability=probability),
+        seed=seed,
+    )
+    states = []
+    for state_class in (native.NativeRunState, ScalarRunState):
+        state = state_class(
+            config, trace, make_factory(PrefetcherKind.STMS, stms)
+        )
+        state.run_warmup()
+        state.reset_accounting()
+        state.run_measured()
+        states.append(state)
+    kernel, scalar = states
+    model = scalar.temporal.sampler
+    flips, accepted = kernel._buffers["sampler"]
+    assert (flips, accepted) == (model.flips, model.accepted)
+    assert 0 < accepted < flips
+    reference = np.random.PCG64(seed)
+    reference.advance(flips)
+    state = reference.state["state"]
+    rng = kernel._machine.coin_rng
+    assert (rng.state_hi << 64 | rng.state_lo) == state["state"]
+    rebuilt = native._sampler_after(probability, seed, flips, accepted)
+    assert [rebuilt.should_update() for _ in range(5000)] == [
+        model.should_update() for _ in range(5000)
+    ]
+
+
+@pytest.mark.parametrize("probability", [0.125, 0.3])
+@pytest.mark.parametrize("flips", [0, 1, 4095, 4096, 4097, 9000])
+def test_sampler_after_is_the_per_flip_samplers_state(probability, flips):
+    """The sampler ``sync`` rebuilds from a flip count
+    (:func:`native._sampler_after`) is the one flipping that many times
+    leaves, at and around the sampler's batch boundaries: cursor,
+    pending draws, generator state and every later flip."""
     from repro.core.sampling import ProbabilisticSampler
 
-    python, coins = (ProbabilisticSampler(0.3, seed=11) for _ in range(2))
-    flips = [python.should_update() for _ in range(before + used)]
-    machine = SimpleNamespace(coin_count=0, coin_cursor=0, batch=None)
-    flipped = []
-    for phase in (before, used + trailing):
-        for _ in range(phase):
-            # The kernel's resume protocol, before each record.
-            if machine.coin_cursor == machine.coin_count:
-                machine.batch = coins.draw().view(np.uint8)
-                machine.coin_count, machine.coin_cursor = len(machine.batch), 0
-            if len(flipped) < before + used:
-                flipped.append(bool(machine.batch[machine.coin_cursor]))
-                machine.coin_cursor += 1
-    assert flipped == flips
-    rebuilt = native._sampler_after(0.3, 11, python.flips, python.accepted)
+    python = ProbabilisticSampler(probability, seed=11)
+    for _ in range(flips):
+        python.should_update()
+    rebuilt = native._sampler_after(
+        probability, 11, python.flips, python.accepted
+    )
     assert (rebuilt.flips, rebuilt.accepted) == (python.flips, python.accepted)
     assert rebuilt._cursor == python._cursor
     assert list(rebuilt._draws) == list(python._draws)
@@ -355,10 +455,9 @@ def test_simulator_run_keeps_the_machine_in_the_kernel(
     assembles its result from the kernel's counters: no Python machine
     is built and nothing is unpacked (``sync``) before the result is
     out, and the result is the scalar engine's, bit for bit.  (The one
-    ``sync`` after it is the suite's conservation oracle.)  Both of the
-    kernel's resume statuses occur, and their state (the sampler's
-    batch, a grown issued map) carries across the measurement
-    boundary."""
+    ``sync`` after it is the suite's conservation oracle.)  The
+    kernel's resume status occurs, and its state (a grown issued map)
+    carries across the measurement boundary."""
     import dataclasses
 
     from repro.sim import scalar
@@ -381,17 +480,15 @@ def test_simulator_run_keeps_the_machine_in_the_kernel(
     )
 
     events = []
-    resumes = {"draw": 0, "grow": 0}
+    grown = []
     hand_over = native.NativeRunState._hand_over
     sync, machine_counts = (
         native.NativeRunState.sync, native.NativeRunState._machine_counts)
     build_machine = scalar.build_machine
 
     def counted_hand_over(state, **arrays):
-        if set(arrays) == {"coins"}:
-            resumes["draw"] += 1
         if set(arrays) == {"issued"}:
-            resumes["grow"] += 1
+            grown.append(len(arrays["issued"]))
         hand_over(state, **arrays)
 
     def logged(name, function):
@@ -411,9 +508,7 @@ def test_simulator_run_keeps_the_machine_in_the_kernel(
     result = Simulator(config).run(trace, factory, "stms")
     assert encode_result(result) == encode_result(reference)
     assert events[0] == "result", events
-    if probability < 1.0:
-        assert resumes["draw"] >= 2
-    assert resumes["grow"] > 0
+    assert grown
 
 
 @needs_cc

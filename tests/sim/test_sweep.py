@@ -170,3 +170,40 @@ def test_stacked_columns_rejects_bad_bucket_count():
 
 def test_empty_job_list_is_a_noop():
     assert run_sweep([], SimSession(enabled=True)) == []
+
+
+def test_cold_fig7_reads_each_result_file_once(tmp_path, monkeypatch):
+    """A cold sweep probes the store once per cell, as ``run_sweep``
+    builds its key; the cell it then simulates probes only the memory
+    tier again (no second read of a file that cannot be there)."""
+    from repro.experiments import run_experiment
+    from repro.sim.store import ArtifactStore
+
+    reads = []
+    load_result = ArtifactStore.load_result
+
+    def counted(store, digest):
+        reads.append(digest)
+        return load_result(store, digest)
+
+    monkeypatch.setattr(ArtifactStore, "load_result", counted)
+    session = SimSession(enabled=True, store=ArtifactStore(str(tmp_path)))
+    # In process, so every read is counted here.
+    run_experiment("fig7", scale="test", cores=2, session=session,
+                   runner=ExperimentRunner(max_workers=1))
+    assert session.stats.sim_misses == 16
+    assert len(reads) == 16
+    assert len(set(reads)) == 16
+
+
+def test_equal_cells_in_one_sweep_simulate_once(tmp_path):
+    """Two equal cells in one sweep both miss the probe; the second is
+    served by the memory-tier re-probe, from the first's result."""
+    from repro.sim.store import ArtifactStore
+
+    job = _grid_jobs()[1]
+    session = SimSession(enabled=True, store=ArtifactStore(str(tmp_path)))
+    first, second = run_sweep([job, job], session)
+    assert first is second
+    assert session.stats.sim_misses == 1
+    assert session.stats.sim_hits == 1

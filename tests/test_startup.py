@@ -26,6 +26,7 @@ import pytest
 
 import repro
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.sim import library
 from repro.sim.session import SimSession
 from repro.workloads.scales import FIGURE_ORDER
 
@@ -264,17 +265,64 @@ print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))
 @needs_cc
 def test_cold_contention_parent_imports_no_machine_model(tmp_path):
     """The parent of a cold two-worker ``mix-contention`` generates
-    traces, preloads what its workers run (the kernel's driver) and
-    forks: it imports no Python machine model either."""
+    traces, preloads what its workers run (the kernel's driver, and
+    NumPy for the mixes' interleave) and forks: it imports no Python
+    machine model, and no ``numpy.random`` (the library draws)."""
     store = str(tmp_path / "store")
+    unwanted = KERNEL_PATH_FORBIDDEN + ("numpy.random",)
     loaded = _python(f"""
 import json, sys
 from repro.cli import main
 assert main(["experiment", "mix-contention", "--scale", "test",
              "--jobs", "2", "--store-dir", {store!r}]) == 0
-print(json.dumps([m for m in {KERNEL_PATH_FORBIDDEN!r} if m in sys.modules]))
+print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))
 """)
     assert loaded == []
+
+
+needs_library = pytest.mark.skipif(
+    shutil.which("cc") is None or library.npyrandom() is None,
+    reason="only the compiled library draws without NumPy",
+)
+
+
+@needs_library
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cold_fig7_imports_no_numpy(tmp_path, jobs):
+    """A cold fig7 generates its traces, simulates its cells and writes
+    its store in the compiled library: neither the parent nor a worker
+    imports NumPy.  Each worker notes whether it had NumPy loaded after
+    its bundle, one file per process."""
+    store = str(tmp_path / "store")
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    loaded = _python(f"""
+import functools, json, os, sys
+from repro.cli import main
+from repro.sim import runner
+
+bundle = runner._run_bundle
+
+
+@functools.wraps(bundle)
+def probed(*args, **kwargs):
+    try:
+        return bundle(*args, **kwargs)
+    finally:
+        with open(os.path.join({str(logs)!r}, str(os.getpid())), "w") as log:
+            log.write(json.dumps("numpy" in sys.modules))
+
+
+runner._run_bundle = probed
+assert main(["experiment", "fig7", "--scale", "test", "--jobs", "{jobs}",
+             "--store-dir", {store!r}]) == 0
+print(json.dumps([m for m in ("numpy", "numpy.random") if m in sys.modules]))
+""")
+    assert loaded == []
+    workers = [json.loads(log.read_text()) for log in logs.iterdir()]
+    assert workers == [False] * len(workers)
+    if jobs > 1:
+        assert workers
 
 
 def test_suite_trace_loads_no_mix_grammar():
@@ -383,6 +431,65 @@ for workloads in (
     )
 print(json.dumps(len(os.listdir({str(logs)!r}))))
 """, env)
+    assert workers >= 2
+    imported = {log.name: log.read_text().split() for log in logs.iterdir()}
+    assert imported == {name: [] for name in imported}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork"),
+    reason="the fan-out forks its workers only where fork exists",
+)
+def test_workers_reading_stored_traces_import_nothing(tmp_path):
+    """Workers that read their traces from the store (stored by an
+    earlier run, with results still cold) inherit NumPy from the parent
+    rather than each importing it after the fork.  Each worker lists
+    the ``repro`` and ``numpy`` modules it imported after the fork."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    store = str(tmp_path / "store")
+    workers = _python(f"""
+import functools, json, os, sys
+from repro.sim import runner
+from repro.sim.runner import ExperimentRunner, PrefetcherKind, SimJob
+from repro.sim.session import SimSession
+from repro.sim.store import ArtifactStore
+
+workloads = ("web-apache", "oltp-db2")
+ExperimentRunner(parallel=False).map(
+    [SimJob(workload, PrefetcherKind.BASELINE, scale="test", cores=2)
+     for workload in workloads],
+    session=SimSession(enabled=True, store=ArtifactStore({store!r})),
+)
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+bundle = runner._run_bundle
+
+
+@functools.wraps(bundle)
+def probed(*args, **kwargs):
+    try:
+        return bundle(*args, **kwargs)
+    finally:
+        path = os.path.join({str(logs)!r}, str(os.getpid()))
+        with open(path, "a") as log:
+            log.writelines(
+                f"{{name}}\\n" for name in sys.modules
+                if name.split(".")[0] in ("repro", "numpy")
+                and name not in at_fork
+            )
+
+
+runner._run_bundle = probed
+session = SimSession(enabled=True, store=ArtifactStore({store!r}))
+ExperimentRunner(max_workers=2, parallel=True).map(
+    [SimJob(workload, PrefetcherKind.STMS, scale="test", cores=2)
+     for workload in workloads],
+    session=session,
+)
+assert session.stats.trace_store_hits >= 2, session.stats
+print(json.dumps(len(os.listdir({str(logs)!r}))))
+""")
     assert workers >= 2
     imported = {log.name: log.read_text().split() for log in logs.iterdir()}
     assert imported == {name: [] for name in imported}

@@ -1,12 +1,22 @@
 """Unit tests for the generator building blocks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.workloads.base import ActivityMix, GeneratorContext, StreamPool
+from repro.workloads import compiled
+from repro.workloads.base import (
+    ActivityMix,
+    GeneratorContext,
+    StreamPool,
+    pairwise_sum,
+)
 
 
-def make_context(**overrides) -> GeneratorContext:
+def make_context(reference: bool = False, **overrides) -> GeneratorContext:
+    """A context; ``reference``: on the Python emitters' NumPy draws
+    even where the library loads."""
     parameters = dict(
         seed=1,
         hot_blocks=64,
@@ -15,6 +25,9 @@ def make_context(**overrides) -> GeneratorContext:
         noise_blocks=8_192,
     )
     parameters.update(overrides)
+    if reference:
+        with mock.patch.object(compiled, "library", lambda context: None):
+            return GeneratorContext(**parameters)
     return GeneratorContext(**parameters)
 
 
@@ -22,8 +35,16 @@ class TestActivityMix:
     def test_probabilities_normalize(self):
         mix = ActivityMix(stream=2.0, scan=1.0, noise=1.0, hot=0.0)
         p = mix.probabilities()
-        assert p.sum() == pytest.approx(1.0)
+        assert sum(p) == pytest.approx(1.0)
         assert p[0] == pytest.approx(0.5)
+
+    def test_matches_numpy_normalization(self):
+        mix = ActivityMix(stream=0.62, scan=0.10, noise=0.20, hot=0.08)
+        weights = np.array([0.62, 0.10, 0.20, 0.08])
+        probabilities = weights / weights.sum()
+        assert mix.probabilities() == probabilities.tolist()
+        cdf = probabilities.cumsum()
+        assert mix.cdf() == (cdf / cdf[-1]).tolist()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -47,8 +68,8 @@ class TestGeneratorContext:
         context = make_context()
         stream = context.alloc_stream(50)
         assert len(stream) == 50
-        assert (stream >= context.structure_base).all()
-        assert (stream < context.scan_base).all()
+        assert min(stream) >= context.structure_base
+        assert max(stream) < context.scan_base
 
     def test_stream_blocks_distinct(self):
         context = make_context()
@@ -86,11 +107,12 @@ class TestGeneratorContext:
         context = make_context(scan_blocks=16)
         context.next_scan_run(10)
         run = context.next_scan_run(10)
-        assert (run >= context.scan_base).all()
-        assert (run < context.scan_base + 16).all()
+        assert min(run) >= context.scan_base
+        assert max(run) < context.scan_base + 16
 
-    def test_hot_blocks_in_hot_region(self):
-        context = make_context()
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_hot_blocks_in_hot_region(self, reference):
+        context = make_context(reference=reference)
         for _ in range(100):
             assert 0 <= context.hot_block() < 64
 
@@ -115,11 +137,12 @@ class TestStreamPool:
         )
         assert len(pool) == 50
         lengths = pool.length_distribution()
-        assert (lengths >= 2).all()
+        assert min(lengths) >= 2
         assert 3 <= np.median(lengths) <= 20
 
-    def test_zipf_skews_popularity(self):
-        context = make_context()
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_zipf_skews_popularity(self, reference):
+        context = make_context(reference=reference)
         pool = StreamPool(
             context, count=100, median_length=4.0, sigma=0.5,
             zipf_alpha=1.0,
@@ -137,7 +160,7 @@ class TestStreamPool:
             context, count=30, median_length=50.0, sigma=2.0,
             zipf_alpha=0.8, max_length=64,
         )
-        assert pool.length_distribution().max() <= 64
+        assert max(pool.length_distribution()) <= 64
 
     def test_pool_rejects_a_structure_region_too_small(self):
         context = make_context(structure_blocks=8)
@@ -153,3 +176,59 @@ class TestStreamPool:
         with pytest.raises(ValueError):
             StreamPool(context, count=5, median_length=1, sigma=1,
                        zipf_alpha=1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 4, 7, 8, 9, 100, 128, 129, 255,
+                                  400, 1000, 4099])
+def test_pairwise_sum_is_numpys(size):
+    rng = np.random.default_rng(size)
+    values = (rng.random(size) ** 3 * 10.0 ** rng.integers(-3, 4, size))
+    assert pairwise_sum(values.tolist()) == float(values.sum())
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_pool_set_up_is_numpys(reference):
+    """The pool's lengths and popularity, computed with ``math`` and
+    lists, are NumPy's (the popularity to within a rounding: NumPy's
+    SIMD ``power`` may round a weight differently from ``libm``)."""
+    count, median, sigma, alpha = 300, 8.0, 1.5, 0.85
+    context = make_context(reference=reference, seed=5)
+    pool = StreamPool(context, count=count, median_length=median,
+                      sigma=sigma, zipf_alpha=alpha)
+    rng = np.random.default_rng(5)
+    lengths = np.exp(rng.normal(np.log(median), sigma, size=count))
+    lengths = np.clip(np.round(lengths), 2, 4096).astype(int)
+    assert pool.length_distribution() == lengths.tolist()
+    weights = np.arange(1, count + 1, dtype=float) ** -alpha
+    popularity = np.cumsum(weights / weights.sum())
+    np.testing.assert_allclose(pool.popularity, popularity, rtol=1e-15)
+
+
+def test_per_record_helpers_are_the_same_on_both_backends():
+    """The per-record helpers draw and advance the same on a library
+    context as on a reference one, and leave the generator and the
+    cursors the compiled loops continue from where the reference
+    leaves them."""
+    contexts = [make_context(), make_context(reference=True)]
+    if not contexts[0].native:
+        pytest.skip("the compiled library is unavailable")
+    seen = []
+    for context in contexts:
+        pool = StreamPool(
+            context, count=40, median_length=6.0, sigma=0.8, zipf_alpha=0.9
+        )
+        draws = []
+        for step in range(300):
+            draws.append(context.hot_block())
+            draws.append(context.next_noise())
+            draws.extend(context.next_scan_run(1 + step % 7))
+            draws.extend(pool.pick())
+            draws.append(context.draws.uniform())
+        draws.extend(context.draws.integers(1 << 20, 9))
+        seen.append(draws)
+    assert seen[0] == seen[1]
+    native, reference = contexts
+    gen = native.draws.gen
+    assert (gen.scan_cursor, gen.noise_cursor) == (
+        reference._cursors.scan_cursor, reference._cursors.noise_cursor
+    )

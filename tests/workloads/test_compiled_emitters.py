@@ -7,14 +7,15 @@ a trace both ways, the reference by making :func:`compiled.library`
 decline, and compares every column array and the fingerprint.  The
 pinned fingerprints (``test_emitter_roundtrip.py``) hold the compiled
 path to the literal traces; this suite covers the families, presets,
-seeds, core counts and mixes the pins leave out, the generator state
-handed back after a compiled loop, and the no-compiler fallback.
+seeds, core counts and mixes the pins leave out, the generator state a
+compiled loop leaves, and the no-compiler and no-archive fallbacks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -22,12 +23,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.mix_contention import DEFAULT_MIXES
+from repro.sim import library
 from repro.sim.library import load
 from repro.workloads import compiled
 from repro.workloads.base import GeneratorContext, StreamPool
 from repro.workloads.commercial import CommercialGenerator
+from repro.workloads.reference import NumpyDraws
 from repro.workloads.scales import get_scale
 from repro.workloads.suite import FIGURE_ORDER, generate, get_spec
+from repro.workloads.trace import as_numpy, column_dtype
 from tests.workloads.test_emitter_roundtrip import BENCH_FAMILY_PINS
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -64,8 +68,10 @@ def _assert_same(monkeypatch, name: str, **kwargs) -> None:
         for core, (got, want) in enumerate(
             zip(getattr(fast, column), getattr(reference, column))
         ):
-            assert got.dtype == want.dtype, (column, core)
-            assert np.array_equal(got, want), (column, core)
+            assert type(got) is type(want), (column, core)
+            assert column_dtype(got) == column_dtype(want), (column, core)
+            assert np.array_equal(as_numpy(got), as_numpy(want)), (
+                column, core)
     assert fast.fingerprint() == reference.fingerprint()
 
 
@@ -105,12 +111,12 @@ def _straddling_traversal_start(monkeypatch) -> int:
     traversal that refills the raw window part way through."""
     peeks = []
     starts = []
-    peek = GeneratorContext.peek
+    peek = NumpyDraws.peek
     traverse = CommercialGenerator._emit_traversal
 
-    def counted_peek(context, n):
+    def counted_peek(draws, n):
         peeks.append(n)
-        return peek(context, n)
+        return peek(draws, n)
 
     def watched_traverse(generator, builder, pool, context):
         before, length = len(peeks), len(builder)
@@ -121,7 +127,7 @@ def _straddling_traversal_start(monkeypatch) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(compiled, "library", lambda context: None)
-        patch.setattr(GeneratorContext, "peek", counted_peek)
+        patch.setattr(NumpyDraws, "peek", counted_peek)
         patch.setattr(CommercialGenerator, "_emit_traversal",
                       watched_traverse)
         generate("web-apache", scale="test", cores=1, seed=7)
@@ -138,9 +144,10 @@ def test_final_traversal_straddling_a_refill_matches(monkeypatch):
 
 
 @needs_library
-def test_state_is_handed_back_exactly():
-    """A compiled activity loop leaves the generator (half-word carry
-    included) and the cursors where the Python loop leaves them."""
+def test_compiled_loop_leaves_the_generator_where_python_does(monkeypatch):
+    """A compiled activity loop leaves the context's generator (half-word
+    carry included) and cursors where the Python loop leaves them, so
+    the draws after it agree too."""
     generator = get_spec("oltp-db2").generator(get_scale("test"))
     params = generator.params
 
@@ -156,18 +163,24 @@ def test_state_is_handed_back_exactly():
             zipf_alpha=params.zipf_alpha,
         )
         # Leave an unread upper half-word for the loop to start from.
-        context.below(7)
+        context.draws.integers(7, 1)
         return context, pool
 
-    cdf = np.cumsum(params.mix.probabilities())
-    cdf = (cdf / cdf[-1]).tolist()
-    context, pool = context_and_pool()
-    assert context.hand_over()[0]["has_uint32"] == 1
+    cdf = params.mix.cdf()
+    with monkeypatch.context() as patch:
+        patch.setattr(compiled, "library", lambda context: None)
+        context, pool = context_and_pool()
+    assert not context.native
+    assert context.draws.rng.bit_generator.state["has_uint32"] == 1
     reference = generator._emit_core(pool, context, cdf, 2_000).freeze()
-    want_state = context.hand_over()
+    want = context.draws.rng.bit_generator.state
+    cursors = context._cursors
+    want_cursors = (cursors.scan_cursor, cursors.noise_cursor)
+    want_next = context.draws.integers(1 << 20, 9).tolist()
     context, pool = context_and_pool()
+    assert context.native
     [got] = compiled.emit_activities(
-        load(), context, pool, cdf, 1, 2_000,
+        context, pool, cdf, 1, 2_000,
         interleave=1, hot_writes=1, scan_run=params.scan_run,
         hot_run=params.hot_run, work_mean=params.work_cycles,
         scan_work=params.work_cycles * 0.5,
@@ -178,8 +191,16 @@ def test_state_is_handed_back_exactly():
         truncate_p=params.truncate_p,
     )
     for got_column, want_column in zip(got, reference):
-        assert np.array_equal(got_column, want_column)
-    assert context.hand_over() == want_state
+        assert got_column == want_column
+    gen = context.draws.gen
+    assert (gen.rng.state_hi << 64 | gen.rng.state_lo) == (
+        want["state"]["state"]
+    )
+    assert (gen.rng.has_half, gen.rng.half) == (
+        want["has_uint32"], want["uinteger"]
+    )
+    assert (gen.scan_cursor, gen.noise_cursor) == want_cursors
+    assert context.draws.integers(1 << 20, 9).tolist() == want_next
 
 
 def test_no_library_warns_once_and_keeps_the_fingerprints(tmp_path):
@@ -213,3 +234,34 @@ print(json.dumps({
     assert "compiled event kernel unavailable" in report["warnings"][0]
     assert "Python emitters" in report["warnings"][0]
     assert report["fingerprints"] == BENCH_FAMILY_PINS
+
+
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="without a compiler the archive is never sought")
+def test_no_npyrandom_archive_warns_once_and_keeps_the_fingerprints(
+    monkeypatch, tmp_path
+):
+    """Where NumPy ships no ``libnpyrandom.a`` the library does not
+    build: generation warns once, runs the Python emitters, and gives
+    the fig7 recipes' pinned fingerprints."""
+    import warnings
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(library, "npyrandom", lambda: None)
+    load.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prints = {
+                name: generate(name, scale="test", cores=4, seed=7)
+                .fingerprint()
+                for name in BENCH_FAMILY_PINS
+            }
+    finally:
+        load.cache_clear()
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 1, messages
+    assert "libnpyrandom.a" in messages[0]
+    assert "Python emitters" in messages[0]
+    assert prints == BENCH_FAMILY_PINS

@@ -47,8 +47,8 @@ class TestCommercialGenerator:
     def test_addresses_within_working_set(self):
         generator = CommercialGenerator("c", SMALL_COMMERCIAL)
         trace = generator.generate(cores=1, records_per_core=1500, seed=1)
-        assert trace.blocks[0].max() < trace.working_set_blocks
-        assert trace.blocks[0].min() >= 0
+        assert max(trace.blocks[0]) < trace.working_set_blocks
+        assert min(trace.blocks[0]) >= 0
 
     def test_streams_recur(self):
         generator = CommercialGenerator("c", SMALL_COMMERCIAL)
@@ -75,7 +75,7 @@ class TestDssGenerator:
     def test_scan_dominated(self):
         generator = DssGenerator("d", SMALL_DSS)
         trace = generator.generate(cores=1, records_per_core=3000, seed=2)
-        blocks = trace.blocks[0]
+        blocks = np.asarray(trace.blocks[0])
         context_scan_base = (
             SMALL_DSS.hot_blocks + SMALL_DSS.structure_blocks
         )

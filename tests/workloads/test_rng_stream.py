@@ -1,7 +1,7 @@
-"""Stream exactness of :class:`GeneratorContext`'s pre-drawn window.
+"""Stream exactness of :class:`NumpyDraws`' pre-drawn window.
 
-The generators read per-record uniforms and hot-block integers from a
-window over pre-drawn raw PCG64 outputs, and bulk draws from the
+The Python emitters read per-record uniforms and hot-block integers
+from a window over pre-drawn raw PCG64 outputs, and bulk draws from the
 settled generator.  Any interleaving of those calls must return the
 values, and leave the bit-generator state (carried 32-bit half-word
 included), that the same calls on a plain ``default_rng(seed)`` do.  A
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.base import _BATCH, GeneratorContext
+from repro.workloads.reference import _BATCH, NumpyDraws
 
 _RANGES = st.one_of(
     st.integers(min_value=1, max_value=300),
@@ -46,17 +46,7 @@ _OPS = st.one_of(
 )
 
 
-def _context(seed: int) -> GeneratorContext:
-    return GeneratorContext(
-        seed=seed,
-        hot_blocks=1,
-        structure_blocks=1,
-        scan_blocks=1,
-        noise_blocks=1,
-    )
-
-
-def _apply(context: GeneratorContext, op) -> list:
+def _apply(context: NumpyDraws, op) -> list:
     kind = op[0]
     if kind == "window":
         _, take, extra = op
@@ -95,7 +85,7 @@ def _reference(rng: np.random.Generator, op) -> list:
     ops=st.lists(_OPS, max_size=40),
 )
 def test_window_and_bulk_draws_match_a_plain_generator(seed, ops):
-    context = _context(seed)
+    context = NumpyDraws(seed)
     reference = np.random.default_rng(seed)
     for op in ops:
         assert _apply(context, op) == _reference(reference, op), op
@@ -105,7 +95,7 @@ def test_window_and_bulk_draws_match_a_plain_generator(seed, ops):
 def test_below_carries_the_half_word_across_bulk_draws():
     # An odd-sized bounded draw leaves PCG64 holding a 32-bit half-word;
     # the window must serve it to the next below() before any fresh draw.
-    context = _context(3)
+    context = NumpyDraws(3)
     reference = np.random.default_rng(3)
     context.rng.integers(0, 100, size=3)
     reference.integers(0, 100, size=3)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.workloads.trace import Trace, TraceBuilder
+from repro.workloads.trace import Trace, TraceBuilder, as_numpy, column_dtype
 
 
 def simple_trace(records: int = 10, cores: int = 2) -> Trace:
@@ -167,6 +167,46 @@ class TestTrace:
             offset += -(-column.nbytes // 8) * 8
         assert offset == len(payload)
 
+    @pytest.mark.parametrize("records", [0, 1, 5, 13])
+    def test_array_columns_hash_and_save_as_numpy_columns(
+        self, tmp_path, records
+    ):
+        """A trace built from ``array.array`` and ``bytearray`` columns
+        (what generation makes) has the fingerprint, and saves the file
+        bytes, of the same trace built from NumPy columns, and loads
+        back as NumPy columns of the same dtypes."""
+        from array import array
+
+        rng = np.random.default_rng(records)
+        numpy_trace = Trace(
+            name="t",
+            blocks=[rng.integers(0, 1 << 40, records) for _ in range(2)],
+            work=[rng.random(records).astype(np.float32) for _ in range(2)],
+            dep=[rng.random(records) < 0.5 for _ in range(2)],
+            write=[rng.random(records) < 0.2 for _ in range(2)],
+            working_set_blocks=1 << 40,
+            warmup_fraction=0.3,
+        )
+        array_trace = Trace.from_columns(numpy_trace.metadata(), [
+            array("q", column.tobytes()) if column.dtype == np.int64
+            else array("f", column.tobytes()) if column.dtype == np.float32
+            else bytearray(column.tobytes())
+            for column in numpy_trace.columns()
+        ])
+        assert [column_dtype(c) for c in array_trace.columns()] == [
+            (str(c.dtype), c.dtype.str) for c in numpy_trace.columns()
+        ]
+        assert array_trace.fingerprint() == numpy_trace.fingerprint()
+        paths = [str(tmp_path / f"{kind}.trace") for kind in ("np", "arr")]
+        numpy_trace.save(paths[0])
+        array_trace.save(paths[1])
+        contents = [open(path, "rb").read() for path in paths]
+        assert contents[0] == contents[1]
+        loaded = Trace.load(paths[1])
+        for got, want in zip(loaded.columns(), array_trace.columns()):
+            assert got.dtype == as_numpy(want).dtype
+            np.testing.assert_array_equal(got, as_numpy(want))
+
     def test_metadata_lists_every_non_column_field(self):
         trace = simple_trace(records=3, cores=1)
         assert set(trace.metadata()) == {
@@ -184,9 +224,12 @@ class TestTraceBuilder:
         builder.add(6, work=20.0, dep=False, write=True)
         blocks, work, dep, write = builder.freeze()
         assert list(blocks) == [5, 6]
-        assert list(dep) == [True, False]
-        assert list(write) == [False, True]
-        assert work.dtype == np.float32
+        assert list(map(bool, dep)) == [True, False]
+        assert list(map(bool, write)) == [False, True]
+        # The columns the compiled emitters write: int64, float32, bool.
+        assert [column_dtype(c)[0] for c in (blocks, work, dep, write)] == [
+            "int64", "float32", "bool", "bool"]
+        assert list(work) == [10.0, 20.0]
 
     def test_extend_run(self):
         builder = TraceBuilder()
@@ -194,4 +237,4 @@ class TestTraceBuilder:
         assert len(builder) == 3
         blocks, work, dep, _ = builder.freeze()
         assert list(blocks) == [1, 2, 3]
-        assert not dep.any()
+        assert not any(dep)
