@@ -274,11 +274,16 @@ EMIT_ABI = (
 
 def address(buffer) -> int:
     """The address of a contiguous buffer's first byte (0 when empty):
-    a NumPy array's (read-only ones too), else a writable buffer's
-    (``array.array``, ``bytearray``)."""
+    a writable buffer's, a read-only view's through the writable buffer
+    it covers whole (a loaded column), or a NumPy array's (a column
+    attached from the shared-memory plane)."""
     interface = getattr(buffer, "__array_interface__", None)
     if interface is not None:
         return interface["data"][0]
+    if isinstance(buffer, memoryview) and buffer.readonly:
+        if buffer.nbytes != memoryview(buffer.obj).nbytes:
+            raise ValueError("a read-only view of part of a buffer")
+        buffer = buffer.obj
     if not len(buffer):
         return 0
     return ctypes.addressof(ctypes.c_char.from_buffer(buffer))

@@ -84,7 +84,7 @@ from repro.sim.library import (
 )
 from repro.sim.metrics import stms_transfer_counts
 from repro.sim.results import CoverageCounts
-from repro.workloads.trace import Trace, as_numpy
+from repro.workloads.trace import Trace
 
 
 class NativeRunState(_RunState):
@@ -670,15 +670,14 @@ _WORK_F64 = (("d",), 8, "d")
 
 def _in_place(column, kind: tuple) -> bool:
     """Whether the kernel can read ``column`` where it is: a contiguous
-    buffer of ``kind``'s element type."""
+    buffer of ``kind``'s element type (a read-only view only if it
+    covers its buffer whole, as :func:`address` needs)."""
     formats, width, _ = kind
-    try:
-        view = memoryview(column)
-    except TypeError:
-        return False
+    view = memoryview(column)
     return (
         view.c_contiguous and view.format in formats
         and view.itemsize == width
+        and (not view.readonly or view.nbytes == memoryview(view.obj).nbytes)
     )
 
 
@@ -687,7 +686,7 @@ def _column(column, kind: tuple):
     (no copy) when it already has ``kind``'s type, else a copy."""
     if _in_place(column, kind):
         return column
-    return array(kind[2], as_numpy(column).tolist())
+    return array(kind[2], memoryview(column).tolist())
 
 
 def _zeros(kind, count: int) -> ctypes.Array:

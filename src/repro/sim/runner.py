@@ -48,7 +48,7 @@ from repro.sim.session import (
     trace_recipe_key,
 )
 from repro.sim.store import TraceRef, trace_digest
-from repro.workloads.scales import ScalePreset, get_scale, is_mix
+from repro.workloads.scales import ScalePreset, get_scale
 
 if TYPE_CHECKING:
     from repro.sim.engine import TemporalFactory
@@ -549,7 +549,7 @@ def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
 
 
 def _preload_workers(
-    jobs: "list[SimJob]", generates: bool, loads: bool
+    jobs: "list[SimJob]", generates: bool, attaches: bool
 ) -> None:
     """Import what the workers of ``jobs`` run before the pool forks.
 
@@ -560,11 +560,9 @@ def _preload_workers(
     ``generates``: a worker may generate its trace), and imports the
     engine each cell runs in: the kernel's driver for the cells the
     loaded library steps, the Python batch engine for the rest, and
-    the scalar reference for every cell when it is selected.  NumPy is
-    left out only when every worker generates its trace in the library
-    and none assembles a mix; a worker that reads a stored trace or
-    attaches a shared one (``loads``), assembles a mix, or draws without
-    the library (the Python emitters) uses it.
+    the scalar reference for every cell when it is selected.  Of the
+    trace paths only the Python emitters and a shared trace's attach
+    (``attaches``) use NumPy.
     """
     from repro.sim import sweep  # noqa: F401
     from repro.workloads import suite  # noqa: F401
@@ -572,7 +570,7 @@ def _preload_workers(
     loaded = _preload_kernel(jobs, generates)
     if generates and not loaded:
         from repro.workloads import reference  # noqa: F401
-    elif loads or (generates and any(is_mix(job.workload) for job in jobs)):
+    elif attaches:
         import numpy  # noqa: F401
     engine = resolve_engine("auto")
     for kind in {job.kind for job in jobs}:
@@ -747,7 +745,7 @@ class ExperimentRunner:
             _preload_workers(
                 [jobs[i] for _, indices in shards for i in indices],
                 generates=any(generating),
-                loads=not all(generating),
+                attaches=bool(payloads),
             )
             try:
                 # Every worker runs on the caller's session: the

@@ -147,9 +147,9 @@ class TracePlane:
         """
         if _shared_memory is None:  # pragma: no cover - platform dependent
             return None
-        from repro.workloads.trace import column_dtype, contiguous
+        from repro.workloads.trace import column_dtype
 
-        arrays = [contiguous(c) for c in trace.columns()]
+        arrays = trace.columns()
         columns: "list[ArraySpec]" = []
         offset = 0
         for array in arrays:
@@ -188,6 +188,8 @@ def attach(payload: TracePayload):
     """
     if _shared_memory is None:  # pragma: no cover - platform dependent
         return None
+    # NumPy columns, only here: a read-only slice of the segment does
+    # not cover its buffer, so ``library.address`` could not find it.
     import numpy as np
 
     from repro.workloads.trace import Trace

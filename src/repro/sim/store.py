@@ -37,6 +37,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
@@ -210,8 +211,7 @@ def atomic_write(path: str, chunks: "Iterable[object]") -> None:
 # The trace file.
 # ----------------------------------------------------------------------
 
-#: A trace file pads its header and every column to this many bytes, so
-#: each column is an aligned view into the one buffer a load reads.
+#: A trace file pads its header and every column to this many bytes.
 _TRACE_ALIGN = 8
 
 
@@ -223,10 +223,8 @@ def write_trace_file(
     The layout: the header's length as 8 little-endian bytes; a JSON
     header holding ``metadata``, ``fingerprint`` and one ``[dtype,
     length]`` per column, space-padded to 8 bytes; then each column's
-    raw bytes, zero-padded to 8.  ``columns`` are contiguous 1-D
-    buffers (NumPy arrays, or a generated trace's ``array.array`` and
-    ``bytearray`` columns; ``column_dtype`` names their type), streamed
-    to the file without being joined first.
+    raw bytes, zero-padded to 8.  ``columns`` are a trace's columns,
+    streamed to the file without being joined first.
     """
     from repro.workloads.trace import column_dtype
 
@@ -273,33 +271,28 @@ def read_trace_header(path: str) -> dict:
 
 
 def read_trace_file(path: str) -> "tuple[dict, str, list]":
-    """A trace file's metadata, fingerprint and columns.
-
-    The file is read once, into one buffer; each column is a read-only
-    view into it at an 8-byte-aligned offset.  Raises ValueError when
-    the file's size disagrees with the columns its header lists.
+    """A trace file's metadata, fingerprint and columns: each column
+    read, past its padding, into a buffer of its own (the type
+    generation makes), as a read-only view of it.  Raises ValueError
+    when the file's size disagrees with the columns its header lists.
     """
+    from repro.workloads.trace import new_column
+
     with open(path, "rb") as handle:
         header = _read_header(handle)
-        # Only a file that exists needs NumPy: a cold run's probe of a
-        # trace it has not written yet imports none.
-        import numpy as np
-
-        buffer = np.empty(
-            os.fstat(handle.fileno()).st_size - handle.tell(), dtype=np.uint8
-        )
-        if handle.readinto(buffer) != buffer.size:
-            raise ValueError("trace file shrank while being read")
-    buffer.flags.writeable = False
-    columns = []
-    offset = 0
-    for dtype, length in header["columns"]:
-        column = np.frombuffer(
-            buffer, dtype=np.dtype(dtype), count=length, offset=offset
-        )
-        columns.append(column)
-        offset += column.nbytes + (-column.nbytes % _TRACE_ALIGN)
-    if offset != buffer.size:
+        left = os.fstat(handle.fileno()).st_size - handle.tell()
+        columns = []
+        for dtype, length in header["columns"]:
+            size = memoryview(new_column(dtype, 1)).nbytes * length
+            left -= size + -size % _TRACE_ALIGN
+            if left < 0:
+                break
+            column = new_column(dtype, length)
+            if handle.readinto(column) != size:
+                raise ValueError("trace file shrank while being read")
+            handle.seek(-size % _TRACE_ALIGN, os.SEEK_CUR)
+            columns.append(memoryview(column).toreadonly())
+    if left:
         raise ValueError("trace file size does not match its columns")
     return header["trace"], header["fingerprint"], columns
 
@@ -310,8 +303,11 @@ def read_trace_file(path: str) -> "tuple[dict, str, list]":
 
 
 def _json_default(value: object) -> object:
-    import numpy as np
-
+    """A NumPy scalar as JSON; anything else raises TypeError, without
+    importing NumPy (no NumPy scalar exists before it loads)."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        raise TypeError(f"not JSON-serializable: {type(value).__name__}")
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):

@@ -65,6 +65,7 @@ fine, ``@5e+1`` is two broken components).
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,8 +78,6 @@ from repro.workloads.scales import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.workloads.trace import Trace
 
 #: Decoration markers recognized after a component's workload name.
@@ -326,34 +325,44 @@ def slice_seed(seed: int, core: int, slot: int) -> int:
     return high << 32 | low
 
 
-def _interleave_round_robin(
-    columns: "list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+def _interleave_round_robin(instances: "list[list]") -> list:
     """Merge per-instance trace columns record-by-record, round-robin.
 
     Models time-slicing at record granularity: the core runs one record
     of each live instance in turn, so every instance's compute and
     stalls dilate the others' wall-clock.  Instances that run out simply
-    drop from the rotation (unequal lengths are legal).
+    drop from the rotation (unequal lengths are legal).  While each of
+    the ``n`` live instances has ``run`` more records, instance ``j``
+    fills every ``n``-th of the next ``run * n`` records from ``j``.
     """
-    if len(columns) == 1:
-        return columns[0]
-    import numpy as np
+    if len(instances) == 1:
+        return instances[0]
+    from repro.workloads.trace import column_dtype, new_column
 
-    # Record k of instance i sorts at key k * n + i; a stable argsort of
-    # the concatenated keys is the round-robin permutation.
-    n = len(columns)
-    keys = np.concatenate([
-        np.arange(len(blocks), dtype=np.int64) * n + i
-        for i, (blocks, _, _, _) in enumerate(columns)
-    ])
-    order = np.argsort(keys, kind="stable")
-    return (
-        np.concatenate([c[0] for c in columns])[order],
-        np.concatenate([c[1] for c in columns])[order],
-        np.concatenate([c[2] for c in columns])[order],
-        np.concatenate([c[3] for c in columns])[order],
-    )
+    total = sum(len(blocks) for blocks, *_ in instances)
+    merged = [
+        new_column(column_dtype(column)[1], total) for column in instances[0]
+    ]
+    live = [columns for columns in instances if len(columns[0])]
+    done = at = 0
+    while live:
+        run = min(len(blocks) for blocks, *_ in live) - done
+        stride = len(live)
+        for j, columns in enumerate(live):
+            for out, column in zip(merged, columns):
+                out[at + j:at + run * stride:stride] = column[done:done + run]
+        at += run * stride
+        done += run
+        live = [columns for columns in live if len(columns[0]) > done]
+    return merged
+
+
+def _stretch(work: array, rate: float) -> array:
+    """A float32 ``work`` column at rate ``rate`` (1/rate slower): NumPy's
+    ``work / np.float32(rate)``, as a double quotient of float32 values
+    rounds to the float32 one correctly (53 >= 2 * 24 + 2 bits)."""
+    rate = array("f", [rate])[0]
+    return array("f", [cycles / rate for cycles in work])
 
 
 def generate_mix(
@@ -373,10 +382,8 @@ def generate_mix(
     recipe's canonical spec.  Symmetric recipes produce bit-identical
     traces to the pre-asymmetric generator (fingerprint-stable).
     """
-    import numpy as np
-
     from repro.workloads.suite import generate as generate_homogeneous
-    from repro.workloads.trace import Trace, as_numpy
+    from repro.workloads.trace import Trace
 
     if isinstance(recipe, str):
         recipe = MixRecipe.parse(recipe)
@@ -386,13 +393,8 @@ def generate_mix(
         component.canonical for component in component_assignment
     )
 
-    blocks: "list[np.ndarray]" = []
-    work: "list[np.ndarray]" = []
-    dep: "list[np.ndarray]" = []
-    write: "list[np.ndarray]" = []
+    columns: list = []
     core_warmup: "list[float]" = []
-    core_rates: "list[float]" = []
-    core_priorities: "list[str]" = []
     base = 0
     for core, component in enumerate(component_assignment):
         instances = []
@@ -405,44 +407,41 @@ def generate_mix(
                 seed=slice_seed(seed, core, slot),
                 records_per_core=records_per_core,
             )
-            instance_blocks, *rest = map(as_numpy, instance.columns())
-            instances.append((instance_blocks + np.int64(base), *rest))
+            blocks, *rest = instance.columns()
+            if base:
+                blocks = array("q", [block + base for block in blocks])
+            instances.append([blocks, *rest])
             warmups.append(instance.warmup_fraction)
             # Generators emit blocks in [0, working_set_blocks);
             # advancing the base by that span keeps every instance's
             # address space disjoint (across cores *and* slices).
             base += instance.working_set_blocks
-        core_blocks, core_work, core_dep, core_write = (
-            _interleave_round_robin(instances)
-        )
+        core_columns = _interleave_round_robin(instances)
         if component.rate != 1.0:
-            # A core at rate r runs its compute 1/r slower; float32
-            # division keeps the column dtype (and /1.0 would be exact,
-            # but the branch keeps symmetric traces byte-identical).
-            core_work = core_work / np.float32(component.rate)
-        blocks.append(core_blocks)
-        work.append(core_work)
-        dep.append(core_dep)
-        write.append(core_write)
+            # /1.0 would be exact, but the branch keeps symmetric traces
+            # byte-identical.
+            core_columns[1] = _stretch(core_columns[1], component.rate)
+        columns += core_columns
         core_warmup.append(max(warmups))
-        core_rates.append(component.rate)
-        core_priorities.append(component.priority)
 
     symmetric = all(
         component.is_symmetric for component in component_assignment
     )
-    return Trace(
-        name=recipe.name,
-        blocks=blocks,
-        work=work,
-        dep=dep,
-        write=write,
-        working_set_blocks=base,
-        warmup_fraction=max(core_warmup) if core_warmup else 0.25,
-        core_workloads=list(assignment),
-        core_warmup=core_warmup,
-        # Default-rate/-priority recipes omit the metadata entirely so
-        # pre-existing symmetric traces keep their fingerprints.
-        core_rates=None if symmetric else core_rates,
-        core_priorities=None if symmetric else core_priorities,
+    return Trace.from_columns(
+        {
+            "name": recipe.name,
+            "working_set_blocks": base,
+            "warmup_fraction": max(core_warmup) if core_warmup else 0.25,
+            "core_workloads": list(assignment),
+            "core_warmup": core_warmup,
+            # Default-rate/-priority recipes omit the metadata entirely
+            # so pre-existing symmetric traces keep their fingerprints.
+            "core_rates": None if symmetric else [
+                component.rate for component in component_assignment
+            ],
+            "core_priorities": None if symmetric else [
+                component.priority for component in component_assignment
+            ],
+        },
+        columns,
     )

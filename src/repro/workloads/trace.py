@@ -18,12 +18,14 @@ A :class:`Trace` stores, for each core, four parallel columns:
 ``write``
     True for stores (dirty fills, write-back traffic).
 
-A column is any contiguous buffer of its element type.  Generated
-traces hold ``array.array`` columns (``q`` int64 blocks, ``f`` float32
-work) and ``bytearray`` bool columns, so generation needs no NumPy;
-loaded, shared and mix traces hold NumPy arrays.  Either way a column's
-NumPy dtype (:func:`column_dtype`) and bytes are what its trace's
-fingerprint hashes and its trace file stores.
+A column is any C-contiguous buffer of its element type.  Generated
+and mix traces hold ``array.array`` columns (``q`` int64 blocks, ``f``
+float32 work) and ``bytearray`` bool columns, and a loaded trace holds
+one read-only ``memoryview`` of such a buffer per column, so none of
+them needs NumPy; only a trace attached from the shared-memory plane
+holds NumPy arrays.  Either way a column's NumPy dtype
+(:func:`column_dtype`) and bytes are what its trace's fingerprint
+hashes and its trace file stores.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ from dataclasses import dataclass, field, fields
 COLUMNS = ("blocks", "work", "dep", "write")
 
 _ORDER = "<" if sys.byteorder == "little" else ">"
-#: NumPy's dtype name and type string of each ``array.array`` typecode
-#: a generated column uses.
-_TYPECODES = {
+#: NumPy's dtype name and type string of each ``memoryview.format`` a
+#: buffer column has (``B``: a ``bytearray`` of bools).
+_FORMATS = {
     "q": ("int64", _ORDER + "i8"),
     "f": ("float32", _ORDER + "f4"),
+    "B": ("bool", "|b1"),
 }
-#: A ``bytearray`` column holds bools, one byte each.
-_BOOL = ("bool", "|b1")
+#: The buffer format of each NumPy type string in :data:`_FORMATS`.
+_FORMAT_OF = {string: code for code, (_, string) in _FORMATS.items()}
 
 
 def column_dtype(column) -> "tuple[str, str]":
@@ -56,31 +59,26 @@ def column_dtype(column) -> "tuple[str, str]":
     dtype = getattr(column, "dtype", None)
     if dtype is not None:
         return str(dtype), dtype.str
-    if isinstance(column, (bytes, bytearray)):
-        return _BOOL
-    return _TYPECODES[column.typecode]
+    return _FORMATS[memoryview(column).format]
+
+
+def new_column(type_string: str, length: int):
+    """A zeroed ``array.array`` (``bytearray`` for bools) of ``length``
+    elements of the type string ``type_string``; KeyError for others."""
+    code = _FORMAT_OF[type_string]
+    if code == "B":
+        return bytearray(length)
+    return array(code, [0]) * length
 
 
 def as_numpy(column):
     """``column`` as a NumPy array of its dtype: itself, or a view of a
-    generated column's buffer."""
+    buffer column (read-only when the buffer is)."""
     import numpy as np
 
     if isinstance(column, np.ndarray):
         return column
-    if isinstance(column, (array, bytes, bytearray)):
-        return np.frombuffer(column, dtype=column_dtype(column)[0])
-    return np.asarray(column)
-
-
-def contiguous(column):
-    """``column`` as one contiguous buffer of its dtype (a generated
-    column already is one)."""
-    if isinstance(column, (array, bytes, bytearray)):
-        return column
-    import numpy as np
-
-    return np.ascontiguousarray(as_numpy(column))
+    return np.frombuffer(column, dtype=column_dtype(column)[0])
 
 
 @dataclass
@@ -194,8 +192,8 @@ class Trace:
     @classmethod
     def from_columns(cls, metadata: dict, columns: list) -> "Trace":
         """Rebuild a trace from :meth:`metadata` and :meth:`columns`
-        output.  The arrays may be views into a buffer the caller keeps
-        alive (a loaded file's, or a shared-memory segment's)."""
+        output.  The columns may be views of buffers the caller keeps
+        alive (a shared-memory segment's)."""
         return cls(**metadata, **{
             name: list(columns[i::len(COLUMNS)])
             for i, name in enumerate(COLUMNS)
@@ -218,7 +216,7 @@ class Trace:
                          self.core_rates, self.core_priorities):
             if per_core is not None:
                 digest.update(repr(tuple(per_core)).encode())
-        for column in map(contiguous, self.columns()):
+        for column in self.columns():
             digest.update(column_dtype(column)[0].encode())
             digest.update(column)
         self._fingerprint = digest.hexdigest()
@@ -262,13 +260,13 @@ class Trace:
             path,
             self.metadata(),
             self.fingerprint(),
-            [contiguous(column) for column in self.columns()],
+            self.columns(),
         )
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Load a trace written by :meth:`save`; its columns are
-        read-only views into the one buffer the file is read into.
+        """Load a trace written by :meth:`save`; each column is a
+        read-only view of its own buffer, read from the file.
 
         Raises ValueError when the stored fingerprint does not match
         the loaded columns, and KeyError when it is missing.

@@ -369,6 +369,46 @@ def test_non_float32_work_matches_scalar(dtype):
 
 
 @needs_cc
+def test_loaded_trace_reaches_the_kernel_uncopied(tmp_path):
+    """A stored trace's columns (read-only views of their own buffers)
+    are what the kernel reads, and the loaded trace simulates to the
+    generated trace's result."""
+    from repro.sim.runner import (
+        PrefetcherKind, make_factory, make_sim_config, make_stms_config)
+    from repro.sim.store import encode_result
+    from repro.workloads.suite import generate
+    from repro.workloads.trace import Trace
+
+    generated = generate("oltp-db2", scale="test", cores=2, seed=5)
+    path = str(tmp_path / "oltp.trace")
+    generated.save(path)
+    loaded = Trace.load(path)
+    for name, kind in native._KINDS.items():
+        for column in getattr(loaded, name):
+            assert native._column(column, kind) is column
+            # A part of a read-only view says nothing of where it
+            # starts: the kernel reads a copy.
+            part = column[1:]
+            with pytest.raises(ValueError, match="part of a buffer"):
+                library.address(part)
+            copied = native._column(part, kind)
+            assert copied is not part
+            assert bytes(copied) == bytes(part)
+    config = make_sim_config("test")
+    results = []
+    for trace in (generated, loaded):
+        state = native.NativeRunState(config, trace, make_factory(
+            PrefetcherKind.STMS, make_stms_config("test", cores=2)
+        ))
+        assert not state._work_f64
+        state.run_warmup()
+        state.reset_accounting()
+        state.run_measured()
+        results.append(encode_result(state.result("stms")))
+    assert results[0] == results[1]
+
+
+@needs_cc
 @pytest.mark.parametrize("seed", [7, 11, 42])
 @pytest.mark.parametrize("probability", [0.125, 0.5])
 def test_kernel_coins_are_the_samplers_flips(probability, seed):

@@ -9,6 +9,8 @@ cannot tear an entry (atomic rename), and eviction is LRU by recency.
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -153,6 +155,33 @@ class TestResultCodec:
         result = make_result(elapsed=0.1 + 0.2)  # not exactly 0.3
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
+
+    def test_numpy_scalars_encode_as_plain_numbers(self):
+        record = {"i": np.int64(3), "f": np.float32(0.5), "b": np.bool_(1)}
+        assert json.loads(
+            json.dumps(record, default=store_module._json_default)
+        ) == {"i": 3, "f": 0.5, "b": True}
+
+    def test_unencodable_value_raises_without_importing_numpy(self):
+        """A value JSON cannot encode is rejected without importing
+        NumPy to ask whether it is a NumPy scalar."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             "from repro.sim.store import _json_default\n"
+             "try:\n"
+             "    json.dumps({'x': object()}, default=_json_default)\n"
+             "except TypeError as exc:\n"
+             "    print(json.dumps([str(exc), 'numpy' in sys.modules]))\n"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            "not JSON-serializable: object", False
+        ]
 
     def test_none_fields_survive(self):
         result = make_result()

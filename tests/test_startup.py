@@ -265,9 +265,10 @@ print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))
 @needs_cc
 def test_cold_contention_parent_imports_no_machine_model(tmp_path):
     """The parent of a cold two-worker ``mix-contention`` generates
-    traces, preloads what its workers run (the kernel's driver, and
-    NumPy for the mixes' interleave) and forks: it imports no Python
-    machine model, and no ``numpy.random`` (the library draws)."""
+    traces, preloads what its workers run (the kernel's driver) and
+    forks: it imports no Python machine model, and no ``numpy.random``
+    (the library draws; no NumPy at all, as
+    :func:`test_cold_contention_imports_no_numpy` checks)."""
     store = str(tmp_path / "store")
     unwanted = KERNEL_PATH_FORBIDDEN + ("numpy.random",)
     loaded = _python(f"""
@@ -286,13 +287,11 @@ needs_library = pytest.mark.skipif(
 )
 
 
-@needs_library
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cold_fig7_imports_no_numpy(tmp_path, jobs):
-    """A cold fig7 generates its traces, simulates its cells and writes
-    its store in the compiled library: neither the parent nor a worker
-    imports NumPy.  Each worker notes whether it had NumPy loaded after
-    its bundle, one file per process."""
+def _numpy_loaded(tmp_path, argv: "list[str]") -> "tuple[list, list]":
+    """Run ``repro <argv> --store-dir <tmp_path/store>`` in a fresh
+    interpreter: whether NumPy (and ``numpy.random``) loaded in the
+    parent, and, per worker, whether it had NumPy loaded after its
+    bundle (each worker notes it in a file of its own)."""
     store = str(tmp_path / "store")
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -314,15 +313,64 @@ def probed(*args, **kwargs):
 
 
 runner._run_bundle = probed
-assert main(["experiment", "fig7", "--scale", "test", "--jobs", "{jobs}",
-             "--store-dir", {store!r}]) == 0
+assert main({argv!r} + ["--store-dir", {store!r}]) == 0
 print(json.dumps([m for m in ("numpy", "numpy.random") if m in sys.modules]))
 """)
+    return loaded, [json.loads(log.read_text()) for log in logs.iterdir()]
+
+
+@needs_library
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cold_fig7_imports_no_numpy(tmp_path, jobs):
+    """A cold fig7 generates its traces, simulates its cells and writes
+    its store in the compiled library: neither the parent nor a worker
+    imports NumPy."""
+    loaded, workers = _numpy_loaded(
+        tmp_path,
+        ["experiment", "fig7", "--scale", "test", "--jobs", str(jobs)],
+    )
     assert loaded == []
-    workers = [json.loads(log.read_text()) for log in logs.iterdir()]
     assert workers == [False] * len(workers)
     if jobs > 1:
         assert workers
+
+
+@needs_library
+def test_cold_contention_imports_no_numpy(tmp_path):
+    """A cold two-worker ``mix-contention`` assembles its mixes in
+    buffers (offset, round-robin merge, float32 rate scaling): neither
+    the parent nor a worker imports NumPy."""
+    loaded, workers = _numpy_loaded(
+        tmp_path,
+        ["experiment", "mix-contention", "--scale", "test", "--jobs", "2"],
+    )
+    assert loaded == []
+    assert workers and workers == [False] * len(workers)
+
+
+@needs_library
+def test_fig8_over_stored_traces_imports_no_numpy(tmp_path):
+    """fig8 on a store that holds fig7's traces (its results cold)
+    reads those trace files into buffers: neither the parent nor a
+    worker imports NumPy."""
+    from repro.sim.store import ArtifactStore
+
+    store = str(tmp_path / "store")
+    cold = subprocess.run(
+        [sys.executable, "-m", "repro", "experiment", "fig7", "--scale",
+         "test", "--jobs", "1", "--store-dir", store],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert cold.returncode == 0, cold.stderr
+    before = ArtifactStore(store).counters().get("trace_store_hits", 0)
+    loaded, workers = _numpy_loaded(
+        tmp_path,
+        ["experiment", "fig8", "--scale", "test", "--jobs", "2"],
+    )
+    assert ArtifactStore(store).counters()["trace_store_hits"] > before
+    assert loaded == []
+    assert workers and workers == [False] * len(workers)
 
 
 def test_suite_trace_loads_no_mix_grammar():

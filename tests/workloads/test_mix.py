@@ -1,12 +1,24 @@
 """Tests for multiprogrammed mix recipes and trace generation."""
 
+from array import array
+
 import numpy as np
 import pytest
 
-from repro.workloads.mix import MixRecipe, core_seed, generate_mix
+from repro.experiments.mix_contention import DEFAULT_MIXES
+from repro.workloads.mix import (
+    MAX_RATE,
+    MAX_SLICES,
+    MIN_RATE,
+    MixRecipe,
+    _interleave_round_robin,
+    _stretch,
+    core_seed,
+    generate_mix,
+)
 from repro.workloads.scales import MIX_PRESETS, is_mix
 from repro.workloads.suite import generate
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, as_numpy
 
 
 class TestMixRecipe:
@@ -81,8 +93,8 @@ class TestGenerateMix:
 
     def test_address_spaces_disjoint(self):
         trace = self._small(spec="mix:web-apache+sci-ocean")
-        lo = [int(b.min()) for b in trace.blocks]
-        hi = [int(b.max()) for b in trace.blocks]
+        lo = [int(as_numpy(b).min()) for b in trace.blocks]
+        hi = [int(as_numpy(b).max()) for b in trace.blocks]
         assert hi[0] < lo[1] or hi[1] < lo[0]
         assert max(hi) < trace.working_set_blocks
 
@@ -95,7 +107,7 @@ class TestGenerateMix:
         trace = self._small(spec="mix:2xoltp-db2")
         # Disjoint address spaces aside, the *relative* sequences must
         # differ too (per-core RNG streams, not replicas).
-        relative = [b - b.min() for b in trace.blocks]
+        relative = [as_numpy(b) - as_numpy(b).min() for b in trace.blocks]
         assert not np.array_equal(relative[0], relative[1])
 
     def test_suite_generate_dispatches_mixes(self):
@@ -257,3 +269,114 @@ class TestMixStoreIntegration:
         assert cold.stats.trace_store_hits == 1
         assert first.fingerprint() == second.fingerprint()
         assert second.core_workloads == first.core_workloads
+
+
+def _argsort_interleave(instances):
+    """The round-robin merge as a stable sort: record ``k`` of instance
+    ``i`` (of ``n``) sorts at key ``k * n + i``."""
+    n = len(instances)
+    keys = np.concatenate([
+        np.arange(len(columns[0]), dtype=np.int64) * n + i
+        for i, columns in enumerate(instances)
+    ])
+    order = np.argsort(keys, kind="stable")
+    return [
+        np.concatenate([as_numpy(columns[c]) for columns in instances])[order]
+        for c in range(4)
+    ]
+
+
+def _instance(rng, length):
+    """Random columns of every type a trace holds: int64 blocks, float32
+    work, bool dep and write."""
+    return [
+        array("q", rng.integers(-(1 << 40), 1 << 40, length).tolist()),
+        array("f", rng.random(length, dtype=np.float32).tobytes()),
+        bytearray((rng.random(length) < 0.5).tobytes()),
+        bytearray((rng.random(length) < 0.2).tobytes()),
+    ]
+
+
+class TestAssemblyParity:
+    """Mixes assemble in buffers as a NumPy argsort and float32 division
+    would: the merge, the rate scaling and the traces themselves."""
+
+    @pytest.mark.parametrize("count", range(1, MAX_SLICES + 1))
+    @pytest.mark.parametrize("trial", range(4))
+    def test_interleave_is_the_stable_argsort_order(self, count, trial):
+        rng = np.random.default_rng(count * 10 + trial)
+        # Unequal lengths, ties among them, and empty instances.
+        lengths = rng.choice([0, 1, 2, 7, 7, 30, 61], size=count).tolist()
+        if trial == 0:
+            lengths[-1] = 0
+        instances = [_instance(rng, length) for length in lengths]
+        merged = _interleave_round_robin(instances)
+        want = _argsort_interleave(instances)
+        assert [type(c) for c in merged] == [array, array, bytearray,
+                                            bytearray]
+        for got, expected in zip(merged, want):
+            assert as_numpy(got).dtype == expected.dtype
+            assert np.array_equal(as_numpy(got), expected)
+
+    def test_interleave_of_only_empty_instances_is_empty(self):
+        rng = np.random.default_rng(0)
+        merged = _interleave_round_robin([_instance(rng, 0)] * 3)
+        assert [len(column) for column in merged] == [0] * 4
+
+    def test_stretch_is_float32_division_at_every_rate(self):
+        rng = np.random.default_rng(5)
+        work = np.concatenate([
+            rng.random(2000, dtype=np.float32) * np.float32(400),
+            rng.integers(0, 1 << 24, 500).astype(np.float32),
+            np.array([0.0, 1.0, 3.0, 1e-30, 3.4e38], dtype=np.float32),
+        ])
+        column = array("f", work.tobytes())
+        grid = np.geomspace(MIN_RATE, MAX_RATE, 241)
+        rates = sorted({float(f"{rate:g}") for rate in grid})
+        rates = [rate for rate in rates if MIN_RATE <= rate <= MAX_RATE]
+        assert MIN_RATE in rates and MAX_RATE in rates
+        for rate in rates:
+            got = as_numpy(_stretch(column, rate))
+            with np.errstate(over="ignore"):
+                want = work / np.float32(rate)
+            assert got.tobytes() == want.tobytes(), rate
+
+    #: ``generate_mix(spec, "test", cores=4, seed).fingerprint()`` as
+    #: NumPy assembled them (offset, argsort interleave, float32 rate).
+    FINGERPRINTS = {
+        ("mix:oltp-db2+dss-db2", 7): "df93e65d2a528abc504ff9b48c1edc8c",
+        ("mix:oltp-db2+dss-db2", 8): "7756ac774d692e87ab5d2b609b7c9f62",
+        ("mix:web-apache+sci-em3d", 7): "c8cff8100aa6506324b0de446059e629",
+        ("mix:web-apache+sci-em3d", 8): "dfcaf9261dbe26d979a3e7b9c2b2fa0f",
+        ("mix:oltp-db2+web-zeus", 7): "a3b6a4f98beab2a9c148d1c7fd7f3f7f",
+        ("mix:oltp-db2+web-zeus", 8): "b2c8a9d95b50ecbb40c3eaf185a5f463",
+        ("mix:oltp-db2*2+dss-db2@0.5!low", 7):
+            "dcc6691bf6ca50db12b421e9e25d6082",
+        ("mix:oltp-db2*2+dss-db2@0.5!low", 8):
+            "0670db12ea7c007ea650f1f656abc220",
+        ("mix-oltp-dss", 7): "df93e65d2a528abc504ff9b48c1edc8c",
+        ("mix-oltp-dss", 8): "7756ac774d692e87ab5d2b609b7c9f62",
+        ("mix-web-sci", 7): "c8cff8100aa6506324b0de446059e629",
+        ("mix-web-sci", 8): "dfcaf9261dbe26d979a3e7b9c2b2fa0f",
+        ("mix-commercial", 7): "a3b6a4f98beab2a9c148d1c7fd7f3f7f",
+        ("mix-commercial", 8): "b2c8a9d95b50ecbb40c3eaf185a5f463",
+        ("mix-hetero", 7): "11de4adb14993428ecb340c33bd5fc51",
+        ("mix-hetero", 8): "aaf2f285bd774a937ee01b0a684e668c",
+        ("mix:oltp-db2*3+sci-em3d*2@0.37", 7):
+            "a0085fba13781e4b20353b41151dc16b",
+        ("mix:oltp-db2*3+sci-em3d*2@0.37", 8):
+            "ca235039d8ce76733c2097d91ebdf6bd",
+        ("mix:web-zeus*2@2.5!low+dss-db2*4", 7):
+            "6e4b7590f4d5c15262c65a281794fa53",
+        ("mix:web-zeus*2@2.5!low+dss-db2*4", 8):
+            "c11c7d43e5f60aaa37612d8d5399c0e1",
+    }
+
+    def test_pinned_fingerprints_cover_every_default_and_preset(self):
+        specs = {spec for spec, _ in self.FINGERPRINTS}
+        assert set(DEFAULT_MIXES) | set(MIX_PRESETS) <= specs
+
+    @pytest.mark.parametrize("spec,seed", sorted(FINGERPRINTS))
+    def test_fingerprint_is_pinned(self, spec, seed):
+        trace = generate_mix(spec, scale="test", cores=4, seed=seed)
+        assert trace.fingerprint() == self.FINGERPRINTS[spec, seed]

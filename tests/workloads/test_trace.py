@@ -113,10 +113,10 @@ class TestTrace:
         trace.save(path)
         loaded = Trace.load(path)
         for core in range(3):
-            assert loaded.blocks[core].dtype == np.int64
-            assert loaded.work[core].dtype == np.float32
-            assert loaded.dep[core].dtype == np.bool_
-            assert loaded.write[core].dtype == np.bool_
+            assert as_numpy(loaded.blocks[core]).dtype == np.int64
+            assert as_numpy(loaded.work[core]).dtype == np.float32
+            assert as_numpy(loaded.dep[core]).dtype == np.bool_
+            assert as_numpy(loaded.write[core]).dtype == np.bool_
             np.testing.assert_array_equal(
                 loaded.work[core], trace.work[core]
             )
@@ -133,16 +133,18 @@ class TestTrace:
         assert Trace.load(path).fingerprint() == trace.fingerprint()
 
     def test_loaded_columns_are_read_only_aligned_views(self, tmp_path):
-        """Columns of odd byte lengths (5 bools, 5 float32s) still leave
-        every later column 8-byte aligned, and none can be written."""
+        """Columns of odd byte lengths (5 bools, 5 float32s), padded in
+        the file, still load 8-byte aligned, and none can be written."""
+        from repro.sim.library import address
+
         trace = simple_trace(records=5, cores=2)
         path = str(tmp_path / "trace.trace")
         trace.save(path)
         loaded = Trace.load(path)
         for column in loaded.columns():
-            assert column.ctypes.data % 8 == 0
-            assert not column.flags.writeable
-            with pytest.raises(ValueError):
+            assert memoryview(column).readonly
+            assert address(column) % 8 == 0
+            with pytest.raises(TypeError):
                 column[0] = column[0]
 
     def test_file_is_a_header_plus_raw_columns(self, tmp_path):
@@ -174,7 +176,7 @@ class TestTrace:
         """A trace built from ``array.array`` and ``bytearray`` columns
         (what generation makes) has the fingerprint, and saves the file
         bytes, of the same trace built from NumPy columns, and loads
-        back as NumPy columns of the same dtypes."""
+        back as buffer columns of the same dtypes."""
         from array import array
 
         rng = np.random.default_rng(records)
@@ -204,8 +206,9 @@ class TestTrace:
         assert contents[0] == contents[1]
         loaded = Trace.load(paths[1])
         for got, want in zip(loaded.columns(), array_trace.columns()):
-            assert got.dtype == as_numpy(want).dtype
-            np.testing.assert_array_equal(got, as_numpy(want))
+            assert column_dtype(got) == column_dtype(want)
+            assert as_numpy(got).dtype == as_numpy(want).dtype
+            np.testing.assert_array_equal(as_numpy(got), as_numpy(want))
 
     def test_metadata_lists_every_non_column_field(self):
         trace = simple_trace(records=3, cores=1)
