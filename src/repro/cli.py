@@ -35,6 +35,7 @@ from repro.analysis.report import format_percent, format_table
 from repro.envknobs import sim_cache_enabled
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.obs import SessionStats, long_lived
+from repro.sim.config import resolve_engine
 from repro.sim.results import SimResult
 from repro.sim.runner import (
     PrefetcherKind,
@@ -415,18 +416,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     if invocations:
         cells = counters["sweep_cells"]
         rows.append(["cells per sweep", f"{cells / invocations:.1f}"])
-    # Data-plane effectiveness: how much of the bytes shipped to pool
-    # workers travelled as zero-copy shared-memory views versus the
-    # TraceRef fallback path.
-    zero_copy = counters["shm_bytes_zero_copy"]
-    pickled = counters["shm_bytes_pickled"]
-    if zero_copy or pickled:
-        rows.append([
-            "shm zero-copy share",
-            f"{zero_copy / (zero_copy + pickled):.0%} "
-            f"({_format_size(zero_copy)} shm vs "
-            f"{_format_size(pickled)} pickled)",
-        ])
     print(format_table(["field", "value"], rows, title="Artifact store"))
     return 0
 
@@ -490,8 +479,7 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
         f"{stats.sim_misses} simulated, {stats.sim_hits} memory hits, "
         f"{stats.sim_store_hits} store hits "
         f"({stats.trace_store_hits} trace store hits, "
-        f"{stats.bundle_skips} bundles skipped, "
-        f"{stats.shm_attaches} shm attaches)"
+        f"{stats.bundle_skips} bundles skipped)"
     )
     if store is not None:
         print(
@@ -563,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="STMS index-update sampling probability",
     )
     add_common(sub)
-    sub.set_defaults(entry=cmd_run)
+    sub.set_defaults(entry=cmd_run, simulates=True)
 
     sub = subparsers.add_parser(
         "compare", help="baseline vs ideal vs STMS on one workload"
@@ -574,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite workload, mix preset, or 'mix:<w>+<w>...' spec",
     )
     add_common(sub)
-    sub.set_defaults(entry=cmd_compare)
+    sub.set_defaults(entry=cmd_compare, simulates=True)
 
     sub = subparsers.add_parser(
         "experiment", help="regenerate one paper figure/table"
@@ -591,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_JOBS or the CPU count)",
     )
     add_cache_options(sub)
-    sub.set_defaults(entry=cmd_experiment)
+    sub.set_defaults(entry=cmd_experiment, simulates=True)
 
     sub = subparsers.add_parser(
         "sweep-sampling", help="Fig. 8 sweep on one workload"
@@ -599,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workload", required=True,
                      choices=sorted(FIGURE_ORDER))
     add_common(sub)
-    sub.set_defaults(entry=cmd_sweep_sampling)
+    sub.set_defaults(entry=cmd_sweep_sampling, simulates=True)
 
     cache = subparsers.add_parser(
         "cache", help="inspect and manage the persistent artifact store"
@@ -669,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for experiment targets",
     )
     add_store_dir(sub)
-    sub.set_defaults(entry=cmd_cache_warm)
+    sub.set_defaults(entry=cmd_cache_warm, simulates=True)
 
     return parser
 
@@ -689,6 +677,13 @@ def _freeze_heap_at_exit() -> None:
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "simulates", False):
+        # A bad REPRO_SIM_ENGINE is a usage error: one line, before any
+        # work starts.
+        try:
+            resolve_engine("auto")
+        except ValueError as error:
+            parser.exit(2, f"{parser.prog}: error: {error}\n")
     _freeze_heap_at_exit()
     try:
         # The parsed command and the control plane's import graph live

@@ -68,17 +68,12 @@ class SessionStats:
     #: engine (``REPRO_SIM_ENGINE=scalar``) — nonzero values show a run
     #: that left the fast engines.
     sweep_fallbacks: int = 0
-    #: Shared-memory trace-plane segments the runner exported for cell
-    #: shards (parent side of the zero-copy plane).
+    #: Shared-memory trace-plane segments exported and attached
+    #: (:mod:`repro.sim.shm`).  Nothing in ``src/`` counts them since
+    #: the runner's shards inherit their traces by fork; they stay
+    #: because the benchmark harness (``perfbench/run.py``) reads them.
     shm_exports: int = 0
-    #: Trace-plane segments attached by workers.
     shm_attaches: int = 0
-    #: Bytes served to workers as zero-copy shared-memory views.
-    shm_bytes_zero_copy: int = 0
-    #: Bytes workers re-read on the TraceRef fallback path (the
-    #: referenced trace files' sizes) — the plane's savings are the contrast
-    #: between this and :attr:`shm_bytes_zero_copy`.
-    shm_bytes_pickled: int = 0
     #: Artifact-store handle events: entries written, failed writes
     #: (``counters.json`` rewrites included), unreadable entries
     #: dropped, entries or whole stores invalidated by a schema

@@ -274,12 +274,8 @@ EMIT_ABI = (
 
 def address(buffer) -> int:
     """The address of a contiguous buffer's first byte (0 when empty):
-    a writable buffer's, a read-only view's through the writable buffer
-    it covers whole (a loaded column), or a NumPy array's (a column
-    attached from the shared-memory plane)."""
-    interface = getattr(buffer, "__array_interface__", None)
-    if interface is not None:
-        return interface["data"][0]
+    a writable buffer's, or a read-only view's through the writable
+    buffer it covers whole (a loaded column)."""
     if isinstance(buffer, memoryview) and buffer.readonly:
         if buffer.nbytes != memoryview(buffer.obj).nbytes:
             raise ValueError("a read-only view of part of a buffer")

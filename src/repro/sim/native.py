@@ -656,13 +656,13 @@ _U8 = ctypes.c_uint8
 _P = ctypes.c_void_p
 #: Per column, the buffer formats (``memoryview.format``) the kernel
 #: reads in place, their width in bytes, and the ``array`` typecode it
-#: copies any other column to: int64 blocks (NumPy's int64 is ``l``),
-#: float32 work, and bool or byte flags.
+#: copies any other column to: int64 blocks, float32 work, and byte
+#: flags.
 _KINDS = {
-    "blocks": (("q", "l"), 8, "q"),
+    "blocks": (("q",), 8, "q"),
     "work": (("f",), 4, "f"),
-    "dep": (("?", "B"), 1, "B"),
-    "write": (("?", "B"), 1, "B"),
+    "dep": (("B",), 1, "B"),
+    "write": (("B",), 1, "B"),
 }
 #: Work of a trace whose work is not all float32.
 _WORK_F64 = (("d",), 8, "d")
@@ -670,14 +670,15 @@ _WORK_F64 = (("d",), 8, "d")
 
 def _in_place(column, kind: tuple) -> bool:
     """Whether the kernel can read ``column`` where it is: a contiguous
-    buffer of ``kind``'s element type (a read-only view only if it
-    covers its buffer whole, as :func:`address` needs)."""
+    buffer of ``kind``'s element type, writable or a read-only view of
+    a whole writable buffer (what :func:`address` reads through)."""
     formats, width, _ = kind
     view = memoryview(column)
+    base = memoryview(view.obj) if view.readonly else view
     return (
         view.c_contiguous and view.format in formats
         and view.itemsize == width
-        and (not view.readonly or view.nbytes == memoryview(view.obj).nbytes)
+        and not base.readonly and base.nbytes == view.nbytes
     )
 
 

@@ -12,10 +12,10 @@ Three layers sit above the engine:
 * :class:`ExperimentRunner` — maps job lists onto a process pool with
   a two-level decomposition: trace groups first (each worker acquires
   a trace once), then strided *cell* shards of the larger groups when
-  workers would otherwise idle — split groups travel over the
-  zero-copy shared-memory trace plane (:mod:`repro.sim.shm`) instead
-  of being re-read per worker.  Falls back to in-process execution on
-  single-CPU machines or when the platform refuses subprocesses.
+  workers would otherwise idle — the parent acquires a split group's
+  trace once, and its forked shards inherit it instead of each
+  re-reading or regenerating it.  Falls back to in-process execution
+  on single-CPU machines or when the platform refuses subprocesses.
 
 >>> from repro.sim.runner import run_workload, PrefetcherKind
 >>> result = run_workload("web-apache", PrefetcherKind.STMS, scale="test")
@@ -52,7 +52,6 @@ from repro.workloads.scales import ScalePreset, get_scale
 
 if TYPE_CHECKING:
     from repro.sim.engine import TemporalFactory
-    from repro.sim.shm import TracePayload
     from repro.workloads.trace import Trace
 
 
@@ -390,9 +389,7 @@ def run_job(job: SimJob, session: "SimSession | None" = None) -> SimResult:
 
 
 def _run_bundle(
-    jobs: "list[SimJob]",
-    trace_ref: "TraceRef | None" = None,
-    plane_payload: "TracePayload | None" = None,
+    jobs: "list[SimJob]", trace_ref: "TraceRef | None" = None
 ) -> "tuple[list[SimResult], dict, dict]":
     """Worker entry point: run a bundle of jobs sharing one trace.
 
@@ -400,17 +397,11 @@ def _run_bundle(
     initializer installed as this process's session: a forked worker
     inherits its memory tier, enabled flag and store (a disabled session
     recomputes everything here too), and a non-fork worker rebuilds its
-    enabled flag and store (``SimSession.__reduce__``).  ``trace_ref``
-    — hash and path of the bundle's persisted trace — seeds the session
-    directly when the file exists.
-
-    ``plane_payload`` (set for the cell shards of a split trace group)
-    points at the parent's shared-memory trace plane
-    (:mod:`repro.sim.shm`): this worker attaches the segment read-only
-    and seeds its session's memory tier with the zero-copy trace, where
-    :func:`~repro.sim.sweep.run_sweep` finds it — no trace-file re-read
-    and no re-generation per shard.  A failed attach (or a disabled
-    session) falls back to the TraceRef path.
+    enabled flag and store (``SimSession.__reduce__``).  A cell shard
+    of a split trace group finds the trace the parent acquired before
+    forking in that inherited memory tier.  ``trace_ref`` — hash and
+    path of the bundle's persisted trace — seeds the session directly
+    when the memory tier lacks the trace and the file exists.
 
     Besides the ordered results, the worker ships back the result-cache
     entries this bundle added to its session (so the parent can adopt
@@ -419,27 +410,12 @@ def _run_bundle(
     theirs already) and the bundle's counter deltas, which the parent
     folds into its own stats so they describe the whole fan-out.
     """
-    from repro.sim.shm import attach as shm_attach
     from repro.sim.sweep import run_sweep
 
     session = get_session()
     before = replace(session.stats)
     known = set(session.export_results())
-    attached = False
-    if plane_payload is not None and session.enabled and jobs:
-        shm_trace = shm_attach(plane_payload)
-        if shm_trace is not None:
-            first = jobs[0]
-            attached = session.adopt_shm_trace(
-                first.workload,
-                first.scale,
-                first.cores,
-                first.seed,
-                first.records_per_core,
-                shm_trace,
-                plane_payload.total_bytes,
-            )
-    if not attached and trace_ref is not None and jobs:
+    if trace_ref is not None and jobs:
         first = jobs[0]
         session.prime_trace(
             first.workload,
@@ -467,21 +443,6 @@ def _default_workers() -> "tuple[int, bool]":
         "REPRO_JOBS", os.cpu_count() or 1, invalid=1
     )
     return workers, workers > 1
-
-
-def _ref_bytes(ref: "TraceRef | None") -> int:
-    """On-disk size of a shipped TraceRef (0 when absent/unreadable).
-
-    This is what a worker re-reads on the TraceRef fallback path —
-    the denominator of the zero-copy-vs-pickled contrast in
-    ``cache stats``.
-    """
-    if ref is None:
-        return 0
-    try:
-        return os.stat(ref.path).st_size
-    except OSError:
-        return 0
 
 
 def _shard_groups(
@@ -548,9 +509,7 @@ def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
     return False
 
 
-def _preload_workers(
-    jobs: "list[SimJob]", generates: bool, attaches: bool
-) -> None:
+def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
     """Import what the workers of ``jobs`` run before the pool forks.
 
     A forked worker inherits every module the parent has imported; any
@@ -561,8 +520,7 @@ def _preload_workers(
     engine each cell runs in: the kernel's driver for the cells the
     loaded library steps, the Python batch engine for the rest, and
     the scalar reference for every cell when it is selected.  Of the
-    trace paths only the Python emitters and a shared trace's attach
-    (``attaches``) use NumPy.
+    trace paths only the Python emitters (no library) use NumPy.
     """
     from repro.sim import sweep  # noqa: F401
     from repro.workloads import suite  # noqa: F401
@@ -570,8 +528,6 @@ def _preload_workers(
     loaded = _preload_kernel(jobs, generates)
     if generates and not loaded:
         from repro.workloads import reference  # noqa: F401
-    elif attaches:
-        import numpy  # noqa: F401
     engine = resolve_engine("auto")
     for kind in {job.kind for job in jobs}:
         # make_factory imports the kind's prefetcher model; an STMS
@@ -598,14 +554,12 @@ class ExperimentRunner:
     the workers, the larger groups additionally split into strided
     *cell* shards (``_shard_groups``) so a single big grid still
     saturates the pool.
-    Split groups ship over the zero-copy shared-memory trace plane
-    (:mod:`repro.sim.shm`, ``REPRO_SHM=off`` to disable): the parent
-    exports the trace columns once, and every shard attaches read-only
-    views.  On a single-CPU machine (or with ``REPRO_JOBS=1``) everything
-    runs in-process — strictly better for cache reuse, just not concurrent.
-    Subprocess failures of the platform kind (sandboxes without fork,
-    missing semaphores) degrade to the serial path; segment cleanup is
-    guaranteed on that path too.
+    The parent acquires each split group's trace into its memory tier
+    before the pool forks, so every shard inherits it.  On a single-CPU
+    machine (or with ``REPRO_JOBS=1``) everything runs in-process —
+    strictly better for cache reuse, just not concurrent.  Subprocess
+    failures of the platform kind (sandboxes without fork, missing
+    semaphores) degrade to the serial path.
     """
 
     def __init__(
@@ -644,6 +598,15 @@ class ExperimentRunner:
     def _map(
         self, jobs: "list[SimJob]", session: SimSession
     ) -> "list[SimResult]":
+        """Serve stored results, then run what is left as shards.
+
+        Shards run in-process when there are fewer than two, else on a
+        forked pool.  Before forking, the parent puts each split group's
+        trace in its memory tier (``session.trace``), which every shard
+        of that group inherits; an unsplit group's worker gets a
+        :class:`~repro.sim.store.TraceRef` and reads or generates its
+        trace itself.
+        """
         if not jobs:
             return []
         groups: "dict[tuple, list[int]]" = {}
@@ -694,8 +657,6 @@ class ExperimentRunner:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.sim.shm import TracePlane, shm_enabled
-
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
@@ -703,91 +664,72 @@ class ExperimentRunner:
         shard_counts: "dict[tuple, int]" = {}
         for trace_key, _ in shards:
             shard_counts[trace_key] = shard_counts.get(trace_key, 0) + 1
-        exports = 0
-        pickled_bytes = 0
-        with TracePlane() as plane:
-            # Zero-copy data plane: each *split* group's trace is
-            # materialized once here and exported to shared memory, so
-            # its cell shards attach instead of re-reading it per
-            # process.
-            # Unsplit groups keep the cheap TraceRef path — exporting
-            # them would serialize trace generation in the parent that
-            # the workers do in parallel today.
-            payloads: "dict[tuple, TracePayload]" = {}
-            if shm_enabled() and session.enabled:
-                for trace_key, count in shard_counts.items():
-                    if count < 2:
-                        continue
-                    first = jobs[groups[trace_key][0]]
-                    trace = session.trace(
-                        first.workload,
-                        scale=first.scale,
-                        cores=first.cores,
-                        seed=first.seed,
-                        records_per_core=first.records_per_core,
-                    )
-                    payload = plane.export(trace)
-                    if payload is not None:
-                        payloads[trace_key] = payload
-                        exports += 1
-            # A shard with no exported trace acquires its own: from the
-            # store when it holds the trace, else by generating it.
-            generating = [
-                trace_key not in payloads
-                and (
-                    store is None
-                    or not os.path.exists(
-                        store.trace_path(trace_digest(trace_key))
-                    )
-                )
-                for trace_key, _ in shards
-            ]
-            _preload_workers(
-                [jobs[i] for _, indices in shards for i in indices],
-                generates=any(generating),
-                attaches=bool(payloads),
+        # Each *split* group's trace is acquired once here, into the
+        # memory tier the forked shards inherit, instead of once per
+        # shard.  Unsplit groups keep the TraceRef path — acquiring
+        # them here would serialize trace generation in the parent
+        # that the workers do in parallel.
+        inherited = [
+            trace_key for trace_key, count in shard_counts.items()
+            if count > 1 and session.enabled
+        ]
+        for trace_key in inherited:
+            first = jobs[groups[trace_key][0]]
+            session.trace(
+                first.workload,
+                scale=first.scale,
+                cores=first.cores,
+                seed=first.seed,
+                records_per_core=first.records_per_core,
             )
-            try:
-                # Every worker runs on the caller's session: the
-                # initializer installs it as the worker's process
-                # session (forked workers inherit it whole).  The heap
-                # is frozen before the pool forks, so workers neither
-                # walk the parent's objects nor copy its pages when
-                # they collect.
-                with long_lived(), ProcessPoolExecutor(
-                    min(self.max_workers, len(shards)),
-                    mp_context=context,
-                    initializer=set_session,
-                    initargs=(session,),
-                ) as pool:
-                    futures = []
-                    for trace_key, indices in shards:
-                        payload = payloads.get(trace_key)
-                        ref = (
-                            store.trace_ref(trace_digest(trace_key))
-                            if store is not None
-                            else None
-                        )
-                        if payload is None:
-                            pickled_bytes += _ref_bytes(ref)
-                        futures.append((indices, pool.submit(
-                            _run_bundle,
-                            [jobs[i] for i in indices],
-                            ref,
-                            payload,
-                        )))
-                    outcomes = [
-                        (indices, future.result())
-                        for indices, future in futures
-                    ]
-            except (OSError, PermissionError, RuntimeError, ImportError):
-                # Platform refused subprocesses; run everything here.
-                # Nothing of the fan-out is counted yet, so the serial
-                # pass tallies every job exactly once.  The plane's
-                # segments are unlinked by the enclosing context manager
-                # on this path too.
-                self._run_serial(jobs, groups, session, results)
-                return results  # type: ignore[return-value]
+        # Any other shard acquires its own trace: from the store when
+        # it holds the trace, else by generating it.
+        generating = [
+            trace_key not in inherited
+            and (
+                store is None
+                or not os.path.exists(
+                    store.trace_path(trace_digest(trace_key))
+                )
+            )
+            for trace_key, _ in shards
+        ]
+        _preload_workers(
+            [jobs[i] for _, indices in shards for i in indices],
+            generates=any(generating),
+        )
+        try:
+            # Every worker runs on the caller's session: the
+            # initializer installs it as the worker's process session
+            # (forked workers inherit it whole).  The heap is frozen
+            # before the pool forks, so workers neither walk the
+            # parent's objects nor copy its pages when they collect.
+            with long_lived(), ProcessPoolExecutor(
+                min(self.max_workers, len(shards)),
+                mp_context=context,
+                initializer=set_session,
+                initargs=(session,),
+            ) as pool:
+                futures = [
+                    (indices, pool.submit(
+                        _run_bundle,
+                        [jobs[i] for i in indices],
+                        store.trace_ref(trace_digest(trace_key))
+                        if store is not None
+                        else None,
+                    ))
+                    for trace_key, indices in shards
+                ]
+                outcomes = [
+                    (indices, future.result())
+                    for indices, future in futures
+                ]
+        except (OSError, PermissionError, RuntimeError, ImportError):
+            # Platform refused subprocesses; run everything here.
+            # Nothing of the fan-out is counted yet, so the serial pass
+            # tallies every job exactly once.
+            self._run_serial(jobs, groups, session, results)
+            return results  # type: ignore[return-value]
         for indices, (bundle_results, cache_entries, deltas) in outcomes:
             # Adopt the workers' memo entries so later serial runs (and
             # later map() calls) reuse this work, and fold their
@@ -797,8 +739,6 @@ class ExperimentRunner:
             session.stats.add(deltas)
             for i, result in zip(indices, bundle_results):
                 results[i] = result
-        session.stats.shm_exports += exports
-        session.stats.shm_bytes_pickled += pickled_bytes
         return results  # type: ignore[return-value]
 
     @staticmethod

@@ -268,41 +268,6 @@ class SimSession:
         with self._lock:
             return self._traces.get(key)
 
-    def adopt_shm_trace(
-        self,
-        workload: str,
-        scale: "str | ScalePreset",
-        cores: int,
-        seed: int,
-        records_per_core: "int | None",
-        trace: Trace,
-        nbytes: int = 0,
-    ) -> bool:
-        """Seed the memory tier with a shared-memory-attached trace.
-
-        Pool workers call this after attaching the parent's trace-plane
-        segment (:mod:`repro.sim.shm`): the zero-copy trace serves every
-        later lookup in this process, so the worker neither re-reads the
-        trace file nor regenerates.  The attach is counted regardless of
-        whether the memory tier already held the trace (the segment was
-        mapped either way); a disabled session refuses the seed — it
-        must force full recomputation.
-        """
-        with self._lock:
-            self.stats.shm_attaches += 1
-            self.stats.shm_bytes_zero_copy += nbytes
-            if not self.enabled:
-                return False
-            key = trace_recipe_key(
-                workload, get_scale(scale), cores, seed, records_per_core
-            )
-            if key not in self._traces:
-                # Not marked primed: later lookups count as plain
-                # memory hits (the bytes never touched the disk tier
-                # here); the shm_* counters carry the provenance.
-                self._traces[key] = trace
-            return True
-
     # ------------------------------------------------------------------
     # Simulation.
     # ------------------------------------------------------------------

@@ -1,35 +1,29 @@
-"""Zero-copy shared-memory trace plane for the parallel runner.
+"""Shared-memory trace plane: export a trace's columns, attach them.
 
-Without the plane the parent ships a
-:class:`~repro.sim.store.TraceRef` and every worker re-reads the trace
-file from disk (or regenerates the trace outright).  For the two-level
-scheduler — which fans the *cells* of one trace's grid across many
-workers — that re-read multiplies with the worker count while the
-underlying bytes are identical everywhere.
+The parent exports a trace's columns into one
+``multiprocessing.shared_memory`` segment, and another process attaches
+the segment and builds **read-only ndarray views** over it — zero bytes
+copied.  Attached traces carry the exporter's fingerprint, so cache
+keys are the same as the original's.
 
-This module separates the data plane from the compute plane: the parent
-exports a trace's columns into one
-``multiprocessing.shared_memory`` segment per sharded trace group.
-Workers attach the segment and build **read-only ndarray views** over
-it — zero bytes copied, however many shards the grid splits into.
+Nothing in ``src/`` uses the plane: the runner's cell shards inherit
+the parent's trace when the pool forks, which costs nothing.  The
+module stays only because the benchmark harness pins it
+(``perfbench/tracing.py`` wraps :meth:`TracePlane.export` and
+:func:`attach`, and ``perfbench/run.py`` reads the ``shm_exports`` and
+``shm_attaches`` counters); it goes with the next change to that
+harness.
 
 Ownership and cleanup are strict, because leaked ``/dev/shm`` segments
 outlive the process:
 
-* :class:`TracePlane` is a context manager owning every segment of one
-  runner fan-out; *every* exit path of the ``with`` block — normal
-  completion, a worker exception propagating, the platform-degradation
-  serial fallback — unlinks them.
+* :class:`TracePlane` is a context manager owning every segment it
+  exports; every exit path of the ``with`` block unlinks them.
 * A module-level ``atexit`` sweep unlinks anything still registered if
   the process dies inside the block.
-* Workers only ever *attach*; they never create or unlink.
+* Attaching processes never create or unlink.
 
-``REPRO_SHM=off`` (or ``0``) disables the plane entirely (workers fall back to
-the TraceRef pickle path); export failures (an exhausted or missing
-``/dev/shm``) degrade to the same fallback silently.  The plane is a
-pure transport: attached traces carry the parent-computed fingerprint,
-so cache keys — and therefore every per-cell result — are bit-identical
-with or without it.
+An export failure (an exhausted or missing ``/dev/shm``) returns None.
 """
 
 from __future__ import annotations
@@ -37,20 +31,10 @@ from __future__ import annotations
 import atexit
 from dataclasses import dataclass
 
-from repro.envknobs import shm_plane_enabled
-
 try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platform without shm support
     _shared_memory = None  # type: ignore[assignment]
-
-
-def shm_enabled() -> bool:
-    """Whether the runner exports the trace plane into shared memory
-    (``REPRO_SHM``, parsed by :func:`repro.envknobs.shm_plane_enabled`)."""
-    if _shared_memory is None:  # pragma: no cover - platform dependent
-        return False
-    return shm_plane_enabled()
 
 
 #: Segment offsets are aligned for safe typed views.
@@ -113,12 +97,11 @@ atexit.register(_sweep_owned)
 
 
 class TracePlane:
-    """Owns the shared-memory segments of one runner fan-out.
+    """Owns the shared-memory segments it exports.
 
-    Use as a context manager around the whole pool lifetime — submit,
-    collection, and any fallback re-run — so segments live exactly as
-    long as workers can attach them and are unlinked on every exit
-    path.  The module ``atexit`` sweep catches a process dying inside
+    Use as a context manager around everything that attaches them, so
+    segments live exactly as long as they can be attached and are
+    unlinked on every exit path.  The module ``atexit`` sweep catches a process dying inside
     the block.
     """
 
@@ -141,9 +124,8 @@ class TracePlane:
     def export(self, trace) -> "TracePayload | None":
         """Export one trace's columns to a segment.
 
-        Returns the picklable payload workers attach from, or ``None``
-        when shared memory is unavailable or the export fails — the
-        caller falls back to the TraceRef path.
+        Returns the picklable payload to attach from, or ``None`` when
+        shared memory is unavailable or the export fails.
         """
         if _shared_memory is None:  # pragma: no cover - platform dependent
             return None
@@ -183,8 +165,7 @@ def attach(payload: TracePayload):
     The returned trace's columns are zero-copy views into the segment
     (writes are rejected); the trace object keeps the
     ``SharedMemory`` handle alive for as long as it is referenced.  A
-    vanished or unreadable segment returns ``None`` and the caller
-    falls back to the TraceRef path.
+    vanished or unreadable segment returns ``None``.
     """
     if _shared_memory is None:  # pragma: no cover - platform dependent
         return None

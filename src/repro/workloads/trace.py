@@ -22,8 +22,7 @@ A column is any C-contiguous buffer of its element type.  Generated
 and mix traces hold ``array.array`` columns (``q`` int64 blocks, ``f``
 float32 work) and ``bytearray`` bool columns, and a loaded trace holds
 one read-only ``memoryview`` of such a buffer per column, so none of
-them needs NumPy; only a trace attached from the shared-memory plane
-holds NumPy arrays.  Either way a column's NumPy dtype
+them needs NumPy.  Whatever its buffer, a column's NumPy dtype
 (:func:`column_dtype`) and bytes are what its trace's fingerprint
 hashes and its trace file stores.
 """
@@ -176,8 +175,7 @@ class Trace:
 
     def metadata(self) -> dict:
         """The non-column fields by name, per-core lists copied: what a
-        trace file's header and the shared-memory plane carry beside
-        the columns."""
+        trace file's header carries beside the columns."""
         return {name: copy.copy(getattr(self, name)) for name in METADATA}
 
     def columns(self) -> list:

@@ -25,7 +25,6 @@ def _isolated_cache_env(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
     monkeypatch.delenv("REPRO_STORE_MAX_MB", raising=False)
     monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_SHM", raising=False)
     fallback = str(tmp_path / "default-store")
     monkeypatch.setattr(
         "repro.cli.default_store_dir", lambda: fallback

@@ -409,6 +409,50 @@ def test_loaded_trace_reaches_the_kernel_uncopied(tmp_path):
 
 
 @needs_cc
+def test_numpy_columns_reach_the_kernel_as_copies():
+    """NumPy columns are foreign to the kernel: int64 blocks and bool
+    flags carry NumPy's own formats, and a read-only array has no
+    writable buffer to read through, so the kernel reads copies, and
+    the trace simulates to the stdlib trace's result."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.sim.runner import make_sim_config
+    from repro.sim.store import encode_result
+    from repro.workloads.suite import generate
+
+    generated = generate("oltp-db2", scale="test", cores=2, seed=5)
+
+    def frozen(column, dtype):
+        array = np.array(memoryview(column), dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    as_numpy = dataclasses.replace(
+        generated,
+        blocks=[np.array(c, dtype=np.int64) for c in generated.blocks],
+        work=[frozen(c, np.float32) for c in generated.work],
+        dep=[np.array(c, dtype=bool) for c in generated.dep],
+        write=[frozen(c, bool) for c in generated.write],
+    )
+    for name, kind in native._KINDS.items():
+        for column in getattr(as_numpy, name):
+            copied = native._column(column, kind)
+            assert copied is not column
+            assert bytes(copied) == column.tobytes()
+    config = make_sim_config("test")
+    results = []
+    for trace in (generated, as_numpy):
+        state = native.NativeRunState(config, trace)
+        state.run_warmup()
+        state.reset_accounting()
+        state.run_measured()
+        results.append(encode_result(state.result("baseline")))
+    assert results[0] == results[1]
+
+
+@needs_cc
 @pytest.mark.parametrize("seed", [7, 11, 42])
 @pytest.mark.parametrize("probability", [0.125, 0.5])
 def test_kernel_coins_are_the_samplers_flips(probability, seed):

@@ -1,13 +1,14 @@
-"""Shared-memory trace plane: round-trip, hygiene, and scheduling.
+"""Shared-memory trace plane and the two-level scheduler.
 
-Covers the zero-copy data plane (`repro.sim.shm`) and the two-level
-scheduler that feeds it: export/attach round-trips (columns, trace
-fields, fingerprints), segment cleanup on *every* exit path —
-normal completion, worker exceptions, the platform-degradation serial
-fallback, and the atexit backstop — plus the cell-shard partitioner
-and the REPRO_SHM environment knob.  Deep per-cell bit-identity of the
-parallel paths is pinned by the differential harness
-(`test_engine_differential.py`).
+Covers the plane module (`repro.sim.shm`): export/attach round-trips
+(columns, trace fields, fingerprints) and segment cleanup, the atexit
+backstop included.  The runner no longer uses the plane — its cell
+shards inherit the parent's trace by fork — so the scheduling cases
+cover the cell-shard partitioner and the cell-parallel map: results
+equal to the serial ones, one trace acquisition per split group,
+persisted counters, the platform-degradation serial fallback and a
+worker exception.  Deep per-cell bit-identity of the parallel path is
+pinned by the differential harness (`test_engine_differential.py`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.sim.runner import (
     run_job,
 )
 from repro.sim.session import SimSession, set_session
-from repro.sim.shm import TracePlane, attach, shm_enabled
+from repro.sim.shm import TracePlane, attach
 from repro.sim.store import ArtifactStore, encode_result
 from repro.workloads.trace import Trace
 
@@ -133,16 +134,8 @@ def test_attach_after_close_degrades_to_none():
 
 def test_export_without_shared_memory_module(monkeypatch):
     monkeypatch.setattr(shm, "_shared_memory", None)
-    assert not shm_enabled()
     with TracePlane() as plane:
         assert plane.export(_mix_trace()) is None
-
-
-def test_shm_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "off")
-    assert not shm_enabled()
-    monkeypatch.setenv("REPRO_SHM", "on")
-    assert shm_enabled()
 
 
 def test_atexit_sweep_releases_owned_segments():
@@ -198,11 +191,11 @@ def test_shard_groups_splits_three_cell_group_when_workers_idle():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: cell-parallel map over the plane (slow: forks a pool).
+# End-to-end: cell-parallel map (forks a pool).
 # ----------------------------------------------------------------------
 
 
-def test_cell_parallel_map_matches_serial_and_leaks_nothing():
+def test_cell_parallel_map_matches_serial():
     jobs = _grid_jobs()
     serial_session = SimSession(enabled=True, store=None)
     previous = set_session(serial_session)
@@ -213,7 +206,6 @@ def test_cell_parallel_map_matches_serial_and_leaks_nothing():
     finally:
         set_session(previous)
 
-    before = _segments()
     parallel_session = SimSession(enabled=True, store=None)
     previous = set_session(parallel_session)
     try:
@@ -224,38 +216,12 @@ def test_cell_parallel_map_matches_serial_and_leaks_nothing():
         set_session(previous)
     assert _result_keys(parallel) == _result_keys(serial)
     stats = parallel_session.stats
-    # One trace group, split: exactly one exported segment, attached by
-    # every shard worker, zero pickled fallback bytes.
-    assert stats.shm_exports == 1
-    assert stats.shm_attaches >= 2
-    assert stats.shm_bytes_zero_copy > 0
-    assert stats.shm_bytes_pickled == 0
+    # One trace group, split: the parent generates the trace once, and
+    # every shard finds it in the memory tier it inherited.
+    assert stats.trace_misses == 1
+    assert stats.trace_hits >= 2
+    assert stats.sweep_invocations >= 2
     assert stats.sweep_cells == len(jobs)
-    assert _segments() <= before
-    assert shm._OWNED == {}
-
-
-@pytest.mark.slow
-def test_cell_parallel_map_with_shm_off(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "off")
-    jobs = _grid_jobs()
-    before = _segments()
-    session = SimSession(enabled=True, store=None)
-    previous = set_session(session)
-    try:
-        results = ExperimentRunner(max_workers=2, parallel=True).map(
-            jobs, session=session
-        )
-    finally:
-        set_session(previous)
-    assert session.stats.shm_exports == 0
-    assert session.stats.shm_attaches == 0
-    assert _segments() <= before
-    reference = [
-        run_job(job, SimSession(enabled=True, store=None))
-        for job in _grid_jobs()
-    ]
-    assert _result_keys(results) == _result_keys(reference)
 
 
 @pytest.mark.slow
@@ -270,13 +236,13 @@ def test_cell_parallel_map_persists_store_counters(tmp_path):
     finally:
         set_session(previous)
     counters = store.counters()
-    assert counters.get("shm_exports", 0) >= 1
-    assert counters.get("shm_attaches", 0) >= 2
-    assert counters.get("shm_bytes_zero_copy", 0) > 0
+    assert counters.get("trace_misses", 0) == 1
+    assert counters.get("trace_hits", 0) >= 2
+    assert counters.get("sweep_cells", 0) == len(_grid_jobs())
 
 
-def test_platform_degradation_fallback_cleans_segments(monkeypatch):
-    """The serial fallback path unlinks the plane's segments too."""
+def test_platform_degradation_fallback_runs_serially(monkeypatch):
+    """A platform that refuses subprocesses runs every job here."""
 
     class _RefusingPool:
         def __init__(self, *args, **kwargs):
@@ -286,7 +252,6 @@ def test_platform_degradation_fallback_cleans_segments(monkeypatch):
         concurrent.futures, "ProcessPoolExecutor", _RefusingPool
     )
     jobs = _grid_jobs()
-    before = _segments()
     session = SimSession(enabled=True, store=None)
     previous = set_session(session)
     try:
@@ -295,10 +260,9 @@ def test_platform_degradation_fallback_cleans_segments(monkeypatch):
         )
     finally:
         set_session(previous)
-    assert _segments() <= before
-    assert shm._OWNED == {}
-    # Rolled back: the fan-out's parent-side shm counters don't stick.
-    assert session.stats.shm_exports == 0
+    # One sweep over the whole group: the serial path, counted once.
+    assert session.stats.sweep_invocations == 1
+    assert session.stats.sweep_cells == len(jobs)
     reference = [
         run_job(job, SimSession(enabled=True, store=None))
         for job in _grid_jobs()
@@ -312,10 +276,9 @@ def _raising_bundle(*args, **kwargs):
 
 
 @pytest.mark.slow
-def test_worker_exception_cleans_segments(monkeypatch):
-    """A propagating worker error still unlinks every segment."""
+def test_worker_exception_propagates(monkeypatch):
+    """A worker's error reaches the caller."""
     monkeypatch.setattr(runner_module, "_run_bundle", _raising_bundle)
-    before = _segments()
     session = SimSession(enabled=True, store=None)
     previous = set_session(session)
     try:
@@ -325,5 +288,3 @@ def test_worker_exception_cleans_segments(monkeypatch):
             )
     finally:
         set_session(previous)
-    assert _segments() <= before
-    assert shm._OWNED == {}

@@ -212,6 +212,83 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ideal-tms" in out and "stms" in out
 
+    @pytest.mark.parametrize(
+        "engine", ["batc", "scalar", "batch", "auto", "", None]
+    )
+    def test_engine_knob_is_checked_before_any_work(
+        self, engine, monkeypatch, capsys
+    ):
+        """A misspelt ``REPRO_SIM_ENGINE`` ends a simulating command in
+        one ``repro: error:`` line with status 2 and no output; a valid
+        value, an empty one and an unset variable run it."""
+        if engine is None:
+            monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        argv = ["run", "--workload", "web-apache", "--prefetcher",
+                "baseline", "--scale", "test", "--cores", "1",
+                "--no-cache"]
+        if engine == "batc":
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "repro: error: unknown engine 'batc' from "
+                "REPRO_SIM_ENGINE (batch/scalar/auto)"
+            ]
+        else:
+            assert main(argv) == 0
+            assert "baseline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "web-apache", "--scale", "test"],
+            ["compare", "--workload", "web-apache", "--scale", "test"],
+            ["experiment", "fig7", "--scale", "test", "--jobs", "1"],
+            ["sweep-sampling", "--workload", "web-apache",
+             "--scale", "test"],
+            ["cache", "warm", "web-apache", "--scale", "test"],
+        ],
+        ids=["run", "compare", "experiment", "sweep-sampling",
+             "cache-warm"],
+    )
+    def test_bad_engine_stops_every_simulating_command(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        """Every command that simulates checks the engine before it
+        opens the store: the bad value leaves no store behind."""
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "vector")
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--store-dir", str(store)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: error: unknown engine 'vector' from "
+            "REPRO_SIM_ENGINE (batch/scalar/auto)"
+        ]
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["list-workloads"], ["cache", "ls"], ["cache", "stats"]],
+        ids=["list-workloads", "cache-ls", "cache-stats"],
+    )
+    def test_commands_that_never_simulate_ignore_the_engine(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "vector")
+        if argv[0] == "cache":
+            argv = [*argv, "--store-dir", str(tmp_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out
+        assert "REPRO_SIM_ENGINE" not in captured.err
+
     def test_list_mixes(self, capsys):
         assert main(["list-mixes"]) == 0
         out = capsys.readouterr().out

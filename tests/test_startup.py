@@ -373,6 +373,66 @@ def test_fig8_over_stored_traces_imports_no_numpy(tmp_path):
     assert workers and workers == [False] * len(workers)
 
 
+@needs_library
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork"),
+    reason="cell shards inherit their trace only where the pool forks",
+)
+def test_split_group_generates_its_trace_once_without_numpy(tmp_path):
+    """A store-backed two-worker map of one trace group, split into
+    cell shards: the parent generates the trace once, before the pool
+    forks, and every shard finds it in the memory tier it inherited.
+    Neither the parent nor a worker imports the shared-memory plane or
+    NumPy."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    store = str(tmp_path / "store")
+    unwanted = ("numpy", "repro.sim.shm")
+    report = _python(f"""
+import functools, json, os, sys
+from repro.sim import runner
+from repro.sim.runner import (
+    ExperimentRunner, PrefetcherKind, SimJob, job_options)
+from repro.sim.session import SimSession
+from repro.sim.store import ArtifactStore
+
+bundle = runner._run_bundle
+
+
+@functools.wraps(bundle)
+def probed(*args, **kwargs):
+    try:
+        return bundle(*args, **kwargs)
+    finally:
+        with open(os.path.join({str(logs)!r}, str(os.getpid())), "w") as log:
+            log.write(json.dumps(
+                [m for m in {unwanted!r} if m in sys.modules]))
+
+
+runner._run_bundle = probed
+session = SimSession(enabled=True, store=ArtifactStore({store!r}))
+ExperimentRunner(max_workers=2, parallel=True).map(
+    [SimJob("web-apache", PrefetcherKind.STMS, scale="test", cores=2,
+            stms_overrides=job_options(sampling_probability=p), tag=p)
+     for p in (1.0, 0.5, 0.25, 0.125)],
+    session=session,
+)
+stats = session.stats
+print(json.dumps({{
+    "misses": stats.trace_misses,
+    "hits": stats.trace_hits,
+    "sweeps": stats.sweep_invocations,
+    "loaded": [m for m in {unwanted!r} if m in sys.modules],
+}}))
+""")
+    assert report["misses"] == 1
+    assert report["hits"] >= 2
+    assert report["sweeps"] >= 2
+    assert report["loaded"] == []
+    workers = [json.loads(log.read_text()) for log in logs.iterdir()]
+    assert workers and workers == [[]] * len(workers)
+
+
 def test_suite_trace_loads_no_mix_grammar():
     """Only a ``mix:`` recipe needs the mix grammar to generate."""
     loaded = _python(
@@ -430,7 +490,7 @@ def test_forked_workers_import_no_repro_module(tmp_path, setting):
     """The parent imports, before the pool forks, every module a worker
     runs: kernel cells (baseline, STMS) and Python batch cells (ideal
     TMS, Markov) on traces the workers generate, a mix trace among
-    them, then one trace split into cell shards over the shm plane.
+    them, then one trace split into cell shards that inherit it.
     So it does on the scalar engine, and without a C compiler (every
     cell in the batch engine).  Each worker lists the ``repro``
     modules it imported after the fork, one file per process."""
