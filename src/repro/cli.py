@@ -32,7 +32,6 @@ import time
 from typing import Sequence
 
 from repro.analysis.report import format_percent, format_table
-from repro.envknobs import sim_cache_enabled
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.obs import SessionStats, long_lived
 from repro.sim.config import resolve_engine
@@ -118,13 +117,13 @@ def _store_session(store_dir: str) -> SimSession:
 def _session_scope(args: argparse.Namespace):
     """Install the CLI-selected session (store + enabled) globally.
 
-    ``--no-cache`` (or ``REPRO_SIM_CACHE=0``) disables both cache tiers;
-    otherwise the artifact store at ``--store-dir`` backs the session.
-    Pool workers of the parallel runner run on this same session.  On
-    exit the session persists its remaining counts and the previous
-    global session is restored.
+    ``--no-cache`` disables both cache tiers; otherwise the artifact
+    store at ``--store-dir`` backs the session.  Pool workers of the
+    parallel runner run on this same session.  On exit the session
+    persists its remaining counts and the previous global session is
+    restored.
     """
-    if getattr(args, "no_cache", False) or not sim_cache_enabled():
+    if getattr(args, "no_cache", False):
         session = SimSession(enabled=False)
     else:
         session = _store_session(
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--jobs", type=_positive_int, default=None,
         help="worker processes for the simulation grid "
-        "(default: REPRO_JOBS or the CPU count)",
+        "(default: the CPU count)",
     )
     add_cache_options(sub)
     sub.set_defaults(entry=cmd_experiment, simulates=True)

@@ -55,7 +55,6 @@ class SessionStats:
     #: Trace records the simulated cells stepped (warm-up plus
     #: measured): simulation seconds over this give µs per record.
     sim_records: int = 0
-    memory_evictions: int = 0
     #: Whole job bundles the runner served from the store without
     #: spawning a worker (store-aware scheduling).
     bundle_skips: int = 0

@@ -1,7 +1,9 @@
-"""The machine configuration of one simulation, and the engine choice
-(the ``REPRO_SIM_ENGINE`` knob, and which cells the compiled kernel
-models).  Every result key hashes a :class:`SimConfig`; this module
-loads no model.
+"""The machine configuration of one simulation, and the two inputs of
+the engine choice: the engine name (:func:`resolve_engine`, which reads
+the ``REPRO_SIM_ENGINE`` knob) and which cells the compiled kernel
+models (:func:`kernel_cell`).  :func:`repro.sim.engine.run_state_class`
+is the one place that combines them.  Every result key hashes a
+:class:`SimConfig`; this module loads no model.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ class SimConfig:
     #: Collect the per-core off-chip read-miss address sequence during
     #: the measured phase (offline temporal-stream analysis, Fig. 6).
     collect_miss_log: bool = False
-    #: Execution engine: ``"batch"`` (the default: baseline and STMS
-    #: cells run in the compiled kernel of :mod:`repro.sim.native`,
-    #: other temporal prefetchers in :mod:`repro.sim.batch`, the
-    #: reference loop with a fused per-record step),
+    #: Execution engine (:func:`repro.sim.engine.run_state_class` picks
+    #: each cell's run state from it): ``"batch"`` (the default:
+    #: baseline and STMS cells run in the compiled kernel of
+    #: :mod:`repro.sim.native`, other temporal prefetchers in
+    #: :mod:`repro.sim.batch`, the reference loop with a fused
+    #: per-record step),
     #: ``"scalar"`` (the reference implementation), or ``"auto"`` (the
     #: ``REPRO_SIM_ENGINE`` environment variable, then ``"batch"``).
     #: Both engines produce identical results; the equivalence is

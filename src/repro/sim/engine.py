@@ -67,38 +67,49 @@ class Simulator:
         temporal_factory: "TemporalFactory | None" = None,
         label: str = "baseline",
     ) -> SimResult:
-        """Simulate ``trace``, optionally with a temporal prefetcher.
-
-        The batch engine steps the cells :func:`kernel_cell` admits
-        (baseline and STMS) in the compiled kernel
-        (:mod:`repro.sim.native`; :mod:`repro.sim.library` builds it on
-        first use); when the library is unavailable they fall back to
-        the Python batch engine like every other cell.
-        """
+        """Simulate ``trace``, optionally with a temporal prefetcher, in
+        the run state :func:`run_state_class` picks for the cell."""
         if trace.cores > self.config.cmp.cores:
             raise ValueError(
                 f"trace has {trace.cores} cores but the machine only "
                 f"{self.config.cmp.cores}"
             )
-        engine = resolve_engine(self.config.engine)
-        state = None
-        if engine == "batch" and kernel_cell(temporal_factory):
-            from repro.sim.library import load
-
-            if load() is not None:
-                from repro.sim.native import NativeRunState
-
-                state = NativeRunState(self.config, trace, temporal_factory)
-        if state is None:
-            if engine == "scalar":
-                from repro.sim.scalar import ScalarRunState as run_state
-            else:
-                from repro.sim.batch import BatchRunState as run_state
-            state = run_state(self.config, trace, temporal_factory)
+        state = run_state_class(self.config.engine, temporal_factory)(
+            self.config, trace, temporal_factory
+        )
         state.run_warmup()
         state.reset_accounting()
         state.run_measured()
         return state.result(label)
+
+
+def run_state_class(
+    engine: str, temporal_factory: "TemporalFactory | None"
+) -> "type[_RunState]":
+    """The run state that steps one cell, importing only its module.
+
+    On the ``batch`` engine (:func:`resolve_engine` reads ``"auto"``)
+    the cells :func:`kernel_cell` admits (baseline and STMS) run in the
+    compiled kernel (:mod:`repro.sim.native`; :mod:`repro.sim.library`
+    builds it on first use); every other cell, and a kernel cell when
+    the library is unavailable, runs in the Python batch engine.  The
+    ``scalar`` engine runs every cell in the reference.
+    """
+    engine = resolve_engine(engine)
+    if engine == "batch" and kernel_cell(temporal_factory):
+        from repro.sim.library import load
+
+        if load() is not None:
+            from repro.sim.native import NativeRunState
+
+            return NativeRunState
+    if engine == "scalar":
+        from repro.sim.scalar import ScalarRunState
+
+        return ScalarRunState
+    from repro.sim.batch import BatchRunState
+
+    return BatchRunState
 
 
 class _RunState:
@@ -110,6 +121,10 @@ class _RunState:
     returns what the result takes from it: L1, victim-buffer and L2
     hits, DRAM busy cycles and the temporal prefetcher's stats.
     """
+
+    #: Whether construction builds the Python machine, and with it the
+    #: temporal factory's prefetcher model (the kernel builds neither).
+    builds_machine = True
 
     __slots__ = ('config', 'trace', 'traffic', 'mlp', 'coverage', 'core_coverage', 'miss_log', 'demand_priority', 'clocks', 'cursors', 'measure_start', 'measure_cursor', 'measured_records', 'measuring', 'measure_counters', 'hierarchy', 'dram', 'mshrs', 'stride', 'temporal', 'outstanding')
 

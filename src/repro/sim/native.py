@@ -2,8 +2,8 @@
 
 Cells without a temporal prefetcher — the stride-only base system of
 every baseline and solo-reference run — and STMS cells (a
-:class:`~repro.core.config.StmsFactory`; ``sim.config.kernel_cell``
-decides) step through :class:`NativeRunState`, whose whole machine
+:class:`~repro.core.config.StmsFactory`; ``sim.engine.run_state_class``
+picks the class) step through :class:`NativeRunState`, whose whole machine
 lives in C: one kernel call per phase.  The kernel is a direct port of
 the scalar reference's per-record step (:mod:`repro.sim.scalar`) and of
 STMS's metadata path (``repro.core.stms`` and the index table, history
@@ -89,6 +89,8 @@ from repro.workloads.trace import Trace
 
 class NativeRunState(_RunState):
     """A run state whose machine is the compiled kernel's."""
+
+    builds_machine = False
 
     __slots__ = (
         "_lib", "_factory", "_columns", "_work_f64", "_machine", "_buffers",

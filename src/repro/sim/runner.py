@@ -35,10 +35,9 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import StmsConfig, StmsFactory
-from repro.envknobs import env_positive_int
 from repro.memory.config import CmpConfig, DramConfig
 from repro.obs import long_lived
-from repro.sim.config import SimConfig, kernel_cell, resolve_engine
+from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.sim.session import (
     SimSession,
@@ -47,7 +46,7 @@ from repro.sim.session import (
     set_session,
     trace_recipe_key,
 )
-from repro.sim.store import TraceRef, trace_digest
+from repro.sim.store import trace_digest
 from repro.workloads.scales import ScalePreset, get_scale
 
 if TYPE_CHECKING:
@@ -389,7 +388,7 @@ def run_job(job: SimJob, session: "SimSession | None" = None) -> SimResult:
 
 
 def _run_bundle(
-    jobs: "list[SimJob]", trace_ref: "TraceRef | None" = None
+    jobs: "list[SimJob]",
 ) -> "tuple[list[SimResult], dict, dict]":
     """Worker entry point: run a bundle of jobs sharing one trace.
 
@@ -397,11 +396,10 @@ def _run_bundle(
     initializer installed as this process's session: a forked worker
     inherits its memory tier, enabled flag and store (a disabled session
     recomputes everything here too), and a non-fork worker rebuilds its
-    enabled flag and store (``SimSession.__reduce__``).  A cell shard
-    of a split trace group finds the trace the parent acquired before
-    forking in that inherited memory tier.  ``trace_ref`` — hash and
-    path of the bundle's persisted trace — seeds the session directly
-    when the memory tier lacks the trace and the file exists.
+    enabled flag and store (``SimSession.__reduce__``).  The sweep gets
+    the bundle's trace from ``SimSession.trace``: the inherited memory
+    tier (where the parent put a split group's trace before forking),
+    then the store, then generation.
 
     Besides the ordered results, the worker ships back the result-cache
     entries this bundle added to its session (so the parent can adopt
@@ -415,34 +413,12 @@ def _run_bundle(
     session = get_session()
     before = replace(session.stats)
     known = set(session.export_results())
-    if trace_ref is not None and jobs:
-        first = jobs[0]
-        session.prime_trace(
-            first.workload,
-            first.scale,
-            first.cores,
-            first.seed,
-            first.records_per_core,
-            trace_ref,
-        )
     results = run_sweep(jobs, session)
     added = {
         key: result for key, result in session.export_results().items()
         if key not in known
     }
     return results, added, session.stats.since(before)
-
-
-def _default_workers() -> "tuple[int, bool]":
-    """(max_workers, parallel) from REPRO_JOBS or the CPU count.
-
-    An empty ``REPRO_JOBS`` means unset; a malformed or non-positive
-    one warns once per process and runs on 1 worker.
-    """
-    workers = env_positive_int(
-        "REPRO_JOBS", os.cpu_count() or 1, invalid=1
-    )
-    return workers, workers > 1
 
 
 def _shard_groups(
@@ -477,71 +453,35 @@ def _shard_groups(
     return shards
 
 
-def _uses_library(jobs: "list[SimJob]", generates: bool) -> bool:
-    """Whether the workers of ``jobs`` use the compiled library.
-
-    They do when one may generate a trace (``generates``: the compiled
-    emitters run wherever the library loads, on every engine) or run a
-    baseline or STMS cell, which the compiled kernel steps unless the
-    engine is the scalar reference.
-    """
-    return generates or (
-        resolve_engine("auto") != "scalar"
-        and any(
-            job.kind in (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
-            for job in jobs
-        )
-    )
-
-
-def _preload_kernel(jobs: "list[SimJob]", generates: bool) -> bool:
-    """Load the compiled library before forking workers for ``jobs``.
-
-    Loading it here, once, lets every forked worker that uses it
-    (:func:`_uses_library`) inherit the mapped library instead of each
-    one checking and hashing it itself.  A fan-out that uses it nowhere
-    never touches it.  Returns whether the library loaded.
-    """
-    if _uses_library(jobs, generates):
-        from repro.sim.library import load
-
-        return load() is not None
-    return False
-
-
 def _preload_workers(jobs: "list[SimJob]", generates: bool) -> None:
     """Import what the workers of ``jobs`` run before the pool forks.
 
-    A forked worker inherits every module the parent has imported; any
-    other module each worker would import, and compile, again.  So the
-    parent imports the sweep, the trace generators and the jobs'
-    prefetchers, loads the library (:func:`_preload_kernel`;
-    ``generates``: a worker may generate its trace), and imports the
-    engine each cell runs in: the kernel's driver for the cells the
-    loaded library steps, the Python batch engine for the rest, and
-    the scalar reference for every cell when it is selected.  Of the
-    trace paths only the Python emitters (no library) use NumPy.
+    A forked worker inherits every module the parent has imported and
+    the libraries it has mapped; any other module each worker would
+    import, and compile, again.  So the parent imports the sweep and the
+    trace generators, loads the compiled library when a worker may
+    generate a trace (``generates``: the compiled emitters run on every
+    engine; only the Python emitters, without the library, use NumPy),
+    and imports the run state each job's cell runs in
+    (:func:`~repro.sim.engine.run_state_class`, which loads the library
+    for a kernel cell), with the prefetcher model a Python machine
+    builds.  A fan-out that uses the library nowhere never maps it.
     """
     from repro.sim import sweep  # noqa: F401
+    from repro.sim.engine import run_state_class
     from repro.workloads import suite  # noqa: F401
 
-    loaded = _preload_kernel(jobs, generates)
-    if generates and not loaded:
-        from repro.workloads import reference  # noqa: F401
-    engine = resolve_engine("auto")
+    if generates:
+        from repro.sim.library import load
+
+        if load() is None:
+            from repro.workloads import reference  # noqa: F401
     for kind in {job.kind for job in jobs}:
         # make_factory imports the kind's prefetcher model; an STMS
-        # factory imports its model only when a Python engine builds it.
+        # factory imports its model when a Python machine calls it.
         factory = make_factory(kind)
-        if engine == "batch" and loaded and kernel_cell(factory):
-            from repro.sim import native  # noqa: F401
-
-            continue
-        if engine == "scalar":
-            from repro.sim import scalar  # noqa: F401
-        else:
-            from repro.sim import batch  # noqa: F401
-        if kind is PrefetcherKind.STMS:
+        state_class = run_state_class("auto", factory)
+        if state_class.builds_machine and isinstance(factory, StmsFactory):
             from repro.core import stms  # noqa: F401
 
 
@@ -556,7 +496,7 @@ class ExperimentRunner:
     saturates the pool.
     The parent acquires each split group's trace into its memory tier
     before the pool forks, so every shard inherits it.  On a single-CPU
-    machine (or with ``REPRO_JOBS=1``) everything runs in-process —
+    machine (or with ``max_workers=1``) everything runs in-process —
     strictly better for cache reuse, just not concurrent.  Subprocess
     failures of the platform kind (sandboxes without fork, missing
     semaphores) degrade to the serial path.
@@ -567,13 +507,12 @@ class ExperimentRunner:
         max_workers: "int | None" = None,
         parallel: "bool | None" = None,
     ) -> None:
-        default_workers, default_parallel = _default_workers()
+        cpus = os.cpu_count() or 1
         self.max_workers = (
-            max(1, max_workers) if max_workers is not None
-            else default_workers
+            max(1, max_workers) if max_workers is not None else cpus
         )
         self.parallel = (
-            parallel if parallel is not None else default_parallel
+            parallel if parallel is not None else cpus > 1
         ) and self.max_workers > 1
 
     def map(
@@ -585,9 +524,9 @@ class ExperimentRunner:
 
         ``session`` (default: the process-global one) provides both
         cache tiers, and every worker process runs on it.  When it
-        carries an artifact store, workers receive trace references
-        instead of regenerating traces, and the session's new counts
-        are persisted to it as ``map`` returns.
+        carries an artifact store, workers read the traces it holds
+        instead of regenerating them, and the session's new counts are
+        persisted to it as ``map`` returns.
         """
         if session is None:
             session = get_session()
@@ -603,9 +542,10 @@ class ExperimentRunner:
         Shards run in-process when there are fewer than two, else on a
         forked pool.  Before forking, the parent puts each split group's
         trace in its memory tier (``session.trace``), which every shard
-        of that group inherits; an unsplit group's worker gets a
-        :class:`~repro.sim.store.TraceRef` and reads or generates its
-        trace itself.
+        of that group inherits; an unsplit group's worker reads or
+        generates its trace itself.  A platform that refuses the pool
+        or a submission runs everything here; a worker's own error
+        reaches the caller.
         """
         if not jobs:
             return []
@@ -666,9 +606,9 @@ class ExperimentRunner:
             shard_counts[trace_key] = shard_counts.get(trace_key, 0) + 1
         # Each *split* group's trace is acquired once here, into the
         # memory tier the forked shards inherit, instead of once per
-        # shard.  Unsplit groups keep the TraceRef path — acquiring
-        # them here would serialize trace generation in the parent
-        # that the workers do in parallel.
+        # shard.  An unsplit group's worker acquires its own trace —
+        # acquiring it here would serialize trace generation in the
+        # parent that the workers do in parallel.
         inherited = [
             trace_key for trace_key, count in shard_counts.items()
             if count > 1 and session.enabled
@@ -682,8 +622,8 @@ class ExperimentRunner:
                 seed=first.seed,
                 records_per_core=first.records_per_core,
             )
-        # Any other shard acquires its own trace: from the store when
-        # it holds the trace, else by generating it.
+        # Any other shard reads its trace from the store when the store
+        # holds it, else generates it.
         generating = [
             trace_key not in inherited
             and (
@@ -698,36 +638,43 @@ class ExperimentRunner:
             [jobs[i] for _, indices in shards for i in indices],
             generates=any(generating),
         )
-        try:
-            # Every worker runs on the caller's session: the
-            # initializer installs it as the worker's process session
-            # (forked workers inherit it whole).  The heap is frozen
-            # before the pool forks, so workers neither walk the
-            # parent's objects nor copy its pages when they collect.
-            with long_lived(), ProcessPoolExecutor(
-                min(self.max_workers, len(shards)),
-                mp_context=context,
-                initializer=set_session,
-                initargs=(session,),
-            ) as pool:
+        # The heap is frozen before the pool forks, so workers neither
+        # walk the parent's objects nor copy its pages when they
+        # collect.  Only starting the pool and submitting to it are
+        # guarded: an error a worker raises reaches the caller.
+        outcomes = None
+        with long_lived():
+            pool = None
+            try:
+                # Every worker runs on the caller's session: the
+                # initializer installs it as the worker's process
+                # session (forked workers inherit it whole).
+                pool = ProcessPoolExecutor(
+                    min(self.max_workers, len(shards)),
+                    mp_context=context,
+                    initializer=set_session,
+                    initargs=(session,),
+                )
                 futures = [
                     (indices, pool.submit(
-                        _run_bundle,
-                        [jobs[i] for i in indices],
-                        store.trace_ref(trace_digest(trace_key))
-                        if store is not None
-                        else None,
+                        _run_bundle, [jobs[i] for i in indices]
                     ))
-                    for trace_key, indices in shards
+                    for _, indices in shards
                 ]
-                outcomes = [
-                    (indices, future.result())
-                    for indices, future in futures
-                ]
-        except (OSError, PermissionError, RuntimeError, ImportError):
-            # Platform refused subprocesses; run everything here.
-            # Nothing of the fan-out is counted yet, so the serial pass
-            # tallies every job exactly once.
+            except (OSError, RuntimeError, ImportError):
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+            else:
+                with pool:
+                    outcomes = [
+                        (indices, future.result())
+                        for indices, future in futures
+                    ]
+        if outcomes is None:
+            # The platform refused subprocesses (no fork, no
+            # semaphores): run everything here.  Nothing of the fan-out
+            # is counted yet, so the serial pass tallies every job
+            # exactly once.
             self._run_serial(jobs, groups, session, results)
             return results  # type: ignore[return-value]
         for indices, (bundle_results, cache_entries, deltas) in outcomes:

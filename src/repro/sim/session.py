@@ -10,10 +10,10 @@ memoization is semantics-preserving.
 
 Two tiers back the session:
 
-* **memory** — the process-local dictionaries (optionally LRU-capped
-  via ``max_memory_results``); hits return the *same objects* handed to
-  earlier callers, so treat :class:`~repro.sim.results.SimResult` as
-  immutable (every in-repo consumer only reads it).
+* **memory** — the process-local dictionaries; hits return the *same
+  objects* handed to earlier callers, so treat
+  :class:`~repro.sim.results.SimResult` as immutable (every in-repo
+  consumer only reads it).
 * **disk** — an optional :class:`~repro.sim.store.ArtifactStore`
   shared across processes: pool workers, successive CLI runs, and CI
   jobs all read and write the same content-addressed entries.  The
@@ -26,19 +26,17 @@ CLI, and the benchmarks.  The worker processes of the parallel
 caller passed to ``map`` — its memory tier, enabled flag and store —
 and their counters fold back into its :attr:`SimSession.stats`.
 
-Set ``REPRO_SIM_CACHE=0`` (or construct ``SimSession(enabled=False)``)
-to force every run to generate and simulate from scratch — both tiers
-are bypassed, and the results are bit-identical to the cached path.
+Construct ``SimSession(enabled=False)`` (the CLI's ``--no-cache``) to
+force every run to generate and simulate from scratch — both tiers are
+bypassed, and the results are bit-identical to the cached path.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import fields, is_dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.envknobs import sim_cache_enabled
 from repro.obs import SessionStats
 from repro.sim.config import SimConfig, resolve_engine
 from repro.sim.results import SimResult
@@ -112,14 +110,10 @@ class SimSession:
 
     def __init__(
         self,
-        enabled: "bool | None" = None,
+        enabled: bool = True,
         store: "ArtifactStore | None | str" = "auto",
-        max_memory_results: "int | None" = None,
     ) -> None:
-        if enabled is None:
-            enabled = sim_cache_enabled()
         self.enabled = enabled
-        self.max_memory_results = max_memory_results
         self.stats = SessionStats()
         #: The counts :meth:`persist_counters` has already written.
         self._persisted = SessionStats()
@@ -138,7 +132,7 @@ class SimSession:
         #: exactly what happens when the memory tier shadows a disk
         #: entry warmed by another process in the same run).
         self._primed: "set[tuple]" = set()
-        self._results: "OrderedDict[tuple, SimResult]" = OrderedDict()
+        self._results: "dict[tuple, SimResult]" = {}
 
     def attach_store(self, store: "ArtifactStore | None") -> None:
         """Set the disk tier, whose handle then counts into
@@ -153,9 +147,7 @@ class SimSession:
     def __reduce__(self):
         # What a non-fork pool ships its workers: the configuration,
         # with an empty memory tier (forked workers inherit it whole).
-        return (
-            SimSession, (self.enabled, self.store, self.max_memory_results)
-        )
+        return SimSession, (self.enabled, self.store)
 
     def persist_counters(self) -> None:
         """Add the counts not yet persisted to ``counters.json`` in one
@@ -237,11 +229,14 @@ class SimSession:
         records_per_core: "int | None",
         ref: TraceRef,
     ) -> bool:
-        """Seed the memory tier from a shipped :class:`TraceRef`.
+        """Seed the memory tier from a :class:`TraceRef`; a missing or
+        unreadable file leaves the normal lookup path in charge.
 
-        Workers of the parallel runner receive (hash, path) references
-        instead of regenerating their bundle's trace; a missing or
-        unreadable file simply leaves the normal lookup path in charge.
+        Nothing in ``src/`` calls it: a pool worker gets its trace from
+        :meth:`trace`, which reads the same file and counts the same
+        store hit.  It stays only because the benchmark harness pins it
+        (``perfbench/tracing.py`` wraps it); it goes with the next
+        change to that harness.
         """
         if not self.enabled:
             return False
@@ -314,7 +309,8 @@ class SimSession:
             trace, temporal_factory, label=label
         )
         if key is not None:
-            self._remember(key, result)
+            with self._lock:
+                self._results[key] = result
             if self.store is not None:
                 self.store.save_result(result_digest(key), result)
         return result
@@ -351,7 +347,7 @@ class SimSession:
             if loaded is not None:
                 with self._lock:
                     self.stats.sim_store_hits += 1
-                    self._remember(key, loaded)
+                    self._results[key] = loaded
                 return loaded
         return None
 
@@ -361,18 +357,7 @@ class SimSession:
             cached = self._results.get(key)
             if cached is not None:
                 self.stats.sim_hits += 1
-                self._results.move_to_end(key)
             return cached
-
-    def _remember(self, key: tuple, result: SimResult) -> None:
-        """Admit a result to the memory tier, evicting LRU past the cap."""
-        with self._lock:
-            self._results[key] = result
-            self._results.move_to_end(key)
-            if self.max_memory_results is not None:
-                while len(self._results) > self.max_memory_results:
-                    self._results.popitem(last=False)
-                    self.stats.memory_evictions += 1
 
     def export_results(self) -> "dict[tuple, SimResult]":
         """Snapshot of the result cache (for cross-process adoption)."""
@@ -389,8 +374,7 @@ class SimSession:
         """
         if self.enabled:
             with self._lock:
-                for key, result in entries.items():
-                    self._remember(key, result)
+                self._results.update(entries)
 
     def clear(self) -> None:
         """Drop all memory-tier entries (the disk store is untouched)."""

@@ -36,10 +36,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -48,7 +50,6 @@ try:  # POSIX advisory locking for the persistent-counter interlock.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from repro.envknobs import env_float
 from repro.memory.config import TrafficBreakdown
 from repro.obs import SessionStats
 from repro.prefetchers.stats import PrefetcherStats
@@ -85,6 +86,10 @@ _TMP_PREFIX = ".tmp-"
 #: The age gate keeps a *live* writer's in-flight temp file safe from a
 #: concurrent sweep.
 _STALE_TEMP_SECONDS = 3600.0
+
+#: Whether a malformed ``REPRO_STORE_MAX_MB`` has warned in this process
+#: (:meth:`ArtifactStore._max_bytes_from_env`; tests reset it).
+_MAX_MB_WARNED = False
 
 #: Errors that mean "this entry is unreadable", as opposed to bugs.
 #: ``FileNotFoundError`` is handled separately (a plain miss).
@@ -145,8 +150,12 @@ def estimate_digest(estimate_key: object) -> str:
 class TraceRef:
     """A shippable reference to a persisted trace (hash + path).
 
-    The parallel runner sends these to worker processes instead of
-    having every worker regenerate the bundle's trace from its recipe.
+    Nothing in ``src/`` ships one any more: a pool worker reads its
+    trace through ``SimSession.trace``.  It, :func:`load_trace_ref` and
+    :meth:`ArtifactStore.trace_ref` stay only because the benchmark
+    harness pins them (``perfbench/tracing.py`` wraps
+    :func:`load_trace_ref`); they go with the next change to that
+    harness.
     """
 
     digest: str
@@ -428,10 +437,33 @@ class ArtifactStore:
 
     @staticmethod
     def _max_bytes_from_env() -> "int | None":
-        megabytes = env_float("REPRO_STORE_MAX_MB", None, positive=True)
-        if megabytes is None:
+        """The ``REPRO_STORE_MAX_MB`` cap in bytes; None when the knob
+        is unset or empty (``REPRO_STORE_MAX_MB= cmd`` clears it).
+
+        A value that is not a finite number above 0 warns once per
+        process and leaves the store uncapped: ``nan`` and ``inf``
+        would break the open, and a cap of ``0`` or below would evict
+        every entry right after it is written.
+        """
+        global _MAX_MB_WARNED
+        raw = os.environ.get("REPRO_STORE_MAX_MB")
+        if not raw:
             return None
-        return int(megabytes * 1024 * 1024)
+        try:
+            megabytes = float(raw)
+        except ValueError:
+            megabytes = math.nan
+        if math.isfinite(megabytes) and megabytes > 0:
+            return int(megabytes * 1024 * 1024)
+        if not _MAX_MB_WARNED:
+            _MAX_MB_WARNED = True
+            warnings.warn(
+                f"invalid REPRO_STORE_MAX_MB={raw!r} (expected a finite "
+                "positive number); using no cap",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return None
 
     # ------------------------------------------------------------------
     # Schema stamping.

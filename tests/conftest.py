@@ -17,14 +17,12 @@ from repro.workloads.trace import Trace
 @pytest.fixture(autouse=True)
 def _isolated_cache_env(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
     """Keep the suite hermetic: never read a developer's (or CI's)
-    artifact store or cache switches through the environment, and send
+    artifact store or its size cap through the environment, and send
     the CLI's default store location to a per-test directory so bare
     ``repro run``-style invocations cannot touch ``~/.cache``.  Tests
     that exercise the disk tier pass an ArtifactStore explicitly."""
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     monkeypatch.delenv("REPRO_STORE_MAX_MB", raising=False)
-    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     fallback = str(tmp_path / "default-store")
     monkeypatch.setattr(
         "repro.cli.default_store_dir", lambda: fallback

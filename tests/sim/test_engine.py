@@ -1,14 +1,24 @@
 """Integration tests of the trace-driven simulation engine."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import SimConfig, Simulator, run_state_class
 from repro.sim.runner import PrefetcherKind, make_factory
 from repro.sim.timing import TimingModel
 from repro.memory.hierarchy import CmpConfig
 
 from tests.conftest import make_trace, repeating_sequence
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+)
 
 
 def run(trace, config, kind=PrefetcherKind.BASELINE):
@@ -143,3 +153,112 @@ class TestWritebackTraffic:
         assert result.traffic is not None
         # L2 capacity (8 KB = 128 blocks) forces dirty evictions.
         assert result.useful_bytes > 500 * BLOCK_BYTES
+
+
+class TestRunStateDispatch:
+    """``run_state_class`` is the one engine dispatch: it picks a cell's
+    run state from the engine and the temporal factory, importing only
+    that run state's module."""
+
+    KERNEL_KINDS = (PrefetcherKind.BASELINE, PrefetcherKind.STMS)
+    PYTHON_KINDS = (
+        PrefetcherKind.IDEAL_TMS,
+        PrefetcherKind.FIXED_DEPTH,
+        PrefetcherKind.MARKOV,
+    )
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_batch_runs_kernel_cells_in_the_library(self, kind):
+        from repro.sim import library
+
+        if library.load() is None:
+            pytest.skip("the compiled library is unavailable")
+        from repro.sim.native import NativeRunState
+
+        assert run_state_class("batch", make_factory(kind)) is NativeRunState
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_kernel_cells_fall_back_to_batch_without_the_library(
+        self, monkeypatch, kind
+    ):
+        from repro.sim import library
+        from repro.sim.batch import BatchRunState
+
+        monkeypatch.setattr(library, "load", lambda: None)
+        assert run_state_class("batch", make_factory(kind)) is BatchRunState
+
+    @pytest.mark.parametrize("kind", PYTHON_KINDS)
+    def test_batch_runs_other_cells_in_python(self, kind):
+        from repro.sim.batch import BatchRunState
+
+        assert run_state_class("batch", make_factory(kind)) is BatchRunState
+
+    @pytest.mark.parametrize("kind", list(PrefetcherKind))
+    def test_scalar_runs_every_cell_in_the_reference(self, kind):
+        from repro.sim.scalar import ScalarRunState
+
+        assert (
+            run_state_class("scalar", make_factory(kind)) is ScalarRunState
+        )
+
+    def test_auto_reads_the_engine_knob(self, monkeypatch):
+        from repro.sim.scalar import ScalarRunState
+
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
+        assert run_state_class("auto", None) is ScalarRunState
+
+    def test_only_kernel_states_build_no_python_machine(self):
+        from repro.sim.batch import BatchRunState
+        from repro.sim.native import NativeRunState
+        from repro.sim.scalar import ScalarRunState
+
+        assert not NativeRunState.builds_machine
+        assert BatchRunState.builds_machine
+        assert ScalarRunState.builds_machine
+
+    def test_simulator_runs_the_state_it_picks(
+        self, monkeypatch, tiny_sim_config
+    ):
+        from repro.sim import engine
+        from repro.sim.scalar import ScalarRunState
+
+        trace = make_trace([[1, 2, 3] * 100])
+        reference = run(trace, replace(tiny_sim_config, engine="scalar"))
+        asked = []
+
+        def scalar_for_all(engine_name, factory):
+            asked.append((engine_name, factory))
+            return ScalarRunState
+
+        monkeypatch.setattr(engine, "run_state_class", scalar_for_all)
+        assert run(trace, tiny_sim_config) == reference
+        assert asked == [(tiny_sim_config.engine, None)]
+
+    @pytest.mark.parametrize(
+        "engine_name, kind, imported",
+        [
+            ("scalar", PrefetcherKind.BASELINE, ["repro.sim.scalar"]),
+            ("batch", PrefetcherKind.IDEAL_TMS,
+             ["repro.sim.batch", "repro.sim.scalar"]),
+        ],
+    )
+    def test_imports_only_the_states_module(self, engine_name, kind,
+                                            imported):
+        code = f"""
+import json, sys
+from repro.sim.engine import run_state_class
+from repro.sim.runner import PrefetcherKind, make_factory
+run_state_class({engine_name!r}, make_factory(PrefetcherKind.{kind.name}))
+print(json.dumps(sorted(
+    name for name in ("repro.sim.native", "repro.sim.batch",
+                      "repro.sim.scalar", "repro.sim.library")
+    if name in sys.modules
+)))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == imported

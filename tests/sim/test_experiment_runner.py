@@ -471,12 +471,11 @@ class TestWorkersRunOnCallersSession:
         from repro.sim.store import ArtifactStore
 
         session = SimSession(
-            enabled=True, store=ArtifactStore(str(tmp_path)),
-            max_memory_results=3,
+            enabled=True, store=ArtifactStore(str(tmp_path))
         )
         run_job(_job(), session)
         clone = pickle.loads(pickle.dumps(session))
-        assert clone.enabled and clone.max_memory_results == 3
+        assert clone.enabled
         assert clone.store.root == session.store.root
         assert clone.store.stats is clone.stats
         assert clone.export_results() == {}

@@ -248,8 +248,10 @@ def test_kernel_loads_only_for_baseline_and_stms_cells():
     maps the library; generating a trace maps the library (the compiled
     emitters) but imports no simulator model; IDEAL_TMS and MARKOV cells
     (run or preloaded) never import the kernel's driver; an STMS cell
-    run does.  A fan-out's preload maps the library for STMS jobs, or
-    for any jobs when a worker may generate a trace, and not otherwise.
+    run does.  A fan-out's preload (``_preload_workers``) maps the
+    library and imports the kernel's driver for STMS jobs, maps the
+    library for any jobs when a worker may generate a trace, and
+    neither maps nor imports it otherwise.
     """
     prelude = """
 import json, sys
@@ -259,7 +261,7 @@ def mapped():
     with open("/proc/self/maps") as maps:
         return "repro-kernels" in maps.read()
 after_import = [loaded(), mapped()]
-from repro.sim.runner import PrefetcherKind, SimJob, _preload_kernel
+from repro.sim.runner import PrefetcherKind, SimJob, _preload_workers
 """
     run_code = prelude + """
 from repro.workloads.suite import generate
@@ -272,7 +274,7 @@ def run(kind, **options):
         trace, make_factory(kind, **options), kind.value)
 for kind in (PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV):
     run(kind)
-    _preload_kernel([SimJob("web-apache", kind, scale="test")], True)
+    _preload_workers([SimJob("web-apache", kind, scale="test")], True)
 after_other = loaded()
 run(PrefetcherKind.STMS, stms_config=make_stms_config("test", cores=2))
 print(json.dumps([after_import, after_generate, after_other, loaded()]))
@@ -286,17 +288,17 @@ for kind, generates in (
     (PrefetcherKind.IDEAL_TMS, False),
     (PrefetcherKind.IDEAL_TMS, True),
 ):
-    _preload_kernel([SimJob("web-apache", kind, scale="test")], generates)
+    _preload_workers([SimJob("web-apache", kind, scale="test")], generates)
     steps.append(mapped())
 print(json.dumps([after_import, steps, loaded()]))
 """
     assert _python(preload_code) == [[False, False], [False, True], False]
     stms_code = prelude + """
-_preload_kernel([SimJob("web-apache", PrefetcherKind.STMS, scale="test")],
-                False)
+_preload_workers([SimJob("web-apache", PrefetcherKind.STMS, scale="test")],
+                 False)
 print(json.dumps([after_import, mapped(), loaded()]))
 """
-    assert _python(stms_code) == [[False, False], True, False]
+    assert _python(stms_code) == [[False, False], True, True]
 
 
 def test_warm_replay_never_loads_the_kernel(tmp_path):

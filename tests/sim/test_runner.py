@@ -1,14 +1,25 @@
-"""Unit tests for the high-level runners and factories."""
+"""Unit tests for the high-level runners and factories, and for the
+fan-out's scheduling: the pre-fork preload, the two-level shard
+partitioner and the forked map (results equal to the serial ones, one
+trace acquisition per group, persisted counters, the platform fallback
+and worker errors).  Deep per-cell bit-identity of the parallel path is
+pinned by the differential harness (`test_engine_differential.py`)."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import pytest
 
 from repro.core.config import StmsConfig
+from repro.sim import engine as engine_module
+from repro.sim import library
+from repro.sim import runner as runner_module
 from repro.sim.runner import (
+    ExperimentRunner,
     PrefetcherKind,
     SimJob,
-    _uses_library,
+    _preload_workers,
+    _shard_groups,
     compare_prefetchers,
     job_options,
     job_result_key,
@@ -18,8 +29,8 @@ from repro.sim.runner import (
     run_job,
     run_workload,
 )
-from repro.sim.session import SimSession
-from repro.sim.store import ArtifactStore, trace_digest
+from repro.sim.session import SimSession, set_session
+from repro.sim.store import ArtifactStore, encode_result, trace_digest
 from repro.sim.sweep import run_sweep
 from repro.workloads.suite import SCALES
 
@@ -170,30 +181,312 @@ class TestResultKeyConsistency:
         assert session.lookup_result(other) is None
 
 
-class TestLibraryPreload:
-    """``_uses_library``: the fan-out preloads the compiled library
-    whenever a worker may generate a trace or step a kernel cell."""
+class TestWorkerPreload:
+    """``_preload_workers`` loads the compiled library before the pool
+    forks whenever a worker may generate a trace or step a kernel cell,
+    and never otherwise."""
 
     @staticmethod
     def _jobs(*kinds: PrefetcherKind) -> "list[SimJob]":
         return [SimJob("web-apache", kind, scale="test") for kind in kinds]
 
+    @pytest.fixture
+    def loads(self, monkeypatch) -> "list[bool]":
+        """One entry per ``library.load`` call, whoever makes it."""
+        calls: "list[bool]" = []
+        real = library.load
+
+        def counted():
+            calls.append(True)
+            return real()
+
+        monkeypatch.setattr(library, "load", counted)
+        return calls
+
     @pytest.mark.parametrize(
         "kind", [PrefetcherKind.IDEAL_TMS, PrefetcherKind.MARKOV]
     )
-    def test_generating_workers_use_it_for_any_cell(self, kind):
-        assert _uses_library(self._jobs(kind), generates=True)
-        assert not _uses_library(self._jobs(kind), generates=False)
+    def test_generating_workers_use_it_for_any_cell(self, kind, loads):
+        _preload_workers(self._jobs(kind), generates=False)
+        assert not loads
+        _preload_workers(self._jobs(kind), generates=True)
+        assert loads
 
     @pytest.mark.parametrize(
         "kind", [PrefetcherKind.BASELINE, PrefetcherKind.STMS]
     )
-    def test_kernel_cells_use_it_without_generating(self, kind):
-        jobs = self._jobs(PrefetcherKind.IDEAL_TMS, kind)
-        assert _uses_library(jobs, generates=False)
+    def test_kernel_cells_use_it_without_generating(self, kind, loads):
+        _preload_workers(
+            self._jobs(PrefetcherKind.IDEAL_TMS, kind), generates=False
+        )
+        assert loads
 
-    def test_scalar_engine_uses_it_only_to_generate(self, monkeypatch):
+    def test_scalar_engine_uses_it_only_to_generate(
+        self, monkeypatch, loads
+    ):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
         jobs = self._jobs(PrefetcherKind.BASELINE, PrefetcherKind.STMS)
-        assert not _uses_library(jobs, generates=False)
-        assert _uses_library(jobs, generates=True)
+        _preload_workers(jobs, generates=False)
+        assert not loads
+        _preload_workers(jobs, generates=True)
+        assert loads
+
+    def test_asks_the_engine_dispatch_once_per_kind(self, monkeypatch):
+        """The preload picks each cell's run state where
+        ``Simulator.run`` does: :func:`run_state_class`."""
+        asked = []
+        real = engine_module.run_state_class
+
+        def recorded(engine, factory):
+            asked.append((engine, factory))
+            return real(engine, factory)
+
+        monkeypatch.setattr(engine_module, "run_state_class", recorded)
+        kinds = (PrefetcherKind.BASELINE, PrefetcherKind.IDEAL_TMS)
+        _preload_workers(
+            self._jobs(*kinds, PrefetcherKind.BASELINE), generates=False
+        )
+        assert len(asked) == len(kinds)
+        assert {engine for engine, _ in asked} == {"auto"}
+        assert None in {factory for _, factory in asked}
+
+
+# ----------------------------------------------------------------------
+# The two-level shard partitioner.
+# ----------------------------------------------------------------------
+
+
+def _grid_jobs(points=(1.0, 0.5, 0.25, 0.125)) -> "list[SimJob]":
+    """A single-trace sampling ladder (the level-2 sharding shape)."""
+    return [
+        SimJob(
+            "web-apache",
+            PrefetcherKind.STMS,
+            scale="test",
+            cores=2,
+            seed=11,
+            stms_overrides=job_options(sampling_probability=probability),
+            tag=probability,
+        )
+        for probability in points
+    ]
+
+
+def _result_keys(results):
+    return [encode_result(r) for r in results]
+
+
+def test_shard_groups_identity_when_groups_cover_workers():
+    groups = {("a",): [0, 1, 2], ("b",): [3, 4]}
+    shards = _shard_groups(groups, workers=2)
+    assert shards == [(("a",), [0, 1, 2]), (("b",), [3, 4])]
+
+
+def test_shard_groups_splits_single_group_across_workers():
+    groups = {("a",): list(range(8))}
+    shards = _shard_groups(groups, workers=2)
+    # Over-decomposed to 2 shards per worker, strided partitions.
+    assert len(shards) == 4
+    recombined = sorted(i for _, indices in shards for i in indices)
+    assert recombined == list(range(8))
+    # Strided halving: no shard holds a contiguous prefix of the grid
+    # (each spreads across the cost gradient).
+    assert all(len(indices) == 2 for _, indices in shards)
+
+
+def test_shard_groups_never_splits_one_cell_groups():
+    """The fixed floor: a one-cell group is never split, however many
+    workers idle."""
+    groups = {("a",): [0], ("b",): [1]}
+    assert _shard_groups(groups, workers=8) == [
+        (("a",), [0]),
+        (("b",), [1]),
+    ]
+
+
+def test_shard_groups_splits_three_cell_group_when_workers_idle():
+    groups = {("a",): [0, 1, 2]}
+    shards = _shard_groups(groups, workers=4)
+    # Halved down to one-cell shards, stopping at the fixed floor.
+    assert sorted(indices for _, indices in shards) == [[0], [1], [2]]
+    assert all(key == ("a",) for key, _ in shards)
+
+
+# ----------------------------------------------------------------------
+# End-to-end: the fan-out (forks a pool).
+# ----------------------------------------------------------------------
+
+
+def _map(runner: ExperimentRunner, jobs, session: SimSession):
+    """``runner.map`` with ``session`` as the process session too."""
+    previous = set_session(session)
+    try:
+        return runner.map(jobs, session=session)
+    finally:
+        set_session(previous)
+
+
+def test_cell_parallel_map_matches_serial():
+    jobs = _grid_jobs()
+    serial = _map(
+        ExperimentRunner(max_workers=1, parallel=False),
+        jobs,
+        SimSession(enabled=True, store=None),
+    )
+    parallel_session = SimSession(enabled=True, store=None)
+    parallel = _map(
+        ExperimentRunner(max_workers=2, parallel=True),
+        jobs,
+        parallel_session,
+    )
+    assert _result_keys(parallel) == _result_keys(serial)
+    stats = parallel_session.stats
+    # One trace group, split: the parent generates the trace once, and
+    # every shard finds it in the memory tier it inherited.
+    assert stats.trace_misses == 1
+    assert stats.trace_hits >= 2
+    assert stats.sweep_invocations >= 2
+    assert stats.sweep_cells == len(jobs)
+
+
+@pytest.mark.slow
+def test_cell_parallel_map_persists_store_counters(tmp_path):
+    store = ArtifactStore(str(tmp_path / "store"))
+    _map(
+        ExperimentRunner(max_workers=2, parallel=True),
+        _grid_jobs(),
+        SimSession(enabled=True, store=store),
+    )
+    counters = store.counters()
+    assert counters.get("trace_misses", 0) == 1
+    assert counters.get("trace_hits", 0) >= 2
+    assert counters.get("sweep_cells", 0) == len(_grid_jobs())
+
+
+def test_workers_get_their_traces_from_the_session(tmp_path):
+    """Two unsplit groups on two workers, over a store that holds one
+    group's trace: that worker loads it from the store, the other
+    generates its own, and each acquisition counts once."""
+    store_dir = str(tmp_path / "store")
+    seed = 17
+    SimSession(enabled=True, store=ArtifactStore(store_dir)).trace(
+        "web-apache", scale="test", cores=2, seed=seed
+    )
+    jobs = [
+        SimJob(workload, PrefetcherKind.BASELINE, scale="test", cores=2,
+               seed=seed)
+        for workload in ("web-apache", "oltp-db2")
+    ]
+    session = SimSession(enabled=True, store=ArtifactStore(store_dir))
+    results = _map(
+        ExperimentRunner(max_workers=2, parallel=True), jobs, session
+    )
+    stats = session.stats
+    assert stats.trace_store_hits == 1
+    assert stats.trace_misses == 1
+    assert stats.trace_hits == 0
+    assert stats.sweep_invocations == 2
+    serial = [
+        run_job(job, SimSession(enabled=True, store=None)) for job in jobs
+    ]
+    assert _result_keys(results) == _result_keys(serial)
+
+
+def test_platform_degradation_fallback_runs_serially(monkeypatch):
+    """A platform that refuses subprocesses runs every job here."""
+
+    class _RefusingPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("platform refused subprocesses")
+
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", _RefusingPool
+    )
+    jobs = _grid_jobs()
+    session = SimSession(enabled=True, store=None)
+    results = _map(ExperimentRunner(max_workers=2, parallel=True), jobs,
+                   session)
+    # One sweep over the whole group: the serial path, counted once.
+    assert session.stats.sweep_invocations == 1
+    assert session.stats.sweep_cells == len(jobs)
+    reference = [
+        run_job(job, SimSession(enabled=True, store=None))
+        for job in _grid_jobs()
+    ]
+    assert _result_keys(results) == _result_keys(reference)
+
+
+def test_refused_submission_shuts_the_pool_and_runs_serially(monkeypatch):
+    """A pool that starts but cannot fork a worker at submission (an
+    exhausted process table) is shut down, and every job runs here."""
+    shutdowns = []
+
+    class _ForklessPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, *args, **kwargs):
+            raise OSError("fork: resource temporarily unavailable")
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", _ForklessPool
+    )
+    jobs = _grid_jobs()
+    session = SimSession(enabled=True, store=None)
+    results = _map(ExperimentRunner(max_workers=2, parallel=True), jobs,
+                   session)
+    assert shutdowns == [True]
+    assert session.stats.sweep_invocations == 1
+    assert session.stats.sweep_cells == len(jobs)
+    assert all(result is not None for result in results)
+
+
+def _raising_bundle(*args, **kwargs):
+    """Module-level (picklable) stand-in for a dying worker."""
+    raise ValueError("worker died")
+
+
+@pytest.mark.slow
+def test_worker_exception_propagates(monkeypatch):
+    """A worker's error reaches the caller."""
+    monkeypatch.setattr(runner_module, "_run_bundle", _raising_bundle)
+    with pytest.raises(ValueError):
+        _map(
+            ExperimentRunner(max_workers=2, parallel=True),
+            _grid_jobs(),
+            SimSession(enabled=True, store=None),
+        )
+
+
+def _runtime_error_bundle(*args, **kwargs):
+    raise RuntimeError("worker failed")
+
+
+def _kernel_unavailable_bundle(*args, **kwargs):
+    raise library.KernelUnavailable("no C compiler ('cc') on PATH")
+
+
+@pytest.mark.parametrize(
+    "bundle, error",
+    [
+        (_runtime_error_bundle, RuntimeError),
+        (_kernel_unavailable_bundle, library.KernelUnavailable),
+    ],
+    ids=["RuntimeError", "KernelUnavailable"],
+)
+def test_worker_runtime_error_is_not_a_platform_refusal(
+    monkeypatch, bundle, error
+):
+    """A ``RuntimeError`` a worker raises reaches the caller of ``map``
+    instead of rerunning the whole fan-out serially (which would also
+    lose the failed workers' counts)."""
+    monkeypatch.setattr(runner_module, "_run_bundle", bundle)
+    session = SimSession(enabled=True, store=None)
+    with pytest.raises(error):
+        _map(ExperimentRunner(max_workers=2, parallel=True), _grid_jobs(),
+             session)
+    assert session.stats.sweep_invocations == 0
+    assert session.stats.sim_misses == 0

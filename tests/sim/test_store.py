@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -577,7 +578,7 @@ class TestTwoTierSession:
     def test_disabled_session_bypasses_store_bit_identically(
         self, tmp_path
     ):
-        """REPRO_SIM_CACHE=0 / enabled=False recomputes everything and
+        """``enabled=False`` recomputes everything and
         matches the store-served result exactly (engine-equivalence
         style, extended across the persistence boundary)."""
         store_dir = str(tmp_path / "store")
@@ -597,13 +598,6 @@ class TestTwoTierSession:
         assert uncached.stats.sim_misses == 1
         assert runs["warm"] == runs["cached"]
         assert runs["uncached"] == runs["cached"]
-
-    def test_env_cache_off_forces_recompute(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        session = SimSession()
-        assert not session.enabled
-        assert session.store is None
 
     def test_env_store_dir_attaches_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "s"))
@@ -634,20 +628,23 @@ class TestTwoTierSession:
         session.trace("web-apache", scale="test", cores=2, seed=3)
         assert session.stats.trace_misses == 1
 
-    def test_memory_tier_lru_cap(self):
-        session = SimSession(enabled=True, store=None, max_memory_results=1)
+    def test_memory_tier_keeps_every_result(self):
+        """The memory tier has no cap: a result simulated before others
+        is still served from memory."""
+        session = SimSession(enabled=True, store=None)
         trace = make_trace([[1, 2, 3] * 50])
-        run_trace(
+        first = run_trace(
             trace, PrefetcherKind.BASELINE, scale="test", session=session
         )
         run_trace(
             trace, PrefetcherKind.MARKOV, scale="test", session=session
         )
-        assert session.stats.memory_evictions == 1
-        run_trace(
+        again = run_trace(
             trace, PrefetcherKind.BASELINE, scale="test", session=session
         )
-        assert session.stats.sim_misses == 3  # baseline was evicted
+        assert again is first
+        assert session.stats.sim_misses == 2
+        assert session.stats.sim_hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -744,6 +741,57 @@ class TestFromEnv:
         blocker.write_text("not a directory")
         monkeypatch.setenv("REPRO_STORE_DIR", str(blocker))
         assert ArtifactStore.from_env() is None
+
+
+class TestMaxMbKnob:
+    """``REPRO_STORE_MAX_MB``: a malformed cap warns once per process
+    and leaves the store uncapped; an empty value means unset."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_warn_once(self, monkeypatch):
+        monkeypatch.setattr(store_module, "_MAX_MB_WARNED", False)
+
+    def test_unset_and_empty_mean_no_cap_silently(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ArtifactStore._max_bytes_from_env() is None
+            monkeypatch.setenv("REPRO_STORE_MAX_MB", "")
+            assert ArtifactStore._max_bytes_from_env() is None
+
+    @pytest.mark.parametrize(
+        "value, megabytes", [("2", 2), ("0.5", 0.5), ("1e-3", 1e-3)]
+    )
+    def test_valid_value_never_warns(self, monkeypatch, value, megabytes):
+        monkeypatch.setenv("REPRO_STORE_MAX_MB", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ArtifactStore._max_bytes_from_env() == int(
+                megabytes * 1024 * 1024
+            )
+
+    @pytest.mark.parametrize(
+        "value",
+        ["lots", "10MB", "1.2.3", "0x10", "nan", "inf", "-inf", "-1", "0"],
+    )
+    def test_invalid_value_warns_once(self, monkeypatch, tmp_path, value):
+        """Store open survives the value, keeps what it writes, and a
+        second open in the same process stays quiet."""
+        monkeypatch.setenv("REPRO_STORE_MAX_MB", value)
+        with pytest.warns(RuntimeWarning, match="REPRO_STORE_MAX_MB"):
+            store = ArtifactStore(str(tmp_path / "store"))
+        assert store.max_bytes is None
+        assert store.save_estimate("e" * 32, {"total": 1})
+        assert len(store.entries()) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ArtifactStore(str(tmp_path / "other")).max_bytes is None
+
+    def test_valid_cap_applies_to_an_opened_store(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_STORE_MAX_MB", "2")
+        store = ArtifactStore(str(tmp_path / "store"))
+        assert store.max_bytes == 2 * 1024 * 1024
 
 
 class TestLoadTraceRef:

@@ -21,8 +21,10 @@ SRC = os.path.join(
 _CHILD = """
 import dataclasses, json, time
 from repro.experiments import fig4_potential
+from repro.sim.runner import ExperimentRunner
 t0 = time.perf_counter()
-fig4_potential.run(scale="test", cores=2, workloads=("web-apache", "oltp-db2"))
+fig4_potential.run(scale="test", cores=2, workloads=("web-apache", "oltp-db2"),
+                   runner=ExperimentRunner(max_workers=1))
 elapsed = time.perf_counter() - t0
 from repro.sim.session import get_session
 print("STATS " + json.dumps(
@@ -37,7 +39,6 @@ def _run_fig4(store_dir: str) -> dict:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     env["REPRO_STORE_DIR"] = store_dir
-    env["REPRO_JOBS"] = "1"
     output = subprocess.run(
         [sys.executable, "-c", _CHILD],
         env=env,

@@ -7,11 +7,9 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 
 import pytest
 
-from repro import envknobs
 from repro.cli import build_parser, main
 from repro.sim.session import SessionStats
 from repro.sim.store import ArtifactStore, estimate_digest
@@ -409,36 +407,6 @@ class TestCacheCli:
         assert not os.path.exists(store)
 
 
-    def test_sim_cache_zero_skips_store(self, tmp_path, monkeypatch, capsys):
-        """``REPRO_SIM_CACHE=0`` acts as ``--no-cache``."""
-        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-        store = str(tmp_path / "store")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(
-                ["run", "--workload", "oltp-db2", "--prefetcher",
-                 "baseline", "--scale", "test", "--cores", "2",
-                 "--store-dir", store]
-            ) == 0
-        assert "baseline" in capsys.readouterr().out
-        assert not os.path.exists(store)
-
-    def test_sim_cache_misspelt_off_warns_and_keeps_store(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """``REPRO_SIM_CACHE=off`` is not ``0``: the run warns once and
-        still uses the store."""
-        monkeypatch.setattr(envknobs, "_WARNED_ENV_KEYS", set())
-        monkeypatch.setenv("REPRO_SIM_CACHE", "off")
-        store = str(tmp_path / "store")
-        with pytest.warns(RuntimeWarning, match="REPRO_SIM_CACHE='off'"):
-            assert main(
-                ["run", "--workload", "oltp-db2", "--prefetcher",
-                 "baseline", "--scale", "test", "--cores", "2",
-                 "--store-dir", store]
-            ) == 0
-        assert os.listdir(os.path.join(store, "results"))
-
     @pytest.mark.parametrize("name", ["fig8", "mix-contention"])
     def test_exact_experiment_simulates_every_cell_and_writes_no_estimate(
         self, name, tmp_path, capsys
@@ -537,3 +505,29 @@ class TestCommandsSlow:
         content = open(target).read()
         assert "Table 2" in content
         assert "PASS" in content
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_readme_knob_table_matches_code():
+    """Every ``REPRO_*`` knob the code reads has exactly one README row.
+
+    A knob added without a row, or a row left behind after its knob is
+    deleted, fails here instead of drifting silently.
+    """
+    in_code = set()
+    for directory, _, names in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name)) as handle:
+                    in_code.update(
+                        re.findall(
+                            r"""["'](REPRO_[A-Z0-9_]+)["']""", handle.read()
+                        )
+                    )
+    with open(os.path.join(REPO_ROOT, "README.md")) as handle:
+        in_readme = set(
+            re.findall(r"^\| `(REPRO_[A-Z0-9_]+)", handle.read(), re.MULTILINE)
+        )
+    assert in_code == in_readme
